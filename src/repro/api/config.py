@@ -13,7 +13,9 @@ comparable dataclass any embedding caller can construct:
 
 ``config.create()`` materializes the runtime backend (or ``None`` for
 local execution, where :class:`~repro.runtime.matrix.MatrixRunner`
-owns its own pool); configuration mistakes surface as
+owns its own pool and the session keeps one more for scans, made on
+the first scan and reaped by ``close()``); configuration mistakes
+surface as
 :class:`~repro.errors.BackendError` rather than assorted builtins.
 """
 
@@ -93,10 +95,13 @@ class DistributedConfig(BackendConfig):
     :class:`LocalConfig`.
 
     ``adaptive_chunks`` (default on) sizes each worker's next chunk
-    from its observed throughput — ``target_chunk_seconds`` of wall
-    clock per chunk, clamped to ``[min_chunk_cells, max_chunk_cells]``
-    — so fast workers stop starving behind fleet-average chunks and
-    slow links stop receiving oversize ones. Set
+    from its observed throughput — at most ``target_chunk_seconds`` of
+    wall clock per chunk and at most the worker's rate-proportional
+    share of the cells still un-carved among the idle workers, clamped
+    to ``[min_chunk_cells, max_chunk_cells]`` — so fast workers stop
+    starving behind fleet-average chunks, slow links stop receiving
+    oversize ones, and a pool smaller than one time budget is still
+    spread over the whole fleet. Set
     ``min_chunk_cells == max_chunk_cells`` to pin a fixed size, or
     ``adaptive_chunks=False`` for the historical ~2-chunks-per-worker
     slicing. Result bundles are byte-identical either way.

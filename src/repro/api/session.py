@@ -230,6 +230,9 @@ class Session:
         self.disk_cache: Optional[DiskResultCache] = cache_dir
         self._jobs: Optional[JobExecutor] = None
         self._backend: Optional[ExecutionBackend] = self.config.create()
+        #: Process pool for :meth:`scan` under a config that creates no
+        #: backend object; made on the first scan, reaped by close().
+        self._scan_pool: Optional[ExecutionBackend] = None
         # Attached for the session's whole lifetime, not just during
         # run(): a distributed fleet assembles while the coordinator
         # waits, and those WorkerJoined events must reach the observer.
@@ -258,6 +261,9 @@ class Session:
         if self._backend is not None:
             self._backend.close()
             self._backend = None
+        if self._scan_pool is not None:
+            self._scan_pool.close()
+            self._scan_pool = None
 
     @property
     def address(self) -> Optional[str]:
@@ -364,28 +370,26 @@ class Session:
             raise InvalidOverride(
                 f"scan request must be a ScanRequest or mapping, got {type(request).__name__}"
             )
-        # The serial reference config creates no backend object; scans
-        # always dispatch through one, so borrow an ephemeral pool.
+        # A local config creates no backend object (MatrixRunner owns
+        # its pool); scans always dispatch through one, so the session
+        # keeps a pool of its own across scans.
         backend = self._backend
-        ephemeral = backend is None
-        if ephemeral:
-            from repro.runtime.backend import LocalBackend
+        if backend is None:
+            if self._scan_pool is None:
+                from repro.runtime.backend import LocalBackend
 
-            backend = LocalBackend(max(1, self._workers()))
+                self._scan_pool = LocalBackend(max(1, self._workers()))
+            backend = self._scan_pool
             backend.set_event_sink(self._sink(on_event))
-        try:
-            coordinator = StreamCoordinator(
-                backend,
-                request,
-                checkpoint_dir=checkpoint_dir if checkpoint_dir is not None else self.resume,
-                disk_cache=self.disk_cache,
-                sink=self._sink(on_event),
-                window=window,
-            )
-            return coordinator.run()
-        finally:
-            if ephemeral:
-                backend.close()
+        coordinator = StreamCoordinator(
+            backend,
+            request,
+            checkpoint_dir=checkpoint_dir if checkpoint_dir is not None else self.resume,
+            disk_cache=self.disk_cache,
+            sink=self._sink(on_event),
+            window=window,
+        )
+        return coordinator.run()
 
     def run_experiment(
         self,

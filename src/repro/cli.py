@@ -360,8 +360,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         stats = session.backend_stats
         if stats is not None:
             print(
-                f"distributed: {stats.workers_seen} worker(s), "
-                f"{stats.chunks_dispatched} chunk(s) dispatched, "
+                f"distributed: {stats.chunks_dispatched} chunk(s) dispatched "
+                f"over {stats.workers_used} of {stats.workers_seen} worker(s), "
                 f"{stats.chunks_requeued} requeued, "
                 f"{stats.workers_lost} worker(s) lost, "
                 f"{stats.worker_cache_hits} worker-cache hit(s)"

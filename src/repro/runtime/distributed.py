@@ -95,13 +95,17 @@ Adaptive chunk sizing
 The scheduler keeps one EWMA of observed cells/sec per worker —
 measured from CHUNK-send start to RESULT receipt, so a slow *link* is
 priced in exactly like a slow *CPU* — and carves each worker's next
-chunk off the remaining cell pool sized to ``target_chunk_seconds`` of
-that worker's throughput, clamped to ``[min_chunk_cells,
-max_chunk_cells]``. Fast workers stop idling between under-sized
-chunks, slow workers stop sitting on oversize chunks the fleet has to
-wait out (and stop hitting transfer deadlines), and because every
-result is tagged with its cell index, reassembly — and therefore the
-result bundle — is byte-identical no matter how the pool was carved.
+chunk off the remaining cell pool: at most ``target_chunk_seconds`` of
+that worker's throughput, and at most its rate-proportional share of
+what is left among the workers idle at that moment, clamped to
+``[min_chunk_cells, max_chunk_cells]``. Fast workers stop idling
+between under-sized chunks, slow workers stop sitting on oversize
+chunks the fleet has to wait out (and stop hitting transfer
+deadlines), no worker idles through a job whose whole pool is smaller
+than one time budget (a 64-cell spill batch of 2 ms cells), and
+because every result is tagged with its cell index, reassembly — and
+therefore the result bundle — is byte-identical no matter how the pool
+was carved.
 
 The same EWMA data drives **speculative straggler re-execution**: when
 the pool is drained but a chunk is overdue on a slow worker, an idle
@@ -936,6 +940,9 @@ class BackendStats:
     workers_lost: int = 0
     #: Workers that departed gracefully via DRAIN (not counted lost).
     workers_drained: int = 0
+    #: Distinct workers that completed at least one chunk: a fleet of N
+    #: that reports fewer ran part of its work on fewer cores.
+    workers_used: int = 0
     chunks_dispatched: int = 0
     chunks_requeued: int = 0
     #: Speculative duplicate dispatches (included in
@@ -982,6 +989,7 @@ class _WorkerConn:
         "alive",
         "inflight",
         "draining",
+        "used",
         "info",
     )
 
@@ -996,6 +1004,8 @@ class _WorkerConn:
         self.inflight: Optional[Tuple[int, int]] = None
         #: Set on DRAIN (either direction): departure is graceful.
         self.draining = False
+        #: Has completed a chunk (counted once in ``workers_used``).
+        self.used = False
         self.info = info
 
 
@@ -1016,7 +1026,8 @@ class SocketBackend(ExecutionBackend):
     default), always invoked under this backend's state lock.
 
     :meth:`run_cells` (the :class:`MatrixRunner` default path) sizes
-    each worker's next chunk adaptively from its observed throughput —
+    each worker's next chunk adaptively from its observed throughput
+    and the idle workers' shares of the remaining pool —
     see the module docs; an explicit ``chunk_size`` or
     ``adaptive_chunks=False`` pins fixed slices.
     """
@@ -1087,6 +1098,8 @@ class SocketBackend(ExecutionBackend):
         self._next_wid = 0
         self._job_seq = 0
         self._job_engine = "scalar"
+        #: Recorded chunks whose result-observer call has not returned.
+        self._observing = 0
         self._closed = False
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
@@ -1232,8 +1245,17 @@ class SocketBackend(ExecutionBackend):
                                     f"{self._scheduler.chunk_count()} chunks)"
                                 )
                             recorded = self._scheduler.record(conn.wid, chunk_id, results)
-                            if recorded and cache_stats is not None:
-                                self.stats.worker_cache_hits += cache_stats.hits
+                            if recorded:
+                                # Counted in the same critical section
+                                # that may turn the job "done": _run_job
+                                # must not return before the observer
+                                # has seen this chunk.
+                                self._observing += 1
+                                if not conn.used:
+                                    conn.used = True
+                                    self.stats.workers_used += 1
+                                if cache_stats is not None:
+                                    self.stats.worker_cache_hits += cache_stats.hits
                         self._cond.notify_all()
                     if recorded:
                         self.emit(
@@ -1274,22 +1296,26 @@ class SocketBackend(ExecutionBackend):
         checkpointing). Runs outside the state lock — observer I/O must
         not stall result intake — and an observer failure fails the
         *job* loudly: silently losing checkpoint durability would turn
-        a later crash into data loss."""
+        a later crash into data loss. The reader counted this call into
+        ``_observing`` when it recorded the chunk; :meth:`_run_job`
+        returns only once the count is back to zero, so the caller never
+        swaps the observer out from under a journal write."""
+        failure: Optional[Dict[str, Any]] = None
         try:
             self.observe_results(results)
         except Exception as exc:
             _log.exception("result observer failed; aborting job %s", job_id)
-            with self._cond:
-                if self._scheduler.accepts(job_id):
-                    self._scheduler.fail(
-                        {
-                            "job_id": job_id,
-                            "chunk_id": chunk_id,
-                            "error": f"result observer failed: {exc!r}",
-                            "traceback": traceback.format_exc(),
-                        }
-                    )
-                self._cond.notify_all()
+            failure = {
+                "job_id": job_id,
+                "chunk_id": chunk_id,
+                "error": f"result observer failed: {exc!r}",
+                "traceback": traceback.format_exc(),
+            }
+        with self._cond:
+            self._observing -= 1
+            if failure is not None and self._scheduler.accepts(job_id):
+                self._scheduler.fail(failure)
+            self._cond.notify_all()
 
     def _drop_worker(self, conn: _WorkerConn, reason: Optional[BaseException]) -> None:
         lost = False
@@ -1451,7 +1477,9 @@ class SocketBackend(ExecutionBackend):
         back to fixed slicing via the base implementation. Otherwise
         the cell pool stays un-chunked on the coordinator and each idle
         worker's next chunk is carved to ``target_chunk_seconds`` of
-        its EWMA throughput, clamped to the configured cell bounds.
+        its EWMA throughput or its share of the remaining pool among
+        the idle workers, whichever is smaller, clamped to the
+        configured cell bounds.
         """
         if chunk_size is not None or not self.adaptive_chunks:
             return super().run_cells(cells, level_value, chunk_size, engine=engine)
@@ -1496,7 +1524,7 @@ class SocketBackend(ExecutionBackend):
                             f"{job.failure.get('error')}\n"
                             f"{job.failure.get('traceback', '')}"
                         )
-                    if job.done():
+                    if job.done() and not self._observing:
                         return job.results_in_order()
                     if not self._workers and not job.done():
                         # Every worker is gone with work outstanding;

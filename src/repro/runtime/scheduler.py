@@ -10,10 +10,14 @@ behind the :class:`Scheduler` interface:
 * the **chunk pool** — fixed pre-sized chunks
   (:meth:`SocketBackend.run_chunks`) or an un-chunked cell pool carved
   adaptively per worker (:meth:`SocketBackend.run_cells`);
-* **throughput-aware sizing** — one EWMA of observed cells/sec per
-  worker (:data:`EWMA_ALPHA`), each next chunk sized to
-  ``target_chunk_seconds`` of that worker's rate, clamped to
-  ``[min_chunk_cells, max_chunk_cells]``;
+* **throughput-aware, work-conserving sizing** — one EWMA of observed
+  cells/sec per worker (:data:`EWMA_ALPHA`); each next chunk is the
+  smaller of ``target_chunk_seconds`` of that worker's rate and the
+  worker's rate-proportional share of the un-carved pool among the
+  workers idle at that instant, clamped to ``[min_chunk_cells,
+  max_chunk_cells]``. The time budget bounds a chunk when the pool is
+  large; the share keeps the whole fleet busy when the pool is smaller
+  than one budget (see :meth:`ChunkScheduler._fair_share`);
 * **requeue and poison bounds** — a lost worker's chunk goes back to
   the front of the queue; a chunk dispatched ``max_chunk_retries``
   times without completing aborts the run with a typed
@@ -72,9 +76,12 @@ __all__ = [
     "EWMA_ALPHA",
 ]
 
-#: Adaptive chunk sizing: per-worker chunks target this much wall
-#: clock, clamped to the cell bounds below. ~1 s balances dispatch
-#: overhead against load-balance granularity for 10–200 ms cells.
+#: Adaptive chunk sizing: per-worker chunks target at most this much
+#: wall clock, clamped to the cell bounds below. At the 1.5–3 ms a
+#: handshake cell costs, ~1 s is 300–600 cells, so it binds only on
+#: pools of thousands of cells (where it keeps a chunk's round trip,
+#: and the work lost with a worker, to about a second); smaller pools
+#: are sized by the fair share in :meth:`ChunkScheduler._fair_share`.
 DEFAULT_TARGET_CHUNK_SECONDS = 1.0
 DEFAULT_MIN_CHUNK_CELLS = 1
 DEFAULT_MAX_CHUNK_CELLS = 1024
@@ -257,6 +264,10 @@ class _JobState:
         if chunk_id not in self.results:
             self.pending.appendleft(chunk_id)
 
+    def uncarved_cells(self) -> int:
+        """What is left of an adaptive job's cell pool."""
+        return len(self._pool) - self._pool_pos
+
     def outstanding_cells(self) -> int:
         """Cells not yet recorded: unanswered carved chunks plus the
         un-carved remainder of an adaptive job's pool."""
@@ -265,10 +276,10 @@ class _JobState:
             for chunk_id in range(len(self.chunks))
             if chunk_id not in self.results
         )
-        return carved + len(self._pool) - self._pool_pos
+        return carved + self.uncarved_cells()
 
     def done(self) -> bool:
-        return self._pool_pos >= len(self._pool) and len(self.results) == len(self.chunks)
+        return self.uncarved_cells() <= 0 and len(self.results) == len(self.chunks)
 
     def results_in_order(self) -> List[Tuple[int, RunArtifacts]]:
         out: List[Tuple[int, RunArtifacts]] = []
@@ -394,8 +405,9 @@ class Scheduler(ABC):
 
 
 class ChunkScheduler(Scheduler):
-    """The production policy: EWMA-sized chunks, front-requeue with a
-    poison bound, budgeted speculation, drain-aware assignment.
+    """The production policy: EWMA- and fair-share-sized chunks,
+    front-requeue with a poison bound, budgeted speculation,
+    drain-aware assignment.
 
     One instance lives for the whole backend so per-worker throughput
     estimates persist across jobs.
@@ -506,16 +518,43 @@ class ChunkScheduler(Scheduler):
 
     def _target_cells(self, state: WorkerState, job: _JobState) -> int:
         """How many cells this worker's next chunk should carry: its
-        EWMA throughput × the wall-clock budget, clamped to the
-        configured bounds (the job's conservative opening size until a
-        first RESULT seeds the EWMA)."""
+        EWMA throughput × the wall-clock budget (the job's conservative
+        opening size until a first RESULT seeds the EWMA), capped at its
+        fair share of the un-carved pool and clamped to the configured
+        bounds."""
         rate = state.ewma_rate
         if rate is None:
-            return job.initial_chunk_cells
-        return max(
-            self.min_chunk_cells,
-            min(self.max_chunk_cells, int(rate * self.target_chunk_seconds)),
-        )
+            budget = job.initial_chunk_cells
+        else:
+            budget = int(rate * self.target_chunk_seconds)
+        share = self._fair_share(state, job.uncarved_cells())
+        return max(self.min_chunk_cells, min(self.max_chunk_cells, budget, share))
+
+    def _fair_share(self, state: WorkerState, uncarved: int) -> int:
+        """The asking worker's slice of the un-carved pool when it is
+        split, rate-proportionally, between the workers that could take
+        a chunk right now (idle and not draining; the asker is one).
+
+        Without this cap the wall-clock budget alone decides the size,
+        and a pool smaller than one budget — every 64-cell spill batch
+        of millisecond cells — goes whole to whichever worker asks
+        first while the rest of the fleet idles. Busy workers are left
+        out on purpose: counting them carves a geometric tail of ever
+        smaller chunks (32, 16, 8, ... per batch) for the same
+        throughput. The split is equal while any candidate lacks a
+        throughput estimate, and one cell is held back per other
+        candidate so a lopsided rate cannot round a worker out of a
+        pool that has a cell for everyone.
+        """
+        idle = [
+            s for s in self._workers.values() if s.chunk_id is None and not s.draining
+        ]
+        rates = [s.ewma_rate for s in idle]
+        if all(rates):
+            share = uncarved * state.ewma_rate / sum(rates)
+        else:
+            share = uncarved / len(idle)
+        return min(math.ceil(share), uncarved - (len(idle) - 1))
 
     def _holders(self, chunk_id: int) -> int:
         return sum(1 for state in self._workers.values() if state.chunk_id == chunk_id)

@@ -214,6 +214,71 @@ def test_adaptive_sizing_converges_under_5x_speed_skew():
     assert sum(sizes["fast"]) > 2 * sum(sizes["slow"]), sizes
 
 
+def _sleeping_fleet(backend, stop, workers=2, delay_per_cell=0.002):
+    for n in range(workers):
+        threading.Thread(
+            target=_skewed_worker,
+            args=(backend, f"w{n}", delay_per_cell, stop),
+            daemon=True,
+        ).start()
+
+
+def test_batch_below_one_time_budget_is_shared_by_both_warmed_workers():
+    """A warmed worker's wall-clock budget (~500 cells here) dwarfs a
+    64-cell spill batch; sized by the budget alone the whole batch went
+    to whichever worker asked first and the other idled through the
+    job. Each idle worker must get its share instead."""
+    backend = SocketBackend(port=0, min_workers=2)
+    events = []
+    stop = threading.Event()
+    _sleeping_fleet(backend, stop)
+    scenario = Scenario()
+    try:
+        # Warm-up: both workers take an opening chunk and seed an EWMA.
+        backend.run_cells([(i, scenario, i) for i in range(64)], "stats")
+        dispatched_before = backend.stats.chunks_dispatched
+        backend.set_event_sink(events.append)
+        results = backend.run_cells([(i, scenario, i) for i in range(64)], "stats")
+    finally:
+        stop.set()
+        backend.close()
+    assert sorted(i for i, _r in results) == list(range(64))
+    completed = [e for e in events if isinstance(e, ChunkCompleted)]
+    assert {e.where for e in completed} == {"worker-1", "worker-2"}
+    # One rate-proportional share each; the two sleep at the same pace.
+    sizes = sorted(e.cells for e in completed)
+    assert len(sizes) == 2 and sum(sizes) == 64 and sizes[0] >= 16, sizes
+    assert backend.stats.chunks_dispatched - dispatched_before == 2
+    assert backend.stats.workers_used == 2
+    assert all(isinstance(v, int) for v in backend.stats.to_dict().values())
+
+
+def test_run_cells_returns_only_after_every_chunk_was_observed():
+    """The last chunk's observer call (the checkpoint journal write)
+    runs on a reader thread after the chunk is *recorded*; a job that
+    returned at that point let MatrixRunner swap the observer out from
+    under the write, and the final cells were never journaled."""
+    backend = SocketBackend(port=0, min_workers=2)
+    observed = []
+
+    def slow_observer(results):
+        time.sleep(0.2)
+        observed.extend(index for index, _artifacts in results)
+
+    backend.set_result_observer(slow_observer)
+    stop = threading.Event()
+    _sleeping_fleet(backend, stop)
+    scenario = Scenario()
+    try:
+        results = backend.run_cells([(i, scenario, i) for i in range(8)], "stats")
+        seen_at_return = sorted(observed)
+    finally:
+        stop.set()
+        backend.close()
+    assert sorted(i for i, _r in results) == list(range(8))
+    assert seen_at_return == list(range(8))
+
+
 def test_cache_served_chunks_do_not_inflate_throughput_ewma():
     """A chunk served from the worker's cache finishes in ~a
     millisecond and says nothing about simulation speed: folding it

@@ -128,7 +128,7 @@ def test_checkpoint_dir_with_shared_runner_rejected():
 # -- the acceptance criterion: SIGKILL the coordinator, resume ----------
 
 
-def run_cli(args, cwd, wait=True):
+def run_cli(args, cwd, wait=True, own_group=False):
     env = dict(os.environ)
     env.pop("REPRO_AUTH_KEY", None)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
@@ -140,6 +140,7 @@ def run_cli(args, cwd, wait=True):
         cwd=cwd,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=own_group,
     )
     if wait:
         assert proc.wait(timeout=300) == 0
@@ -161,6 +162,7 @@ def test_coordinator_sigkill_then_resume_bundle_byte_identical(tmp_path):
         ["run", *selection, "--resume", str(ckpt_dir), "--out", str(out_dir)],
         cwd=tmp_path,
         wait=False,
+        own_group=True,
     )
     # SIGKILL as soon as the first journal segment lands (mid-suite)
     deadline = time.monotonic() + 120
@@ -168,9 +170,19 @@ def test_coordinator_sigkill_then_resume_bundle_byte_identical(tmp_path):
         if time.monotonic() > deadline:
             pytest.fail("no checkpoint segment appeared within 120s")
         time.sleep(0.001)
-    victim.kill()
+    # The whole group: a kill of the coordinator alone orphans its two
+    # pool children, which then outlive the test.
+    os.killpg(victim.pid, signal.SIGKILL)
     victim.wait(timeout=60)
     assert victim.returncode == -signal.SIGKILL
+    deadline = time.monotonic() + 30
+    while True:
+        try:
+            os.killpg(victim.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "pool children outlived the coordinator"
+        time.sleep(0.05)
     assert not (out_dir / "suite.json").exists()  # it really died mid-run
     journaled = list(ckpt_dir.glob("cells-*.pkl"))
     assert journaled  # partial progress survived the kill

@@ -792,7 +792,8 @@ def test_cli_distributed_bundle_byte_identical_to_local(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "distributed backend listening on" in out
     assert "(auth on)" in out
-    assert "chunk(s) dispatched" in out
+    # The line the distributed-smoke CI job greps: both workers worked.
+    assert "chunk(s) dispatched over 2 of 2 worker(s)" in out
     assert "worker-cache hit(s)" in out
     for name in ("fig6.json", "fig12.json", "suite.json"):
         assert (local_dir / name).read_bytes() == (dist_dir / name).read_bytes()

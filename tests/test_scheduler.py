@@ -4,7 +4,10 @@ membership — exercised without any sockets, which is the point of the
 :class:`~repro.runtime.scheduler.Scheduler` split.
 """
 
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import BackendError
 from repro.runtime.scheduler import (
@@ -29,6 +32,10 @@ def fixed_chunks(count, cells_per_chunk=2):
 
 def result_for(chunk):
     return [(index, f"artifact-{index}") for _, pairs in chunk for index, _seed in pairs]
+
+
+def seed_rate(state: WorkerState, rate: float) -> None:
+    state.ewma_rate = rate
 
 
 # -- pool shapes --------------------------------------------------------
@@ -67,6 +74,88 @@ def test_adaptive_pool_carves_by_ewma_rate():
     assert state.ewma_rate == pytest.approx(20.0)
     second = sched.assign(1, now=0.3)
     assert second.cells == 20
+
+
+def test_pool_below_one_budget_is_split_between_the_idle_workers():
+    """Two warmed workers whose wall-clock budget (1000 cells) exceeds
+    the whole pool: the first to ask must leave the other its share
+    instead of taking the lot, and a lone idle worker takes what is
+    left rather than carving a geometric tail."""
+    sched = ChunkScheduler()
+    seed_rate(sched.add_worker(1), 1000.0)
+    seed_rate(sched.add_worker(2), 3000.0)
+    sched.start_job("job-a", pool=cells(0, 64), initial_chunk_cells=8)
+    first = sched.assign(1, now=0.0)
+    second = sched.assign(2, now=0.0)
+    assert (first.cells, second.cells) == (16, 48)
+    sched.finish_job()
+    sched.start_job("job-b", pool=cells(0, 64), initial_chunk_cells=8)
+    sched.worker_state(2).chunk_id = 99  # busy elsewhere: not a candidate
+    assert sched.assign(1, now=0.0).cells == 64
+
+
+_RATE = st.floats(min_value=0.01, max_value=1e6)
+
+
+@given(
+    rates=st.one_of(
+        st.lists(_RATE, min_size=1, max_size=8),
+        st.lists(st.none(), min_size=1, max_size=8),
+        st.lists(st.none() | _RATE, min_size=1, max_size=8),
+    ),
+    draining=st.integers(min_value=0, max_value=3),
+    spare_cells=st.integers(min_value=0, max_value=400),
+    max_chunk_cells=st.integers(min_value=1, max_value=600),
+)
+def test_fair_share_carving_properties(rates, draining, spare_cells, max_chunk_cells):
+    """N idle workers, any mix of known and unknown rates, a pool of
+    P >= N cells: N consecutive assigns give every worker at least one
+    cell and none more than the ceiling of its proportional share
+    (its equal share when no rate is known yet); draining workers are
+    never counted; every cell is carved exactly once across the job.
+
+    A fleet with some rates unknown splits equally only until its
+    unrated workers are busy, so no closed-form share bounds a worker
+    there; the other properties still hold."""
+    workers = len(rates)
+    pool = workers + spare_cells
+    # A budget no share can reach, so the share is what sizes chunks.
+    sched = ChunkScheduler(target_chunk_seconds=1e6, max_chunk_cells=max_chunk_cells)
+    for wid, rate in enumerate(rates):
+        sched.add_worker(wid).ewma_rate = rate
+    for wid in range(workers, workers + draining):
+        sched.add_worker(wid).ewma_rate = 1e6
+        sched.drain_worker(wid)
+    sched.start_job("job-a", pool=cells(0, pool), initial_chunk_cells=pool)
+
+    held = {wid: sched.assign(wid, now=0.0) for wid in range(workers + draining)}
+    assert all(held[wid] is None for wid in range(workers, workers + draining))
+    if None not in rates:
+        shares = [pool * rate / sum(rates) for rate in rates]
+    elif not any(rates):
+        shares = [pool / workers] * workers
+    else:
+        shares = [pool] * workers
+    for wid, share in enumerate(shares):
+        assert 1 <= held[wid].cells <= max_chunk_cells
+        if max_chunk_cells >= pool:
+            # Nothing but the share caps a carve.
+            assert held[wid].cells <= math.ceil(share + 1e-6)
+    if max_chunk_cells >= pool:
+        # ... so one round hands out the whole pool.
+        assert sum(held[wid].cells for wid in range(workers)) == pool
+
+    carved = []
+    for wid in range(workers):
+        carved += result_for(held[wid].chunk)
+        assert sched.record(wid, held[wid].chunk_id, result_for(held[wid].chunk))
+    while not sched.job.done():
+        for wid in range(workers):
+            assignment = sched.assign(wid, now=0.0)
+            if assignment is not None:
+                carved += result_for(assignment.chunk)
+                sched.record(wid, assignment.chunk_id, result_for(assignment.chunk))
+    assert sorted(index for index, _ in carved) == list(range(pool))
 
 
 def test_busy_and_draining_workers_get_no_assignment():
@@ -152,10 +241,6 @@ def speculating_scheduler(**overrides):
     )
     kwargs.update(overrides)
     return ChunkScheduler(**kwargs)
-
-
-def seed_rate(state: WorkerState, rate: float) -> None:
-    state.ewma_rate = rate
 
 
 def test_overdue_straggler_chunk_is_speculatively_duplicated():

@@ -187,7 +187,7 @@ def test_disk_cache_serves_a_rescan_byte_identically(tmp_path):
 
 
 def test_session_scan_accepts_documents_and_rejects_junk():
-    with api.Session() as session:  # serial config: ephemeral backend
+    with api.Session() as session:  # serial config: the session's own pool
         report = session.scan(
             {
                 "source": {"kind": "synthetic", "count": 3000, "seed": 1},
@@ -199,6 +199,30 @@ def test_session_scan_accepts_documents_and_rejects_junk():
         assert report.sketch.targets == 3000
         with pytest.raises(InvalidOverride):
             session.scan("not a request")
+
+
+def test_session_scans_share_one_pool_until_close():
+    """A local config has no backend object, and a scan used to build
+    and shut down a fresh process pool every time it ran."""
+    document = {
+        "source": {"kind": "synthetic", "count": 2000, "seed": 1},
+        "shard_size": 1000,
+        "vantage_names": ["Hamburg"],
+        "days": 1,
+    }
+    session = api.Session(api.LocalConfig(workers=2))
+    first = session.scan(document)
+    executor = session._scan_pool._executor
+    assert executor is not None
+    children = list(executor._processes.values())
+    second = session.scan(document)
+    assert session._scan_pool._executor is executor
+    assert second.to_json() == first.to_json()
+    session.close()
+    assert session._scan_pool is None
+    for child in children:
+        child.join(timeout=10)
+        assert not child.is_alive()
 
 
 def test_streamed_table1_matches_in_memory_exactly():
