@@ -2,10 +2,10 @@
 
 Measures the two pipeline generations on identical workloads:
 
-* **fig6** (simulator sweep): the seed pipeline ran every (scenario ×
-  seed) cell serially with full artifact retention (live connections,
-  qlogs, packet traces). The new pipeline runs the same matrix on a
-  ``MatrixRunner`` at artifact level ``stats``.
+* **fig6_standalone** (simulator sweep): the seed pipeline ran every
+  (scenario × seed) cell serially with full artifact retention (live
+  connections, qlogs, packet traces). The new pipeline runs the same
+  matrix through ``repro.api`` at artifact level ``stats``.
 * **table1** (wild scan): the seed pipeline probed each vantage × day
   pass serially with the per-domain analytic engine. The new pipeline
   fans passes out with :func:`parallel_map` using the batch scan
@@ -80,10 +80,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from repro.experiments import fig12_server_flight_loss_rtts as fig12  # noqa: E402
-from repro.experiments import fig6_server_flight_loss as fig6  # noqa: E402
-from repro.experiments import table1_cdn_deployment as table1  # noqa: E402
-from repro.runtime import MatrixRunner, ResultCache, SuiteRunner  # noqa: E402
+from repro import api  # noqa: E402
+from repro.experiments import CellResults, get_spec  # noqa: E402
+from repro.runtime import MatrixRunner, SuiteRunner  # noqa: E402
 from repro.runtime.distributed import SocketBackend  # noqa: E402
 
 FIG6_REPETITIONS = 25
@@ -111,72 +110,32 @@ def _best_of(fn, rounds: int) -> float:
     return best
 
 
-def bench_fig6_sweep(repetitions: int, rounds: int) -> dict:
-    """The server-flight-loss figure regeneration: fig12 followed by
-    fig6, the pipeline order in which the paper's loss figures are
-    rebuilt. fig6's cells are exactly the 9 ms column of fig12's
-    matrix, so the parallel pipeline's shared result cache serves the
-    whole of fig6 from fig12's sweep — the seed pipeline recomputes it.
-    """
-
-    def serial() -> None:
-        with MatrixRunner(workers=0, artifact_level="full") as runner:
-            fig12.run(http="h1", repetitions=repetitions, runner=runner)
-            fig6.run(http="h1", repetitions=repetitions, runner=runner)
-
-    def parallel(workers: int) -> None:
-        cache = ResultCache()
-        with MatrixRunner(workers=workers, cache=cache) as runner:
-            fig12.run(http="h1", repetitions=repetitions, runner=runner)
-            fig6.run(http="h1", repetitions=repetitions, runner=runner)
-
-    legs: dict = {}
-    legs["serial_seed_pipeline_s"] = _best_of(serial, rounds)
-    for workers in (2, 4):
-        legs[f"parallel_{workers}w_s"] = _best_of(
-            lambda: parallel(workers), rounds
-        )
-    legs["speedup_4w_vs_serial"] = round(
-        legs["serial_seed_pipeline_s"] / legs["parallel_4w_s"], 2
-    )
-    legs["speedup_2w_vs_serial"] = round(
-        legs["serial_seed_pipeline_s"] / legs["parallel_2w_s"], 2
-    )
-    return {
-        "workload": {
-            "experiment": "fig6 (regenerated within the fig12 sweep)",
-            "http": "h1",
-            "repetitions": repetitions,
-            "cells": 80 + 16,
-        },
-        "serial_leg": (
-            "fig12 then fig6, workers=0, full artifacts, no cache "
-            "(seed pipeline behavior)"
-        ),
-        "parallel_leg": (
-            "fig12 then fig6 on one MatrixRunner with a shared "
-            "ResultCache; fig6's 16 scenarios are cache hits"
-        ),
-        **legs,
-        # Every ratio here compares legs at different parallelism, so
-        # none transfer between machines; nothing is gated.
-        "stable_ratios": [],
-    }
-
-
 def bench_fig6(repetitions: int, rounds: int) -> dict:
     legs: dict = {}
+    spec = get_spec("fig6")
+    params = spec.resolve_params({"http": "h1", "repetitions": repetitions})
+
+    # The façade runs fig6 at its declared stats level; the seed's
+    # retention behavior needs the level pinned on the runner.
     with MatrixRunner(workers=0, artifact_level="full") as runner:
         legs["serial_seed_pipeline_s"] = _best_of(
-            lambda: fig6.run(http="h1", repetitions=repetitions, runner=runner),
+            lambda: spec.aggregate(
+                CellResults(runner.run_cells(spec.plan_cells(params))), params
+            ),
             rounds,
         )
     legs["serial_stats_s"] = _best_of(
-        lambda: fig6.run(http="h1", repetitions=repetitions), rounds
+        lambda: api.run_experiment("fig6", http="h1", repetitions=repetitions),
+        rounds,
     )
     for workers in (2, 4):
         legs[f"parallel_{workers}w_s"] = _best_of(
-            lambda: fig6.run(http="h1", repetitions=repetitions, workers=workers),
+            lambda: api.run_experiment(
+                "fig6",
+                http="h1",
+                repetitions=repetitions,
+                backend=api.LocalConfig(workers=workers),
+            ),
             rounds,
         )
     legs["speedup_4w_vs_serial"] = round(
@@ -196,7 +155,7 @@ def bench_fig6(repetitions: int, rounds: int) -> dict:
             "cells": 16,
         },
         "serial_leg": "workers=0, artifact_level=full (seed retention behavior)",
-        "parallel_leg": "MatrixRunner, artifact_level=stats",
+        "parallel_leg": "repro.api.run_experiment, artifact_level=stats",
         **legs,
         # Both legs serial → the artifact-slimming win is machine-stable.
         "stable_ratios": ["speedup_stats_vs_serial"],
@@ -217,10 +176,9 @@ def bench_fig12_batch(repetitions: int, rounds: int) -> dict:
     rtts = (9.0, 100.0)
 
     def leg(engine: str) -> None:
-        with MatrixRunner(workers=0, engine=engine) as runner:
-            fig12.run(
-                http="h1", repetitions=repetitions, rtts_ms=rtts, runner=runner
-            )
+        api.run_experiment(
+            "fig12", http="h1", repetitions=repetitions, rtts_ms=rtts, engine=engine
+        )
 
     legs: dict = {}
     legs["serial_scalar_s"] = _best_of(lambda: leg("scalar"), rounds)
@@ -250,19 +208,23 @@ def bench_fig12_batch(repetitions: int, rounds: int) -> dict:
 
 def bench_table1(list_size: int, days: int, rounds: int) -> dict:
     legs: dict = {}
-    legs["serial_seed_pipeline_s"] = _best_of(
-        lambda: table1.run(list_size=list_size, days=days), rounds
-    )
-    legs["serial_batch_s"] = _best_of(
-        lambda: table1.run(list_size=list_size, days=days, engine="batch"),
-        rounds,
-    )
+
+    def table1(scan_engine: str, workers: int = 0) -> None:
+        # table1's scan-engine parameter is also called "engine", so it
+        # travels in overrides, not as run_experiment's cell engine.
+        api.run(
+            "table1",
+            overrides={
+                "table1": {"list_size": list_size, "days": days, "engine": scan_engine}
+            },
+            backend=api.LocalConfig(workers=workers),
+        )
+
+    legs["serial_seed_pipeline_s"] = _best_of(lambda: table1("analytic"), rounds)
+    legs["serial_batch_s"] = _best_of(lambda: table1("batch"), rounds)
     for workers in (2, 4):
         legs[f"parallel_{workers}w_s"] = _best_of(
-            lambda: table1.run(
-                list_size=list_size, days=days, engine="batch", workers=workers
-            ),
-            rounds,
+            lambda: table1("batch", workers), rounds
         )
     legs["speedup_4w_vs_serial"] = round(
         legs["serial_seed_pipeline_s"] / legs["parallel_4w_s"], 2
@@ -302,8 +264,8 @@ def bench_suite(repetitions: int, rounds: int) -> dict:
     }
 
     def standalone() -> None:
-        fig12.run(http="h1", repetitions=repetitions)
-        fig6.run(http="h1", repetitions=repetitions)
+        api.run_experiment("fig12", http="h1", repetitions=repetitions)
+        api.run_experiment("fig6", http="h1", repetitions=repetitions)
 
     def suite(workers: int) -> None:
         SuiteRunner(workers=workers).run(["fig12", "fig6"], overrides=overrides)
@@ -330,8 +292,8 @@ def bench_suite(repetitions: int, rounds: int) -> dict:
             "shared_cells": plan.shared_cells,
         },
         "standalone_leg": (
-            "fig12 then fig6 via run(), each on its own runner (shared "
-            "cells recomputed)"
+            "fig12 then fig6 via run_experiment(), each in its own session "
+            "(shared cells recomputed)"
         ),
         "suite_leg": (
             "SuiteRunner plans both, dedupes (scenario, seed) cells "
@@ -649,7 +611,6 @@ def bench_distributed_cached(repetitions: int, rounds: int) -> dict:
 def bench_seed_commit(
     ref: str,
     repetitions: int,
-    sweep_reps: int,
     list_size: int,
     days: int,
     rounds: int,
@@ -669,7 +630,6 @@ def bench_seed_commit(
         script = (
             "import time, json, sys\n"
             "from repro.experiments import fig6_server_flight_loss as fig6\n"
-            "from repro.experiments import fig12_server_flight_loss_rtts as f12\n"
             "from repro.experiments import table1_cdn_deployment as t1\n"
             "def best(fn):\n"
             "    b = float('inf')\n"
@@ -677,14 +637,9 @@ def bench_seed_commit(
             "        t0 = time.perf_counter(); fn()\n"
             "        b = min(b, time.perf_counter() - t0)\n"
             "    return b\n"
-            "def sweep():\n"
-            f"    f12.run(http='h1', repetitions={sweep_reps})\n"
-            f"    fig6.run(http='h1', repetitions={sweep_reps})\n"
             f"f6 = best(lambda: fig6.run(http='h1', repetitions={repetitions}))\n"
-            "sw = best(sweep)\n"
             f"tb = best(lambda: t1.run(list_size={list_size}, days={days}))\n"
-            "print(json.dumps({'fig6_s': f6, 'fig6_sweep_s': sw, "
-            "'table1_s': tb}))\n"
+            "print(json.dumps({'fig6_s': f6, 'table1_s': tb}))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(worktree / "src"))
         out = subprocess.run(
@@ -740,9 +695,6 @@ def main(argv=None) -> int:
         "benchmarks": {},
     }
     sweep_reps = 3 if args.quick else SWEEP_REPETITIONS
-    print(f"fig6 sweep: {sweep_reps} reps, rounds={rounds} ...", flush=True)
-    report["benchmarks"]["fig6"] = bench_fig6_sweep(sweep_reps, rounds)
-    print(json.dumps(report["benchmarks"]["fig6"], indent=2), flush=True)
     print(f"fig6 standalone: {repetitions} reps ...", flush=True)
     report["benchmarks"]["fig6_standalone"] = bench_fig6(repetitions, rounds)
     print(json.dumps(report["benchmarks"]["fig6_standalone"], indent=2), flush=True)
@@ -807,7 +759,7 @@ def main(argv=None) -> int:
     if args.seed_ref:
         print(f"seed commit reference ({args.seed_ref}) ...", flush=True)
         seed = bench_seed_commit(
-            args.seed_ref, repetitions, sweep_reps, list_size, days, rounds
+            args.seed_ref, repetitions, list_size, days, rounds
         )
         report["seed_commit_reference"] = {
             **seed,
@@ -818,7 +770,6 @@ def main(argv=None) -> int:
             ),
         }
         folds = (
-            ("fig6", "fig6_sweep_s"),
             ("fig6_standalone", "fig6_s"),
             ("table1", "table1_s"),
         )
@@ -832,7 +783,7 @@ def main(argv=None) -> int:
         # Without the seed-commit reference the in-tree serial leg is
         # the baseline (it still benefits from this PR's hot-path work,
         # so these ratios understate the end-to-end win).
-        for name in ("fig6", "fig6_standalone", "table1"):
+        for name in ("fig6_standalone", "table1"):
             entry = report["benchmarks"][name]
             entry["speedup_4w"] = entry["speedup_4w_vs_serial"]
             entry["speedup_2w"] = entry["speedup_2w_vs_serial"]

@@ -1,12 +1,12 @@
 """Benchmark: regenerate Figure 10 (ack delay vs RTT)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import fig10_ack_delay_field
+from repro.api import run_experiment
 
 
 def test_bench_fig10(benchmark):
     result = run_and_render(
-        benchmark, fig10_ack_delay_field.run, list_size=50_000
+        benchmark, run_experiment, "fig10", list_size=50_000
     )
     rows = result.row_map()
     # Coalesced ACK-SH mostly exceeds the RTT for Cloudflare/Meta;

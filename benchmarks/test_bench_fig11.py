@@ -5,13 +5,14 @@ paths; counts scale linearly with the transfer size).
 """
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import fig11_rtt_samples
+from repro.api import run_experiment
 
 
 def test_bench_fig11(benchmark):
     result = run_and_render(
         benchmark,
-        fig11_rtt_samples.run,
+        run_experiment,
+        "fig11",
         repetitions=1,
         response_size=2 * 1024 * 1024,
     )

@@ -1,13 +1,14 @@
 """Benchmark: regenerate Figure 12 (Fig. 6 across RTTs)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import fig12_server_flight_loss_rtts
+from repro.api import run_experiment
 
 
 def test_bench_fig12(benchmark):
     result = run_and_render(
         benchmark,
-        fig12_server_flight_loss_rtts.run,
+        run_experiment,
+        "fig12",
         http="h1",
         repetitions=5,
         rtts_ms=(1.0, 9.0, 20.0, 100.0),

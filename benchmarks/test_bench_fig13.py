@@ -1,13 +1,14 @@
 """Benchmark: regenerate Figure 13 (Fig. 7 across RTTs)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import fig13_client_flight_loss_rtts
+from repro.api import run_experiment
 
 
 def test_bench_fig13(benchmark):
     result = run_and_render(
         benchmark,
-        fig13_client_flight_loss_rtts.run,
+        run_experiment,
+        "fig13",
         http="h1",
         repetitions=5,
         rtts_ms=(1.0, 9.0, 20.0, 100.0),

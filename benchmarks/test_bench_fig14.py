@@ -1,11 +1,11 @@
 """Benchmark: regenerate Figure 14 (ACK->SH delay per vantage)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import fig14_vantage_cdfs
+from repro.api import run_experiment
 
 
 def test_bench_fig14(benchmark):
-    result = run_and_render(benchmark, fig14_vantage_cdfs.run, list_size=30_000)
+    result = run_and_render(benchmark, run_experiment, "fig14", list_size=30_000)
     # "IACK performance is similar across locations": per-CDN medians
     # within a factor of two across vantages.
     per_cdn = {}

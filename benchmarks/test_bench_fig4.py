@@ -1,11 +1,11 @@
 """Benchmark: regenerate Figure 4 (sweet-spot analysis)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import fig4_sweet_spot
+from repro.api import run_experiment
 
 
 def test_bench_fig4(benchmark):
-    result = run_and_render(benchmark, fig4_sweet_spot.run)
+    result = run_and_render(benchmark, run_experiment, "fig4")
     points = result.extra["points"]
     # The reduction in RTT units decreases with the RTT and the
     # spurious zone follows dt > 3 RTT.

@@ -1,12 +1,12 @@
 """Benchmark: regenerate Figure 5 (TTFB under the amplification limit)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import fig5_ttfb_amplification
+from repro.api import run_experiment
 
 
 def test_bench_fig5_http3(benchmark):
     result = run_and_render(
-        benchmark, fig5_ttfb_amplification.run, http="h3", repetitions=10
+        benchmark, run_experiment, "fig5", http="h3", repetitions=10
     )
     rows = result.row_map()
     # neqo and ngtcp2 improve by ~10 ms (paper: 9.6 / 10.0).

@@ -1,12 +1,12 @@
 """Benchmark: regenerate Figure 6 (first-server-flight tail loss)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import fig6_server_flight_loss
+from repro.api import run_experiment
 
 
 def test_bench_fig6_http1(benchmark):
     result = run_and_render(
-        benchmark, fig6_server_flight_loss.run, http="h1", repetitions=10
+        benchmark, run_experiment, "fig6", http="h1", repetitions=10
     )
     rows = result.row_map()
     # IACK penalty around the server's 200 ms default PTO (paper:

@@ -1,12 +1,12 @@
 """Benchmark: regenerate Figure 7 (second-client-flight loss)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import fig7_client_flight_loss
+from repro.api import run_experiment
 
 
 def test_bench_fig7_http1(benchmark):
     result = run_and_render(
-        benchmark, fig7_client_flight_loss.run, http="h1", repetitions=10
+        benchmark, run_experiment, "fig7", http="h1", repetitions=10
     )
     rows = result.row_map()
     # Paper: improvements 10..28 ms; picoquic does not benefit.

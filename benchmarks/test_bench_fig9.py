@@ -1,12 +1,12 @@
 """Benchmark: regenerate Figure 9 (Cloudflare week, Sao Paulo)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import fig9_cloudflare_timeseries
+from repro.api import run_experiment
 
 
 def test_bench_fig9(benchmark):
     result = run_and_render(
-        benchmark, fig9_cloudflare_timeseries.run, days=3
+        benchmark, run_experiment, "fig9", days=3
     )
     rows = result.row_map()
     # Coalesced ACK-SH faster than separate SH; gap ~2.1 ms; daytime

@@ -2,38 +2,37 @@
 
 Complements ``bench_parallel.py`` (the serial-vs-parallel wall-clock
 study behind ``BENCH_parallel.json``) with a suite-integrated smoke
-benchmark: the full fig6 matrix through a 2-worker ``MatrixRunner``
-must produce the same figure as the serial path and post a time.
+benchmark: the full fig6 matrix through a 2-worker pool must produce
+the same figure as the serial path and post a time.
 """
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import fig6_server_flight_loss
-from repro.runtime import MatrixRunner, ResultCache, SuiteRunner
+from repro.api import LocalConfig, run, run_experiment
+from repro.runtime import SuiteRunner
 
 
 def test_bench_fig6_parallel_matches_serial(benchmark):
-    serial = fig6_server_flight_loss.run(http="h1", repetitions=5)
+    serial = run_experiment("fig6", http="h1", repetitions=5)
     result = run_and_render(
-        benchmark, fig6_server_flight_loss.run,
-        http="h1", repetitions=5, workers=2,
+        benchmark, run_experiment, "fig6",
+        http="h1", repetitions=5, backend=LocalConfig(workers=2),
     )
     assert result.rows == serial.rows
 
 
-def test_bench_fig6_cached_resweep(benchmark):
-    """Second regeneration of the figure from a warm cache."""
-    cache = ResultCache()
-    with MatrixRunner(workers=0, cache=cache) as runner:
-        fig6_server_flight_loss.run(http="h1", repetitions=5, runner=runner)
+def test_bench_fig6_cached_resweep(benchmark, tmp_path):
+    """Second regeneration of the figure from a warm disk cache."""
+    overrides = {"fig6": {"http": "h1", "repetitions": 5}}
+    cold = run("fig6", overrides=overrides, cache_dir=str(tmp_path))
 
-        def resweep():
-            return fig6_server_flight_loss.run(
-                http="h1", repetitions=5, runner=runner
-            )
+    def resweep():
+        return run("fig6", overrides=overrides, cache_dir=str(tmp_path))
 
-        result = run_and_render(benchmark, resweep)
-    assert cache.hits >= 80  # 16 scenarios x 5 repetitions
-    assert result.rows
+    warm = benchmark.pedantic(resweep, rounds=1, iterations=1)
+    print()
+    print(warm.results["fig6"].render())
+    assert warm.extra["disk_cache_hits"] == 80  # 16 scenarios x 5 repetitions
+    assert warm.results["fig6"].rows == cold.results["fig6"].rows
 
 
 def test_bench_suite_dedup_vs_standalone(benchmark):
@@ -43,7 +42,7 @@ def test_bench_suite_dedup_vs_standalone(benchmark):
         "fig6": {"repetitions": 3},
         "fig12": {"repetitions": 3, "rtts_ms": (9.0, 100.0)},
     }
-    standalone = fig6_server_flight_loss.run(http="h1", repetitions=3)
+    standalone = run_experiment("fig6", http="h1", repetitions=3)
 
     def suite():
         return SuiteRunner(workers=0).run(["fig6", "fig12"], overrides=overrides)

@@ -1,13 +1,14 @@
 """Benchmark: regenerate Table 1 (CDN IACK deployment)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import table1_cdn_deployment
+from repro.api import run_experiment
 
 
 def test_bench_table1(benchmark):
     result = run_and_render(
         benchmark,
-        table1_cdn_deployment.run,
+        run_experiment,
+        "table1",
         list_size=50_000,
         days=2,
     )

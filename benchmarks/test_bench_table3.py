@@ -1,11 +1,11 @@
 """Benchmark: regenerate Table 3 (server first-ACK delays)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import table3_server_ack_delay
+from repro.api import run_experiment
 
 
 def test_bench_table3(benchmark):
-    result = run_and_render(benchmark, table3_server_ack_delay.run, repetitions=3)
+    result = run_and_render(benchmark, run_experiment, "table3", repetitions=3)
     rows = result.row_map()
     # msquic sends no Initial/Handshake ACKs at all.
     assert rows["msquic"][1] == "- - -"

@@ -1,11 +1,11 @@
 """Benchmark: regenerate Table 4 (default PTO / second-flight split)."""
 
 from benchmarks.conftest import run_and_render
-from repro.experiments import table4_client_defaults
+from repro.api import run_experiment
 
 
 def test_bench_table4(benchmark):
-    result = run_and_render(benchmark, table4_client_defaults.run, repetitions=5)
+    result = run_and_render(benchmark, run_experiment, "table4", repetitions=5)
     for row in result.rows:
         client, pto, paper_pto, declared, paper_decl, observed = row
         # Registry equals the published table.

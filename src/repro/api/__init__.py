@@ -1,8 +1,7 @@
 """``repro.api`` — the stable public façade of the reproduction.
 
-One entry point unifies what used to be four divergent run paths
-(the 19 legacy per-module ``run()`` shims, ``ExperimentSpec.execute``,
-``SuiteRunner.run``, and the ``python -m repro`` CLI):
+The one way to run experiments — the CLI, the ``repro serve`` daemon
+and the benchmarks are all clients of it:
 
 >>> from repro.api import Session, RunRequest, LocalConfig
 >>> with Session(LocalConfig(workers=4)) as session:
@@ -53,8 +52,7 @@ Bundles
     persist and read ``schema_version``-stamped JSON bundles
     (:data:`BUNDLE_SCHEMA_VERSION`).
 
-See ``API.md`` at the repository root for the full reference and the
-migration table from the legacy ``run()`` entry points.
+See ``API.md`` at the repository root for the full reference.
 """
 
 from repro.api.bundles import load_result, load_suite, write_bundle
@@ -66,7 +64,6 @@ from repro.api.session import (
     Session,
     describe_experiments,
     expand_selection,
-    legacy_run,
 )
 from repro.api.stream import RunStream
 from repro.errors import (
@@ -148,7 +145,6 @@ __all__ = [
     "WorkerLost",
     "describe_experiments",
     "expand_selection",
-    "legacy_run",
     "load_result",
     "load_suite",
     "run",

@@ -53,8 +53,7 @@ def write_bundle(report: SuiteReport, out_dir: Union[str, Path]) -> List[Path]:
 
 
 def load_result(path: Union[str, Path]) -> ExperimentResult:
-    """Read one experiment bundle, validating its schema version
-    (legacy unstamped bundles load as version 0)."""
+    """Read one experiment bundle, validating its schema version."""
     return ExperimentResult.from_json(Path(path).read_text())
 
 

@@ -28,12 +28,14 @@ from repro.errors import BackendError
 from repro.runtime.backend import ExecutionBackend
 from repro.runtime.distributed import (
     DEFAULT_HEARTBEAT_TIMEOUT,
-    DEFAULT_MAX_CHUNK_CELLS,
     DEFAULT_MAX_FRAME_BYTES,
-    DEFAULT_MIN_CHUNK_CELLS,
-    DEFAULT_TARGET_CHUNK_SECONDS,
     DEFAULT_WORKER_WAIT_TIMEOUT,
     SocketBackend,
+)
+from repro.runtime.scheduler import (
+    DEFAULT_MAX_CHUNK_CELLS,
+    DEFAULT_MIN_CHUNK_CELLS,
+    DEFAULT_TARGET_CHUNK_SECONDS,
 )
 from repro.runtime.wire import DEFAULT_COMPRESS_THRESHOLD
 

@@ -2,15 +2,16 @@
 
 A :class:`Session` owns the execution context — backend lifecycle,
 spill policy, event observers — and executes :class:`RunRequest` jobs
-against it. All four historical run paths (legacy per-module
-``run()`` shims, ``ExperimentSpec.execute``, ``SuiteRunner.run``, the
-``python -m repro`` CLI) now converge here: one entry point, one
-error taxonomy (:mod:`repro.errors`), one versioned result schema.
+against it. :meth:`Session.run` →
+:meth:`~repro.runtime.suite.SuiteRunner.run` is the only code that
+plans, executes and aggregates an experiment; the CLI, the daemon and
+the one-call helpers in :mod:`repro.api` all come through it: one
+entry point, one error taxonomy (:mod:`repro.errors`), one versioned
+result schema.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -20,7 +21,7 @@ from repro.api.jobs import JobExecutor, JobHandle, LocalJobHandle
 from repro.api.stream import RunStream
 from repro.errors import BackendError, InvalidOverride, UnknownExperiment
 from repro.experiments.common import ExperimentResult
-from repro.experiments.registry import REGISTRY, get_spec
+from repro.experiments.registry import REGISTRY
 from repro.runtime.backend import ExecutionBackend
 from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.events import EventSink, RunEvent, emit
@@ -32,7 +33,6 @@ __all__ = [
     "Session",
     "describe_experiments",
     "expand_selection",
-    "legacy_run",
     "validate_request",
 ]
 
@@ -90,6 +90,9 @@ def validate_request(request: "RunRequest") -> Tuple[List[str], Dict[str, Mappin
             raise InvalidOverride(
                 f"override targets {exp_id!r}, which is not in the selection {ids}"
             )
+        # Unknown keys and mis-shaped values fail here, at submission;
+        # SuiteRunner.plan resolves again with the worker context.
+        REGISTRY.get(exp_id).resolve_params(overrides[exp_id], smoke=request.smoke)
     return ids, overrides
 
 
@@ -419,8 +422,7 @@ class Session:
     #
     # Below the experiment grain: one emulated connection (or a seed
     # sweep of one scenario) through the session's execution context.
-    # This is the notebook/debugging surface the legacy examples used
-    # the interop Runner for.
+    # This is the notebook/debugging surface.
 
     def run_once(
         self,
@@ -508,51 +510,3 @@ class Session:
 
         return fan_out
 
-
-# -- legacy entry point -------------------------------------------------
-
-_LEGACY_HINT = (
-    "is deprecated; use repro.api — e.g. "
-    'repro.api.run_experiment("{id}", ...) or '
-    "Session().run(RunRequest(...)) — the façade validates parameters, "
-    "streams events, and writes versioned bundles"
-)
-
-
-def legacy_run(
-    experiment: Any,
-    *,
-    runner: Optional[Any] = None,
-    workers: int = 0,
-    cache: Optional[Any] = None,
-    smoke: bool = False,
-    overrides: Optional[Mapping[str, Any]] = None,
-) -> ExperimentResult:
-    """The routing target of the 19 historical per-module ``run()``
-    shims.
-
-    Emits a ``DeprecationWarning`` (once per call site under the
-    default warning filters) and executes through the façade's single
-    parameter-resolution path. ``runner`` / ``cache`` keep the
-    historical shared-runner semantics for callers that still thread
-    their own :class:`~repro.runtime.matrix.MatrixRunner`.
-
-    ``experiment`` is an id or an :class:`ExperimentSpec` — the shims
-    pass their own ``SPEC`` object, so a module executed as
-    ``python -m repro.experiments.fig6_...`` (where the registry would
-    re-import it under its canonical name and register a twin) never
-    round-trips through the registry.
-    """
-    spec = get_spec(experiment)
-    warnings.warn(
-        f"{spec.id}.run() " + _LEGACY_HINT.format(id=spec.id),
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return spec.execute(
-        runner=runner,
-        workers=workers,
-        cache=cache,
-        smoke=smoke,
-        overrides=overrides,
-    )

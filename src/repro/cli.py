@@ -109,13 +109,12 @@ from repro.api import (
 from repro.api.client import error_type
 from repro.experiments.registry import REGISTRY
 from repro.runtime.distributed import (
-    DEFAULT_MAX_CHUNK_CELLS,
     DEFAULT_MAX_FRAME_BYTES,
-    DEFAULT_MIN_CHUNK_CELLS,
     DEFAULT_WORKER_CACHE_ENTRIES,
     worker_main,
 )
 from repro.runtime.faults import FaultPlan, parse_fault_plan
+from repro.runtime.scheduler import DEFAULT_MAX_CHUNK_CELLS, DEFAULT_MIN_CHUNK_CELLS
 
 # -- list ---------------------------------------------------------------
 
@@ -123,7 +122,7 @@ from repro.runtime.faults import FaultPlan, parse_fault_plan
 def _spec_rows() -> List[List[object]]:
     rows: List[List[object]] = []
     for spec in REGISTRY.specs():
-        cell_count = len(spec.plan_cells(spec.resolve()))
+        cell_count = len(spec.plan_cells(spec.resolve_params()))
         rows.append(
             [
                 spec.id,
@@ -457,15 +456,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
             fault_plan = parse_fault_plan(args.fault_plan)
         except ValueError as exc:
             raise _usage_error(str(exc))
-    if args.fail_after is not None:
-        print(
-            "warning: --fail-after is deprecated; use "
-            f"--fault-plan kill_after={args.fail_after}",
-            file=sys.stderr,
-            flush=True,
-        )
-        if fault_plan is not None:
-            raise _usage_error("--fail-after and --fault-plan are mutually exclusive")
     # SIGTERM asks the worker to *drain*: finish the in-flight chunk,
     # tell the coordinator (DRAIN frame, so nothing is requeued or
     # counted as lost), then exit 0 — the polite shutdown for elastic
@@ -481,7 +471,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         heartbeat_interval=args.heartbeat,
         max_frame_bytes=args.max_frame_bytes,
         retry_for=args.retry,
-        fail_after=args.fail_after,
         auth_key=resolve_auth_key(args.auth_key_file),
         cache_entries=0 if args.no_cache else args.cache_entries,
         log=lambda message: print(f"worker: {message}", flush=True),
@@ -941,13 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
         "tokens: kill_after=N, delay=SECS, drop_heartbeats=N, "
         "corrupt_result=K, slow_send=BYTES_PER_S, seed=N",
     )
-    p_worker.add_argument(
-        "--fail-after",
-        type=int,
-        default=None,
-        metavar="N",
-        help=argparse.SUPPRESS,
-    )  # deprecated alias for --fault-plan kill_after=N
     p_worker.set_defaults(func=cmd_worker)
 
     p_serve = sub.add_parser(

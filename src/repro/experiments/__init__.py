@@ -3,14 +3,13 @@
 Every module declares an :class:`~repro.experiments.spec
 .ExperimentSpec` (its id, title, paper reference, required artifact
 level, ``cells()`` demand, and pure ``aggregate()``) and registers it
-in :data:`~repro.experiments.registry.REGISTRY`. The supported way to
-run any selection is the :mod:`repro.api` façade (sessions, typed
-backend configs, streaming run events, versioned bundles — see
-API.md); the ``python -m repro`` CLI is a thin client of it, and a
-``run(...)`` function with the historical signature remains in every
-module as a deprecated shim routed through ``repro.api.legacy_run``.
-EXPERIMENTS.md is generated from the registry. Benchmarks under
-``benchmarks/`` wrap the ``run`` entry points one-to-one.
+in :data:`~repro.experiments.registry.REGISTRY`. The only way to run
+any selection is the :mod:`repro.api` façade (sessions, typed backend
+configs, streaming run events, versioned bundles — see API.md); the
+``python -m repro`` CLI is a thin client of it. A module declares its
+experiment and never runs it. EXPERIMENTS.md is generated from the
+registry. Benchmarks under ``benchmarks/`` run one experiment each
+through ``repro.api.run_experiment``.
 """
 
 from repro.experiments.common import ExperimentResult

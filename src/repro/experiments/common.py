@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.render import render_table
-from repro.runtime import ArtifactLevel, MatrixRunner, ResultCache
 from repro.schema import BUNDLE_SCHEMA_VERSION, check_bundle_version
 
 
@@ -77,11 +75,9 @@ class ExperimentResult:
     def from_dict(cls, payload: Dict[str, Any]) -> "ExperimentResult":
         """Rebuild a result from a bundle payload.
 
-        Accepts the current schema version and every older one
-        (version 0 is the legacy unstamped format — structurally
-        identical); a *newer* version raises
-        :class:`~repro.errors.BundleVersionError` instead of
-        half-parsing a future format.
+        A payload without a ``schema_version`` stamp, or with a
+        *newer* one, raises :class:`~repro.errors.BundleVersionError`
+        instead of half-parsing an unknown format.
         """
         check_bundle_version(payload, what="experiment result bundle")
         return cls(
@@ -117,39 +113,3 @@ H3_CLIENT_ORDER = tuple(c for c in CLIENT_ORDER if c != "go-x-net")
 def clients_for(http: str):
     return CLIENT_ORDER if http == "h1" else H3_CLIENT_ORDER
 
-
-@contextlib.contextmanager
-def matrix_runner(
-    runner: Optional[MatrixRunner] = None,
-    workers: int = 0,
-    artifact_level: Union[ArtifactLevel, str] = ArtifactLevel.STATS,
-    cache: Optional[ResultCache] = None,
-) -> Iterator[MatrixRunner]:
-    """Resolve the runner an experiment executes on.
-
-    Callers that pass an existing :class:`MatrixRunner` (e.g. a sweep
-    sharing one pool and cache across figures) keep ownership — the
-    runner is left open, but its artifact level must cover the one the
-    experiment requires (a ``stats`` runner cannot serve a qlog- or
-    trace-reading experiment). Otherwise a runner is created from
-    ``workers`` / ``artifact_level`` / ``cache`` and closed when the
-    experiment finishes.
-    """
-    if runner is not None:
-        required = ArtifactLevel.coerce(artifact_level)
-        if not runner.artifact_level.covers(required):
-            raise ValueError(
-                "this experiment needs artifact level "
-                f"{required.value!r} but the shared runner retains only "
-                f"{runner.artifact_level.value!r}; create the runner "
-                f"with artifact_level={required.value!r} (or 'full')"
-            )
-        yield runner
-        return
-    owned = MatrixRunner(
-        workers=workers, artifact_level=artifact_level, cache=cache
-    )
-    try:
-        yield owned
-    finally:
-        owned.close()

@@ -112,26 +112,3 @@ SPEC = register(
         smoke={"list_size": 5_000},
     )
 )
-
-
-def run(
-    list_size: int = 100_000,
-    vantage_name: str = "Sao Paulo",
-    seed: int = 0,
-    engine: str = "analytic",
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        overrides={
-            "list_size": list_size,
-            "vantage_name": vantage_name,
-            "seed": seed,
-            "engine": engine,
-        }
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(list_size=20_000).render())

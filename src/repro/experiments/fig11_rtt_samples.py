@@ -11,7 +11,7 @@ fraction.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.experiments.common import ExperimentResult, CLIENT_ORDER
 from repro.experiments.registry import register
@@ -25,7 +25,7 @@ from repro.experiments.spec import (
 from repro.interop.runner import Scenario, SIZE_10MB
 from repro.qlog.analysis import count_metric_updates, count_new_ack_packets
 from repro.quic.server import ServerMode
-from repro.runtime import ArtifactLevel, Cell, MatrixRunner, ResultCache
+from repro.runtime import ArtifactLevel, Cell
 
 RTT_MS = 100.0
 
@@ -113,32 +113,3 @@ SPEC = register(
         smoke={"repetitions": 1, "response_size": 512 * 1024},
     )
 )
-
-
-def run(
-    repetitions: int = 3,
-    rtt_ms: float = RTT_MS,
-    response_size: int = SIZE_10MB,
-    http: str = "h1",
-    runner: Optional[MatrixRunner] = None,
-    workers: int = 0,
-    cache: Optional[ResultCache] = None,
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        runner=runner,
-        workers=workers,
-        cache=cache,
-        overrides={
-            "http": http,
-            "repetitions": repetitions,
-            "rtt_ms": rtt_ms,
-            "response_size": response_size,
-        },
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(repetitions=1).render())

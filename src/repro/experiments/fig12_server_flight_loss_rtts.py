@@ -9,7 +9,7 @@ space becomes relevant ... At 300 ms RTT, IACK outperforms WFC."
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.stats import median
 from repro.experiments.common import ExperimentResult, clients_for
@@ -24,7 +24,7 @@ from repro.experiments.spec import (
 from repro.interop.runner import Scenario, SIZE_10KB
 from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
-from repro.runtime import ArtifactLevel, Cell, MatrixRunner, ResultCache
+from repro.runtime import ArtifactLevel, Cell
 
 RTTS_MS = (1.0, 9.0, 20.0, 100.0, 300.0)
 
@@ -105,26 +105,3 @@ SPEC = register(
         smoke={"repetitions": 2, "rtts_ms": (9.0, 100.0)},
     )
 )
-
-
-def run(
-    http: str = "h1",
-    repetitions: int = 10,
-    rtts_ms=RTTS_MS,
-    runner: Optional[MatrixRunner] = None,
-    workers: int = 0,
-    cache: Optional[ResultCache] = None,
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        runner=runner,
-        workers=workers,
-        cache=cache,
-        overrides={"http": http, "repetitions": repetitions, "rtts_ms": rtts_ms},
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(repetitions=3, rtts_ms=(9.0, 100.0)).render())

@@ -103,27 +103,3 @@ SPEC = register(
         smoke={"list_size": 5_000},
     )
 )
-
-
-def run(
-    list_size: int = 50_000,
-    seed: int = 0,
-    workers: int = 0,
-    engine: str = "analytic",
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        workers=workers,
-        overrides={
-            "list_size": list_size,
-            "seed": seed,
-            "workers": workers,
-            "engine": engine,
-        },
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(list_size=10_000).render())

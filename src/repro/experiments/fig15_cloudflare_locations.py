@@ -116,17 +116,3 @@ SPEC = register(
         smoke={"days": 1},
     )
 )
-
-
-def run(days: int = 7, seed: int = 0, workers: int = 0) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        workers=workers,
-        overrides={"days": days, "seed": seed, "workers": workers},
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(days=2).render())

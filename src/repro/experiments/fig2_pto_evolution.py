@@ -84,13 +84,3 @@ SPEC = register(
         smoke={"n_samples": 10},
     )
 )
-
-
-def run(n_samples: int = N_SAMPLES) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(SPEC, overrides={"n_samples": n_samples})
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

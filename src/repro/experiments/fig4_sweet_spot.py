@@ -8,7 +8,7 @@ with IACK."
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.core.sweet_spot import (
     reduced_latency_zone_boundary_ms,
@@ -91,22 +91,3 @@ SPEC = register(
         smoke={"rtt_values_ms": (1.0, 25.0, 100.0)},
     )
 )
-
-
-def run(
-    delta_t_values_ms: Sequence[float] = DELTA_T_VALUES_MS,
-    rtt_values_ms: Sequence[float] = RTT_VALUES_MS,
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        overrides={
-            "delta_t_values_ms": delta_t_values_ms,
-            "rtt_values_ms": rtt_values_ms,
-        }
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

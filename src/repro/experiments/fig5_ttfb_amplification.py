@@ -26,7 +26,7 @@ from repro.experiments.spec import (
 from repro.interop.runner import Scenario, SIZE_10KB
 from repro.quic.certs import LARGE_CERTIFICATE
 from repro.quic.server import ServerMode
-from repro.runtime import ArtifactLevel, Cell, MatrixRunner, ResultCache
+from repro.runtime import ArtifactLevel, Cell
 
 RTT_MS = 9.0
 DELTA_T_MS = 200.0
@@ -120,32 +120,3 @@ SPEC = register(
         smoke={"repetitions": 2},
     )
 )
-
-
-def run(
-    http: str = "h3",
-    repetitions: int = 25,
-    rtt_ms: float = RTT_MS,
-    delta_t_ms: float = DELTA_T_MS,
-    runner: Optional[MatrixRunner] = None,
-    workers: int = 0,
-    cache: Optional[ResultCache] = None,
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        runner=runner,
-        workers=workers,
-        cache=cache,
-        overrides={
-            "http": http,
-            "repetitions": repetitions,
-            "rtt_ms": rtt_ms,
-            "delta_t_ms": delta_t_ms,
-        },
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(repetitions=10).render())

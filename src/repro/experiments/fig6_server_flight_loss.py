@@ -25,7 +25,7 @@ from repro.experiments.spec import (
 from repro.interop.runner import Scenario, SIZE_10KB
 from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
-from repro.runtime import ArtifactLevel, Cell, MatrixRunner, ResultCache
+from repro.runtime import ArtifactLevel, Cell
 
 RTT_MS = 9.0
 
@@ -115,26 +115,3 @@ SPEC = register(
         smoke={"repetitions": 2},
     )
 )
-
-
-def run(
-    http: str = "h1",
-    repetitions: int = 25,
-    rtt_ms: float = RTT_MS,
-    runner: Optional[MatrixRunner] = None,
-    workers: int = 0,
-    cache: Optional[ResultCache] = None,
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        runner=runner,
-        workers=workers,
-        cache=cache,
-        overrides={"http": http, "repetitions": repetitions, "rtt_ms": rtt_ms},
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(repetitions=10).render())

@@ -123,20 +123,3 @@ SPEC = register(
         smoke={"days": 1},
     )
 )
-
-
-def run(
-    vantage_name: str = "Sao Paulo",
-    days: int = 7,
-    seed: int = 0,
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        overrides={"vantage_name": vantage_name, "days": days, "seed": seed}
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(days=2).render())

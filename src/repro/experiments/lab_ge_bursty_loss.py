@@ -19,7 +19,7 @@ behavior jitters; ``ge_seed`` selects a different loss realization.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.stats import median
 from repro.experiments.common import ExperimentResult
@@ -33,7 +33,7 @@ from repro.experiments.spec import (
 )
 from repro.interop.runner import Scenario, SIZE_10KB
 from repro.quic.server import ServerMode
-from repro.runtime import ArtifactLevel, Cell, MatrixRunner, ResultCache
+from repro.runtime import ArtifactLevel, Cell
 from repro.sim.loss import GilbertElliottLoss
 
 CLIENT = "quic-go"
@@ -165,32 +165,3 @@ SPEC = register(
         smoke={"repetitions": 2},
     )
 )
-
-
-def run(
-    client: str = CLIENT,
-    repetitions: int = 20,
-    rtt_ms: float = RTT_MS,
-    profiles=PROFILES,
-    runner: Optional[MatrixRunner] = None,
-    workers: int = 0,
-    cache: Optional[ResultCache] = None,
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        runner=runner,
-        workers=workers,
-        cache=cache,
-        overrides={
-            "client": client,
-            "repetitions": repetitions,
-            "rtt_ms": rtt_ms,
-            "profiles": profiles,
-        },
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

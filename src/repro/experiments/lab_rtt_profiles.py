@@ -10,7 +10,7 @@ is the recovery strategy, swept at every RTT.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.stats import median
 from repro.experiments.common import ExperimentResult
@@ -25,7 +25,7 @@ from repro.experiments.spec import (
 from repro.interop.runner import Scenario, SIZE_10KB
 from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
-from repro.runtime import ArtifactLevel, Cell, MatrixRunner, ResultCache
+from repro.runtime import ArtifactLevel, Cell
 
 CLIENT = "quic-go"
 RTTS_MS = (1.0, 9.0, 20.0, 100.0, 300.0)
@@ -123,32 +123,3 @@ SPEC = register(
         smoke={"repetitions": 2, "rtts_ms": (9.0, 100.0)},
     )
 )
-
-
-def run(
-    client: str = CLIENT,
-    repetitions: int = 10,
-    rtts_ms=RTTS_MS,
-    profiles=PROFILES,
-    runner: Optional[MatrixRunner] = None,
-    workers: int = 0,
-    cache: Optional[ResultCache] = None,
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        runner=runner,
-        workers=workers,
-        cache=cache,
-        overrides={
-            "client": client,
-            "repetitions": repetitions,
-            "rtts_ms": rtts_ms,
-            "profiles": profiles,
-        },
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

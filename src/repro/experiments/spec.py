@@ -21,13 +21,13 @@ planner can reason about:
 With demand declared up front, the
 :class:`~repro.runtime.suite.SuiteRunner` can plan the union of cells
 across experiments, dedupe shared cells, execute them once, and fan
-the results back out — and :meth:`ExperimentSpec.execute` gives every
-experiment an identical standalone path (the public ``run(...)``
-functions are thin shims over it).
+the results back out. That planner is the only thing that executes a
+spec; a spec never runs itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -41,8 +41,8 @@ from typing import (
 )
 
 from repro.errors import InvalidOverride
-from repro.experiments.common import ExperimentResult, matrix_runner
-from repro.runtime import ArtifactLevel, Cell, MatrixRunner, ResultCache, RunArtifacts
+from repro.experiments.common import ExperimentResult
+from repro.runtime import ArtifactLevel, Cell, RunArtifacts
 from repro.runtime.store import ArtifactHandle, ArtifactStore
 
 #: Resolved experiment parameters (defaults merged with overrides).
@@ -77,10 +77,6 @@ class CellResults(Sequence):
     @classmethod
     def in_memory(cls, artifacts: Sequence[RunArtifacts]) -> "CellResults":
         return cls(artifacts)
-
-    @classmethod
-    def empty(cls) -> "CellResults":
-        return cls([])
 
     def _load(self, entry: Any) -> RunArtifacts:
         if isinstance(entry, ArtifactHandle):
@@ -127,10 +123,9 @@ class ExperimentSpec:
     paper: str
     #: ``matrix`` / ``model`` / ``wild`` — see module constants.
     kind: str
-    #: Minimum artifact retention the aggregator needs. The standalone
-    #: and suite paths both create runners at (at least) this level —
-    #: a qlog-reading experiment can never silently receive ``stats``
-    #: artifacts.
+    #: Minimum artifact retention the aggregator needs. The suite runs
+    #: its cells at (at least) this level — a qlog-reading experiment
+    #: can never silently receive ``stats`` artifacts.
     artifact_level: ArtifactLevel
     #: ``params -> List[Cell]``: the cells to execute, aggregation-ordered.
     cells: Callable[[Params], List[Cell]]
@@ -154,39 +149,25 @@ class ExperimentSpec:
 
     # -- parameters -----------------------------------------------------
 
-    def resolve(
-        self,
-        overrides: Optional[Mapping[str, Any]] = None,
-        smoke: bool = False,
-    ) -> Params:
-        """Defaults, then smoke overrides, then explicit overrides.
-
-        Unknown override keys raise — a typo must not silently run the
-        experiment at its defaults.
-        """
-        return self.resolve_params(overrides, smoke=smoke)
-
     def resolve_params(
         self,
         overrides: Optional[Mapping[str, Any]] = None,
         *,
         smoke: bool = False,
         workers: Optional[int] = None,
-        base_seed: Optional[int] = None,
     ) -> Params:
-        """THE parameter-resolution path — every way of running an
-        experiment (``repro.api`` sessions, ``SuiteRunner`` plans,
-        ``SPEC.execute``, the legacy ``run()`` shims, the CLI) resolves
-        through this one method, so they agree by construction.
+        """THE parameter-resolution path — ``SuiteRunner.plan`` (and so
+        every ``repro.api`` session, the daemon and the CLI) resolves
+        through this one method, so the surfaces agree by construction.
 
         Layering, lowest to highest precedence: declared ``defaults``,
         then ``smoke`` overrides (when ``smoke=True``), then execution
         context (``workers`` flows into specs that declare a
-        ``workers`` parameter; ``base_seed`` — a shared runner's seed
-        base — into specs that declare ``base_seed``), then explicit
-        ``overrides``, which always win. Unknown override keys raise
-        :class:`~repro.errors.InvalidOverride` — a typo must not
-        silently run the experiment at its defaults.
+        ``workers`` parameter), then explicit ``overrides``, which
+        always win. An unknown override key, or a value whose shape
+        differs from its declared default (see :func:`_same_shape`),
+        raises :class:`~repro.errors.InvalidOverride` — neither a typo
+        nor a string where a number belongs may reach the simulator.
         """
         params: Params = dict(self.defaults)
         if smoke:
@@ -194,13 +175,17 @@ class ExperimentSpec:
         overrides = dict(overrides or {})
         if workers is not None and "workers" in self.defaults and "workers" not in overrides:
             params["workers"] = workers
-        if base_seed is not None and "base_seed" in self.defaults and "base_seed" not in overrides:
-            params["base_seed"] = base_seed
         for key, value in overrides.items():
             if key not in self.defaults:
                 raise InvalidOverride(
                     f"{self.id}: unknown parameter {key!r}; known "
                     f"parameters: {sorted(self.defaults)}"
+                )
+            default = self.defaults[key]
+            if not _same_shape(default, value):
+                raise InvalidOverride(
+                    f"{self.id}: parameter {key!r} expects a value shaped like "
+                    f"its default {_brief(default)!r}, got {value!r}"
                 )
             params[key] = value
         return params
@@ -208,56 +193,6 @@ class ExperimentSpec:
     def plan_cells(self, params: Params) -> List[Cell]:
         """The (scenario, seed) cells this experiment needs."""
         return list(self.cells(params))
-
-    # -- standalone execution -------------------------------------------
-
-    def execute(
-        self,
-        *,
-        runner: Optional[MatrixRunner] = None,
-        workers: int = 0,
-        cache: Optional[ResultCache] = None,
-        store: Optional[ArtifactStore] = None,
-        smoke: bool = False,
-        overrides: Optional[Mapping[str, Any]] = None,
-    ) -> ExperimentResult:
-        """Run this experiment on its own.
-
-        A caller-supplied ``runner`` keeps ownership (and must retain
-        at least :attr:`artifact_level`); otherwise one is created at
-        exactly the spec's declared level. A shared runner's
-        ``base_seed`` wins over the spec's ``base_seed`` default (an
-        explicit override beats both — the
-        :meth:`resolve_params` precedence every run path shares). With a
-        ``store``, executed cells are streamed to disk and the
-        aggregator reads them back group by group.
-
-        ``workers`` also flows into the params of specs that declare a
-        ``workers`` parameter (the wild-measurement experiments fan out
-        their own coarse passes instead of running matrix cells).
-        """
-        params = self.resolve_params(
-            overrides,
-            smoke=smoke,
-            workers=workers,
-            base_seed=runner.base_seed if runner is not None else None,
-        )
-        cells = self.plan_cells(params)
-        if not cells:
-            return self.aggregate(CellResults.empty(), params)
-        with matrix_runner(
-            runner,
-            workers=workers,
-            artifact_level=self.artifact_level,
-            cache=cache,
-        ) as mr:
-            if store is not None:
-                from repro.runtime.suite import run_cells_streamed
-
-                entries: Sequence[Any] = run_cells_streamed(mr, cells, store)
-            else:
-                entries = mr.run_cells(cells)
-        return self.aggregate(CellResults(entries, store=store), params)
 
     # -- introspection --------------------------------------------------
 
@@ -271,6 +206,27 @@ class ExperimentSpec:
             "artifact_level": self.artifact_level.value,
             "defaults": {k: _brief(v) for k, v in self.defaults.items()},
         }
+
+
+def _same_shape(default: Any, value: Any) -> bool:
+    """Whether an override can stand in for its declared default: a
+    finite number for a number (``bool`` is not a number), ``str`` for
+    ``str``, ``bool`` for ``bool``, and for a tuple a list/tuple whose
+    items each match the tuple's first item. ``None`` and empty-tuple
+    defaults declare no shape."""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return isinstance(value, int) or math.isfinite(value)
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if isinstance(default, tuple) and default:
+        return isinstance(value, (list, tuple)) and all(
+            _same_shape(default[0], item) for item in value
+        )
+    return True
 
 
 def _brief(value: Any) -> Any:

@@ -181,31 +181,3 @@ SPEC = register(
         smoke={"list_size": 5_000, "days": 1, "vantage_names": ("Sao Paulo",)},
     )
 )
-
-
-def run(
-    list_size: int = 100_000,
-    days: int = 2,
-    vantage_names=None,
-    seed: int = 0,
-    workers: int = 0,
-    engine: str = "analytic",
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        workers=workers,
-        overrides={
-            "list_size": list_size,
-            "days": days,
-            "vantage_names": vantage_names,
-            "seed": seed,
-            "workers": workers,
-            "engine": engine,
-        },
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(list_size=20_000, days=1, vantage_names=["Sao Paulo"]).render())

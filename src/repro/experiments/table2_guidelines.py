@@ -87,13 +87,3 @@ SPEC = register(
         defaults={"rtt_ms": 9.0},
     )
 )
-
-
-def run(rtt_ms: float = 9.0) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(SPEC, overrides={"rtt_ms": rtt_ms})
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

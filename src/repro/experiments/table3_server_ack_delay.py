@@ -141,13 +141,3 @@ SPEC = register(
         smoke={"repetitions": 1},
     )
 )
-
-
-def run(repetitions: int = 3, rtt_ms: float = 9.0) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(SPEC, overrides={"repetitions": repetitions, "rtt_ms": rtt_ms})
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(repetitions=1).render())

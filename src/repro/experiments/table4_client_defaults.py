@@ -12,7 +12,7 @@ observed second-flight datagram indices match the declared mapping.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.common import ExperimentResult, CLIENT_ORDER
 from repro.experiments.registry import register
@@ -27,7 +27,7 @@ from repro.impls.registry import client_profile
 from repro.interop.runner import Scenario
 from repro.quic.packet import PacketType
 from repro.quic.server import ServerMode
-from repro.runtime import ArtifactLevel, Cell, MatrixRunner, ResultCache
+from repro.runtime import ArtifactLevel, Cell
 
 PAPER_TABLE4 = {
     "aioquic": (200, (2, 3, 4)),
@@ -127,25 +127,3 @@ SPEC = register(
         smoke={"repetitions": 1},
     )
 )
-
-
-def run(
-    repetitions: int = 5,
-    rtt_ms: float = 9.0,
-    runner: Optional[MatrixRunner] = None,
-    workers: int = 0,
-    cache: Optional[ResultCache] = None,
-) -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(
-        SPEC,
-        runner=runner,
-        workers=workers,
-        cache=cache,
-        overrides={"repetitions": repetitions, "rtt_ms": rtt_ms},
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(repetitions=2).render())

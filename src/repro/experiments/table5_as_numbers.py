@@ -76,13 +76,3 @@ SPEC = register(
         aggregate=aggregate,
     )
 )
-
-
-def run() -> ExperimentResult:
-    from repro.api import legacy_run
-
-    return legacy_run(SPEC)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

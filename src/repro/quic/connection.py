@@ -192,7 +192,7 @@ class Endpoint:
             recovery_profile if recovery_profile is not None else DEFAULT_PROFILE
         )
         self.rng = rng if rng is not None else random.Random(0)
-        #: Behavior randomness. Without an explicit ``draws`` the legacy
+        #: Behavior randomness. Without an explicit ``draws`` the
         #: shared-stream semantics apply (draws interleave on ``rng``).
         self.draws = draws if draws is not None else RngDraws(self.rng)
         self.name = name

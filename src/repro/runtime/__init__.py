@@ -56,13 +56,7 @@ from repro.runtime.scheduler import (
     WorkerState,
 )
 from repro.runtime.store import ArtifactHandle, ArtifactStore
-from repro.runtime.suite import (
-    SuitePlan,
-    SuiteReport,
-    SuiteRunner,
-    run_cells_streamed,
-    run_suite,
-)
+from repro.runtime.suite import SuitePlan, SuiteReport, SuiteRunner
 
 __all__ = [
     "ArtifactHandle",
@@ -97,8 +91,6 @@ __all__ = [
     "parallel_map",
     "parse_fault_plan",
     "plan_fingerprint",
-    "run_cells_streamed",
-    "run_suite",
     "scenario_key",
     "set_shared_input",
     "worker_main",

@@ -192,10 +192,6 @@ class SuiteCheckpoint:
             path = os.path.join(self.directory, name)
             try:
                 with open(path, "rb") as fh:
-                    # Segments written by this version are codec-framed
-                    # (compressed); pre-v4 segments are bare pickles and
-                    # pass through decompress_blob unchanged, so old
-                    # checkpoints stay resumable.
                     entries = pickle.loads(decompress_blob(fh.read()))
             except Exception as exc:
                 # Atomic segment writes make this unreachable for a

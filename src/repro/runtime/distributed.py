@@ -224,11 +224,10 @@ from repro.runtime.events import (
     WorkerLost,
 )
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.scheduler import (  # noqa: F401  (re-exported: historical home)
+from repro.runtime.scheduler import (
     DEFAULT_MAX_CHUNK_CELLS,
     DEFAULT_MIN_CHUNK_CELLS,
     DEFAULT_TARGET_CHUNK_SECONDS,
-    EWMA_ALPHA,
     Assignment,
     ChunkScheduler,
     ScaleHint,
@@ -442,13 +441,9 @@ def recv_frame_ex(
         )
     payload = _recv_exact(sock, length)
     try:
-        if msg_type in DATA_FRAMES and not payload.startswith(b"\x80"):
+        if msg_type in DATA_FRAMES:
             obj, raw_len = decode_payload(payload)
         else:
-            # Control frames are always plain pickles; a *data* frame
-            # whose first byte is the pickle opcode 0x80 (never a valid
-            # codec id) is one too — the v3-style body a hand-rolled
-            # test peer or debugging script produces with send_frame.
             obj, raw_len = pickle.loads(payload), length
         return msg_type, obj, _HEADER.size + length, raw_len
     except Exception as exc:
@@ -606,7 +601,6 @@ def worker_main(
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     retry_for: float = 10.0,
-    fail_after: Optional[int] = None,
     auth_key: Optional[bytes] = None,
     cache_entries: Optional[int] = DEFAULT_WORKER_CACHE_ENTRIES,
     log: Optional[Callable[[str], None]] = None,
@@ -630,8 +624,7 @@ def worker_main(
     disables it. Per-chunk hit counts are reported on RESULT frames.
 
     ``fault_plan`` injects structured faults for failure-path tests
-    and chaos runs (see :mod:`repro.runtime.faults`). ``fail_after``
-    is the deprecated one-fault shorthand for
+    and chaos runs (see :mod:`repro.runtime.faults`); e.g.
     ``FaultPlan(kill_after_chunks=N)``: after serving that many chunks
     the worker hard-exits (``os._exit``) upon receiving its next chunk
     — indistinguishable from SIGKILL, guaranteeing an unacknowledged
@@ -651,8 +644,6 @@ def worker_main(
     vanished (and any rejoin window expired).
     """
     say = log or (lambda message: None)
-    if fault_plan is None and fail_after is not None:
-        fault_plan = FaultPlan(kill_after_chunks=fail_after)
     faults = FaultInjector(fault_plan)
     cache = ResultCache(max_entries=cache_entries) if cache_entries else None
     # Worker-lifetime batch engine: its skeleton-fit cache is a pure

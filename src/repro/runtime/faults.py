@@ -3,10 +3,8 @@
 The failure-path tests and the CI chaos job need workers that fail in
 *specific*, reproducible ways: die with a chunk in flight, stop
 heartbeating, corrupt a frame, trickle results over a slow socket.
-The historical hook was a single hidden ``--fail-after N`` flag; this
-module replaces it with a declarative :class:`FaultPlan` the worker CLI
-accepts as ``--fault-plan SPEC`` (``--fail-after`` remains a deprecated
-alias for ``kill_after=N``).
+A declarative :class:`FaultPlan` describes them; the worker CLI accepts
+one as ``--fault-plan SPEC``.
 
 A spec is a comma-separated ``key=value`` list::
 

@@ -14,9 +14,6 @@ simulation, so the sweep is embarrassingly parallel:
   exactly like the serial :meth:`Runner.run_repetitions`, so per-seed
   ``ConnectionStats`` are bit-identical to the serial path regardless
   of worker count, chunking, or execution host.
-* A shared :class:`~repro.runtime.cache.ResultCache` (optional) memoizes
-  cells by scenario *value*, so sweeps that revisit shared baselines
-  (fig12 ⊃ fig6, fig13 ⊃ fig7) skip recomputation.
 * :func:`parallel_map` is the generic coarse-grained fan-out used by
   the wild-measurement experiments (one task per vantage/day pass).
 """
@@ -32,7 +29,6 @@ from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
 from repro.runtime.backend import ExecutionBackend, LocalBackend, ResultObserver, mp_context
 from repro.runtime.batch_engine import ENGINE_SCALAR, BatchEngine, coerce_engine, execute_cells
-from repro.runtime.cache import ResultCache
 from repro.runtime.events import CellCompleted, EventSink, emit
 from repro.runtime.worker import IndexedCell, call_task
 
@@ -80,8 +76,7 @@ class MatrixRunner:
     :class:`~repro.runtime.distributed.SocketBackend` serving chunks to
     remote hosts. The caller keeps ownership (the runner never closes
     it), chunk sizing follows the backend's reported parallelism, and
-    every non-cached cell is routed through it regardless of
-    ``workers``.
+    every cell is routed through it regardless of ``workers``.
 
     ``artifact_level`` selects what each run retains (see
     :class:`~repro.runtime.artifacts.ArtifactLevel`); ``full`` keeps
@@ -93,7 +88,6 @@ class MatrixRunner:
         workers: Optional[int] = 0,
         artifact_level: Union[ArtifactLevel, str] = ArtifactLevel.STATS,
         base_seed: int = 0,
-        cache: Optional[ResultCache] = None,
         chunk_size: Optional[int] = None,
         backend: Optional[ExecutionBackend] = None,
         on_event: Optional[EventSink] = None,
@@ -108,7 +102,6 @@ class MatrixRunner:
         self.workers = workers
         self.artifact_level = ArtifactLevel.coerce(artifact_level)
         self.base_seed = base_seed
-        self.cache = cache
         self.chunk_size = chunk_size
         self.backend = backend
         #: Per-cell execution engine: ``"scalar"`` (the reference
@@ -121,9 +114,8 @@ class MatrixRunner:
         #: attached (see :meth:`ExecutionBackend.set_event_sink`).
         self.on_event = on_event
         #: Optional durable result observer (suite checkpoint
-        #: journaling): called with batches of freshly *computed*
-        #: ``(index, artifacts)`` pairs as they complete — cache hits
-        #: never pass through it. Attached to the backend for the
+        #: journaling): called with batches of ``(index, artifacts)``
+        #: pairs as they complete. Attached to the backend for the
         #: duration of each :meth:`run_cells` call; see
         #: :meth:`~repro.runtime.backend.ExecutionBackend.set_result_observer`.
         self.result_observer: Optional[ResultObserver] = None
@@ -164,18 +156,9 @@ class MatrixRunner:
         """Run every cell, returning results in cell order."""
         level = self.artifact_level
         results: List[Optional[RunArtifacts]] = [None] * len(cells)
-        pending: List[IndexedCell] = []
-        keys: List[Optional[Tuple[Any, ...]]] = [None] * len(cells)
-        cache = self.cache
-        for i, cell in enumerate(cells):
-            if cache is not None:
-                key = cache.make_key(cell.scenario, cell.seed, level, engine=self.engine)
-                keys[i] = key
-                hit = cache.get(key)
-                if hit is not None:
-                    results[i] = hit
-                    continue
-            pending.append((i, cell.scenario, cell.seed))
+        pending: List[IndexedCell] = [
+            (i, cell.scenario, cell.seed) for i, cell in enumerate(cells)
+        ]
         if pending:
             if self.workers > 1 or self.backend is not None:
                 computed = self._run_parallel(pending)
@@ -227,8 +210,6 @@ class MatrixRunner:
                     observer(journal)
             for i, artifacts in computed:
                 results[i] = artifacts
-                if cache is not None:
-                    cache.put(keys[i], artifacts)
         return results  # type: ignore[return-value]
 
     def _run_parallel(self, pending: Sequence[IndexedCell]) -> List[Tuple[int, RunArtifacts]]:

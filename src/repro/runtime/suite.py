@@ -20,8 +20,8 @@ can plan the union:
    cells (in its declared order) and call its pure aggregator.
 
 Stats at a richer artifact level are bit-identical to a ``stats``-level
-run (retention never perturbs connection behavior), so suite results
-match the standalone paths cell for cell.
+run (retention never perturbs connection behavior), so an experiment's
+result does not depend on what else was selected with it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.errors import BackendError, CheckpointError, InvalidOverride
 from repro.runtime.artifacts import ArtifactLevel
 from repro.runtime.backend import ExecutionBackend
-from repro.runtime.cache import ResultCache, scenario_key
+from repro.runtime.cache import scenario_key
 from repro.runtime.checkpoint import SuiteCheckpoint, plan_fingerprint
 from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.events import (
@@ -68,24 +68,6 @@ def max_level(levels: Sequence[ArtifactLevel]) -> ArtifactLevel:
         if level.covers(best):
             best = level
     return best
-
-
-def run_cells_streamed(
-    runner: MatrixRunner,
-    cells: Sequence[Cell],
-    store: ArtifactStore,
-    batch_size: int = STREAM_BATCH_CELLS,
-) -> List[ArtifactHandle]:
-    """Execute cells in batches, spilling each batch to ``store``
-    before dispatching the next — peak memory is one batch of
-    artifacts instead of the whole sweep."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    handles: List[ArtifactHandle] = []
-    for start in range(0, len(cells), batch_size):
-        batch = runner.run_cells(cells[start : start + batch_size])
-        handles.extend(store.put(artifacts) for artifacts in batch)
-    return handles
 
 
 @dataclass
@@ -163,6 +145,9 @@ class SuiteReport:
     executed_cells: int
     spilled_cells: int = 0
     spill_bytes: int = 0
+    #: Always 0: the in-memory suite cache that fed these is gone, but
+    #: the golden ``suite.json`` pins the keys; dropping them is a
+    #: bundle schema-version bump.
     cache_hits: int = 0
     cache_misses: int = 0
     extra: Dict[str, Any] = field(default_factory=dict)
@@ -198,18 +183,6 @@ class SuiteReport:
 class SuiteRunner:
     """Plans and executes any selection of registered experiments.
 
-    ``runner``
-        Optional caller-owned :class:`MatrixRunner`; it must retain at
-        least the plan's artifact level, and its ``base_seed`` flows
-        into the planned cells exactly as it does for the standalone
-        ``run(runner=...)`` shims. Without one, a runner is created per
-        run at exactly the plan's level (and closed afterwards).
-    ``cache``
-        Optional :class:`ResultCache` for runs that create their own
-        runner (a shared ``runner`` brings its own cache — passing
-        both is rejected rather than silently ignoring one). Spilled
-        runs skip the cache: memoizing every trace-level artifact
-        in memory would defeat the store's memory bound.
     ``spill``
         ``"auto"`` (default) streams cells to disk whenever the plan's
         level retains more than stats; ``"always"`` / ``"never"``
@@ -256,16 +229,12 @@ class SuiteRunner:
         byte-identical to an uninterrupted run. A checkpoint for a
         different suite raises
         :class:`~repro.errors.CheckpointError`. ``full``-level plans
-        cannot checkpoint (live endpoints are unpicklable), and cells
-        served from an in-memory result cache are simply recomputed on
-        resume.
+        cannot checkpoint (live endpoints are unpicklable).
     """
 
     def __init__(
         self,
-        runner: Optional[MatrixRunner] = None,
         workers: int = 0,
-        cache: Optional[ResultCache] = None,
         spill: str = "auto",
         spill_dir: Optional[str] = None,
         backend: Optional[ExecutionBackend] = None,
@@ -276,30 +245,7 @@ class SuiteRunner:
     ):
         if spill not in ("auto", "always", "never"):
             raise ValueError("spill must be 'auto', 'always', or 'never'")
-        if runner is not None and engine is not None:
-            raise ValueError(
-                "pass engine only when the suite creates its own runner; "
-                "a shared runner was already constructed with its engine"
-            )
-        if runner is not None and cache is not None:
-            raise ValueError(
-                "pass cache only when the suite creates its own runner; "
-                "a shared runner keeps (and uses) its own cache"
-            )
-        if runner is not None and backend is not None:
-            raise ValueError(
-                "pass backend only when the suite creates its own runner; "
-                "a shared runner already owns its execution backend"
-            )
-        if runner is not None and checkpoint_dir is not None:
-            raise ValueError(
-                "pass checkpoint_dir only when the suite creates its own "
-                "runner; checkpoint journaling owns the runner's result "
-                "observer"
-            )
-        self.runner = runner
         self.workers = workers
-        self.cache = cache
         self.spill = spill
         self.spill_dir = spill_dir
         self.backend = backend
@@ -339,18 +285,16 @@ class SuiteRunner:
                 raise InvalidOverride(f"experiment {spec.id!r} selected twice")
             seen_ids.add(spec.id)
             exp_overrides = overrides.get(spec.id)
-            # One resolution path for every way of running experiments
-            # (ExperimentSpec.resolve_params): a shared runner's
-            # base_seed governs the cells exactly as in the standalone
-            # SPEC.execute(runner=...) path, and self.workers flows
-            # into specs that declare a workers parameter.
-            params = spec.resolve_params(
-                exp_overrides,
-                smoke=smoke,
-                workers=self.workers,
-                base_seed=self.runner.base_seed if self.runner is not None else None,
-            )
-            cells = spec.plan_cells(params)
+            # self.workers flows into specs that declare a workers
+            # parameter (the wild experiments fan out their own passes).
+            params = spec.resolve_params(exp_overrides, smoke=smoke, workers=self.workers)
+            try:
+                cells = spec.plan_cells(params)
+            except (ValueError, TypeError) as exc:
+                # A well-shaped override the experiment cannot plan
+                # with (repetitions=0, a negative RTT): the caller's
+                # mistake, reported before any cell is dispatched.
+                raise InvalidOverride(f"{spec.id}: {exc}") from exc
             slots: List[int] = []
             for cell in cells:
                 key = cell_key(cell)
@@ -397,16 +341,20 @@ class SuiteRunner:
         )
         checkpoint, completed = self._resolve_checkpoint(plan)
         store, owned_store = self._resolve_store(plan)
-        runner, owned_runner = self._resolve_runner(plan.artifact_level, attach_cache=store is None)
-        cache = runner.cache
-        hits0, misses0 = (cache.hits, cache.misses) if cache else (0, 0)
+        runner = MatrixRunner(
+            workers=self.workers,
+            artifact_level=plan.artifact_level,
+            backend=self.backend,
+            on_event=self.on_event,
+            engine=self.engine,
+        )
         disk = self.disk_cache
         disk0 = (disk.hits, disk.misses) if disk is not None else (0, 0)
         # Distributed backends accumulate worker-resident cache hits;
         # snapshot so the run's delta can be reported. Deliberately kept
         # out of to_dict(): bundle bytes must not depend on how warm the
         # fleet happens to be.
-        backend = runner.backend
+        backend = self.backend
         wc0 = getattr(getattr(backend, "stats", None), "worker_cache_hits", None)
         # Attach this run's sink to a caller-owned backend for the
         # duration of the run, restoring whatever was attached before
@@ -444,8 +392,6 @@ class SuiteRunner:
                 executed_cells=len(plan.unique_cells),
                 spilled_cells=spilled,
                 spill_bytes=store.bytes_written if store is not None else 0,
-                cache_hits=(cache.hits - hits0) if cache else 0,
-                cache_misses=(cache.misses - misses0) if cache else 0,
             )
             if wc0 is not None:
                 report.extra["worker_cache_hits"] = backend.stats.worker_cache_hits - wc0
@@ -464,8 +410,7 @@ class SuiteRunner:
         finally:
             if owned_store and store is not None:
                 store.close()
-            if owned_runner:
-                runner.close()
+            runner.close()
             if self.on_event is not None and self.backend is not None:
                 self.backend.set_event_sink(prev_sink)
 
@@ -484,7 +429,7 @@ class SuiteRunner:
             )
         checkpoint = SuiteCheckpoint(self.checkpoint_dir)
         completed = checkpoint.load_or_init(
-            plan_fingerprint(plan, engine=self._effective_engine()),
+            plan_fingerprint(plan, engine=self.engine),
             meta={
                 "experiments": [p.spec.id for p in plan.experiments],
                 "unique_cells": len(plan.unique_cells),
@@ -528,12 +473,11 @@ class SuiteRunner:
         disk = self.disk_cache
         disk_keys: Dict[int, str] = {}
         if disk is not None and plan.artifact_level is not ArtifactLevel.FULL:
-            engine = self._effective_engine()
             for slot, cell in enumerate(cells):
                 if slot in entries_by_slot:
                     continue
                 key = disk.fingerprint(
-                    cell.scenario, cell.seed, plan.artifact_level, engine=engine
+                    cell.scenario, cell.seed, plan.artifact_level, engine=self.engine
                 )
                 if key is None:
                     continue
@@ -600,39 +544,6 @@ class SuiteRunner:
         named.poison_cells = poison
         return named
 
-    def _effective_engine(self) -> str:
-        """The engine the executing runner will actually use — the
-        shared runner's own when one was passed, else the suite's."""
-        if self.runner is not None:
-            return getattr(self.runner, "engine", "scalar")
-        return self.engine
-
-    def _resolve_runner(
-        self, level: ArtifactLevel, attach_cache: bool = True
-    ) -> Tuple[MatrixRunner, bool]:
-        if self.runner is not None:
-            if not self.runner.artifact_level.covers(level):
-                raise ValueError(
-                    f"suite requires artifact level {level.value!r} but the "
-                    "shared runner retains only "
-                    f"{self.runner.artifact_level.value!r}"
-                )
-            return self.runner, False
-        # Spilled runs (attach_cache=False) leave the cache off: a memo
-        # holding every trace-level artifact in memory would defeat the
-        # ArtifactStore's whole point.
-        return (
-            MatrixRunner(
-                workers=self.workers,
-                artifact_level=level,
-                cache=self.cache if attach_cache else None,
-                backend=self.backend,
-                on_event=self.on_event,
-                engine=self.engine,
-            ),
-            True,
-        )
-
     def _resolve_store(self, plan: SuitePlan) -> Tuple[Optional[ArtifactStore], bool]:
         if not plan.unique_cells or plan.artifact_level is ArtifactLevel.FULL:
             return None, False
@@ -642,28 +553,3 @@ class SuiteRunner:
             return None, False
         return ArtifactStore(self.spill_dir), True
 
-
-def run_suite(
-    experiments: Sequence[Union[str, Any]],
-    workers: int = 0,
-    overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    smoke: bool = False,
-    **runner_kwargs: Any,
-) -> SuiteReport:
-    """Deprecated one-call wrapper over :class:`SuiteRunner`.
-
-    Use :func:`repro.api.run` — same one-call shape, plus typed backend
-    configs, ``engine=`` selection, events, and bundle writing.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.runtime.run_suite() is deprecated; use repro.api.run(...) — "
-        "the façade validates selections, takes typed backend configs and "
-        "engine=, streams events, and writes versioned bundles",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return SuiteRunner(workers=workers, **runner_kwargs).run(
-        experiments, overrides=overrides, smoke=smoke
-    )

@@ -29,9 +29,8 @@ always available; zstd is used opportunistically when either
 ``zstandard`` or ``zstd`` is importable (never a hard dependency).
 
 The same codec framing doubles as the checkpoint-segment blob format
-(:func:`compress_blob` / :func:`decompress_blob`): segments written by
-this version carry a 4-byte magic + codec byte, while pre-v4 segments
-— bare pickles, first byte ``0x80`` — keep loading unchanged.
+(:func:`compress_blob` / :func:`decompress_blob`): a 4-byte magic +
+codec byte, then the body. A blob without the magic is corrupt.
 """
 
 from __future__ import annotations
@@ -219,8 +218,7 @@ def decode_payload(body: Union[bytes, memoryview]) -> Tuple[Any, int]:
 
 # -- checkpoint-segment blobs -------------------------------------------
 
-#: Magic prefix of a codec-framed blob. Pre-v4 checkpoint segments are
-#: bare pickles whose first byte is ``0x80`` — unambiguous to sniff.
+#: Magic prefix of a codec-framed blob.
 BLOB_MAGIC = b"RPCZ"
 
 
@@ -234,10 +232,10 @@ def compress_blob(data: bytes, codec: str = DEFAULT_CODEC) -> bytes:
 
 
 def decompress_blob(data: bytes) -> bytes:
-    """Undo :func:`compress_blob`; bytes without the magic prefix pass
-    through unchanged (old bare-pickle segments)."""
+    """Undo :func:`compress_blob`; bytes without the magic prefix are
+    not a blob this code wrote and raise ``ValueError``."""
     if not data.startswith(BLOB_MAGIC):
-        return data
+        raise ValueError("blob is missing the codec-frame magic")
     if len(data) < len(BLOB_MAGIC) + 1:
         raise ValueError("truncated codec-framed blob")
     ident = data[len(BLOB_MAGIC)]

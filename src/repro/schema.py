@@ -7,16 +7,14 @@ Every bundle this repository writes — per-experiment
 Version history
 ---------------
 
-``0``
-    Legacy, unstamped bundles (pre-façade). Structurally identical to
-    version 1 minus the stamp; accepted on read.
 ``1``
     The stamp itself. Current.
 
-Readers accept any version ``<= BUNDLE_SCHEMA_VERSION`` and refuse
-newer ones with a :class:`~repro.errors.BundleVersionError` — a
-bundle from a future release must fail loudly, not half-parse. (When
-a version 2 changes the shape, the read path gains a migration step
+Readers accept versions ``1 .. BUNDLE_SCHEMA_VERSION`` and refuse an
+unstamped payload or a newer version with a
+:class:`~repro.errors.BundleVersionError` — a bundle this release did
+not write the format of must fail loudly, not half-parse. (When a
+version 2 changes the shape, the read path gains a migration step
 keyed on the version this function returns.)
 """
 
@@ -33,14 +31,14 @@ BUNDLE_SCHEMA_VERSION = 1
 def check_bundle_version(payload: Dict[str, Any], what: str = "bundle") -> int:
     """Validate ``payload``'s ``schema_version`` and return it.
 
-    Missing stamps are legacy version-0 bundles and pass. Non-integer
-    or future versions raise :class:`BundleVersionError`.
+    Missing, non-integer, or future versions raise
+    :class:`BundleVersionError`.
     """
-    version = payload.get("schema_version", 0)
-    if isinstance(version, bool) or not isinstance(version, int) or version < 0:
+    version = payload.get("schema_version")
+    if isinstance(version, bool) or not isinstance(version, int) or version < 1:
         raise BundleVersionError(
-            f"{what} has a malformed schema_version {version!r} "
-            "(expected a non-negative integer)"
+            f"{what} has a missing or malformed schema_version {version!r} "
+            "(expected a positive integer)"
         )
     if version > BUNDLE_SCHEMA_VERSION:
         raise BundleVersionError(

@@ -73,11 +73,12 @@ class BehaviorDraws:
 
 
 class RngDraws(BehaviorDraws):
-    """Legacy draws sharing one caller-supplied rng stream.
+    """Draws sharing one caller-supplied rng stream.
 
     Used when an endpoint is constructed directly with just an ``rng``
-    (unit tests, ad-hoc harnesses): draw order and values stay exactly
-    as they were before purpose-derived streams existed.
+    — ``table3_server_ack_delay.aggregate`` does, so
+    ``tests/golden/smoke/table3.json`` pins this draw order and these
+    values — and by unit tests and ad-hoc harnesses.
     """
 
     __slots__ = ("_rng",)

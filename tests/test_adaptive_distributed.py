@@ -27,6 +27,7 @@ from repro.runtime.distributed import (
     MSG_HELLO,
     MSG_RESULT,
     PROTOCOL_VERSION,
+    send_data_frame,
     send_frame,
 )
 from repro.runtime.events import ChunkCompleted, ChunkDispatched, WorkerJoined
@@ -114,7 +115,7 @@ def test_slow_link_worker_survives_chunk_larger_than_heartbeat_window():
 
                 (job_id, chunk_id, grouped, level, _engine), _ = decode_payload(payload)
                 results = run_cell_chunk(grouped, level)
-                send_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None), lock=lock)
+                send_data_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None), lock=lock)
         except (ConnectionError, OSError, struct.error):
             pass
         finally:
@@ -156,7 +157,7 @@ def _skewed_worker(backend, host, delay_per_cell, stop):
             indices = [i for _scenario, pairs in grouped for i, _seed in pairs]
             time.sleep(len(indices) * delay_per_cell)
             results = [(i, "r") for i in indices]
-            send_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None), lock=lock)
+            send_data_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None), lock=lock)
     except (ConnectionError, OSError):
         pass
     finally:

@@ -1,5 +1,5 @@
 """The ``repro.api`` façade: sessions, typed errors, run events,
-versioned bundles, and the legacy-shim deprecation path."""
+versioned bundles, and its standing as the only run path."""
 
 import json
 import threading
@@ -216,7 +216,7 @@ def test_distributed_run_emits_worker_events_and_matches_local():
     assert distributed.results["fig6"].to_json() == local.results["fig6"].to_json()
 
 
-# -- workers resolve identically on every path (the spec.execute fix) ---
+# -- workers resolve identically on every path ---------------------------
 
 
 def test_workers_resolution_is_identical_across_paths():
@@ -227,7 +227,7 @@ def test_workers_resolution_is_identical_across_paths():
         plan = session.plan(RunRequest(("fig15",), smoke=True))
     (planned,) = plan.experiments
     assert planned.params["workers"] == 2
-    # standalone spec path
+    # the spec's own resolution, which the plan goes through
     params = SPEC.resolve_params(None, smoke=True, workers=2)
     assert params["workers"] == 2
     # an explicit override beats the execution context everywhere
@@ -259,13 +259,19 @@ def test_bundles_are_stamped_with_the_schema_version(tmp_path):
     assert suite["results"]["table5"]["schema_version"] == BUNDLE_SCHEMA_VERSION
 
 
-def test_legacy_unstamped_bundle_loads_as_version_zero():
+def test_unstamped_bundle_is_rejected(tmp_path):
     payload = ExperimentResult(
         experiment_id="x", title="t", headers=["a"], rows=[[1]]
     ).to_dict()
     del payload["schema_version"]
-    restored = ExperimentResult.from_dict(payload)
-    assert restored.rows == [[1]]
+    with pytest.raises(BundleVersionError, match="missing or malformed"):
+        ExperimentResult.from_dict(payload)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(BundleVersionError, match="missing or malformed"):
+        load_result(path)
+    with pytest.raises(BundleVersionError, match="missing or malformed"):
+        ExperimentResult.from_dict({**payload, "schema_version": 0})
 
 
 def test_future_bundle_version_is_rejected():
@@ -286,31 +292,27 @@ def test_json_round_trip_preserves_rows():
     assert ExperimentResult.from_json(original.to_json()).rows == [[1, "y"]]
 
 
-# -- the legacy shims ---------------------------------------------------
+# -- one run path ------------------------------------------------------
 
 
-def test_legacy_run_shims_emit_deprecation_and_match_the_facade():
-    from repro.experiments import fig2_pto_evolution as fig2
-    from repro.experiments import table5_as_numbers as table5
-
-    with pytest.warns(DeprecationWarning, match="fig2.run\\(\\) is deprecated"):
-        legacy = fig2.run(n_samples=10)
-    assert legacy.rows == run_experiment("fig2", n_samples=10).rows
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        table5.run()
-
-
-def test_every_registered_experiment_routes_its_shim_through_the_api():
-    """All 19 modules' run() functions go through repro.api.legacy_run."""
+def test_no_experiment_module_or_package_offers_a_second_run_path():
+    """Session.run -> SuiteRunner.run is the only way in: no experiment
+    module defines run(), a spec cannot execute itself, and neither
+    package exports the deleted wrappers."""
     import importlib
-    import inspect
 
-    from repro.experiments import EXPERIMENT_INDEX
+    import repro.api
+    import repro.runtime
+    from repro.experiments import EXPERIMENT_INDEX, ExperimentSpec
 
     for module_name in EXPERIMENT_INDEX.values():
-        module = importlib.import_module(module_name)
-        source = inspect.getsource(module.run)
-        assert "legacy_run" in source, module_name
+        assert not hasattr(importlib.import_module(module_name), "run"), module_name
+    for name in ("execute", "resolve"):
+        assert not hasattr(ExperimentSpec, name)
+    for package in (repro.api, repro.runtime):
+        for name in ("legacy_run", "run_suite", "run_cells_streamed"):
+            assert not hasattr(package, name), (package.__name__, name)
+            assert name not in package.__all__
 
 
 # -- module-level convenience parity ------------------------------------

@@ -10,10 +10,9 @@ from repro.interop.runner import Scenario
 from repro.runtime import (
     ArtifactLevel,
     ArtifactStore,
-    Cell,
     MatrixRunner,
+    SuiteRunner,
     execute_cell,
-    run_cells_streamed,
 )
 
 
@@ -94,21 +93,33 @@ def test_closed_store_rejects_io():
         store.get(handle)
 
 
-def test_run_cells_streamed_batches_and_preserves_order(tmp_path):
-    cells = [Cell(Scenario(), seed) for seed in range(5)]
-    with ArtifactStore(str(tmp_path / "s")) as store:
-        with MatrixRunner(workers=0) as runner:
-            handles = run_cells_streamed(runner, cells, store, batch_size=2)
-        assert len(handles) == 5
-        view = CellResults(handles, store=store)
-        assert view.spilled_count == 5
-        assert [a.seed for a in view] == [0, 1, 2, 3, 4]
-        # groups load one chunk at a time and match direct execution
-        direct = [execute_cell(c.scenario, c.seed, ArtifactLevel.STATS) for c in cells]
-        for group, expected in zip(view.groups(5), [direct]):
-            assert [a.client_stats for a in group] == [
-                e.client_stats for e in expected
-            ]
+def test_run_cells_streamed_batches_and_preserves_order(tmp_path, monkeypatch):
+    """A spilling suite dispatches STREAM_BATCH_CELLS cells at a time
+    (peak memory is one batch) and still hands every experiment its
+    cells in declared order."""
+    import repro.runtime.suite as suite_module
+
+    batches = []
+    real_run_cells = MatrixRunner.run_cells
+
+    def recording_run_cells(self, cells):
+        batches.append(len(cells))
+        return real_run_cells(self, cells)
+
+    monkeypatch.setattr(MatrixRunner, "run_cells", recording_run_cells)
+    monkeypatch.setattr(suite_module, "STREAM_BATCH_CELLS", 5)
+    overrides = {"fig6": {"repetitions": 1}}
+    spill_dir = tmp_path / "s"
+    streamed = SuiteRunner(workers=0, spill="always", spill_dir=str(spill_dir)).run(
+        ["fig6"], overrides=overrides
+    )
+    assert batches == [5, 5, 5, 1]
+    assert streamed.spilled_cells == 16
+    assert len(list(spill_dir.glob("cell-*.pkl"))) == 16
+    batches.clear()
+    in_memory = SuiteRunner(workers=0, spill="never").run(["fig6"], overrides=overrides)
+    assert batches == [16]
+    assert streamed.results["fig6"].to_dict() == in_memory.results["fig6"].to_dict()
 
 
 def test_cell_results_mixed_entries(tmp_path):

@@ -121,7 +121,9 @@ def test_full_level_suites_refuse_checkpointing(tmp_path):
 def test_checkpoint_dir_with_shared_runner_rejected():
     from repro.runtime.matrix import MatrixRunner
 
-    with pytest.raises(ValueError, match="checkpoint_dir"):
+    # Checkpoint journaling owns the runner's result observer, so the
+    # suite creates its runner itself; there is no runner= to pass.
+    with pytest.raises(TypeError):
         SuiteRunner(runner=MatrixRunner(workers=0), checkpoint_dir="ckpt")
 
 

@@ -36,6 +36,7 @@ from repro.runtime.distributed import (
     authenticate_client,
     authenticate_server,
     recv_frame,
+    send_data_frame,
     send_frame,
 )
 
@@ -397,9 +398,9 @@ def test_killed_worker_chunk_requeued_and_stats_bit_identical():
     backend = SocketBackend(port=0, min_workers=2)
     procs = []
     try:
-        # --fail-after 0 hard-exits (os._exit) on receiving its first
+        # kill_after=0 hard-exits (os._exit) on receiving its first
         # chunk, leaving it unacknowledged.
-        procs.append(spawn_worker_process(backend, "--fail-after", "0"))
+        procs.append(spawn_worker_process(backend, "--fault-plan", "kill_after=0"))
         procs.append(spawn_worker_process(backend))
         with MatrixRunner(backend=backend, chunk_size=3) as runner:
             distributed = runner.run_repetitions(LOSSY_IACK, repetitions=12)
@@ -494,7 +495,7 @@ def test_result_with_out_of_range_chunk_id_drops_worker_not_job():
             recv_frame(sock)  # WELCOME
             _, payload = recv_frame(sock)
             job_id = payload[0]
-            send_frame(sock, MSG_RESULT, (job_id, 999_999, [(0, "bogus")], None))
+            send_data_frame(sock, MSG_RESULT, (job_id, 999_999, [(0, "bogus")], None))
             recv_frame(sock)  # blocks until the server hangs up on us
         except (ConnectionError, ProtocolError, OSError):
             pass
@@ -531,7 +532,7 @@ def test_remote_chunk_error_aborts_with_traceback():
                     continue
                 if msg_type != MSG_CHUNK:
                     return
-                send_frame(
+                send_data_frame(
                     sock,
                     MSG_ERROR,
                     {
@@ -571,7 +572,7 @@ def test_stale_frames_from_aborted_job_are_discarded():
             # job A: fail it outright
             _, payload = recv_frame(sock)
             job_a, chunk_a = payload[0], payload[1]
-            send_frame(
+            send_data_frame(
                 sock,
                 MSG_ERROR,
                 {"job_id": job_a, "chunk_id": chunk_a, "error": "boom-a", "traceback": ""},
@@ -582,13 +583,13 @@ def test_stale_frames_from_aborted_job_are_discarded():
                 if msg_type != MSG_CHUNK:
                     return
                 job_b, chunk_b, grouped, level, _engine = payload
-                send_frame(sock, MSG_RESULT, (job_a, chunk_b, [(0, "stale-garbage")], None))
-                send_frame(
+                send_data_frame(sock, MSG_RESULT, (job_a, chunk_b, [(0, "stale-garbage")], None))
+                send_data_frame(
                     sock,
                     MSG_ERROR,
                     {"job_id": job_a, "chunk_id": chunk_a, "error": "stale boom", "traceback": ""},
                 )
-                send_frame(sock, MSG_RESULT, (job_b, chunk_b, run_cell_chunk(grouped, level), None))
+                send_data_frame(sock, MSG_RESULT, (job_b, chunk_b, run_cell_chunk(grouped, level), None))
         except (ConnectionError, ProtocolError, OSError):
             pass
         finally:

@@ -3,17 +3,16 @@ flow-through, and the ExperimentResult JSON round trip."""
 
 import pytest
 
+from repro.api import InvalidOverride, run_experiment
 from repro.experiments import EXPERIMENT_INDEX, ExperimentResult
-from repro.experiments import fig11_rtt_samples as fig11
 from repro.experiments import fig6_server_flight_loss as fig6
-from repro.experiments import table5_as_numbers as table5
 from repro.experiments.registry import REGISTRY, get_spec
 from repro.experiments.spec import (
     KIND_MATRIX,
     CellResults,
     ExperimentSpec,
 )
-from repro.runtime import ArtifactLevel, MatrixRunner
+from repro.runtime import ArtifactLevel
 
 
 def test_registry_covers_every_paper_artifact():
@@ -37,7 +36,7 @@ def test_every_spec_declares_paper_and_level():
         # cite the methodology section they extend.
         assert spec.paper.startswith(("Figure", "Table", "§"))
         assert isinstance(spec.artifact_level, ArtifactLevel)
-        params = spec.resolve()
+        params = spec.resolve_params()
         assert isinstance(spec.plan_cells(params), list)
 
 
@@ -48,16 +47,52 @@ def test_get_spec_unknown_id_raises():
 
 def test_resolve_rejects_unknown_parameter():
     with pytest.raises(ValueError, match="unknown parameter"):
-        fig6.SPEC.resolve({"reptitions": 3})
+        fig6.SPEC.resolve_params({"reptitions": 3})
 
 
 def test_resolve_smoke_then_explicit_overrides():
-    params = fig6.SPEC.resolve({"http": "h3"}, smoke=True)
+    params = fig6.SPEC.resolve_params({"http": "h3"}, smoke=True)
     assert params["repetitions"] == fig6.SPEC.smoke["repetitions"]
     assert params["http"] == "h3"
     # smoke params must themselves be valid parameter names
     for spec in REGISTRY.specs():
         assert set(spec.smoke) <= set(spec.defaults)
+
+
+@pytest.mark.parametrize(
+    "spec_id, overrides",
+    [
+        ("fig6", {"repetitions": "2"}),  # str for a number
+        ("fig6", {"repetitions": True}),  # bool is not a number
+        ("fig6", {"rtt_ms": float("nan")}),
+        ("fig6", {"rtt_ms": float("inf")}),
+        ("fig6", {"http": 3}),  # number for a str
+        ("fig12", {"rtts_ms": "nan"}),  # str for a tuple of numbers
+        ("fig12", {"rtts_ms": 9.0}),  # scalar for a tuple
+        ("fig12", {"rtts_ms": [9.0, "x"]}),
+        ("fig12", {"rtts_ms": [9.0, float("nan")]}),
+        ("lab_cc", {"profiles": ["default", 3]}),
+        ("table1", {"streamed": 1}),  # number for a bool
+    ],
+)
+def test_resolve_rejects_override_shaped_unlike_its_default(spec_id, overrides):
+    with pytest.raises(InvalidOverride, match="shaped like its default"):
+        get_spec(spec_id).resolve_params(overrides)
+
+
+def test_resolve_accepts_overrides_shaped_like_their_defaults():
+    params = get_spec("fig12").resolve_params({"rtts_ms": [9, 50.0], "repetitions": 3})
+    assert params["rtts_ms"] == [9, 50.0] and params["repetitions"] == 3
+    assert get_spec("fig6").resolve_params({"rtt_ms": 50})["rtt_ms"] == 50
+    # A None default declares no shape.
+    table1 = get_spec("table1").resolve_params({"vantage_names": ["Sao Paulo"], "streamed": True})
+    assert table1["vantage_names"] == ["Sao Paulo"]
+
+
+def test_base_seed_override_flows_into_cells():
+    spec = get_spec("fig6")
+    cells = spec.plan_cells(spec.resolve_params({"repetitions": 2, "base_seed": 7}))
+    assert {c.seed for c in cells} == {7, 8}
 
 
 def test_duplicate_registration_rejected():
@@ -74,47 +109,23 @@ def test_duplicate_registration_rejected():
         REGISTRY.register(other)
 
 
-def test_spec_execute_matches_run_shim():
-    via_spec = fig6.SPEC.execute(overrides={"repetitions": 2})
-    via_shim = fig6.run(repetitions=2)
-    assert via_spec.rows == via_shim.rows
-
-
 # -- artifact-level flow-through (regression) --------------------------
 
 
 def test_trace_spec_level_flows_into_owned_runner():
     """fig11 reads qlog events; its declared trace level must reach the
     runner it creates (the old plumbing silently defaulted to stats)."""
-    result = fig11.run(repetitions=1, response_size=64 * 1024)
+    result = run_experiment("fig11", repetitions=1, response_size=64 * 1024)
     assert result.experiment_id == "fig11"
     for row in result.rows:
         assert row[1] > 0  # packets with new ACKs came from qlog events
-
-
-def test_trace_spec_rejects_stats_level_shared_runner():
-    with MatrixRunner(workers=0, artifact_level="stats") as runner:
-        with pytest.raises(ValueError, match="artifact level"):
-            fig11.run(repetitions=1, response_size=64 * 1024, runner=runner)
-
-
-def test_shared_runner_base_seed_flows_into_cells():
-    with MatrixRunner(workers=0, base_seed=7) as runner:
-        cells_seen = fig6.SPEC.plan_cells(
-            dict(fig6.SPEC.resolve({"repetitions": 2}), base_seed=7)
-        )
-        assert {c.seed for c in cells_seen} == {7, 8}
-        result = fig6.run(repetitions=2, runner=runner)
-    baseline = fig6.run(repetitions=2)
-    # different seeds -> same shape, potentially different values
-    assert [row[0] for row in result.rows] == [row[0] for row in baseline.rows]
 
 
 # -- ExperimentResult JSON round trip ----------------------------------
 
 
 def test_result_json_round_trip():
-    result = table5.run()
+    result = run_experiment("table5")
     restored = ExperimentResult.from_json(result.to_json())
     assert restored.experiment_id == result.experiment_id
     assert restored.title == result.title
@@ -142,4 +153,4 @@ def test_result_json_drops_unserializable_extra():
 
 def test_cell_results_groups_requires_positive_size():
     with pytest.raises(ValueError):
-        list(CellResults.empty().groups(0))
+        list(CellResults([]).groups(0))

@@ -2,17 +2,8 @@
 
 import pytest
 
+from repro.api import run_experiment
 from repro.experiments import EXPERIMENT_INDEX
-from repro.experiments import (
-    fig2_pto_evolution,
-    fig4_sweet_spot,
-    fig7_client_flight_loss,
-    fig9_cloudflare_timeseries,
-    table1_cdn_deployment,
-    table2_guidelines,
-    table4_client_defaults,
-    table5_as_numbers,
-)
 
 
 def test_index_lists_every_paper_artifact():
@@ -23,7 +14,7 @@ def test_index_lists_every_paper_artifact():
 
 
 def test_fig2_improvement_is_three_delta_t():
-    result = fig2_pto_evolution.run()
+    result = run_experiment("fig2")
     rows = result.row_map()
     assert rows["9 ms"][3] == pytest.approx(12.0)
     assert rows["25 ms"][3] == pytest.approx(12.0)
@@ -31,7 +22,7 @@ def test_fig2_improvement_is_three_delta_t():
 
 
 def test_fig4_zone_and_reduction_shapes():
-    result = fig4_sweet_spot.run(rtt_values_ms=(1.0, 5.0, 25.0, 100.0))
+    result = run_experiment("fig4", rtt_values_ms=(1.0, 5.0, 25.0, 100.0))
     points = result.extra["points"]
     by_key = {(p.delta_t_ms, p.rtt_ms): p for p in points}
     assert by_key[(25.0, 5.0)].spurious
@@ -40,7 +31,7 @@ def test_fig4_zone_and_reduction_shapes():
 
 
 def test_fig7_scaled_run_matches_direction():
-    result = fig7_client_flight_loss.run(http="h1", repetitions=6)
+    result = run_experiment("fig7", http="h1", repetitions=6)
     rows = result.row_map()
     for client in ("quic-go", "neqo"):
         assert rows[client][3] > 0
@@ -48,14 +39,14 @@ def test_fig7_scaled_run_matches_direction():
 
 
 def test_fig9_scaled_run():
-    result = fig9_cloudflare_timeseries.run(days=1)
+    result = run_experiment("fig9", days=1)
     assert result.extra["coalesced_faster"]
     assert result.extra["samples"] > 1000
 
 
 def test_table1_scaled_run():
-    result = table1_cdn_deployment.run(
-        list_size=20_000, days=1, vantage_names=["Sao Paulo"]
+    result = run_experiment(
+        "table1", list_size=20_000, days=1, vantage_names=["Sao Paulo"]
     )
     rows = result.row_map()
     assert rows["Cloudflare"][2] > 95.0
@@ -63,22 +54,22 @@ def test_table1_scaled_run():
 
 
 def test_table2_matches_paper_exactly():
-    assert table2_guidelines.run().extra["matches"]
+    assert run_experiment("table2").extra["matches"]
 
 
 def test_table4_registry_columns_match_paper():
-    result = table4_client_defaults.run(repetitions=1)
+    result = run_experiment("table4", repetitions=1)
     for row in result.rows:
         assert row[1] == row[2]  # default PTO vs paper
         assert row[3] == row[4]  # flight indices vs paper
 
 
 def test_table5_matches_paper_exactly():
-    assert table5_as_numbers.run().extra["matches"]
+    assert run_experiment("table5").extra["matches"]
 
 
 def test_render_includes_experiment_id():
-    result = table5_as_numbers.run()
+    result = run_experiment("table5")
     rendered = result.render()
     assert rendered.startswith("[table5]")
     assert "Cloudflare" in rendered

@@ -7,8 +7,9 @@ Three load-bearing properties:
   raw, with or without out-of-band buffers — and the byte counters
   report a *measured* compression win, not a vibe.
 * Version negotiation is strict (a v3 HELLO is rejected before any v4
-  body is parsed) while old bare-pickle bodies and checkpoint segments
-  keep decoding, so nothing written by the previous wire is orphaned.
+  body is parsed) and so are the readers: one encoding per frame
+  type, so a bare-pickle data-frame body or checkpoint segment is
+  corrupt, not "legacy".
 * An oversized chunk is no longer fatal when it can be split: the
   scheduler halves it and the run completes byte-identical to local.
 """
@@ -20,6 +21,7 @@ import time
 
 import pytest
 
+from repro.errors import CheckpointError
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
@@ -32,6 +34,7 @@ from repro.runtime.distributed import (
     MSG_RESULT,
     MSG_WELCOME,
     PROTOCOL_VERSION,
+    ProtocolError,
     make_data_frame,
     recv_frame,
     recv_frame_ex,
@@ -48,7 +51,7 @@ from repro.runtime.wire import (
     decompress_blob,
     encode_payload,
 )
-from repro.runtime.worker import group_cells
+from repro.runtime.worker import group_cells, run_cell_chunk
 
 QUICHE_LOSSY = Scenario(
     client="quiche",
@@ -151,16 +154,49 @@ def test_data_frame_socket_round_trip_and_legacy_sniff():
         assert got_raw == raw_len
         assert wire_len == len(frame)
         assert wire_len < raw_len  # the frame actually compressed
-        # Legacy peers write plain-pickle bodies for data frames; the
-        # 0x80 pickle opcode is never a valid codec id, so they sniff
-        # through unchanged.
+        # The pre-v4 sniff is gone: a plain-pickle body on a data
+        # frame starts with the 0x80 pickle opcode, which is not a
+        # codec id, so the frame is a protocol error.
         send_frame(left, MSG_RESULT, payload)
-        msg_type, got, _wire, _raw = recv_frame_ex(right, 1 << 20)
-        assert msg_type == MSG_RESULT
-        assert got == payload
+        with pytest.raises(ProtocolError, match="undecodable frame payload"):
+            recv_frame_ex(right, 1 << 20)
     finally:
         left.close()
         right.close()
+
+
+def test_plain_pickle_result_body_drops_the_worker_not_the_job():
+    """A peer answering a CHUNK with a 0x80-prefixed (plain pickle)
+    RESULT body is dropped as a protocol violator; its chunk is
+    requeued and an honest worker finishes the run."""
+    backend = SocketBackend(port=0, min_workers=2)
+
+    def plain_pickle_worker():
+        sock = socket.create_connection((backend.host, backend.port))
+        try:
+            send_frame(sock, MSG_HELLO, {"version": PROTOCOL_VERSION, "pid": 0, "host": "v3ish"})
+            recv_frame(sock)  # WELCOME
+            _, (job_id, chunk_id, grouped, level, _engine) = recv_frame(sock)
+            results = run_cell_chunk(grouped, level)
+            send_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None))
+            recv_frame(sock)  # blocks until the server hangs up on us
+        except (ConnectionError, ProtocolError, OSError):
+            pass
+        finally:
+            sock.close()
+
+    threading.Thread(target=plain_pickle_worker, daemon=True).start()
+    try:
+        start_worker_thread(backend)
+        serial = Runner().run_repetitions(QUICHE_LOSSY, repetitions=4)
+        with MatrixRunner(backend=backend, chunk_size=1) as runner:
+            distributed = runner.run_repetitions(QUICHE_LOSSY, repetitions=4)
+        assert backend.stats.protocol_errors >= 1
+        assert backend.stats.chunks_requeued >= 1
+        assert backend.worker_count() == 1
+        assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]
+    finally:
+        backend.close()
 
 
 def test_data_frames_cover_the_volume_carriers():
@@ -341,12 +377,13 @@ def test_blob_round_trip_and_legacy_passthrough():
     framed = compress_blob(data)
     assert framed.startswith(BLOB_MAGIC)
     assert decompress_blob(framed) == data
-    # A pre-v4 segment is a bare pickle: no magic, passes through.
-    assert decompress_blob(data) == data
     assert decompress_blob(compress_blob(data, codec="raw")) == data
+    # The pass-through is gone: no magic means not a blob we wrote.
+    with pytest.raises(ValueError, match="magic"):
+        decompress_blob(data)
 
 
-def test_checkpoint_segments_compressed_and_old_raw_segments_resumable(tmp_path):
+def test_checkpoint_segments_compressed_and_magicless_segments_corrupt(tmp_path):
     directory = tmp_path / "ckpt"
     checkpoint = SuiteCheckpoint(str(directory))
     checkpoint.load_or_init("fingerprint-1")
@@ -358,13 +395,13 @@ def test_checkpoint_segments_compressed_and_old_raw_segments_resumable(tmp_path)
     assert on_disk.startswith(BLOB_MAGIC)
     assert len(on_disk) < len(pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL))
 
-    # Drop in a pre-v4 segment (bare pickle) next to the compressed
-    # one: both must load on resume.
-    legacy = [(100 + i, {"old": i}) for i in range(3)]
-    (directory / "cells-000002.pkl").write_bytes(
-        pickle.dumps(legacy, protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    resumed = SuiteCheckpoint(str(directory))
-    journal = resumed.load_or_init("fingerprint-1")
+    journal = SuiteCheckpoint(str(directory)).load_or_init("fingerprint-1")
     assert journal[0] == {"payload": "x" * 200, "index": 0}
-    assert journal[102] == {"old": 2}
+
+    # A bare-pickle segment (no codec-frame magic) next to it is a
+    # corrupt checkpoint, not an older format.
+    (directory / "cells-000002.pkl").write_bytes(
+        pickle.dumps([(100, {"old": 0})], protocol=pickle.HIGHEST_PROTOCOL)
+    )
+    with pytest.raises(CheckpointError, match="corrupt checkpoint segment"):
+        SuiteCheckpoint(str(directory)).load_or_init("fingerprint-1")

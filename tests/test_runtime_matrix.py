@@ -24,6 +24,7 @@ from repro.runtime import (
     parallel_map,
     scenario_key,
 )
+from repro.runtime.worker import run_cell_chunk
 from repro.sim.loss import LossPattern, RandomLoss
 
 
@@ -101,20 +102,26 @@ def test_full_level_requires_in_process_execution():
     assert artifacts.result.client_stats == artifacts.client_stats
 
 
+def _chunk(scenario, repetitions):
+    """One worker chunk: ``repetitions`` seeds of one scenario."""
+    return [(scenario, [(i, i) for i in range(repetitions)])]
+
+
 def test_cache_hits_reuse_results_across_sweeps():
+    # run_cell_chunk is where a ResultCache is consulted: the
+    # worker-resident memo that outlives chunks, jobs and suites.
     cache = ResultCache()
-    with MatrixRunner(workers=0, cache=cache) as runner:
-        first = runner.run_repetitions(LOSSY_IACK, 5)
-        second = runner.run_repetitions(LOSSY_IACK, 5)
+    first = run_cell_chunk(_chunk(LOSSY_IACK, 5), "stats", cache=cache)
+    second = run_cell_chunk(_chunk(LOSSY_IACK, 5), "stats", cache=cache)
     assert cache.hits == 5 and cache.misses == 5
-    for a, b in zip(first, second):
+    for (_, a), (_, b) in zip(first, second):
         assert a is b  # memoized object, not a recomputation
 
 
 def test_cache_is_level_scoped():
     cache = ResultCache()
-    MatrixRunner(cache=cache, artifact_level="stats").run_once(LOSSY_IACK)
-    art = MatrixRunner(cache=cache, artifact_level="trace").run_once(LOSSY_IACK)
+    run_cell_chunk(_chunk(LOSSY_IACK, 1), "stats", cache=cache)
+    [(_, art)] = run_cell_chunk(_chunk(LOSSY_IACK, 1), "trace", cache=cache)
     assert art.trace_records is not None  # stats entry did not leak
 
 
@@ -126,17 +133,15 @@ def test_cache_skips_unknown_loss_patterns():
     scenario = Scenario(client="quic-go", server_to_client_loss=WeirdLoss())
     assert scenario_key(scenario) is None
     cache = ResultCache()
-    with MatrixRunner(cache=cache) as runner:
-        runner.run_repetitions(scenario, 2)
-        runner.run_repetitions(scenario, 2)
+    run_cell_chunk(_chunk(scenario, 2), "stats", cache=cache)
+    run_cell_chunk(_chunk(scenario, 2), "stats", cache=cache)
     assert cache.hits == 0
     assert len(cache) == 0
 
 
 def test_cache_eviction_respects_max_entries():
     cache = ResultCache(max_entries=3)
-    with MatrixRunner(cache=cache) as runner:
-        runner.run_repetitions(LOSSY_IACK, 5)
+    run_cell_chunk(_chunk(LOSSY_IACK, 5), "stats", cache=cache)
     assert len(cache) == 3
 
 
@@ -231,18 +236,6 @@ def test_artifacts_expose_runresult_observables():
     assert art.ttfb_ms == serial.ttfb_ms
     assert art.completed == serial.completed
     assert art.first_pto_ms == serial.first_pto_ms
-
-
-def test_shared_runner_level_must_cover_experiment_requirement():
-    from repro.experiments import fig11_rtt_samples, fig6_server_flight_loss
-
-    with MatrixRunner(workers=0, artifact_level="stats") as runner:
-        with pytest.raises(ValueError, match="artifact level"):
-            fig11_rtt_samples.run(repetitions=1, runner=runner)
-    # A full-level runner covers both stats- and trace-reading figures.
-    with MatrixRunner(workers=0, artifact_level="full") as runner:
-        result = fig6_server_flight_loss.run(repetitions=1, runner=runner)
-        assert result.rows
 
 
 def test_workers_none_resolves_to_default():

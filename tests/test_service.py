@@ -79,8 +79,9 @@ def test_manager_rejects_bad_submissions(manager):
 
 
 def test_manager_bundle_refuses_non_succeeded(manager):
+    # Well-shaped but unplannable: passes submission, fails in the job.
     record = manager.submit(
-        {"experiments": ["fig6"], "smoke": True, "overrides": {"fig6": {"nope": 1}}}
+        {"experiments": ["fig6"], "smoke": True, "overrides": {"fig6": {"repetitions": 0}}}
     )
     record = _wait_terminal(manager, record.job_id)
     assert record.status is JobStatus.FAILED

@@ -1,20 +1,11 @@
-"""Suite planning: cross-experiment dedup, shared-runner execution,
+"""Suite planning: cross-experiment dedup, execute-once fan-out,
 artifact-level promotion, and disk spill."""
 
 import pytest
 
 import repro.runtime.matrix as matrix_module
-from repro.experiments import fig12_server_flight_loss_rtts as fig12
-from repro.experiments import fig6_server_flight_loss as fig6
-from repro.experiments import table4_client_defaults as table4
-from repro.runtime import (
-    ArtifactLevel,
-    ArtifactStore,
-    MatrixRunner,
-    ResultCache,
-    SuiteRunner,
-    run_suite,
-)
+from repro.api import InvalidOverride, run_experiment
+from repro.runtime import ArtifactLevel, MatrixRunner, ResultCache, SuiteRunner
 from repro.runtime.suite import max_level
 
 FIG6_FIG12_OVERRIDES = {
@@ -62,8 +53,8 @@ def test_suite_dispatches_shared_cells_once_and_stays_bit_identical(monkeypatch)
     )
     assert len(executed) == 64  # one dispatch per unique cell, none twice
     assert report.executed_cells == 64
-    standalone6 = fig6.run(repetitions=2)
-    standalone12 = fig12.run(repetitions=2, rtts_ms=(9.0, 100.0))
+    standalone6 = run_experiment("fig6", repetitions=2)
+    standalone12 = run_experiment("fig12", repetitions=2, rtts_ms=(9.0, 100.0))
     assert report.results["fig6"].rows == standalone6.rows
     assert report.results["fig12"].rows == standalone12.rows
 
@@ -76,14 +67,14 @@ def test_suite_promotes_level_and_spills_trace_artifacts(tmp_path):
         ["table4", "fig6"],
         overrides={"table4": {"repetitions": 1}, "fig6": {"repetitions": 1}},
     )
-    # trace (table4) + stats (fig6) -> the shared runner retains trace
+    # trace (table4) + stats (fig6) -> the suite's runner retains trace
     assert report.plan.artifact_level is ArtifactLevel.TRACE
     assert report.spilled_cells == report.executed_cells > 0
     assert report.spill_bytes > 0
     # caller-supplied spill dir is kept on disk for inspection
     assert list(spill_dir.glob("cell-*.pkl"))
-    assert report.results["table4"].rows == table4.run(repetitions=1).rows
-    assert report.results["fig6"].rows == fig6.run(repetitions=1).rows
+    assert report.results["table4"].rows == run_experiment("table4", repetitions=1).rows
+    assert report.results["fig6"].rows == run_experiment("fig6", repetitions=1).rows
 
 
 def test_suite_auto_spill_off_for_stats_plans():
@@ -94,10 +85,9 @@ def test_suite_auto_spill_off_for_stats_plans():
 
 
 def test_suite_mixed_kinds_runs_model_and_wild_without_cells():
-    with pytest.deprecated_call():
-        report = run_suite(
-            ["table2", "table5", "fig6"], overrides={"fig6": {"repetitions": 1}}
-        )
+    report = SuiteRunner(workers=0).run(
+        ["table2", "table5", "fig6"], overrides={"fig6": {"repetitions": 1}}
+    )
     assert set(report.results) == {"table2", "table5", "fig6"}
     assert report.results["table2"].extra["matches"]
     assert report.executed_cells == 16
@@ -109,45 +99,43 @@ def test_suite_injects_workers_into_wild_params():
     assert plan.experiments[0].cells == []
 
 
+def test_suite_respects_base_seed_override():
+    """A base_seed override governs the planned cells, and the suite's
+    result is the single-experiment run at that seed base."""
+    overrides = {"fig6": {"repetitions": 2, "base_seed": 7}}
+    plan = SuiteRunner().plan(["fig6"], overrides=overrides)
+    assert {c.seed for c in plan.unique_cells} == {7, 8}
+    report = SuiteRunner(workers=0).run(["fig6"], overrides=overrides)
+    assert report.results["fig6"].rows == run_experiment("fig6", repetitions=2, base_seed=7).rows
+    assert report.results["fig6"].rows != run_experiment("fig6", repetitions=2).rows
+
+
 def test_suite_rejects_underpowered_shared_runner():
+    """The shared-runner suite mode is gone, not deprecated: the suite
+    takes no runner at all, underpowered or otherwise — it creates one
+    at exactly the plan's artifact level."""
     with MatrixRunner(workers=0, artifact_level="stats") as runner:
-        with pytest.raises(ValueError, match="artifact level"):
-            SuiteRunner(runner=runner).run(
-                ["table4"], overrides={"table4": {"repetitions": 1}}
-            )
-
-
-def test_suite_respects_shared_runner_base_seed():
-    """A shared runner's base_seed governs the planned cells, keeping
-    suite results cell-identical to the standalone run(runner=...) path."""
-    overrides = {"fig6": {"repetitions": 2}}
-    with MatrixRunner(workers=0, base_seed=7) as runner:
-        plan = SuiteRunner(runner=runner).plan(["fig6"], overrides=overrides)
-        assert {c.seed for c in plan.unique_cells} == {7, 8}
-        report = SuiteRunner(runner=runner).run(["fig6"], overrides=overrides)
-        standalone = fig6.run(repetitions=2, runner=runner)
-    assert report.results["fig6"].rows == standalone.rows
+        with pytest.raises(TypeError):
+            SuiteRunner(runner=runner)
 
 
 def test_suite_rejects_cache_alongside_shared_runner():
-    with MatrixRunner(workers=0) as runner:
-        with pytest.raises(ValueError, match="cache"):
-            SuiteRunner(runner=runner, cache=ResultCache())
+    """Neither the suite nor the matrix runner takes a cache."""
+    with pytest.raises(TypeError):
+        SuiteRunner(cache=ResultCache())
+    with pytest.raises(TypeError):
+        MatrixRunner(cache=ResultCache())
+    report = SuiteRunner(workers=0).run(["fig6"], overrides={"fig6": {"repetitions": 1}})
+    assert (report.cache_hits, report.cache_misses) == (0, 0)  # kept for suite.json
 
 
-def test_suite_cache_used_for_stats_plans_and_skipped_when_spilling():
-    cache = ResultCache()
-    overrides = {"fig6": {"repetitions": 1}}
-    SuiteRunner(workers=0, cache=cache).run(["fig6"], overrides=overrides)
-    assert len(cache) == 16  # owned-runner stats plan populates the memo
-    report = SuiteRunner(workers=0, cache=cache).run(["fig6"], overrides=overrides)
-    assert report.cache_hits == 16  # second run is served from it
-    spill_cache = ResultCache()
-    SuiteRunner(workers=0, cache=spill_cache, spill="always").run(
-        ["fig6"], overrides=overrides
-    )
-    # spilled runs keep artifacts on disk, not pinned in the memo
-    assert len(spill_cache) == 0
+def test_suite_plan_reports_unplannable_overrides_as_invalid_override():
+    """A well-shaped override the experiment cannot plan with is the
+    caller's mistake: typed, named, and raised before any cell runs."""
+    with pytest.raises(InvalidOverride, match="fig6: repetitions must be positive"):
+        SuiteRunner().plan(["fig6"], overrides={"fig6": {"repetitions": 0}})
+    with pytest.raises(InvalidOverride, match="fig6"):
+        SuiteRunner().plan(["fig6"], overrides={"fig6": {"repetitions": 2.5}})
 
 
 def test_suite_rejects_duplicate_selection_and_stray_overrides():
@@ -168,9 +156,10 @@ def test_suite_report_serializes():
 
 def test_streamed_results_identical_to_in_memory():
     overrides = {"fig6": {"repetitions": 2}}
-    with ArtifactStore() as store:
-        spilled = fig6.SPEC.execute(store=store, overrides={"repetitions": 2})
+    spilled = SuiteRunner(workers=0, spill="always").run(["fig6"], overrides=overrides)
+    assert spilled.spilled_cells == spilled.executed_cells == 32
     in_memory = SuiteRunner(workers=0, spill="never").run(
         ["fig6"], overrides=overrides
     )
-    assert spilled.rows == in_memory.results["fig6"].rows
+    assert in_memory.spilled_cells == 0
+    assert spilled.results["fig6"].rows == in_memory.results["fig6"].rows
