@@ -31,26 +31,21 @@ Legs:
   live fleet — the second pass is served from the workers' resident
   result caches, measuring the cross-suite memo win end to end.
 
-* **fig12_batch**: the vectorized batch cell engine
-  (``engine="batch"``) vs the scalar simulator on identical cells,
-  both in-process and serial — the affine-replay win itself.
-
 * **suite_distributed_v4**: protocol v4 wire volume — the suite's
   RESULT byte counters with negotiated compression on vs off; the
   gated number is a byte ratio, not a timing.
 
 * **profile_sweep_distributed**: the recovery-profile lab sweep
   (``lab_cc``: fig6's tail-loss scenario × CC variant) on a 2-worker
-  localhost fleet vs the local 2-worker pool — non-default profiles
-  are statically gated off the batch engine, so this measures the
-  scalar fallback under the full wire protocol.
+  localhost fleet vs the local 2-worker pool — the lab profiles under
+  the full wire protocol.
 
 Every entry emits ``speedup_<leg>_vs_<baseline>`` ratio keys that are
 computed identically in ``--quick`` and full runs (both legs measured
 in the same process on the same machine). Each entry also declares a
 ``stable_ratios`` list: the subset of those keys whose two legs run at
 **identical parallelism**, so the ratio measures a code-path property
-(artifact slimming, batch engine, suite dedup, protocol overhead)
+(artifact slimming, batch scan engine, suite dedup, protocol overhead)
 rather than how many cores the host happens to have. Only those keys
 are diffed by ``check_regression.py`` against the committed full-size
 ``BENCH_parallel.json`` — worker-scaling ratios like
@@ -87,10 +82,6 @@ from repro.runtime.distributed import SocketBackend  # noqa: E402
 
 FIG6_REPETITIONS = 25
 SWEEP_REPETITIONS = 10
-#: The batch-engine entry needs enough repetitions per scenario that
-#: the skeleton probes amortize; below ~10 seeds per scenario the
-#: entry measures probe overhead, not the engine.
-BATCH_REPETITIONS = 100
 TABLE1_LIST_SIZE = 50_000
 TABLE1_DAYS = 2
 #: The cached-suite benchmark runs this workload in BOTH --quick and
@@ -162,56 +153,10 @@ def bench_fig6(repetitions: int, rounds: int) -> dict:
     }
 
 
-def bench_fig12_batch(repetitions: int, rounds: int) -> dict:
-    """Vectorized batch cell engine vs the scalar simulator on the
-    fig12 sweep restricted to its 9 ms and 100 ms columns.
-
-    Both legs run in-process at workers=0 on identical cells, so the
-    ratio isolates the cell engine (affine skeleton fitting + numpy
-    lockstep evaluation vs one discrete-event simulation per cell).
-    fig12's IACK×loss cells are statically gated to the scalar path in
-    both legs, so the ratio also absorbs the gate's honesty — batching
-    only where the affine structure holds.
-    """
-    rtts = (9.0, 100.0)
-
-    def leg(engine: str) -> None:
-        api.run_experiment(
-            "fig12", http="h1", repetitions=repetitions, rtts_ms=rtts, engine=engine
-        )
-
-    legs: dict = {}
-    legs["serial_scalar_s"] = _best_of(lambda: leg("scalar"), rounds)
-    legs["serial_batch_s"] = _best_of(lambda: leg("batch"), rounds)
-    legs["speedup_batch_vs_scalar"] = round(
-        legs["serial_scalar_s"] / legs["serial_batch_s"], 2
-    )
-    return {
-        "workload": {
-            "experiment": "fig12 (9 and 100 ms columns)",
-            "http": "h1",
-            "repetitions": repetitions,
-            "rtts_ms": list(rtts),
-        },
-        "serial_leg": "workers=0, engine=scalar (one simulation per cell)",
-        "parallel_leg": (
-            "workers=0, engine=batch (skeleton probes + numpy affine "
-            "replay; IACK×loss cells fall back to scalar by the static "
-            "gate)"
-        ),
-        **legs,
-        # Both legs serial in-process → the cell-engine win is
-        # machine-stable.
-        "stable_ratios": ["speedup_batch_vs_scalar"],
-    }
-
-
 def bench_table1(list_size: int, days: int, rounds: int) -> dict:
     legs: dict = {}
 
     def table1(scan_engine: str, workers: int = 0) -> None:
-        # table1's scan-engine parameter is also called "engine", so it
-        # travels in overrides, not as run_experiment's cell engine.
         api.run(
             "table1",
             overrides={
@@ -395,10 +340,8 @@ def bench_profile_sweep(repetitions: int, rounds: int) -> dict:
     scenario × CC variant) served to two localhost ``repro worker``
     processes vs the local 2-worker pool.
 
-    Every non-default profile is statically gated off the batch engine
-    (`BatchEngine.supports`), so both legs execute the sweep on the
-    scalar path — the gated ratio isolates the wire protocol's
-    overhead on profile-sweep workloads at identical parallelism.
+    The gated ratio isolates the wire protocol's overhead on
+    profile-sweep workloads at identical parallelism.
     """
     overrides = {"lab_cc": {"repetitions": repetitions}}
 
@@ -442,8 +385,7 @@ def bench_profile_sweep(repetitions: int, rounds: int) -> dict:
         "local_leg": "SuiteRunner on the in-process 2-worker pool",
         "distributed_leg": (
             "SuiteRunner on a SocketBackend serving two localhost "
-            "'repro worker' subprocesses (profiles on the scalar path "
-            "by the batch engine's static gate)"
+            "'repro worker' subprocesses"
         ),
         **legs,
         # Both gated legs run 2 workers on the same host → the protocol
@@ -698,10 +640,6 @@ def main(argv=None) -> int:
     print(f"fig6 standalone: {repetitions} reps ...", flush=True)
     report["benchmarks"]["fig6_standalone"] = bench_fig6(repetitions, rounds)
     print(json.dumps(report["benchmarks"]["fig6_standalone"], indent=2), flush=True)
-    batch_reps = 30 if args.quick else BATCH_REPETITIONS
-    print(f"fig12 batch engine: {batch_reps} reps ...", flush=True)
-    report["benchmarks"]["fig12_batch"] = bench_fig12_batch(batch_reps, rounds)
-    print(json.dumps(report["benchmarks"]["fig12_batch"], indent=2), flush=True)
     print(f"table1: {list_size} domains x {days} days ...", flush=True)
     report["benchmarks"]["table1"] = bench_table1(list_size, days, rounds)
     print(json.dumps(report["benchmarks"]["table1"], indent=2), flush=True)

@@ -8,7 +8,7 @@ parallelism (``speedup_4w_vs_serial`` on a multi-core runner trivially
 clears a single-CPU baseline's floor, and flakes under noisy-neighbor
 load). The tracked set is therefore each entry's ``stable_ratios``
 list: ratios of two legs measured back to back in the same process at
-**identical parallelism** (artifact slimming, batch engine, suite
+**identical parallelism** (artifact slimming, batch scan engine, suite
 dedup, distributed-vs-local protocol overhead). Those measure a code
 path, not the hardware, so a regression (extra pickling, a serialized
 lock, a broken cache) drags them down on every machine.

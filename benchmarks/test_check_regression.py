@@ -40,7 +40,6 @@ def test_committed_baseline_gates_only_same_parallelism_ratios():
     tracked = tracked_ratios(baseline)
     assert set(tracked) == {
         "fig6_standalone.speedup_stats_vs_serial",
-        "fig12_batch.speedup_batch_vs_scalar",
         "table1.speedup_batch_vs_serial",
         "suite_fig12_fig6.speedup_suite_vs_standalone",
         "suite_distributed.speedup_distributed_2w_vs_local_2w",

@@ -158,7 +158,6 @@ def run(
     *,
     overrides=None,
     smoke=False,
-    engine="scalar",
     backend=None,
     on_event=None,
     cache_dir=None,
@@ -167,14 +166,12 @@ def run(
     """One-call convenience: run a selection in an ephemeral session.
 
     Accepts the full :class:`RunRequest` vocabulary (``overrides``,
-    ``smoke``, ``engine``) plus session policy (``backend``,
+    ``smoke``) plus session policy (``backend``,
     ``on_event``, ``cache_dir``); ``out`` optionally writes the
     versioned bundle directory before returning the
     :class:`SuiteReport`.
     """
-    request = RunRequest(
-        experiments=experiments, overrides=overrides or {}, smoke=smoke, engine=engine
-    )
+    request = RunRequest(experiments=experiments, overrides=overrides or {}, smoke=smoke)
     with Session(backend, on_event=on_event, cache_dir=cache_dir) as session:
         report = session.run(request)
         if out is not None:
@@ -186,7 +183,6 @@ def run_experiment(
     experiment_id,
     *,
     smoke=False,
-    engine="scalar",
     backend=None,
     on_event=None,
     cache_dir=None,
@@ -196,4 +192,4 @@ def run_experiment(
     :class:`ExperimentResult` (keyword arguments are parameter
     overrides)."""
     with Session(backend, on_event=on_event, cache_dir=cache_dir) as session:
-        return session.run_experiment(experiment_id, smoke=smoke, engine=engine, **overrides)
+        return session.run_experiment(experiment_id, smoke=smoke, **overrides)

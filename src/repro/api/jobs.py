@@ -90,7 +90,6 @@ class JobRecord:
     job_id: JobId
     experiments: Union[str, Tuple[str, ...]]
     smoke: bool = False
-    engine: str = "scalar"
     status: JobStatus = JobStatus.QUEUED
     error: Optional[str] = None
     #: Exception class name (``UnknownExperiment``, ``BackendError``,
@@ -302,7 +301,6 @@ class JobExecutor:
             job_id=new_job_id(),
             experiments=getattr(request, "experiments", ()),
             smoke=bool(getattr(request, "smoke", False)),
-            engine=getattr(request, "engine", "scalar"),
         )
         job = Job(record, request)
         with self._cond:

@@ -112,25 +112,15 @@ class RunRequest:
     ``smoke``
         Run at each spec's smoke-sized parameters (explicit overrides
         still win) — the CI configuration.
-    ``engine``
-        Per-cell execution engine: ``"scalar"`` (default, the
-        reference simulator) or ``"batch"`` (the vectorized affine
-        replay of :mod:`repro.runtime.batch_engine`, which falls back
-        to scalar cell-by-cell wherever its structure does not hold
-        — and entirely when numpy is absent).
     """
 
     experiments: Union[str, Tuple[str, ...]]
     overrides: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     smoke: bool = False
-    engine: str = "scalar"
 
     def __post_init__(self) -> None:
         if not isinstance(self.experiments, str):
             object.__setattr__(self, "experiments", tuple(self.experiments))
-        from repro.runtime.batch_engine import coerce_engine
-
-        object.__setattr__(self, "engine", coerce_engine(self.engine))
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe wire form (what ``repro submit`` sends the
@@ -142,13 +132,18 @@ class RunRequest:
             "experiments": experiments,
             "overrides": {exp: dict(params) for exp, params in self.overrides.items()},
             "smoke": self.smoke,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "RunRequest":
         if not isinstance(doc, Mapping):
             raise InvalidOverride(f"run request must be a mapping, got {type(doc).__name__}")
+        # A key this version does not know (a stale client's
+        # ``"engine"``, a newer client's addition) is refused, never
+        # silently dropped: the job would not run as its sender asked.
+        unknown = sorted(set(doc) - {"experiments", "overrides", "smoke"})
+        if unknown:
+            raise InvalidOverride(f"run request has unknown key(s) {unknown}")
         experiments = doc.get("experiments")
         if experiments is None:
             raise InvalidOverride("run request is missing 'experiments'")
@@ -163,7 +158,6 @@ class RunRequest:
             experiments=experiments,
             overrides={exp: dict(params) for exp, params in overrides.items()},
             smoke=bool(doc.get("smoke", False)),
-            engine=doc.get("engine") or "scalar",
         )
 
 
@@ -303,9 +297,7 @@ class Session:
         """The deduplicated execution plan for a request (no cells
         run)."""
         ids, overrides = self._validate(request)
-        return self._suite_runner(None, engine=request.engine).plan(
-            ids, overrides=overrides, smoke=request.smoke
-        )
+        return self._suite_runner(None).plan(ids, overrides=overrides, smoke=request.smoke)
 
     def run(self, request: RunRequest, *, on_event: Optional[EventSink] = None) -> SuiteReport:
         """Execute a request: plan, run unique cells once, fan results
@@ -314,7 +306,7 @@ class Session:
         ids, overrides = self._validate(request)
         if self._closed:
             raise BackendError("session is closed")
-        runner = self._suite_runner(on_event, engine=request.engine)
+        runner = self._suite_runner(on_event)
         return runner.run(ids, overrides=overrides, smoke=request.smoke)
 
     def stream(self, request: RunRequest) -> RunStream:
@@ -399,7 +391,6 @@ class Session:
         experiment_id: str,
         *,
         smoke: bool = False,
-        engine: str = "scalar",
         on_event: Optional[EventSink] = None,
         **overrides: Any,
     ) -> ExperimentResult:
@@ -409,7 +400,6 @@ class Session:
             experiments=(experiment_id,),
             overrides={experiment_id: overrides} if overrides else {},
             smoke=smoke,
-            engine=engine,
         )
         report = self.run(request, on_event=on_event)
         return report.results[experiment_id]
@@ -447,12 +437,10 @@ class Session:
         repetitions: int,
         base_seed: int = 0,
         artifact_level: Union[str, Any] = "stats",
-        engine: Optional[str] = None,
     ) -> List[Any]:
         """The paper's repeat-with-distinct-seeds loop for one
         scenario (seeds ``base_seed + i``), through the session's
-        backend. ``engine="batch"`` selects the vectorized batch
-        engine (see :class:`RunRequest`)."""
+        backend."""
         if self._closed:
             raise BackendError("session is closed")
         workers = self._workers()
@@ -466,7 +454,6 @@ class Session:
             base_seed=base_seed,
             backend=self._backend,
             on_event=self._sink(None),
-            engine=engine,
         ) as runner:
             return runner.run_repetitions(scenario, repetitions=repetitions)
 
@@ -475,9 +462,7 @@ class Session:
     def _validate(self, request: RunRequest) -> Tuple[List[str], Dict[str, Mapping[str, Any]]]:
         return validate_request(request)
 
-    def _suite_runner(
-        self, extra_sink: Optional[EventSink], engine: Optional[str] = None
-    ) -> SuiteRunner:
+    def _suite_runner(self, extra_sink: Optional[EventSink]) -> SuiteRunner:
         workers = self._workers()
         return SuiteRunner(
             workers=workers,
@@ -486,7 +471,6 @@ class Session:
             backend=self._backend,
             on_event=self._sink(extra_sink),
             checkpoint_dir=self.resume,
-            engine=engine,
             disk_cache=self.disk_cache,
         )
 

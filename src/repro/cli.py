@@ -164,11 +164,6 @@ def experiments_markdown() -> str:
         "experiments drive the emulated internet-measurement pipelines, "
         "neither through matrix cells.",
         "",
-        "`matrix` experiments accept `--engine batch`: cells advance "
-        "through the vectorized affine-replay engine where its "
-        "structure holds (scalar elsewhere), matching scalar stats "
-        "within a documented 1e-6 ms tolerance — see PERFORMANCE.md.",
-        "",
         "Reruns are free with a durable cache: `repro run ... "
         "--cache-dir DIR` (or submitting to a `repro serve` daemon "
         "started with `--cache-dir`) stores every completed cell as a "
@@ -191,7 +186,6 @@ def experiments_markdown() -> str:
         "PYTHONPATH=src python -m repro plan fig6 fig12",
         "PYTHONPATH=src python -m repro run fig6 table1 --workers 4 --out results/",
         "PYTHONPATH=src python -m repro run fig6 --param fig6.rtt_ms=50",
-        "PYTHONPATH=src python -m repro run fig12 fig13 --engine batch",
         "PYTHONPATH=src python -m repro run all --smoke",
         "```",
         "",
@@ -251,7 +245,6 @@ def build_request(args: argparse.Namespace) -> RunRequest:
         experiments=tuple(args.experiments),
         overrides=parse_params(getattr(args, "param", None)),
         smoke=args.smoke,
-        engine=getattr(args, "engine", "scalar"),
     )
 
 
@@ -717,16 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--smoke", action="store_true", help="run at smoke-sized parameters (CI)")
     p_run.add_argument(
-        "--engine",
-        choices=("scalar", "batch"),
-        default="scalar",
-        help="per-cell execution engine: the reference simulator "
-        "(scalar) or the vectorized batch engine (batch), which "
-        "advances a whole chunk of cells in lockstep and falls back "
-        "to scalar wherever its affine structure does not hold (or "
-        "numpy is absent); see PERFORMANCE.md",
-    )
-    p_run.add_argument(
         "--param",
         action="append",
         metavar="EXP.KEY=VALUE",
@@ -752,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="durable content-addressed result cache: completed cells "
         "are stored here and replayed on any later run of the same "
-        "(scenario, seed, engine) — across processes and restarts — "
+        "(scenario, seed, level) — across processes and restarts — "
         "with byte-identical bundles",
     )
     p_run.add_argument(
@@ -1014,12 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--service", default=None, metavar="ADDR", help=service_help)
     p_submit.add_argument("--token", default=None, metavar="TOKEN", help=token_help)
     p_submit.add_argument("--smoke", action="store_true", help="run at smoke-sized parameters")
-    p_submit.add_argument(
-        "--engine",
-        choices=("scalar", "batch"),
-        default="scalar",
-        help="per-cell execution engine (as on 'repro run')",
-    )
     p_submit.add_argument(
         "--param",
         action="append",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.http import semantics_for
 from repro.http.base import RequestSpec
@@ -57,6 +57,20 @@ class Scenario:
     #: stays hashable and cheap to pickle. ``"default"`` reproduces the
     #: pre-lab stack byte-identically.
     recovery_profile: str = "default"
+
+    def __post_init__(self) -> None:
+        # Declared ranges: refuse at construction (i.e. at planning)
+        # what would otherwise surface as a traceback inside sim/link.
+        if self.rtt_ms < 0:
+            raise ValueError(f"rtt_ms must be >= 0, got {self.rtt_ms!r}")
+        if self.delta_t_ms < 0:
+            raise ValueError(f"delta_t_ms must be >= 0, got {self.delta_t_ms!r}")
+        if self.response_size < 0:
+            raise ValueError(f"response_size must be >= 0, got {self.response_size!r}")
+        if self.bandwidth_bps is not None and self.bandwidth_bps <= 0:
+            raise ValueError(f"bandwidth_bps must be > 0, got {self.bandwidth_bps!r}")
+        if self.timeout_ms <= 0:
+            raise ValueError(f"timeout_ms must be > 0, got {self.timeout_ms!r}")
 
     def with_mode(self, mode: ServerMode) -> "Scenario":
         return replace(self, mode=mode)
@@ -126,7 +140,6 @@ class Runner:
         *,
         capture_trace: bool = True,
         record_qlog: bool = True,
-        draws: Optional[Tuple[BehaviorDraws, BehaviorDraws]] = None,
     ) -> RunResult:
         """Run a single connection and return its artifacts.
 
@@ -135,10 +148,6 @@ class Runner:
         connection behavior (and therefore the stats) is bit-identical
         either way, since the qlog writers keep consuming their
         exposure-policy rng draws without storing events.
-
-        ``draws`` overrides the ``(client, server)`` behavior-draw
-        sources — the batch engine's skeleton runs pin them to probe
-        values via :class:`~repro.sim.draws.ForcedDraws`.
         """
         seed = self.base_seed if seed is None else seed
         loop = EventLoop()
@@ -175,11 +184,8 @@ class Runner:
         # values are pure functions of (role, seed, purpose).
         rng_client = random.Random(f"client:{seed}")
         rng_server = random.Random(f"server:{seed}")
-        if draws is not None:
-            draws_client, draws_server = draws
-        else:
-            draws_client = BehaviorDraws("client", seed)
-            draws_server = BehaviorDraws("server", seed)
+        draws_client = BehaviorDraws("client", seed)
+        draws_server = BehaviorDraws("server", seed)
         request = RequestSpec(response_size=scenario.response_size)
         client = ClientConnection(
             loop,

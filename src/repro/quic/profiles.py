@@ -17,10 +17,7 @@ profile without pickling strategy objects; the
 The ``"default"`` profile is special: it reproduces the pre-lab
 behavior byte-identically (NewReno, RFC 9002 packet+time loss
 detection, the :class:`~repro.impls.profile.ImplProfile`-driven
-delayed-ack cadence), keys exactly as before, and remains eligible for
-the batch engine's affine replay. Every other profile is statically
-gated to the scalar engine until its affine structure is proven
-(see :meth:`repro.runtime.batch_engine.BatchEngine.supports`).
+delayed-ack cadence) and keys exactly as before.
 """
 
 from __future__ import annotations
@@ -129,7 +126,7 @@ class RecoveryProfile:
     @property
     def is_default(self) -> bool:
         """Whether this profile reproduces the pre-lab behavior (and
-        therefore keeps historical cache keys and batch eligibility)."""
+        therefore keeps historical cache keys)."""
         return (
             self.cc == "newreno"
             and self.loss_detector == "rfc9002"

@@ -111,22 +111,15 @@ class ExecutionBackend(abc.ABC):
         self,
         chunks: Sequence[GroupedChunk],
         level_value: str,
-        engine: str = "scalar",
     ) -> List[Tuple[int, RunArtifacts]]:
         """Execute every chunk, returning the tagged results of all of
-        them (in any order; callers reassemble by index).
-
-        ``engine`` selects the per-cell execution engine (see
-        :mod:`repro.runtime.batch_engine`) and must reach
-        :func:`~repro.runtime.worker.run_cell_chunk` unchanged.
-        """
+        them (in any order; callers reassemble by index)."""
 
     def run_cells(
         self,
         cells: Sequence[IndexedCell],
         level_value: str,
         chunk_size: Optional[int] = None,
-        engine: str = "scalar",
     ) -> List[Tuple[int, RunArtifacts]]:
         """Execute indexed cells, letting the backend choose how they
         chunk.
@@ -152,10 +145,6 @@ class ExecutionBackend(abc.ABC):
             group_cells(cells[start : start + chunk_size])
             for start in range(0, len(cells), chunk_size)
         ]
-        if engine != "scalar":
-            return self.run_chunks(chunks, level_value, engine=engine)
-        # Scalar runs keep the historical call shape so pre-engine
-        # backend subclasses (tests, embeddings) stay source-compatible.
         return self.run_chunks(chunks, level_value)
 
     def close(self) -> None:
@@ -196,13 +185,12 @@ class LocalBackend(ExecutionBackend):
         self,
         chunks: Sequence[GroupedChunk],
         level_value: str,
-        engine: str = "scalar",
     ) -> List[Tuple[int, RunArtifacts]]:
         pool = self._pool()
         futures = {}
         for chunk_id, chunk in enumerate(chunks):
             cells = chunk_cell_count(chunk)
-            future = pool.submit(run_cell_chunk, chunk, level_value, None, engine)
+            future = pool.submit(run_cell_chunk, chunk, level_value)
             futures[future] = (chunk_id, cells)
             self.emit(ChunkDispatched(chunk_id=chunk_id, cells=cells, where="local-pool"))
         out: List[Tuple[int, RunArtifacts]] = []

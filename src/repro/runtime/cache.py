@@ -79,11 +79,20 @@ def scenario_key(scenario: Scenario) -> Optional[Tuple[Any, ...]]:
     )
     if scenario.recovery_profile != "default":
         # Appended only for non-default profiles: default scenarios keep
-        # their historical 13-field shape, so pre-lab disk-cache entries
-        # and cross-version key comparisons stay valid (the same idiom
-        # as make_key's engine qualifier below).
+        # their historical 13-field shape, so plan fingerprints (and
+        # with them existing checkpoints) keep their value.
         key = key + (scenario.recovery_profile,)
     return key
+
+
+def cell_cache_key(scenario: Scenario, seed: int, level: Any) -> Optional[Tuple[Any, ...]]:
+    """The one value identity of a cell, ``(scenario_key, seed,
+    level.value)`` — the in-memory memo keys on it and the disk cache
+    hashes it — or ``None`` when the scenario is uncacheable."""
+    skey = scenario_key(scenario)
+    if skey is None:
+        return None
+    return (skey, seed, getattr(level, "value", level))
 
 
 class ResultCache:
@@ -120,23 +129,8 @@ class ResultCache:
             "entries": len(self._store),
         }
 
-    def make_key(
-        self,
-        scenario: Scenario,
-        seed: int,
-        level: Any,
-        engine: str = "scalar",
-    ) -> Optional[Tuple[Any, ...]]:
-        skey = scenario_key(scenario)
-        if skey is None:
-            return None
-        if engine != "scalar":
-            # Engine-qualified keys: the batch engine is stats-identical
-            # only within a documented tolerance, so its artifacts never
-            # masquerade as scalar results (or vice versa). Scalar keys
-            # keep their historical 3-tuple shape.
-            return (skey, seed, getattr(level, "value", level), engine)
-        return (skey, seed, getattr(level, "value", level))
+    def make_key(self, scenario: Scenario, seed: int, level: Any) -> Optional[Tuple[Any, ...]]:
+        return cell_cache_key(scenario, seed, level)
 
     def get(self, key: Optional[Tuple[Any, ...]]) -> Optional[Any]:
         if key is None:

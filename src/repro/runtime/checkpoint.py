@@ -82,16 +82,13 @@ def _atomic_write(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def plan_fingerprint(plan: Any, engine: str = "scalar") -> str:
+def plan_fingerprint(plan: Any) -> str:
     """Content-address one planned suite (see the module docs).
 
     Everything that determines the meaning of a cell index is
     covered: experiment ids and resolved params, artifact level,
-    bundle schema version, each unique cell's value identity in plan
-    order — and the execution engine, when it is not the scalar
-    reference (a batch-engine journal must not be grafted into a
-    scalar resume or vice versa; scalar fingerprints keep their
-    historical value so pre-engine checkpoints stay resumable).
+    bundle schema version, and each unique cell's value identity in
+    plan order.
     """
     from repro.runtime.suite import cell_key
 
@@ -107,8 +104,6 @@ def plan_fingerprint(plan: Any, engine: str = "scalar") -> str:
         ],
         "cells": cells,
     }
-    if engine != "scalar":
-        doc["engine"] = engine
     payload = json.dumps(doc, sort_keys=True, default=repr).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 

@@ -10,8 +10,8 @@ fleet — can consult before dispatching work.
 Addressing
 ----------
 
-A cell's identity is ``(scenario fingerprint, seed, artifact level,
-engine, cell-code-version)``, hashed to one SHA-256 name by
+A cell's identity is ``(cell-code-version, scenario fingerprint, seed,
+artifact level)``, hashed to one SHA-256 name by
 :func:`cell_fingerprint`:
 
 * the *scenario fingerprint* is the value key of
@@ -20,8 +20,6 @@ engine, cell-code-version)``, hashed to one SHA-256 name by
   recomputed;
 * the *artifact level* keeps ``stats`` entries from masquerading as
   ``trace`` ones (``full`` keeps live endpoints and is never cached);
-* the *engine* keeps batch-engine results (stats-identical only within
-  a documented tolerance) from standing in for scalar ones;
 * :data:`CELL_CODE_VERSION` is bumped whenever simulator or cell
   semantics change, invalidating every prior entry at once — a stale
   cache must never serve results the current code would not produce.
@@ -62,7 +60,7 @@ from typing import Any, Dict, Optional
 
 from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
-from repro.runtime.cache import scenario_key
+from repro.runtime.cache import cell_cache_key
 from repro.runtime.wire import DEFAULT_CODEC, compress_blob, decompress_blob
 
 __all__ = ["CELL_CODE_VERSION", "DiskResultCache", "cell_fingerprint"]
@@ -73,30 +71,18 @@ logger = logging.getLogger(__name__)
 #: Bump this whenever a change makes the simulator (or artifact
 #: contents) produce different bytes for the same ``(scenario, seed)``
 #: — every prior disk-cache entry is invalidated in one stroke.
-CELL_CODE_VERSION = 1
+#: 2: the ``engine`` element left the hashed tuple (PR 14).
+CELL_CODE_VERSION = 2
 
 
-def cell_fingerprint(
-    scenario: Scenario,
-    seed: int,
-    level: Any,
-    engine: str = "scalar",
-) -> Optional[str]:
+def cell_fingerprint(scenario: Scenario, seed: int, level: Any) -> Optional[str]:
     """The content address of one cell, or ``None`` when the scenario
     defeats value identity (custom loss patterns — such cells are
     simply recomputed)."""
-    skey = scenario_key(scenario)
-    if skey is None:
+    key = cell_cache_key(scenario, seed, level)
+    if key is None:
         return None
-    doc = repr(
-        (
-            CELL_CODE_VERSION,
-            skey,
-            seed,
-            getattr(level, "value", level),
-            engine,
-        )
-    )
+    doc = repr((CELL_CODE_VERSION,) + key)
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
@@ -147,15 +133,9 @@ class DiskResultCache:
 
     # -- addressing -----------------------------------------------------
 
-    def fingerprint(
-        self,
-        scenario: Scenario,
-        seed: int,
-        level: Any,
-        engine: str = "scalar",
-    ) -> Optional[str]:
+    def fingerprint(self, scenario: Scenario, seed: int, level: Any) -> Optional[str]:
         """:func:`cell_fingerprint`, counting uncacheable lookups."""
-        key = cell_fingerprint(scenario, seed, level, engine=engine)
+        key = cell_fingerprint(scenario, seed, level)
         if key is None:
             self.uncacheable += 1
         return key

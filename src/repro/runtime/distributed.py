@@ -38,8 +38,7 @@ type       direction       payload
 HELLO      worker → server ``{"version", "pid", "host", "epoch",
                             "codecs"}``
 WELCOME    server → worker ``{"version", "codec", "threshold"}``
-CHUNK      server → worker ``(job_id, chunk_id, GroupedChunk, level,
-                            engine)``
+CHUNK      server → worker ``(job_id, chunk_id, GroupedChunk, level)``
 RESULT     worker → server ``(job_id, chunk_id, [(index, artifacts)],
                             cache_meta)``
 HEARTBEAT  worker → server ``None`` (liveness while computing)
@@ -61,10 +60,11 @@ can decode in HELLO (``"codecs"``), the coordinator answers with a
 WELCOME naming its pick and the compression threshold before any CHUNK
 is sent, and every data-frame body is self-describing (the codec byte)
 so either side can decode anything it supports regardless of the
-negotiation. CHUNK also gained the execution ``engine`` field so
-``--engine batch`` reaches remote workers. Versions must match exactly
-(HELLO is rejected otherwise), so mixed fleets fail loudly at connect
-time instead of corrupting frames.
+negotiation (and gave CHUNK a fifth ``engine`` field). Version 5
+dropped that field again with the batch cell engine: CHUNK is back to
+four elements. Versions must match exactly (HELLO is rejected
+otherwise), so mixed fleets — a v4 worker that would send or expect
+the 5-tuple — fail loudly at connect time instead of mis-framing.
 
 Elastic membership
 ------------------
@@ -246,7 +246,7 @@ from repro.runtime.worker import (
     run_cell_chunk,
 )
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 MAGIC = b"RPRO"
 _HEADER = struct.Struct(">4sBI")
 
@@ -646,12 +646,6 @@ def worker_main(
     say = log or (lambda message: None)
     faults = FaultInjector(fault_plan)
     cache = ResultCache(max_entries=cache_entries) if cache_entries else None
-    # Worker-lifetime batch engine: its skeleton-fit cache is a pure
-    # function of (scenario, combo), so it survives rejoins and lets a
-    # scenario split across many chunks pay for its probes once.
-    from repro.runtime.batch_engine import BatchEngine
-
-    batch_engine = BatchEngine()
     drain = drain_event if drain_event is not None else threading.Event()
     epoch = 0
     window = retry_for
@@ -670,7 +664,6 @@ def worker_main(
             max_frame_bytes,
             auth_key,
             cache,
-            batch_engine,
             faults,
             drain,
             say,
@@ -691,7 +684,6 @@ def _worker_session(
     max_frame_bytes: int,
     auth_key: Optional[bytes],
     cache: Optional[ResultCache],
-    batch_engine: object,
     faults: FaultInjector,
     drain: threading.Event,
     say: Callable[[str], None],
@@ -818,7 +810,7 @@ def _worker_session(
                 return 0, False
             if msg_type != MSG_CHUNK:
                 continue
-            job_id, chunk_id, grouped, level_value, engine = payload
+            job_id, chunk_id, grouped, level_value = payload
             if faults.should_kill_on_chunk():
                 say(f"fault injection: dying with chunk {chunk_id} in flight")
                 os._exit(17)
@@ -828,13 +820,7 @@ def _worker_session(
                 if delay > 0:
                     time.sleep(delay)
                 before = cache.stats() if cache is not None else None
-                results = run_cell_chunk(
-                    grouped,
-                    level_value,
-                    cache=cache,
-                    engine=engine,
-                    batch_engine=batch_engine,
-                )
+                results = run_cell_chunk(grouped, level_value, cache=cache)
                 cache_meta = None
                 if cache is not None:
                     after = cache.stats()
@@ -1088,7 +1074,6 @@ class SocketBackend(ExecutionBackend):
         self._workers: Dict[int, _WorkerConn] = {}
         self._next_wid = 0
         self._job_seq = 0
-        self._job_engine = "scalar"
         #: Recorded chunks whose result-observer call has not returned.
         self._observing = 0
         self._closed = False
@@ -1447,12 +1432,11 @@ class SocketBackend(ExecutionBackend):
         self,
         chunks: Sequence[GroupedChunk],
         level_value: str,
-        engine: str = "scalar",
     ) -> List[Tuple[int, RunArtifacts]]:
         """Serve caller-sized chunks (the pinned-``chunk_size`` path)."""
         if not chunks:
             return []
-        self._register_job(engine=engine, chunks=list(chunks))
+        self._register_job(chunks=list(chunks))
         return self._run_job(level_value)
 
     def run_cells(
@@ -1460,7 +1444,6 @@ class SocketBackend(ExecutionBackend):
         cells: Sequence[IndexedCell],
         level_value: str,
         chunk_size: Optional[int] = None,
-        engine: str = "scalar",
     ) -> List[Tuple[int, RunArtifacts]]:
         """Serve cells with adaptively sized per-worker chunks.
 
@@ -1473,7 +1456,7 @@ class SocketBackend(ExecutionBackend):
         configured cell bounds.
         """
         if chunk_size is not None or not self.adaptive_chunks:
-            return super().run_cells(cells, level_value, chunk_size, engine=engine)
+            return super().run_cells(cells, level_value, chunk_size)
         if not cells:
             return []
         # The first chunks predate any throughput signal: deal each
@@ -1486,19 +1469,16 @@ class SocketBackend(ExecutionBackend):
             self.min_chunk_cells,
             min(self.max_chunk_cells, -(-len(cells) // (slots * 4))),
         )
-        self._register_job(
-            engine=engine, pool=list(cells), initial_chunk_cells=initial
-        )
+        self._register_job(pool=list(cells), initial_chunk_cells=initial)
         return self._run_job(level_value)
 
-    def _register_job(self, engine: str = "scalar", **job_kwargs: Any) -> None:
+    def _register_job(self, **job_kwargs: Any) -> None:
         if self._closed:
             raise BackendError("backend is closed")
         with self._cond:
             if self._scheduler.job is not None:
                 raise BackendError("backend is already running a job")
             self._job_seq += 1
-            self._job_engine = engine
             self._scheduler.start_job(self._job_seq, **job_kwargs)
 
     def _run_job(self, level_value: str) -> List[Tuple[int, RunArtifacts]]:
@@ -1584,13 +1564,7 @@ class SocketBackend(ExecutionBackend):
                     wire_len, raw_len = send_data_frame(
                         conn.wsock,
                         MSG_CHUNK,
-                        (
-                            job_id,
-                            assignment.chunk_id,
-                            assignment.chunk,
-                            level_value,
-                            self._job_engine,
-                        ),
+                        (job_id, assignment.chunk_id, assignment.chunk, level_value),
                         codec=conn.info.get("codec", "raw"),
                         threshold=self.compress_threshold,
                         lock=conn.send_lock,

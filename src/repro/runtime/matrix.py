@@ -28,7 +28,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
 from repro.runtime.backend import ExecutionBackend, LocalBackend, ResultObserver, mp_context
-from repro.runtime.batch_engine import ENGINE_SCALAR, BatchEngine, coerce_engine, execute_cells
 from repro.runtime.events import CellCompleted, EventSink, emit
 from repro.runtime.worker import IndexedCell, call_task
 
@@ -39,21 +38,6 @@ class Cell:
 
     scenario: Scenario
     seed: int
-
-
-def _group_pending(
-    pending: Sequence[IndexedCell],
-) -> List[Tuple[Scenario, List[IndexedCell]]]:
-    """Consecutive same-scenario runs of the pending list (identity
-    grouping, mirroring :func:`repro.runtime.worker.group_cells`)."""
-    groups: List[Tuple[Scenario, List[IndexedCell]]] = []
-    last_id: Optional[int] = None
-    for item in pending:
-        if last_id != id(item[1]):
-            groups.append((item[1], []))
-            last_id = id(item[1])
-        groups[-1][1].append(item)
-    return groups
 
 
 def default_workers() -> int:
@@ -91,7 +75,6 @@ class MatrixRunner:
         chunk_size: Optional[int] = None,
         backend: Optional[ExecutionBackend] = None,
         on_event: Optional[EventSink] = None,
-        engine: Optional[str] = None,
     ):
         if workers is None:
             workers = default_workers()
@@ -104,10 +87,6 @@ class MatrixRunner:
         self.base_seed = base_seed
         self.chunk_size = chunk_size
         self.backend = backend
-        #: Per-cell execution engine: ``"scalar"`` (the reference
-        #: simulator) or ``"batch"`` (vectorized affine replay with
-        #: scalar fallback — see :mod:`repro.runtime.batch_engine`).
-        self.engine = coerce_engine(engine)
         #: Optional run-event observer: per-cell progress on the serial
         #: path, per-chunk progress via the owned pool backend. A
         #: caller-supplied ``backend`` keeps whatever sink its owner
@@ -191,21 +170,8 @@ class MatrixRunner:
                             observer(journal)
                             journal = []
 
-                if self.engine != ENGINE_SCALAR:
-                    # Cell expansion is scenario-major, so consecutive
-                    # pending cells of one scenario form the engine's
-                    # lockstep groups; one BatchEngine reuses skeleton
-                    # probes across groups of the same call.
-                    batch = BatchEngine()
-                    for scenario, group in _group_pending(pending):
-                        pairs = [(i, seed) for i, _scenario, seed in group]
-                        for i, artifacts in execute_cells(
-                            scenario, pairs, level, engine=self.engine, batch_engine=batch
-                        ):
-                            finish(i, artifacts)
-                else:
-                    for i, scenario, seed in pending:
-                        finish(i, execute_cell(scenario, seed, level))
+                for i, scenario, seed in pending:
+                    finish(i, execute_cell(scenario, seed, level))
                 if observer is not None and journal:
                     observer(journal)
             for i, artifacts in computed:
@@ -219,20 +185,15 @@ class MatrixRunner:
         # chunks adaptively. Either way results come back index-tagged,
         # so reassembly is identical.
         backend = self._get_backend()
-        kwargs: dict = {"chunk_size": self.chunk_size}
-        if self.engine != ENGINE_SCALAR:
-            # Scalar runs keep the historical call shape so pre-engine
-            # backend subclasses stay source-compatible.
-            kwargs["engine"] = self.engine
         if self.result_observer is None:
-            return backend.run_cells(pending, self.artifact_level.value, **kwargs)
+            return backend.run_cells(pending, self.artifact_level.value, chunk_size=self.chunk_size)
         # Attach the durable observer for this call only, preserving
         # whatever the backend's owner had attached (a caller-owned
         # backend outlives this runner).
         previous = backend._result_observer
         backend.set_result_observer(self.result_observer)
         try:
-            return backend.run_cells(pending, self.artifact_level.value, **kwargs)
+            return backend.run_cells(pending, self.artifact_level.value, chunk_size=self.chunk_size)
         finally:
             backend.set_result_observer(previous)
 

@@ -240,7 +240,6 @@ class SuiteRunner:
         backend: Optional[ExecutionBackend] = None,
         on_event: Optional[EventSink] = None,
         checkpoint_dir: Optional[str] = None,
-        engine: Optional[str] = None,
         disk_cache: Optional[Union[str, DiskResultCache]] = None,
     ):
         if spill not in ("auto", "always", "never"):
@@ -254,9 +253,6 @@ class SuiteRunner:
         if isinstance(disk_cache, str):
             disk_cache = DiskResultCache(disk_cache)
         self.disk_cache = disk_cache
-        from repro.runtime.batch_engine import coerce_engine
-
-        self.engine = coerce_engine(engine)
 
     # -- planning -------------------------------------------------------
 
@@ -346,7 +342,6 @@ class SuiteRunner:
             artifact_level=plan.artifact_level,
             backend=self.backend,
             on_event=self.on_event,
-            engine=self.engine,
         )
         disk = self.disk_cache
         disk0 = (disk.hits, disk.misses) if disk is not None else (0, 0)
@@ -429,7 +424,7 @@ class SuiteRunner:
             )
         checkpoint = SuiteCheckpoint(self.checkpoint_dir)
         completed = checkpoint.load_or_init(
-            plan_fingerprint(plan, engine=self.engine),
+            plan_fingerprint(plan),
             meta={
                 "experiments": [p.spec.id for p in plan.experiments],
                 "unique_cells": len(plan.unique_cells),
@@ -476,9 +471,7 @@ class SuiteRunner:
             for slot, cell in enumerate(cells):
                 if slot in entries_by_slot:
                     continue
-                key = disk.fingerprint(
-                    cell.scenario, cell.seed, plan.artifact_level, engine=self.engine
-                )
+                key = disk.fingerprint(cell.scenario, cell.seed, plan.artifact_level)
                 if key is None:
                     continue
                 artifacts = disk.get(key)

@@ -49,8 +49,6 @@ def run_cell_chunk(
     chunk: GroupedChunk,
     level_value: str,
     cache: Optional[ResultCache] = None,
-    engine: str = "scalar",
-    batch_engine: Optional[Any] = None,
 ) -> List[Tuple[int, RunArtifacts]]:
     """Execute a chunk of scenario groups and tag each result with its
     original position.
@@ -59,44 +57,24 @@ def run_cell_chunk(
     already holds it and reattaches it, halving the response pickle.
 
     ``cache`` is the worker-resident cross-job memo: cells whose
-    ``(scenario value, seed, level, engine)`` key is already stored are
+    ``(scenario value, seed, level)`` key is already stored are
     served from it instead of re-simulated, and fresh results are stored
     for the next chunk (or the next suite — the cache outlives jobs).
     Simulations are deterministic in that key, so a cached artifact is
     bit-identical to a recomputation.
-
-    ``engine="batch"`` routes each scenario group through the
-    vectorized batch engine (:mod:`repro.runtime.batch_engine`); cache
-    hits are peeled off first and only the misses are grouped, which is
-    safe because a cell's batch output is a pure function of
-    ``(scenario, seed)`` — independent of its neighbors.
-
-    ``batch_engine`` lets a long-lived worker (the socket worker loop)
-    reuse one engine — and its skeleton-fit cache — across chunks, so a
-    scenario split over many small chunks pays for its probes once.
     """
     level = ArtifactLevel(level_value)
     runner = Runner()
-    batch = None
-    if engine != "scalar":
-        from repro.runtime.batch_engine import BatchEngine, coerce_engine
-
-        coerce_engine(engine)
-        batch = batch_engine if batch_engine is not None else BatchEngine(runner=runner)
     out: List[Tuple[int, RunArtifacts]] = []
     for scenario, pairs in chunk:
-        misses: List[Tuple[int, int]] = []
         for index, seed in pairs:
             key = None
             if cache is not None:
-                key = cache.make_key(scenario, seed, level, engine=engine)
+                key = cache.make_key(scenario, seed, level)
                 hit = cache.get(key)
                 if hit is not None:
                     out.append((index, hit))
                     continue
-            if batch is not None:
-                misses.append((index, seed))
-                continue
             artifacts = execute_cell(scenario, seed, level, runner=runner)
             # Stripped *before* the cache put, so cached entries carry
             # no stale scenario object either.
@@ -104,13 +82,6 @@ def run_cell_chunk(
             if cache is not None:
                 cache.put(key, artifacts)
             out.append((index, artifacts))
-        if batch is not None and misses:
-            for index, artifacts in batch.run_group(scenario, misses, level):
-                artifacts.scenario = None
-                if cache is not None:
-                    seed = artifacts.seed
-                    cache.put(cache.make_key(scenario, seed, level, engine=engine), artifacts)
-                out.append((index, artifacts))
     return out
 
 

@@ -12,13 +12,8 @@ it — a property of event interleaving, not of the cell.
 
 :class:`BehaviorDraws` gives every behavior draw its own stream seeded
 by ``(role, seed, purpose)``.  Each draw is then a pure function of the
-cell, which is what lets the batch engine
-(:mod:`repro.runtime.batch_engine`) compute the exact per-seed values
-without running the event loop.  The qlog exposure draws keep the
-original shared stream untouched.
-
-:class:`ForcedDraws` pins the draws to explicit values — the batch
-engine's skeleton runs probe the simulator at chosen jitter points.
+cell.  The qlog exposure draws keep the original shared stream
+untouched.
 """
 
 from __future__ import annotations
@@ -98,48 +93,3 @@ class RngDraws(BehaviorDraws):
 
     def misinit_rng(self) -> random.Random:
         return self._rng
-
-
-class _FixedRoll:
-    """A ``random.Random`` stand-in whose ``random()`` is constant."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def random(self) -> float:
-        return self.value
-
-
-class ForcedDraws(BehaviorDraws):
-    """Draws pinned to explicit values (batch-engine skeleton runs)."""
-
-    __slots__ = ("_penalty_jitter", "_crypto_jitter", "_second_flight", "_misinit")
-
-    def __init__(
-        self,
-        role: str,
-        *,
-        penalty_jitter_ms: float = 0.0,
-        crypto_jitter_ms: float = 0.0,
-        second_flight_roll: float = 0.0,
-        misinit_roll: float = 1.0,
-    ):
-        super().__init__(role, 0)
-        self._penalty_jitter = penalty_jitter_ms
-        self._crypto_jitter = crypto_jitter_ms
-        self._second_flight = second_flight_roll
-        self._misinit = misinit_roll
-
-    def penalty_jitter(self, half_width_ms: float) -> float:
-        return self._penalty_jitter
-
-    def crypto_jitter(self, max_ms: float) -> float:
-        return self._crypto_jitter
-
-    def second_flight_roll(self) -> float:
-        return self._second_flight
-
-    def misinit_rng(self) -> random.Random:
-        return _FixedRoll(self._misinit)  # type: ignore[return-value]

@@ -113,7 +113,7 @@ def test_slow_link_worker_survives_chunk_larger_than_heartbeat_window():
                     return
                 from repro.runtime.wire import decode_payload
 
-                (job_id, chunk_id, grouped, level, _engine), _ = decode_payload(payload)
+                (job_id, chunk_id, grouped, level), _ = decode_payload(payload)
                 results = run_cell_chunk(grouped, level)
                 send_data_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None), lock=lock)
         except (ConnectionError, OSError, struct.error):
@@ -153,7 +153,7 @@ def _skewed_worker(backend, host, delay_per_cell, stop):
                 continue
             if msg_type != MSG_CHUNK:
                 return
-            job_id, chunk_id, grouped, _level, _engine = payload
+            job_id, chunk_id, grouped, _level = payload
             indices = [i for _scenario, pairs in grouped for i, _seed in pairs]
             time.sleep(len(indices) * delay_per_cell)
             results = [(i, "r") for i in indices]

@@ -313,6 +313,16 @@ def test_no_experiment_module_or_package_offers_a_second_run_path():
         for name in ("legacy_run", "run_suite", "run_cells_streamed"):
             assert not hasattr(package, name), (package.__name__, name)
             assert name not in package.__all__
+    # ... and one cell engine: nothing in the package imports numpy or
+    # names the deleted batch engine.
+    import pathlib
+    import re
+
+    import repro
+
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        found = re.search(r"batch_engine|^\s*(import|from) numpy", path.read_text(), re.M)
+        assert found is None, (str(path), found.group(0))
 
 
 # -- module-level convenience parity ------------------------------------
@@ -323,9 +333,9 @@ def test_run_request_round_trips_through_dict():
         ("fig6", "fig12"),
         overrides={"fig6": {"repetitions": 1}},
         smoke=True,
-        engine="batch",
     )
     doc = request.to_dict()
+    assert sorted(doc) == ["experiments", "overrides", "smoke"]
     assert doc["experiments"] == ["fig6", "fig12"]
     assert RunRequest.from_dict(json.loads(json.dumps(doc))) == request
 
@@ -335,26 +345,24 @@ def test_run_request_from_dict_rejects_garbage():
         RunRequest.from_dict("not a mapping")
     with pytest.raises(InvalidOverride):
         RunRequest.from_dict({"smoke": True})  # no experiments
+    # A stale client's engine choice is refused, not silently dropped.
+    with pytest.raises(InvalidOverride, match="unknown key.*engine"):
+        RunRequest.from_dict({"experiments": ["fig6"], "engine": "batch"})
+    with pytest.raises(TypeError):
+        RunRequest("fig6", engine="scalar")
 
 
-def test_module_level_run_accepts_engine_and_cache_dir(tmp_path):
+def test_module_level_run_accepts_cache_dir(tmp_path):
     cache_dir = str(tmp_path / "cache")
-    cold = run("fig6", smoke=True, engine="scalar", cache_dir=cache_dir)
+    cold = run("fig6", smoke=True, cache_dir=cache_dir)
     assert cold.extra["disk_cache_misses"] > 0
-    warm = run("fig6", smoke=True, engine="scalar", cache_dir=cache_dir)
+    warm = run("fig6", smoke=True, cache_dir=cache_dir)
     assert warm.extra["disk_cache_misses"] == 0
     assert warm.results["fig6"].rows == cold.results["fig6"].rows
 
 
-def test_module_level_run_experiment_accepts_engine():
-    pytest.importorskip("numpy")
-    scalar = run_experiment("fig6", smoke=True, engine="scalar")
-    batch = run_experiment("fig6", smoke=True, engine="batch")
-    assert scalar.rows == batch.rows  # engines agree on the physics
-
-
-def test_session_run_experiment_engine_parity_with_run():
+def test_session_run_experiment_parity_with_run():
     with Session() as session:
-        via_experiment = session.run_experiment("fig6", smoke=True, engine="scalar")
-        via_run = session.run(RunRequest("fig6", smoke=True, engine="scalar"))
+        via_experiment = session.run_experiment("fig6", smoke=True)
+        via_run = session.run(RunRequest("fig6", smoke=True))
     assert via_experiment.rows == via_run.results["fig6"].rows

@@ -582,7 +582,7 @@ def test_stale_frames_from_aborted_job_are_discarded():
                 msg_type, payload = recv_frame(sock)
                 if msg_type != MSG_CHUNK:
                     return
-                job_b, chunk_b, grouped, level, _engine = payload
+                job_b, chunk_b, grouped, level = payload
                 send_data_frame(sock, MSG_RESULT, (job_a, chunk_b, [(0, "stale-garbage")], None))
                 send_data_frame(
                     sock,

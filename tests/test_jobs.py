@@ -40,7 +40,6 @@ def test_job_record_round_trips_through_dict():
         job_id="job-abc",
         experiments=("fig6", "fig12"),
         smoke=True,
-        engine="batch",
         status=JobStatus.FAILED,
         error="boom",
         error_kind="BackendError",

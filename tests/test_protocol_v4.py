@@ -145,7 +145,7 @@ def test_choose_codec_negotiation():
 def test_data_frame_socket_round_trip_and_legacy_sniff():
     left, right = socket.socketpair()
     try:
-        payload = (1, 2, {"cells": b"c" * 6000}, "stats", "batch")
+        payload = (1, 2, {"cells": b"c" * 6000}, "stats")
         frame, raw_len = make_data_frame(MSG_RESULT, payload, codec="zlib")
         left.sendall(frame)
         msg_type, got, wire_len, got_raw = recv_frame_ex(right, 1 << 20)
@@ -176,7 +176,7 @@ def test_plain_pickle_result_body_drops_the_worker_not_the_job():
         try:
             send_frame(sock, MSG_HELLO, {"version": PROTOCOL_VERSION, "pid": 0, "host": "v3ish"})
             recv_frame(sock)  # WELCOME
-            _, (job_id, chunk_id, grouped, level, _engine) = recv_frame(sock)
+            _, (job_id, chunk_id, grouped, level) = recv_frame(sock)
             results = run_cell_chunk(grouped, level)
             send_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None))
             recv_frame(sock)  # blocks until the server hangs up on us
@@ -222,18 +222,27 @@ def _drain_welcome_then_close(backend, hello):
 def test_v3_hello_is_rejected_before_registration():
     backend = SocketBackend(port=0)
     try:
-        sock = socket.create_connection((backend.host, backend.port), timeout=5)
-        try:
-            send_frame(sock, MSG_HELLO, {"version": 3, "host": "old", "pid": 1})
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                if backend.stats.protocol_errors >= 1:
-                    break
-                time.sleep(0.02)
-            assert backend.stats.protocol_errors >= 1
-            assert backend.worker_count() == 0
-        finally:
-            sock.close()
+        # v4 too: its workers unpack a 5-element CHUNK, so they are
+        # refused at HELLO rather than mis-framed mid-job.
+        for refused, version in enumerate((3, 4), start=1):
+            sock = socket.create_connection((backend.host, backend.port), timeout=5)
+            try:
+                send_frame(sock, MSG_HELLO, {"version": version, "host": "old", "pid": 1})
+                deadline = time.monotonic() + 5
+                while time.monotonic() < deadline:
+                    if backend.stats.protocol_errors >= refused:
+                        break
+                    time.sleep(0.02)
+                assert backend.stats.protocol_errors >= refused
+                assert backend.worker_count() == 0
+            finally:
+                sock.close()
+        # The refusals cost the job nothing: a current worker serves it.
+        start_worker_thread(backend)
+        serial = Runner().run_repetitions(QUICHE_LOSSY, repetitions=4)
+        with MatrixRunner(backend=backend) as runner:
+            distributed = runner.run_repetitions(QUICHE_LOSSY, repetitions=4)
+        assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]
     finally:
         backend.close()
 
@@ -273,11 +282,11 @@ def test_socketbackend_validates_compression_config():
 # -- end-to-end: fewer bytes, identical bundles -------------------------
 
 
-def _run_distributed(backend, engine="scalar", repetitions=24, chunk_size=None):
+def _run_distributed(backend, repetitions=24, chunk_size=None):
     for _ in range(2):
         start_worker_thread(backend)
     try:
-        with MatrixRunner(backend=backend, engine=engine, chunk_size=chunk_size) as runner:
+        with MatrixRunner(backend=backend, chunk_size=chunk_size) as runner:
             results = runner.run_repetitions(QUICHE_LOSSY, repetitions=repetitions)
         return results, backend.stats
     finally:
@@ -307,21 +316,6 @@ def test_v4_results_ship_measurably_fewer_bytes():
     for expected, a, b in zip(serial, compressed, raw_results):
         assert a.client_stats == expected.client_stats
         assert b.client_stats == expected.client_stats
-
-
-def test_local_and_distributed_batch_bundles_identical():
-    local = MatrixRunner(engine="batch").run_repetitions(
-        QUICHE_LOSSY, repetitions=24
-    )
-    distributed, _stats = _run_distributed(
-        SocketBackend(port=0, min_workers=2), engine="batch"
-    )
-    assert len(distributed) == len(local)
-    for expected, actual in zip(local, distributed):
-        assert actual.seed == expected.seed
-        assert actual.client_stats == expected.client_stats
-        assert actual.server_stats == expected.server_stats
-        assert actual.duration_ms == expected.duration_ms
 
 
 # -- oversized chunks split instead of aborting -------------------------

@@ -1,16 +1,13 @@
 """Recovery-profile strategy seams: registry vocabulary, the CUBIC
 controller, loss-detector variants, ack policies, scenario threading,
-cache-key identity, and the batch engine's static profile gate.
+and cache-key identity.
 
 The load-bearing invariants:
 
 * the ``default`` profile is behavior-identical to the pre-lab code
   (the byte-level proof lives in ``test_golden_bundles.py``);
 * scenario fingerprints for the default profile keep their historical
-  shape, so disk caches written before the refactor still hit;
-* every non-default profile is statically gated off the batch engine
-  and falls back to the scalar path bit-exactly (cross-engine
-  consistency by construction).
+  13-field shape; only non-default profiles append their name.
 """
 
 import pytest
@@ -41,11 +38,7 @@ from repro.quic.profiles import (
 )
 from repro.quic.recovery import LOSS_DETECTORS, make_loss_detector
 from repro.quic.server import ServerMode
-from repro.runtime import ArtifactLevel
-from repro.runtime.artifacts import execute_cell
-from repro.runtime.batch_engine import BatchEngine
 from repro.runtime.cache import scenario_key
-from repro.sim import batch_state
 
 # -- registry ----------------------------------------------------------
 
@@ -283,56 +276,6 @@ def test_distinct_profiles_key_distinctly():
         for name in profile_names()
     }
     assert len(keys) == len(profile_names())
-
-
-# -- batch-engine gate and cross-engine consistency --------------------
-
-
-ELIGIBLE_DEFAULT = Scenario(
-    client="quic-go", mode=ServerMode.WFC, http="h3", rtt_ms=100.0,
-    response_size=SIZE_10KB,
-)
-
-
-def test_every_non_default_profile_is_statically_gated():
-    engine = BatchEngine()
-    for name in profile_names():
-        if name == DEFAULT_PROFILE_NAME:
-            continue
-        scenario = Scenario(
-            client="quic-go", mode=ServerMode.WFC, http="h3", rtt_ms=100.0,
-            response_size=SIZE_10KB, recovery_profile=name,
-        )
-        assert not engine.supports(scenario, ArtifactLevel.STATS), (
-            f"profile {name!r} has no verified affine structure and must "
-            "not reach the batch fit"
-        )
-
-
-@pytest.mark.skipif(
-    not batch_state.have_numpy(), reason="affine path needs numpy"
-)
-def test_default_profile_stays_batch_eligible():
-    assert BatchEngine().supports(ELIGIBLE_DEFAULT, ArtifactLevel.STATS)
-
-
-def test_gated_profile_runs_scalar_bit_exactly_under_batch_engine():
-    """engine='batch' on a non-default profile must not probe at all
-    and must emit bits identical to the scalar reference."""
-    scenario = Scenario(recovery_profile="cubic", **LOSSY_WFC)
-    engine = BatchEngine()
-    pairs = [(i, seed) for i, seed in enumerate(range(4))]
-    results = engine.run_group(scenario, pairs, ArtifactLevel.STATS)
-    assert engine.stats["probe_runs"] == 0
-    assert engine.stats["cells_scalar"] == len(pairs)
-    runner = Runner()
-    for index, artifacts in results:
-        expected = execute_cell(
-            scenario, pairs[index][1], ArtifactLevel.STATS, runner=runner
-        )
-        assert artifacts.client_stats == expected.client_stats
-        assert artifacts.server_stats == expected.server_stats
-        assert artifacts.duration_ms == expected.duration_ms
 
 
 def test_profiles_change_behavior_only_when_non_default():

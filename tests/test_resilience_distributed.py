@@ -331,7 +331,7 @@ def test_duplicate_result_frames_emit_chunk_completed_once():
                     continue
                 if msg_type != MSG_CHUNK:
                     return
-                job_id, chunk_id, grouped, level, _engine = payload
+                job_id, chunk_id, grouped, level = payload
                 frame = (job_id, chunk_id, run_cell_chunk(grouped, level), None)
                 send_data_frame(sock, MSG_RESULT, frame)
                 send_data_frame(sock, MSG_RESULT, frame)  # duplicate echo

@@ -9,6 +9,8 @@ typed error everywhere — "the CLI resolves it, the other surface
 doesn't" is the bug class a second run path invites.
 """
 
+import http.client
+import json
 import os
 import subprocess
 import sys
@@ -36,10 +38,12 @@ OVERRIDES = {"fig6": {"rtt_ms": 50}}
 REQUEST = RunRequest(SELECTION, overrides=OVERRIDES, smoke=True)
 
 #: (experiment, --param text, overrides): a well-shaped value the
-#: experiment cannot plan with, and a string where numbers belong.
+#: experiment cannot plan with, a string where numbers belong, and a
+#: value outside a Scenario field's declared range.
 INVALID = [
     ("fig6", "fig6.repetitions=0", {"fig6": {"repetitions": 0}}),
     ("fig12", "fig12.rtts_ms=nan", {"fig12": {"rtts_ms": "nan"}}),
+    ("fig6", "fig6.rtt_ms=-5", {"fig6": {"rtt_ms": -5}}),
 ]
 
 
@@ -121,3 +125,20 @@ def test_invalid_override_is_refused_on_every_surface(experiment, param, overrid
     with pytest.raises(InvalidOverride, match=experiment):
         # HTTP 400 at submission, or a failed job of that error type.
         client.submit(request).result(timeout=60)
+
+
+def test_request_key_from_another_version_is_refused_over_http(client):
+    """A stale client still sending the removed ``engine`` choice gets
+    HTTP 400, not a job that runs as if it had not asked."""
+    conn = http.client.HTTPConnection(*client.target, timeout=30)
+    try:
+        body = json.dumps({"experiments": ["fig6"], "smoke": True, "engine": "batch"})
+        conn.request("POST", "/v1/jobs", body, {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        doc = json.loads(response.read())
+    finally:
+        conn.close()
+    assert response.status == 400
+    assert doc["kind"] == "InvalidOverride"
+    assert "engine" in doc["error"]
+    assert client.jobs() == []
