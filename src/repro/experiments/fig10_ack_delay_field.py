@@ -21,8 +21,9 @@ from repro.experiments.spec import (
     ExperimentSpec,
     KIND_WILD,
     Params,
+    wild_cells,
 )
-from repro.runtime import ArtifactLevel, Cell
+from repro.runtime import ArtifactLevel
 from repro.wild.asdb import Cdn
 from repro.wild.qscanner import QScanner, scan_with_engine
 from repro.wild.tranco import TrancoGenerator
@@ -38,10 +39,6 @@ PAPER_COALESCED_EXCEEDS = {
     Cdn.OTHERS: 0.779,
 }
 PAPER_IACK_BELOW = {Cdn.AKAMAI: 0.61, Cdn.OTHERS: 0.791}
-
-
-def cells(params: Params) -> List[Cell]:
-    return []
 
 
 def aggregate(results: CellResults, params: Params) -> ExperimentResult:
@@ -101,7 +98,7 @@ SPEC = register(
         paper="Figure 10",
         kind=KIND_WILD,
         artifact_level=ArtifactLevel.STATS,
-        cells=cells,
+        cells=wild_cells,
         aggregate=aggregate,
         defaults={
             "list_size": 100_000,

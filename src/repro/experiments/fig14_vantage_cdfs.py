@@ -18,10 +18,10 @@ from repro.experiments.spec import (
     ExperimentSpec,
     KIND_WILD,
     Params,
+    wild_cells,
 )
 from repro.runtime import (
     ArtifactLevel,
-    Cell,
     get_shared_input,
     parallel_map,
     set_shared_input,
@@ -39,10 +39,6 @@ def _probe_vantage(vantage_name: str, list_size: int, seed: int, engine: str):
         domains = TrancoGenerator(list_size=list_size, seed=seed).quic_domains()
     scanner = QScanner(vantage(vantage_name), seed=seed)
     return scan_with_engine(scanner, domains, engine=engine)
-
-
-def cells(params: Params) -> List[Cell]:
-    return []
 
 
 def aggregate(results: CellResults, params: Params) -> ExperimentResult:
@@ -92,7 +88,7 @@ SPEC = register(
         paper="Figure 14",
         kind=KIND_WILD,
         artifact_level=ArtifactLevel.STATS,
-        cells=cells,
+        cells=wild_cells,
         aggregate=aggregate,
         defaults={
             "list_size": 50_000,

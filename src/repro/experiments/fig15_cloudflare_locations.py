@@ -20,8 +20,9 @@ from repro.experiments.spec import (
     ExperimentSpec,
     KIND_WILD,
     Params,
+    wild_cells,
 )
-from repro.runtime import ArtifactLevel, Cell, parallel_map
+from repro.runtime import ArtifactLevel, parallel_map
 from repro.wild.cloudflare import CloudflareLongitudinalStudy, filter_valid
 from repro.wild.vantage import VANTAGE_POINTS, vantage
 
@@ -46,10 +47,6 @@ def _study_vantage(vantage_name: str, days: int, seed: int):
     return filter_valid(
         study.run(minutes=days * 24 * 60, outage_minutes=outages)
     )
-
-
-def cells(params: Params) -> List[Cell]:
-    return []
 
 
 def aggregate(results: CellResults, params: Params) -> ExperimentResult:
@@ -110,7 +107,7 @@ SPEC = register(
         paper="Figure 15",
         kind=KIND_WILD,
         artifact_level=ArtifactLevel.STATS,
-        cells=cells,
+        cells=wild_cells,
         aggregate=aggregate,
         defaults={"days": 7, "seed": 0, "workers": 0},
         smoke={"days": 1},

@@ -19,17 +19,14 @@ from repro.experiments.spec import (
     ExperimentSpec,
     KIND_WILD,
     Params,
+    wild_cells,
 )
-from repro.runtime import ArtifactLevel, Cell
+from repro.runtime import ArtifactLevel
 from repro.wild.cloudflare import (
     CloudflareLongitudinalStudy,
     filter_valid,
 )
 from repro.wild.vantage import vantage
-
-
-def cells(params: Params) -> List[Cell]:
-    return []
 
 
 def aggregate(results: CellResults, params: Params) -> ExperimentResult:
@@ -117,7 +114,7 @@ SPEC = register(
         paper="Figure 9",
         kind=KIND_WILD,
         artifact_level=ArtifactLevel.STATS,
-        cells=cells,
+        cells=wild_cells,
         aggregate=aggregate,
         defaults={"vantage_name": "Sao Paulo", "days": 7, "seed": 0},
         smoke={"days": 1},

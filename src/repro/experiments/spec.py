@@ -236,6 +236,31 @@ def _brief(value: Any) -> Any:
     return value
 
 
+def wild_cells(params: Params) -> List[Cell]:
+    """``cells`` of a wild-measurement experiment: it fans out its own
+    scan passes at aggregation and plans no simulator cells, so this is
+    where planning checks the declared ranges — a ``list_size`` or
+    ``days`` below 1 or an unknown vantage name is refused here (as
+    :class:`~repro.errors.InvalidOverride`, by ``SuiteRunner.plan``)
+    instead of surfacing mid-scan or as an empty-looking table."""
+    from repro.wild.vantage import vantage
+
+    for name in ("list_size", "days"):
+        if name in params and params[name] < 1:
+            raise ValueError(f"{name} must be >= 1, got {params[name]!r}")
+    names = params.get("vantage_names")
+    if names is None:
+        names = ()
+    elif isinstance(names, str):
+        raise ValueError(f"vantage_names must be a list of names, got {names!r}")
+    for name in (*names, *filter(None, [params.get("vantage_name")])):
+        try:
+            vantage(name)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+    return []
+
+
 def expand_cells(
     scenarios: Sequence[Any], repetitions: int, base_seed: int = 0
 ) -> List[Cell]:

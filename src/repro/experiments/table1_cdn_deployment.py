@@ -17,10 +17,10 @@ from repro.experiments.spec import (
     ExperimentSpec,
     KIND_WILD,
     Params,
+    wild_cells,
 )
 from repro.runtime import (
     ArtifactLevel,
-    Cell,
     get_shared_input,
     parallel_map,
     set_shared_input,
@@ -57,12 +57,6 @@ PAPER_SHARES = {
     Cdn.MICROSOFT: (34, 0.0, 0.0),
     Cdn.OTHERS: (26404, 21.5, 2.3),
 }
-
-
-def cells(params: Params) -> List[Cell]:
-    # Wild measurement: fans out vantage × day scan passes itself via
-    # parallel_map; no simulator cells for the matrix planner.
-    return []
 
 
 def _streamed_measurements(
@@ -167,7 +161,7 @@ SPEC = register(
         paper="Table 1",
         kind=KIND_WILD,
         artifact_level=ArtifactLevel.STATS,
-        cells=cells,
+        cells=wild_cells,
         aggregate=aggregate,
         defaults={
             "list_size": 100_000,

@@ -69,14 +69,10 @@ def aggregate(results: CellResults, params: Params) -> ExperimentResult:
                 config=ServerConfig(mode=ServerMode.WFC),
                 rng=random.Random(f"t3s:{name}:{rep}"),
             )
-            client.attach_transport(
-                lambda d, s: network.send_from(network.client, d, s)
-            )
-            server.attach_transport(
-                lambda d, s: network.send_from(network.server, d, s)
-            )
             network.client.attach(client.on_datagram)
             network.server.attach(server.on_datagram)
+            client.attach_transport(network.transport_from(network.client))
+            server.attach_transport(network.transport_from(network.server))
             client.start()
             loop.run(until=10_000.0)
             initial_delays.append(

@@ -10,6 +10,7 @@ it for any number of repetitions with distinct seeds and collects
 from __future__ import annotations
 
 import copy
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
@@ -21,7 +22,7 @@ from repro.impls.registry import QUIC_GO_SERVER, client_profile
 from repro.qlog.writer import QlogWriter
 from repro.quic.certs import Certificate, SMALL_CERTIFICATE
 from repro.quic.client import ClientConnection
-from repro.quic.connection import ConnectionStats
+from repro.quic.connection import ConnectionStats, recovery_config_for
 from repro.quic.profiles import get_recovery_profile
 from repro.quic.server import ServerConfig, ServerConnection, ServerMode
 from repro.sim.draws import BehaviorDraws
@@ -60,7 +61,13 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # Declared ranges: refuse at construction (i.e. at planning)
-        # what would otherwise surface as a traceback inside sim/link.
+        # what would otherwise surface as a traceback inside sim/link —
+        # or, for NaN (which passes every ``x < 0``), as a run that
+        # "completes" with a NaN clock.
+        for name in ("rtt_ms", "delta_t_ms", "timeout_ms", "bandwidth_bps"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.rtt_ms < 0:
             raise ValueError(f"rtt_ms must be >= 0, got {self.rtt_ms!r}")
         if self.delta_t_ms < 0:
@@ -127,11 +134,52 @@ class RunResult:
         return self.client_stats.first_pto_ms
 
 
+def _fresh(pattern: Optional[LossPattern]) -> Optional[LossPattern]:
+    """The loss pattern one run mutates: stateful patterns (RandomLoss,
+    Gilbert-Elliott) are deep-copied and reset per run — shared through
+    the Scenario they would couple repetitions and race under
+    concurrent execution of the same scenario."""
+    if pattern is None or pattern.stateless:
+        return pattern
+    pattern = copy.deepcopy(pattern)
+    pattern.reset()
+    return pattern
+
+
+class _Scaffold:
+    """What every repetition of one scenario shares: the resolved
+    profiles and the immutable configuration derived from them.
+    Nothing here is seeded or mutated by a run."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.profile = profile = client_profile(scenario.client)
+        # Both endpoints run the scenario's recovery-lab profile: the
+        # sweeps compare whole-path strategy changes, not asymmetric
+        # deployments.
+        self.recovery_profile = rprofile = get_recovery_profile(scenario.recovery_profile)
+        self.http = semantics_for(scenario.http)
+        self.request = RequestSpec(response_size=scenario.response_size)
+        self.client_exposure = profile.exposure_policy()
+        self.server_exposure = QUIC_GO_SERVER.exposure_policy()
+        self.client_recovery = recovery_config_for(profile, rprofile)
+        self.server_recovery = recovery_config_for(QUIC_GO_SERVER, rprofile)
+        self.server_config = ServerConfig(
+            mode=scenario.mode,
+            delta_t_ms=scenario.delta_t_ms,
+            certificate=scenario.certificate,
+            pad_instant_ack=scenario.pad_instant_ack,
+        )
+
+
 class Runner:
     """Executes scenarios on the discrete-event simulator."""
 
     def __init__(self, base_seed: int = 0):
         self.base_seed = base_seed
+        #: Scaffold of the scenario run last: repetitions of one
+        #: scenario arrive back to back.
+        self._scaffold: Optional[_Scaffold] = None
 
     def run_once(
         self,
@@ -150,31 +198,17 @@ class Runner:
         exposure-policy rng draws without storing events.
         """
         seed = self.base_seed if seed is None else seed
+        scaffold = self._scaffold
+        if scaffold is None or scaffold.scenario is not scenario:
+            scaffold = self._scaffold = _Scaffold(scenario)
         loop = EventLoop()
         tracer = Tracer(capture=capture_trace)
-        profile = client_profile(scenario.client)
-        # Both endpoints run the scenario's recovery-lab profile: the
-        # sweeps compare whole-path strategy changes, not asymmetric
-        # deployments.
-        rprofile = get_recovery_profile(scenario.recovery_profile)
-        http_client = semantics_for(scenario.http)
-        http_server = semantics_for(scenario.http)
-        # Loss patterns are deep-copied per run: stateful patterns
-        # (RandomLoss) would otherwise be mutated through the shared
-        # Scenario, coupling repetitions and racing under concurrent
-        # execution of the same scenario.
-        c2s_loss = copy.deepcopy(scenario.client_to_server_loss)
-        if c2s_loss is not None:
-            c2s_loss.reset()
-        s2c_loss = copy.deepcopy(scenario.server_to_client_loss)
-        if s2c_loss is not None:
-            s2c_loss.reset()
         network = Network.for_rtt(
             loop,
             rtt_ms=scenario.rtt_ms,
             bandwidth_bps=scenario.bandwidth_bps,
-            client_to_server_loss=c2s_loss,
-            server_to_client_loss=s2c_loss,
+            client_to_server_loss=_fresh(scenario.client_to_server_loss),
+            server_to_client_loss=_fresh(scenario.server_to_client_loss),
             tracer=tracer,
         )
         # String seeds are hashed (SHA-512) by random.Random, giving
@@ -184,52 +218,39 @@ class Runner:
         # values are pure functions of (role, seed, purpose).
         rng_client = random.Random(f"client:{seed}")
         rng_server = random.Random(f"server:{seed}")
-        draws_client = BehaviorDraws("client", seed)
-        draws_server = BehaviorDraws("server", seed)
-        request = RequestSpec(response_size=scenario.response_size)
         client = ClientConnection(
             loop,
-            profile,
-            http_client,
-            request=request,
+            scaffold.profile,
+            scaffold.http,
+            request=scaffold.request,
             rng=rng_client,
             qlog=QlogWriter(
-                "client", profile.exposure_policy(), rng_client,
-                record_events=record_qlog,
+                "client", scaffold.client_exposure, rng_client, record_events=record_qlog
             ),
             name="client",
-            draws=draws_client,
-            recovery_profile=rprofile,
-        )
-        server_config = ServerConfig(
-            mode=scenario.mode,
-            delta_t_ms=scenario.delta_t_ms,
-            certificate=scenario.certificate,
-            pad_instant_ack=scenario.pad_instant_ack,
+            draws=BehaviorDraws("client", seed),
+            recovery_profile=scaffold.recovery_profile,
+            recovery_config=scaffold.client_recovery,
         )
         server = ServerConnection(
             loop,
             QUIC_GO_SERVER,
-            http_server,
-            config=server_config,
+            scaffold.http,
+            config=scaffold.server_config,
             rng=rng_server,
             qlog=QlogWriter(
-                "server", QUIC_GO_SERVER.exposure_policy(), rng_server,
-                record_events=record_qlog,
+                "server", scaffold.server_exposure, rng_server, record_events=record_qlog
             ),
             name="server",
-            draws=draws_server,
-            recovery_profile=rprofile,
+            draws=BehaviorDraws("server", seed),
+            recovery_profile=scaffold.recovery_profile,
+            recovery_config=scaffold.server_recovery,
         )
-        server.set_request_spec(request)
-        client.attach_transport(
-            lambda dgram, size: network.send_from(network.client, dgram, size)
-        )
-        server.attach_transport(
-            lambda dgram, size: network.send_from(network.server, dgram, size)
-        )
+        server.set_request_spec(scaffold.request)
         network.client.attach(client.on_datagram)
         network.server.attach(server.on_datagram)
+        client.attach_transport(network.transport_from(network.client))
+        server.attach_transport(network.transport_from(network.server))
         client.start()
         loop.run(until=scenario.timeout_ms)
         if not client.stats.completed and client.stats.aborted is None:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
-from repro.qlog.events import MetricsUpdated, PacketEvent, QlogEvent
+from repro.qlog.events import EventCategory, MetricsUpdated, PacketEvent, QlogEvent
 
 _RESOLUTION_QUANTUM_MS = {"us": 0.001, "ms": 1.0, "s": 1000.0}
 
@@ -70,7 +70,15 @@ class QlogWriter:
             return
         self.events.append(self._stamp(event))
 
-    def log_metrics(self, event: MetricsUpdated) -> None:
+    def metrics_updated(
+        self,
+        time_ms: float,
+        smoothed_rtt_ms: Optional[float],
+        rtt_variance_ms: Optional[float],
+        latest_rtt_ms: Optional[float],
+        min_rtt_ms: Optional[float],
+        pto_count: int = 0,
+    ) -> None:
         """Log a recovery:metrics_updated event, subject to policy.
 
         Consecutive duplicates are collapsed the way the paper's
@@ -79,7 +87,8 @@ class QlogWriter:
 
         The exposure draw happens before the ``record_events`` check:
         the rng is shared with the endpoint, so a non-recording writer
-        must consume exactly the same samples as a recording one.
+        must consume exactly the same samples as a recording one. The
+        event itself is built only when it is kept.
         """
         if self._rng.random() > self.policy.metrics_exposure:
             self._suppressed_metrics += 1
@@ -87,46 +96,33 @@ class QlogWriter:
         if not self.record_events:
             return
         if not self.policy.logs_rtt_variance:
-            event = MetricsUpdated(
-                time_ms=event.time_ms,
-                category=event.category,
-                name=event.name,
-                smoothed_rtt_ms=event.smoothed_rtt_ms,
-                rtt_variance_ms=None,
-                latest_rtt_ms=event.latest_rtt_ms,
-                min_rtt_ms=event.min_rtt_ms,
-                pto_count=event.pto_count,
-            )
-        key = (event.smoothed_rtt_ms, event.rtt_variance_ms)
+            rtt_variance_ms = None
+        key = (smoothed_rtt_ms, rtt_variance_ms)
         if key == self._last_metrics_key:
             return
         self._last_metrics_key = key
-        self.events.append(self._stamp(event))
+        self.events.append(
+            MetricsUpdated(
+                self.policy.quantize(time_ms), EventCategory.RECOVERY, "metrics_updated",
+                {}, smoothed_rtt_ms, rtt_variance_ms, latest_rtt_ms, min_rtt_ms, pto_count,
+            )
+        )
+
+    def log_metrics(self, event: MetricsUpdated) -> None:
+        """:meth:`metrics_updated` with the values of a built event."""
+        self.metrics_updated(
+            event.time_ms, event.smoothed_rtt_ms, event.rtt_variance_ms,
+            event.latest_rtt_ms, event.min_rtt_ms, event.pto_count,
+        )
 
     def _stamp(self, event: QlogEvent) -> QlogEvent:
+        """``event`` at the policy's timestamp resolution. The endpoint
+        quantizes before it builds an event, so this copies only events
+        built elsewhere."""
         quantized = self.policy.quantize(event.time_ms)
         if quantized == event.time_ms:
             return event
-        if isinstance(event, PacketEvent):
-            return PacketEvent(
-                time_ms=quantized, category=event.category, name=event.name,
-                data=event.data, packet_type=event.packet_type,
-                packet_number=event.packet_number, space=event.space,
-                size=event.size, ack_eliciting=event.ack_eliciting,
-                frames=event.frames, newly_acked=event.newly_acked,
-            )
-        if isinstance(event, MetricsUpdated):
-            return MetricsUpdated(
-                time_ms=quantized, category=event.category, name=event.name,
-                data=event.data, smoothed_rtt_ms=event.smoothed_rtt_ms,
-                rtt_variance_ms=event.rtt_variance_ms,
-                latest_rtt_ms=event.latest_rtt_ms, min_rtt_ms=event.min_rtt_ms,
-                pto_count=event.pto_count,
-            )
-        return QlogEvent(
-            time_ms=quantized, category=event.category, name=event.name,
-            data=event.data,
-        )
+        return replace(event, time_ms=quantized)
 
     @property
     def suppressed_metrics(self) -> int:

@@ -43,6 +43,7 @@ class ClientConnection(Endpoint):
         name: str = "client",
         draws=None,
         recovery_profile=None,
+        recovery_config=None,
     ):
         super().__init__(
             loop,
@@ -52,6 +53,7 @@ class ClientConnection(Endpoint):
             name=name,
             draws=draws,
             recovery_profile=recovery_profile,
+            recovery_config=recovery_config,
         )
         if not profile.supports_http3 and http.name == "http/3":
             raise ValueError(f"{profile.name} does not implement HTTP/3")

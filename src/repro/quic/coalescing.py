@@ -15,20 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
-from repro.quic.frames import PaddingFrame
+from repro.quic.frames import CryptoFrame, PaddingFrame
 from repro.quic.packet import INITIAL_MIN_DATAGRAM, Packet, PacketType
 
 #: Maximum UDP payload used by the testbed endpoints.
 MAX_DATAGRAM_SIZE = 1200
-
-#: RFC 9000 §12.2 coalescing order ranks (Retry shares the Initial
-#: encryption level for ordering purposes).
-_COALESCE_RANK = {
-    PacketType.INITIAL: 0,
-    PacketType.HANDSHAKE: 1,
-    PacketType.ONE_RTT: 2,
-    PacketType.RETRY: 0,
-}
 
 
 @dataclass(slots=True)
@@ -37,7 +28,8 @@ class Datagram:
 
     packets: Tuple[Packet, ...]
     sender: str = ""
-    _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    # Slot names are pickle format (see Packet); read ``_size`` as ``size``.
+    _size: int = field(init=False, repr=False, compare=False)
     _contains_crypto: Optional[bool] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -45,27 +37,22 @@ class Datagram:
     def __post_init__(self) -> None:
         if not self.packets:
             raise ValueError("datagram must contain at least one packet")
-        self.packets = tuple(self.packets)
-        self._validate_order()
+        packets = self.packets = tuple(self.packets)
+        if len(packets) > 1:
+            self._validate_order()
+        size = 0
+        for packet in packets:
+            size += packet.size
+        self._size = size
 
     def _validate_order(self) -> None:
         """RFC 9000 §12.2: packet with short header must come last, and
         encryption-level order must be non-decreasing."""
-        if len(self.packets) == 1:
-            return
-        order = [_COALESCE_RANK[p.packet_type] for p in self.packets]
+        order = [p.space for p in self.packets]
         if order != sorted(order):
             raise ValueError(
                 "coalesced packets must be ordered Initial < Handshake < 1-RTT"
             )
-
-    @property
-    def size(self) -> int:
-        cached = self._size
-        if cached is None:
-            cached = sum(packet.wire_size() for packet in self.packets)
-            self._size = cached
-        return cached
 
     @property
     def ack_eliciting(self) -> bool:
@@ -80,12 +67,18 @@ class Datagram:
         ACK–ServerHello flights."""
         cached = self._contains_crypto
         if cached is None:
-            cached = any(p.crypto_frames() for p in self.packets)
-            self._contains_crypto = cached
+            cached = self._contains_crypto = any(
+                type(frame) is CryptoFrame
+                for packet in self.packets
+                for frame in packet.frames
+            )
         return cached
 
     def describe(self) -> str:
         return " | ".join(packet.describe() for packet in self.packets)
+
+
+Datagram.size = Datagram._size  # type: ignore[attr-defined]
 
 
 def pad_packet_to(packet: Packet, target_payload_increase: int) -> Packet:
@@ -110,7 +103,7 @@ def pad_initial(packets: List[Packet], minimum: int = INITIAL_MIN_DATAGRAM) -> L
     packets to at least 1200 bytes. Padding is added to the *last*
     packet in the datagram (common implementation behavior).
     """
-    total = sum(p.wire_size() for p in packets)
+    total = sum(p.size for p in packets)
     deficit = minimum - total
     if deficit <= 0:
         return list(packets)
@@ -119,28 +112,38 @@ def pad_initial(packets: List[Packet], minimum: int = INITIAL_MIN_DATAGRAM) -> L
     return padded
 
 
-def coalesce(
-    packets: Iterable[Packet],
-    max_datagram_size: int = MAX_DATAGRAM_SIZE,
-    sender: str = "",
-) -> List[Datagram]:
-    """Greedily pack packets into datagrams of at most ``max_datagram_size``.
+def coalesce_groups(
+    packets: Iterable[Packet], max_datagram_size: int = MAX_DATAGRAM_SIZE
+) -> List[List[Packet]]:
+    """Greedily pack packets into groups of at most ``max_datagram_size``
+    bytes, one group per future datagram.
 
-    Packets larger than the limit get a datagram of their own (the
+    Packets larger than the limit get a group of their own (the
     simulation treats path MTU as not enforced for such packets, which
     does not occur with the default frame sizing).
     """
-    datagrams: List[Datagram] = []
+    groups: List[List[Packet]] = []
     current: List[Packet] = []
     current_size = 0
     for packet in packets:
-        size = packet.wire_size()
+        size = packet.size
         if current and current_size + size > max_datagram_size:
-            datagrams.append(Datagram(packets=tuple(current), sender=sender))
+            groups.append(current)
             current = []
             current_size = 0
         current.append(packet)
         current_size += size
     if current:
-        datagrams.append(Datagram(packets=tuple(current), sender=sender))
-    return datagrams
+        groups.append(current)
+    return groups
+
+
+def coalesce(
+    packets: Iterable[Packet],
+    max_datagram_size: int = MAX_DATAGRAM_SIZE,
+    sender: str = "",
+) -> List[Datagram]:
+    """:func:`coalesce_groups`, each group built into a :class:`Datagram`."""
+    return [
+        Datagram(group, sender) for group in coalesce_groups(packets, max_datagram_size)
+    ]

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.impls.profile import ImplProfile
-from repro.qlog.events import EventCategory, MetricsUpdated, PacketEvent
+from repro.qlog.events import EventCategory, PacketEvent
 from repro.qlog.writer import QlogWriter
 from repro.quic.cc import make_controller
 from repro.quic.cid import CidRegistry
-from repro.quic.coalescing import Datagram, coalesce, pad_initial
+from repro.quic.coalescing import Datagram, coalesce_groups, pad_initial
 from repro.quic.frames import (
     AckFrame,
     ConnectionCloseFrame,
@@ -29,7 +29,6 @@ from repro.quic.frames import (
     HandshakeDoneFrame,
     NewConnectionIdFrame,
     PingFrame,
-    RetireConnectionIdFrame,
     StreamFrame,
 )
 from repro.quic.packet import INITIAL_MIN_DATAGRAM, Packet, PacketType, Space
@@ -40,11 +39,9 @@ from repro.quic.tls import CryptoReceiveBuffer, CryptoSendBuffer
 from repro.sim.draws import BehaviorDraws, RngDraws
 from repro.sim.engine import EventLoop, Timer
 
-_SPACE_TO_TYPE = {
-    Space.INITIAL: PacketType.INITIAL,
-    Space.HANDSHAKE: PacketType.HANDSHAKE,
-    Space.APPLICATION: PacketType.ONE_RTT,
-}
+#: Indexed by Space: the packet type and the qlog name of each space.
+_SPACE_TO_TYPE = (PacketType.INITIAL, PacketType.HANDSHAKE, PacketType.ONE_RTT)
+_SPACE_NAMES = ("initial", "handshake", "application")
 
 #: Abort the connection after this many consecutive PTOs (safety net;
 #: real stacks use an idle timeout).
@@ -169,10 +166,30 @@ class _AckSpaceState:
 
 
 
+def recovery_config_for(
+    profile: ImplProfile, recovery_profile: RecoveryProfile
+) -> RecoveryConfig:
+    """The :class:`RecoveryConfig` an implementation profile and a
+    recovery-lab profile resolve to (immutable in use, so shareable)."""
+    return RecoveryConfig(
+        default_pto_ms=profile.default_pto_ms,
+        max_ack_delay_ms=profile.max_ack_delay_ms,
+        rtt_variant=profile.rtt_variant,
+        use_initial_ack_rtt_sample=profile.use_initial_ack_rtt_sample,
+        anti_deadlock_probe_from_sent_time=profile.anti_deadlock_probe_from_sent_time,
+        misinit_srtt_probability=profile.misinit_srtt_probability,
+        misinit_srtt_ms=profile.misinit_srtt_ms,
+        loss_detector=recovery_profile.loss_detector,
+    )
+
+
 class Endpoint:
     """Base class for :class:`ClientConnection` / :class:`ServerConnection`."""
 
     is_client: bool = True
+    #: A client never validates the server's address; the server flips
+    #: this on the first Handshake packet (RFC 9000 §8.1).
+    _peer_validated: bool = True
 
     def __init__(
         self,
@@ -183,6 +200,7 @@ class Endpoint:
         name: str = "endpoint",
         draws: Optional[BehaviorDraws] = None,
         recovery_profile: Optional[RecoveryProfile] = None,
+        recovery_config: Optional[RecoveryConfig] = None,
     ):
         self.loop = loop
         self.profile = profile
@@ -202,21 +220,12 @@ class Endpoint:
         #: Hoisted qlog retention flag — consulted per packet on both
         #: the send and receive paths.
         self._qlog_record = self.qlog.record_events
+        # Callers that build many endpoints pass the (shareable) config
+        # these two profiles resolve to instead of rebuilding it.
+        if recovery_config is None:
+            recovery_config = recovery_config_for(profile, self.recovery_profile)
         self.recovery = Recovery(
-            RecoveryConfig(
-                default_pto_ms=profile.default_pto_ms,
-                max_ack_delay_ms=profile.max_ack_delay_ms,
-                rtt_variant=profile.rtt_variant,
-                use_initial_ack_rtt_sample=profile.use_initial_ack_rtt_sample,
-                anti_deadlock_probe_from_sent_time=(
-                    profile.anti_deadlock_probe_from_sent_time
-                ),
-                misinit_srtt_probability=profile.misinit_srtt_probability,
-                misinit_srtt_ms=profile.misinit_srtt_ms,
-                loss_detector=self.recovery_profile.loss_detector,
-            ),
-            rng=self.draws.misinit_rng(),
-            is_client=self.is_client,
+            recovery_config, rng=self.draws.misinit_rng(), is_client=self.is_client
         )
         self.cc = make_controller(self.recovery_profile.cc)
         self._ack_policy = self.recovery_profile.make_ack_policy()
@@ -236,9 +245,8 @@ class Endpoint:
             Space.INITIAL: None,
             Space.HANDSHAKE: None,
         }
-        self._ack_state: Dict[Space, _AckSpaceState] = {
-            space: _AckSpaceState() for space in Space
-        }
+        #: Indexed by Space.
+        self._ack_state: List[_AckSpaceState] = [_AckSpaceState() for _ in Space]
         self.stats = ConnectionStats(start_ms=loop.now)
         self.transmit: Optional[Callable[[Datagram, int], None]] = None
         self.closed = False
@@ -257,6 +265,8 @@ class Endpoint:
         #: explicit re-arm) is running, sends skip the per-call loss
         #: timer re-arm — the pass re-arms once at its end.
         self._suspend_rearm = False
+        #: ``recovery.state_version`` at the last loss-timer re-arm.
+        self._armed_version = -1
         self._has_handshake_keys = not self.is_client
         self._has_app_keys = not self.is_client
         self.handshake_complete = False
@@ -284,16 +294,16 @@ class Endpoint:
         if self.closed:
             return
         self.stats.datagrams_received += 1
-        self._on_datagram_arrival(dgram)
-        delay = self._processing_delay(dgram)
-        start = max(self.loop.now, self._busy_until_ms) + delay
+        if self._crypto_penalty_paid or not self.is_client:
+            delay = self.profile.base_processing_ms
+        else:
+            delay = self._processing_delay(dgram)
+        now = self.loop.now
+        busy = self._busy_until_ms
+        start = (now if now > busy else busy) + delay
         self._busy_until_ms = start
         self._datagrams_queued += 1
-        self.loop.call_at(start, self._process_datagram, dgram)
-
-    def _on_datagram_arrival(self, dgram: Datagram) -> None:
-        """Hook at wire-arrival time (before processing delay); the
-        server credits its amplification budget here."""
+        self.loop.post_at(start, self._process_datagram, dgram)
 
     def _processing_delay(self, dgram: Datagram) -> float:
         """Client stacks take measurably longer to process a datagram
@@ -302,8 +312,8 @@ class Endpoint:
         first RTT sample under WFC."""
         if (
             self.is_client
-            and dgram.contains_crypto()
             and not self._crypto_penalty_paid
+            and dgram.contains_crypto()
         ):
             self._crypto_penalty_paid = True
             jitter = self.draws.penalty_jitter(self.profile.penalty_jitter_ms)
@@ -311,17 +321,19 @@ class Endpoint:
         return self.profile.base_processing_ms
 
     def _process_datagram(self, dgram: Datagram) -> None:
-        self._datagrams_queued = max(0, self._datagrams_queued - 1)
+        if self._datagrams_queued > 0:
+            self._datagrams_queued -= 1
         if self.closed:
             return
-        if self._should_drop_invalid(dgram):
+        if self.profile.drops_ping_ack_coalesced and self._should_drop_invalid(dgram):
             self.stats.invalid_drops += 1
             return
         self._suspend_rearm = True
         try:
             for packet in dgram.packets:
                 self._process_packet(packet, dgram)
-            self._drain_pending()
+            if self._pending_packets:
+                self._drain_pending()
             self.after_datagram(dgram)
             self._maybe_send_acks()
         finally:
@@ -331,8 +343,6 @@ class Endpoint:
     def _should_drop_invalid(self, dgram: Datagram) -> bool:
         """quiche quirk (§4.1): replies to PING frames are dropped as
         invalid — together with any packets coalesced with them."""
-        if not self.profile.drops_ping_ack_coalesced:
-            return False
         for packet in dgram.packets:
             if packet.packet_type is not PacketType.INITIAL:
                 continue
@@ -351,98 +361,88 @@ class Endpoint:
         return False
 
     def _keys_available(self, packet: Packet) -> bool:
+        """Servers defer 1-RTT processing until the handshake is
+        complete (client Finished verified)."""
         if packet.packet_type is PacketType.HANDSHAKE:
             return self._has_handshake_keys
         if packet.packet_type is PacketType.ONE_RTT:
-            return self._has_app_keys and self._can_process_app()
+            return self._has_app_keys and (self.is_client or self.handshake_complete)
         return True
 
-    def _can_process_app(self) -> bool:
-        """Servers defer 1-RTT processing until the handshake is
-        complete (client Finished verified)."""
-        return self.is_client or self.handshake_complete
-
     def _drain_pending(self) -> None:
-        if not self._pending_packets:
-            return
         still_pending: List[Packet] = []
         for packet in self._pending_packets:
             if self._keys_available(packet):
-                self._process_packet(packet, None, buffered=True)
+                self._process_packet(packet, None)
             else:
                 still_pending.append(packet)
         self._pending_packets = still_pending
 
-    def _process_packet(
-        self,
-        packet: Packet,
-        dgram: Optional[Datagram],
-        buffered: bool = False,
-    ) -> None:
+    def _process_packet(self, packet: Packet, dgram: Optional[Datagram]) -> None:
         space = packet.space
+        if space is Space.HANDSHAKE and not self._peer_validated:
+            self._on_peer_validated()
         if self.recovery.spaces[space].discarded:
             return
-        if not self._keys_available(packet):
+        if space is not Space.INITIAL and not self._keys_available(packet):
             self._pending_packets.append(packet)
             return
+        now = self.loop.now
         ack_state = self._ack_state[space]
         ack_state.received_pns.add(packet.packet_number)
         if packet.ack_eliciting:
             ack_state.needs_ack = True
             ack_state.eliciting_since_ack += 1
             if ack_state.oldest_unacked_ms is None:
-                ack_state.oldest_unacked_ms = self.loop.now
+                ack_state.oldest_unacked_ms = now
+        record = self._qlog_record
+        first_ack: Optional[AckFrame] = None
         newly_acked: List[int] = []
         for frame in packet.frames:
-            if isinstance(frame, AckFrame):
-                acked = self._handle_ack(space, frame)
-                newly_acked.extend(acked)
-            elif isinstance(frame, CryptoFrame):
-                self._handle_crypto(space, frame, dgram)
-            elif isinstance(frame, StreamFrame):
+            kind = type(frame)
+            if kind is StreamFrame:
                 self._handle_stream(frame)
-            elif isinstance(frame, HandshakeDoneFrame):
+            elif kind is AckFrame:
+                if first_ack is None:
+                    first_ack = frame
+                acked = self._handle_ack(space, frame)
+                if record:
+                    newly_acked.extend(sp.packet_number for sp in acked)
+            elif kind is CryptoFrame:
+                self._handle_crypto(space, frame)
+            elif kind is HandshakeDoneFrame:
                 self.on_handshake_done()
-            elif isinstance(frame, NewConnectionIdFrame):
+            elif kind is NewConnectionIdFrame:
                 self._handle_new_cid(frame)
-            elif isinstance(frame, RetireConnectionIdFrame):
-                pass  # peer retired one of our CIDs; nothing to do
-            elif isinstance(frame, ConnectionCloseFrame):
+            elif kind is ConnectionCloseFrame:
                 self.abort(f"peer closed: {frame.reason}")
                 return
-        self._record_first_ack(packet, dgram)
-        if not self._qlog_record:
+            # PING, PADDING, MAX_DATA, RETIRE_CONNECTION_ID: nothing to do.
+        if first_ack is not None and self.stats.first_ack_received_ms is None:
+            self.stats.first_ack_received_ms = now
+            self.stats.first_ack_coalesced_with_sh = (
+                dgram is not None and dgram.contains_crypto()
+            )
+        if not record:
             return
         extra_data = {}
-        acks = packet.ack_frames()
-        if acks:
-            extra_data["first_ack_delay_ms"] = acks[0].ack_delay_ms
+        if first_ack is not None:
+            extra_data["first_ack_delay_ms"] = first_ack.ack_delay_ms
         self.qlog.log_packet(
             PacketEvent(
-                time_ms=self.loop.now,
-                category=EventCategory.TRANSPORT,
-                name="packet_received",
-                data=extra_data,
-                packet_type=packet.packet_type.value,
-                packet_number=packet.packet_number,
-                space=space.name.lower(),
-                size=packet.wire_size(),
-                ack_eliciting=packet.ack_eliciting,
-                frames=tuple(f.describe() for f in packet.frames),
-                newly_acked=tuple(newly_acked),
+                self.qlog.policy.quantize(now),
+                EventCategory.TRANSPORT,
+                "packet_received",
+                extra_data,
+                packet.packet_type.value,
+                packet.packet_number,
+                _SPACE_NAMES[space],
+                packet.size,
+                packet.ack_eliciting,
+                tuple(f.describe() for f in packet.frames),
+                tuple(newly_acked),
             )
         )
-
-    def _record_first_ack(self, packet: Packet, dgram: Optional[Datagram]) -> None:
-        if self.stats.first_ack_received_ms is not None:
-            return
-        if not packet.ack_frames():
-            return
-        self.stats.first_ack_received_ms = self.loop.now
-        coalesced = False
-        if dgram is not None:
-            coalesced = dgram.contains_crypto()
-        self.stats.first_ack_coalesced_with_sh = coalesced
 
     def _handle_new_cid(self, frame: NewConnectionIdFrame) -> None:
         self.cids.register(frame.sequence, frame.connection_id)
@@ -459,41 +459,37 @@ class Endpoint:
 
     # -- ACK processing -------------------------------------------------
 
-    def _handle_ack(self, space: Space, ack: AckFrame) -> List[int]:
-        result = self.recovery.on_ack_received(space, ack, self.loop.now)
+    def _handle_ack(self, space: Space, ack: AckFrame) -> List[SentPacket]:
+        """Process one ACK frame; returns the packets it newly acked."""
+        now = self.loop.now
+        recovery = self.recovery
+        result = recovery.on_ack_received(space, ack, now)
         for sp in result.newly_acked:
             if sp.in_flight:
-                self.cc.on_packet_acked(sp.size, sp.time_sent_ms, now_ms=self.loop.now)
+                self.cc.on_packet_acked(sp.size, sp.time_sent_ms, now_ms=now)
             self._mark_frames_acked(space, sp)
         if result.rtt_sample_ms is not None:
             if self.stats.first_rtt_sample_ms is None:
                 self.stats.first_rtt_sample_ms = result.rtt_sample_ms
-                self.stats.first_pto_ms = self.recovery.pto_for_space(space)
-            est = self.recovery.estimator
-            self.qlog.log_metrics(
-                MetricsUpdated(
-                    time_ms=self.loop.now,
-                    category=EventCategory.RECOVERY,
-                    name="metrics_updated",
-                    smoothed_rtt_ms=est.smoothed_rtt,
-                    rtt_variance_ms=est.rttvar,
-                    latest_rtt_ms=est.latest_rtt,
-                    min_rtt_ms=est.min_rtt,
-                    pto_count=self.recovery.pto_count,
-                )
+                self.stats.first_pto_ms = recovery.pto_for_space(space)
+            est = recovery.estimator
+            self.qlog.metrics_updated(
+                now, est.smoothed_rtt, est.rttvar, est.latest_rtt, est.min_rtt,
+                recovery.pto_count,
             )
         if result.lost:
             self._on_packets_lost(space, result.lost)
-        return [sp.packet_number for sp in result.newly_acked]
+        return result.newly_acked
 
     def _mark_frames_acked(self, space: Space, sp: SentPacket) -> None:
         for frame in sp.packet.frames:
-            if isinstance(frame, CryptoFrame) and space in self.crypto_send:
-                self.crypto_send[space].mark_acked(frame.offset, frame.end)
-            elif isinstance(frame, StreamFrame):
+            kind = type(frame)
+            if kind is StreamFrame:
                 send_stream = self.streams.send.get(frame.stream_id)
                 if send_stream is not None:
                     send_stream.mark_acked(frame.offset, frame.length, frame.fin)
+            elif kind is CryptoFrame and space in self.crypto_send:
+                self.crypto_send[space].mark_acked(frame.offset, frame.end)
 
     def _on_packets_lost(self, space: Space, lost: List[SentPacket]) -> None:
         total = sum(sp.size for sp in lost if sp.in_flight or sp.declared_lost)
@@ -535,9 +531,7 @@ class Endpoint:
 
     # -- CRYPTO / STREAM handling ----------------------------------------
 
-    def _handle_crypto(
-        self, space: Space, frame: CryptoFrame, dgram: Optional[Datagram]
-    ) -> None:
+    def _handle_crypto(self, space: Space, frame: CryptoFrame) -> None:
         if space not in self.crypto_recv:
             return
         if frame.stream_total:
@@ -546,16 +540,15 @@ class Endpoint:
         self.on_crypto_progress(space)
 
     def _handle_stream(self, frame: StreamFrame) -> None:
+        now = self.loop.now
         stream = self.streams.get_recv(frame.stream_id)
-        stream.receive(frame.offset, frame.length, frame.fin, self.loop.now)
-        if frame.length > 0 and self.stats.ttfb_ms is None:
-            self.stats.ttfb_ms = self.loop.now
-        if (
-            frame.length > 0
-            and frame.stream_id == 0
-            and self.stats.response_ttfb_ms is None
-        ):
-            self.stats.response_ttfb_ms = self.loop.now
+        stream.receive(frame.offset, frame.length, frame.fin, now)
+        if frame.length > 0:
+            stats = self.stats
+            if stats.ttfb_ms is None:
+                stats.ttfb_ms = now
+            if frame.stream_id == 0 and stats.response_ttfb_ms is None:
+                stats.response_ttfb_ms = now
         self.on_stream_data(frame)
 
     # ------------------------------------------------------------------
@@ -570,6 +563,9 @@ class Endpoint:
 
     def on_handshake_done(self) -> None:
         """HANDSHAKE_DONE processing (client overrides)."""
+
+    def _on_peer_validated(self) -> None:  # pragma: no cover
+        raise NotImplementedError
 
     def after_datagram(self, dgram: Datagram) -> None:
         """Called after all packets of a datagram were processed."""
@@ -593,19 +589,13 @@ class Endpoint:
             delay = ack_delay_ms
             if delay is None:
                 delay = self._ack_delay_for(space)
-            ack = AckFrame(
-                ranges=ack_state.received_pns.ranges_descending(),
-                ack_delay_ms=delay,
-            )
+            ack = AckFrame(ack_state.received_pns.ranges_descending(), delay)
             all_frames = (ack,) + all_frames
             ack_state.needs_ack = False
             ack_state.eliciting_since_ack = 0
             ack_state.oldest_unacked_ms = None
-        pn = self.recovery.next_packet_number(space)
         return Packet(
-            packet_type=_SPACE_TO_TYPE[space],
-            packet_number=pn,
-            frames=all_frames,
+            _SPACE_TO_TYPE[space], self.recovery.next_packet_number(space), all_frames
         )
 
     def _ack_delay_for(self, space: Space) -> float:
@@ -654,21 +644,22 @@ class Endpoint:
         explicit grouping (used for the profile-specific second client
         flight split).
         """
-        if not packets and not group_into_datagrams:
-            return
         if group_into_datagrams is not None:
             groups = group_into_datagrams
+        elif packets:
+            groups = coalesce_groups(packets)
         else:
-            groups = [list(d.packets) for d in coalesce(packets, sender=self.name)]
+            return
         for group in groups:
-            if self.is_client and any(
-                p.packet_type is PacketType.INITIAL for p in group
-            ):
+            if self.is_client:
+                # Coalescing order puts an Initial packet first, so
+                # "contains an Initial" reads one packet.
+                pad = group[0].packet_type is PacketType.INITIAL
+            else:
+                pad = self._pad_server_datagram(group)
+            if pad:
                 group = pad_initial(group, INITIAL_MIN_DATAGRAM)
-            elif not self.is_client and self._pad_server_datagram(group):
-                group = pad_initial(group, INITIAL_MIN_DATAGRAM)
-            dgram = Datagram(packets=tuple(group), sender=self.name)
-            self._send_datagram(dgram, is_probe=is_probe)
+            self._send_datagram(Datagram(group, self.name), is_probe)
         if not self._suspend_rearm:
             self._rearm_loss_timer()
 
@@ -677,45 +668,37 @@ class Endpoint:
         return False
 
     def _send_datagram(self, dgram: Datagram, is_probe: bool = False) -> None:
-        if self.transmit is None:
+        transmit = self.transmit
+        if transmit is None:
             raise RuntimeError(f"{self.name}: transport not attached")
-        size = dgram.size
-        if not self._may_send_now(size, dgram, is_probe):
-            return
+        now = self.loop.now
+        recovery = self.recovery
+        cc = self.cc
         for packet in dgram.packets:
-            self.recovery.on_packet_sent(
-                packet, self.loop.now, packet.wire_size(), in_flight=True,
-                is_probe=is_probe,
-            )
-            self.cc.on_packet_sent(packet.wire_size())
+            size = packet.size
+            recovery.on_packet_sent(packet, now, size, True, is_probe)
+            cc.on_packet_sent(size)
             if is_probe and packet.packet_type is PacketType.INITIAL and any(
-                isinstance(f, PingFrame) for f in packet.frames
+                type(f) is PingFrame for f in packet.frames
             ):
                 self._initial_ping_pns.setdefault(packet.packet_number, False)
             if self._qlog_record:
                 self.qlog.log_packet(
                     PacketEvent(
-                        time_ms=self.loop.now,
-                        category=EventCategory.TRANSPORT,
-                        name="packet_sent",
-                        packet_type=packet.packet_type.value,
-                        packet_number=packet.packet_number,
-                        space=packet.space.name.lower(),
-                        size=packet.wire_size(),
-                        ack_eliciting=packet.ack_eliciting,
-                        frames=tuple(f.describe() for f in packet.frames),
+                        self.qlog.policy.quantize(now),
+                        EventCategory.TRANSPORT,
+                        "packet_sent",
+                        {},
+                        packet.packet_type.value,
+                        packet.packet_number,
+                        _SPACE_NAMES[packet.space],
+                        size,
+                        packet.ack_eliciting,
+                        tuple(f.describe() for f in packet.frames),
                     )
                 )
         self.stats.datagrams_sent += 1
-        self._note_datagram_sent(size)
-        self.transmit(dgram, size)
-
-    def _may_send_now(self, size: int, dgram: Datagram, is_probe: bool) -> bool:
-        """Amplification gate (server overrides)."""
-        return True
-
-    def _note_datagram_sent(self, size: int) -> None:
-        """Post-send accounting hook (server tracks amplification)."""
+        transmit(dgram, dgram.size)
 
     # ------------------------------------------------------------------
     # acknowledgment policy
@@ -724,6 +707,24 @@ class Endpoint:
     def _maybe_send_acks(self) -> None:
         if self.closed:
             return
+        ack_state = self._ack_state
+        if ack_state[Space.INITIAL].needs_ack or ack_state[Space.HANDSHAKE].needs_ack:
+            self._send_handshake_acks()
+        app_state = ack_state[Space.APPLICATION]
+        if app_state.needs_ack and self._has_app_keys:
+            # The ack policy strategy decides the cadence; the default
+            # policy reads it straight off the ImplProfile.
+            if app_state.eliciting_since_ack >= self._ack_policy.ack_every_n(
+                self.profile
+            ):
+                self._send_app_ack()
+            elif self._ack_timer is None:
+                self._ack_timer = self.loop.call_later(
+                    self._ack_policy.max_ack_delay_ms(self.profile),
+                    self._on_ack_timer,
+                )
+
+    def _send_handshake_acks(self) -> None:
         ack_packets: List[Packet] = []
         for space in (Space.INITIAL, Space.HANDSHAKE):
             state = self._ack_state[space]
@@ -743,19 +744,6 @@ class Endpoint:
         if ack_packets:
             # Initial + Handshake acks ride in one (padded) datagram.
             self.send_packets(ack_packets)
-        app_state = self._ack_state[Space.APPLICATION]
-        if app_state.needs_ack and self._has_app_keys:
-            # The ack policy strategy decides the cadence; the default
-            # policy reads it straight off the ImplProfile.
-            if app_state.eliciting_since_ack >= self._ack_policy.ack_every_n(
-                self.profile
-            ):
-                self._send_app_ack()
-            elif self._ack_timer is None:
-                self._ack_timer = self.loop.call_later(
-                    self._ack_policy.max_ack_delay_ms(self.profile),
-                    self._on_ack_timer,
-                )
 
     def _suppress_immediate_ack(self, space: Space) -> bool:
         """Server hook: the WFC server withholds its Initial ACK until
@@ -785,15 +773,26 @@ class Endpoint:
     def _rearm_loss_timer(self) -> None:
         if self.closed:
             return
-        deadline = self.recovery.loss_detection_deadline(self.loop.now)
+        recovery = self.recovery
+        if recovery.state_version == self._armed_version:
+            # Nothing the deadline depends on changed since the last
+            # re-arm: it is where it was, or (the anti-deadlock PTO
+            # clamps against ``now``) later, and either way the armed
+            # timer already fires at or before it.
+            return
+        now = self.loop.now
+        deadline = recovery.loss_detection_deadline(now)
+        self._armed_version = recovery.state_version
         timer = self._loss_timer
         if deadline is None:
             if timer is not None:
                 timer.cancel()
                 self._loss_timer = None
             return
-        when = max(deadline[0], self.loop.now)
-        if timer is not None and not timer.cancelled:
+        when = deadline[0]
+        if when < now:
+            when = now
+        if timer is not None:
             if timer.when <= when:
                 # The armed timer fires at or before the new deadline;
                 # keep it — :meth:`_on_loss_timer` re-checks the actual
@@ -806,20 +805,22 @@ class Endpoint:
 
     def _on_loss_timer(self) -> None:
         self._loss_timer = None
+        self._armed_version = -1
         if self.closed:
             return
-        deadline = self.recovery.loss_detection_deadline(self.loop.now)
+        now = self.loop.now
+        deadline = self.recovery.loss_detection_deadline(now)
         if deadline is None:
             return
         when, space, kind = deadline
-        if when > self.loop.now + 1e-6:
+        if when > now + 1e-6:
             self._rearm_loss_timer()
             return
         self._suspend_rearm = True
         try:
             if kind == "loss":
                 lost_by_space: Dict[Space, List[SentPacket]] = {}
-                for sp_space, sp in self.recovery.detect_lost_on_timer(self.loop.now):
+                for sp_space, sp in self.recovery.detect_lost_on_timer(now):
                     lost_by_space.setdefault(sp_space, []).append(sp)
                 for sp_space, lost in lost_by_space.items():
                     self._on_packets_lost(sp_space, lost)

@@ -6,7 +6,7 @@ and a human-readable ``label`` describing the simulated content (e.g.
 ``"SH"`` for the TLS ServerHello); encoded payload bytes are zeros,
 since only sizes and ordering affect handshake timing.
 
-The ``ack_eliciting`` property implements RFC 9002 §2: all frames other
+The ``ack_eliciting`` class attribute implements RFC 9002 §2: all frames other
 than ACK, PADDING, and CONNECTION_CLOSE are ack-eliciting. This single
 property is the root cause of the paper's Figure 6 result — an instant
 ACK elicits no acknowledgment, so the *server* never obtains an RTT
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.quic.varint import decode_varint, encode_varint, varint_size
+from repro.sim.trace import precomputed_state
 
 # Frame type identifiers from RFC 9000 §19.
 TYPE_PADDING = 0x00
@@ -45,10 +46,8 @@ class FrameDecodeError(ValueError):
 class Frame:
     """Base class for all frames."""
 
-    @property
-    def ack_eliciting(self) -> bool:
-        """RFC 9002 §2: everything but ACK, PADDING, CONNECTION_CLOSE."""
-        return True
+    #: RFC 9002 §2: everything but ACK, PADDING, CONNECTION_CLOSE.
+    ack_eliciting = True
 
     def wire_size(self) -> int:
         raise NotImplementedError
@@ -65,15 +64,13 @@ class PaddingFrame(Frame):
     """A run of PADDING bytes (each padding byte is its own frame on
     the wire; we aggregate a run into one object)."""
 
+    ack_eliciting = False
+
     length: int = 1
 
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError(f"padding length must be >= 1, got {self.length}")
-
-    @property
-    def ack_eliciting(self) -> bool:
-        return False
 
     def wire_size(self) -> int:
         return self.length
@@ -108,6 +105,8 @@ class AckFrame(Frame):
     largest acknowledged packet number.
     """
 
+    ack_eliciting = False
+
     ranges: Tuple[Tuple[int, int], ...]
     ack_delay_ms: float = 0.0
 
@@ -117,15 +116,12 @@ class AckFrame(Frame):
         for low, high in self.ranges:
             if low > high or low < 0:
                 raise ValueError(f"invalid ACK range ({low}, {high})")
-        highs = [high for _low, high in self.ranges]
-        if highs != sorted(highs, reverse=True):
-            raise ValueError("ACK ranges must be sorted descending")
+        if len(self.ranges) > 1:
+            highs = [high for _low, high in self.ranges]
+            if highs != sorted(highs, reverse=True):
+                raise ValueError("ACK ranges must be sorted descending")
         if self.ack_delay_ms < 0:
             raise ValueError("ack delay cannot be negative")
-
-    @property
-    def ack_eliciting(self) -> bool:
-        return False
 
     @property
     def largest_acked(self) -> int:
@@ -374,12 +370,10 @@ class RetireConnectionIdFrame(Frame):
 class ConnectionCloseFrame(Frame):
     """CONNECTION_CLOSE (§19.19, transport variant 0x1c)."""
 
+    ack_eliciting = False
+
     error_code: int = 0
     reason: str = ""
-
-    @property
-    def ack_eliciting(self) -> bool:
-        return False
 
     def wire_size(self) -> int:
         reason = self.reason.encode()
@@ -403,6 +397,13 @@ class ConnectionCloseFrame(Frame):
 
     def describe(self) -> str:
         return f"CONNECTION_CLOSE[{self.error_code} {self.reason!r}]"
+
+
+for _frame_class in (
+    PaddingFrame, PingFrame, AckFrame, CryptoFrame, StreamFrame, MaxDataFrame,
+    HandshakeDoneFrame, NewConnectionIdFrame, RetireConnectionIdFrame, ConnectionCloseFrame,
+):
+    precomputed_state(_frame_class)  # frames ride in every retained packet
 
 
 def decode_frames(data: bytes) -> List[Frame]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.quic.frames import AckFrame, CryptoFrame, Frame, StreamFrame
 from repro.quic.varint import varint_size
@@ -52,14 +52,21 @@ class PacketType(enum.Enum):
         raise ValueError("Retry packets carry no packet number")
 
 
+_INITIAL = PacketType.INITIAL
+_HANDSHAKE = PacketType.HANDSHAKE
+_ONE_RTT = PacketType.ONE_RTT
+
+
 @dataclass(slots=True)
 class Packet:
     """One QUIC packet: a type, a packet number, and frames.
 
     Frames are fixed after construction (padding helpers build new
-    packets), so the payload/header byte counts are computed once and
-    cached — ``wire_size()`` sits on the per-datagram hot path of both
-    the recovery bookkeeping and the link model.
+    packets), so everything derived from them — the packet number
+    space, ``ack_eliciting`` (RFC 9002 §2: any frame is) and the
+    header/payload/wire byte counts — is computed once, here, and read
+    as plain attributes (``space``, ``ack_eliciting``, ``size``) on the
+    per-datagram path of recovery, coalescing and the link model.
     """
 
     packet_type: PacketType
@@ -70,40 +77,55 @@ class Packet:
     token: bytes = b""
     #: Packet-number encoding length in bytes (1..4).
     pn_length: int = 2
-    _payload_size: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _header_size: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _ack_eliciting: Optional[bool] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _space: Space = field(default=Space.INITIAL, init=False, repr=False, compare=False)
-    _wire_size: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # Derived slots. Their names are part of the pickle format (the
+    # state of a non-frozen slots dataclass is keyed by slot name), so
+    # spill files, disk-cache entries and fleet frames written before
+    # they became eager keep loading; ``space``, ``ack_eliciting`` and
+    # ``size`` below the class are the public names for reading them.
+    _payload_size: int = field(init=False, repr=False, compare=False)
+    _header_size: int = field(init=False, repr=False, compare=False)
+    _ack_eliciting: bool = field(init=False, repr=False, compare=False)
+    _space: Space = field(init=False, repr=False, compare=False)
+    _wire_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.packet_number < 0:
             raise ValueError("packet number must be non-negative")
-        if not 1 <= self.pn_length <= 4:
+        pn_length = self.pn_length
+        if not 1 <= pn_length <= 4:
             raise ValueError("packet number length must be 1..4 bytes")
-        self.frames = tuple(self.frames)
-        self._space = self.packet_type.space
-
-    @property
-    def space(self) -> Space:
-        return self._space
-
-    @property
-    def ack_eliciting(self) -> bool:
-        """RFC 9002 §2: a packet is ack-eliciting if any frame is."""
-        cached = self._ack_eliciting
-        if cached is None:
-            cached = any(frame.ack_eliciting for frame in self.frames)
-            self._ack_eliciting = cached
-        return cached
+        frames = self.frames = tuple(self.frames)
+        # Long header (§17.2): first byte, version (4), DCID len + DCID,
+        # SCID len + SCID, [token length + token for Initial], length
+        # field (varint covering pn + payload + tag), packet number.
+        # Short header (§17.3): first byte, DCID, packet number.
+        # (Identity tests, not a dict: hashing an Enum member is a
+        # Python-level call.)
+        packet_type = self.packet_type
+        if packet_type is _ONE_RTT:
+            self._space = Space.APPLICATION
+            header = 1 + len(self.dcid)
+        elif packet_type is _HANDSHAKE:
+            self._space = Space.HANDSHAKE
+            header = 7 + len(self.dcid) + len(self.scid)
+        elif packet_type is _INITIAL:
+            self._space = Space.INITIAL
+            token = len(self.token)
+            header = 7 + len(self.dcid) + len(self.scid) + varint_size(token) + token
+        else:
+            raise ValueError("Retry packets carry no packet number")
+        payload = 0
+        eliciting = False
+        for frame in frames:
+            payload += frame.wire_size()
+            if frame.ack_eliciting:
+                eliciting = True
+        self._ack_eliciting = eliciting
+        self._payload_size = payload
+        if packet_type is not _ONE_RTT:
+            header += varint_size(pn_length + payload + AEAD_TAG_SIZE)
+        self._header_size = header = header + pn_length
+        self._wire_size = header + payload + AEAD_TAG_SIZE
 
     @property
     def is_long_header(self) -> bool:
@@ -111,42 +133,15 @@ class Packet:
                                     PacketType.RETRY)
 
     def payload_size(self) -> int:
-        size = self._payload_size
-        if size is None:
-            size = sum(frame.wire_size() for frame in self.frames)
-            self._payload_size = size
-        return size
+        return self._payload_size
 
     def header_size(self) -> int:
-        """Byte-accurate header size for this packet's shape.
-
-        Long header (§17.2): first byte, version (4), DCID len + DCID,
-        SCID len + SCID, [token length + token for Initial], length
-        field (varint covering pn + payload + tag), packet number.
-        Short header (§17.3): first byte, DCID, packet number.
-        """
-        cached = self._header_size
-        if cached is not None:
-            return cached
-        payload = self.payload_size()
-        if self.is_long_header:
-            size = 1 + 4 + 1 + len(self.dcid) + 1 + len(self.scid)
-            if self.packet_type is PacketType.INITIAL:
-                size += varint_size(len(self.token)) + len(self.token)
-            size += varint_size(self.pn_length + payload + AEAD_TAG_SIZE)
-            size += self.pn_length
-        else:
-            size = 1 + len(self.dcid) + self.pn_length
-        self._header_size = size
-        return size
+        """Byte-accurate header size for this packet's shape."""
+        return self._header_size
 
     def wire_size(self) -> int:
         """Total bytes this packet occupies in a datagram."""
-        size = self._wire_size
-        if size is None:
-            size = self.header_size() + self.payload_size() + AEAD_TAG_SIZE
-            self._wire_size = size
-        return size
+        return self._wire_size
 
     # -- content inspection helpers used by endpoints and analyses ----
 
@@ -178,6 +173,11 @@ class Packet:
             PacketType.RETRY: "Retry",
         }[self.packet_type]
         return f"{name}[{self.packet_number}]: {inner}"
+
+
+Packet.space = Packet._space  # type: ignore[attr-defined]
+Packet.ack_eliciting = Packet._ack_eliciting  # type: ignore[attr-defined]
+Packet.size = Packet._wire_size  # type: ignore[attr-defined]
 
 
 @dataclass(slots=True)

@@ -335,9 +335,6 @@ class SpaceState:
     #: maintained incrementally instead of scanning ``sent``.
     ack_eliciting_in_flight_count: int = 0
 
-    def ack_eliciting_in_flight(self) -> bool:
-        return self.ack_eliciting_in_flight_count > 0
-
 
 @dataclass(slots=True)
 class AckResult:
@@ -375,12 +372,12 @@ class Recovery:
         #: estimator version it was computed at.
         self._pto_cache: List[Tuple[int, float]] = [(-1, 0.0)] * 3
         #: Version of the recovery state that the loss/PTO deadline
-        #: depends on; bumped by every mutation. Timer re-arms between
-        #: mutations then reuse the memoized deadline.
-        self._state_version = 0
-        self._deadline_cache: Optional[
-            Tuple[int, Optional[Tuple[float, Space, str]]]
-        ] = None
+        #: depends on; bumped by every mutation. The endpoint skips its
+        #: timer re-arm while this stands still, and re-arms between
+        #: mutations reuse the memoized deadline.
+        self.state_version = 0
+        self._deadline_version = -1
+        self._deadline: Optional[Tuple[float, Space, str]] = None
         self.pto_count = 0
         #: Anchor for the anti-deadlock PTO: the last time the PTO
         #: machinery was "reset" (ack-eliciting send, forward-progress
@@ -415,24 +412,20 @@ class Recovery:
         state = self.spaces[packet.space]
         if state.discarded:
             raise RuntimeError(f"space {packet.space.name} already discarded")
+        ack_eliciting = packet.ack_eliciting
         sp = SentPacket(
-            packet_number=packet.packet_number,
-            time_sent_ms=now_ms,
-            ack_eliciting=packet.ack_eliciting,
-            in_flight=in_flight,
-            size=size,
-            packet=packet,
-            is_probe=is_probe,
+            packet.packet_number, now_ms, ack_eliciting, in_flight, size, packet, is_probe
         )
         state.sent[packet.packet_number] = sp
-        if packet.ack_eliciting:
+        if ack_eliciting:
             if in_flight:
                 state.ack_eliciting_in_flight_count += 1
             state.time_of_last_ack_eliciting_ms = now_ms
-            self.last_pto_reset_ms = max(self.last_pto_reset_ms, now_ms)
+            if now_ms > self.last_pto_reset_ms:
+                self.last_pto_reset_ms = now_ms
         if is_probe:
             self.probes_sent += 1
-        self._state_version += 1
+        self.state_version += 1
         return sp
 
     # ------------------------------------------------------------------
@@ -448,12 +441,13 @@ class Recovery:
         """Process an ACK frame received in ``space`` (RFC 9002 A.7)."""
         state = self.spaces[space]
         if state.discarded:
-            return AckResult(newly_acked=[], rtt_sample_ms=None, lost=[])
+            return AckResult([], None, [])
         newly_acked: List[SentPacket] = []
+        largest_sp: Optional[SentPacket] = None
+        any_eliciting = False
         sent = state.sent
         for low, high in ack.ranges:  # descending by high
-            span = high - low + 1
-            if span > len(sent):
+            if high - low + 1 > len(sent):
                 # Wide range over a small outstanding set (the common
                 # steady-state shape: every ACK re-covers the whole
                 # history): scan the sent map instead of the range.
@@ -463,23 +457,23 @@ class Recovery:
             else:
                 hits = [pn for pn in range(high, low - 1, -1) if pn in sent]
             for pn in hits:
-                sp = sent[pn]
+                sp = sent.pop(pn)
                 newly_acked.append(sp)
+                if largest_sp is None or pn > largest_sp.packet_number:
+                    largest_sp = sp
+                if sp.ack_eliciting:
+                    any_eliciting = True
                 if sp.declared_lost:
                     # The "lost" packet was delivered after all: the
                     # retransmission we triggered was spurious.
                     self.spurious_retransmissions += 1
                 elif sp.ack_eliciting and sp.in_flight:
                     state.ack_eliciting_in_flight_count -= 1
-                del sent[pn]
         rtt_sample: Optional[float] = None
-        if newly_acked:
-            largest_newly = max(sp.packet_number for sp in newly_acked)
+        if largest_sp is not None:
+            largest_newly = largest_sp.packet_number
             if state.largest_acked is None or largest_newly > state.largest_acked:
                 state.largest_acked = largest_newly
-                largest_sp = next(
-                    sp for sp in newly_acked if sp.packet_number == largest_newly
-                )
                 take_sample = largest_sp.ack_eliciting
                 if space is Space.INITIAL and not self.config.use_initial_ack_rtt_sample:
                     take_sample = False
@@ -491,15 +485,16 @@ class Recovery:
                         # §5.3 / paper Appendix D).
                         delay = 0.0 if space is Space.INITIAL else ack.ack_delay_ms
                         self.estimator.update(rtt_sample, ack_delay_ms=delay)
-            if any(sp.ack_eliciting for sp in newly_acked):
+            if any_eliciting:
                 # Reset backoff on forward progress (RFC 9002 §6.2.1;
                 # clients keep backoff until address validation is
                 # certain — simplified here as a plain reset).
                 self.pto_count = 0
-                self.last_pto_reset_ms = max(self.last_pto_reset_ms, now_ms)
+                if now_ms > self.last_pto_reset_ms:
+                    self.last_pto_reset_ms = now_ms
         lost = self._detect_lost(space, now_ms)
-        self._state_version += 1
-        return AckResult(newly_acked=newly_acked, rtt_sample_ms=rtt_sample, lost=lost)
+        self.state_version += 1
+        return AckResult(newly_acked, rtt_sample, lost)
 
     # ------------------------------------------------------------------
     # loss detection
@@ -519,21 +514,24 @@ class Recovery:
         """Packet- and time-threshold loss detection (RFC 9002 §6.1)."""
         state = self.spaces[space]
         state.loss_time_ms = None
-        if state.largest_acked is None:
+        largest_acked = state.largest_acked
+        if largest_acked is None:
             return []
         lost: List[SentPacket] = []
-        loss_delay = self._loss_delay_ms()
+        loss_delay: Optional[float] = None
         detector = self.loss_detector
         for pn in sorted(state.sent):
+            if pn > largest_acked:
+                break
             sp = state.sent[pn]
-            if pn > state.largest_acked:
-                continue
             if sp.declared_lost:
                 continue
+            if loss_delay is None:
+                loss_delay = self._loss_delay_ms()
             is_lost, candidate = detector.classify(
                 packet_number=pn,
                 time_sent_ms=sp.time_sent_ms,
-                largest_acked=state.largest_acked,
+                largest_acked=largest_acked,
                 now_ms=now_ms,
                 loss_delay_ms=loss_delay,
                 packet_threshold=self.config.packet_threshold,
@@ -547,7 +545,7 @@ class Recovery:
             elif candidate is not None:
                 if state.loss_time_ms is None or candidate < state.loss_time_ms:
                     state.loss_time_ms = candidate
-        self._state_version += 1
+        self.state_version += 1
         return lost
 
     def detect_lost_on_timer(self, now_ms: float) -> List[Tuple[Space, SentPacket]]:
@@ -567,7 +565,7 @@ class Recovery:
 
     def set_handshake_complete(self) -> None:
         self._handshake_complete = True
-        self._state_version += 1
+        self.state_version += 1
 
     def pto_for_space(self, space: Space) -> float:
         """Backoff-free PTO applicable to one space.
@@ -588,15 +586,6 @@ class Recovery:
         self._pto_cache[space] = (self.estimator.version, value)
         return value
 
-    def earliest_loss_time(self) -> Optional[Tuple[float, Space]]:
-        best: Optional[Tuple[float, Space]] = None
-        for space, state in zip(_ALL_SPACES, self.spaces):
-            if state.discarded or state.loss_time_ms is None:
-                continue
-            if best is None or state.loss_time_ms < best[0]:
-                best = (state.loss_time_ms, space)
-        return best
-
     def pto_time_and_space(
         self, now_ms: float
     ) -> Optional[Tuple[float, Space, bool]]:
@@ -606,26 +595,28 @@ class Recovery:
         anti-deadlock branch clamps against ``now_ms``); such results
         must not be memoized by callers."""
         backoff = 2 ** self.pto_count
-        best: Optional[Tuple[float, Space]] = None
-        any_in_flight = False
-        for space in (Space.INITIAL, Space.HANDSHAKE, Space.APPLICATION):
-            state = self.spaces[space]
-            if state.discarded:
+        handshake_complete = self._handshake_complete
+        estimator_version = self.estimator.version
+        best_when: Optional[float] = None
+        best_space = Space.INITIAL
+        for space, state in zip(_ALL_SPACES, self.spaces):
+            if state.discarded or state.ack_eliciting_in_flight_count <= 0:
                 continue
-            if not state.ack_eliciting_in_flight():
-                continue
-            if space is Space.APPLICATION and not self._handshake_complete:
+            if space is Space.APPLICATION and not handshake_complete:
                 # Skip app space until the handshake is confirmed
                 # (RFC 9002 A.8); Initial/Handshake govern first.
                 continue
-            any_in_flight = True
             assert state.time_of_last_ack_eliciting_ms is not None
-            when = state.time_of_last_ack_eliciting_ms + self.pto_for_space(space) * backoff
-            if best is None or when < best[0]:
-                best = (when, space)
-        if best is not None:
-            return (best[0], best[1], False)
-        if not any_in_flight and self.is_client and not self._handshake_complete:
+            version, pto = self._pto_cache[space]
+            if version != estimator_version:
+                pto = self.pto_for_space(space)
+            when = state.time_of_last_ack_eliciting_ms + pto * backoff
+            if best_when is None or when < best_when:
+                best_when = when
+                best_space = space
+        if best_when is not None:
+            return (best_when, best_space, False)
+        if self.is_client and not handshake_complete:
             # Anti-deadlock PTO (RFC 9002 §6.2.2.1): nothing in flight
             # but the handshake is incomplete — e.g. right after an
             # instant ACK removed the ClientHello from flight. This
@@ -647,12 +638,12 @@ class Recovery:
                 if anchor is None:
                     anchor = now_ms
                 when = anchor + self.config.default_pto_ms * backoff
-                return (max(when, now_ms), space, True)
-            # Anchor at the last PTO reset, NOT the query time —
-            # otherwise every timer re-arm would push the deadline
-            # forward and the probe would never fire.
-            when = self.last_pto_reset_ms + self.pto_for_space(space) * backoff
-            return (max(when, now_ms), space, True)
+            else:
+                # Anchor at the last PTO reset, NOT the query time —
+                # otherwise every timer re-arm would push the deadline
+                # forward and the probe would never fire.
+                when = self.last_pto_reset_ms + self.pto_for_space(space) * backoff
+            return (when if when > now_ms else now_ms, space, True)
         return None
 
     def _last_ack_eliciting_any(self) -> Optional[float]:
@@ -670,27 +661,28 @@ class Recovery:
         Memoized against :attr:`_state_version`: timers re-arm far more
         often than the recovery state changes. The anti-deadlock PTO is
         the one ``now``-dependent branch and is never cached."""
-        cached = self._deadline_cache
-        if cached is not None and cached[0] == self._state_version:
-            return cached[1]
-        self._deadline_cache = None
-        loss = self.earliest_loss_time()
-        if loss is not None:
-            result: Optional[Tuple[float, Space, str]] = (loss[0], loss[1], "loss")
-            self._deadline_cache = (self._state_version, result)
-            return result
-        pto = self.pto_time_and_space(now_ms)
-        if pto is None:
-            self._deadline_cache = (self._state_version, None)
-            return None
-        result = (pto[0], pto[1], "pto")
-        if not pto[2]:  # time-dependent deadlines are never cached
-            self._deadline_cache = (self._state_version, result)
+        if self._deadline_version == self.state_version:
+            return self._deadline
+        result: Optional[Tuple[float, Space, str]] = None
+        for space, state in zip(_ALL_SPACES, self.spaces):
+            loss_time = state.loss_time_ms
+            if loss_time is None or state.discarded:
+                continue
+            if result is None or loss_time < result[0]:
+                result = (loss_time, space, "loss")
+        if result is None:
+            pto = self.pto_time_and_space(now_ms)
+            if pto is not None:
+                result = (pto[0], pto[1], "pto")
+                if pto[2]:  # time-dependent deadlines are never cached
+                    return result
+        self._deadline = result
+        self._deadline_version = self.state_version
         return result
 
     def on_pto_fired(self) -> None:
         self.pto_count += 1
-        self._state_version += 1
+        self.state_version += 1
 
     # ------------------------------------------------------------------
     # key / space lifecycle
@@ -708,7 +700,7 @@ class Recovery:
         self.pto_count = 0
         if now_ms is not None:
             self.last_pto_reset_ms = max(self.last_pto_reset_ms, now_ms)
-        self._state_version += 1
+        self.state_version += 1
 
     def bytes_in_flight(self) -> int:
         return sum(

@@ -90,6 +90,7 @@ class ServerConnection(Endpoint):
         name: str = "server",
         draws=None,
         recovery_profile=None,
+        recovery_config=None,
     ):
         super().__init__(
             loop,
@@ -99,10 +100,12 @@ class ServerConnection(Endpoint):
             name=name,
             draws=draws,
             recovery_profile=recovery_profile,
+            recovery_config=recovery_config,
         )
         self.http = http
         self.config = config if config is not None else ServerConfig()
         self.amplification = AmplificationLimiter()
+        self._peer_validated = False
         self._blocked: List[Tuple[Datagram, bool]] = []
         self._started = False
         self._cert_ready = False
@@ -118,20 +121,21 @@ class ServerConnection(Endpoint):
     # amplification accounting
     # ------------------------------------------------------------------
 
-    def _on_datagram_arrival(self, dgram: Datagram) -> None:
-        self.amplification.on_datagram_received(dgram.size)
-        self._flush_blocked()
+    def on_datagram(self, dgram: Datagram) -> None:
+        if not self.closed:
+            self.amplification.on_datagram_received(dgram.size)
+            self._flush_blocked()
+        super().on_datagram(dgram)
 
-    def _may_send_now(self, size: int, dgram: Datagram, is_probe: bool) -> bool:
+    def _send_datagram(self, dgram: Datagram, is_probe: bool = False) -> None:
         # Preserve flight order: once a datagram is queued behind the
         # amplification limit, everything later queues behind it too.
-        if not self._blocked and self.amplification.can_send(size):
-            return True
-        self.stats.amplification_blocked_events += 1
-        self._blocked.append((dgram, is_probe))
-        return False
-
-    def _note_datagram_sent(self, size: int) -> None:
+        size = dgram.size
+        if self._blocked or not self.amplification.can_send(size):
+            self.stats.amplification_blocked_events += 1
+            self._blocked.append((dgram, is_probe))
+            return
+        super()._send_datagram(dgram, is_probe)
         self.amplification.on_datagram_sent(size)
 
     def _flush_blocked(self) -> None:
@@ -147,19 +151,15 @@ class ServerConnection(Endpoint):
     # packet processing overrides
     # ------------------------------------------------------------------
 
-    def _process_packet(self, packet, dgram, buffered: bool = False) -> None:
-        if (
-            packet.packet_type is PacketType.HANDSHAKE
-            and not self.amplification.validated
-        ):
-            # RFC 9000 §8.1: a Handshake packet proves the address.
-            self.amplification.validate()
-            # RFC 9001 §4.9.1: the server discards Initial keys on the
-            # first Handshake packet.
-            if not self.recovery.spaces[Space.INITIAL].discarded:
-                self.discard_space(Space.INITIAL)
-            self._flush_blocked()
-        super()._process_packet(packet, dgram, buffered=buffered)
+    def _on_peer_validated(self) -> None:
+        """First Handshake packet: it proves the client's address (RFC
+        9000 §8.1), and the server discards its Initial keys (RFC 9001
+        §4.9.1)."""
+        self._peer_validated = True
+        self.amplification.validate()
+        if not self.recovery.spaces[Space.INITIAL].discarded:
+            self.discard_space(Space.INITIAL)
+        self._flush_blocked()
 
     def _suppress_immediate_ack(self, space: Space) -> bool:
         if space is not Space.INITIAL:
@@ -247,7 +247,7 @@ class ServerConnection(Endpoint):
         total_hs = hs_buffer.length
         groups: List[List[Packet]] = []
         current: List[Packet] = [initial_pkt]
-        current_size = initial_pkt.wire_size()
+        current_size = initial_pkt.size
         cursor = 0
         while cursor < total_hs:
             # Header + AEAD overhead of a Handshake packet ~ 45 bytes.
@@ -266,7 +266,7 @@ class ServerConnection(Endpoint):
             )
             packet = self.build_packet(Space.HANDSHAKE, (frame,))
             current.append(packet)
-            current_size += packet.wire_size()
+            current_size += packet.size
             cursor += chunk
         if current:
             groups.append(current)
@@ -276,7 +276,7 @@ class ServerConnection(Endpoint):
         early_frames = self._early_data_frames()
         if early_frames:
             early_pkt = self.build_packet(Space.APPLICATION, tuple(early_frames))
-            if sum(p.wire_size() for p in groups[-1]) + early_pkt.wire_size() <= MAX_DATAGRAM_SIZE:
+            if sum(p.size for p in groups[-1]) + early_pkt.size <= MAX_DATAGRAM_SIZE:
                 groups[-1].append(early_pkt)
             else:
                 groups.append([early_pkt])
@@ -391,18 +391,10 @@ class ServerConnection(Endpoint):
                 offset, length, fin = chunk
                 packet = self.build_packet(
                     Space.APPLICATION,
-                    (
-                        StreamFrame(
-                            stream_id=stream.stream_id,
-                            offset=offset,
-                            length=length,
-                            fin=fin,
-                            label=stream.label,
-                        ),
-                    ),
+                    (StreamFrame(stream.stream_id, offset, length, fin, stream.label),),
                 )
                 packets.append(packet)
-                budget -= packet.wire_size()
+                budget -= packet.size
         if packets:
             # Each packet travels in its own datagram (bulk data).
             self.send_packets([], group_into_datagrams=[[p] for p in packets])

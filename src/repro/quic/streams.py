@@ -115,6 +115,11 @@ class RecvStream:
             return
         if self.first_byte_time_ms is None:
             self.first_byte_time_ms = now_ms
+        ranges = self._ranges
+        if len(ranges) == 1 and ranges[0][1] == offset:
+            # In-order arrival: extend the one range, nothing overlaps.
+            ranges[0] = (ranges[0][0], offset + length)
+            return
         new = (offset, offset + length)
         overlap = 0
         for start, end in self._ranges:

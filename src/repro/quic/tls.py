@@ -41,30 +41,38 @@ class TlsMessage:
             raise ValueError(f"TLS message size must be positive: {self.size}")
 
 
+# Messages are immutable values, so every connection shares these.
+_CLIENT_HELLO = TlsMessage("CH", CLIENT_HELLO_SIZE)
+_SERVER_HELLO = TlsMessage("SH", SERVER_HELLO_SIZE)
+_ENCRYPTED_EXTENSIONS = TlsMessage("EE", ENCRYPTED_EXTENSIONS_SIZE)
+_CERTIFICATE_VERIFY = TlsMessage("CV", CERTIFICATE_VERIFY_SIZE)
+_FINISHED = TlsMessage("FIN", FINISHED_SIZE)
+
+
 def client_hello() -> TlsMessage:
     """The TLS ClientHello the client puts in its first Initial packet."""
-    return TlsMessage("CH", CLIENT_HELLO_SIZE)
+    return _CLIENT_HELLO
 
 
 def server_hello() -> TlsMessage:
     """The ServerHello, sent in the Initial packet number space."""
-    return TlsMessage("SH", SERVER_HELLO_SIZE)
+    return _SERVER_HELLO
 
 
 def server_handshake_messages(certificate: Certificate) -> List[TlsMessage]:
     """EE, Certificate, CertificateVerify, Finished — the Handshake
     space portion of the first server flight."""
     return [
-        TlsMessage("EE", ENCRYPTED_EXTENSIONS_SIZE),
+        _ENCRYPTED_EXTENSIONS,
         TlsMessage("CERT", CERTIFICATE_MSG_OVERHEAD + certificate.chain_size),
-        TlsMessage("CV", CERTIFICATE_VERIFY_SIZE),
-        TlsMessage("FIN", FINISHED_SIZE),
+        _CERTIFICATE_VERIFY,
+        _FINISHED,
     ]
 
 
 def client_finished() -> TlsMessage:
     """The client Finished, closing the handshake."""
-    return TlsMessage("FIN", FINISHED_SIZE)
+    return _FINISHED
 
 
 def server_flight_size(certificate: Certificate) -> Tuple[int, int]:

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.interop.runner import Scenario
+from repro.interop.runner import Runner, Scenario
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
 from repro.runtime.backend import ExecutionBackend, LocalBackend, ResultObserver, mp_context
 from repro.runtime.events import CellCompleted, EventSink, emit
@@ -170,8 +170,9 @@ class MatrixRunner:
                             observer(journal)
                             journal = []
 
+                cell_runner = Runner()  # one per pass: it reuses scenario scaffolding
                 for i, scenario, seed in pending:
-                    finish(i, execute_cell(scenario, seed, level))
+                    finish(i, execute_cell(scenario, seed, level, runner=cell_runner))
                 if observer is not None and journal:
                     observer(journal)
             for i, artifacts in computed:

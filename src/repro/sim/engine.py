@@ -7,10 +7,12 @@ paper's *indexed* datagram-loss experiments, where dropping "datagram 2
 sent by the server" must mean the same datagram on every run.
 
 The loop is the innermost layer of every emulated connection, so it is
-written for throughput: cancelled timers are counted live (``pending()``
-is O(1)), the heap is compacted in place once cancelled entries
-outnumber live ones, and :meth:`run` keeps the heap and bookkeeping in
-locals instead of attribute lookups.
+written for throughput: the clock is a plain attribute, events nobody
+will cancel (:meth:`EventLoop.post_at`) carry no :class:`Timer`,
+cancelled timers are counted live (``pending()`` is O(1)), the heap is
+compacted in place once cancelled entries outnumber live ones, and
+:meth:`run` keeps the heap and bookkeeping in locals instead of
+attribute lookups.
 """
 
 from __future__ import annotations
@@ -77,25 +79,24 @@ class EventLoop:
     """
 
     __slots__ = (
-        "_now", "_seq", "_heap", "_running", "_processed",
+        "now", "_seq", "_heap", "_running", "_processed",
         "_cancelled_pending", "_compactions",
     )
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current simulated time in milliseconds (read-only for users).
+        self.now: float = 0.0
         self._seq: int = 0
-        self._heap: List[Tuple[float, int, Timer]] = []
+        #: ``(when, seq, timer)`` for :meth:`call_at` events and
+        #: ``(when, seq, None, callback, args)`` for :meth:`post_at`
+        #: ones; ``seq`` is unique, so comparison never gets past it.
+        self._heap: List[Tuple[Any, ...]] = []
         self._running = False
         self._processed = 0
         #: Cancelled timers still sitting in the heap; kept live so
         #: ``pending()`` is O(1) and compaction knows when to trigger.
         self._cancelled_pending = 0
         self._compactions = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -109,9 +110,9 @@ class EventLoop:
 
     def call_at(self, when: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at absolute time ``when`` (ms)."""
-        if when < self._now:
+        if not when >= self.now:  # also refuses NaN
             raise SimulationError(
-                f"cannot schedule event in the past: {when:.3f} < now {self._now:.3f}"
+                f"cannot schedule event in the past: {when:.3f} < now {self.now:.3f}"
             )
         timer = Timer(when, callback, args, loop=self)
         timer._scheduled = True
@@ -119,15 +120,25 @@ class EventLoop:
         heapq.heappush(self._heap, (when, self._seq, timer))
         return timer
 
+    def post_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
+        """:meth:`call_at` for an event nobody will cancel (a datagram
+        delivery, a processing slot): same ordering, no handle."""
+        if not when >= self.now:
+            raise SimulationError(
+                f"cannot schedule event in the past: {when:.3f} < now {self.now:.3f}"
+            )
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, None, callback, args))
+
     def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` after ``delay`` milliseconds."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise SimulationError(f"negative delay: {delay}")
-        return self.call_at(self._now + delay, callback, *args)
+        return self.call_at(self.now + delay, callback, *args)
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at the current time."""
-        return self.call_at(self._now, callback, *args)
+        return self.call_at(self.now, callback, *args)
 
     def _note_cancelled(self, timer: Timer) -> None:
         """Timer cancellation hook: count it and compact the heap once
@@ -144,8 +155,9 @@ class EventLoop:
         """Drop cancelled entries and re-heapify in place."""
         live = []
         for entry in self._heap:
-            if entry[2]._cancelled:
-                entry[2]._scheduled = False
+            timer = entry[2]
+            if timer is not None and timer._cancelled:
+                timer._scheduled = False
             else:
                 live.append(entry)
         heapq.heapify(live)
@@ -170,34 +182,38 @@ class EventLoop:
         self._running = True
         heap = self._heap
         heappop = heapq.heappop
+        limit = float("inf") if until is None else until
         executed = 0
         try:
-            budget = max_events
             while heap:
                 when = heap[0][0]
-                if until is not None and when > until:
+                if when > limit:
                     break
-                timer = heappop(heap)[2]
-                timer._scheduled = False
-                if timer._cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                self._now = when
+                entry = heappop(heap)
+                timer = entry[2]
+                if timer is None:
+                    callback, args = entry[3], entry[4]
+                else:
+                    timer._scheduled = False
+                    if timer._cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                    callback, args = timer.callback, timer.args
+                self.now = when
                 executed += 1
-                budget -= 1
-                if budget < 0:
+                if executed > max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; runaway simulation?"
                     )
-                timer.callback(*timer.args)
+                callback(*args)
                 # Callbacks may swap the heap via compaction.
                 heap = self._heap
         finally:
             self._running = False
             self._processed += executed
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def run_until_idle(self, max_events: int = 5_000_000) -> float:
         """Run until no events remain."""
@@ -208,4 +224,4 @@ class EventLoop:
         return len(self._heap) - self._cancelled_pending
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<EventLoop now={self._now:.3f}ms pending={self.pending()}>"
+        return f"<EventLoop now={self.now:.3f}ms pending={self.pending()}>"

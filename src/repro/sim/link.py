@@ -71,12 +71,6 @@ class Link:
         """Datagrams dropped by the loss pattern so far."""
         return self._dropped
 
-    def serialization_delay_ms(self, size: int) -> float:
-        """Time to put ``size`` bytes on the wire at the link bandwidth."""
-        if self.bandwidth_bps is None:
-            return 0.0
-        return size * 8.0 / self.bandwidth_bps * 1000.0
-
     def send(self, payload, size: int, deliver: Callable[[object], None]) -> bool:
         """Offer a datagram to the link.
 
@@ -88,23 +82,27 @@ class Link:
             raise ValueError(f"datagram size must be positive: {size}")
         self._offered += 1
         index = self._offered
-        now = self.loop.now
-        drop = self.loss.should_drop(index, size)
-        if self.tracer is not None:
-            self.tracer.record(
+        loop = self.loop
+        now = loop.now
+        loss = self.loss
+        drop = type(loss) is not NoLoss and loss.should_drop(index, size)
+        tracer = self.tracer
+        if tracer is not None and tracer.capture:
+            tracer.record(
                 time_ms=now, link=self.name, index=index, size=size,
                 dropped=drop, payload=payload,
             )
+        # Transmission starts when the previous datagram finished and
+        # takes size * 8 / bandwidth to put on the wire; a dropped
+        # datagram still occupies that wire time.
+        done = self._next_free_ms if self._next_free_ms > now else now
+        if self.bandwidth_bps is not None:
+            done += size * 8.0 / self.bandwidth_bps * 1000.0
+        self._next_free_ms = done
         if drop:
             self._dropped += 1
-            # A dropped datagram still occupied the sender's wire time.
-            start = max(now, self._next_free_ms)
-            self._next_free_ms = start + self.serialization_delay_ms(size)
             return False
-        start = max(now, self._next_free_ms)
-        done = start + self.serialization_delay_ms(size)
-        self._next_free_ms = done
-        self.loop.call_at(done + self.one_way_delay_ms, deliver, payload)
+        loop.post_at(done + self.one_way_delay_ms, deliver, payload)
         return True
 
     def reset(self) -> None:

@@ -23,6 +23,10 @@ class LossPattern:
     including ones that end up dropped.
     """
 
+    #: True when :meth:`should_drop` never changes the pattern: runs
+    #: may then share one instance instead of a fresh copy each.
+    stateless = False
+
     def should_drop(self, index: int, size: int) -> bool:
         raise NotImplementedError
 
@@ -32,6 +36,8 @@ class LossPattern:
 
 class NoLoss(LossPattern):
     """A lossless link."""
+
+    stateless = True
 
     def should_drop(self, index: int, size: int) -> bool:
         return False
@@ -48,6 +54,8 @@ class IndexedLoss(LossPattern):
     and ``IndexedLoss({2})`` in WFC mode, so that *equal information* is
     lost despite the extra standalone ACK datagram.
     """
+
+    stateless = True
 
     def __init__(self, indices: Iterable[int]):
         self.indices: Set[int] = set(indices)

@@ -10,6 +10,7 @@ per direction and exposes the paper's knobs directly.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.sim.engine import EventLoop
@@ -34,10 +35,14 @@ class Host:
         """Register the function called for each delivered datagram."""
         self._receiver = receiver
 
-    def deliver(self, payload: object) -> None:
+    @property
+    def receiver(self) -> Callable[[object], None]:
         if self._receiver is None:
             raise RuntimeError(f"host {self.name!r} has no attached receiver")
-        self._receiver(payload)
+        return self._receiver
+
+    def deliver(self, payload: object) -> None:
+        self.receiver(payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Host {self.name}>"
@@ -116,10 +121,20 @@ class Network:
         """The base path RTT (excluding serialization)."""
         return self.uplink.one_way_delay_ms + self.downlink.one_way_delay_ms
 
-    def send_from(self, host: Host, payload: object, size: int) -> bool:
-        """Send a datagram from ``host`` to the opposite endpoint."""
+    def _link_and_peer(self, host: Host):
         link = self._links.get(host.name)
         if link is None:
             raise ValueError(f"host {host.name!r} is not part of this network")
-        peer = self.server if host is self.client else self.client
+        return link, self.server if host is self.client else self.client
+
+    def send_from(self, host: Host, payload: object, size: int) -> bool:
+        """Send a datagram from ``host`` to the opposite endpoint."""
+        link, peer = self._link_and_peer(host)
         return link.send(payload, size, peer.deliver)
+
+    def transport_from(self, host: Host) -> Callable[[object, int], bool]:
+        """:meth:`send_from` bound to ``host`` for a whole connection:
+        the link and the peer's (already attached) receiver are
+        resolved here, once, instead of per datagram."""
+        link, peer = self._link_and_peer(host)
+        return partial(link.send, deliver=peer.receiver)

@@ -9,10 +9,37 @@ whether the loss pattern dropped it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Any, Callable, Iterator, List, Optional
 
 
+def precomputed_state(cls):
+    """Class decorator for a ``@dataclass(frozen=True, slots=True)``
+    record that is retained (and so pickled) by the thousand.
+
+    Python 3.11 generates ``__getstate__``/``__setstate__`` for such a
+    class that call ``dataclasses.fields()`` per instance; these emit
+    and accept the same state — the field values as a list, in field
+    order — from names resolved once, so pickles written before and
+    after load under either.
+    """
+    names = tuple(f.name for f in fields(cls))
+    if len(names) > 1:
+        values = attrgetter(*names)
+        cls.__getstate__ = lambda self: list(values(self))
+    else:
+        cls.__getstate__ = lambda self: [getattr(self, name) for name in names]
+
+    def __setstate__(self, state):
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
+    cls.__setstate__ = __setstate__
+    return cls
+
+
+@precomputed_state
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One datagram observed on a link."""

@@ -142,3 +142,59 @@ def test_cell_results_handle_without_store_raises():
     with pytest.raises(ValueError, match="store"):
         view[0]
     store.close()
+
+
+# -- pickle format of the retained record classes ------------------------
+
+PARENT_CELL = os.path.join(os.path.dirname(__file__), "golden", "parent-trace-cell.pkl")
+
+
+def test_cell_pickled_before_the_state_helper_loads_equal():
+    """``golden/parent-trace-cell.pkl`` is ``pickle.dumps`` of the
+    quic-go / IACK / 9 ms trace-level cell (seed 0) as written at
+    3c78813, before the frames and ``TraceRecord`` got
+    ``precomputed_state`` and ``Packet``/``Datagram`` computed their
+    sizes eagerly. Spill files, disk-cache entries, journals and fleet
+    frames of that vintage must keep loading — equal, derived
+    attributes included."""
+    import pickle
+
+    from repro.quic.server import ServerMode
+
+    with open(PARENT_CELL, "rb") as handle:
+        old = pickle.load(handle)
+    scenario = Scenario(client="quic-go", mode=ServerMode.IACK, rtt_ms=9.0)
+    assert old.scenario == scenario
+    new = execute_cell(scenario, 0, ArtifactLevel.TRACE)
+    assert old == new  # stats, trace records (payload aside), both qlogs
+    for was, now in zip(old.trace_records, new.trace_records):
+        assert was.payload == now.payload and was.payload.size == now.payload.size
+        for a, b in zip(was.payload.packets, now.payload.packets):
+            assert (a.size, a.space, a.ack_eliciting, a.header_size(), a.payload_size()) == (
+                b.size, b.space, b.ack_eliciting, b.header_size(), b.payload_size()
+            )
+
+
+def test_state_shapes_are_the_ones_older_readers_expect():
+    """The other direction (a mixed-version fleet, a newer writer's
+    disk cache read by an older process): frozen slots records pickle
+    as the list of field values in field order, ``Packet`` and
+    ``Datagram`` as a dict keyed by the slot names they always had."""
+    from dataclasses import fields
+
+    artifact = _artifacts(ArtifactLevel.TRACE)
+    record = artifact.trace_records[0]
+    assert record.__getstate__() == [getattr(record, f.name) for f in fields(record)]
+    packet = record.payload.packets[0]
+    for frame in packet.frames:
+        assert frame.__getstate__() == [getattr(frame, f.name) for f in fields(frame)]
+        clone = object.__new__(type(frame))
+        clone.__setstate__(frame.__getstate__())
+        assert clone == frame
+    assert set(packet.__reduce_ex__(5)[2][1]) == {
+        "packet_type", "packet_number", "frames", "dcid", "scid", "token", "pn_length",
+        "_payload_size", "_header_size", "_ack_eliciting", "_space", "_wire_size",
+    }
+    assert set(record.payload.__reduce_ex__(5)[2][1]) == {
+        "packets", "sender", "_size", "_contains_crypto",
+    }

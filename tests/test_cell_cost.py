@@ -1,0 +1,100 @@
+"""The cost of a cell, as counts — a CI gate that cannot flap.
+
+``benchmarks/e2e`` times cells on a noisy box; this file pins what the
+timings are made of. It counts profiler calls for the two probe
+anchors exactly as ``interop.py_calls.*`` does (quic-go / IACK / 9 ms
+at 10 KB and 1 MiB, seed 0, stats level, a warm ``Runner`` that last
+ran another scenario) and holds them under ceilings 5 % above what
+the PR that cut them achieved (4,073 and 221,647 before it), plus the
+structural counts that explain the figure. The counts are exact for a
+given interpreter; the ceilings were set on CPython 3.11, and later
+versions inline comprehensions and count fewer calls, never more.
+"""
+
+import cProfile
+import pstats
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from repro.interop.runner import Runner, Scenario
+from repro.quic import coalescing, connection, packet, recovery
+from repro.quic.server import ServerMode
+
+ANCHOR = Scenario(client="quic-go", mode=ServerMode.IACK, rtt_ms=9.0)
+BULK = replace(ANCHOR, response_size=1 << 20)
+
+#: Achieved by PR 16: 2,093 and 104,398. Ceiling = achieved x 1.05.
+CALL_CEILINGS = {"handshake": (ANCHOR, 2_197), "bulk": (BULK, 109_617)}
+
+
+def run_stats(runner: Runner, scenario: Scenario):
+    return runner.run_once(scenario, seed=0, capture_trace=False, record_qlog=False)
+
+
+@pytest.mark.parametrize("anchor", sorted(CALL_CEILINGS))
+def test_profiler_calls_per_cell_stay_under_the_ceiling(anchor):
+    scenario, ceiling = CALL_CEILINGS[anchor]
+    runner = Runner()
+    run_stats(runner, replace(scenario, rtt_ms=20.0))  # warm, on another scenario
+    profiler = cProfile.Profile()
+    profiler.enable()
+    run_stats(runner, scenario)
+    profiler.disable()
+    calls = pstats.Stats(profiler).total_calls
+    assert calls <= ceiling, (
+        f"{anchor}: {calls} profiler calls per cell, ceiling {ceiling} — the "
+        "per-datagram path got more expensive (see PERFORMANCE.md, Cost of a cell)"
+    )
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Counts of the calls the structural bounds are stated in."""
+    counts = Counter()
+
+    def count(owner, name, key, when=lambda self: True):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            if when(self):
+                counts[key] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(coalescing.Datagram, "__post_init__", "datagrams_built")
+    count(packet.Packet, "__post_init__", "packets_built")
+    count(packet.Packet, "wire_size", "wire_size_calls")
+    count(recovery.Recovery, "loss_detection_deadline", "deadline_evaluations")
+    count(connection.Endpoint, "_process_datagram", "receive_passes")
+    count(
+        connection.Endpoint, "send_packets", "sends_outside_a_pass",
+        when=lambda endpoint: not endpoint._suspend_rearm,
+    )
+    return counts
+
+
+@pytest.mark.parametrize("scenario", [ANCHOR, BULK], ids=["handshake", "bulk"])
+def test_structural_counts_that_explain_the_ceiling(counted, scenario):
+    result = run_stats(Runner(), scenario)
+    sent = result.client_stats.datagrams_sent + result.server_stats.datagrams_sent
+    packets = sum(
+        state.next_packet_number
+        for endpoint in (result.client, result.server)
+        for state in endpoint.recovery.spaces
+    )
+    # One Datagram per datagram sent: coalescing hands over packet
+    # groups, and a padded group is built once, after padding.
+    assert counted["datagrams_built"] == sent
+    # A packet's size is computed where it is constructed and read as
+    # an attribute afterwards; only padding (and the server's CID
+    # rotation on an Initial retransmit) constructs a packet twice.
+    assert counted["wire_size_calls"] == 0
+    assert packets <= counted["packets_built"] <= packets + sent
+    # The loss timer is evaluated at most once per receive pass and
+    # once per send outside one (timer fires included in the slack).
+    assert counted["deadline_evaluations"] <= (
+        counted["receive_passes"] + counted["sends_outside_a_pass"]
+    )

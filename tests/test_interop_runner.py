@@ -39,6 +39,33 @@ def test_profile_for_resolves_client():
         profile_for(Scenario(client="nonesuch"))
 
 
+@pytest.mark.parametrize("field", ["rtt_ms", "delta_t_ms", "timeout_ms", "bandwidth_bps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_scenario_refuses_non_finite_times(field, value):
+    """NaN passes every ``x < 0`` range check; a run with a NaN RTT
+    used to "complete" as a timeout with ``duration_ms=nan``."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Scenario(**{field: value})
+
+
+def test_runner_reuses_scaffolding_only_for_the_same_scenario():
+    """Back-to-back repetitions of one scenario share the resolved
+    profiles; a different scenario — or a stateful loss pattern — never
+    leaks from one run into the next."""
+    from repro.sim.loss import RandomLoss
+
+    runner = Runner()
+    lossy = Scenario(server_to_client_loss=RandomLoss(0.2, seed=3))
+    first = runner.run_once(lossy, seed=1, capture_trace=False, record_qlog=False)
+    other = runner.run_once(Scenario(client="neqo"), seed=1)
+    again = runner.run_once(lossy, seed=1, capture_trace=False, record_qlog=False)
+    assert first.client_stats == again.client_stats
+    assert first.server_stats == again.server_stats
+    assert other.client.profile.name == "neqo"
+    fresh = Runner().run_once(lossy, seed=1, capture_trace=False, record_qlog=False)
+    assert fresh.client_stats == first.client_stats
+
+
 def test_run_repetitions_validates_count():
     with pytest.raises(ValueError):
         Runner().run_repetitions(Scenario(), repetitions=0)

@@ -70,6 +70,37 @@ def test_negative_delay_raises():
         loop.call_later(-1.0, lambda: None)
 
 
+def test_non_finite_times_never_reach_the_heap():
+    """NaN satisfies neither ``when < now`` nor ``when >= now``; the
+    guards are written the second way so it is refused — it used to
+    be accepted, run between its neighbours in heap order and set the
+    clock to NaN."""
+    loop = EventLoop()
+    nan = float("nan")
+    for schedule in (loop.call_at, loop.post_at):
+        with pytest.raises(SimulationError):
+            schedule(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        loop.call_later(nan, lambda: None)
+    assert loop.pending() == 0
+    assert loop.run_until_idle() == 0.0
+
+
+def test_post_at_orders_with_call_at_and_returns_no_handle():
+    loop = EventLoop()
+    seen = []
+    loop.call_at(2.0, seen.append, "timer@2")
+    assert loop.post_at(2.0, seen.append, "post@2") is None
+    loop.post_at(1.0, seen.append, "post@1")
+    cancelled = loop.call_at(1.5, seen.append, "cancelled")
+    cancelled.cancel()
+    assert loop.pending() == 3
+    loop.run_until_idle()
+    assert seen == ["post@1", "timer@2", "post@2"]
+    with pytest.raises(SimulationError):
+        loop.post_at(1.0, seen.append, "past")
+
+
 def test_callbacks_can_schedule_more_events():
     loop = EventLoop()
     seen = []

@@ -38,12 +38,19 @@ OVERRIDES = {"fig6": {"rtt_ms": 50}}
 REQUEST = RunRequest(SELECTION, overrides=OVERRIDES, smoke=True)
 
 #: (experiment, --param text, overrides): a well-shaped value the
-#: experiment cannot plan with, a string where numbers belong, and a
-#: value outside a Scenario field's declared range.
+#: experiment cannot plan with, a string where numbers belong, a value
+#: outside a Scenario field's declared range, and the wild experiments'
+#: declared ranges (these five used to die inside the aggregator, or
+#: exit 0 with an empty-looking table).
 INVALID = [
     ("fig6", "fig6.repetitions=0", {"fig6": {"repetitions": 0}}),
     ("fig12", "fig12.rtts_ms=nan", {"fig12": {"rtts_ms": "nan"}}),
     ("fig6", "fig6.rtt_ms=-5", {"fig6": {"rtt_ms": -5}}),
+    ("table1", "table1.list_size=-5", {"table1": {"list_size": -5}}),
+    ("fig14", "fig14.list_size=0", {"fig14": {"list_size": 0}}),
+    ("table1", "table1.days=0", {"table1": {"days": 0}}),
+    ("fig9", "fig9.days=-1", {"fig9": {"days": -1}}),
+    ("table1", "table1.vantage_names=Atlantis", {"table1": {"vantage_names": "Atlantis"}}),
 ]
 
 
