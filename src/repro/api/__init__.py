@@ -41,7 +41,7 @@ Errors
     :mod:`repro.errors`, re-exported here: :class:`UnknownExperiment`,
     :class:`InvalidOverride`, :class:`BackendError`,
     :class:`WorkerAuthError`, :class:`BundleVersionError`,
-    :class:`CheckpointError`.
+    :class:`CheckpointError`, :class:`ObserveError`.
 Resilience
     ``Session(resume=DIR)`` journals completed cells to a crash-safe
     checkpoint directory and resumes from it after a coordinator
@@ -71,6 +71,7 @@ from repro.errors import (
     BundleVersionError,
     CheckpointError,
     InvalidOverride,
+    ObserveError,
     ReproError,
     ServiceError,
     UnknownExperiment,
@@ -121,6 +122,7 @@ __all__ = [
     "JobRecord",
     "JobStatus",
     "LocalConfig",
+    "ObserveError",
     "ReproError",
     "RunEvent",
     "RunRequest",

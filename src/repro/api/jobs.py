@@ -82,9 +82,10 @@ class JobRecord:
     """The JSON-safe status document of one job.
 
     ``summary`` is populated on success with the report's execution
-    accounting (executed/spilled cells, in-memory and durable cache
-    hits, experiment ids) — the operational numbers that deliberately
-    stay *off* the result bundle live here instead.
+    accounting (executed cells, durable cache hits, experiment ids;
+    ``spilled_cells`` and the in-memory ``cache_*`` pair read 0 until
+    the one schema bump that drops all three) — the operational numbers
+    that deliberately stay *off* the result bundle live here instead.
     """
 
     job_id: JobId

@@ -1,7 +1,7 @@
 """The session/job core of the ``repro.api`` façade.
 
 A :class:`Session` owns the execution context — backend lifecycle,
-spill policy, event observers — and executes :class:`RunRequest` jobs
+event observers — and executes :class:`RunRequest` jobs
 against it. :meth:`Session.run` →
 :meth:`~repro.runtime.suite.SuiteRunner.run` is the only code that
 plans, executes and aggregates an experiment; the CLI, the daemon and
@@ -171,9 +171,6 @@ class Session:
         coordinator socket here in the constructor — read
         :attr:`address` and point ``python -m repro worker --connect``
         processes at it.
-    ``spill`` / ``spill_dir``
-        Disk-streaming policy for large artifact levels, exactly as on
-        :class:`~repro.runtime.suite.SuiteRunner`.
     ``on_event``
         Session-wide :class:`~repro.runtime.events.EventSink`; every
         run's events are also delivered here (per-run callbacks and
@@ -209,8 +206,6 @@ class Session:
         self,
         backend: Optional[BackendConfig] = None,
         *,
-        spill: str = "auto",
-        spill_dir: Optional[str] = None,
         on_event: Optional[EventSink] = None,
         resume: Optional[str] = None,
         cache_dir: Optional[Union[str, DiskResultCache]] = None,
@@ -218,8 +213,6 @@ class Session:
         self.config = backend if backend is not None else LocalConfig()
         if not isinstance(self.config, BackendConfig):
             raise BackendError(f"backend must be a BackendConfig, got {type(self.config).__name__}")
-        self.spill = spill
-        self.spill_dir = spill_dir
         self.on_event = on_event
         self.resume = resume
         if isinstance(cache_dir, str):
@@ -466,8 +459,6 @@ class Session:
         workers = self._workers()
         return SuiteRunner(
             workers=workers,
-            spill=self.spill,
-            spill_dir=self.spill_dir,
             backend=self._backend,
             on_event=self._sink(extra_sink),
             checkpoint_dir=self.resume,

@@ -14,11 +14,10 @@ Subcommands:
     EXPERIMENTS.md index (that file is generated by this command).
 ``repro plan fig6 fig12``
     The suite plan for a selection: per-experiment cells, the union
-    after cross-experiment dedup, and the artifact level the shared
-    runner will retain.
+    after cross-experiment dedup, and how many of those cells retain
+    a trace for which experiments' observers.
 ``repro run fig6 table1 --workers 4 --out results/``
-    Execute a suite: unique cells run once on one shared runner
-    (trace-level plans stream artifacts to a disk spill directory),
+    Execute a suite: unique cells run once on one shared runner,
     results fan back out per experiment, rendered tables go to stdout,
     and ``--out`` writes one JSON file per experiment plus a
     ``suite.json`` bundle (every file stamped with the bundle
@@ -55,8 +54,8 @@ See the Service section of API.md.
 Predictable failures exit with distinct codes instead of tracebacks:
 3 unknown experiment, 4 invalid override, 5 backend failure, 6 worker
 authentication failure, 7 unreadable bundle version, 8 checkpoint
-mismatch, 9 service/job failure (2 stays argparse usage errors, 1
-unexpected crashes).
+mismatch, 9 service/job failure, 10 an experiment's observe failed on
+a cell (2 stays argparse usage errors, 1 unexpected crashes).
 
 ``repro run ... --resume DIR`` journals completed cells to a
 crash-safe checkpoint directory and resumes from it after a
@@ -318,8 +317,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = build_backend_config(args)
     with Session(
         config,
-        spill=args.spill,
-        spill_dir=args.spill_dir,
         on_event=_event_printer(args),
         resume=args.resume,
         cache_dir=args.cache_dir,
@@ -486,7 +483,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pool=args.pool,
         cache_dir=args.cache_dir,
         workers=args.workers,
-        spill=args.spill,
     )
     daemon = ServiceDaemon(
         manager,
@@ -738,18 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(scenario, seed, level) — across processes and restarts — "
         "with byte-identical bundles",
     )
-    p_run.add_argument(
-        "--spill",
-        choices=("auto", "always", "never"),
-        default="auto",
-        help="stream cell artifacts to disk (auto: only for trace-level plans)",
-    )
-    p_run.add_argument(
-        "--spill-dir",
-        default=None,
-        metavar="DIR",
-        help="keepable spill directory (default: temporary)",
-    )
     _add_backend_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -962,12 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="durable result cache shared by every pool session; "
         "resubmitted suites — even after a daemon restart — replay "
         "from it instead of re-executing cells",
-    )
-    p_serve.add_argument(
-        "--spill",
-        choices=("auto", "always", "never"),
-        default="auto",
-        help="per-session artifact spill policy (as on 'repro run')",
     )
     p_serve.add_argument(
         "--auth-token",

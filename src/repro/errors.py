@@ -24,6 +24,7 @@ __all__ = [
     "BundleVersionError",
     "CheckpointError",
     "InvalidOverride",
+    "ObserveError",
     "ReproError",
     "ServiceError",
     "UnknownExperiment",
@@ -103,3 +104,19 @@ class ServiceError(ReproError, RuntimeError):
     already shut down."""
 
     exit_code = 9
+
+
+class ObserveError(ReproError, RuntimeError):
+    """An experiment's ``observe`` raised on a cell, or returned a value
+    that cannot be pickled: the experiment's bug, named the same way
+    (experiment, scenario, seed) wherever the cell ran. All strings, so
+    it crosses any process boundary intact."""
+
+    exit_code = 10
+
+    def __init__(self, experiment_id: str, scenario: str, seed: int, cause: str):
+        super().__init__(experiment_id, scenario, seed, cause)
+        self.experiment_id, self.scenario, self.seed, self.cause = self.args
+
+    def __str__(self) -> str:
+        return "{}: observe failed on {} seed {}: {}".format(*self.args)

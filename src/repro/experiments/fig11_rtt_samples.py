@@ -11,7 +11,7 @@ fraction.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.experiments.common import ExperimentResult, CLIENT_ORDER
 from repro.experiments.registry import register
@@ -31,6 +31,13 @@ RTT_MS = 100.0
 
 #: Full-exposure implementations per Appendix E.
 FULL_EXPOSURE = {"aioquic", "go-x-net", "mvfst", "quiche"}
+
+
+def rtt_sample_counts(result) -> Tuple[int, int]:
+    """The spec's ``observe``: ``(exposed metric updates, packets with
+    new ACKs)`` of one connection's client qlog."""
+    events = result.client_qlog_events
+    return count_metric_updates(events), count_new_ack_packets(events)
 
 
 def scenarios(http: str, rtt_ms: float, response_size: int) -> List[Scenario]:
@@ -59,11 +66,7 @@ def aggregate(results: CellResults, params: Params) -> ExperimentResult:
     per_scenario = results.groups(params["repetitions"])
     rows: List[List[object]] = []
     for client in CLIENT_ORDER:
-        metric_counts: List[int] = []
-        ack_counts: List[int] = []
-        for result in next(per_scenario):
-            metric_counts.append(count_metric_updates(result.client_qlog_events))
-            ack_counts.append(count_new_ack_packets(result.client_qlog_events))
+        metric_counts, ack_counts = zip(*next(per_scenario))
         metric_avg = sum(metric_counts) / len(metric_counts)
         ack_avg = sum(ack_counts) / len(ack_counts)
         rows.append(
@@ -103,6 +106,7 @@ SPEC = register(
         artifact_level=ArtifactLevel.TRACE,
         cells=cells,
         aggregate=aggregate,
+        observe=rtt_sample_counts,
         defaults={
             "http": "h1",
             "repetitions": 3,

@@ -13,10 +13,17 @@ planner can reason about:
     experiments return no cells; their whole computation lives in the
     aggregator.
 
+``observe(artifacts)`` (experiments above ``stats`` level only)
+    The map half of a trace-reading experiment: a module-level function
+    from one cell's trace-level :class:`~repro.runtime.RunArtifacts` to
+    the small picklable value the aggregator needs from it. It runs in
+    the process that simulated the cell, immediately after it, so no
+    packet trace or qlog ever crosses a process boundary.
+
 ``aggregate(results, params)``
-    A pure function from executed cells (a :class:`CellResults` view,
-    possibly disk-backed) to the experiment's
-    :class:`~repro.experiments.common.ExperimentResult`.
+    A pure function from executed cells (a :class:`CellResults` view —
+    of artifacts, or of observed values for an observing spec) to the
+    experiment's :class:`~repro.experiments.common.ExperimentResult`.
 
 With demand declared up front, the
 :class:`~repro.runtime.suite.SuiteRunner` can plan the union of cells
@@ -43,7 +50,6 @@ from typing import (
 from repro.errors import InvalidOverride
 from repro.experiments.common import ExperimentResult
 from repro.runtime import ArtifactLevel, Cell, RunArtifacts
-from repro.runtime.store import ArtifactHandle, ArtifactStore
 
 #: Resolved experiment parameters (defaults merged with overrides).
 Params = Dict[str, Any]
@@ -56,61 +62,22 @@ KIND_WILD = "wild"  #: emulated internet measurement (scan/longitudinal)
 _KINDS = (KIND_MATRIX, KIND_MODEL, KIND_WILD)
 
 
-class CellResults(Sequence):
-    """One experiment's executed cells, in its declared cell order.
-
-    Entries are either in-memory :class:`RunArtifacts` or
-    :class:`ArtifactHandle` references into an :class:`ArtifactStore`;
-    handles load on access, so aggregators that walk
-    :meth:`groups` hold only one per-scenario repetition group in
-    memory at a time regardless of sweep size.
-    """
-
-    def __init__(
-        self,
-        entries: Sequence[Any],
-        store: Optional[ArtifactStore] = None,
-    ):
-        self._entries = list(entries)
-        self._store = store
+class CellResults(list):
+    """One experiment's executed cells, in its declared cell order:
+    stats-level :class:`RunArtifacts` for a ``stats`` spec, the values
+    its ``observe`` returned for a spec above it."""
 
     @classmethod
     def in_memory(cls, artifacts: Sequence[RunArtifacts]) -> "CellResults":
         return cls(artifacts)
 
-    def _load(self, entry: Any) -> RunArtifacts:
-        if isinstance(entry, ArtifactHandle):
-            if self._store is None:
-                raise ValueError("disk-backed entry without a store")
-            return self._store.get(entry)
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._load(e) for e in self._entries[index]]
-        return self._load(self._entries[index])
-
-    def __iter__(self) -> Iterator[RunArtifacts]:
-        for entry in self._entries:
-            yield self._load(entry)
-
-    @property
-    def spilled_count(self) -> int:
-        """How many entries live on disk rather than in memory."""
-        return sum(1 for e in self._entries if isinstance(e, ArtifactHandle))
-
-    def groups(self, size: int) -> Iterator[List[RunArtifacts]]:
+    def groups(self, size: int) -> Iterator[List[Any]]:
         """Consecutive chunks of ``size`` cells — the per-scenario
-        repetition groups of a matrix laid out scenario-major. Each
-        group is loaded eagerly and released when the caller moves on,
-        which keeps disk-backed aggregation memory at one group."""
+        repetition groups of a matrix laid out scenario-major."""
         if size <= 0:
             raise ValueError("group size must be positive")
-        for start in range(0, len(self._entries), size):
-            yield [self._load(e) for e in self._entries[start : start + size]]
+        for start in range(0, len(self), size):
+            yield self[start : start + size]
 
 
 @dataclass(frozen=True)
@@ -123,9 +90,9 @@ class ExperimentSpec:
     paper: str
     #: ``matrix`` / ``model`` / ``wild`` — see module constants.
     kind: str
-    #: Minimum artifact retention the aggregator needs. The suite runs
-    #: its cells at (at least) this level — a qlog-reading experiment
-    #: can never silently receive ``stats`` artifacts.
+    #: Retention the experiment reads. ``stats`` aggregators receive
+    #: the cells' artifacts; anything above is retained only inside the
+    #: cell, for :attr:`observe`.
     artifact_level: ArtifactLevel
     #: ``params -> List[Cell]``: the cells to execute, aggregation-ordered.
     cells: Callable[[Params], List[Cell]]
@@ -135,11 +102,27 @@ class ExperimentSpec:
     defaults: Mapping[str, Any] = field(default_factory=dict)
     #: Parameter overrides for fast CI smoke runs (``--smoke``).
     smoke: Mapping[str, Any] = field(default_factory=dict)
+    #: ``RunArtifacts -> small picklable value``, required above
+    #: ``stats`` (see the module docs). Its qualified name is part of
+    #: the cell's cache identity; changing what it *returns* is a
+    #: ``CELL_CODE_VERSION`` bump like any simulator change.
+    observe: Optional[Callable[[RunArtifacts], Any]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(
                 f"{self.id}: unknown kind {self.kind!r}; expected one of {_KINDS}"
+            )
+        if self.observe is None:
+            if self.artifact_level is not ArtifactLevel.STATS:
+                raise ValueError(
+                    f"{self.id}: artifact level {self.artifact_level.value!r} needs "
+                    "an observe function (traces never leave the cell that made them)"
+                )
+        elif "<" in getattr(self.observe, "__qualname__", "<"):
+            raise ValueError(
+                f"{self.id}: observe must be a module-level function "
+                "(workers import it by name)"
             )
         for key in self.smoke:
             if key not in self.defaults:

@@ -42,9 +42,10 @@ PAPER_TABLE4 = {
 
 
 def observed_second_flight_indices(result) -> Tuple[int, ...]:
-    """Datagram indices (1-based, client-sent) carrying the second
-    flight: everything from the first post-ClientHello datagram
-    through the one with the client Finished / request."""
+    """The spec's ``observe``: datagram indices (1-based, client-sent)
+    carrying the second flight — everything from the first
+    post-ClientHello datagram through the one with the client
+    Finished / request."""
     client_records = result.tracer.filter(link="client->server")
     indices: List[int] = []
     for record in client_records:
@@ -85,11 +86,7 @@ def aggregate(results: CellResults, params: Params) -> ExperimentResult:
     rows: List[List[object]] = []
     for client in CLIENT_ORDER:
         profile = client_profile(client)
-        observed_counts = set()
-        for result in next(per_scenario):
-            observed = observed_second_flight_indices(result)
-            if observed:
-                observed_counts.add(len(observed))
+        observed_counts = {len(indices) for indices in next(per_scenario) if indices}
         paper_pto, paper_indices = PAPER_TABLE4[client]
         declared = profile.second_flight_indices
         rows.append(
@@ -123,6 +120,7 @@ SPEC = register(
         artifact_level=ArtifactLevel.TRACE,
         cells=cells,
         aggregate=aggregate,
+        observe=observed_second_flight_indices,
         defaults={"repetitions": 5, "rtt_ms": 9.0, "base_seed": 0},
         smoke={"repetitions": 1},
     )

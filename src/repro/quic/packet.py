@@ -79,7 +79,7 @@ class Packet:
     pn_length: int = 2
     # Derived slots. Their names are part of the pickle format (the
     # state of a non-frozen slots dataclass is keyed by slot name), so
-    # spill files, disk-cache entries and fleet frames written before
+    # stored artifacts, disk-cache entries and fleet frames written before
     # they became eager keep loading; ``space``, ``ack_eliciting`` and
     # ``size`` below the class are the public names for reading them.
     _payload_size: int = field(init=False, repr=False, compare=False)

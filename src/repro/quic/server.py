@@ -151,6 +151,22 @@ class ServerConnection(Endpoint):
     # packet processing overrides
     # ------------------------------------------------------------------
 
+    def discard_space(self, space: Space) -> None:
+        super().discard_space(space)
+        # Discarded keys cannot protect a packet (RFC 9001 §4.9.1):
+        # datagrams still queued behind the amplification limit lose
+        # their packets of that space. Flight order is kept for the
+        # rest; a datagram left empty is never sent.
+        kept: List[Tuple[Datagram, bool]] = []
+        for dgram, is_probe in self._blocked:
+            packets = tuple(p for p in dgram.packets if p.space is not space)
+            if len(packets) != len(dgram.packets):
+                if not packets:
+                    continue
+                dgram = Datagram(packets, dgram.sender)
+            kept.append((dgram, is_probe))
+        self._blocked = kept
+
     def _on_peer_validated(self) -> None:
         """First Handshake packet: it proves the client's address (RFC
         9000 §8.1), and the server discards its Initial keys (RFC 9001

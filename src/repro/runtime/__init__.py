@@ -6,7 +6,8 @@ Public surface:
   processes (or run them in-process) with deterministic seeding and
   stable result order.
 * :class:`ArtifactLevel` / :class:`RunArtifacts` — selectable per-run
-  retention (``stats`` / ``trace`` / ``full``).
+  retention (``stats`` / ``trace`` / ``full``); a suite retains above
+  ``stats`` only inside a cell, while its experiments' ``observe`` run.
 * :class:`ExecutionBackend` — pluggable chunk execution:
   :class:`LocalBackend` (in-process pool) or :class:`SocketBackend`
   (chunks served over TCP to ``python -m repro worker`` processes on
@@ -15,8 +16,8 @@ Public surface:
   (chunk dispatch, worker membership, completion) streamed to any
   attached observer; the channel the ``repro.api`` façade exposes.
 * :class:`ResultCache` — sweep-scoped (scenario, seed, level) memo.
-* :class:`ArtifactStore` — disk-streamed spill of per-cell artifacts
-  for larger-than-memory sweeps.
+* :class:`ArtifactStore` — a disk store of per-cell artifacts for
+  direct ``MatrixRunner`` users (no suite uses it).
 * :class:`SuiteRunner` — cross-experiment planning: union the cells of
   any set of registered experiments, dedupe, execute once, fan out.
 * :class:`Scheduler` / :class:`ChunkScheduler` — the distributed

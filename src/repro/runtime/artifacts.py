@@ -26,12 +26,15 @@ Three levels:
 from __future__ import annotations
 
 import enum
+import pickle
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.errors import ObserveError
 from repro.interop.runner import RunResult, Runner, Scenario
 from repro.qlog.events import QlogEvent
 from repro.quic.connection import ConnectionStats
+from repro.runtime.cache import scenario_key
 from repro.sim.trace import TraceRecord, Tracer
 
 
@@ -122,15 +125,15 @@ def execute_cell(
     """Run one (scenario, seed) cell at the requested artifact level.
 
     Cells are usually ``(Scenario, seed)`` pairs, but any object with
-    an ``execute_task(seed=..., level=...)`` method rides the same
-    rails: the runtime (backends, scheduler, checkpoint journal,
-    caches) stays agnostic about what a cell computes, which is how
-    the streaming scan pipeline ships probe shards over the fleet
-    without a second protocol.
+    an ``execute_task(seed=..., level=..., runner=...)`` method rides
+    the same rails: the runtime (backends, scheduler, checkpoint
+    journal, caches) stays agnostic about what a cell computes, which
+    is how scan shards and :class:`ObservedCell` wrappers cross the
+    fleet without a second protocol.
     """
     task = getattr(scenario, "execute_task", None)
     if callable(task):
-        return task(seed=seed, level=level)
+        return task(seed=seed, level=level, runner=runner)
     if runner is None:
         runner = Runner()
     keep = level is not ArtifactLevel.STATS
@@ -150,3 +153,55 @@ def execute_cell(
     if level is ArtifactLevel.FULL:
         artifacts.result = result
     return artifacts
+
+
+#: One observer of a cell: ``(experiment id, its spec's observe)``.
+Observer = Tuple[str, Callable[[RunArtifacts], Any]]
+
+
+@dataclass(slots=True)
+class ObservedArtifacts(RunArtifacts):
+    """Stats-level artifacts plus ``{experiment id: observed value}`` —
+    the only form in which an observed cell leaves its process."""
+
+    observed: Dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ObservedCell:
+    """A scenario some experiments read the trace of, as a task cell
+    (see :func:`execute_cell`): simulated at ``level``, observed on the
+    spot, returned as :class:`ObservedArtifacts`. One instance serves
+    all repetitions of its scenario, so chunk grouping and the runner's
+    per-scenario scaffold keep seeing one object."""
+
+    scenario: Scenario
+    level: ArtifactLevel  #: what the observers need retained
+    observers: Tuple[Observer, ...]
+
+    def task_key(self) -> Optional[Tuple[Any, ...]]:
+        """Cache identity: the scenario's (``None`` stays ``None``), the
+        level, and which functions observe."""
+        skey = scenario_key(self.scenario)
+        if skey is None:
+            return None
+        names = tuple((exp, f"{fn.__module__}.{fn.__qualname__}") for exp, fn in self.observers)
+        return ("observed-cell", skey, self.level.value, names)
+
+    def execute_task(
+        self, seed: int, level: ArtifactLevel, runner: Optional[Runner] = None
+    ) -> ObservedArtifacts:
+        cell = execute_cell(self.scenario, seed, self.level, runner=runner)
+        observed: Dict[str, Any] = {}
+        for exp_id, observe in self.observers:
+            try:
+                observed[exp_id] = observe(cell)
+                # Pool, wire, caches and journal all pickle the value;
+                # refusing it here types the failure on every path.
+                pickle.dumps(observed[exp_id], protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                raise ObserveError(exp_id, self.scenario.describe(), seed, repr(exc)) from exc
+        return ObservedArtifacts(
+            self.scenario, cell.seed, ArtifactLevel.STATS,
+            cell.client_stats, cell.server_stats, cell.duration_ms, observed=observed,
+        )

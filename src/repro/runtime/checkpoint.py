@@ -36,12 +36,9 @@ segments (later duplicates win; duplicates are bit-identical by
 determinism), and journaling after a resume continues the segment
 numbering, so a run can crash and resume any number of times.
 
-Two deliberate non-goals: cells served from an in-memory result cache
+One deliberate non-goal: cells served from an in-memory result cache
 never pass through the observer and are simply recomputed on resume
-(cheap by definition — they were cache hits), and ``full``-level
-suites cannot checkpoint at all (live endpoint objects are
-unpicklable), which :class:`~repro.runtime.suite.SuiteRunner` rejects
-up front.
+(cheap by definition — they were cache hits).
 """
 
 from __future__ import annotations
@@ -93,7 +90,10 @@ def plan_fingerprint(plan: Any) -> str:
     from repro.runtime.suite import cell_key
 
     cells: List[str] = []
-    for position, cell in enumerate(plan.unique_cells):
+    # The cells as dispatched: an observed cell's key names its
+    # observers, so a journal of one observer set (or of the trace-level
+    # artifacts an older version shipped) never replays into another.
+    for position, cell in enumerate(plan.dispatch_cells):
         key = cell_key(cell)
         cells.append(f"opaque:{position}" if key is None else repr(key))
     doc = {

@@ -16,7 +16,7 @@ speculative duplicates for stragglers — lives behind the
 (:class:`~repro.runtime.scheduler.ChunkScheduler` by default), called
 only under the backend's state lock.
 
-Wire protocol (version 4)
+Wire protocol (version 6)
 -------------------------
 
 Every frame is ``b"RPRO" | type:u8 | length:u32be | body``. *Control*
@@ -42,7 +42,8 @@ CHUNK      server → worker ``(job_id, chunk_id, GroupedChunk, level)``
 RESULT     worker → server ``(job_id, chunk_id, [(index, artifacts)],
                             cache_meta)``
 HEARTBEAT  worker → server ``None`` (liveness while computing)
-ERROR      worker → server ``{"job_id", "chunk_id", "error", "traceback"}``
+ERROR      worker → server ``{"job_id", "chunk_id", "error", "traceback",
+                            "exception"}``
 SHUTDOWN   server → worker ``None`` (drain and exit 0)
 DRAIN      either way      ``None`` (graceful departure, see below)
 ========== =============== ==========================================
@@ -62,9 +63,12 @@ is sent, and every data-frame body is self-describing (the codec byte)
 so either side can decode anything it supports regardless of the
 negotiation (and gave CHUNK a fifth ``engine`` field). Version 5
 dropped that field again with the batch cell engine: CHUNK is back to
-four elements. Versions must match exactly (HELLO is rejected
-otherwise), so mixed fleets — a v4 worker that would send or expect
-the 5-tuple — fail loudly at connect time instead of mis-framing.
+four elements. Version 6 gave ERROR ``"exception"`` (an
+:class:`~repro.errors.ObserveError` to re-raise as itself, else
+``None``) and keeps out v5 workers, which cannot unpickle the
+:class:`~repro.runtime.artifacts.ObservedCell` tasks suites now send.
+Versions must match exactly (HELLO is rejected otherwise), so mixed
+fleets fail loudly at connect time instead of mid-job.
 
 Elastic membership
 ------------------
@@ -102,7 +106,7 @@ what is left among the workers idle at that moment, clamped to
 between under-sized chunks, slow workers stop sitting on oversize
 chunks the fleet has to wait out (and stop hitting transfer
 deadlines), no worker idles through a job whose whole pool is smaller
-than one time budget (a 64-cell spill batch of 2 ms cells), and
+than one time budget (a few dozen 2 ms cells), and
 because every result is tagged with its cell index, reassembly — and
 therefore the result bundle — is byte-identical no matter how the pool
 was carved.
@@ -210,7 +214,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import BackendError, WorkerAuthError
+from repro.errors import BackendError, ObserveError, WorkerAuthError
 from repro.runtime.artifacts import RunArtifacts
 from repro.runtime.backend import ExecutionBackend
 from repro.runtime.cache import ResultCache
@@ -246,14 +250,14 @@ from repro.runtime.worker import (
     run_cell_chunk,
 )
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 MAGIC = b"RPRO"
 _HEADER = struct.Struct(">4sBI")
 
 _log = logging.getLogger("repro.distributed")
 
-#: Frames above this are refused on both send and receive. Trace-level
-#: chunks carry full packet traces, so the default bound is generous.
+#: Frames above this are refused on both send and receive. A direct
+#: trace-level ``MatrixRunner`` ships whole packet traces: be generous.
 DEFAULT_MAX_FRAME_BYTES = 256 * 1024 * 1024
 DEFAULT_HEARTBEAT_INTERVAL = 2.0
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
@@ -265,9 +269,8 @@ DEFAULT_WORKER_WAIT_TIMEOUT = 120.0
 SEND_TIMEOUT_FLOOR = 30.0
 SEND_MIN_RATE_BYTES = 1_000_000.0
 #: Default bound on the worker-resident cross-suite result cache
-#: (entries, not bytes — stats-level artifacts are a few hundred bytes,
-#: trace-level ones larger; lower it via ``--cache-entries`` for
-#: trace-heavy fleets, or 0 to disable).
+#: (entries, not bytes — what a suite caches is stats-level, a few
+#: hundred bytes each; ``--cache-entries 0`` disables it).
 DEFAULT_WORKER_CACHE_ENTRIES = 4096
 #: How long a keyed worker waits for the coordinator's challenge — a
 #: keyless coordinator sends nothing (it waits for HELLO), so without a
@@ -867,6 +870,8 @@ def _worker_session(
                         "chunk_id": chunk_id,
                         "error": repr(exc),
                         "traceback": traceback.format_exc(),
+                        # Not the fleet's failure: re-raised as itself.
+                        "exception": exc if isinstance(exc, ObserveError) else None,
                     },
                     codec=codec,
                     threshold=threshold,
@@ -1489,6 +1494,8 @@ class SocketBackend(ExecutionBackend):
                 with self._cond:
                     job = self._scheduler.job
                     if job.failure is not None:
+                        if isinstance(job.failure.get("exception"), ObserveError):
+                            raise job.failure["exception"]
                         raise BackendError(
                             "remote worker failed on chunk "
                             f"{job.failure.get('chunk_id')}: "

@@ -536,11 +536,11 @@ class ChunkScheduler(Scheduler):
         a chunk right now (idle and not draining; the asker is one).
 
         Without this cap the wall-clock budget alone decides the size,
-        and a pool smaller than one budget — every 64-cell spill batch
-        of millisecond cells — goes whole to whichever worker asks
+        and a pool smaller than one budget — a smoke suite's few dozen
+        millisecond cells — goes whole to whichever worker asks
         first while the rest of the fleet idles. Busy workers are left
         out on purpose: counting them carves a geometric tail of ever
-        smaller chunks (32, 16, 8, ... per batch) for the same
+        smaller chunks (32, 16, 8, ...) for the same
         throughput. The split is equal while any candidate lacks a
         throughput estimate, and one cell is held back per other
         candidate so a lopsided rate cannot round a worker out of a

@@ -9,18 +9,21 @@ can plan the union:
 
 1. **Plan** — collect each selected experiment's cells, dedupe
    identical ``(scenario value, seed)`` cells across experiments, and
-   take the max required artifact level.
-2. **Execute** — run the unique cells once on a single shared
-   :class:`~repro.runtime.matrix.MatrixRunner` at that level,
-   optionally streaming each finished cell to a disk-backed
-   :class:`~repro.runtime.store.ArtifactStore` so trace-level suites
-   never hold the whole sweep in memory.
+   attach to each unique cell the ``observe`` functions of the
+   trace-reading experiments that demand it.
+2. **Execute** — run the unique cells once, in one
+   :meth:`~repro.runtime.matrix.MatrixRunner.run_cells` call. A cell
+   with observers runs as an
+   :class:`~repro.runtime.artifacts.ObservedCell` (its trace lives only
+   while they read it, in the process that simulated it; stats plus the
+   observed values come back); every other cell is a plain stats cell.
 3. **Fan out** — hand every experiment a
    :class:`~repro.experiments.spec.CellResults` view onto exactly its
-   cells (in its declared order) and call its pure aggregator.
+   cells (in its declared order; artifacts for a stats experiment,
+   observed values for an observing one) and call its pure aggregator.
 
-Stats at a richer artifact level are bit-identical to a ``stats``-level
-run (retention never perturbs connection behavior), so an experiment's
+Stats beside an observation are bit-identical to a ``stats``-level run
+(retention never perturbs connection behavior), so an experiment's
 result does not depend on what else was selected with it.
 """
 
@@ -29,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.errors import BackendError, CheckpointError, InvalidOverride
-from repro.runtime.artifacts import ArtifactLevel
+from repro.errors import BackendError, InvalidOverride
+from repro.runtime.artifacts import ArtifactLevel, ObservedCell, Observer
 from repro.runtime.backend import ExecutionBackend
 from repro.runtime.cache import scenario_key
 from repro.runtime.checkpoint import SuiteCheckpoint, plan_fingerprint
@@ -43,12 +46,7 @@ from repro.runtime.events import (
     emit,
 )
 from repro.runtime.matrix import Cell, MatrixRunner
-from repro.runtime.store import ArtifactHandle, ArtifactStore
 from repro.schema import BUNDLE_SCHEMA_VERSION
-
-#: Unique-cell batch size for streamed execution: large enough to keep
-#: a worker pool busy, small enough to bound in-memory artifacts.
-STREAM_BATCH_CELLS = 64
 
 
 def cell_key(cell: Cell) -> Optional[Tuple[Any, ...]]:
@@ -88,7 +86,12 @@ class SuitePlan:
 
     experiments: List[PlannedExperiment]
     unique_cells: List[Cell]
+    #: The richest level any selected experiment reads (reporting and
+    #: the checkpoint fingerprint only; no cell runs "at" it).
     artifact_level: ArtifactLevel
+    #: What executes, slot for slot: ``unique_cells`` with each observed
+    #: cell wrapped in an :class:`~repro.runtime.artifacts.ObservedCell`.
+    dispatch_cells: List[Cell]
 
     @property
     def total_cells(self) -> int:
@@ -129,11 +132,16 @@ class SuitePlan:
             rows,
             title="Suite plan",
         )
-        return (
+        text = (
             f"{table}\n"
             f"total cells: {self.total_cells}, unique after dedup: "
             f"{len(self.unique_cells)} ({self.shared_cells} shared)"
         )
+        observed = sum(isinstance(c.scenario, ObservedCell) for c in self.dispatch_cells)
+        if observed:
+            ids = sorted(p.spec.id for p in self.experiments if p.spec.observe and p.cells)
+            text += f"\n{observed} of {len(self.unique_cells)} cells observed: {', '.join(ids)}"
+        return text
 
 
 @dataclass
@@ -143,31 +151,23 @@ class SuiteReport:
     plan: SuitePlan
     results: Dict[str, Any]  # id -> ExperimentResult
     executed_cells: int
+    #: Always 0: the disk spill and the in-memory suite cache that fed
+    #: these are gone, but the golden ``suite.json`` pins the keys;
+    #: dropping them is a bundle schema-version bump.
     spilled_cells: int = 0
-    spill_bytes: int = 0
-    #: Always 0: the in-memory suite cache that fed these is gone, but
-    #: the golden ``suite.json`` pins the keys; dropping them is a
-    #: bundle schema-version bump.
     cache_hits: int = 0
     cache_misses: int = 0
     extra: Dict[str, Any] = field(default_factory=dict)
 
     def render(self) -> str:
         parts = [result.render() for result in self.results.values()]
-        parts.append(
-            f"suite: {self.executed_cells} cells executed "
-            f"({self.plan.shared_cells} shared, "
-            f"{self.spilled_cells} spilled to disk)"
-        )
+        shared = self.plan.shared_cells
+        parts.append(f"suite: {self.executed_cells} cells executed ({shared} shared)")
         return "\n\n".join(parts)
 
     def to_dict(self) -> Dict[str, Any]:
-        # spill_bytes (and extra) stay off the bundle deliberately:
-        # bundle bytes must not depend on *how* a suite executed, and
-        # spilled pickle sizes differ by a hair between in-process and
-        # wire-shipped artifacts (the worker's scenario strip severs
-        # scenario-subobject sharing inside the pickle graph) even
-        # though the loaded values are identical. Operational
+        # ``extra`` stays off the bundle deliberately: bundle bytes
+        # must not depend on *how* a suite executed. Operational
         # accounting lives on the report object, results in the bundle.
         return {
             "schema_version": BUNDLE_SCHEMA_VERSION,
@@ -183,22 +183,14 @@ class SuiteReport:
 class SuiteRunner:
     """Plans and executes any selection of registered experiments.
 
-    ``spill``
-        ``"auto"`` (default) streams cells to disk whenever the plan's
-        level retains more than stats; ``"always"`` / ``"never"``
-        force it. ``full``-level plans never spill (live endpoints are
-        unpicklable).
-    ``spill_dir``
-        Optional spill directory, kept on disk after the run; the
-        default is a temporary directory deleted when the run ends.
     ``backend``
         Optional caller-owned
         :class:`~repro.runtime.backend.ExecutionBackend` (e.g. a
         :class:`~repro.runtime.distributed.SocketBackend` serving
         remote workers); it is threaded into the runner each run
-        creates and never closed by the suite. Chunk sizing,
-        artifact-level promotion, and disk spill all behave exactly as
-        with local execution — only *where* chunks run changes.
+        creates and never closed by the suite. Chunk sizing and cell
+        observation behave exactly as with local execution — only
+        *where* chunks run changes.
     ``on_event``
         Optional :class:`~repro.runtime.events.EventSink` receiving
         typed progress events (:class:`SuitePlanned`, chunk/cell
@@ -214,8 +206,7 @@ class SuiteRunner:
         like checkpoint resume, so served bundles stay byte-identical
         to uncached runs — and freshly executed cells are stored for
         every later run, surviving process, daemon, and fleet
-        restarts. ``full``-level plans skip the cache (live endpoints
-        are unpicklable), as do scenarios that defeat value identity.
+        restarts. Scenarios that defeat value identity skip the cache.
         Per-run hit/miss accounting lands on
         ``report.extra["disk_cache_hits"/"disk_cache_misses"]``
         (deliberately off the bundle: bytes must not depend on cache
@@ -228,25 +219,18 @@ class SuiteRunner:
         cells and executes only the remainder — the resumed bundle is
         byte-identical to an uninterrupted run. A checkpoint for a
         different suite raises
-        :class:`~repro.errors.CheckpointError`. ``full``-level plans
-        cannot checkpoint (live endpoints are unpicklable).
+        :class:`~repro.errors.CheckpointError`.
     """
 
     def __init__(
         self,
         workers: int = 0,
-        spill: str = "auto",
-        spill_dir: Optional[str] = None,
         backend: Optional[ExecutionBackend] = None,
         on_event: Optional[EventSink] = None,
         checkpoint_dir: Optional[str] = None,
         disk_cache: Optional[Union[str, DiskResultCache]] = None,
     ):
-        if spill not in ("auto", "always", "never"):
-            raise ValueError("spill must be 'auto', 'always', or 'never'")
         self.workers = workers
-        self.spill = spill
-        self.spill_dir = spill_dir
         self.backend = backend
         self.on_event = on_event
         self.checkpoint_dir = checkpoint_dir
@@ -273,7 +257,8 @@ class SuiteRunner:
         planned: List[PlannedExperiment] = []
         unique: List[Cell] = []
         slot_of: Dict[Tuple[Any, ...], int] = {}
-        levels: List[ArtifactLevel] = []
+        levels: Dict[str, ArtifactLevel] = {}
+        observers: Dict[int, List[Observer]] = {}
         seen_ids = set()
         for experiment in experiments:
             spec = get_spec(experiment)
@@ -302,15 +287,30 @@ class SuiteRunner:
                         slot_of[key] = slot
                 slots.append(slot)
             if cells:
-                levels.append(spec.artifact_level)
+                levels[spec.id] = spec.artifact_level
+                if spec.observe is not None:
+                    for slot in slots:
+                        observers.setdefault(slot, []).append((spec.id, spec.observe))
             planned.append(PlannedExperiment(spec=spec, params=params, cells=cells, slots=slots))
         unknown = set(overrides) - seen_ids
         if unknown:
             raise InvalidOverride(f"overrides for unselected experiments: {sorted(unknown)}")
+        # One ObservedCell per (scenario object, observer set), shared
+        # by that scenario's repetitions like the scenario itself is.
+        dispatch = list(unique) if observers else unique
+        wrappers: Dict[Tuple[Any, ...], ObservedCell] = {}
+        for slot, readers in observers.items():
+            cell = unique[slot]
+            key = (id(cell.scenario), *readers)
+            if key not in wrappers:
+                level = max_level([levels[exp_id] for exp_id, _ in readers])
+                wrappers[key] = ObservedCell(cell.scenario, level, tuple(readers))
+            dispatch[slot] = Cell(wrappers[key], cell.seed)
         return SuitePlan(
             experiments=planned,
             unique_cells=unique,
-            artifact_level=max_level(levels),
+            artifact_level=max_level(list(levels.values())),
+            dispatch_cells=dispatch,
         )
 
     # -- execution ------------------------------------------------------
@@ -336,13 +336,7 @@ class SuiteRunner:
             ),
         )
         checkpoint, completed = self._resolve_checkpoint(plan)
-        store, owned_store = self._resolve_store(plan)
-        runner = MatrixRunner(
-            workers=self.workers,
-            artifact_level=plan.artifact_level,
-            backend=self.backend,
-            on_event=self.on_event,
-        )
+        runner = MatrixRunner(workers=self.workers, backend=self.backend, on_event=self.on_event)
         disk = self.disk_cache
         disk0 = (disk.hits, disk.misses) if disk is not None else (0, 0)
         # Distributed backends accumulate worker-resident cache hits;
@@ -360,34 +354,29 @@ class SuiteRunner:
             prev_sink = self.backend._event_sink
             self.backend.set_event_sink(self.on_event)
         try:
-            entries: Sequence[Any]
             try:
-                entries = self._execute_cells(runner, plan, store, checkpoint, completed)
+                entries = self._execute_cells(runner, plan, checkpoint, completed)
             except BackendError as exc:
                 named = self._name_poison(exc, plan)
                 if named is not None:
                     raise named from exc
                 raise
             results: Dict[str, Any] = {}
-            spilled = sum(1 for e in entries if isinstance(e, ArtifactHandle))
             for planned in plan.experiments:
-                view = CellResults([entries[slot] for slot in planned.slots], store=store)
-                result = planned.spec.aggregate(view, planned.params)
-                results[planned.spec.id] = result
+                spec = planned.spec
+                mine = [entries[slot] for slot in planned.slots]
+                if spec.observe is not None:
+                    mine = [artifacts.observed[spec.id] for artifacts in mine]
+                result = spec.aggregate(CellResults(mine), planned.params)
+                results[spec.id] = result
                 emit(
                     self.on_event,
                     ExperimentCompleted(
-                        experiment_id=planned.spec.id,
+                        experiment_id=spec.id,
                         rows=len(getattr(result, "rows", []) or []),
                     ),
                 )
-            report = SuiteReport(
-                plan=plan,
-                results=results,
-                executed_cells=len(plan.unique_cells),
-                spilled_cells=spilled,
-                spill_bytes=store.bytes_written if store is not None else 0,
-            )
+            report = SuiteReport(plan, results, executed_cells=len(plan.unique_cells))
             if wc0 is not None:
                 report.extra["worker_cache_hits"] = backend.stats.worker_cache_hits - wc0
             if disk is not None:
@@ -403,8 +392,6 @@ class SuiteRunner:
             )
             return report
         finally:
-            if owned_store and store is not None:
-                store.close()
             runner.close()
             if self.on_event is not None and self.backend is not None:
                 self.backend.set_event_sink(prev_sink)
@@ -416,12 +403,6 @@ class SuiteRunner:
         whatever a previous run already completed."""
         if self.checkpoint_dir is None or not plan.unique_cells:
             return None, {}
-        if plan.artifact_level is ArtifactLevel.FULL:
-            raise CheckpointError(
-                "artifact level 'full' retains live endpoint objects and "
-                "cannot be checkpointed; use a slimmer level or drop "
-                "checkpoint_dir"
-            )
         checkpoint = SuiteCheckpoint(self.checkpoint_dir)
         completed = checkpoint.load_or_init(
             plan_fingerprint(plan),
@@ -444,73 +425,52 @@ class SuiteRunner:
         self,
         runner: MatrixRunner,
         plan: SuitePlan,
-        store: Optional[ArtifactStore],
         checkpoint: Optional[SuiteCheckpoint],
         completed: Dict[int, Any],
     ) -> List[Any]:
-        """Execute the plan's unique cells — replaying journaled
-        results first on a resume, journaling fresh ones as they
-        complete — and return one entry per plan cell, in plan order
-        (artifacts, or :class:`ArtifactHandle` when spilling)."""
-        cells = plan.unique_cells
-        entries_by_slot: Dict[int, Any] = {}
-        for slot, artifacts in completed.items():
-            # Journaled artifacts crossed the wire with their scenario
-            # stripped; restore it from the authoritative plan, then
-            # spill replayed cells immediately so a resumed trace-level
-            # suite keeps the same peak-memory bound as a fresh one.
-            artifacts.scenario = cells[slot].scenario
-            entries_by_slot[slot] = store.put(artifacts) if store is not None else artifacts
+        """Execute the plan's cells — replaying journaled and
+        disk-cached results first, journaling and caching fresh ones —
+        and return one artifacts entry per plan cell, in plan order."""
+        cells = plan.dispatch_cells
+        entries: Dict[int, Any] = dict(completed)
         # Durable disk cache: replay any cell whose content address is
-        # already stored — exactly like checkpoint resume above, so the
-        # served bundle stays byte-identical — and remember the keys of
-        # the misses so freshly executed cells feed the cache below.
+        # already stored, exactly like checkpoint resume, and remember
+        # the misses' keys so fresh results feed the cache below.
         disk = self.disk_cache
         disk_keys: Dict[int, str] = {}
-        if disk is not None and plan.artifact_level is not ArtifactLevel.FULL:
+        if disk is not None:
             for slot, cell in enumerate(cells):
-                if slot in entries_by_slot:
+                if slot in entries:
                     continue
-                key = disk.fingerprint(cell.scenario, cell.seed, plan.artifact_level)
+                key = disk.fingerprint(cell.scenario, cell.seed, ArtifactLevel.STATS)
                 if key is None:
                     continue
                 artifacts = disk.get(key)
                 if artifacts is None:
                     disk_keys[slot] = key
-                    continue
-                artifacts.scenario = cell.scenario
-                entries_by_slot[slot] = store.put(artifacts) if store is not None else artifacts
-        positions = [slot for slot in range(len(cells)) if slot not in entries_by_slot]
-        pending = [cells[slot] for slot in positions]
-        if pending:
-            batch_size = STREAM_BATCH_CELLS if store is not None else len(pending)
-            base = 0
+                else:
+                    entries[slot] = artifacts
+        positions = [slot for slot in range(len(cells)) if slot not in entries]
+        if positions:
             if checkpoint is not None:
-
-                def journal(batch):
-                    # Indices from the runner are batch-local; shift
-                    # them to plan-global positions before they hit
-                    # the journal.
-                    checkpoint.record(
-                        [(positions[base + index], artifacts) for index, artifacts in batch]
-                    )
-
-                runner.result_observer = journal
+                # Indices from the runner are positions in the pending
+                # list; the journal speaks plan-global slots.
+                runner.result_observer = lambda batch: checkpoint.record(
+                    [(positions[index], artifacts) for index, artifacts in batch]
+                )
             try:
-                for start in range(0, len(pending), batch_size):
-                    base = start
-                    batch = runner.run_cells(pending[start : start + batch_size])
-                    for offset, artifacts in enumerate(batch):
-                        slot = positions[start + offset]
-                        if disk is not None and slot in disk_keys:
-                            disk.put(disk_keys[slot], artifacts)
-                        entries_by_slot[slot] = (
-                            store.put(artifacts) if store is not None else artifacts
-                        )
+                fresh = runner.run_cells([cells[slot] for slot in positions])
             finally:
-                if checkpoint is not None:
-                    runner.result_observer = None
-        return [entries_by_slot[slot] for slot in range(len(cells))]
+                runner.result_observer = None
+            for slot, artifacts in zip(positions, fresh):
+                if slot in disk_keys:
+                    disk.put(disk_keys[slot], artifacts)
+                entries[slot] = artifacts
+        # Results come back scenario-less (wire, caches, journal) or
+        # carrying their ObservedCell; aggregators see the plan's own.
+        for slot, cell in enumerate(plan.unique_cells):
+            entries[slot].scenario = cell.scenario
+        return [entries[slot] for slot in range(len(cells))]
 
     def _name_poison(self, exc: BackendError, plan: SuitePlan) -> Optional[BackendError]:
         """Enrich a poison-chunk abort with the experiment ids whose
@@ -521,7 +481,7 @@ class SuiteRunner:
             return None
         slot_of = {
             (id(cell.scenario), cell.seed): slot
-            for slot, cell in enumerate(plan.unique_cells)
+            for slot, cell in enumerate(plan.dispatch_cells)
         }
         slots = set()
         for scenario, seed in poison:
@@ -536,13 +496,3 @@ class SuiteRunner:
         named = BackendError(f"{exc} (experiments affected: {', '.join(experiment_ids)})")
         named.poison_cells = poison
         return named
-
-    def _resolve_store(self, plan: SuitePlan) -> Tuple[Optional[ArtifactStore], bool]:
-        if not plan.unique_cells or plan.artifact_level is ArtifactLevel.FULL:
-            return None, False
-        if self.spill == "never":
-            return None, False
-        if self.spill == "auto" and plan.artifact_level is ArtifactLevel.STATS:
-            return None, False
-        return ArtifactStore(self.spill_dir), True
-

@@ -75,7 +75,6 @@ class ServiceManager:
         pool: int = 1,
         cache_dir: Optional[Union[str, DiskResultCache]] = None,
         workers: int = 2,
-        spill: str = "auto",
     ):
         if pool < 1:
             raise ServiceError("service pool needs at least one slot")
@@ -84,7 +83,6 @@ class ServiceManager:
         self.cache: Optional[DiskResultCache] = cache_dir
         self.pool = pool
         self.workers = workers
-        self.spill = spill
         self.started_at = time.time()
         self._slot = threading.local()
         self._sessions: List[Session] = []
@@ -98,11 +96,7 @@ class ServiceManager:
         use, reused for every later job on the thread)."""
         session = getattr(self._slot, "session", None)
         if session is None:
-            session = Session(
-                LocalConfig(workers=self.workers),
-                spill=self.spill,
-                cache_dir=self.cache,
-            )
+            session = Session(LocalConfig(workers=self.workers), cache_dir=self.cache)
             self._slot.session = session
             with self._lock:
                 self._sessions.append(session)

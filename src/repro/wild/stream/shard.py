@@ -94,9 +94,10 @@ class ShardProbeTask:
             self.alpha,
         )
 
-    def execute_task(self, seed: int, level: ArtifactLevel) -> ShardOutcome:
+    def execute_task(self, seed: int, level: ArtifactLevel, runner: Any = None) -> ShardOutcome:
         """Probe the shard and fold it into a sketch (worker-side
-        entry, called by :func:`~repro.runtime.artifacts.execute_cell`)."""
+        entry, called by :func:`~repro.runtime.artifacts.execute_cell`;
+        ``runner`` is the simulator's and unused by a scan)."""
         started = time.perf_counter()
         source = source_from_spec(self.source_spec)
         sketch = ScanSketch(alpha=self.alpha)

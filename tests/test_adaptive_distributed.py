@@ -226,8 +226,8 @@ def _sleeping_fleet(backend, stop, workers=2, delay_per_cell=0.002):
 
 def test_batch_below_one_time_budget_is_shared_by_both_warmed_workers():
     """A warmed worker's wall-clock budget (~500 cells here) dwarfs a
-    64-cell spill batch; sized by the budget alone the whole batch went
-    to whichever worker asked first and the other idled through the
+    64-cell pool; sized by the budget alone the whole pool went to
+    whichever worker asked first and the other idled through the
     job. Each idle worker must get its share instead."""
     backend = SocketBackend(port=0, min_workers=2)
     events = []

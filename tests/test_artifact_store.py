@@ -1,19 +1,14 @@
-"""Disk-streamed artifact spill: round trip, ownership, and the
-lazy CellResults view."""
+"""The disk artifact store (round trip, ownership, atomic writes) and
+the pickle format of the retained record classes. No suite spills any
+more (PR 17: traces are observed in the cell that made them); the
+class stays for direct ``MatrixRunner`` users and the e2e probes."""
 
 import os
 
 import pytest
 
-from repro.experiments.spec import CellResults
 from repro.interop.runner import Scenario
-from repro.runtime import (
-    ArtifactLevel,
-    ArtifactStore,
-    MatrixRunner,
-    SuiteRunner,
-    execute_cell,
-)
+from repro.runtime import ArtifactLevel, ArtifactStore, execute_cell
 
 
 def _artifacts(level=ArtifactLevel.STATS, seed=0):
@@ -91,57 +86,6 @@ def test_closed_store_rejects_io():
         store.put(_artifacts())
     with pytest.raises(ValueError, match="closed"):
         store.get(handle)
-
-
-def test_run_cells_streamed_batches_and_preserves_order(tmp_path, monkeypatch):
-    """A spilling suite dispatches STREAM_BATCH_CELLS cells at a time
-    (peak memory is one batch) and still hands every experiment its
-    cells in declared order."""
-    import repro.runtime.suite as suite_module
-
-    batches = []
-    real_run_cells = MatrixRunner.run_cells
-
-    def recording_run_cells(self, cells):
-        batches.append(len(cells))
-        return real_run_cells(self, cells)
-
-    monkeypatch.setattr(MatrixRunner, "run_cells", recording_run_cells)
-    monkeypatch.setattr(suite_module, "STREAM_BATCH_CELLS", 5)
-    overrides = {"fig6": {"repetitions": 1}}
-    spill_dir = tmp_path / "s"
-    streamed = SuiteRunner(workers=0, spill="always", spill_dir=str(spill_dir)).run(
-        ["fig6"], overrides=overrides
-    )
-    assert batches == [5, 5, 5, 1]
-    assert streamed.spilled_cells == 16
-    assert len(list(spill_dir.glob("cell-*.pkl"))) == 16
-    batches.clear()
-    in_memory = SuiteRunner(workers=0, spill="never").run(["fig6"], overrides=overrides)
-    assert batches == [16]
-    assert streamed.results["fig6"].to_dict() == in_memory.results["fig6"].to_dict()
-
-
-def test_cell_results_mixed_entries(tmp_path):
-    in_memory = _artifacts(seed=1)
-    with ArtifactStore(str(tmp_path / "s")) as store:
-        handle = store.put(_artifacts(seed=2))
-        view = CellResults([in_memory, handle], store=store)
-        assert view.spilled_count == 1
-        assert [a.seed for a in view] == [1, 2]
-        assert view[1].seed == 2
-        # slicing loads handles too, never leaking raw entries
-        assert [a.seed for a in view[0:2]] == [1, 2]
-        assert view[1:2][0].client_stats == view[1].client_stats
-
-
-def test_cell_results_handle_without_store_raises():
-    store = ArtifactStore()
-    handle = store.put(_artifacts())
-    view = CellResults([handle])
-    with pytest.raises(ValueError, match="store"):
-        view[0]
-    store.close()
 
 
 # -- pickle format of the retained record classes ------------------------

@@ -98,3 +98,48 @@ def test_structural_counts_that_explain_the_ceiling(counted, scenario):
     assert counted["deadline_evaluations"] <= (
         counted["receive_passes"] + counted["sends_outside_a_pass"]
     )
+
+
+# -- where an observed cell's trace goes: nowhere ------------------------
+#
+# fig16 reads one float per connection. Until PR 17 every cell's packet
+# trace and both qlogs crossed the wire, were spilled to an
+# ArtifactStore and were unpickled again inside aggregate, 64 cells at
+# a time; now the observer runs in the worker and these counts hold.
+
+
+def fleet_result_bytes_per_cell(experiment, monkeypatch):
+    """RESULT bytes before compression per cell of one smoke run over
+    a loopback 2-worker fleet — which must also enter ``run_cells``
+    once and construct no ``ArtifactStore``."""
+    from test_observe import fleet_session
+
+    from repro.api import RunRequest
+    from repro.runtime import MatrixRunner, store
+
+    def no_store(self, *args, **kwargs):
+        raise AssertionError("a suite constructed an ArtifactStore")
+
+    monkeypatch.setattr(store.ArtifactStore, "__init__", no_store)
+    entered = []
+    real_run_cells = MatrixRunner.run_cells
+
+    def counting_run_cells(self, cells):
+        entered.append(len(cells))
+        return real_run_cells(self, cells)
+
+    monkeypatch.setattr(MatrixRunner, "run_cells", counting_run_cells)
+    with fleet_session(workers=2) as session:
+        report = session.run(RunRequest((experiment,), smoke=True))
+        raw = session.backend_stats.result_bytes_raw
+    assert entered == [report.executed_cells]  # the whole pool in one call
+    return raw / report.executed_cells
+
+
+def test_an_observed_cell_ships_about_what_a_stats_cell_ships(monkeypatch):
+    observed = fleet_result_bytes_per_cell("fig16", monkeypatch)
+    stats = fleet_result_bytes_per_cell("fig12", monkeypatch)
+    assert observed <= 1.5 * stats, (
+        f"fig16 ships {observed:.0f} B/cell before compression against fig12's "
+        f"{stats:.0f}: something above stats level is crossing the wire again"
+    )

@@ -19,11 +19,13 @@ Regenerating it is a deliberate, reviewed act like the smoke goldens:
 it says the simulator's behaviour changed on purpose.
 
 The sample found a defect the paper grid never reaches: with the large
-certificate and a lost client datagram, the server can still hold an
+certificate and a lost client datagram, the server could still hold an
 amplification-blocked Initial datagram when the first Handshake packet
-discards the Initial space, and flushing it raises :data:`KNOWN_DEFECT`
-(20 of the 512 cells at 3c78813). The digests pin that outcome too, so
-the fix will be a visible, deliberate regeneration of those cells.
+discarded the Initial space, and flushing it raised ``RuntimeError('space
+INITIAL already discarded')`` (20 of the 512 cells at 3c78813, pinned
+as that outcome). PR 17 fixed it — packets of a discarded space leave
+the blocked queue at discard time — and regenerated exactly those 20
+digests; the other 492 are the 3c78813 capture.
 """
 
 import hashlib
@@ -52,9 +54,6 @@ RTTS_MS = (1.0, 9.0, 20.0, 50.0, 100.0, 300.0)
 DELTA_TS_MS = (0.0, 5.0, 25.0, 100.0, 200.0)
 RESPONSE_SIZES = (1024, 10 * 1024, 64 * 1024)
 LOSS_KINDS = ("none", "c2s", "s2c", "both", "random", "ge")
-
-#: What a cell hitting the blocked-Initial-flush defect raises.
-KNOWN_DEFECT = "RuntimeError('space INITIAL already discarded')"
 
 
 def draw_loss(rng: random.Random, kind: str):
@@ -124,23 +123,13 @@ def _packet(packet):
 
 
 def run_cell(runner: Runner, scenario: Scenario, seed: int, keep: bool):
-    """The cell's :class:`RunResult`, or ``None`` when it hits
-    :data:`KNOWN_DEFECT` (anything else propagates)."""
-    try:
-        return runner.run_once(scenario, seed=seed, capture_trace=keep, record_qlog=keep)
-    except RuntimeError as exc:
-        if repr(exc) != KNOWN_DEFECT:
-            raise
-        return None
+    return runner.run_once(scenario, seed=seed, capture_trace=keep, record_qlog=keep)
 
 
 def cell_digests(runner: Runner, scenario: Scenario, seed: int):
     """``(stats digest, trace digest)`` of one cell."""
     slim = run_cell(runner, scenario, seed, keep=False)
     full = run_cell(runner, scenario, seed, keep=True)
-    if slim is None or full is None:
-        assert slim is None and full is None
-        return KNOWN_DEFECT, KNOWN_DEFECT
     stats = _sha([asdict(slim.client_stats), asdict(slim.server_stats), slim.duration_ms])
     trace = _sha(
         [
@@ -207,9 +196,6 @@ def test_retention_never_perturbs_behaviour_and_cc_stays_in_bounds(draw_seed):
     runner = Runner()
     slim = run_cell(runner, scenario, seed, keep=False)
     full = run_cell(runner, scenario, seed, keep=True)
-    if slim is None or full is None:
-        assert slim is None and full is None
-        return
     assert slim.client_stats == full.client_stats
     assert slim.server_stats == full.server_stats
     assert slim.duration_ms == full.duration_ms

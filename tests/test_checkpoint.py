@@ -103,24 +103,6 @@ def test_resumed_session_replays_checkpoint_without_recompute(tmp_path):
             session.run(RunRequest(("fig12",), smoke=True))
 
 
-def test_full_level_suites_refuse_checkpointing(tmp_path):
-    """``full`` retention keeps live endpoint objects, which cannot be
-    journaled; no registered experiment demands it, so probe the guard
-    with a synthetic plan."""
-    from repro.runtime.artifacts import ArtifactLevel
-    from repro.runtime.matrix import Cell
-    from repro.runtime.suite import SuitePlan
-
-    runner = SuiteRunner(checkpoint_dir=str(tmp_path / "ckpt"))
-    plan = SuitePlan(
-        experiments=[],
-        unique_cells=[Cell(scenario=object(), seed=0)],
-        artifact_level=ArtifactLevel.FULL,
-    )
-    with pytest.raises(CheckpointError, match="full"):
-        runner._resolve_checkpoint(plan)
-
-
 def test_checkpoint_dir_with_shared_runner_rejected():
     from repro.runtime.matrix import MatrixRunner
 

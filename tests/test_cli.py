@@ -62,10 +62,16 @@ def test_param_flag_usage_errors_exit_2(capsys):
             main(["run", "fig6", "--param", bad])
         assert excinfo.value.code == 2
         assert "EXP.key=value" in capsys.readouterr().err
-    # The cell-engine flag is gone, not ignored.
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "fig6", "--engine", "batch"])
-    assert excinfo.value.code == 2
+    # The cell-engine flag is gone, not ignored; so are the spill flags.
+    for removed in (
+        ["run", "fig6", "--engine", "batch"],
+        ["run", "fig16", "--smoke", "--spill", "always"],
+        ["run", "fig16", "--smoke", "--spill-dir", "spill"],
+        ["serve", "--spill", "never"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(removed)
+        assert excinfo.value.code == 2
 
 
 def test_events_flag_streams_run_events(capsys):

@@ -223,8 +223,10 @@ def test_v3_hello_is_rejected_before_registration():
     backend = SocketBackend(port=0)
     try:
         # v4 too: its workers unpack a 5-element CHUNK, so they are
-        # refused at HELLO rather than mis-framed mid-job.
-        for refused, version in enumerate((3, 4), start=1):
+        # refused at HELLO rather than mis-framed mid-job. And v5: its
+        # workers cannot unpickle an ObservedCell and would drop the
+        # connection on their first observed chunk.
+        for refused, version in enumerate((3, 4, 5), start=1):
             sock = socket.create_connection((backend.host, backend.port), timeout=5)
             try:
                 send_frame(sock, MSG_HELLO, {"version": version, "host": "old", "pid": 1})

@@ -358,10 +358,9 @@ def test_duplicate_result_frames_emit_chunk_completed_once():
 # -- poison aborts name their experiments -------------------------------
 
 
-def test_poison_abort_names_the_affected_experiments():
-    """When a chunk exhausts its retry bound, the BackendError that
-    surfaces through SuiteRunner must name the experiment ids whose
-    cells it carried, not just an opaque chunk id."""
+def poisoned_suite_error(experiment):
+    """The error of a smoke suite whose every worker dies holding its
+    chunk, until the retry bound gives up."""
     backend = SocketBackend(
         port=0, min_workers=1, max_chunk_retries=2, worker_wait_timeout=10.0
     )
@@ -386,8 +385,21 @@ def test_poison_abort_names_the_affected_experiments():
     try:
         runner = SuiteRunner(backend=backend)
         with pytest.raises(BackendError, match="giving up") as excinfo:
-            runner.run(["fig6"], smoke=True)
-        assert "experiments affected: fig6" in str(excinfo.value)
+            runner.run([experiment], smoke=True)
+        return str(excinfo.value)
     finally:
         stop.set()
         backend.close()
+
+
+def test_poison_abort_names_the_affected_experiments():
+    """When a chunk exhausts its retry bound, the BackendError that
+    surfaces through SuiteRunner must name the experiment ids whose
+    cells it carried, not just an opaque chunk id."""
+    assert "experiments affected: fig6" in poisoned_suite_error("fig6")
+
+
+def test_poison_abort_maps_observed_cells_back_to_their_experiments():
+    """fig16's cells travel wrapped in an ObservedCell; the poison
+    chunk carries the wrappers, and they still name fig16."""
+    assert "experiments affected: fig16" in poisoned_suite_error("fig16")

@@ -1,11 +1,13 @@
-"""Suite planning: cross-experiment dedup, execute-once fan-out,
-artifact-level promotion, and disk spill."""
+"""Suite planning: cross-experiment dedup, execute-once fan-out, and
+per-cell observation of the trace-reading experiments."""
 
 import pytest
 
 import repro.runtime.matrix as matrix_module
 from repro.api import InvalidOverride, run_experiment
+from repro.interop.runner import Runner
 from repro.runtime import ArtifactLevel, MatrixRunner, ResultCache, SuiteRunner
+from repro.runtime.artifacts import ObservedCell
 from repro.runtime.suite import max_level
 
 FIG6_FIG12_OVERRIDES = {
@@ -59,20 +61,33 @@ def test_suite_dispatches_shared_cells_once_and_stays_bit_identical(monkeypatch)
     assert report.results["fig12"].rows == standalone12.rows
 
 
-def test_suite_promotes_level_and_spills_trace_artifacts(tmp_path):
-    spill_dir = tmp_path / "spill"
-    report = SuiteRunner(
-        workers=0, spill="always", spill_dir=str(spill_dir)
-    ).run(
+def test_suite_observes_trace_cells_and_runs_the_rest_at_stats(monkeypatch):
+    """table4 (trace) + fig6 (stats): only table4's cells retain a
+    trace, and only while its observer reads them — what comes back is
+    stats-level everywhere, and both results equal their standalone
+    runs. (Until PR 17 the whole suite was promoted to trace level and
+    spilled to disk.)"""
+    levels = []
+    real_run_once = Runner.run_once
+
+    def recording_run_once(self, scenario, seed=None, *, capture_trace=True, record_qlog=True):
+        levels.append(capture_trace)
+        return real_run_once(
+            self, scenario, seed, capture_trace=capture_trace, record_qlog=record_qlog
+        )
+
+    monkeypatch.setattr(Runner, "run_once", recording_run_once)
+    report = SuiteRunner(workers=0).run(
         ["table4", "fig6"],
         overrides={"table4": {"repetitions": 1}, "fig6": {"repetitions": 1}},
     )
-    # trace (table4) + stats (fig6) -> the suite's runner retains trace
-    assert report.plan.artifact_level is ArtifactLevel.TRACE
-    assert report.spilled_cells == report.executed_cells > 0
-    assert report.spill_bytes > 0
-    # caller-supplied spill dir is kept on disk for inspection
-    assert list(spill_dir.glob("cell-*.pkl"))
+    plan = report.plan
+    assert plan.artifact_level is ArtifactLevel.TRACE  # what to_dict() reports
+    observed = [isinstance(c.scenario, ObservedCell) for c in plan.dispatch_cells]
+    assert levels == observed and sum(observed) == 8 < report.executed_cells
+    assert all(not isinstance(c.scenario, ObservedCell) for c in plan.unique_cells)
+    assert report.spilled_cells == 0
+    del levels[:]
     assert report.results["table4"].rows == run_experiment("table4", repetitions=1).rows
     assert report.results["fig6"].rows == run_experiment("fig6", repetitions=1).rows
 
@@ -152,14 +167,3 @@ def test_suite_report_serializes():
     payload = report.to_dict()
     assert payload["plan"]["total_cells"] == 16
     assert payload["results"]["fig6"]["experiment_id"] == "fig6"
-
-
-def test_streamed_results_identical_to_in_memory():
-    overrides = {"fig6": {"repetitions": 2}}
-    spilled = SuiteRunner(workers=0, spill="always").run(["fig6"], overrides=overrides)
-    assert spilled.spilled_cells == spilled.executed_cells == 32
-    in_memory = SuiteRunner(workers=0, spill="never").run(
-        ["fig6"], overrides=overrides
-    )
-    assert in_memory.spilled_cells == 0
-    assert spilled.results["fig6"].rows == in_memory.results["fig6"].rows
