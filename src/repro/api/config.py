@@ -11,11 +11,10 @@ comparable dataclass any embedding caller can construct:
 * :class:`DistributedConfig` — a TCP coordinator serving chunks to
   ``python -m repro worker`` processes on any number of hosts.
 
-``config.create()`` materializes the runtime backend (or ``None`` for
-local execution, where :class:`~repro.runtime.matrix.MatrixRunner`
-owns its own pool and the session keeps one more for scans, made on
-the first scan and reaped by ``close()``); configuration mistakes
-surface as
+``config.create()`` materializes the one
+:class:`~repro.runtime.backend.ExecutionBackend` a session owns from
+its constructor to ``close()`` and runs every suite, scan and
+repetition sweep on; configuration mistakes surface as
 :class:`~repro.errors.BackendError` rather than assorted builtins.
 """
 
@@ -25,13 +24,14 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.errors import BackendError
-from repro.runtime.backend import ExecutionBackend
+from repro.runtime.backend import ExecutionBackend, LocalBackend
 from repro.runtime.distributed import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_WORKER_WAIT_TIMEOUT,
     SocketBackend,
 )
+from repro.runtime.matrix import default_workers
 from repro.runtime.scheduler import (
     DEFAULT_MAX_CHUNK_CELLS,
     DEFAULT_MIN_CHUNK_CELLS,
@@ -49,13 +49,10 @@ class BackendConfig:
     #: CLI ``--backend`` spelling of this configuration.
     name = "backend"
 
-    def create(self) -> Optional[ExecutionBackend]:
+    def create(self) -> ExecutionBackend:
         """Materialize the runtime backend this config describes.
-
-        ``None`` means "execute locally" — the runner owns its own
-        pool. Invalid configurations raise
-        :class:`~repro.errors.BackendError`.
-        """
+        Invalid configurations raise
+        :class:`~repro.errors.BackendError`."""
         raise NotImplementedError
 
 
@@ -64,8 +61,9 @@ class LocalConfig(BackendConfig):
     """Execute on this machine.
 
     ``workers=0`` (default) runs cells serially in-process — the
-    deterministic reference path. ``workers>=2`` fans chunks out over
-    a process pool. ``workers=None`` lets the runtime pick from the
+    deterministic reference path, scans included. ``workers>=2`` fans
+    chunks out over a process pool made on first use and kept until the
+    session closes. ``workers=None`` lets the runtime pick from the
     CPU count.
     """
 
@@ -73,10 +71,10 @@ class LocalConfig(BackendConfig):
 
     workers: Optional[int] = 0
 
-    def create(self) -> Optional[ExecutionBackend]:
+    def create(self) -> ExecutionBackend:
         if self.workers is not None and self.workers < 0:
             raise BackendError("LocalConfig.workers must be >= 0 (or None for auto)")
-        return None
+        return LocalBackend(default_workers() if self.workers is None else self.workers)
 
 
 @dataclass(frozen=True)

@@ -82,10 +82,9 @@ class JobRecord:
     """The JSON-safe status document of one job.
 
     ``summary`` is populated on success with the report's execution
-    accounting (executed cells, durable cache hits, experiment ids;
-    ``spilled_cells`` and the in-memory ``cache_*`` pair read 0 until
-    the one schema bump that drops all three) — the operational numbers
-    that deliberately stay *off* the result bundle live here instead.
+    accounting (executed cells, durable cache hits, experiment ids) —
+    the operational numbers that deliberately stay *off* the result
+    bundle live here instead.
     """
 
     job_id: JobId
@@ -241,27 +240,6 @@ class LocalJobHandle(JobHandle):
         return self._executor.cancel(self.job_id)
 
 
-def summarize_report(report: Optional[SuiteReport]) -> Dict[str, Any]:
-    """The :attr:`JobRecord.summary` document for a finished report
-    (suite accounting, or a scan report's shard accounting)."""
-    if report is None:
-        return {}
-    if not isinstance(report, SuiteReport):  # streaming scan job
-        accounting = getattr(report, "accounting", None)
-        doc = dict(accounting()) if callable(accounting) else {}
-        doc["fingerprint"] = getattr(report, "fingerprint", "")
-        return doc
-    summary: Dict[str, Any] = {
-        "experiments": sorted(report.results),
-        "executed_cells": report.executed_cells,
-        "spilled_cells": report.spilled_cells,
-        "cache_hits": report.cache_hits,
-        "cache_misses": report.cache_misses,
-    }
-    summary.update(report.extra)
-    return summary
-
-
 class JobExecutor:
     """FIFO job execution on a bounded worker-thread pool.
 
@@ -380,7 +358,8 @@ class JobExecutor:
                 with job.lock:
                     job.report = report
                     job.record.status = JobStatus.SUCCEEDED
-                    job.record.summary = summarize_report(report)
+                    # A suite's or a scan's accounting(): one shape.
+                    job.record.summary = {} if report is None else report.accounting()
                     job.record.finished_at = time.time()
             job.events.close()
             job.done.set()

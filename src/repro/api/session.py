@@ -191,12 +191,16 @@ class Session:
         run consults it before dispatching cells and feeds it as cells
         complete, so reruns — in this process, after a restart, or via
         the ``repro serve`` daemon — replay cached cells instead of
-        executing them, with byte-identical bundles. Per-run hit/miss
-        deltas land on ``report.extra["disk_cache_hits"]`` /
+        executing them, with byte-identical bundles. Each run's own
+        hit/miss counts land on ``report.extra["disk_cache_hits"]`` /
         ``["disk_cache_misses"]``.
 
-    Sessions are context managers; :meth:`close` tears down the
-    backend (telling distributed workers to exit). One job runs at a
+    A session owns exactly one execution backend, made by
+    ``backend.create()`` in the constructor and used by :meth:`run`,
+    :meth:`scan`, :meth:`run_repetitions` and :meth:`submit` alike: a
+    local process pool lives as long as the session does. Sessions are
+    context managers; :meth:`close` tears the backend down (reaping the
+    pool, telling distributed workers to exit). One job runs at a
     time per session — the underlying backend serves a single job;
     :meth:`submit` queues jobs onto a session-owned worker thread
     instead of blocking the caller.
@@ -219,15 +223,13 @@ class Session:
             cache_dir = DiskResultCache(cache_dir)
         self.disk_cache: Optional[DiskResultCache] = cache_dir
         self._jobs: Optional[JobExecutor] = None
-        self._backend: Optional[ExecutionBackend] = self.config.create()
-        #: Process pool for :meth:`scan` under a config that creates no
-        #: backend object; made on the first scan, reaped by close().
-        self._scan_pool: Optional[ExecutionBackend] = None
+        #: The one backend every run, scan and sweep of this session
+        #: executes on, from here until close().
+        self._backend: ExecutionBackend = self.config.create()
         # Attached for the session's whole lifetime, not just during
         # run(): a distributed fleet assembles while the coordinator
         # waits, and those WorkerJoined events must reach the observer.
-        if self._backend is not None and on_event is not None:
-            self._backend.set_event_sink(on_event)
+        self._backend.set_event_sink(on_event)
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
@@ -248,12 +250,7 @@ class Session:
             self._jobs.shutdown(wait=True)
             self._jobs = None
         self._closed = True
-        if self._backend is not None:
-            self._backend.close()
-            self._backend = None
-        if self._scan_pool is not None:
-            self._scan_pool.close()
-            self._scan_pool = None
+        self._backend.close()
 
     @property
     def address(self) -> Optional[str]:
@@ -289,14 +286,14 @@ class Session:
     def plan(self, request: RunRequest) -> SuitePlan:
         """The deduplicated execution plan for a request (no cells
         run)."""
-        ids, overrides = self._validate(request)
+        ids, overrides = validate_request(request)
         return self._suite_runner(None).plan(ids, overrides=overrides, smoke=request.smoke)
 
     def run(self, request: RunRequest, *, on_event: Optional[EventSink] = None) -> SuiteReport:
         """Execute a request: plan, run unique cells once, fan results
         out. Blocks until done; see :meth:`stream` for incremental
         consumption."""
-        ids, overrides = self._validate(request)
+        ids, overrides = validate_request(request)
         if self._closed:
             raise BackendError("session is closed")
         runner = self._suite_runner(on_event)
@@ -316,7 +313,7 @@ class Session:
         Jobs run one at a time on a session-owned worker thread (the
         session has a single backend); submission order is execution
         order. Invalid requests fail here, not in the job."""
-        self._validate(request)
+        validate_request(request)
         if self._closed:
             raise BackendError("session is closed")
         if self._jobs is None:
@@ -340,7 +337,9 @@ class Session:
         ``request`` is a :class:`~repro.wild.stream.ScanRequest` (or
         its ``to_dict`` document). The scan shares the session's
         execution context end to end: shards dispatch over the
-        session backend (local pool or distributed fleet), completed
+        session backend (in-process, local pool or distributed fleet;
+        ``on_event`` sees its chunk or cell events for the duration of
+        the call), completed
         shards journal into ``checkpoint_dir`` (defaulting to the
         session's ``resume`` directory) so a killed coordinator
         resumes with a byte-identical summary, and the session's
@@ -358,19 +357,8 @@ class Session:
             raise InvalidOverride(
                 f"scan request must be a ScanRequest or mapping, got {type(request).__name__}"
             )
-        # A local config creates no backend object (MatrixRunner owns
-        # its pool); scans always dispatch through one, so the session
-        # keeps a pool of its own across scans.
-        backend = self._backend
-        if backend is None:
-            if self._scan_pool is None:
-                from repro.runtime.backend import LocalBackend
-
-                self._scan_pool = LocalBackend(max(1, self._workers()))
-            backend = self._scan_pool
-            backend.set_event_sink(self._sink(on_event))
         coordinator = StreamCoordinator(
-            backend,
+            self._backend,
             request,
             checkpoint_dir=checkpoint_dir if checkpoint_dir is not None else self.resume,
             disk_cache=self.disk_cache,
@@ -436,24 +424,12 @@ class Session:
         backend."""
         if self._closed:
             raise BackendError("session is closed")
-        workers = self._workers()
-        # MatrixRunner only attaches the sink to the pool backend it
-        # creates itself; the session-lifetime sink is already on a
-        # session-owned (distributed) backend, so only the serial /
-        # owned-pool paths need it passed here.
-        with MatrixRunner(
-            workers=workers,
-            artifact_level=artifact_level,
-            base_seed=base_seed,
-            backend=self._backend,
-            on_event=self._sink(None),
-        ) as runner:
-            return runner.run_repetitions(scenario, repetitions=repetitions)
+        runner = MatrixRunner(
+            artifact_level=artifact_level, base_seed=base_seed, backend=self._backend
+        )
+        return runner.run_repetitions(scenario, repetitions=repetitions)
 
     # -- internals ------------------------------------------------------
-
-    def _validate(self, request: RunRequest) -> Tuple[List[str], Dict[str, Mapping[str, Any]]]:
-        return validate_request(request)
 
     def _suite_runner(self, extra_sink: Optional[EventSink]) -> SuiteRunner:
         workers = self._workers()

@@ -312,32 +312,39 @@ def _event_printer(args: argparse.Namespace):
     return None
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    request = build_request(args)
+def _open_session(args: argparse.Namespace, what: str) -> Session:
+    """The session ``repro run`` and ``repro scan`` execute on — one
+    backend either way — announced the way an operator needs it."""
     config = build_backend_config(args)
-    with Session(
+    session = Session(
         config,
         on_event=_event_printer(args),
         resume=args.resume,
         cache_dir=args.cache_dir,
-    ) as session:
-        if args.resume is not None:
-            print(f"checkpointing suite to {args.resume}", flush=True)
-        if isinstance(config, DistributedConfig):
+    )
+    if args.resume is not None:
+        print(f"checkpointing {what} to {args.resume}", flush=True)
+    if isinstance(config, DistributedConfig):
+        print(
+            f"distributed backend listening on {session.address} "
+            f"(auth {'on' if config.auth_key else 'off'}); "
+            f"waiting for {config.min_workers} worker(s)",
+            flush=True,
+        )
+        if config.auth_key is None:
             print(
-                f"distributed backend listening on {session.address} "
-                f"(auth {'on' if config.auth_key else 'off'}); "
-                f"waiting for {config.min_workers} worker(s)",
+                f"warning: no auth key set — any local process that can "
+                f"reach {session.address} can run code as this user "
+                "(set --auth-key-file or REPRO_AUTH_KEY)",
+                file=sys.stderr,
                 flush=True,
             )
-            if config.auth_key is None:
-                print(
-                    f"warning: no auth key set — any local process that can "
-                    f"reach {session.address} can run code as this user "
-                    "(set --auth-key-file or REPRO_AUTH_KEY)",
-                    file=sys.stderr,
-                    flush=True,
-                )
+    return session
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    request = build_request(args)
+    with _open_session(args, "suite") as session:
         report = session.run(request)
         print(report.render())
         if args.cache_dir is not None:
@@ -377,39 +384,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         seed=args.seed,
         probe_engine=args.probe_engine,
     ).validated()
-    config = build_backend_config(args)
-    with Session(
-        config,
-        on_event=_event_printer(args),
-        resume=args.resume,
-        cache_dir=args.cache_dir,
-    ) as session:
-        if args.resume is not None:
-            print(f"checkpointing scan to {args.resume}", flush=True)
-        if isinstance(config, DistributedConfig):
-            print(
-                f"distributed backend listening on {session.address} "
-                f"(auth {'on' if config.auth_key else 'off'}); "
-                f"waiting for {config.min_workers} worker(s)",
-                flush=True,
-            )
-            if config.auth_key is None:
-                print(
-                    f"warning: no auth key set — any local process that can "
-                    f"reach {session.address} can run code as this user "
-                    "(set --auth-key-file or REPRO_AUTH_KEY)",
-                    file=sys.stderr,
-                    flush=True,
-                )
+    with _open_session(args, "scan") as session:
         report = session.scan(request, window=args.window)
-        print(report.render())
-        accounting = report.accounting()
-        print(
-            f"shards: {accounting['executed_shards']} executed, "
-            f"{accounting['cached_shards']} disk-cache, "
-            f"{accounting['resumed_shards']} resumed "
-            f"in {accounting['duration_s']:.2f}s"
-        )
+        print(report.render())  # shard accounting included
         if args.out is not None:
             Path(args.out).write_text(report.to_json())
             print(f"wrote scan summary to {args.out}")
@@ -590,9 +567,41 @@ def cmd_cancel(args: argparse.Namespace) -> int:
 # -- entry point --------------------------------------------------------
 
 
-def _add_backend_flags(p: argparse.ArgumentParser) -> None:
-    """The execution-backend flags shared by ``repro run`` and
-    ``repro scan`` — one fleet vocabulary for suites and wild scans."""
+def _add_session_flags(p: argparse.ArgumentParser) -> None:
+    """The session flags shared by ``repro run`` and ``repro scan`` —
+    one vocabulary (events, checkpoint, cache, backend and fleet) for
+    suites and wild scans; see :func:`_open_session`."""
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="local worker processes for cells or shards (0 = in-process)",
+    )
+    p.add_argument(
+        "--events",
+        action="store_true",
+        help="stream typed events (planning, chunk/shard dispatch and "
+        "completion, worker membership) to stdout",
+    )
+    p.add_argument(
+        "--resume",
+        default=None,
+        metavar="DIR",
+        help="crash-safe checkpoint directory: journal completed cells "
+        "or shards there as they finish, and replay any checkpoint "
+        "already in it for the same planned suite or scan fingerprint "
+        "(see RESILIENCE.md); the resumed output is byte-identical to "
+        "an uninterrupted run",
+    )
+    p.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="durable content-addressed result cache shared by 'repro "
+        "run' and 'repro scan': completed cells and shards are stored "
+        "here and replayed by any later run or scan that plans them — "
+        "across processes and restarts — with byte-identical output",
+    )
     p.add_argument(
         "--backend",
         choices=("local", "distributed"),
@@ -693,12 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a suite of experiments")
     p_run.add_argument("experiments", nargs="+", metavar="ID")
     p_run.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for the shared runner (0 = in-process)",
-    )
-    p_run.add_argument(
         "--out",
         default=None,
         metavar="DIR",
@@ -711,42 +714,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EXP.KEY=VALUE",
         help="per-experiment parameter override (repeatable), e.g. fig6.rtt_ms=50",
     )
-    p_run.add_argument(
-        "--events",
-        action="store_true",
-        help="stream typed run events (planning, chunk dispatch, worker membership) to stdout",
-    )
-    p_run.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help="crash-safe checkpoint directory: journal completed cells "
-        "there as they finish, and replay any checkpoint already in it "
-        "for the same planned suite (see RESILIENCE.md); the resumed "
-        "bundle is byte-identical to an uninterrupted run",
-    )
-    p_run.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="durable content-addressed result cache: completed cells "
-        "are stored here and replayed on any later run of the same "
-        "(scenario, seed, level) — across processes and restarts — "
-        "with byte-identical bundles",
-    )
-    _add_backend_flags(p_run)
+    _add_session_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_scan = sub.add_parser(
         "scan",
         help="stream a sharded wild scan over the backend "
         "(sketch aggregation, flat memory, resumable)",
-    )
-    p_scan.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for shard probing (0 = one ephemeral local worker)",
     )
     p_scan.add_argument(
         "--source",
@@ -796,33 +770,12 @@ def build_parser() -> argparse.ArgumentParser:
         "memory knob (default: 2x backend parallelism)",
     )
     p_scan.add_argument(
-        "--events",
-        action="store_true",
-        help="stream typed scan events (shard dispatch/completion, worker membership) to stdout",
-    )
-    p_scan.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help="crash-safe checkpoint directory: journal completed shards "
-        "there, and replay any checkpoint already in it for the same "
-        "scan fingerprint; the resumed summary is byte-identical to an "
-        "uninterrupted run",
-    )
-    p_scan.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="durable content-addressed shard cache shared with "
-        "'repro run' (unchanged shards replay across scans and restarts)",
-    )
-    p_scan.add_argument(
         "--out",
         default=None,
         metavar="FILE",
         help="write the scan summary JSON (fingerprint + sketch) here",
     )
-    _add_backend_flags(p_scan)
+    _add_session_flags(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 
     p_worker = sub.add_parser(

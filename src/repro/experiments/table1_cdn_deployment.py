@@ -89,7 +89,7 @@ def _streamed_measurements(
         seed=params["seed"],
         probe_engine=params["engine"],
     )
-    with LocalBackend(max(1, params["workers"])) as backend:
+    with LocalBackend(params["workers"]) as backend:
         report = StreamCoordinator(backend, request).run()
     counts = {Cdn(value): n for value, n in report.sketch.cdn_domains.items()}
     return report.deployment_measurements(), counts

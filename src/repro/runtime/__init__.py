@@ -2,16 +2,18 @@
 
 Public surface:
 
-* :class:`MatrixRunner` — fan scenario × seed cells out over worker
-  processes (or run them in-process) with deterministic seeding and
-  stable result order.
+* :class:`MatrixRunner` — run scenario × seed cells on a backend with
+  deterministic seeding and stable result order.
 * :class:`ArtifactLevel` / :class:`RunArtifacts` — selectable per-run
   retention (``stats`` / ``trace`` / ``full``); a suite retains above
   ``stats`` only inside a cell, while its experiments' ``observe`` run.
-* :class:`ExecutionBackend` — pluggable chunk execution:
-  :class:`LocalBackend` (in-process pool) or :class:`SocketBackend`
-  (chunks served over TCP to ``python -m repro worker`` processes on
-  any number of hosts; see :mod:`repro.runtime.distributed`).
+* :class:`ExecutionBackend` — where cells execute:
+  :class:`LocalBackend` (inline in the calling process, or a process
+  pool) or :class:`SocketBackend` (chunks served over TCP to ``python
+  -m repro worker`` processes on any number of hosts; see
+  :mod:`repro.runtime.distributed`).
+* :func:`run_work` — the one loop that executes keyed work items (a
+  suite's cells, a scan's shards) against a backend, journal and cache.
 * :class:`RunEvent` / :data:`EventSink` — typed progress events
   (chunk dispatch, worker membership, completion) streamed to any
   attached observer; the channel the ``repro.api`` façade exposes.
@@ -58,6 +60,7 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.store import ArtifactHandle, ArtifactStore
 from repro.runtime.suite import SuitePlan, SuiteReport, SuiteRunner
+from repro.runtime.workloop import run_work
 
 __all__ = [
     "ArtifactHandle",
@@ -92,6 +95,7 @@ __all__ = [
     "parallel_map",
     "parse_fault_plan",
     "plan_fingerprint",
+    "run_work",
     "scenario_key",
     "set_shared_input",
     "worker_main",

@@ -1,19 +1,20 @@
 """Pluggable execution backends for the parallel runtime.
 
-:class:`~repro.runtime.matrix.MatrixRunner` splits pending cells into
-:data:`~repro.runtime.worker.GroupedChunk` units; *where* those chunks
-execute is a backend decision:
+Every run — a suite, a scan, a direct :class:`~repro.runtime.matrix
+.MatrixRunner` sweep — hands its ``(index, task, seed)`` cells to one
+:class:`ExecutionBackend`; *where* they execute is the backend's
+decision:
 
-* :class:`LocalBackend` — the in-process ``ProcessPoolExecutor`` fan-out
-  (the original single-host path, now behind the interface).
+* :class:`LocalBackend` — this machine: inline in the calling process
+  (``workers <= 1``, the deterministic reference path) or fanned out in
+  chunks over a ``ProcessPoolExecutor``.
 * :class:`~repro.runtime.distributed.SocketBackend` — chunks served
   over TCP to ``python -m repro worker`` processes on any number of
   hosts (see :mod:`repro.runtime.distributed`).
 
-Backends receive chunks whose scenarios were already grouped and
-stripped for the wire, and return ``(cell index, RunArtifacts)`` pairs;
-the caller reassembles results by index, so any backend that executes
-:func:`~repro.runtime.worker.run_cell_chunk` faithfully is
+Backends return ``(cell index, RunArtifacts)`` pairs; the caller
+reassembles results by index, so any backend that executes
+:func:`~repro.runtime.artifacts.execute_cell` faithfully is
 bit-identical to serial execution by construction.
 """
 
@@ -21,11 +22,22 @@ from __future__ import annotations
 
 import abc
 import multiprocessing
+import os
+import threading
+import time
 from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.runtime.artifacts import RunArtifacts
-from repro.runtime.events import ChunkCompleted, ChunkDispatched, EventSink, RunEvent, emit
+from repro.interop.runner import Runner
+from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
+from repro.runtime.events import (
+    CellCompleted,
+    ChunkCompleted,
+    ChunkDispatched,
+    EventSink,
+    RunEvent,
+    emit,
+)
 from repro.runtime.worker import (
     GroupedChunk,
     IndexedCell,
@@ -49,6 +61,19 @@ def mp_context():
         return multiprocessing.get_context()
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: a SIGKILLed session cannot shut its pool
+    down, and an idle forked worker never sees EOF on a queue whose
+    other end it also holds, so each worker watches for its parent."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 class ExecutionBackend(abc.ABC):
     """Executes grouped cell chunks somewhere.
 
@@ -59,6 +84,10 @@ class ExecutionBackend(abc.ABC):
 
     #: Short human-readable backend name (CLI ``--backend`` values).
     name: str = "backend"
+
+    #: Cells execute in the calling process (where alone ``full``-level
+    #: artifacts, live endpoint objects, can exist).
+    in_process: bool = False
 
     #: Where progress events go; see :meth:`set_event_sink`.
     _event_sink: Optional[EventSink] = None
@@ -158,39 +187,45 @@ class ExecutionBackend(abc.ABC):
 
 
 class LocalBackend(ExecutionBackend):
-    """Chunk execution on a lazily created local process pool.
+    """Execution on this machine.
 
-    The pool is reused across :meth:`run_chunks` calls and reaped by
-    :meth:`close`; ``workers`` bounds the pool size exactly like the
-    historical ``MatrixRunner(workers=N)`` behavior it extracts.
+    ``workers <= 1`` runs every cell inline in the calling process: no
+    pool, no pickling, one :class:`CellCompleted` per cell. ``workers
+    >= 2`` fans chunks out over a process pool that is created on first
+    use, reused across calls and reaped by :meth:`close` (after which
+    the next call makes a new one).
     """
 
     name = "local"
 
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError("LocalBackend needs at least one worker")
+    def __init__(self, workers: int = 0):
+        if workers < 0:
+            raise ValueError("LocalBackend workers must be >= 0")
         self.workers = workers
+        self.in_process = workers <= 1
         self._executor: Optional[Executor] = None
 
-    def _pool(self) -> Executor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers, mp_context=mp_context())
-        return self._executor
-
     def parallelism(self) -> int:
-        return self.workers
+        return max(1, self.workers)
 
     def run_chunks(
         self,
         chunks: Sequence[GroupedChunk],
         level_value: str,
     ) -> List[Tuple[int, RunArtifacts]]:
-        pool = self._pool()
+        if self.in_process:
+            return self._run_inline(chunks, ArtifactLevel(level_value))
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=mp_context(),
+                initializer=_exit_with_parent,
+                initargs=(os.getpid(),),
+            )
         futures = {}
         for chunk_id, chunk in enumerate(chunks):
             cells = chunk_cell_count(chunk)
-            future = pool.submit(run_cell_chunk, chunk, level_value)
+            future = self._executor.submit(run_cell_chunk, chunk, level_value)
             futures[future] = (chunk_id, cells)
             self.emit(ChunkDispatched(chunk_id=chunk_id, cells=cells, where="local-pool"))
         out: List[Tuple[int, RunArtifacts]] = []
@@ -200,6 +235,27 @@ class LocalBackend(ExecutionBackend):
             out.extend(results)
             self.emit(ChunkCompleted(chunk_id=chunk_id, cells=cells, where="local-pool"))
             self.observe_results(results)
+        return out
+
+    def _run_inline(
+        self, chunks: Sequence[GroupedChunk], level: ArtifactLevel
+    ) -> List[Tuple[int, RunArtifacts]]:
+        total = sum(map(chunk_cell_count, chunks))
+        runner = Runner()  # one per pass: it reuses scenario scaffolding
+        out: List[Tuple[int, RunArtifacts]] = []
+        observed = 0
+        for chunk in chunks:
+            for scenario, pairs in chunk:
+                for index, seed in pairs:
+                    out.append((index, execute_cell(scenario, seed, level, runner=runner)))
+                    self.emit(CellCompleted(completed=len(out), total=total))
+                    # Journal in small batches: one disk write per cell
+                    # would dominate sub-millisecond cells, while a single
+                    # end-of-run write would lose everything to a crash.
+                    if len(out) - observed >= 32:
+                        self.observe_results(out[observed:])
+                        observed = len(out)
+        self.observe_results(out[observed:])
         return out
 
     def close(self) -> None:

@@ -42,11 +42,11 @@ same value). Unreadable or corrupt blobs are treated as misses and
 removed, never as errors — the cache is an accelerator, not a
 dependency.
 
-:class:`~repro.runtime.suite.SuiteRunner` consults the cache before
-dispatch and feeds it after execution, so served bundles are
-byte-identical to uncached runs (the replay path mirrors checkpoint
-resume). ``repro run --cache-dir DIR``, ``Session(cache_dir=...)`` and
-the ``repro serve`` daemon all share this store.
+:func:`~repro.runtime.workloop.run_work` consults the cache before
+dispatch and feeds it after execution — for suites and scans alike —
+so served bundles are byte-identical to uncached runs (the replay path
+is checkpoint resume's). ``repro run --cache-dir DIR``,
+``Session(cache_dir=...)`` and the ``repro serve`` daemon share this store.
 """
 
 from __future__ import annotations

@@ -10,10 +10,9 @@ done". Every component of the runtime now reports progress as typed
 * :class:`~repro.runtime.suite.SuiteRunner` emits
   :class:`SuitePlanned`, :class:`ExperimentCompleted`, and
   :class:`SuiteCompleted`;
-* :class:`~repro.runtime.matrix.MatrixRunner` emits
-  :class:`CellCompleted` on its serial in-process path;
-* execution backends emit :class:`ChunkDispatched` /
-  :class:`ChunkCompleted`, and the distributed
+* execution backends emit :class:`CellCompleted` per cell when they
+  run in-process and :class:`ChunkDispatched` /
+  :class:`ChunkCompleted` otherwise, and the distributed
   :class:`~repro.runtime.distributed.SocketBackend` additionally emits
   :class:`WorkerJoined` / :class:`WorkerLost` / :class:`WorkerDrained`
   for fleet membership and :class:`ChunkSpeculated` when a straggler
@@ -271,8 +270,6 @@ class SuiteCompleted(RunEvent):
     kind = "suite_completed"
 
     executed_cells: int
-    spilled_cells: int
-    cache_hits: int
 
 
 #: Anything that consumes run events.

@@ -5,15 +5,15 @@ The paper's results come from sweeping a scenario matrix — 8 clients ×
 distinct seeds (§3). Every cell is an independent deterministic
 simulation, so the sweep is embarrassingly parallel:
 
-* :class:`MatrixRunner` expands ``(scenario × seed)`` cells, fans them
-  out in contiguous chunks over an
-  :class:`~repro.runtime.backend.ExecutionBackend` — the in-process
-  pool by default, or any pluggable backend such as the multi-host
-  :class:`~repro.runtime.distributed.SocketBackend` — and returns
-  results in cell order. Seeds are assigned ``base_seed + repetition``
-  exactly like the serial :meth:`Runner.run_repetitions`, so per-seed
-  ``ConnectionStats`` are bit-identical to the serial path regardless
-  of worker count, chunking, or execution host.
+* :class:`MatrixRunner` expands ``(scenario × seed)`` cells, hands them
+  to an :class:`~repro.runtime.backend.ExecutionBackend` — a
+  :class:`~repro.runtime.backend.LocalBackend` by default (in-process,
+  or contiguous chunks over a pool), or any pluggable backend such as
+  the multi-host :class:`~repro.runtime.distributed.SocketBackend` —
+  and returns results in cell order. Seeds are assigned ``base_seed +
+  repetition`` exactly like the serial :meth:`Runner.run_repetitions`,
+  so per-seed ``ConnectionStats`` are bit-identical to the serial path
+  regardless of worker count, chunking, or execution host.
 * :func:`parallel_map` is the generic coarse-grained fan-out used by
   the wild-measurement experiments (one task per vantage/day pass).
 """
@@ -25,11 +25,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.interop.runner import Runner, Scenario
-from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
-from repro.runtime.backend import ExecutionBackend, LocalBackend, ResultObserver, mp_context
-from repro.runtime.events import CellCompleted, EventSink, emit
-from repro.runtime.worker import IndexedCell, call_task
+from repro.interop.runner import Scenario
+from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
+from repro.runtime.backend import ExecutionBackend, LocalBackend, mp_context
+from repro.runtime.events import EventSink
+from repro.runtime.worker import call_task
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,13 @@ def default_workers() -> int:
 
 
 class MatrixRunner:
-    """Executes scenario cells serially or across worker processes.
+    """Executes scenario cells on an execution backend, in cell order.
 
+    Without a ``backend`` the runner owns a
+    :class:`~repro.runtime.backend.LocalBackend` of ``workers``:
     ``workers <= 1`` executes in-process (no pool, no pickling) — the
-    deterministic reference path. ``workers >= 2`` dispatches chunks to
-    a lazily created :class:`LocalBackend` process pool that is reused
+    deterministic reference path — and ``workers >= 2`` dispatches
+    chunks to a process pool that is created on first use and reused
     across calls; close the runner (or use it as a context manager) to
     reap it. ``workers=None`` picks :func:`default_workers`.
 
@@ -64,7 +66,7 @@ class MatrixRunner:
 
     ``artifact_level`` selects what each run retains (see
     :class:`~repro.runtime.artifacts.ArtifactLevel`); ``full`` keeps
-    live endpoint objects and therefore forces in-process execution.
+    live endpoint objects and therefore needs in-process execution.
     """
 
     def __init__(
@@ -86,20 +88,14 @@ class MatrixRunner:
         self.artifact_level = ArtifactLevel.coerce(artifact_level)
         self.base_seed = base_seed
         self.chunk_size = chunk_size
+        self._owns_backend = backend is None
+        if backend is None:
+            backend = LocalBackend(workers)
+            # A caller-supplied backend keeps the sink its owner attached.
+            backend.set_event_sink(on_event)
         self.backend = backend
-        #: Optional run-event observer: per-cell progress on the serial
-        #: path, per-chunk progress via the owned pool backend. A
-        #: caller-supplied ``backend`` keeps whatever sink its owner
-        #: attached (see :meth:`ExecutionBackend.set_event_sink`).
         self.on_event = on_event
-        #: Optional durable result observer (suite checkpoint
-        #: journaling): called with batches of ``(index, artifacts)``
-        #: pairs as they complete. Attached to the backend for the
-        #: duration of each :meth:`run_cells` call; see
-        #: :meth:`~repro.runtime.backend.ExecutionBackend.set_result_observer`.
-        self.result_observer: Optional[ResultObserver] = None
-        self._owned_backend: Optional[LocalBackend] = None
-        if self.artifact_level is ArtifactLevel.FULL and (workers > 1 or backend is not None):
+        if self.artifact_level is ArtifactLevel.FULL and not backend.in_process:
             raise ValueError(
                 "artifact level 'full' retains live endpoint objects and "
                 "cannot cross process boundaries; use workers<=1 or a "
@@ -117,86 +113,29 @@ class MatrixRunner:
     def close(self) -> None:
         """Shut down the owned worker pool (idempotent). A
         caller-supplied ``backend`` stays open — its owner closes it."""
-        if self._owned_backend is not None:
-            self._owned_backend.close()
-            self._owned_backend = None
-
-    def _get_backend(self) -> ExecutionBackend:
-        if self.backend is not None:
-            return self.backend
-        if self._owned_backend is None:
-            self._owned_backend = LocalBackend(self.workers)
-            self._owned_backend.set_event_sink(self.on_event)
-        return self._owned_backend
+        if self._owns_backend:
+            self.backend.close()
 
     # -- core execution -------------------------------------------------
 
     def run_cells(self, cells: Sequence[Cell]) -> List[RunArtifacts]:
         """Run every cell, returning results in cell order."""
-        level = self.artifact_level
-        results: List[Optional[RunArtifacts]] = [None] * len(cells)
-        pending: List[IndexedCell] = [
-            (i, cell.scenario, cell.seed) for i, cell in enumerate(cells)
-        ]
-        if pending:
-            if self.workers > 1 or self.backend is not None:
-                computed = self._run_parallel(pending)
-                # Workers strip the scenario from the response pickle;
-                # restore it from the authoritative cell list.
-                for i, artifacts in computed:
-                    artifacts.scenario = cells[i].scenario
-            else:
-                computed = []
-                observer = self.result_observer
-                journal: List[Tuple[int, RunArtifacts]] = []
-                done = 0
-
-                def finish(i: int, artifacts: RunArtifacts) -> None:
-                    nonlocal done, journal
-                    done += 1
-                    computed.append((i, artifacts))
-                    if self.on_event is not None:
-                        emit(
-                            self.on_event,
-                            CellCompleted(completed=done, total=len(pending)),
-                        )
-                    if observer is not None:
-                        # Journal in small batches: one disk write per
-                        # cell would dominate sub-millisecond cells,
-                        # while a single end-of-run write would lose
-                        # everything to a crash.
-                        journal.append((i, artifacts))
-                        if len(journal) >= 32:
-                            observer(journal)
-                            journal = []
-
-                cell_runner = Runner()  # one per pass: it reuses scenario scaffolding
-                for i, scenario, seed in pending:
-                    finish(i, execute_cell(scenario, seed, level, runner=cell_runner))
-                if observer is not None and journal:
-                    observer(journal)
-            for i, artifacts in computed:
-                results[i] = artifacts
-        return results  # type: ignore[return-value]
-
-    def _run_parallel(self, pending: Sequence[IndexedCell]) -> List[Tuple[int, RunArtifacts]]:
         # The backend owns chunking: an explicit chunk_size pins fixed
         # slices everywhere, while chunk_size=None lets throughput-aware
         # backends (the distributed coordinator) size each worker's
-        # chunks adaptively. Either way results come back index-tagged,
-        # so reassembly is identical.
-        backend = self._get_backend()
-        if self.result_observer is None:
-            return backend.run_cells(pending, self.artifact_level.value, chunk_size=self.chunk_size)
-        # Attach the durable observer for this call only, preserving
-        # whatever the backend's owner had attached (a caller-owned
-        # backend outlives this runner).
-        previous = backend._result_observer
-        backend.set_result_observer(self.result_observer)
-        try:
-            return backend.run_cells(pending, self.artifact_level.value, chunk_size=self.chunk_size)
-        finally:
-            backend.set_result_observer(previous)
+        # chunks adaptively. Either way results come back index-tagged.
+        computed = self.backend.run_cells(
+            [(i, cell.scenario, cell.seed) for i, cell in enumerate(cells)],
+            self.artifact_level.value,
+            chunk_size=self.chunk_size,
+        )
+        results: List[Optional[RunArtifacts]] = [None] * len(cells)
+        for i, artifacts in computed:
+            # Workers strip the scenario from the response pickle;
+            # restore it from the authoritative cell list.
+            artifacts.scenario = cells[i].scenario
+            results[i] = artifacts
+        return results  # type: ignore[return-value]
 
     # -- convenience sweeps ---------------------------------------------
 

@@ -11,9 +11,10 @@ can plan the union:
    identical ``(scenario value, seed)`` cells across experiments, and
    attach to each unique cell the ``observe`` functions of the
    trace-reading experiments that demand it.
-2. **Execute** — run the unique cells once, in one
-   :meth:`~repro.runtime.matrix.MatrixRunner.run_cells` call. A cell
-   with observers runs as an
+2. **Execute** — run the unique cells once, through one
+   :func:`~repro.runtime.workloop.run_work` call (journal replay, disk
+   cache and dispatch live there, not here). A cell with observers
+   runs as an
    :class:`~repro.runtime.artifacts.ObservedCell` (its trace lives only
    while they read it, in the process that simulated it; stats plus the
    observed values come back); every other cell is a plain stats cell.
@@ -34,9 +35,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import BackendError, InvalidOverride
 from repro.runtime.artifacts import ArtifactLevel, ObservedCell, Observer
-from repro.runtime.backend import ExecutionBackend
+from repro.runtime.backend import ExecutionBackend, LocalBackend
 from repro.runtime.cache import scenario_key
-from repro.runtime.checkpoint import SuiteCheckpoint, plan_fingerprint
+from repro.runtime.checkpoint import plan_fingerprint
 from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.events import (
     EventSink,
@@ -45,7 +46,8 @@ from repro.runtime.events import (
     SuitePlanned,
     emit,
 )
-from repro.runtime.matrix import Cell, MatrixRunner
+from repro.runtime.matrix import Cell
+from repro.runtime.workloop import open_journal, run_work
 from repro.schema import BUNDLE_SCHEMA_VERSION
 
 
@@ -151,12 +153,6 @@ class SuiteReport:
     plan: SuitePlan
     results: Dict[str, Any]  # id -> ExperimentResult
     executed_cells: int
-    #: Always 0: the disk spill and the in-memory suite cache that fed
-    #: these are gone, but the golden ``suite.json`` pins the keys;
-    #: dropping them is a bundle schema-version bump.
-    spilled_cells: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     extra: Dict[str, Any] = field(default_factory=dict)
 
     def render(self) -> str:
@@ -165,17 +161,20 @@ class SuiteReport:
         parts.append(f"suite: {self.executed_cells} cells executed ({shared} shared)")
         return "\n\n".join(parts)
 
+    def accounting(self) -> Dict[str, Any]:
+        """How the suite executed — a job's summary; off the bundle,
+        whose bytes must not depend on cache warmth."""
+        return {
+            "experiments": sorted(self.results),
+            "executed_cells": self.executed_cells,
+            **self.extra,
+        }
+
     def to_dict(self) -> Dict[str, Any]:
-        # ``extra`` stays off the bundle deliberately: bundle bytes
-        # must not depend on *how* a suite executed. Operational
-        # accounting lives on the report object, results in the bundle.
         return {
             "schema_version": BUNDLE_SCHEMA_VERSION,
             "plan": self.plan.to_dict(),
             "executed_cells": self.executed_cells,
-            "spilled_cells": self.spilled_cells,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "results": {exp_id: result.to_dict() for exp_id, result in self.results.items()},
         }
 
@@ -185,19 +184,22 @@ class SuiteRunner:
 
     ``backend``
         Optional caller-owned
-        :class:`~repro.runtime.backend.ExecutionBackend` (e.g. a
+        :class:`~repro.runtime.backend.ExecutionBackend` (a session's
+        :class:`~repro.runtime.backend.LocalBackend`, or a
         :class:`~repro.runtime.distributed.SocketBackend` serving
-        remote workers); it is threaded into the runner each run
-        creates and never closed by the suite. Chunk sizing and cell
-        observation behave exactly as with local execution — only
-        *where* chunks run changes.
+        remote workers), never closed by the suite; without one each
+        :meth:`run` uses a ``LocalBackend(workers)`` of its own. Chunk
+        sizing and cell observation are the same everywhere — only
+        *where* cells run changes.
     ``on_event``
         Optional :class:`~repro.runtime.events.EventSink` receiving
         typed progress events (:class:`SuitePlanned`, chunk/cell
         progress from the execution layer, worker membership on a
         distributed backend, :class:`ExperimentCompleted`,
-        :class:`SuiteCompleted`). On a caller-owned ``backend`` the
-        sink is attached for the duration of each :meth:`run`.
+        :class:`SuiteCompleted`). The sink is attached to the backend
+        for the duration of each :meth:`run` and whatever was attached
+        before (a session-lifetime sink observing worker membership
+        between runs) is restored afterwards.
     ``disk_cache``
         Optional durable content-addressed result cache (a
         :class:`~repro.runtime.disk_cache.DiskResultCache` or a
@@ -207,7 +209,7 @@ class SuiteRunner:
         to uncached runs — and freshly executed cells are stored for
         every later run, surviving process, daemon, and fleet
         restarts. Scenarios that defeat value identity skip the cache.
-        Per-run hit/miss accounting lands on
+        This run's own hit/miss counts land on
         ``report.extra["disk_cache_hits"/"disk_cache_misses"]``
         (deliberately off the bundle: bytes must not depend on cache
         warmth).
@@ -217,8 +219,9 @@ class SuiteRunner:
         journaled there as they finish, and a run that finds a
         checkpoint for the *same* planned suite replays the journaled
         cells and executes only the remainder — the resumed bundle is
-        byte-identical to an uninterrupted run. A checkpoint for a
-        different suite raises
+        byte-identical to an uninterrupted run. Disk-cache hits are
+        journaled too, so a resume does not need the cache. A
+        checkpoint for a different suite raises
         :class:`~repro.errors.CheckpointError`.
     """
 
@@ -335,32 +338,47 @@ class SuiteRunner:
                 artifact_level=plan.artifact_level.value,
             ),
         )
-        checkpoint, completed = self._resolve_checkpoint(plan)
-        runner = MatrixRunner(workers=self.workers, backend=self.backend, on_event=self.on_event)
-        disk = self.disk_cache
-        disk0 = (disk.hits, disk.misses) if disk is not None else (0, 0)
+        backend = self.backend if self.backend is not None else LocalBackend(self.workers)
         # Distributed backends accumulate worker-resident cache hits;
         # snapshot so the run's delta can be reported. Deliberately kept
         # out of to_dict(): bundle bytes must not depend on how warm the
         # fleet happens to be.
-        backend = self.backend
         wc0 = getattr(getattr(backend, "stats", None), "worker_cache_hits", None)
-        # Attach this run's sink to a caller-owned backend for the
-        # duration of the run, restoring whatever was attached before
-        # (e.g. a Session-lifetime sink observing worker membership
-        # between runs) rather than clobbering it.
-        prev_sink = None
-        if self.on_event is not None and self.backend is not None:
-            prev_sink = self.backend._event_sink
-            self.backend.set_event_sink(self.on_event)
         try:
+            journal = None
+            if self.checkpoint_dir is not None and plan.unique_cells:
+                journal = open_journal(
+                    self.checkpoint_dir,
+                    plan_fingerprint(plan),
+                    meta={
+                        "experiments": [p.spec.id for p in plan.experiments],
+                        "unique_cells": len(plan.unique_cells),
+                        "artifact_level": plan.artifact_level.value,
+                    },
+                )
+            entries: List[Any] = [None] * len(plan.dispatch_cells)
+
+            def fill(slot: int, artifacts: Any, _source: str) -> None:
+                entries[slot] = artifacts
+
             try:
-                entries = self._execute_cells(runner, plan, checkpoint, completed)
+                counts = run_work(
+                    backend,
+                    [(slot, c.scenario, c.seed) for slot, c in enumerate(plan.dispatch_cells)],
+                    fill,
+                    journal=journal,
+                    cache=self.disk_cache,
+                    sink=self.on_event,
+                )
             except BackendError as exc:
                 named = self._name_poison(exc, plan)
                 if named is not None:
                     raise named from exc
                 raise
+            # Results come back scenario-less (wire, caches, journal) or
+            # carrying their ObservedCell; aggregators see the plan's own.
+            for artifacts, cell in zip(entries, plan.unique_cells):
+                artifacts.scenario = cell.scenario
             results: Dict[str, Any] = {}
             for planned in plan.experiments:
                 spec = planned.spec
@@ -379,98 +397,14 @@ class SuiteRunner:
             report = SuiteReport(plan, results, executed_cells=len(plan.unique_cells))
             if wc0 is not None:
                 report.extra["worker_cache_hits"] = backend.stats.worker_cache_hits - wc0
-            if disk is not None:
-                report.extra["disk_cache_hits"] = disk.hits - disk0[0]
-                report.extra["disk_cache_misses"] = disk.misses - disk0[1]
-            emit(
-                self.on_event,
-                SuiteCompleted(
-                    executed_cells=report.executed_cells,
-                    spilled_cells=report.spilled_cells,
-                    cache_hits=report.cache_hits,
-                ),
-            )
+            if self.disk_cache is not None:
+                report.extra["disk_cache_hits"] = counts["disk_cache"]
+                report.extra["disk_cache_misses"] = counts["missed"]
+            emit(self.on_event, SuiteCompleted(executed_cells=report.executed_cells))
             return report
         finally:
-            runner.close()
-            if self.on_event is not None and self.backend is not None:
-                self.backend.set_event_sink(prev_sink)
-
-    def _resolve_checkpoint(
-        self, plan: SuitePlan
-    ) -> Tuple[Optional[SuiteCheckpoint], Dict[int, Any]]:
-        """Open (or initialize) the checkpoint for this plan and load
-        whatever a previous run already completed."""
-        if self.checkpoint_dir is None or not plan.unique_cells:
-            return None, {}
-        checkpoint = SuiteCheckpoint(self.checkpoint_dir)
-        completed = checkpoint.load_or_init(
-            plan_fingerprint(plan),
-            meta={
-                "experiments": [p.spec.id for p in plan.experiments],
-                "unique_cells": len(plan.unique_cells),
-                "artifact_level": plan.artifact_level.value,
-            },
-        )
-        # Indices outside the plan cannot appear under a matching
-        # fingerprint; drop them defensively rather than crash below.
-        completed = {
-            index: artifacts
-            for index, artifacts in completed.items()
-            if 0 <= index < len(plan.unique_cells)
-        }
-        return checkpoint, completed
-
-    def _execute_cells(
-        self,
-        runner: MatrixRunner,
-        plan: SuitePlan,
-        checkpoint: Optional[SuiteCheckpoint],
-        completed: Dict[int, Any],
-    ) -> List[Any]:
-        """Execute the plan's cells — replaying journaled and
-        disk-cached results first, journaling and caching fresh ones —
-        and return one artifacts entry per plan cell, in plan order."""
-        cells = plan.dispatch_cells
-        entries: Dict[int, Any] = dict(completed)
-        # Durable disk cache: replay any cell whose content address is
-        # already stored, exactly like checkpoint resume, and remember
-        # the misses' keys so fresh results feed the cache below.
-        disk = self.disk_cache
-        disk_keys: Dict[int, str] = {}
-        if disk is not None:
-            for slot, cell in enumerate(cells):
-                if slot in entries:
-                    continue
-                key = disk.fingerprint(cell.scenario, cell.seed, ArtifactLevel.STATS)
-                if key is None:
-                    continue
-                artifacts = disk.get(key)
-                if artifacts is None:
-                    disk_keys[slot] = key
-                else:
-                    entries[slot] = artifacts
-        positions = [slot for slot in range(len(cells)) if slot not in entries]
-        if positions:
-            if checkpoint is not None:
-                # Indices from the runner are positions in the pending
-                # list; the journal speaks plan-global slots.
-                runner.result_observer = lambda batch: checkpoint.record(
-                    [(positions[index], artifacts) for index, artifacts in batch]
-                )
-            try:
-                fresh = runner.run_cells([cells[slot] for slot in positions])
-            finally:
-                runner.result_observer = None
-            for slot, artifacts in zip(positions, fresh):
-                if slot in disk_keys:
-                    disk.put(disk_keys[slot], artifacts)
-                entries[slot] = artifacts
-        # Results come back scenario-less (wire, caches, journal) or
-        # carrying their ObservedCell; aggregators see the plan's own.
-        for slot, cell in enumerate(plan.unique_cells):
-            entries[slot].scenario = cell.scenario
-        return [entries[slot] for slot in range(len(cells))]
+            if backend is not self.backend:
+                backend.close()
 
     def _name_poison(self, exc: BackendError, plan: SuitePlan) -> Optional[BackendError]:
         """Enrich a poison-chunk abort with the experiment ids whose

@@ -158,6 +158,10 @@ class ServiceDaemon:
                 )
         finally:
             with contextlib.suppress(Exception):
+                # Close ends every response, and close() alone sends no
+                # FIN while a forked pool worker holds a copy of the socket.
+                if writer.can_write_eof():
+                    writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
 

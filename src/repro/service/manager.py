@@ -49,7 +49,6 @@ class _ScanJob:
     def __init__(self, request: Any):
         self.request = request
         self.experiments = "scan"
-        self.engine = request.probe_engine
         self.smoke = False
 
 

@@ -1,27 +1,25 @@
 """The streaming scan coordinator: flat memory, any backend, resumable.
 
 :class:`StreamCoordinator` turns a :class:`ScanRequest` into shard
-tasks and pumps them through an existing
-:class:`~repro.runtime.backend.ExecutionBackend` in bounded *waves*:
-at most ``window`` shards are in flight or buffered at any moment, and
-a completed shard's :class:`~repro.wild.stream.sketch.ScanSketch` is
+tasks and hands them to :func:`~repro.runtime.workloop.run_work` — the
+loop a suite's cells go through — with a bounded *window*: at most
+``window`` shards are in flight or buffered at any moment, and a
+completed shard's :class:`~repro.wild.stream.sketch.ScanSketch` is
 merged into the running total and dropped. Coordinator memory is
-O(window x sketch) + O(shard count x 2 ints) — independent of the
-target count, which is what lets one process drive a million-target
-scan with the same RSS as a hundred-thousand-target one.
+O(window x sketch) + O(shard count x one task descriptor) —
+independent of the target count, which is what lets one process drive
+a million-target scan with the same RSS as a hundred-thousand-target
+one.
 
-Durability reuses the PR 6/PR 8 machinery verbatim:
-
-* every completed shard is journaled through the backend's
-  result-observer hook into a :class:`~repro.runtime.checkpoint
-  .SuiteCheckpoint` whose manifest is pinned to
-  :func:`scan_fingerprint` — ``repro scan --resume DIR`` after a
-  coordinator SIGKILL replays the journal and dispatches only the
-  remainder, and because sketch merge is exactly order-independent
-  the resumed summary is byte-identical to an uninterrupted run's;
-* the content-addressed :class:`~repro.runtime.disk_cache
-  .DiskResultCache` is consulted per shard before dispatch and fed
-  after, so a re-scan over unchanged targets is served from disk.
+Durability is the loop's: every completed shard is journaled into a
+checkpoint pinned to :func:`scan_fingerprint` — ``repro scan --resume
+DIR`` after a coordinator SIGKILL replays the journal and dispatches
+only the remainder, and because sketch merge is exactly
+order-independent the resumed summary is byte-identical to an
+uninterrupted run's — and the content-addressed
+:class:`~repro.runtime.disk_cache.DiskResultCache` is consulted per
+shard before dispatch and fed after, so a re-scan over unchanged
+targets is served from disk.
 """
 
 from __future__ import annotations
@@ -29,13 +27,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidOverride
-from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
+from repro.runtime.artifacts import RunArtifacts
 from repro.runtime.backend import ExecutionBackend
-from repro.runtime.checkpoint import SuiteCheckpoint
 from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.events import (
     EventSink,
@@ -44,6 +41,7 @@ from repro.runtime.events import (
     ShardDispatched,
     emit,
 )
+from repro.runtime.workloop import open_journal, run_work
 from repro.wild.asdb import Cdn
 from repro.wild.stream.shard import SHARD_CODE_VERSION, ShardOutcome, ShardProbeTask
 from repro.wild.stream.sketch import DEFAULT_ALPHA, SKETCH_VERSION, ScanSketch
@@ -173,7 +171,6 @@ class ScanReport:
     resumed_shards: int = 0
     duration_s: float = 0.0
     fingerprint: str = ""
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -196,6 +193,7 @@ class ScanReport:
             "cached_shards": self.cached_shards,
             "resumed_shards": self.resumed_shards,
             "duration_s": round(self.duration_s, 3),
+            "fingerprint": self.fingerprint,
         }
 
     def to_json(self) -> str:
@@ -292,146 +290,73 @@ class StreamCoordinator:
             return self._window
         return max(2, 2 * max(1, self.backend.parallelism()))
 
-    @staticmethod
-    def _waves(pending: Sequence[int], window: int) -> Iterator[List[int]]:
-        for start in range(0, len(pending), window):
-            yield list(pending[start : start + window])
-
-    def _usable_outcome(self, artifacts: Optional[RunArtifacts]) -> Optional[ShardOutcome]:
-        if isinstance(artifacts, ShardOutcome) and isinstance(artifacts.sketch, ScanSketch):
-            if artifacts.sketch.version == SKETCH_VERSION:
-                return artifacts
-        return None
-
     # -- the scan -------------------------------------------------------
 
     def run(self) -> ScanReport:
         started = time.perf_counter()
         request = self.request
-        source = source_from_spec(request.source)
-        ranges = shard_ranges(source.size, request.shard_size)
-        total_shards = len(ranges)
+        ranges = shard_ranges(source_from_spec(request.source).size, request.shard_size)
         sketch = ScanSketch(alpha=request.alpha)
-        report = ScanReport(
-            request=request,
-            sketch=sketch,
-            total_shards=total_shards,
-            fingerprint=self.fingerprint,
-        )
-
-        checkpoint: Optional[SuiteCheckpoint] = None
-        done = 0
-        pending: List[int] = []
+        journal = None
         if self.checkpoint_dir is not None:
-            checkpoint = SuiteCheckpoint(self.checkpoint_dir)
-            journaled = checkpoint.load_or_init(
+            journal = open_journal(
+                self.checkpoint_dir,
                 self.fingerprint,
                 meta={"kind": "wild-stream-scan", "request": request.to_dict()},
             )
-            for shard_index in range(total_shards):
-                outcome = self._usable_outcome(journaled.get(shard_index))
-                if outcome is None:
-                    pending.append(shard_index)
-                    continue
-                sketch.merge(outcome.sketch)
-                report.resumed_shards += 1
-                done += 1
-                start, stop = ranges[shard_index]
-                emit(
-                    self.sink,
-                    ShardCompleted(
-                        shard_index=shard_index,
-                        targets=stop - start,
-                        completed_shards=done,
-                        total_shards=total_shards,
-                        source="checkpoint",
-                    ),
+        done = 0
+
+        def shard_event(event: Any, shard_index: int, **more: Any) -> None:
+            start, stop = ranges[shard_index]
+            fields = dict(shard_index=shard_index, targets=stop - start, total_shards=len(ranges))
+            emit(self.sink, event(**fields, **more))
+
+        def merge(shard_index: int, outcome: RunArtifacts, origin: str) -> None:
+            nonlocal done
+            held = outcome.sketch if isinstance(outcome, ShardOutcome) else None
+            if not isinstance(held, ScanSketch) or held.version != SKETCH_VERSION:
+                raise InvalidOverride(
+                    f"shard {shard_index} returned "
+                    f"{type(outcome).__name__}, not a usable ShardOutcome"
                 )
-        else:
-            pending = list(range(total_shards))
+            sketch.merge(held)
+            done += 1
+            shard_event(ShardCompleted, shard_index, completed_shards=done, source=origin)
 
-        observer = checkpoint.record if checkpoint is not None else None
-        self.backend.set_result_observer(observer)
-        try:
-            for wave in self._waves(pending, self.window()):
-                to_run: List[Tuple[int, ShardProbeTask, Optional[str]]] = []
-                for shard_index in wave:
-                    start, stop = ranges[shard_index]
-                    task = self._task(shard_index, start, stop)
-                    key = None
-                    if self.disk_cache is not None:
-                        key = self.disk_cache.fingerprint(
-                            task, request.seed, ArtifactLevel.STATS
-                        )
-                        outcome = self._usable_outcome(self.disk_cache.get(key))
-                        if outcome is not None:
-                            sketch.merge(outcome.sketch)
-                            report.cached_shards += 1
-                            done += 1
-                            # Journal the hit too: a resume must not
-                            # depend on the cache still being attached.
-                            if checkpoint is not None:
-                                checkpoint.record([(shard_index, outcome)])
-                            emit(
-                                self.sink,
-                                ShardCompleted(
-                                    shard_index=shard_index,
-                                    targets=stop - start,
-                                    completed_shards=done,
-                                    total_shards=total_shards,
-                                    source="disk_cache",
-                                ),
-                            )
-                            continue
-                    to_run.append((shard_index, task, key))
-                if not to_run:
-                    continue
-                for shard_index, task, _key in to_run:
-                    start, stop = ranges[shard_index]
-                    emit(
-                        self.sink,
-                        ShardDispatched(
-                            shard_index=shard_index,
-                            targets=stop - start,
-                            total_shards=total_shards,
-                        ),
-                    )
-                cells = [(shard_index, task, request.seed) for shard_index, task, _ in to_run]
-                results = self.backend.run_cells(cells, ArtifactLevel.STATS.value, chunk_size=1)
-                keys = {shard_index: key for shard_index, _task, key in to_run}
-                for shard_index, artifacts in sorted(results):
-                    outcome = self._usable_outcome(artifacts)
-                    if outcome is None:
-                        raise InvalidOverride(
-                            f"shard {shard_index} returned "
-                            f"{type(artifacts).__name__}, not a usable ShardOutcome"
-                        )
-                    sketch.merge(outcome.sketch)
-                    report.executed_shards += 1
-                    done += 1
-                    if self.disk_cache is not None:
-                        self.disk_cache.put(keys.get(shard_index), outcome)
-                    start, stop = ranges[shard_index]
-                    emit(
-                        self.sink,
-                        ShardCompleted(
-                            shard_index=shard_index,
-                            targets=stop - start,
-                            completed_shards=done,
-                            total_shards=total_shards,
-                            source="executed",
-                        ),
-                    )
-        finally:
-            self.backend.set_result_observer(None)
+        def dispatching(shard_indices: List[int]) -> None:
+            for shard_index in shard_indices:
+                shard_event(ShardDispatched, shard_index)
 
-        report.duration_s = time.perf_counter() - started
+        counts = run_work(
+            self.backend,
+            [
+                (shard_index, self._task(shard_index, start, stop), request.seed)
+                for shard_index, (start, stop) in enumerate(ranges)
+            ],
+            merge,
+            journal=journal,
+            cache=self.disk_cache,
+            window=self.window(),
+            chunk_size=1,
+            sink=self.sink,
+            on_dispatch=dispatching,
+        )
+        report = ScanReport(
+            request=request,
+            sketch=sketch,
+            total_shards=len(ranges),
+            executed_shards=counts["executed"],
+            cached_shards=counts["disk_cache"],
+            resumed_shards=counts["checkpoint"],
+            duration_s=time.perf_counter() - started,
+            fingerprint=self.fingerprint,
+        )
         emit(
             self.sink,
             ScanCompleted(
                 targets=sketch.targets,
                 probes=sketch.probes,
-                shards=total_shards,
+                shards=len(ranges),
                 executed_shards=report.executed_shards,
                 cached_shards=report.cached_shards,
                 resumed_shards=report.resumed_shards,

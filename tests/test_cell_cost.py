@@ -110,25 +110,25 @@ def test_structural_counts_that_explain_the_ceiling(counted, scenario):
 
 def fleet_result_bytes_per_cell(experiment, monkeypatch):
     """RESULT bytes before compression per cell of one smoke run over
-    a loopback 2-worker fleet — which must also enter ``run_cells``
-    once and construct no ``ArtifactStore``."""
+    a loopback 2-worker fleet — which the work loop must dispatch to
+    the backend once, constructing no ``ArtifactStore``."""
     from test_observe import fleet_session
 
     from repro.api import RunRequest
-    from repro.runtime import MatrixRunner, store
+    from repro.runtime import SocketBackend, store
 
     def no_store(self, *args, **kwargs):
         raise AssertionError("a suite constructed an ArtifactStore")
 
     monkeypatch.setattr(store.ArtifactStore, "__init__", no_store)
     entered = []
-    real_run_cells = MatrixRunner.run_cells
+    real_run_cells = SocketBackend.run_cells
 
-    def counting_run_cells(self, cells):
+    def counting_run_cells(self, cells, level_value, chunk_size=None):
         entered.append(len(cells))
-        return real_run_cells(self, cells)
+        return real_run_cells(self, cells, level_value, chunk_size=chunk_size)
 
-    monkeypatch.setattr(MatrixRunner, "run_cells", counting_run_cells)
+    monkeypatch.setattr(SocketBackend, "run_cells", counting_run_cells)
     with fleet_session(workers=2) as session:
         report = session.run(RunRequest((experiment,), smoke=True))
         raw = session.backend_stats.result_bytes_raw

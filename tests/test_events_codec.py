@@ -56,7 +56,7 @@ SAMPLES = [
     WorkerLost(worker_id=2, requeued_chunks=1),
     WorkerDrained(worker_id=3),
     ExperimentCompleted(experiment_id="fig6", rows=8),
-    SuiteCompleted(executed_cells=32, spilled_cells=32, cache_hits=0),
+    SuiteCompleted(executed_cells=32),
     ShardDispatched(shard_index=7, targets=5000, total_shards=20),
     ShardCompleted(
         shard_index=7,
@@ -107,6 +107,9 @@ def test_extra_fields_are_ignored_for_forward_compat():
     payload = event_to_dict(CellCompleted(completed=1, total=2))
     payload["brand_new_field"] = "from a newer daemon"
     assert event_from_dict(payload) == CellCompleted(completed=1, total=2)
+    # ... and so is a removed one: a pre-PR 19 daemon's suite_completed.
+    older = {"kind": "suite_completed", "executed_cells": 32, "spilled_cells": 0, "cache_hits": 0}
+    assert event_from_dict(older) == SuiteCompleted(executed_cells=32)
 
 
 def test_optional_chunk_cache_defaults_to_none():

@@ -187,7 +187,7 @@ def test_disk_cache_serves_a_rescan_byte_identically(tmp_path):
 
 
 def test_session_scan_accepts_documents_and_rejects_junk():
-    with api.Session() as session:  # serial config: the session's own pool
+    with api.Session() as session:  # serial config: shards probed in-process
         report = session.scan(
             {
                 "source": {"kind": "synthetic", "count": 3000, "seed": 1},
@@ -201,28 +201,50 @@ def test_session_scan_accepts_documents_and_rejects_junk():
             session.scan("not a request")
 
 
-def test_session_scans_share_one_pool_until_close():
-    """A local config has no backend object, and a scan used to build
-    and shut down a fresh process pool every time it ran."""
+def test_session_scans_share_one_pool_until_close(monkeypatch):
+    """A session owns one backend: runs, scans and repetition sweeps
+    all execute on the same process pool, built once and reaped by
+    ``close()`` (the parent built five pools for this sequence) — and a
+    serial session builds none, scans included."""
+    import repro.runtime.backend as backend_module
+    from repro.interop.runner import Scenario
+
+    built = []
+
+    class CountingPool(backend_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(backend_module, "ProcessPoolExecutor", CountingPool)
     document = {
         "source": {"kind": "synthetic", "count": 2000, "seed": 1},
         "shard_size": 1000,
         "vantage_names": ["Hamburg"],
         "days": 1,
     }
+    request = api.RunRequest(("fig6",), smoke=True)
+
+    def exercise(session):
+        reports = [session.run(request) for _ in range(3)]
+        scan = session.scan(document)
+        sweep = session.run_repetitions(Scenario(client="quic-go"), repetitions=4)
+        return reports[0].results["fig6"].rows, scan.to_json(), [a.client_stats for a in sweep]
+
     session = api.Session(api.LocalConfig(workers=2))
-    first = session.scan(document)
-    executor = session._scan_pool._executor
-    assert executor is not None
-    children = list(executor._processes.values())
-    second = session.scan(document)
-    assert session._scan_pool._executor is executor
-    assert second.to_json() == first.to_json()
+    pooled = exercise(session)
+    assert len(built) == 1
+    assert session._backend._executor is built[0]
+    children = list(built[0]._processes.values())
+    assert children
     session.close()
-    assert session._scan_pool is None
     for child in children:
         child.join(timeout=10)
         assert not child.is_alive()
+
+    with api.Session(api.LocalConfig(workers=0)) as serial:
+        assert exercise(serial) == pooled
+    assert len(built) == 1  # the serial session constructed no pool
 
 
 def test_streamed_table1_matches_in_memory_exactly():

@@ -3,7 +3,7 @@ per-cell observation of the trace-reading experiments."""
 
 import pytest
 
-import repro.runtime.matrix as matrix_module
+import repro.runtime.backend as backend_module
 from repro.api import InvalidOverride, run_experiment
 from repro.interop.runner import Runner
 from repro.runtime import ArtifactLevel, MatrixRunner, ResultCache, SuiteRunner
@@ -43,13 +43,13 @@ def test_suite_dispatches_shared_cells_once_and_stays_bit_identical(monkeypatch)
     """fig6 + fig12 planned together must execute the shared 9 ms cells
     exactly once and reproduce the standalone results bit for bit."""
     executed = []
-    real_execute = matrix_module.execute_cell
+    real_execute = backend_module.execute_cell
 
     def counting_execute(scenario, seed, level, runner=None):
         executed.append((scenario, seed))
         return real_execute(scenario, seed, level, runner)
 
-    monkeypatch.setattr(matrix_module, "execute_cell", counting_execute)
+    monkeypatch.setattr(backend_module, "execute_cell", counting_execute)
     report = SuiteRunner(workers=0).run(
         ["fig6", "fig12"], overrides=FIG6_FIG12_OVERRIDES
     )
@@ -86,17 +86,21 @@ def test_suite_observes_trace_cells_and_runs_the_rest_at_stats(monkeypatch):
     observed = [isinstance(c.scenario, ObservedCell) for c in plan.dispatch_cells]
     assert levels == observed and sum(observed) == 8 < report.executed_cells
     assert all(not isinstance(c.scenario, ObservedCell) for c in plan.unique_cells)
-    assert report.spilled_cells == 0
     del levels[:]
     assert report.results["table4"].rows == run_experiment("table4", repetitions=1).rows
     assert report.results["fig6"].rows == run_experiment("fig6", repetitions=1).rows
 
 
 def test_suite_auto_spill_off_for_stats_plans():
+    """The spill is gone and so is its accounting: the three keys that
+    read constant 0 since PRs 13/17 left the report and ``suite.json``
+    in PR 19 (``BUNDLE_SCHEMA_VERSION`` still 1, see schema.py)."""
     report = SuiteRunner(workers=0).run(
         ["fig6"], overrides={"fig6": {"repetitions": 1}}
     )
-    assert report.spilled_cells == 0
+    assert set(report.to_dict()) == {"schema_version", "plan", "executed_cells", "results"}
+    for gone in ("spilled_cells", "cache_hits", "cache_misses"):
+        assert not hasattr(report, gone)
 
 
 def test_suite_mixed_kinds_runs_model_and_wild_without_cells():
@@ -140,8 +144,6 @@ def test_suite_rejects_cache_alongside_shared_runner():
         SuiteRunner(cache=ResultCache())
     with pytest.raises(TypeError):
         MatrixRunner(cache=ResultCache())
-    report = SuiteRunner(workers=0).run(["fig6"], overrides={"fig6": {"repetitions": 1}})
-    assert (report.cache_hits, report.cache_misses) == (0, 0)  # kept for suite.json
 
 
 def test_suite_plan_reports_unplannable_overrides_as_invalid_override():

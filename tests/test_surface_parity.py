@@ -7,6 +7,12 @@ are: the same request through each surface must write byte-identical
 bundle directories, and a bad override must be refused with the same
 typed error everywhere — "the CLI resolves it, the other surface
 doesn't" is the bug class a second run path invites.
+
+The same holds for the other traffic: one ``ScanRequest`` through
+``Session.scan`` (in-process, pool, fleet), ``repro scan`` and the HTTP
+``{"scan": ...}`` job must render byte-equal ``scan.json``, cold or
+warm, uninterrupted or killed and resumed — suites and scans share one
+work loop, and this is the net under it.
 """
 
 import http.client
@@ -22,12 +28,14 @@ import pytest
 import repro.api
 from repro.api import (
     InvalidOverride,
+    LocalConfig,
     RunRequest,
     ServiceClient,
     Session,
     write_bundle,
 )
 from repro.service import ServiceDaemon, ServiceManager
+from repro.wild.stream import ScanRequest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,6 +44,21 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SELECTION = ("fig6", "table5", "lab_cc")
 OVERRIDES = {"fig6": {"rtt_ms": 50}}
 REQUEST = RunRequest(SELECTION, overrides=OVERRIDES, smoke=True)
+
+#: What ``repro scan --source synthetic --targets 6000 --seed 3
+#: --shard-size 1000 --vantage Hamburg`` asks for (the CLI seeds the
+#: toplist and the probes with the one ``--seed``).
+SCAN = ScanRequest(
+    source={"kind": "synthetic", "seed": 3, "count": 6000},
+    shard_size=1000,
+    vantage_names=("Hamburg",),
+    days=1,
+    seed=3,
+)
+SCAN_FLAGS = (
+    "--source", "synthetic", "--targets", "6000", "--seed", "3",
+    "--shard-size", "1000", "--vantage", "Hamburg",
+)
 
 #: (experiment, --param text, overrides): a well-shaped value the
 #: experiment cannot plan with, a string where numbers belong, a value
@@ -149,3 +172,61 @@ def test_request_key_from_another_version_is_refused_over_http(client):
     assert doc["kind"] == "InvalidOverride"
     assert "engine" in doc["error"]
     assert client.jobs() == []
+
+
+# -- the other traffic: scan jobs ----------------------------------------
+
+
+def test_every_scan_surface_renders_byte_identical_summaries(tmp_path, client):
+    from test_observe import fleet_session
+
+    with Session() as session:  # in-process: no pool at all
+        reference = session.scan(SCAN)
+    assert reference.executed_shards == reference.total_shards == 6
+    expected = reference.to_json()
+
+    with Session(LocalConfig(workers=2)) as session:
+        assert session.scan(SCAN).to_json() == expected
+    with fleet_session(workers=2) as session:
+        assert session.scan(SCAN.to_dict()).to_json() == expected
+
+    done = run_cli("scan", *SCAN_FLAGS, "--out", str(tmp_path / "scan.json"))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "scan.json").read_text() == expected
+
+    handle = client.submit({"scan": SCAN.to_dict()})
+    assert handle.result(timeout=300) == {"scan.json": expected}
+
+
+def test_cold_warm_and_resumed_scans_render_the_same_bytes(tmp_path, monkeypatch):
+    with Session() as session:
+        expected = session.scan(SCAN).to_json()
+
+    cache_dir = str(tmp_path / "cache")
+    with Session(LocalConfig(workers=2), cache_dir=cache_dir) as session:
+        cold = session.scan(SCAN)
+    with Session(cache_dir=cache_dir) as session:  # another session, another backend
+        warm = session.scan(SCAN)
+    assert (cold.executed_shards, cold.cached_shards) == (6, 0)
+    assert (warm.executed_shards, warm.cached_shards) == (0, 6)
+    assert cold.to_json() == warm.to_json() == expected
+
+    # Killed mid-scan: the second window's dispatch never happens.
+    ckpt_dir = str(tmp_path / "ckpt")
+    with Session(LocalConfig(workers=2), resume=ckpt_dir) as session:
+        real_run_cells = session._backend.run_cells
+        calls = []
+
+        def dying_run_cells(cells, level_value, chunk_size=None):
+            if calls:
+                raise RuntimeError("coordinator killed")
+            calls.append(len(cells))
+            return real_run_cells(cells, level_value, chunk_size=chunk_size)
+
+        monkeypatch.setattr(session._backend, "run_cells", dying_run_cells)
+        with pytest.raises(RuntimeError, match="coordinator killed"):
+            session.scan(SCAN, window=4)
+    with Session(resume=ckpt_dir) as session:
+        resumed = session.scan(SCAN)
+    assert (resumed.resumed_shards, resumed.executed_shards) == (4, 2)
+    assert resumed.to_json() == expected
