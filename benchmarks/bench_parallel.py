@@ -8,8 +8,8 @@ Measures the two pipeline generations on identical workloads:
   matrix through ``repro.api`` at artifact level ``stats``.
 * **table1** (wild scan): the seed pipeline probed each vantage × day
   pass serially with the per-domain analytic engine. The new pipeline
-  fans passes out with :func:`parallel_map` using the batch scan
-  engine.
+  plans the passes as task cells on the session's backend and scans
+  them with the batch engine.
 
 Legs:
 
@@ -188,7 +188,7 @@ def bench_table1(list_size: int, days: int, rounds: int) -> dict:
             "vantages": 4,
         },
         "serial_leg": "analytic engine, in-process (the seed code path)",
-        "parallel_leg": "batch scan engine via parallel_map",
+        "parallel_leg": "batch scan engine, passes as cells on the session's pool",
         **legs,
         # Both legs in-process → the batch-engine win is machine-stable.
         "stable_ratios": ["speedup_batch_vs_serial"],
@@ -618,7 +618,7 @@ def main(argv=None) -> int:
     report = {
         "description": (
             "Wall-clock of the seed serial pipeline vs the parallel "
-            "experiment runtime (MatrixRunner / parallel_map) on "
+            "experiment runtime (MatrixRunner / suite-planned passes) on "
             "identical workloads. Best-of-N timings."
         ),
         "environment": {

@@ -13,7 +13,7 @@ bundle when ``--out`` is given.
 
 import argparse
 
-from repro.api import RunRequest, Session
+from repro.api import LocalConfig, RunRequest, Session
 
 
 def main() -> None:
@@ -24,7 +24,8 @@ def main() -> None:
     parser.add_argument("--study-days", type=int, default=2,
                         help="Cloudflare longitudinal study length")
     parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes for the scan passes")
+                        help="size of the session's process pool (the scan and "
+                             "study passes run on it like any other cell)")
     parser.add_argument("--events", action="store_true",
                         help="stream run events while executing")
     parser.add_argument("--out", default=None, metavar="DIR",
@@ -38,7 +39,6 @@ def main() -> None:
                 "list_size": args.domains,
                 "vantage_names": (args.vantage,),
                 "days": 1,
-                "workers": args.workers,
             },
             "fig8": {"list_size": args.domains, "vantage_name": args.vantage},
             "fig9": {"vantage_name": args.vantage, "days": args.study_days},
@@ -48,7 +48,7 @@ def main() -> None:
     if args.events:
         on_event = lambda event: print(f"event: {event.describe()}", flush=True)  # noqa: E731
 
-    with Session(on_event=on_event) as session:
+    with Session(LocalConfig(workers=args.workers), on_event=on_event) as session:
         report = session.run(request)
         print(report.render())
         if args.out is not None:

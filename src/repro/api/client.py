@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import repro.errors as errors
-from repro.api.jobs import JobHandle, JobId, JobRecord, JobStatus
+from repro.api.jobs import JobHandle, JobId, JobRecord, JobStatus, check_job_id
 from repro.api.session import RunRequest
 from repro.errors import ServiceError
 from repro.runtime.events import RunEvent, event_from_dict
@@ -177,14 +177,14 @@ class ServiceClient:
         return ServiceJobHandle(self, record.job_id)
 
     def status(self, job_id: JobId) -> JobRecord:
-        return JobRecord.from_dict(self._request("GET", f"/v1/jobs/{job_id}"))
+        return JobRecord.from_dict(self._request("GET", f"/v1/jobs/{check_job_id(job_id)}"))
 
     def jobs(self) -> List[JobRecord]:
         doc = self._request("GET", "/v1/jobs")
         return [JobRecord.from_dict(item) for item in doc.get("jobs", [])]
 
     def cancel(self, job_id: JobId) -> JobRecord:
-        return JobRecord.from_dict(self._request("POST", f"/v1/jobs/{job_id}/cancel"))
+        return JobRecord.from_dict(self._request("POST", f"/v1/jobs/{check_job_id(job_id)}/cancel"))
 
     def health(self) -> Dict[str, Any]:
         return self._request("GET", "/v1/health")
@@ -193,9 +193,10 @@ class ServiceClient:
         """Typed run events of one job, live from its start; the
         stream ends when the job reaches a terminal state. Unknown
         event kinds from a newer daemon are skipped."""
+        path = f"/v1/jobs/{check_job_id(job_id)}/events"
         sock = self._connect()
         try:
-            self._send_request(sock, "GET", f"/v1/jobs/{job_id}/events", None)
+            self._send_request(sock, "GET", path, None)
             fh = sock.makefile("rb")
             status, headers = self._read_head(fh)
             if status != 200:
@@ -230,7 +231,7 @@ class ServiceClient:
         """The finished job's bundle as ``filename → exact text`` —
         the same bytes ``repro run --out`` writes locally. Validates
         the document's ``schema_version``."""
-        doc = self._request("GET", f"/v1/jobs/{job_id}/fetch")
+        doc = self._request("GET", f"/v1/jobs/{check_job_id(job_id)}/fetch")
         if not isinstance(doc, dict) or not isinstance(doc.get("files"), dict):
             raise ServiceError("malformed bundle document from service")
         check_bundle_version(doc, what="fetched bundle")

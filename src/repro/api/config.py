@@ -88,12 +88,6 @@ class DistributedConfig(BackendConfig):
     HMAC handshake when a key is set. ``auth_key`` accepts ``str`` or
     ``bytes``.
 
-    ``workers`` is *coordinator-side* parallelism: matrix chunks
-    always execute on the remote fleet, but wild-measurement
-    experiments that declare a ``workers`` parameter fan their coarse
-    passes out on the coordinator exactly as they would under
-    :class:`LocalConfig`.
-
     ``adaptive_chunks`` (default on) sizes each worker's next chunk
     from its observed throughput — at most ``target_chunk_seconds`` of
     wall clock per chunk and at most the worker's rate-proportional
@@ -122,7 +116,6 @@ class DistributedConfig(BackendConfig):
     min_workers: int = 1
     worker_timeout: float = DEFAULT_WORKER_WAIT_TIMEOUT
     auth_key: Optional[Union[str, bytes]] = None
-    workers: int = 0
     heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
     adaptive_chunks: bool = True

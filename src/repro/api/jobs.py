@@ -14,7 +14,8 @@ to
 without changing what ``handle.status()`` / ``handle.events()`` /
 ``handle.result()`` mean.
 
-* :data:`JobId` / :func:`new_job_id` — opaque job names.
+* :data:`JobId` / :func:`new_job_id` / :func:`check_job_id` — opaque
+  job names, each one URL path segment.
 * :class:`JobStatus` — the five-state lifecycle
   (``queued → running → succeeded | failed``, plus ``cancelled``).
 * :class:`JobRecord` — the JSON-safe status document (what the
@@ -33,6 +34,7 @@ running job is recorded as a refusal (the record stays ``running``).
 
 from __future__ import annotations
 
+import re
 import secrets
 import threading
 import time
@@ -52,6 +54,7 @@ __all__ = [
     "JobRecord",
     "JobStatus",
     "LocalJobHandle",
+    "check_job_id",
     "new_job_id",
 ]
 
@@ -61,6 +64,15 @@ JobId = str
 
 def new_job_id() -> JobId:
     return f"job-{secrets.token_hex(8)}"
+
+
+def check_job_id(job_id: Any) -> JobId:
+    """``job_id`` if it is one non-empty URL path segment, else
+    :class:`ServiceError` — client and daemon both check: an empty id
+    turns ``/v1/jobs/<id>/fetch`` into the status route of job "fetch"."""
+    if not isinstance(job_id, str) or not re.fullmatch(r"[A-Za-z0-9._~-]+", job_id):
+        raise ServiceError(f"invalid job id {job_id!r}: expected a name like 'job-0123abcd'")
+    return job_id
 
 
 class JobStatus(str, Enum):

@@ -25,7 +25,7 @@ from repro.experiments.registry import REGISTRY
 from repro.runtime.backend import ExecutionBackend
 from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.events import EventSink, RunEvent, emit
-from repro.runtime.matrix import MatrixRunner, default_workers
+from repro.runtime.matrix import MatrixRunner
 from repro.runtime.suite import SuitePlan, SuiteReport, SuiteRunner
 
 __all__ = [
@@ -432,21 +432,12 @@ class Session:
     # -- internals ------------------------------------------------------
 
     def _suite_runner(self, extra_sink: Optional[EventSink]) -> SuiteRunner:
-        workers = self._workers()
         return SuiteRunner(
-            workers=workers,
             backend=self._backend,
             on_event=self._sink(extra_sink),
             checkpoint_dir=self.resume,
             disk_cache=self.disk_cache,
         )
-
-    def _workers(self) -> int:
-        """Coordinator-side worker count — LocalConfig's pool size, or
-        a DistributedConfig's coordinator-side fan-out for the wild
-        experiments' ``workers`` parameter."""
-        workers = getattr(self.config, "workers", 0)
-        return default_workers() if workers is None else workers
 
     def _sink(self, extra: Optional[EventSink]) -> Optional[EventSink]:
         sinks = [s for s in (self.on_event, extra) if s is not None]

@@ -266,13 +266,16 @@ def resolve_auth_key(key_file: Optional[str]) -> Optional[bytes]:
 
 def build_backend_config(args: argparse.Namespace) -> BackendConfig:
     if args.backend == "distributed":
+        if args.workers:
+            raise _usage_error(
+                "--workers sizes the local pool; a distributed run executes on its worker fleet"
+            )
         return DistributedConfig(
             listen=args.listen,
             bind=args.bind,
             min_workers=args.min_workers,
             worker_timeout=args.worker_timeout,
             auth_key=resolve_auth_key(args.auth_key_file),
-            workers=args.workers,
             min_chunk_cells=args.min_chunk_cells,
             max_chunk_cells=args.max_chunk_cells,
             compression=args.compression,
@@ -284,7 +287,7 @@ def build_backend_config(args: argparse.Namespace) -> BackendConfig:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    with Session(LocalConfig(workers=args.workers)) as session:
+    with Session() as session:
         plan = session.plan(build_request(args))
     if args.json:
         print(json.dumps(plan.to_dict(), indent=2))
@@ -688,7 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="show the deduplicated suite plan for a selection")
     p_plan.add_argument("experiments", nargs="+", metavar="ID")
-    p_plan.add_argument("--workers", type=int, default=0)
     p_plan.add_argument("--smoke", action="store_true", help="plan at smoke-sized parameters")
     p_plan.add_argument(
         "--param",

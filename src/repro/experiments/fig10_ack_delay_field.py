@@ -12,7 +12,7 @@ Others 79.1 %.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import register
@@ -21,13 +21,11 @@ from repro.experiments.spec import (
     ExperimentSpec,
     KIND_WILD,
     Params,
-    wild_cells,
+    scan_cells,
 )
-from repro.runtime import ArtifactLevel
+from repro.runtime import ArtifactLevel, Cell
 from repro.wild.asdb import Cdn
-from repro.wild.qscanner import QScanner, scan_with_engine
-from repro.wild.tranco import TrancoGenerator
-from repro.wild.vantage import vantage
+from repro.wild.passes import PassOutcome
 
 PAPER_COALESCED_EXCEEDS = {
     Cdn.AKAMAI: 0.998,
@@ -41,36 +39,33 @@ PAPER_COALESCED_EXCEEDS = {
 PAPER_IACK_BELOW = {Cdn.AKAMAI: 0.61, Cdn.OTHERS: 0.791}
 
 
-def aggregate(results: CellResults, params: Params) -> ExperimentResult:
-    list_size, seed = params["list_size"], params["seed"]
-    generator = TrancoGenerator(list_size=list_size, seed=seed)
-    scanner = QScanner(vantage(params["vantage_name"]), seed=seed)
-    domains = generator.quic_domains()
-    scan = scan_with_engine(scanner, domains, engine=params["engine"])
-    rows: List[List[object]] = []
+def cells(params: Params) -> List[Cell]:
+    return scan_cells(params, [params["vantage_name"]])
+
+
+def _share(hits: List[bool]) -> Optional[float]:
+    return round(sum(hits) / len(hits), 3) if hits else None
+
+
+def observe(outcome: PassOutcome) -> Dict[Cdn, Tuple[Optional[float], Optional[float]]]:
+    """Per CDN: the share of coalesced ACK–SH whose ack delay exceeds
+    the RTT, and of IACKs whose ack delay is below it."""
+    out = {}
     for cdn in Cdn:
-        coalesced = [r for r in scan if r.cdn is cdn and r.coalesced]
-        iack = [r for r in scan if r.cdn is cdn and r.iack_observed]
-        exceeds = (
-            sum(1 for r in coalesced if r.ack_delay_field_ms > r.rtt_ms)
-            / len(coalesced)
-            if coalesced
-            else None
+        probes = [r for r in outcome.records if r.cdn is cdn]
+        out[cdn] = (
+            _share([r.ack_delay_field_ms > r.rtt_ms for r in probes if r.coalesced]),
+            _share([r.ack_delay_field_ms < r.rtt_ms for r in probes if r.iack_observed]),
         )
-        below = (
-            sum(1 for r in iack if r.ack_delay_field_ms < r.rtt_ms) / len(iack)
-            if iack
-            else None
-        )
-        rows.append(
-            [
-                cdn.value,
-                None if exceeds is None else round(exceeds, 3),
-                PAPER_COALESCED_EXCEEDS.get(cdn),
-                None if below is None else round(below, 3),
-                PAPER_IACK_BELOW.get(cdn),
-            ]
-        )
+    return out
+
+
+def aggregate(results: CellResults, params: Params) -> ExperimentResult:
+    (per_cdn,) = results
+    rows = [
+        [cdn.value, exceeds, PAPER_COALESCED_EXCEEDS.get(cdn), below, PAPER_IACK_BELOW.get(cdn)]
+        for cdn, (exceeds, below) in per_cdn.items()
+    ]
     return ExperimentResult(
         experiment_id="fig10",
         title="Acknowledgment delay vs RTT (coalesced ACK-SH and IACK)",
@@ -98,8 +93,9 @@ SPEC = register(
         paper="Figure 10",
         kind=KIND_WILD,
         artifact_level=ArtifactLevel.STATS,
-        cells=wild_cells,
+        cells=cells,
         aggregate=aggregate,
+        observe=observe,
         defaults={
             "list_size": 100_000,
             "vantage_name": "Sao Paulo",

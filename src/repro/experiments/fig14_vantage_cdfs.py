@@ -8,7 +8,7 @@ servers are only significantly reachable from Sao Paulo (Appendix G).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.stats import median
 from repro.experiments.common import ExperimentResult
@@ -18,58 +18,38 @@ from repro.experiments.spec import (
     ExperimentSpec,
     KIND_WILD,
     Params,
-    wild_cells,
+    scan_cells,
 )
-from repro.runtime import (
-    ArtifactLevel,
-    get_shared_input,
-    parallel_map,
-    set_shared_input,
-)
+from repro.runtime import ArtifactLevel, Cell
 from repro.wild.asdb import Cdn
-from repro.wild.qscanner import QScanner, scan_with_engine
-from repro.wild.tranco import TrancoGenerator
-from repro.wild.vantage import VANTAGE_POINTS, vantage
+from repro.wild.passes import PassOutcome
+from repro.wild.vantage import VANTAGE_POINTS
 
 FIGURE_CDNS = (Cdn.AKAMAI, Cdn.AMAZON, Cdn.CLOUDFLARE, Cdn.GOOGLE, Cdn.OTHERS)
 
-def _probe_vantage(vantage_name: str, list_size: int, seed: int, engine: str):
-    domains = get_shared_input()
-    if domains is None:  # pragma: no cover - non-initialized pool fallback
-        domains = TrancoGenerator(list_size=list_size, seed=seed).quic_domains()
-    scanner = QScanner(vantage(vantage_name), seed=seed)
-    return scan_with_engine(scanner, domains, engine=engine)
+
+def cells(params: Params) -> List[Cell]:
+    return scan_cells(params, sorted(VANTAGE_POINTS))
+
+
+def observe(outcome: PassOutcome) -> Dict[Cdn, Tuple[int, Optional[float]]]:
+    """Per figure CDN: IACK responses seen and their median ACK→SH delay."""
+    out = {}
+    for cdn in FIGURE_CDNS:
+        delays = [
+            r.ack_to_sh_delay_ms for r in outcome.records if r.cdn is cdn and r.iack_observed
+        ]
+        med = median(delays)
+        out[cdn] = (len(delays), None if med is None else round(med, 1))
+    return out
 
 
 def aggregate(results: CellResults, params: Params) -> ExperimentResult:
-    list_size, seed = params["list_size"], params["seed"]
-    generator = TrancoGenerator(list_size=list_size, seed=seed)
-    domains = generator.quic_domains()
-    vantage_names = sorted(VANTAGE_POINTS)
-    per_vantage = parallel_map(
-        _probe_vantage,
-        [(name, list_size, seed, params["engine"]) for name in vantage_names],
-        workers=params["workers"],
-        initializer=set_shared_input,
-        initargs=(domains,),
-    )
-    rows: List[List[object]] = []
-    for vantage_name, scan in zip(vantage_names, per_vantage):
-        for cdn in FIGURE_CDNS:
-            delays = [
-                r.ack_to_sh_delay_ms
-                for r in scan
-                if r.cdn is cdn and r.iack_observed
-            ]
-            med = median(delays)
-            rows.append(
-                [
-                    vantage_name,
-                    cdn.value,
-                    len(delays),
-                    None if med is None else round(med, 1),
-                ]
-            )
+    rows = [
+        [vantage_name, cdn.value, responses, med]
+        for vantage_name, per_cdn in zip(sorted(VANTAGE_POINTS), results)
+        for cdn, (responses, med) in per_cdn.items()
+    ]
     return ExperimentResult(
         experiment_id="fig14",
         title="ACK->SH delay per CDN and vantage point",
@@ -88,12 +68,12 @@ SPEC = register(
         paper="Figure 14",
         kind=KIND_WILD,
         artifact_level=ArtifactLevel.STATS,
-        cells=wild_cells,
+        cells=cells,
         aggregate=aggregate,
+        observe=observe,
         defaults={
             "list_size": 50_000,
             "seed": 0,
-            "workers": 0,
             "engine": "analytic",
         },
         smoke={"list_size": 5_000},

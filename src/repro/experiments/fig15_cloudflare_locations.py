@@ -10,7 +10,7 @@ misconfiguration of our nodes." Median IACK precedes the SH by
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.analysis.stats import median, percentile_interval
 from repro.experiments.common import ExperimentResult
@@ -20,11 +20,11 @@ from repro.experiments.spec import (
     ExperimentSpec,
     KIND_WILD,
     Params,
-    wild_cells,
+    study_cells,
 )
-from repro.runtime import ArtifactLevel, parallel_map
-from repro.wild.cloudflare import CloudflareLongitudinalStudy, filter_valid
-from repro.wild.vantage import VANTAGE_POINTS, vantage
+from repro.runtime import ArtifactLevel, Cell
+from repro.wild.passes import PassOutcome
+from repro.wild.vantage import VANTAGE_POINTS
 
 PAPER_GAPS_MS = {
     "Sao Paulo": 2.1,
@@ -33,57 +33,48 @@ PAPER_GAPS_MS = {
     "Hong Kong": 2.6,
 }
 
-#: Hong Kong maintenance gaps (two half-day outages).
-HONG_KONG_OUTAGES = tuple(range(2 * 24 * 60, 2 * 24 * 60 + 12 * 60)) + tuple(
-    range(5 * 24 * 60, 5 * 24 * 60 + 8 * 60)
+#: Hong Kong maintenance gaps: two half-day outages, as minute ranges.
+HONG_KONG_OUTAGES = (
+    (2 * 24 * 60, 2 * 24 * 60 + 12 * 60),
+    (5 * 24 * 60, 5 * 24 * 60 + 8 * 60),
 )
 
 
-def _study_vantage(vantage_name: str, days: int, seed: int):
-    """One location's longitudinal study (a self-contained rng
-    stream, so passes parallelize without ordering effects)."""
-    study = CloudflareLongitudinalStudy(vantage(vantage_name), seed=seed)
-    outages = HONG_KONG_OUTAGES if vantage_name == "Hong Kong" else None
-    return filter_valid(
-        study.run(minutes=days * 24 * 60, outage_minutes=outages)
-    )
+def cells(params: Params) -> List[Cell]:
+    return study_cells(params, sorted(VANTAGE_POINTS), {"Hong Kong": HONG_KONG_OUTAGES})
+
+
+def observe(outcome: PassOutcome) -> List[Optional[object]]:
+    """One location's row, less its name and paper value: separate-SH,
+    coalesced and gap medians, the gap's 50 % interval, hours with data."""
+    samples = outcome.records
+    separate_sh = [s.sh_latency_ms for s in samples if s.kind == "SH"]
+    coalesced = [s.sh_latency_ms for s in samples if s.kind == "ACK,SH"]
+    gaps = [
+        s.sh_latency_ms - s.ack_latency_ms
+        for s in samples
+        if s.kind == "SH" and s.sh_latency_ms is not None and s.ack_latency_ms is not None
+    ]
+    interval = percentile_interval(gaps, 50.0)
+
+    def rounded_median(values: List[Optional[float]]) -> Optional[float]:
+        med = median(values)
+        return None if med is None else round(med, 2)
+
+    return [
+        rounded_median(separate_sh),
+        rounded_median(coalesced),
+        rounded_median(gaps),
+        None if interval is None else f"[{interval[0]:.2f}, {interval[1]:.2f}]",
+        len({s.hour for s in samples}),
+    ]
 
 
 def aggregate(results: CellResults, params: Params) -> ExperimentResult:
-    days, seed = params["days"], params["seed"]
+    days = params["days"]
     rows: List[List[object]] = []
-    vantage_names = sorted(VANTAGE_POINTS)
-    per_vantage = parallel_map(
-        _study_vantage,
-        [(name, days, seed) for name in vantage_names],
-        workers=params["workers"],
-    )
-    for vantage_name, samples in zip(vantage_names, per_vantage):
-        separate_sh = [s.sh_latency_ms for s in samples if s.kind == "SH"]
-        coalesced = [s.sh_latency_ms for s in samples if s.kind == "ACK,SH"]
-        gaps = [
-            s.sh_latency_ms - s.ack_latency_ms
-            for s in samples
-            if s.kind == "SH"
-            and s.sh_latency_ms is not None
-            and s.ack_latency_ms is not None
-        ]
-        med_sep = median(separate_sh)
-        med_coal = median(coalesced)
-        med_gap = median(gaps)
-        interval = percentile_interval([g for g in gaps], 50.0)
-        observed_hours = len({s.hour for s in samples})
-        rows.append(
-            [
-                vantage_name,
-                None if med_sep is None else round(med_sep, 2),
-                None if med_coal is None else round(med_coal, 2),
-                None if med_gap is None else round(med_gap, 2),
-                PAPER_GAPS_MS.get(vantage_name),
-                None if interval is None else f"[{interval[0]:.2f}, {interval[1]:.2f}]",
-                observed_hours,
-            ]
-        )
+    for name, (separate, coalesced, gap, interval, hours) in zip(sorted(VANTAGE_POINTS), results):
+        rows.append([name, separate, coalesced, gap, PAPER_GAPS_MS.get(name), interval, hours])
     return ExperimentResult(
         experiment_id="fig15",
         title=f"Cloudflare latency per location, {days} days",
@@ -107,9 +98,10 @@ SPEC = register(
         paper="Figure 15",
         kind=KIND_WILD,
         artifact_level=ArtifactLevel.STATS,
-        cells=wild_cells,
+        cells=cells,
         aggregate=aggregate,
-        defaults={"days": 7, "seed": 0, "workers": 0},
+        observe=observe,
+        defaults={"days": 7, "seed": 0},
         smoke={"days": 1},
     )
 )

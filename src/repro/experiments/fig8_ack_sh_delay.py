@@ -9,7 +9,7 @@ the ServerHello." Median IACK→SH gaps across vantage points: 3.2 ms
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.stats import cdf, median
 from repro.experiments.common import ExperimentResult
@@ -19,12 +19,11 @@ from repro.experiments.spec import (
     ExperimentSpec,
     KIND_WILD,
     Params,
+    scan_cells,
 )
 from repro.runtime import ArtifactLevel, Cell
 from repro.wild.asdb import Cdn
-from repro.wild.qscanner import QScanner, scan_with_engine
-from repro.wild.tranco import TrancoGenerator
-from repro.wild.vantage import vantage
+from repro.wild.passes import PassOutcome
 
 PAPER_MEDIANS_MS = {
     Cdn.CLOUDFLARE: 3.2,
@@ -37,36 +36,33 @@ FIGURE_CDNS = (Cdn.AKAMAI, Cdn.AMAZON, Cdn.CLOUDFLARE, Cdn.GOOGLE, Cdn.OTHERS)
 
 
 def cells(params: Params) -> List[Cell]:
-    return []
+    return scan_cells(params, [params["vantage_name"]])
+
+
+def observe(outcome: PassOutcome) -> Dict[Cdn, Tuple[int, Optional[float], Optional[float], list]]:
+    """Per figure CDN: domains probed, the median ACK→SH delay of the
+    IACK responses, the coalesced share, and the delays' CDF."""
+    out = {}
+    for cdn in FIGURE_CDNS:
+        probes = [r for r in outcome.records if r.cdn is cdn]
+        delays = [r.ack_to_sh_delay_ms for r in probes if r.iack_observed]
+        med = median(delays)
+        out[cdn] = (
+            len(probes),
+            None if med is None else round(med, 1),
+            round(sum(r.coalesced for r in probes) / len(probes), 3) if probes else None,
+            cdf(delays),
+        )
+    return out
 
 
 def aggregate(results: CellResults, params: Params) -> ExperimentResult:
-    list_size, seed = params["list_size"], params["seed"]
     vantage_name = params["vantage_name"]
-    generator = TrancoGenerator(list_size=list_size, seed=seed)
-    scanner = QScanner(vantage(vantage_name), seed=seed)
-    domains = generator.quic_domains()
-    scan = scan_with_engine(scanner, domains, engine=params["engine"])
-    rows: List[List[object]] = []
-    cdfs: Dict[Cdn, List] = {}
-    for cdn in FIGURE_CDNS:
-        delays = [
-            r.ack_to_sh_delay_ms for r in scan
-            if r.cdn is cdn and r.iack_observed
-        ]
-        coalesced = sum(1 for r in scan if r.cdn is cdn and r.coalesced)
-        total = sum(1 for r in scan if r.cdn is cdn)
-        cdfs[cdn] = cdf(delays)
-        med = median(delays)
-        rows.append(
-            [
-                cdn.value,
-                total,
-                None if med is None else round(med, 1),
-                PAPER_MEDIANS_MS.get(cdn),
-                round(coalesced / total, 3) if total else None,
-            ]
-        )
+    (per_cdn,) = results
+    rows = [
+        [cdn.value, total, med, PAPER_MEDIANS_MS.get(cdn), coalesced]
+        for cdn, (total, med, coalesced, _cdf) in per_cdn.items()
+    ]
     return ExperimentResult(
         experiment_id="fig8",
         title=f"ACK->SH delay per CDN from {vantage_name} (IACK responses)",
@@ -79,7 +75,7 @@ def aggregate(results: CellResults, params: Params) -> ExperimentResult:
             "medians_ms": {c.value: v for c, v in PAPER_MEDIANS_MS.items()},
             "note": "Akamai significantly slower to deliver the SH",
         },
-        extra={"cdfs": {c.value: v for c, v in cdfs.items()}},
+        extra={"cdfs": {cdn.value: points for cdn, (_, _, _, points) in per_cdn.items()}},
     )
 
 
@@ -92,6 +88,7 @@ SPEC = register(
         artifact_level=ArtifactLevel.STATS,
         cells=cells,
         aggregate=aggregate,
+        observe=observe,
         defaults={
             "list_size": 100_000,
             "vantage_name": "Sao Paulo",

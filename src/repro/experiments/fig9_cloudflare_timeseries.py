@@ -9,7 +9,7 @@ delays are larger during local daytime.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, Dict, List
 
 from repro.analysis.stats import median, percentile_interval
 from repro.experiments.common import ExperimentResult
@@ -19,22 +19,19 @@ from repro.experiments.spec import (
     ExperimentSpec,
     KIND_WILD,
     Params,
-    wild_cells,
+    study_cells,
 )
-from repro.runtime import ArtifactLevel
-from repro.wild.cloudflare import (
-    CloudflareLongitudinalStudy,
-    filter_valid,
-)
-from repro.wild.vantage import vantage
+from repro.runtime import ArtifactLevel, Cell
+from repro.wild.passes import PassOutcome
 
 
-def aggregate(results: CellResults, params: Params) -> ExperimentResult:
-    vantage_name, days = params["vantage_name"], params["days"]
-    study = CloudflareLongitudinalStudy(
-        vantage(vantage_name), seed=params["seed"]
-    )
-    samples = filter_valid(study.run(minutes=days * 24 * 60))
+def cells(params: Params) -> List[Cell]:
+    return study_cells(params, [params["vantage_name"]])
+
+
+def observe(outcome: PassOutcome) -> Dict[str, Any]:
+    """The figure's series, reduced to table rows where the samples are."""
+    samples = outcome.records
     ack_latencies = [
         s.ack_latency_ms for s in samples if s.kind in ("ACK", "SH") and s.ack_latency_ms
     ]
@@ -84,11 +81,23 @@ def aggregate(results: CellResults, params: Params) -> ExperimentResult:
     rows.append(["gap (night)", len(night_gaps), round(median(night_gaps) or 0.0, 2), None])
     coalesced_med = median(coalesced)
     separate_med = median(separate_sh)
+    return {
+        "rows": rows,
+        "coalesced_faster": (
+            coalesced_med is not None and separate_med is not None and coalesced_med < separate_med
+        ),
+        "samples": len(samples),
+    }
+
+
+def aggregate(results: CellResults, params: Params) -> ExperimentResult:
+    vantage_name, days = params["vantage_name"], params["days"]
+    (study,) = results
     return ExperimentResult(
         experiment_id="fig9",
         title=f"Cloudflare reception latency, {vantage_name}, {days} days",
         headers=["series", "n", "median [ms]", "50% interval"],
-        rows=rows,
+        rows=study["rows"],
         paper_reference={
             "iack_to_sh_gap_ms": 2.1,
             "note": (
@@ -96,14 +105,7 @@ def aggregate(results: CellResults, params: Params) -> ExperimentResult:
                 "exceed nighttime gaps"
             ),
         },
-        extra={
-            "coalesced_faster": (
-                coalesced_med is not None
-                and separate_med is not None
-                and coalesced_med < separate_med
-            ),
-            "samples": len(samples),
-        },
+        extra={key: study[key] for key in ("coalesced_faster", "samples")},
     )
 
 
@@ -114,8 +116,9 @@ SPEC = register(
         paper="Figure 9",
         kind=KIND_WILD,
         artifact_level=ArtifactLevel.STATS,
-        cells=wild_cells,
+        cells=cells,
         aggregate=aggregate,
+        observe=observe,
         defaults={"vantage_name": "Sao Paulo", "days": 7, "seed": 0},
         smoke={"days": 1},
     )

@@ -9,16 +9,19 @@ planner can reason about:
 
 ``cells(params)``
     The experiment's demand: the exact ``(scenario, seed)`` cells it
-    needs, in aggregation order. Model- and wild-measurement
-    experiments return no cells; their whole computation lives in the
-    aggregator.
+    needs, in aggregation order. A wild-measurement experiment's cells
+    are the scan and study passes of :mod:`repro.wild.passes`; a model
+    experiment returns none and computes in its aggregator.
 
-``observe(artifacts)`` (experiments above ``stats`` level only)
-    The map half of a trace-reading experiment: a module-level function
-    from one cell's trace-level :class:`~repro.runtime.RunArtifacts` to
-    the small picklable value the aggregator needs from it. It runs in
-    the process that simulated the cell, immediately after it, so no
-    packet trace or qlog ever crosses a process boundary.
+``observe(artifacts)`` (required above ``stats`` level, and of wild
+experiments)
+    The map half of an experiment that reads more of a cell than its
+    stats: a module-level function from one cell's
+    :class:`~repro.runtime.RunArtifacts` (trace-level for a simulator
+    cell, a :class:`~repro.wild.passes.PassOutcome` for a pass) to the
+    small picklable value the aggregator needs from it. It runs in the
+    process that executed the cell, immediately after it, so no packet
+    trace, qlog or probe list ever crosses a process boundary.
 
 ``aggregate(results, params)``
     A pure function from executed cells (a :class:`CellResults` view —
@@ -45,11 +48,14 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from repro.errors import InvalidOverride
 from repro.experiments.common import ExperimentResult
 from repro.runtime import ArtifactLevel, Cell, RunArtifacts
+from repro.wild.passes import ScanPass, StudyPass
+from repro.wild.vantage import vantage
 
 #: Resolved experiment parameters (defaults merged with overrides).
 Params = Dict[str, Any]
@@ -114,10 +120,11 @@ class ExperimentSpec:
                 f"{self.id}: unknown kind {self.kind!r}; expected one of {_KINDS}"
             )
         if self.observe is None:
-            if self.artifact_level is not ArtifactLevel.STATS:
+            if self.artifact_level is not ArtifactLevel.STATS or self.kind == KIND_WILD:
                 raise ValueError(
-                    f"{self.id}: artifact level {self.artifact_level.value!r} needs "
-                    "an observe function (traces never leave the cell that made them)"
+                    f"{self.id}: a {self.kind} experiment at artifact level "
+                    f"{self.artifact_level.value!r} needs an observe function (traces "
+                    "and probe lists never leave the cell that made them)"
                 )
         elif "<" in getattr(self.observe, "__qualname__", "<"):
             raise ValueError(
@@ -137,17 +144,16 @@ class ExperimentSpec:
         overrides: Optional[Mapping[str, Any]] = None,
         *,
         smoke: bool = False,
-        workers: Optional[int] = None,
     ) -> Params:
         """THE parameter-resolution path — ``SuiteRunner.plan`` (and so
         every ``repro.api`` session, the daemon and the CLI) resolves
         through this one method, so the surfaces agree by construction.
 
         Layering, lowest to highest precedence: declared ``defaults``,
-        then ``smoke`` overrides (when ``smoke=True``), then execution
-        context (``workers`` flows into specs that declare a
-        ``workers`` parameter), then explicit ``overrides``, which
-        always win. An unknown override key, or a value whose shape
+        then ``smoke`` overrides (when ``smoke=True``), then explicit
+        ``overrides``, which always win. Where and how wide a run
+        executes is not a parameter: no execution context reaches
+        ``params``. An unknown override key, or a value whose shape
         differs from its declared default (see :func:`_same_shape`),
         raises :class:`~repro.errors.InvalidOverride` — neither a typo
         nor a string where a number belongs may reach the simulator.
@@ -155,10 +161,7 @@ class ExperimentSpec:
         params: Params = dict(self.defaults)
         if smoke:
             params.update(self.smoke)
-        overrides = dict(overrides or {})
-        if workers is not None and "workers" in self.defaults and "workers" not in overrides:
-            params["workers"] = workers
-        for key, value in overrides.items():
+        for key, value in (overrides or {}).items():
             if key not in self.defaults:
                 raise InvalidOverride(
                     f"{self.id}: unknown parameter {key!r}; known "
@@ -219,29 +222,54 @@ def _brief(value: Any) -> Any:
     return value
 
 
-def wild_cells(params: Params) -> List[Cell]:
-    """``cells`` of a wild-measurement experiment: it fans out its own
-    scan passes at aggregation and plans no simulator cells, so this is
-    where planning checks the declared ranges — a ``list_size`` or
-    ``days`` below 1 or an unknown vantage name is refused here (as
-    :class:`~repro.errors.InvalidOverride`, by ``SuiteRunner.plan``)
-    instead of surfacing mid-scan or as an empty-looking table."""
-    from repro.wild.vantage import vantage
+def _check_wild(params: Params, vantage_names: Sequence[str]) -> None:
+    """A wild experiment's declared ranges, checked where its passes are
+    planned (``SuiteRunner.plan`` reports them as
+    :class:`~repro.errors.InvalidOverride`): nothing mis-shaped — a
+    ``list_size`` or ``days`` that is not an integer >= 1, an unknown
+    vantage or scan ``engine`` — is ever dispatched."""
+    from repro.wild.stream.coordinator import PROBE_ENGINES
 
     for name in ("list_size", "days"):
-        if name in params and params[name] < 1:
-            raise ValueError(f"{name} must be >= 1, got {params[name]!r}")
-    names = params.get("vantage_names")
-    if names is None:
-        names = ()
-    elif isinstance(names, str):
-        raise ValueError(f"vantage_names must be a list of names, got {names!r}")
-    for name in (*names, *filter(None, [params.get("vantage_name")])):
+        if name in params and (not isinstance(params[name], int) or params[name] < 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {params[name]!r}")
+    if "engine" in params and params["engine"] not in PROBE_ENGINES:
+        raise ValueError(
+            f"unknown scan engine {params['engine']!r}; expected one of {PROBE_ENGINES}"
+        )
+    if isinstance(vantage_names, str) or not vantage_names:
+        raise ValueError(f"vantage_names must be a non-empty list, got {vantage_names!r}")
+    for name in vantage_names:
         try:
             vantage(name)
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
-    return []
+
+
+def scan_cells(params: Params, vantage_names: Sequence[str], days: int = 1) -> List[Cell]:
+    """``cells`` of a toplist-scan experiment: a
+    :class:`~repro.wild.passes.ScanPass` per vantage × day, vantage-major."""
+    _check_wild(params, vantage_names)
+    return [
+        Cell(ScanPass(params["list_size"], name, day, params["engine"]), params["seed"])
+        for name in vantage_names
+        for day in range(days)
+    ]
+
+
+def study_cells(
+    params: Params,
+    vantage_names: Sequence[str],
+    outages: Optional[Mapping[str, Tuple[Tuple[int, int], ...]]] = None,
+) -> List[Cell]:
+    """``cells`` of a longitudinal experiment: a
+    :class:`~repro.wild.passes.StudyPass` per vantage; ``outages`` maps
+    a vantage to its sample-free ``(start, stop)`` minute ranges."""
+    _check_wild(params, vantage_names)
+    return [
+        Cell(StudyPass(name, params["days"], (outages or {}).get(name, ())), params["seed"])
+        for name in vantage_names
+    ]
 
 
 def expand_cells(

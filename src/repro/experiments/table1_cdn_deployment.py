@@ -8,7 +8,8 @@ repetitions."
 
 from __future__ import annotations
 
-from typing import Dict, List
+from collections import Counter
+from typing import Dict, List, Tuple
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import register
@@ -17,35 +18,13 @@ from repro.experiments.spec import (
     ExperimentSpec,
     KIND_WILD,
     Params,
-    wild_cells,
+    scan_cells,
 )
-from repro.runtime import (
-    ArtifactLevel,
-    get_shared_input,
-    parallel_map,
-    set_shared_input,
-)
+from repro.runtime import ArtifactLevel, Cell
 from repro.wild.asdb import Cdn
-from repro.wild.qscanner import QScanner, deployment_share, scan_with_engine
-from repro.wild.tranco import TrancoGenerator
-from repro.wild.vantage import VANTAGE_POINTS, vantage
-
-def _measure_pass(
-    vantage_name: str, day: int, list_size: int, seed: int, engine: str
-):
-    """One vantage × day scan pass → per-CDN deployment shares.
-
-    A whole pass runs inside one task so the batch engine's per-pass
-    rng stream is independent of worker count and task interleaving.
-    The domain list arrives via the runtime's shared-input channel.
-    """
-    domains = get_shared_input()
-    if domains is None:  # pragma: no cover - non-initialized pool fallback
-        domains = TrancoGenerator(list_size=list_size, seed=seed).quic_domains()
-    scanner = QScanner(vantage(vantage_name), seed=seed)
-    return deployment_share(
-        scan_with_engine(scanner, domains, day=day, engine=engine)
-    )
+from repro.wild.passes import PassOutcome
+from repro.wild.qscanner import deployment_share
+from repro.wild.vantage import VANTAGE_POINTS
 
 PAPER_SHARES = {
     Cdn.AKAMAI: (533, 32.2, 12.9),
@@ -59,68 +38,21 @@ PAPER_SHARES = {
 }
 
 
-def _streamed_measurements(
-    params: Params, vantage_names: List[str]
-) -> tuple:
-    """The streamed engine's cross-validation path: the same scan
-    through :mod:`repro.wild.stream` shards instead of in-memory
-    passes.
+def cells(params: Params) -> List[Cell]:
+    names = params["vantage_names"]
+    return scan_cells(params, sorted(VANTAGE_POINTS) if names is None else names, params["days"])
 
-    With the analytic engine the per-probe rng is keyed by
-    ``(seed, vantage, day, domain)`` — independent of sharding — so
-    counts and per-pass deployment shares are *exactly* equal to the
-    in-memory path (identical integer tallies, identical divisions);
-    only sketched percentiles carry the documented alpha tolerance.
-    The batch engine draws one rng stream per pass, which sharding
-    necessarily splits: statistically equivalent, not draw-identical.
-    """
-    from repro.runtime.backend import LocalBackend
-    from repro.wild.stream import ScanRequest, StreamCoordinator
 
-    request = ScanRequest(
-        source={
-            "kind": "tranco",
-            "list_size": params["list_size"],
-            "seed": params["seed"],
-        },
-        shard_size=min(int(params["list_size"]), 5_000),
-        vantage_names=tuple(vantage_names),
-        days=params["days"],
-        seed=params["seed"],
-        probe_engine=params["engine"],
-    )
-    with LocalBackend(params["workers"]) as backend:
-        report = StreamCoordinator(backend, request).run()
-    counts = {Cdn(value): n for value, n in report.sketch.cdn_domains.items()}
-    return report.deployment_measurements(), counts
+def observe(outcome: PassOutcome) -> Tuple[Dict[Cdn, float], Dict[Cdn, int]]:
+    """One vantage × day pass → per-CDN deployment shares and domain
+    counts."""
+    return deployment_share(outcome.records), Counter(r.cdn for r in outcome.records)
 
 
 def aggregate(results: CellResults, params: Params) -> ExperimentResult:
-    list_size, days, seed = params["list_size"], params["days"], params["seed"]
-    vantage_names = params["vantage_names"]
-    if vantage_names is None:
-        vantage_names = sorted(VANTAGE_POINTS)
-    if params["streamed"]:
-        measurements, counts = _streamed_measurements(params, vantage_names)
-    else:
-        generator = TrancoGenerator(list_size=list_size, seed=seed)
-        domains = generator.quic_domains()
-        counts = {}
-        for domain in domains:
-            counts[domain.cdn] = counts.get(domain.cdn, 0) + 1
-        tasks = [
-            (vantage_name, day, list_size, seed, params["engine"])
-            for vantage_name in vantage_names
-            for day in range(days)
-        ]
-        #: shares[(vantage, day)][cdn] = share
-        measurements = parallel_map(
-            _measure_pass,
-            tasks,
-            workers=params["workers"],
-            initializer=set_shared_input,
-            initargs=(domains,),
-        )
+    list_size, days = params["list_size"], params["days"]
+    measurements = [shares for shares, _counts in results]
+    counts = results[0][1]  # every pass scans the same list
     rows: List[List[object]] = []
     for cdn in Cdn:
         shares = [m.get(cdn, 0.0) * 100.0 for m in measurements]
@@ -141,7 +73,7 @@ def aggregate(results: CellResults, params: Params) -> ExperimentResult:
         experiment_id="table1",
         title=(
             f"IACK deployment per CDN ({list_size} domains, "
-            f"{len(vantage_names)} vantages x {days} days)"
+            f"{len(results) // days} vantages x {days} days)"
         ),
         headers=[
             "CDN", "domains", "enabled max [%]", "paper [%]",
@@ -161,16 +93,15 @@ SPEC = register(
         paper="Table 1",
         kind=KIND_WILD,
         artifact_level=ArtifactLevel.STATS,
-        cells=wild_cells,
+        cells=cells,
         aggregate=aggregate,
+        observe=observe,
         defaults={
             "list_size": 100_000,
             "days": 2,
             "vantage_names": None,
             "seed": 0,
-            "workers": 0,
             "engine": "analytic",
-            "streamed": False,
         },
         smoke={"list_size": 5_000, "days": 1, "vantage_names": ("Sao Paulo",)},
     )

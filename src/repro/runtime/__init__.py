@@ -30,8 +30,6 @@ Public surface:
   suite checkpointing behind ``repro run --resume DIR``.
 * :class:`FaultPlan` / :class:`FaultInjector` — structured worker
   fault injection for chaos tests (``repro worker --fault-plan``).
-* :func:`parallel_map` — coarse-grained task fan-out for the wild
-  measurement pipelines.
 
 See ``PERFORMANCE.md`` at the repository root for the complete guide.
 """
@@ -43,14 +41,7 @@ from repro.runtime.checkpoint import SuiteCheckpoint, plan_fingerprint
 from repro.runtime.distributed import SocketBackend, worker_main
 from repro.runtime.events import ChunkCacheStats, EventSink, RunEvent
 from repro.runtime.faults import FaultInjector, FaultPlan, parse_fault_plan
-from repro.runtime.matrix import (
-    Cell,
-    MatrixRunner,
-    default_workers,
-    get_shared_input,
-    parallel_map,
-    set_shared_input,
-)
+from repro.runtime.matrix import Cell, MatrixRunner, default_workers
 from repro.runtime.scheduler import (
     Assignment,
     ChunkScheduler,
@@ -90,13 +81,10 @@ __all__ = [
     "WorkerState",
     "default_workers",
     "execute_cell",
-    "get_shared_input",
     "loss_pattern_key",
-    "parallel_map",
     "parse_fault_plan",
     "plan_fingerprint",
     "run_work",
     "scenario_key",
-    "set_shared_input",
     "worker_main",
 ]

@@ -255,7 +255,10 @@ class LocalBackend(ExecutionBackend):
                     if len(out) - observed >= 32:
                         self.observe_results(out[observed:])
                         observed = len(out)
-        self.observe_results(out[observed:])
+            # ... and at every chunk end, like the pool and the fleet: one-item
+            # chunks (passes, shards) are worth a write each.
+            self.observe_results(out[observed:])
+            observed = len(out)
         return out
 
     def close(self) -> None:

@@ -14,22 +14,18 @@ simulation, so the sweep is embarrassingly parallel:
   repetition`` exactly like the serial :meth:`Runner.run_repetitions`,
   so per-seed ``ConnectionStats`` are bit-identical to the serial path
   regardless of worker count, chunking, or execution host.
-* :func:`parallel_map` is the generic coarse-grained fan-out used by
-  the wild-measurement experiments (one task per vantage/day pass).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Union
 
 from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
-from repro.runtime.backend import ExecutionBackend, LocalBackend, mp_context
+from repro.runtime.backend import ExecutionBackend, LocalBackend
 from repro.runtime.events import EventSink
-from repro.runtime.worker import call_task
 
 
 @dataclass(frozen=True)
@@ -169,74 +165,3 @@ class MatrixRunner:
         ]
         flat = self.run_cells(cells)
         return [flat[start : start + repetitions] for start in range(0, len(flat), repetitions)]
-
-
-#: Input shared with pool workers via the initializer mechanism of
-#: :func:`parallel_map` — see :func:`set_shared_input`.
-_SHARED_INPUT: Any = None
-
-
-def set_shared_input(value: Any) -> None:
-    """Stash a large shared input (e.g. a parsed domain list) for
-    :func:`get_shared_input` in workers.
-
-    Pass as ``parallel_map(..., initializer=set_shared_input,
-    initargs=(value,))``: under a fork context workers inherit the
-    object for free; under spawn it is shipped once per worker instead
-    of once per task. The serial path runs the initializer in-process,
-    so task functions can read it unconditionally.
-    """
-    global _SHARED_INPUT
-    _SHARED_INPUT = value
-
-
-def get_shared_input() -> Any:
-    """The value stashed by :func:`set_shared_input`, or ``None`` in a
-    pool that was created without the initializer (task functions
-    should fall back to recomputing)."""
-    return _SHARED_INPUT
-
-
-def parallel_map(
-    fn: Callable[..., Any],
-    tasks: Sequence[Tuple[Any, ...]],
-    workers: Optional[int] = 0,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple[Any, ...] = (),
-) -> List[Any]:
-    """Apply a module-level function to argument tuples, preserving
-    task order.
-
-    Used by the wild-measurement experiments for coarse-grained passes
-    (one task per vantage × day). With ``workers <= 1`` this is a plain
-    loop; tasks must be sliced so that any stream-based determinism
-    (e.g. the batch scan engine's per-pass rng) lives entirely inside
-    one task — results are then independent of the worker count.
-
-    ``initializer(*initargs)`` runs once per worker (and once in the
-    caller for the serial path) — the hook for shipping a shared input
-    like a parsed domain list without re-pickling it per task; see
-    :func:`set_shared_input`. ``workers=None`` picks
-    :func:`default_workers`.
-    """
-    if workers is None:
-        workers = default_workers()
-    try:
-        if workers <= 1 or len(tasks) <= 1:
-            if initializer is not None:
-                initializer(*initargs)
-            return [fn(*args) for args in tasks]
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(tasks)),
-            mp_context=mp_context(),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            futures = [pool.submit(call_task, fn, tuple(args)) for args in tasks]
-            return [future.result() for future in futures]
-    finally:
-        if initializer is set_shared_input:
-            # Drop the parent-process stash: retaining it would pin a
-            # potentially large input for the process lifetime and let
-            # a later task function's None-fallback read stale data.
-            set_shared_input(None)

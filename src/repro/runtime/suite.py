@@ -11,13 +11,16 @@ can plan the union:
    identical ``(scenario value, seed)`` cells across experiments, and
    attach to each unique cell the ``observe`` functions of the
    trace-reading experiments that demand it.
-2. **Execute** — run the unique cells once, through one
-   :func:`~repro.runtime.workloop.run_work` call (journal replay, disk
-   cache and dispatch live there, not here). A cell with observers
-   runs as an
-   :class:`~repro.runtime.artifacts.ObservedCell` (its trace lives only
-   while they read it, in the process that simulated it; stats plus the
-   observed values come back); every other cell is a plain stats cell.
+2. **Execute** — run the unique cells once, through
+   :func:`~repro.runtime.workloop.run_work` (journal replay, disk
+   cache and dispatch live there, not here): the simulator cells in one
+   call, then the wild experiments' scan and study passes — seconds
+   each, not milliseconds — in a second, one pass per chunk. A cell
+   with observers runs as an
+   :class:`~repro.runtime.artifacts.ObservedCell` (its trace or probe
+   list lives only while they read it, in the process that produced it;
+   stats plus the observed values come back); every other cell is a
+   plain stats cell.
 3. **Fan out** — hand every experiment a
    :class:`~repro.experiments.spec.CellResults` view onto exactly its
    cells (in its declared order; artifacts for a stats experiment,
@@ -30,6 +33,7 @@ result does not depend on what else was selected with it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -269,9 +273,7 @@ class SuiteRunner:
                 raise InvalidOverride(f"experiment {spec.id!r} selected twice")
             seen_ids.add(spec.id)
             exp_overrides = overrides.get(spec.id)
-            # self.workers flows into specs that declare a workers
-            # parameter (the wild experiments fan out their own passes).
-            params = spec.resolve_params(exp_overrides, smoke=smoke, workers=self.workers)
+            params = spec.resolve_params(exp_overrides, smoke=smoke)
             try:
                 cells = spec.plan_cells(params)
             except (ValueError, TypeError) as exc:
@@ -361,15 +363,26 @@ class SuiteRunner:
             def fill(slot: int, artifacts: Any, _source: str) -> None:
                 entries[slot] = artifacts
 
+            # Wild passes are 0.1–2 s items beside ~1 ms simulator cells
+            # and backends size chunks by count: the passes follow the
+            # cells in a call of their own, one per chunk.
+            cells: List[Any] = []
+            passes: List[Any] = []
+            for slot, (cell, planned) in enumerate(zip(plan.dispatch_cells, plan.unique_cells)):
+                is_pass = hasattr(planned.scenario, "execute_task")
+                (passes if is_pass else cells).append((slot, cell.scenario, cell.seed))
+            counts: Counter = Counter()
             try:
-                counts = run_work(
-                    backend,
-                    [(slot, c.scenario, c.seed) for slot, c in enumerate(plan.dispatch_cells)],
-                    fill,
-                    journal=journal,
-                    cache=self.disk_cache,
-                    sink=self.on_event,
-                )
+                for items, chunk_size in ((cells, None), (passes, 1)):
+                    counts += run_work(
+                        backend,
+                        items,
+                        fill,
+                        journal=journal,
+                        cache=self.disk_cache,
+                        chunk_size=chunk_size,
+                        sink=self.on_event,
+                    )
             except BackendError as exc:
                 named = self._name_poison(exc, plan)
                 if named is not None:

@@ -12,7 +12,7 @@ results in submission order regardless of completion order.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.interop.runner import Runner, Scenario
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
@@ -83,8 +83,3 @@ def run_cell_chunk(
                 cache.put(key, artifacts)
             out.append((index, artifacts))
     return out
-
-
-def call_task(fn: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
-    """Trampoline for :func:`repro.runtime.matrix.parallel_map`."""
-    return fn(*args)

@@ -44,6 +44,7 @@ import os
 import threading
 from typing import Optional
 
+from repro.api.jobs import check_job_id
 from repro.errors import ReproError, ServiceError
 from repro.runtime.events import event_to_dict
 from repro.service.http import (
@@ -179,7 +180,9 @@ class ServiceDaemon:
     async def _route(self, request: HttpRequest, writer) -> None:
         if not self._authorized(request):
             raise HttpError(401, "missing or invalid bearer token")
-        parts = [part for part in request.path.split("/") if part]
+        # Empty segments stay: dropping one would turn /v1/jobs//fetch
+        # into a status request for a job named "fetch".
+        parts = request.path.strip("/").split("/")
         if parts[:1] != ["v1"]:
             raise HttpError(404, f"unknown path {request.path!r}")
         rest = parts[1:]
@@ -198,7 +201,7 @@ class ServiceDaemon:
                 return
             raise HttpError(405, f"{request.method} not allowed on /v1/jobs")
         if len(rest) in (2, 3) and rest[0] == "jobs":
-            job_id = rest[1]
+            job_id = check_job_id(rest[1])  # ServiceError → 400
             try:
                 record = self.manager.status(job_id)
             except ServiceError as exc:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 from repro.wild.asdb import AsDatabase, Cdn
@@ -191,3 +192,12 @@ class TrancoGenerator:
 
     def expected_quic_count(self) -> int:
         return sum(self.scaled_count(cdn) for cdn in Cdn)
+
+
+@lru_cache(maxsize=2)
+def quic_domains(list_size: int, seed: int) -> Tuple[TrancoDomain, ...]:
+    """The QUIC-answering entries of one generated list, kept for the
+    last two ``(list_size, seed)`` asked of this process: building the
+    list costs as much as scanning it, and consecutive passes of a
+    campaign scan the same one."""
+    return tuple(TrancoGenerator(list_size=list_size, seed=seed).quic_domains())

@@ -24,6 +24,7 @@ from repro.api import (
     run_experiment,
     write_bundle,
 )
+from repro.runtime import plan_fingerprint
 from repro.runtime.distributed import worker_main
 from repro.runtime.events import (
     ExperimentCompleted,
@@ -216,32 +217,24 @@ def test_distributed_run_emits_worker_events_and_matches_local():
     assert distributed.results["fig6"].to_json() == local.results["fig6"].to_json()
 
 
-# -- workers resolve identically on every path ---------------------------
+# -- the plan does not know where it will run -----------------------------
 
 
-def test_workers_resolution_is_identical_across_paths():
-    from repro.experiments.fig15_cloudflare_locations import SPEC
-
-    # façade path
-    with Session(LocalConfig(workers=2)) as session:
-        plan = session.plan(RunRequest(("fig15",), smoke=True))
-    (planned,) = plan.experiments
-    assert planned.params["workers"] == 2
-    # the spec's own resolution, which the plan goes through
-    params = SPEC.resolve_params(None, smoke=True, workers=2)
-    assert params["workers"] == 2
-    # an explicit override beats the execution context everywhere
-    with Session(LocalConfig(workers=2)) as session:
-        plan = session.plan(
-            RunRequest(("fig15",), overrides={"fig15": {"workers": 0}}, smoke=True)
-        )
-    assert plan.experiments[0].params["workers"] == 0
-    assert SPEC.resolve_params({"workers": 0}, smoke=True, workers=2)["workers"] == 0
-    # distributed sessions keep coordinator-side workers for the wild
-    # experiments' own fan-out (parity with the pre-facade CLI)
-    with Session(DistributedConfig(workers=2)) as session:
-        plan = session.plan(RunRequest(("fig15",), smoke=True))
-    assert plan.experiments[0].params["workers"] == 2
+def test_a_plan_is_identical_whatever_the_session_runs_on():
+    """Sessions of any width, local or fleet, plan the same params and
+    the same fingerprint — ``workers`` used to flow into fig14 / fig15 /
+    table1's params, so a checkpoint could not change hands."""
+    request = RunRequest(("fig6", "fig15", "table1"), smoke=True)
+    plans = []
+    for config in (LocalConfig(workers=0), LocalConfig(workers=2), DistributedConfig()):
+        with Session(config) as session:
+            plans.append(session.plan(request))
+    assert all("workers" not in p.params for plan in plans for p in plan.experiments)
+    assert len({plan_fingerprint(plan) for plan in plans}) == 1
+    assert not hasattr(DistributedConfig(), "workers")
+    with pytest.raises(InvalidOverride, match="unknown parameter 'workers'"):
+        with Session() as session:
+            session.plan(RunRequest(("fig15",), overrides={"fig15": {"workers": 0}}))
 
 
 # -- versioned bundles --------------------------------------------------

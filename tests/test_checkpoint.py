@@ -103,6 +103,49 @@ def test_resumed_session_replays_checkpoint_without_recompute(tmp_path):
             session.run(RunRequest(("fig12",), smoke=True))
 
 
+def test_a_checkpoint_changes_hands_between_sessions_of_any_width(tmp_path, monkeypatch):
+    """``workers`` used to be a parameter of fig14 / fig15 / table1 and
+    so part of the plan fingerprint: a checkpoint taken serially was
+    "a different planned suite" to a pool or a fleet. Killed once the
+    journal holds cells and passes, the run resumes at another width,
+    local then fleet, executes nothing and writes the same bundle."""
+    import repro.runtime.suite as suite_module
+    from test_observe import fleet_session
+
+    from repro.api.bundles import bundle_files
+
+    request = RunRequest(("fig6", "fig15"), smoke=True)
+    with Session(LocalConfig(workers=0)) as session:
+        expected = bundle_files(session.run(request))
+
+    calls = []
+    real_run_work = suite_module.run_work
+
+    def killed_after_the_passes(*args, **kwargs):
+        counts = real_run_work(*args, **kwargs)
+        calls.append(kwargs["chunk_size"])
+        if kwargs["chunk_size"] == 1:  # the passes' call: everything is journaled
+            raise KeyboardInterrupt("killed before aggregation")
+        return counts
+
+    monkeypatch.setattr(suite_module, "run_work", killed_after_the_passes)
+    ckpt_dir = str(tmp_path / "ckpt")
+    with Session(LocalConfig(workers=0), resume=ckpt_dir) as session:
+        with pytest.raises(KeyboardInterrupt):
+            session.run(request)
+    assert calls == [None, 1]
+    monkeypatch.undo()
+
+    events = []
+    with Session(LocalConfig(workers=2), resume=ckpt_dir) as session:
+        assert bundle_files(session.run(request, on_event=events.append)) == expected
+    assert not [e for e in events if e.kind in ("chunk_dispatched", "cell_completed")]
+    with fleet_session(workers=1) as session:
+        session.resume = ckpt_dir
+        assert bundle_files(session.run(request)) == expected
+        assert session.backend_stats.chunks_dispatched == 0
+
+
 def test_checkpoint_dir_with_shared_runner_rejected():
     from repro.runtime.matrix import MatrixRunner
 

@@ -72,7 +72,7 @@ def test_resolve_smoke_then_explicit_overrides():
         ("fig12", {"rtts_ms": [9.0, "x"]}),
         ("fig12", {"rtts_ms": [9.0, float("nan")]}),
         ("lab_cc", {"profiles": ["default", 3]}),
-        ("table1", {"streamed": 1}),  # number for a bool
+        ("table1", {"engine": 1}),  # number for a str
     ],
 )
 def test_resolve_rejects_override_shaped_unlike_its_default(spec_id, overrides):
@@ -85,8 +85,55 @@ def test_resolve_accepts_overrides_shaped_like_their_defaults():
     assert params["rtts_ms"] == [9, 50.0] and params["repetitions"] == 3
     assert get_spec("fig6").resolve_params({"rtt_ms": 50})["rtt_ms"] == 50
     # A None default declares no shape.
-    table1 = get_spec("table1").resolve_params({"vantage_names": ["Sao Paulo"], "streamed": True})
+    table1 = get_spec("table1").resolve_params({"vantage_names": ["Sao Paulo"]})
     assert table1["vantage_names"] == ["Sao Paulo"]
+
+
+def test_a_bool_parameter_takes_only_bools():
+    """No registered experiment declares a bool any more (table1's
+    ``streamed`` was the last); the shape rule for one stays."""
+    spec = ExperimentSpec(
+        id="probe", title="probe", paper="-", kind=KIND_MATRIX,
+        artifact_level=ArtifactLevel.STATS, cells=lambda params: [],
+        aggregate=lambda results, params: None, defaults={"flag": False},
+    )
+    assert spec.resolve_params({"flag": True})["flag"] is True
+    with pytest.raises(InvalidOverride, match="shaped like its default"):
+        spec.resolve_params({"flag": 1})
+
+
+def test_no_execution_context_is_an_experiment_parameter():
+    """Where and how wide a run executes never reaches ``params`` (it
+    used to be hashed into plan identity through ``workers``)."""
+    for spec in REGISTRY.specs():
+        assert not {"workers", "streamed", "backend"} & set(spec.defaults), spec.id
+    with pytest.raises(TypeError):
+        get_spec("fig15").resolve_params(None, workers=2)
+
+
+def test_wild_experiments_observe_planned_passes_and_measure_nothing_themselves():
+    """The wild specs are views of planned scan / study passes: each has
+    an ``observe``, plans at least one pass, and its module no longer
+    reaches for a scanner, a toplist or a study (its ``aggregate`` used
+    to run the whole campaign)."""
+    import inspect
+    import sys
+
+    wild = [spec for spec in REGISTRY.specs() if spec.kind == "wild"]
+    assert [spec.id for spec in wild] == ["fig8", "fig9", "fig10", "fig14", "fig15", "table1"]
+    for spec in wild:
+        assert spec.observe is not None
+        cells = spec.plan_cells(spec.resolve_params(None, smoke=True))
+        assert cells and all(hasattr(cell.scenario, "execute_task") for cell in cells)
+        source = inspect.getsource(sys.modules[spec.aggregate.__module__])
+        for name in ("QScanner", "TrancoGenerator", "CloudflareLongitudinalStudy", "scan_with_engine"):
+            assert name not in source, (spec.id, name)
+    with pytest.raises(ValueError, match="needs an observe"):
+        ExperimentSpec(
+            id="probe", title="probe", paper="-", kind="wild",
+            artifact_level=ArtifactLevel.STATS, cells=lambda params: [],
+            aggregate=lambda results, params: None,
+        )
 
 
 def test_base_seed_override_flows_into_cells():

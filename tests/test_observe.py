@@ -30,14 +30,15 @@ from repro.api import (
 )
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import get_spec
-from repro.experiments.spec import KIND_MATRIX, ExperimentSpec, expand_cells
+from repro.experiments.spec import KIND_MATRIX, KIND_WILD, ExperimentSpec, expand_cells
 from repro.interop.runner import Scenario
-from repro.runtime import ArtifactLevel, SuiteRunner, execute_cell, worker_main
+from repro.runtime import ArtifactLevel, Cell, SuiteRunner, execute_cell, worker_main
 from repro.runtime.artifacts import ObservedArtifacts, ObservedCell
 from repro.runtime.cache import scenario_key
 from repro.runtime.checkpoint import SuiteCheckpoint, plan_fingerprint
 from repro.runtime.worker import group_cells, run_cell_chunk
 from repro.sim.loss import LossPattern
+from repro.wild.passes import ScanPass
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "smoke"
 OBSERVING = ("fig16", "table4", "fig11")
@@ -96,8 +97,9 @@ def test_checkpoint_killed_mid_run_then_resumed_reproduces_the_golden_bundles(
     tmp_path, monkeypatch
 ):
     """The coordinator dies after its first journal segment (the serial
-    path journals 32 cells at a time; the suite has 40): the resumed
-    run replays those and executes only the rest."""
+    path journals every 32 cells and at each chunk end; the suite's 40
+    cells are two chunks of 20): the resumed run replays those and
+    executes only the rest."""
     ckpt_dir = str(tmp_path / "ckpt")
     real_record = SuiteCheckpoint.record
 
@@ -123,7 +125,7 @@ def test_checkpoint_killed_mid_run_then_resumed_reproduces_the_golden_bundles(
     monkeypatch.setattr(ObservedCell, "execute_task", counting_execute)
     with Session(LocalConfig(workers=0), resume=ckpt_dir) as session:
         resumed = session.run(REQUEST)
-    assert len(executed) == 40 - 32
+    assert len(executed) == 40 - 20
     assert_golden(resumed, tmp_path / "resumed")
 
 
@@ -321,6 +323,22 @@ def run_probe(path, spec):
         return runner.run([spec])
 
 
+def raises_on_a_pass(outcome):
+    raise LookupError(f"no such CDN among {len(outcome.records)} probes")
+
+
+def wild_probe_cells(params):
+    return [Cell(ScanPass(500, "Hamburg"), 1)]
+
+
+def wild_probe_spec(exp_id, observe):
+    """A throw-away wild spec over one small scan pass; never registered."""
+    return ExperimentSpec(
+        id=exp_id, title="probe", paper="-", kind=KIND_WILD, artifact_level=ArtifactLevel.STATS,
+        cells=wild_probe_cells, aggregate=probe_aggregate, observe=observe, defaults={"id": exp_id},
+    )
+
+
 @pytest.mark.parametrize("path", ["serial", "pool", "fleet"])
 def test_a_raising_observer_surfaces_as_one_typed_error(path):
     with pytest.raises(ObserveError) as excinfo:
@@ -330,6 +348,19 @@ def test_a_raising_observer_surfaces_as_one_typed_error(path):
     assert error.scenario == Scenario(client="quic-go").describe()
     assert "LookupError('no such event in this qlog')" in error.cause
     assert str(error).startswith("probe-raises: observe failed on quic-go/h1 WFC")
+    assert error.exit_code == 10
+
+
+@pytest.mark.parametrize("path", ["serial", "pool", "fleet"])
+def test_a_raising_wild_observer_surfaces_as_the_same_typed_error(path):
+    """A scan pass is observed, and fails, the way a simulator cell is."""
+    with pytest.raises(ObserveError) as excinfo:
+        run_probe(path, wild_probe_spec("probe-wild", raises_on_a_pass))
+    error = excinfo.value
+    assert (error.experiment_id, error.seed) == ("probe-wild", 1)
+    assert error.scenario == ScanPass(500, "Hamburg").describe()
+    assert "LookupError('no such CDN among" in error.cause
+    assert str(error).startswith("probe-wild: observe failed on analytic scan of 500 domains")
     assert error.exit_code == 10
 
 

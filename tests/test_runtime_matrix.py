@@ -21,7 +21,6 @@ from repro.runtime import (
     MatrixRunner,
     ResultCache,
     RunArtifacts,
-    parallel_map,
     scenario_key,
 )
 from repro.runtime.worker import run_cell_chunk
@@ -217,16 +216,6 @@ def test_run_cells_mixed_scenarios():
     assert results[1].scenario is other
 
 
-def _square(x):
-    return x * x
-
-
-def test_parallel_map_preserves_order():
-    tasks = [(i,) for i in range(7)]
-    assert parallel_map(_square, tasks, workers=0) == [i * i for i in range(7)]
-    assert parallel_map(_square, tasks, workers=3) == [i * i for i in range(7)]
-
-
 def test_artifacts_expose_runresult_observables():
     serial = Runner().run_once(LOSSY_IACK, seed=0)
     with MatrixRunner(workers=2) as runner:
@@ -244,4 +233,3 @@ def test_workers_none_resolves_to_default():
     runner = MatrixRunner(workers=None)
     assert runner.workers == default_workers()
     runner.close()
-    assert parallel_map(_square, [(2,)], workers=None) == [4]

@@ -135,6 +135,42 @@ def test_client_health_and_unknown_job(daemon):
         client.fetch("job-doesnotexist")
 
 
+@pytest.mark.parametrize("job_id", ["", "a/b", "fetch/", "job 1", "job-1\r\nX: y", None])
+def test_a_job_id_that_is_not_one_path_segment_is_refused_before_any_request(job_id):
+    """An empty id used to collapse the path onto another route:
+    ``fetch("")`` answered ``unknown job 'fetch'`` and ``status("")``
+    got the job listing (a ``TypeError`` in the client)."""
+    client = ServiceClient("127.0.0.1:9")  # nothing listens: no request may be attempted
+    for call in (client.status, client.fetch, client.cancel, lambda j: list(client.events(j))):
+        with pytest.raises(ServiceError, match="invalid job id"):
+            call(job_id)
+
+
+@pytest.mark.parametrize("verb", ["status", "watch", "fetch", "cancel"])
+def test_cli_refuses_an_empty_job_id_in_one_line(verb):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    extra = ["--out", "unused"] if verb == "fetch" else []
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", verb, "", "--service", "127.0.0.1:9", *extra],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == ServiceError.exit_code, done.stderr
+    assert "invalid job id ''" in done.stderr and "Traceback" not in done.stderr
+    assert len(done.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("path", ["/v1/jobs//fetch", "/v1/jobs//cancel", "/v1/jobs/%20/events"])
+def test_router_answers_an_empty_job_id_with_a_typed_4xx(daemon, path):
+    host, port = daemon.address.rsplit(":", 1)
+    method = "POST" if path.endswith("cancel") else "GET"
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(f"{method} {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".encode())
+        head, _, body = sock.makefile("rb").read().partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    doc = json.loads(body)
+    assert doc["kind"] == "ServiceError" and "invalid job id" in doc["error"]
+
+
 def test_client_submit_streams_events_and_fetches_byte_identical(daemon):
     client = ServiceClient(daemon.address)
     record = client.submit(RunRequest("fig6", smoke=True))

@@ -16,6 +16,7 @@ from repro.errors import InvalidOverride
 from repro.experiments.registry import get_spec
 from repro.runtime.backend import LocalBackend
 from repro.runtime.disk_cache import DiskResultCache
+from repro.wild.asdb import Cdn
 from repro.wild.stream import (
     ScanRequest,
     StreamCoordinator,
@@ -248,17 +249,26 @@ def test_session_scans_share_one_pool_until_close(monkeypatch):
 
 
 def test_streamed_table1_matches_in_memory_exactly():
+    """table1's in-memory passes are the reference: the same scan as a
+    ``ScanRequest`` through ``Session.scan`` (two shards) yields the
+    same per-pass shares and per-CDN counts, so the same rows — exact,
+    both come from identical integer tallies."""
     spec = get_spec("table1")
-    params = dict(spec.defaults)
-    params.update(
-        {
-            "list_size": 6000,
-            "days": 2,
-            "vantage_names": ("Sao Paulo", "Hamburg"),
-            "workers": 2,
-        }
+    overrides = {"list_size": 6000, "days": 2, "vantage_names": ("Sao Paulo", "Hamburg")}
+    request = ScanRequest(
+        source={"kind": "tranco", "list_size": 6000, "seed": 0},
+        shard_size=5000,
+        vantage_names=overrides["vantage_names"],
+        days=2,
+        seed=0,
     )
-    in_memory = spec.aggregate({}, params)
-    streamed = spec.aggregate({}, dict(params, streamed=True))
-    # exact — counts and shares come from identical integer tallies
+    with api.Session(api.LocalConfig(workers=2)) as session:
+        in_memory = session.run_experiment("table1", **overrides)
+        report = session.scan(request)
+    assert report.total_shards == 2
+    counts = {Cdn(value): n for value, n in report.sketch.cdn_domains.items()}
+    streamed = spec.aggregate(
+        [(shares, counts) for shares in report.deployment_measurements()],
+        spec.resolve_params(overrides),
+    )
     assert streamed.rows == in_memory.rows

@@ -13,6 +13,11 @@ The same holds for the other traffic: one ``ScanRequest`` through
 ``{"scan": ...}`` job must render byte-equal ``scan.json``, cold or
 warm, uninterrupted or killed and resumed — suites and scans share one
 work loop, and this is the net under it.
+
+Since PR 20 the wild measurements are on the same rail: the six wild
+experiments plan their scan and study passes as cells, so one wild
+selection has to reproduce ``tests/golden/smoke/`` through every
+surface too, cold or warm, and resumed at another width.
 """
 
 import http.client
@@ -74,6 +79,15 @@ INVALID = [
     ("table1", "table1.days=0", {"table1": {"days": 0}}),
     ("fig9", "fig9.days=-1", {"fig9": {"days": -1}}),
     ("table1", "table1.vantage_names=Atlantis", {"table1": {"vantage_names": "Atlantis"}}),
+    # An unknown or non-string scan engine used to reach the scanner (a
+    # ValueError traceback after the other experiments' cells had run).
+    ("table1", "table1.engine=bogus", {"table1": {"engine": "bogus"}}),
+    ("fig8", "fig8.engine=bogus", {"fig8": {"engine": "bogus"}}),
+    ("fig10", "fig10.engine=3", {"fig10": {"engine": 3}}),
+    ("fig14", "fig14.engine=[\"batch\"]", {"fig14": {"engine": ["batch"]}}),
+    # Removed with the aggregator-side fan-out: no longer parameters.
+    ("table1", "table1.streamed=true", {"table1": {"streamed": True}}),
+    ("fig15", "fig15.workers=2", {"fig15": {"workers": 2}}),
 ]
 
 
@@ -230,3 +244,109 @@ def test_cold_warm_and_resumed_scans_render_the_same_bytes(tmp_path, monkeypatch
         resumed = session.scan(SCAN)
     assert (resumed.resumed_shards, resumed.executed_shards) == (4, 2)
     assert resumed.to_json() == expected
+
+
+# -- the wild measurements, on the same rail ------------------------------
+
+WILD = ("fig8", "fig9", "fig10", "fig14", "fig15", "table1")
+WILD_REQUEST = RunRequest(WILD, smoke=True)
+GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "smoke"
+
+
+def assert_wild_golden(files):
+    for experiment in WILD:
+        name = f"{experiment}.json"
+        assert files[name] == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def test_the_wild_selection_plans_its_shared_passes_once():
+    with Session() as session:
+        smoke, paper = session.plan(WILD_REQUEST), session.plan(RunRequest(WILD))
+    assert (smoke.total_cells, len(smoke.unique_cells)) == (12, 8)
+    assert (paper.total_cells, len(paper.unique_cells)) == (19, 16)
+    slots = {p.spec.id: p.slots for p in paper.experiments}
+    # Table 1, Fig. 8 and Fig. 10 read one Sao Paulo scan (table1 scans
+    # its vantages in sorted order, two days each: Sao Paulo day 0 is
+    # its seventh pass); Fig. 9 is the Sao Paulo panel of Fig. 15.
+    assert slots["fig8"] == slots["fig10"] == [slots["table1"][6]]
+    assert slots["fig9"] == [slots["fig15"][3]]
+    assert not set(slots["fig14"]) & set(slots["table1"])  # 50k- vs 100k-domain lists
+    shared = paper.dispatch_cells[slots["fig8"][0]].scenario
+    assert [exp_id for exp_id, _ in shared.observers] == ["fig8", "fig10", "table1"]
+
+
+def test_every_surface_renders_the_wild_selection_as_the_golden_bytes(tmp_path, client):
+    from test_observe import fleet_session
+
+    sessions = {
+        "in-process": Session,
+        "pool": lambda: Session(LocalConfig(workers=2)),
+        "fleet": lambda: fleet_session(workers=2),
+    }
+    for surface, open_session in sessions.items():
+        with open_session() as session:
+            write_bundle(session.run(WILD_REQUEST), tmp_path / surface)
+            if surface == "fleet":  # the passes crossed the wire, one per chunk
+                assert session.backend_stats.chunks_dispatched >= 8
+
+    done = run_cli("run", *WILD, "--smoke", "--out", str(tmp_path / "cli"))
+    assert done.returncode == 0, done.stderr
+
+    handle = client.submit(WILD_REQUEST)
+    handle.result(timeout=300)
+    client.fetch_to(handle.job_id, tmp_path / "daemon")
+
+    reference = bundle_bytes(tmp_path / "in-process")
+    assert_wild_golden(reference)
+    for surface in ("pool", "fleet", "cli", "daemon"):
+        assert bundle_bytes(tmp_path / surface) == reference, surface
+
+
+def test_wild_passes_cold_warm_and_killed_then_resumed_at_another_width(tmp_path, monkeypatch):
+    from repro.runtime.artifacts import ObservedCell
+    from repro.runtime.checkpoint import SuiteCheckpoint
+
+    cache_dir = str(tmp_path / "cache")
+    with Session(LocalConfig(workers=2), cache_dir=cache_dir) as session:
+        cold = session.run(WILD_REQUEST)
+    assert (cold.extra["disk_cache_hits"], cold.extra["disk_cache_misses"]) == (0, 8)
+
+    executed = []
+    real_execute = ObservedCell.execute_task
+
+    def counting_execute(self, seed, level, runner=None):
+        executed.append(self.scenario)
+        return real_execute(self, seed, level, runner)
+
+    monkeypatch.setattr(ObservedCell, "execute_task", counting_execute)
+    with Session(cache_dir=cache_dir) as session:  # in-process: a pass would run here
+        warm = session.run(WILD_REQUEST)
+    assert (warm.extra["disk_cache_hits"], warm.extra["disk_cache_misses"]) == (8, 0)
+    assert executed == []
+    for report in (cold, warm):
+        write_bundle(report, tmp_path / "out")
+        assert_wild_golden(bundle_bytes(tmp_path / "out"))
+
+    # Killed mid-passes: serially, each pass is journaled as it ends.
+    ckpt_dir = str(tmp_path / "ckpt")
+    real_record = SuiteCheckpoint.record
+
+    def die_on_the_fourth_pass(self, entries):
+        if len(list(Path(self.directory).glob("cells-*.pkl"))) == 3:
+            raise KeyboardInterrupt("killed mid-passes")
+        real_record(self, entries)
+
+    monkeypatch.setattr(SuiteCheckpoint, "record", die_on_the_fourth_pass)
+    with Session(LocalConfig(workers=0), resume=ckpt_dir) as session:
+        with pytest.raises(KeyboardInterrupt):
+            session.run(WILD_REQUEST)
+    monkeypatch.setattr(SuiteCheckpoint, "record", real_record)
+    assert len(executed) == 4  # the fourth ran, its record never landed
+
+    events = []
+    with Session(LocalConfig(workers=2), resume=ckpt_dir) as session:
+        resumed = session.run(WILD_REQUEST, on_event=events.append)
+    dispatched = [event for event in events if event.kind == "chunk_dispatched"]
+    assert [event.cells for event in dispatched] == [1] * 5
+    write_bundle(resumed, tmp_path / "resumed")
+    assert_wild_golden(bundle_bytes(tmp_path / "resumed"))

@@ -382,11 +382,10 @@ def files_mentioning(pattern):
 
 
 def test_pools_journals_and_probes_have_one_owner_each():
-    # Pools: the local backend, and parallel_map's aggregator-side fan-out.
-    assert files_mentioning(r"\bProcessPoolExecutor\(") == [
-        "runtime/backend.py",
-        "runtime/matrix.py",
-    ]
+    # One pool constructor: the local backend's. The aggregator-side
+    # fan-out and its shared-input channel are gone (wild passes are cells).
+    assert files_mentioning(r"\bProcessPoolExecutor\(") == ["runtime/backend.py"]
+    assert files_mentioning(r"parallel_map|shared_input|call_task") == []
     # The durability channel is attached (and restored) by the loop only.
     assert files_mentioning(r"\.set_result_observer\(") == ["runtime/workloop.py"]
     assert files_mentioning(r"\bSuiteCheckpoint\(") == ["runtime/workloop.py"]
@@ -395,3 +394,28 @@ def test_pools_journals_and_probes_have_one_owner_each():
         text = (SRC / planner).read_text(encoding="utf-8")
         assert not re.search(r"(disk|cache)\.(get|put)\(|\.fingerprint\(", text), planner
     assert files_mentioning(r"_scan_pool|_owned_backend|_run_parallel") == []
+
+
+def test_a_daemon_builds_one_pool_however_many_wild_jobs_it_serves(tmp_path, monkeypatch):
+    """Every all-paper job used to fork two more pools from inside the
+    multi-threaded daemon (fig14's and fig15's ``parallel_map``) beside
+    the session's own; the passes now run on that one."""
+    from test_golden_bundles import PAPER_IDS
+
+    built = []
+
+    class CountingPool(backend_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(backend_module, "ProcessPoolExecutor", CountingPool)
+    manager = ServiceManager(pool=1, workers=2, cache_dir=str(tmp_path / "cache"))
+    try:
+        for _ in range(3):
+            record = manager.submit({"experiments": list(PAPER_IDS), "smoke": True})
+            summary = wait_terminal(manager, record.job_id).summary
+        assert (summary["disk_cache_hits"], summary["disk_cache_misses"]) == (204, 0)
+    finally:
+        manager.close()
+    assert len(built) == 1
