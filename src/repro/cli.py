@@ -128,6 +128,7 @@ def _spec_rows() -> List[List[object]]:
                 spec.paper,
                 spec.kind,
                 spec.artifact_level.value,
+                ", ".join(source.describe() for source in spec.reads) or "-",
                 cell_count if cell_count else "-",
                 spec.title,
             ]
@@ -135,7 +136,7 @@ def _spec_rows() -> List[List[object]]:
     return rows
 
 
-LIST_HEADERS = ["id", "paper", "kind", "artifact level", "cells", "title"]
+LIST_HEADERS = ["id", "paper", "kind", "artifact level", "reads", "cells", "title"]
 
 
 def experiments_markdown() -> str:
@@ -158,6 +159,10 @@ def experiments_markdown() -> str:
         "client of the stable `repro.api` façade — see API.md to run "
         "the same selections from services or notebooks.",
         "",
+        "`reads` is what a cell retains for the experiment beyond "
+        "connection stats (an experiment above `stats` level declares "
+        "which qlogs and packet captures its `observe` reads; nothing "
+        "else is kept). "
         "`cells` is the simulator cell count at default parameters; "
         "`model` experiments evaluate closed-form models and `wild` "
         "experiments drive the emulated internet-measurement pipelines, "
@@ -171,8 +176,8 @@ def experiments_markdown() -> str:
         "re-executing cells and renders byte-identical bundles; see "
         "the Service section of API.md.",
         "",
-        "| id | paper | kind | artifact level | cells | title |",
-        "|---|---|---|---|---|---|",
+        "| id | paper | kind | artifact level | reads | cells | title |",
+        "|---|---|---|---|---|---|---|",
     ]
     for row in _spec_rows():
         lines.append("| " + " | ".join(str(cell) for cell in row) + " |")

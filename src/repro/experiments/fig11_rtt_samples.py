@@ -25,7 +25,7 @@ from repro.experiments.spec import (
 from repro.interop.runner import Scenario, SIZE_10MB
 from repro.qlog.analysis import count_metric_updates, count_new_ack_packets
 from repro.quic.server import ServerMode
-from repro.runtime import ArtifactLevel, Cell
+from repro.runtime import ArtifactLevel, Cell, Source
 
 RTT_MS = 100.0
 
@@ -36,7 +36,7 @@ FULL_EXPOSURE = {"aioquic", "go-x-net", "mvfst", "quiche"}
 def rtt_sample_counts(result) -> Tuple[int, int]:
     """The spec's ``observe``: ``(exposed metric updates, packets with
     new ACKs)`` of one connection's client qlog."""
-    events = result.client_qlog_events
+    events = result.read(Source.CLIENT_QLOG)
     return count_metric_updates(events), count_new_ack_packets(events)
 
 
@@ -107,6 +107,7 @@ SPEC = register(
         cells=cells,
         aggregate=aggregate,
         observe=rtt_sample_counts,
+        reads=(Source.CLIENT_QLOG,),
         defaults={
             "http": "h1",
             "repetitions": 3,

@@ -25,7 +25,7 @@ from repro.experiments.spec import (
 from repro.interop.runner import Scenario, SIZE_10KB
 from repro.qlog.analysis import first_pto_from_qlog
 from repro.quic.server import ServerMode
-from repro.runtime import ArtifactLevel, Cell
+from repro.runtime import ArtifactLevel, Cell, Source
 
 RTTS_MS = (1.0, 9.0, 20.0, 50.0, 100.0, 200.0, 300.0)
 
@@ -34,7 +34,7 @@ def _first_pto(result) -> Optional[float]:
     """The spec's ``observe``: first PTO from the qlog, falling back to
     the packet-event reconstruction when metrics are unavailable
     (Appendix E)."""
-    events = result.client_qlog_events
+    events = result.read(Source.CLIENT_QLOG)
     value = first_pto_from_qlog(events)
     if value is not None:
         return value
@@ -111,6 +111,7 @@ SPEC = register(
         cells=cells,
         aggregate=aggregate,
         observe=_first_pto,
+        reads=(Source.CLIENT_QLOG,),
         defaults={
             "http": "h1",
             "repetitions": 10,

@@ -23,6 +23,17 @@ experiments)
     process that executed the cell, immediately after it, so no packet
     trace, qlog or probe list ever crosses a process boundary.
 
+``reads`` (beside ``observe``, required above ``stats`` level)
+    Which of the four sources (:class:`~repro.runtime.Source`) of a
+    simulator cell ``observe`` reads — client qlog, server qlog,
+    client→server capture, server→client capture. ``artifact_level``
+    says how far the observer reaches (``trace``: retained data;
+    ``full``: the live endpoints too), ``reads`` what is retained for
+    it: a cell keeps the union of its observers' declarations and
+    nothing else, and reading an undeclared source fails the cell
+    (:class:`~repro.errors.ObserveError`). Like ``observe`` it is a
+    constant of the experiment module, not a parameter.
+
 ``aggregate(results, params)``
     A pure function from executed cells (a :class:`CellResults` view —
     of artifacts, or of observed values for an observing spec) to the
@@ -53,7 +64,7 @@ from typing import (
 
 from repro.errors import InvalidOverride
 from repro.experiments.common import ExperimentResult
-from repro.runtime import ArtifactLevel, Cell, RunArtifacts
+from repro.runtime import ArtifactLevel, Cell, RunArtifacts, Source
 from repro.wild.passes import ScanPass, StudyPass
 from repro.wild.vantage import vantage
 
@@ -113,6 +124,10 @@ class ExperimentSpec:
     #: the cell's cache identity; changing what it *returns* is a
     #: ``CELL_CODE_VERSION`` bump like any simulator change.
     observe: Optional[Callable[[RunArtifacts], Any]] = None
+    #: The sources (:class:`~repro.runtime.Source`) ``observe`` reads
+    #: (see the module docs): non-empty exactly when ``artifact_level``
+    #: is above ``stats``.
+    reads: Tuple[Source, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -130,6 +145,18 @@ class ExperimentSpec:
             raise ValueError(
                 f"{self.id}: observe must be a module-level function "
                 "(workers import it by name)"
+            )
+        unknown = [source for source in self.reads if not isinstance(source, Source)]
+        if unknown:
+            raise ValueError(
+                f"{self.id}: unknown source(s) {unknown!r} in reads; expected members of "
+                f"{[source.name for source in Source]}"
+            )
+        if bool(self.reads) != (self.artifact_level is not ArtifactLevel.STATS):
+            raise ValueError(
+                f"{self.id}: reads={[source.name for source in self.reads]} at artifact level "
+                f"{self.artifact_level.value!r}: an experiment above 'stats' declares the "
+                "sources its observe reads, and only such an experiment does"
             )
         for key in self.smoke:
             if key not in self.defaults:
@@ -190,6 +217,7 @@ class ExperimentSpec:
             "paper": self.paper,
             "kind": self.kind,
             "artifact_level": self.artifact_level.value,
+            "reads": [source.describe() for source in self.reads],
             "defaults": {k: _brief(v) for k, v in self.defaults.items()},
         }
 

@@ -27,7 +27,7 @@ from repro.impls.registry import client_profile
 from repro.interop.runner import Scenario
 from repro.quic.packet import PacketType
 from repro.quic.server import ServerMode
-from repro.runtime import ArtifactLevel, Cell
+from repro.runtime import ArtifactLevel, Cell, Source
 
 PAPER_TABLE4 = {
     "aioquic": (200, (2, 3, 4)),
@@ -46,7 +46,7 @@ def observed_second_flight_indices(result) -> Tuple[int, ...]:
     carrying the second flight — everything from the first
     post-ClientHello datagram through the one with the client
     Finished / request."""
-    client_records = result.tracer.filter(link="client->server")
+    client_records = result.read(Source.CLIENT_TO_SERVER)
     indices: List[int] = []
     for record in client_records:
         dgram = record.payload
@@ -121,6 +121,7 @@ SPEC = register(
         cells=cells,
         aggregate=aggregate,
         observe=observed_second_flight_indices,
+        reads=(Source.CLIENT_TO_SERVER,),
         defaults={"repetitions": 5, "rtt_ms": 9.0, "base_seed": 0},
         smoke={"repetitions": 1},
     )

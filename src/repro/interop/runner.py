@@ -13,7 +13,7 @@ import copy
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Collection, List, Optional, Union
 
 from repro.http import semantics_for
 from repro.http.base import RequestSpec
@@ -186,21 +186,31 @@ class Runner:
         scenario: Scenario,
         seed: Optional[int] = None,
         *,
-        capture_trace: bool = True,
-        record_qlog: bool = True,
+        capture_trace: Union[bool, Collection[str]] = True,
+        record_qlog: Union[bool, Collection[str]] = True,
     ) -> RunResult:
         """Run a single connection and return its artifacts.
 
         ``capture_trace`` / ``record_qlog`` select how much the run
-        retains: with both off, only :class:`ConnectionStats` survive —
-        connection behavior (and therefore the stats) is bit-identical
-        either way, since the qlog writers keep consuming their
-        exposure-policy rng draws without storing events.
+        retains: ``True`` / ``False`` for both links / both endpoints,
+        or the names of the links (``"client->server"``,
+        ``"server->client"``) and of the endpoints (``"client"``,
+        ``"server"``) to keep. With both off, only
+        :class:`ConnectionStats` survive — connection behavior (and
+        therefore the stats) is bit-identical whatever is retained,
+        since the qlog writers keep consuming their exposure-policy rng
+        draws without storing events. What was not retained raises when
+        read (:class:`~repro.sim.trace.Tracer`,
+        :attr:`QlogWriter.events <repro.qlog.writer.QlogWriter.events>`).
         """
         seed = self.base_seed if seed is None else seed
         scaffold = self._scaffold
         if scaffold is None or scaffold.scenario is not scenario:
             scaffold = self._scaffold = _Scaffold(scenario)
+        if record_qlog is True or record_qlog is False:
+            record_client = record_server = record_qlog
+        else:
+            record_client, record_server = "client" in record_qlog, "server" in record_qlog
         loop = EventLoop()
         tracer = Tracer(capture=capture_trace)
         network = Network.for_rtt(
@@ -225,7 +235,7 @@ class Runner:
             request=scaffold.request,
             rng=rng_client,
             qlog=QlogWriter(
-                "client", scaffold.client_exposure, rng_client, record_events=record_qlog
+                "client", scaffold.client_exposure, rng_client, record_events=record_client
             ),
             name="client",
             draws=BehaviorDraws("client", seed),
@@ -239,7 +249,7 @@ class Runner:
             config=scaffold.server_config,
             rng=rng_server,
             qlog=QlogWriter(
-                "server", scaffold.server_exposure, rng_server, record_events=record_qlog
+                "server", scaffold.server_exposure, rng_server, record_events=record_server
             ),
             name="server",
             draws=BehaviorDraws("server", seed),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.qlog.events import EventCategory, MetricsUpdated, PacketEvent, QlogEvent
 
@@ -58,17 +58,54 @@ class QlogWriter:
         self._rng = rng if rng is not None else random.Random(0)
         #: When False the writer keeps drawing its exposure-policy rng
         #: samples (so connection behavior stays bit-identical with or
-        #: without qlog retention) but stores no events — the "stats"
-        #: artifact level of the experiment runtime.
+        #: without qlog retention) but stores no events, and reading
+        #: :attr:`events` raises: an unrecorded qlog is absent, not empty.
         self.record_events = record_events
-        self.events: List[QlogEvent] = []
+        self._events: List[QlogEvent] = []
         self._suppressed_metrics = 0
         self._last_metrics_key: Optional[tuple] = None
 
-    def log_packet(self, event: PacketEvent) -> None:
+    @property
+    def events(self) -> List[QlogEvent]:
+        if not self.record_events:
+            raise ValueError(f"the {self.vantage_point} qlog was not retained")
+        return self._events
+
+    def packet(
+        self,
+        time_ms: float,
+        name: str,
+        data: Dict[str, Any],
+        packet_type: str,
+        packet_number: int,
+        space: str,
+        size: int,
+        ack_eliciting: bool,
+        frames: Tuple[str, ...],
+        newly_acked: Tuple[int, ...] = (),
+    ) -> None:
+        """Log a ``transport:packet_sent`` / ``packet_received`` event
+        at the policy's timestamp resolution. Endpoints check
+        :attr:`record_events` before building the arguments, which cost
+        more than the event."""
         if not self.record_events:
             return
-        self.events.append(self._stamp(event))
+        self._events.append(
+            PacketEvent(
+                self.policy.quantize(time_ms), EventCategory.TRANSPORT, name, data,
+                packet_type, packet_number, space, size, ack_eliciting, frames, newly_acked,
+            )
+        )
+
+    def log_packet(self, event: PacketEvent) -> None:
+        """:meth:`packet` for an event built elsewhere, re-stamped at
+        the policy's resolution."""
+        if not self.record_events:
+            return
+        quantized = self.policy.quantize(event.time_ms)
+        if quantized != event.time_ms:
+            event = replace(event, time_ms=quantized)
+        self._events.append(event)
 
     def metrics_updated(
         self,
@@ -101,7 +138,7 @@ class QlogWriter:
         if key == self._last_metrics_key:
             return
         self._last_metrics_key = key
-        self.events.append(
+        self._events.append(
             MetricsUpdated(
                 self.policy.quantize(time_ms), EventCategory.RECOVERY, "metrics_updated",
                 {}, smoothed_rtt_ms, rtt_variance_ms, latest_rtt_ms, min_rtt_ms, pto_count,
@@ -114,15 +151,6 @@ class QlogWriter:
             event.time_ms, event.smoothed_rtt_ms, event.rtt_variance_ms,
             event.latest_rtt_ms, event.min_rtt_ms, event.pto_count,
         )
-
-    def _stamp(self, event: QlogEvent) -> QlogEvent:
-        """``event`` at the policy's timestamp resolution. The endpoint
-        quantizes before it builds an event, so this copies only events
-        built elsewhere."""
-        quantized = self.policy.quantize(event.time_ms)
-        if quantized == event.time_ms:
-            return event
-        return replace(event, time_ms=quantized)
 
     @property
     def suppressed_metrics(self) -> int:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.impls.profile import ImplProfile
-from repro.qlog.events import EventCategory, PacketEvent
 from repro.qlog.writer import QlogWriter
 from repro.quic.cc import make_controller
 from repro.quic.cid import CidRegistry
@@ -428,20 +427,17 @@ class Endpoint:
         extra_data = {}
         if first_ack is not None:
             extra_data["first_ack_delay_ms"] = first_ack.ack_delay_ms
-        self.qlog.log_packet(
-            PacketEvent(
-                self.qlog.policy.quantize(now),
-                EventCategory.TRANSPORT,
-                "packet_received",
-                extra_data,
-                packet.packet_type.value,
-                packet.packet_number,
-                _SPACE_NAMES[space],
-                packet.size,
-                packet.ack_eliciting,
-                tuple(f.describe() for f in packet.frames),
-                tuple(newly_acked),
-            )
+        self.qlog.packet(
+            now,
+            "packet_received",
+            extra_data,
+            packet.packet_type.value,
+            packet.packet_number,
+            _SPACE_NAMES[space],
+            packet.size,
+            packet.ack_eliciting,
+            tuple(f.describe() for f in packet.frames),
+            tuple(newly_acked),
         )
 
     def _handle_new_cid(self, frame: NewConnectionIdFrame) -> None:
@@ -683,19 +679,16 @@ class Endpoint:
             ):
                 self._initial_ping_pns.setdefault(packet.packet_number, False)
             if self._qlog_record:
-                self.qlog.log_packet(
-                    PacketEvent(
-                        self.qlog.policy.quantize(now),
-                        EventCategory.TRANSPORT,
-                        "packet_sent",
-                        {},
-                        packet.packet_type.value,
-                        packet.packet_number,
-                        _SPACE_NAMES[packet.space],
-                        size,
-                        packet.ack_eliciting,
-                        tuple(f.describe() for f in packet.frames),
-                    )
+                self.qlog.packet(
+                    now,
+                    "packet_sent",
+                    {},
+                    packet.packet_type.value,
+                    packet.packet_number,
+                    _SPACE_NAMES[packet.space],
+                    size,
+                    packet.ack_eliciting,
+                    tuple(f.describe() for f in packet.frames),
                 )
         self.stats.datagrams_sent += 1
         transmit(dgram, dgram.size)

@@ -4,9 +4,11 @@ Public surface:
 
 * :class:`MatrixRunner` — run scenario × seed cells on a backend with
   deterministic seeding and stable result order.
-* :class:`ArtifactLevel` / :class:`RunArtifacts` — selectable per-run
-  retention (``stats`` / ``trace`` / ``full``); a suite retains above
-  ``stats`` only inside a cell, while its experiments' ``observe`` run.
+* :class:`ArtifactLevel` / :class:`Source` / :class:`RunArtifacts` —
+  selectable per-run retention (``stats`` / ``trace`` / ``full``, and
+  above ``stats`` which qlogs and captures); a suite retains above
+  ``stats`` only inside a cell, only what its experiments' ``observe``
+  declare they read, while they run.
 * :class:`ExecutionBackend` — where cells execute:
   :class:`LocalBackend` (inline in the calling process, or a process
   pool) or :class:`SocketBackend` (chunks served over TCP to ``python
@@ -34,7 +36,7 @@ Public surface:
 See ``PERFORMANCE.md`` at the repository root for the complete guide.
 """
 
-from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
+from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, Source, execute_cell
 from repro.runtime.backend import ExecutionBackend, LocalBackend, ResultObserver
 from repro.runtime.cache import ResultCache, loss_pattern_key, scenario_key
 from repro.runtime.checkpoint import SuiteCheckpoint, plan_fingerprint
@@ -74,6 +76,7 @@ __all__ = [
     "ScaleHint",
     "Scheduler",
     "SocketBackend",
+    "Source",
     "SuiteCheckpoint",
     "SuitePlan",
     "SuiteReport",

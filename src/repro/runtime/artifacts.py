@@ -1,4 +1,4 @@
-"""Run artifacts with selectable retention levels.
+"""Run artifacts: how far they travel (levels), what they hold (sources).
 
 The seed pipeline kept everything a run produced — live
 ``ClientConnection``/``ServerConnection`` objects, both qlog writers,
@@ -14,13 +14,30 @@ Three levels:
     bit-identical to a full run (the qlog writers keep consuming their
     exposure rng draws without storing events).
 ``trace``
-    Adds the per-link packet trace (with payloads) and both endpoints'
-    qlog event lists — everything the qlog/trace analyses consume.
+    Adds the retained sources (:class:`Source`) — everything the qlog/trace
+    analyses consume.
 ``full``
     Adds the live endpoint objects via an embedded
     :class:`~repro.interop.runner.RunResult`. Live endpoints hold
     transport closures and cannot cross a process boundary, so this
     level is restricted to in-process execution.
+
+Four sources, each retained or not on its own: the client's qlog, the
+server's qlog, the client→server packet capture and the server→client
+one. A run above ``stats`` retains all four unless told which
+(:func:`execute_cell`'s ``sources``); the one caller that tells is an
+:class:`ObservedCell`, which retains exactly what its observers'
+specs declare they read, for as long as they read it. Retention never
+changes behavior, only cost: a qlog event is a dataclass and a rendered
+string per frame, a capture a record per datagram.
+
+What an observer may touch: ``scenario``, ``seed``, the stats and
+``duration_ms``; its declared sources, through
+:meth:`RunArtifacts.read` (or ``tracer``, for both captures at once);
+``result`` at ``full`` only. A source that was not retained is absent,
+not empty — reading it raises, so an observer whose spec under-declares
+fails its cell with an :class:`~repro.errors.ObserveError` naming the
+source instead of aggregating zeros.
 """
 
 from __future__ import annotations
@@ -28,7 +45,7 @@ from __future__ import annotations
 import enum
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ObserveError
 from repro.interop.runner import RunResult, Runner, Scenario
@@ -64,6 +81,26 @@ class ArtifactLevel(enum.Enum):
         return order.index(self) >= order.index(required)
 
 
+class Source(enum.Enum):
+    """One of the four things a run retains above ``stats``; the value
+    is the name the simulator knows it by (a qlog's vantage point, a
+    capture's link)."""
+
+    CLIENT_QLOG = "client"
+    SERVER_QLOG = "server"
+    CLIENT_TO_SERVER = "client->server"
+    SERVER_TO_CLIENT = "server->client"
+
+    def describe(self) -> str:
+        """``"client qlog"``, ``"client->server capture"``."""
+        return f"{self.value} {'qlog' if self in _QLOGS else 'capture'}"
+
+
+ALL_SOURCES: FrozenSet[Source] = frozenset(Source)
+_QLOGS = frozenset({Source.CLIENT_QLOG, Source.SERVER_QLOG})
+_CAPTURES = ALL_SOURCES - _QLOGS
+
+
 @dataclass(slots=True)
 class RunArtifacts:
     """Picklable artifacts of one emulated connection.
@@ -78,10 +115,16 @@ class RunArtifacts:
     client_stats: ConnectionStats
     server_stats: ConnectionStats
     duration_ms: float
+    #: Both links' capture in offer order; ``None`` unless both were
+    #: retained (one link's records: ``read`` / ``tracer.filter``).
     trace_records: Optional[List[TraceRecord]] = None
+    #: ``None`` when not retained.
     client_qlog_events: Optional[List[QlogEvent]] = None
     server_qlog_events: Optional[List[QlogEvent]] = None
-    #: Only populated at :attr:`ArtifactLevel.FULL` (in-process runs).
+    #: The live run: at :attr:`ArtifactLevel.FULL`, for its endpoints,
+    #: and under partial retention, because only the run's own
+    #: :class:`Tracer` knows which links it captured. In-process either
+    #: way: it cannot be pickled.
     result: Optional[RunResult] = field(default=None, repr=False)
 
     # -- RunResult-compatible observables ------------------------------
@@ -115,14 +158,29 @@ class RunArtifacts:
         tracer._records = self.trace_records
         return tracer
 
+    def read(self, source: Source) -> list:
+        """One source of the run, in order: a qlog's events or the
+        records of one link. Raises ``ValueError`` naming the source if
+        the run did not retain it."""
+        if source in _CAPTURES:
+            return self.tracer.filter(link=source.value)
+        events = (
+            self.client_qlog_events if source is Source.CLIENT_QLOG else self.server_qlog_events
+        )
+        if events is None:
+            raise ValueError(f"the {source.describe()} was not retained")
+        return events
+
 
 def execute_cell(
     scenario: Scenario,
     seed: int,
     level: ArtifactLevel,
     runner: Optional[Runner] = None,
+    sources: Optional[Iterable[Source]] = None,
 ) -> RunArtifacts:
-    """Run one (scenario, seed) cell at the requested artifact level.
+    """Run one (scenario, seed) cell at the requested artifact level,
+    retaining ``sources`` above ``stats`` (default: all four).
 
     Cells are usually ``(Scenario, seed)`` pairs, but any object with
     an ``execute_task(seed=..., level=..., runner=...)`` method rides
@@ -137,7 +195,14 @@ def execute_cell(
     if runner is None:
         runner = Runner()
     keep = level is not ArtifactLevel.STATS
-    result = runner.run_once(scenario, seed=seed, capture_trace=keep, record_qlog=keep)
+    links = qlogs = False
+    if keep:
+        sources = ALL_SOURCES if sources is None else frozenset(sources)
+        qlogs = {source.value for source in sources & _QLOGS}
+        # True, not both names: only then does the Tracer answer for
+        # the whole capture.
+        links = _CAPTURES <= sources or {source.value for source in sources & _CAPTURES}
+    result = runner.run_once(scenario, seed=seed, capture_trace=links, record_qlog=qlogs)
     artifacts = RunArtifacts(
         scenario=scenario,
         seed=result.seed,
@@ -147,11 +212,14 @@ def execute_cell(
         duration_ms=result.duration_ms,
     )
     if keep:
-        artifacts.trace_records = result.tracer.records
-        artifacts.client_qlog_events = result.client_qlog.events
-        artifacts.server_qlog_events = result.server_qlog.events
-    if level is ArtifactLevel.FULL:
-        artifacts.result = result
+        if links is True:
+            artifacts.trace_records = result.tracer.records
+        if Source.CLIENT_QLOG in sources:
+            artifacts.client_qlog_events = result.client_qlog.events
+        if Source.SERVER_QLOG in sources:
+            artifacts.server_qlog_events = result.server_qlog.events
+        if level is ArtifactLevel.FULL or sources != ALL_SOURCES:
+            artifacts.result = result
     return artifacts
 
 
@@ -170,18 +238,22 @@ class ObservedArtifacts(RunArtifacts):
 @dataclass(frozen=True)
 class ObservedCell:
     """A scenario some experiments read the trace of, as a task cell
-    (see :func:`execute_cell`): simulated at ``level``, observed on the
-    spot, returned as :class:`ObservedArtifacts`. One instance serves
-    all repetitions of its scenario, so chunk grouping and the runner's
-    per-scenario scaffold keep seeing one object."""
+    (see :func:`execute_cell`): simulated at ``level`` retaining
+    ``sources``, observed on the spot, returned as
+    :class:`ObservedArtifacts`. One instance serves all repetitions of
+    its scenario, so chunk grouping and the runner's per-scenario
+    scaffold keep seeing one object."""
 
     scenario: Scenario
-    level: ArtifactLevel  #: what the observers need retained
+    level: ArtifactLevel  #: how far the observers reach (``full``: live endpoints)
     observers: Tuple[Observer, ...]
+    #: The union of what the observers' specs declare they read.
+    sources: FrozenSet[Source] = ALL_SOURCES
 
     def task_key(self) -> Optional[Tuple[Any, ...]]:
         """Cache identity: the scenario's (``None`` stays ``None``), the
-        level, and which functions observe."""
+        level, and which functions observe. Not ``sources``: they are a
+        constant of those functions' specs and change no value."""
         skey = scenario_key(self.scenario)
         if skey is None:
             return None
@@ -191,7 +263,7 @@ class ObservedCell:
     def execute_task(
         self, seed: int, level: ArtifactLevel, runner: Optional[Runner] = None
     ) -> ObservedArtifacts:
-        cell = execute_cell(self.scenario, seed, self.level, runner=runner)
+        cell = execute_cell(self.scenario, seed, self.level, runner, self.sources)
         observed: Dict[str, Any] = {}
         for exp_id, observe in self.observers:
             try:

@@ -10,17 +10,18 @@ can plan the union:
 1. **Plan** — collect each selected experiment's cells, dedupe
    identical ``(scenario value, seed)`` cells across experiments, and
    attach to each unique cell the ``observe`` functions of the
-   trace-reading experiments that demand it.
+   trace-reading experiments that demand it and the union of the
+   sources they declare they read.
 2. **Execute** — run the unique cells once, through
    :func:`~repro.runtime.workloop.run_work` (journal replay, disk
    cache and dispatch live there, not here): the simulator cells in one
    call, then the wild experiments' scan and study passes — seconds
    each, not milliseconds — in a second, one pass per chunk. A cell
    with observers runs as an
-   :class:`~repro.runtime.artifacts.ObservedCell` (its trace or probe
-   list lives only while they read it, in the process that produced it;
-   stats plus the observed values come back); every other cell is a
-   plain stats cell.
+   :class:`~repro.runtime.artifacts.ObservedCell` (the qlogs and
+   captures its observers declared, or its probe list, live only while
+   they read them, in the process that produced them; stats plus the
+   observed values come back); every other cell is a plain stats cell.
 3. **Fan out** — hand every experiment a
    :class:`~repro.experiments.spec.CellResults` view onto exactly its
    cells (in its declared order; artifacts for a stats experiment,
@@ -264,7 +265,7 @@ class SuiteRunner:
         planned: List[PlannedExperiment] = []
         unique: List[Cell] = []
         slot_of: Dict[Tuple[Any, ...], int] = {}
-        levels: Dict[str, ArtifactLevel] = {}
+        specs: Dict[str, Any] = {}
         observers: Dict[int, List[Observer]] = {}
         seen_ids = set()
         for experiment in experiments:
@@ -292,7 +293,7 @@ class SuiteRunner:
                         slot_of[key] = slot
                 slots.append(slot)
             if cells:
-                levels[spec.id] = spec.artifact_level
+                specs[spec.id] = spec
                 if spec.observe is not None:
                     for slot in slots:
                         observers.setdefault(slot, []).append((spec.id, spec.observe))
@@ -308,13 +309,18 @@ class SuiteRunner:
             cell = unique[slot]
             key = (id(cell.scenario), *readers)
             if key not in wrappers:
-                level = max_level([levels[exp_id] for exp_id, _ in readers])
-                wrappers[key] = ObservedCell(cell.scenario, level, tuple(readers))
+                reading = [specs[exp_id] for exp_id, _ in readers]
+                wrappers[key] = ObservedCell(
+                    cell.scenario,
+                    max_level([spec.artifact_level for spec in reading]),
+                    tuple(readers),
+                    frozenset(source for spec in reading for source in spec.reads),
+                )
             dispatch[slot] = Cell(wrappers[key], cell.seed)
         return SuitePlan(
             experiments=planned,
             unique_cells=unique,
-            artifact_level=max_level(list(levels.values())),
+            artifact_level=max_level([spec.artifact_level for spec in specs.values()]),
             dispatch_cells=dispatch,
         )
 

@@ -57,6 +57,11 @@ class Link:
         self.loss = loss if loss is not None else NoLoss()
         self.name = name
         self.tracer = tracer
+        # Whether the tracer captures this link, resolved once, so an
+        # uncaptured link pays nothing per datagram (``Tracer.captures``
+        # spelled out: a stats cell's call count is a CI gate).
+        capture = tracer.capture if tracer is not None else False
+        self._captured = capture is True or (capture is not False and name in capture)
         self._next_free_ms = 0.0
         self._offered = 0
         self._dropped = 0
@@ -86,9 +91,8 @@ class Link:
         now = loop.now
         loss = self.loss
         drop = type(loss) is not NoLoss and loss.should_drop(index, size)
-        tracer = self.tracer
-        if tracer is not None and tracer.capture:
-            tracer.record(
+        if self._captured:
+            self.tracer.record(
                 time_ms=now, link=self.name, index=index, size=size,
                 dropped=drop, payload=payload,
             )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
 
 
 def precomputed_state(cls):
@@ -66,14 +66,24 @@ class TraceRecord:
 class Tracer:
     """Collects :class:`TraceRecord` entries from any number of links.
 
-    A tracer constructed with ``capture=False`` accepts records but
-    stores nothing — the links stay wired identically while stat-only
-    experiment runs skip the per-datagram record allocation.
+    ``capture`` is ``True`` (every link that offers a record), ``False``
+    (none) or the names of the links to capture. The links stay wired
+    identically either way; an uncaptured link skips the per-datagram
+    record allocation. What was not captured cannot be read: asking for
+    an uncaptured link — or for every link of a tracer that captured
+    only some — raises instead of answering with an empty list, which
+    a reader would aggregate into a wrong number.
     """
 
-    def __init__(self, capture: bool = True) -> None:
+    def __init__(self, capture: Union[bool, Iterable[str]] = True) -> None:
+        if capture is not True and capture is not False:
+            capture = frozenset(capture) or False
         self.capture = capture
         self._records: List[TraceRecord] = []
+
+    def captures(self, link: str) -> bool:
+        capture = self.capture
+        return capture is True or (capture is not False and link in capture)
 
     def record(
         self,
@@ -84,7 +94,7 @@ class Tracer:
         dropped: bool,
         payload: Any = None,
     ) -> None:
-        if not self.capture:
+        if self.capture is not True and not self.captures(link):
             return
         self._records.append(
             TraceRecord(
@@ -93,15 +103,28 @@ class Tracer:
             )
         )
 
-    @property
-    def records(self) -> List[TraceRecord]:
+    def _captured(self, link: Optional[str]) -> List[TraceRecord]:
+        """The record list, for a reader of ``link`` (``None``: of
+        every link)."""
+        if link is None:
+            if self.capture is False:
+                raise ValueError("the capture was not retained")
+            if self.capture is not True:
+                only = ", ".join(sorted(self.capture))
+                raise ValueError(f"only the {only} capture was retained")
+        elif not self.captures(link):
+            raise ValueError(f"the {link} capture was not retained")
         return self._records
 
+    @property
+    def records(self) -> List[TraceRecord]:
+        return self._captured(None)
+
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._captured(None))
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return iter(self._captured(None))
 
     def filter(
         self,
@@ -111,7 +134,7 @@ class Tracer:
     ) -> List[TraceRecord]:
         """Select records by link name, drop status, and/or predicate."""
         out = []
-        for rec in self._records:
+        for rec in self._captured(link):
             if link is not None and rec.link != link:
                 continue
             if dropped is not None and rec.dropped != dropped:
@@ -125,13 +148,13 @@ class Tracer:
         """Total bytes offered to (or delivered on) a link."""
         return sum(
             rec.size
-            for rec in self._records
+            for rec in self._captured(link)
             if rec.link == link and (include_dropped or not rec.dropped)
         )
 
     def dump(self) -> str:
         """Render the whole trace as text (one record per line)."""
-        return "\n".join(rec.describe() for rec in self._records)
+        return "\n".join(rec.describe() for rec in self._captured(None))
 
     def clear(self) -> None:
         self._records.clear()

@@ -9,6 +9,12 @@ the PR that cut them achieved (4,073 and 221,647 before it), plus the
 structural counts that explain the figure. The counts are exact for a
 given interpreter; the ceilings were set on CPython 3.11, and later
 versions inline comprehensions and count fewer calls, never more.
+
+An observed cell is held the same way: it retains the sources its
+observers declared and constructs nothing for the others — no
+``TraceRecord`` in a cell nobody reads the capture of, no
+``PacketEvent`` for a qlog nobody reads — and the fig11 cell of
+``bulk_transfer`` stays under a call ceiling of its own.
 """
 
 import cProfile
@@ -18,9 +24,15 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments.registry import get_spec
 from repro.interop.runner import Runner, Scenario
+from repro.qlog import writer
+from repro.qlog.events import PacketEvent
 from repro.quic import coalescing, connection, packet, recovery
 from repro.quic.server import ServerMode
+from repro.runtime import ArtifactLevel, SuiteRunner, execute_cell
+from repro.sim import trace
+from repro.sim.trace import TraceRecord
 
 ANCHOR = Scenario(client="quic-go", mode=ServerMode.IACK, rtt_ms=9.0)
 BULK = replace(ANCHOR, response_size=1 << 20)
@@ -98,6 +110,93 @@ def test_structural_counts_that_explain_the_ceiling(counted, scenario):
     assert counted["deadline_evaluations"] <= (
         counted["receive_passes"] + counted["sends_outside_a_pass"]
     )
+
+
+# -- what an observed cell retains: what its observers declared ----------
+#
+# Until PR 21 a cell with any observer kept both qlogs and both links'
+# capture (153,532 calls for the fig11 cell below, against 104,399 at
+# stats level); now the planner hands it the union of its observers'
+# ``reads``. Achieved: 122,905. Ceiling = achieved x 1.05.
+
+FIG11_BULK_CALL_CEILING = 129_050
+
+
+def observed_cell(experiments, scenario):
+    """``scenario`` wrapped as ``SuiteRunner.plan`` wraps a cell that
+    exactly ``experiments`` observe."""
+    plan = SuiteRunner().plan(list(experiments), smoke=True)
+    planned = next(
+        cell.scenario for cell in plan.dispatch_cells
+        if [exp_id for exp_id, _ in getattr(cell.scenario, "observers", ())] == list(experiments)
+    )
+    return replace(planned, scenario=scenario)
+
+
+def test_profiler_calls_of_an_observed_bulk_cell_stay_under_the_ceiling():
+    task = observed_cell(["fig11"], BULK)
+    runner = Runner()
+    run_stats(runner, replace(BULK, rtt_ms=20.0))  # warm, on another scenario
+    profiler = cProfile.Profile()
+    profiler.enable()
+    artifacts = execute_cell(task, 0, ArtifactLevel.STATS, runner=runner)
+    profiler.disable()
+    assert artifacts.observed == {"fig11": get_spec("fig11").observe(
+        execute_cell(BULK, 0, ArtifactLevel.TRACE)
+    )}
+    calls = pstats.Stats(profiler).total_calls
+    assert calls <= FIG11_BULK_CALL_CEILING, (
+        f"{calls} profiler calls for fig11's 1 MiB cell, ceiling {FIG11_BULK_CALL_CEILING} — "
+        "an observed cell retains more than its observers read (see PERFORMANCE.md, "
+        "What a cell retains)"
+    )
+
+
+@pytest.fixture()
+def retained(monkeypatch):
+    """What a cell constructs for retention: ``TraceRecord`` counts per
+    link and ``PacketEvent`` counts per event name."""
+    records, events = Counter(), Counter()
+
+    def counting_record(**fields):
+        records[fields["link"]] += 1
+        return TraceRecord(**fields)
+
+    def counting_event(*args):
+        events[args[2]] += 1
+        return PacketEvent(*args)
+
+    monkeypatch.setattr(trace, "TraceRecord", counting_record)
+    monkeypatch.setattr(writer, "PacketEvent", counting_event)
+    return records, events
+
+
+@pytest.mark.parametrize(
+    "experiments, scenario, links",
+    [
+        (["fig11"], replace(BULK, response_size=1 << 16), []),
+        (["fig16"], ANCHOR, []),
+        (["table4"], replace(ANCHOR, mode=ServerMode.WFC), ["client->server"]),
+        (["fig16", "table4"], replace(ANCHOR, mode=ServerMode.WFC), ["client->server"]),
+    ],
+    ids=["fig11", "fig16", "table4", "fig16+table4"],
+)
+def test_an_observed_cell_constructs_nothing_for_sources_nobody_declared(
+    retained, experiments, scenario, links
+):
+    records, events = retained
+    task = observed_cell(experiments, scenario)
+    cell = execute_cell(scenario, 0, task.level, sources=task.sources)
+    assert set(records) == set(links)
+    if links:
+        assert records["client->server"] == cell.client_stats.datagrams_sent
+    # Every PacketEvent built is in the client's qlog: none is server-side
+    # (no observer reads that qlog), and table4 alone builds none at all.
+    assert cell.server_qlog_events is None
+    assert sum(events.values()) == sum(
+        type(event) is PacketEvent for event in cell.client_qlog_events or ()
+    )
+    assert bool(events) == (experiments != ["table4"])
 
 
 # -- where an observed cell's trace goes: nowhere ------------------------

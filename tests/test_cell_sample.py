@@ -32,9 +32,11 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +46,7 @@ from repro.quic.cc import MINIMUM_WINDOW
 from repro.quic.certs import LARGE_CERTIFICATE, SMALL_CERTIFICATE
 from repro.quic.profiles import profile_names
 from repro.quic.server import ServerMode
+from repro.runtime import ArtifactLevel, Source, execute_cell
 from repro.sim.loss import GilbertElliottLoss, IndexedLoss, RandomLoss
 
 SAMPLE_PATH = Path(__file__).resolve().parent / "golden" / "cells-sample.json"
@@ -199,10 +202,53 @@ def test_retention_never_perturbs_behaviour_and_cc_stays_in_bounds(draw_seed):
     assert slim.client_stats == full.client_stats
     assert slim.server_stats == full.server_stats
     assert slim.duration_ms == full.duration_ms
-    assert not slim.tracer.records and not slim.client_qlog.events
+    for read in (lambda: slim.tracer.records, lambda: slim.client_qlog.events):
+        with pytest.raises(ValueError, match="was not retained"):  # absent, not empty
+            read()
     for endpoint in (slim.client, slim.server, full.client, full.server):
         assert endpoint.cc.bytes_in_flight >= 0
         assert endpoint.cc.cwnd >= MINIMUM_WINDOW
+
+
+SOURCE_SUBSETS = [
+    frozenset(subset) for size in range(5) for subset in combinations(Source, size)
+]
+
+
+@pytest.mark.parametrize("profile", profile_names())
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_subset_of_sources_retains_exactly_itself_and_perturbs_nothing(profile, draw_seed):
+    """For any generated cell under every recovery profile, and each of
+    the 16 subsets of the four sources: stats and duration equal the
+    stats-level run's bit for bit; a retained source equals, element
+    for element, the same source of a retain-everything run; an
+    unretained one is absent (``None`` / raises), not empty."""
+    scenario, seed = draw_cell(random.Random(draw_seed))
+    scenario = replace(scenario, recovery_profile=profile)
+    runner = Runner()
+    plain = execute_cell(scenario, seed, ArtifactLevel.STATS, runner)
+    everything = execute_cell(scenario, seed, ArtifactLevel.TRACE, runner)
+    assert everything.result is None  # all four: plain data, as it always was
+    for sources in SOURCE_SUBSETS:
+        kept = execute_cell(scenario, seed, ArtifactLevel.TRACE, runner, sources)
+        assert (kept.client_stats, kept.server_stats, kept.duration_ms) == (
+            plain.client_stats, plain.server_stats, plain.duration_ms
+        )
+        for source in Source:
+            if source in sources:
+                assert kept.read(source) == everything.read(source)
+            else:
+                with pytest.raises(ValueError, match=f"the {source.describe()} was not retained"):
+                    kept.read(source)
+        qlogs = (kept.client_qlog_events, kept.server_qlog_events)
+        assert [events is not None for events in qlogs] == [
+            Source.CLIENT_QLOG in sources, Source.SERVER_QLOG in sources
+        ]
+        both_links = {Source.CLIENT_TO_SERVER, Source.SERVER_TO_CLIENT} <= sources
+        assert (kept.trace_records is not None) == both_links
+        if both_links:
+            assert kept.trace_records == everything.trace_records
 
 
 if __name__ == "__main__":

@@ -3,16 +3,18 @@ flow-through, and the ExperimentResult JSON round trip."""
 
 import pytest
 
-from repro.api import InvalidOverride, run_experiment
+from repro.api import InvalidOverride, ObserveError, run_experiment
 from repro.experiments import EXPERIMENT_INDEX, ExperimentResult
 from repro.experiments import fig6_server_flight_loss as fig6
 from repro.experiments.registry import REGISTRY, get_spec
 from repro.experiments.spec import (
     KIND_MATRIX,
+    KIND_WILD,
     CellResults,
     ExperimentSpec,
 )
-from repro.runtime import ArtifactLevel
+from repro.runtime import ArtifactLevel, execute_cell
+from repro.runtime.artifacts import ObservedCell
 
 
 def test_registry_covers_every_paper_artifact():
@@ -38,6 +40,42 @@ def test_every_spec_declares_paper_and_level():
         assert isinstance(spec.artifact_level, ArtifactLevel)
         params = spec.resolve_params()
         assert isinstance(spec.plan_cells(params), list)
+
+
+def observing_simulator_specs():
+    return [
+        spec for spec in REGISTRY.specs() if spec.observe is not None and spec.kind != KIND_WILD
+    ]
+
+
+def test_observing_simulator_specs_declare_what_they_read():
+    specs = observing_simulator_specs()
+    assert sorted(spec.id for spec in specs) == ["fig11", "fig16", "table4"]
+    for spec in specs:
+        assert spec.artifact_level is not ArtifactLevel.STATS and len(spec.reads) >= 1
+    for spec in REGISTRY.specs():
+        if spec not in specs:
+            assert spec.reads == () and spec.artifact_level is ArtifactLevel.STATS
+
+
+@pytest.mark.parametrize(
+    "spec, removed",
+    [(spec, source) for spec in observing_simulator_specs() for source in spec.reads],
+    ids=lambda value: getattr(value, "id", None) or value.name,
+)
+def test_a_declaration_is_minimal_every_declared_source_is_read(spec, removed):
+    """With any one declared source taken away every smoke cell fails
+    as a broken observer, naming it — so nothing declared is decorative.
+    (That the declaration is sufficient is every golden-bundle test.)"""
+    kept = frozenset(spec.reads) - {removed}
+    for cell in spec.plan_cells(spec.resolve_params(smoke=True)):
+        task = ObservedCell(
+            cell.scenario, spec.artifact_level, ((spec.id, spec.observe),), kept
+        )
+        with pytest.raises(ObserveError) as excinfo:
+            execute_cell(task, cell.seed, ArtifactLevel.STATS)
+        assert excinfo.value.experiment_id == spec.id
+        assert f"the {removed.describe()} was not retained" in excinfo.value.cause
 
 
 def test_get_spec_unknown_id_raises():

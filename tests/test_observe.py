@@ -32,10 +32,11 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import get_spec
 from repro.experiments.spec import KIND_MATRIX, KIND_WILD, ExperimentSpec, expand_cells
 from repro.interop.runner import Scenario
-from repro.runtime import ArtifactLevel, Cell, SuiteRunner, execute_cell, worker_main
-from repro.runtime.artifacts import ObservedArtifacts, ObservedCell
+from repro.runtime import ArtifactLevel, Cell, Source, SuiteRunner, execute_cell, worker_main
+from repro.runtime.artifacts import ALL_SOURCES, ObservedArtifacts, ObservedCell
 from repro.runtime.cache import scenario_key
 from repro.runtime.checkpoint import SuiteCheckpoint, plan_fingerprint
+from repro.runtime.disk_cache import DiskResultCache, cell_fingerprint
 from repro.runtime.worker import group_cells, run_cell_chunk
 from repro.sim.loss import LossPattern
 from repro.wild.passes import ScanPass
@@ -87,6 +88,27 @@ def test_disk_cache_cold_then_warm_reproduces_the_golden_bundles(tmp_path):
     assert cold.extra["disk_cache_hits"] == 0
     assert cold.extra["disk_cache_misses"] == cold.executed_cells == 40
     assert_golden(cold, tmp_path / "cold")
+    with Session(LocalConfig(workers=0), cache_dir=cache_dir) as session:
+        warm = session.run(REQUEST)
+    assert (warm.extra["disk_cache_hits"], warm.extra["disk_cache_misses"]) == (40, 0)
+    assert_golden(warm, tmp_path / "warm")
+
+
+def test_a_cache_filled_by_cells_that_retained_everything_is_served_warm(tmp_path):
+    """What the parent commit left in a ``cache_dir``: the same keys
+    (``sources`` is not part of a cell's identity), values computed
+    from cells that kept all four sources."""
+    cache_dir = str(tmp_path / "cache")
+    plan = SuiteRunner().plan(list(OBSERVING), smoke=True)
+    cache = DiskResultCache(cache_dir)
+    for cell in plan.dispatch_cells:
+        narrow = cell.scenario
+        assert narrow.sources < ALL_SOURCES
+        everything = ObservedCell(narrow.scenario, narrow.level, narrow.observers)
+        assert everything.sources == ALL_SOURCES
+        artifacts = execute_cell(everything, cell.seed, ArtifactLevel.STATS)
+        artifacts.scenario = None
+        cache.put(cache.fingerprint(everything, cell.seed, ArtifactLevel.STATS), artifacts)
     with Session(LocalConfig(workers=0), cache_dir=cache_dir) as session:
         warm = session.run(REQUEST)
     assert (warm.extra["disk_cache_hits"], warm.extra["disk_cache_misses"]) == (40, 0)
@@ -183,8 +205,10 @@ def test_shared_cells_carry_both_observers_once():
         assert type(cell.scenario) is Scenario  # unique_cells speak plain (scenario, seed)
         if slot in shared:
             assert [exp_id for exp_id, _ in dispatched.scenario.observers] == ["fig16", "table4"]
+            assert dispatched.scenario.sources == {Source.CLIENT_QLOG, Source.CLIENT_TO_SERVER}
         elif slot in fig16.slots:
             assert [exp_id for exp_id, _ in dispatched.scenario.observers] == ["fig16"]
+            assert dispatched.scenario.sources == {Source.CLIENT_QLOG}
         else:
             assert dispatched is cell  # nobody observes it: a plain stats cell
         if dispatched is not cell:
@@ -239,6 +263,8 @@ def test_observed_task_key_names_scenario_level_and_observers():
     assert task.task_key() != ObservedCell(
         scenario, ArtifactLevel.TRACE, (("fig16", fig16),)
     ).task_key()
+    narrow = ObservedCell(scenario, task.level, task.observers, frozenset({Source.CLIENT_QLOG}))
+    assert narrow.task_key() == task.task_key()  # what is retained names no value
 
     class Opaque(LossPattern):  # defeats value identity
         def should_drop(self, index, size):
@@ -247,6 +273,28 @@ def test_observed_task_key_names_scenario_level_and_observers():
     uncacheable = Scenario(server_to_client_loss=Opaque())
     assert scenario_key(uncacheable) is None
     assert ObservedCell(uncacheable, ArtifactLevel.TRACE, (("fig16", fig16),)).task_key() is None
+
+
+#: ``cell_fingerprint`` of the first smoke cell each selection plans,
+#: as computed at 0a6bbf9 — the commit before a cell knew its sources.
+#: A warm ``cache_dir`` or journal written there must stay a hit.
+PARENT_FINGERPRINTS = {
+    ("fig11",): "6cc1fffadea0b304ba08ba1665cd6ff065a5bb690e036e044441d6564fcb55f8",
+    ("fig16",): "62eab03ee115348142da5548de67e152fbe5385f711e6466698fe75d9144bfcd",
+    ("fig16", "table4"): "be38714e8d2b06a0ac3f5b4da4f3e93bc042477f322bb30139a347e298cc0e3b",
+}
+
+
+@pytest.mark.parametrize("selection", sorted(PARENT_FINGERPRINTS), ids="+".join)
+def test_observed_cell_fingerprints_are_the_parent_commits(selection):
+    plan = SuiteRunner().plan(list(selection), smoke=True)
+    cell = next(
+        cell for cell in plan.dispatch_cells
+        if [exp_id for exp_id, _ in cell.scenario.observers] == list(selection)
+    )
+    assert (cell.scenario.scenario.client, cell.seed) == ("aioquic", 0)
+    fingerprint = cell_fingerprint(cell.scenario, cell.seed, ArtifactLevel.STATS)
+    assert fingerprint == PARENT_FINGERPRINTS[selection]
 
 
 def _no_cells(params):
@@ -264,13 +312,41 @@ def test_a_spec_above_stats_must_declare_a_module_level_observe():
             cells=_no_cells, aggregate=_no_rows, **kwargs,
         )
 
+    reads = (Source.CLIENT_QLOG,)
     for level in (ArtifactLevel.TRACE, ArtifactLevel.FULL):
         with pytest.raises(ValueError, match="needs an observe"):
-            spec(artifact_level=level)
+            spec(artifact_level=level, reads=reads)
     with pytest.raises(ValueError, match="module-level"):
-        spec(artifact_level=ArtifactLevel.TRACE, observe=lambda artifacts: 0)
-    assert spec(artifact_level=ArtifactLevel.TRACE, observe=endpoint_names).observe
+        spec(artifact_level=ArtifactLevel.TRACE, observe=lambda artifacts: 0, reads=reads)
+    assert spec(artifact_level=ArtifactLevel.TRACE, observe=endpoint_names, reads=reads).observe
     assert spec(artifact_level=ArtifactLevel.STATS).observe is None
+
+
+def test_a_spec_reads_sources_exactly_when_it_is_above_stats():
+    """One statement, not two that can disagree: ``artifact_level`` and
+    ``reads`` are checked against each other where the spec is built."""
+
+    def spec(level, **kwargs):
+        return ExperimentSpec(
+            id="probe", title="probe", paper="-", kind=KIND_MATRIX, artifact_level=level,
+            cells=_no_cells, aggregate=_no_rows, **kwargs,
+        )
+
+    for level in (ArtifactLevel.TRACE, ArtifactLevel.FULL):
+        with pytest.raises(ValueError, match="declares the sources"):
+            spec(level, observe=endpoint_names)  # above stats, nothing declared
+    with pytest.raises(ValueError, match="unknown source"):
+        spec(ArtifactLevel.TRACE, observe=endpoint_names, reads=("client_qlog",))
+    with pytest.raises(ValueError, match="declares the sources"):
+        spec(ArtifactLevel.STATS, reads=(Source.CLIENT_QLOG,))  # nothing observes
+    with pytest.raises(ValueError, match="declares the sources"):
+        spec(ArtifactLevel.STATS, observe=endpoint_names, reads=(Source.CLIENT_QLOG,))
+    with pytest.raises(ValueError, match="declares the sources"):
+        wild_probe_spec("probe-wild", raises_on_a_pass, reads=(Source.CLIENT_QLOG,))
+    declared = spec(ArtifactLevel.TRACE, observe=endpoint_names, reads=tuple(Source))
+    assert declared.describe()["reads"] == [
+        "client qlog", "server qlog", "client->server capture", "server->client capture",
+    ]
 
 
 # -- a broken observer is the experiment's bug, typed, on every path -----
@@ -304,11 +380,12 @@ def probe_aggregate(results, params):
     )
 
 
-def probe_spec(exp_id, observe, level=ArtifactLevel.TRACE):
+def probe_spec(exp_id, observe, level=ArtifactLevel.TRACE, reads=(Source.CLIENT_QLOG,)):
     """A throw-away observing spec; never registered."""
     return ExperimentSpec(
         id=exp_id, title="probe", paper="-", kind=KIND_MATRIX, artifact_level=level,
-        cells=probe_cells, aggregate=probe_aggregate, observe=observe, defaults={"id": exp_id},
+        cells=probe_cells, aggregate=probe_aggregate, observe=observe, reads=reads,
+        defaults={"id": exp_id},
     )
 
 
@@ -331,11 +408,12 @@ def wild_probe_cells(params):
     return [Cell(ScanPass(500, "Hamburg"), 1)]
 
 
-def wild_probe_spec(exp_id, observe):
+def wild_probe_spec(exp_id, observe, **kwargs):
     """A throw-away wild spec over one small scan pass; never registered."""
     return ExperimentSpec(
         id=exp_id, title="probe", paper="-", kind=KIND_WILD, artifact_level=ArtifactLevel.STATS,
-        cells=wild_probe_cells, aggregate=probe_aggregate, observe=observe, defaults={"id": exp_id},
+        cells=wild_probe_cells, aggregate=probe_aggregate, observe=observe,
+        defaults={"id": exp_id}, **kwargs,
     )
 
 
@@ -362,6 +440,53 @@ def test_a_raising_wild_observer_surfaces_as_the_same_typed_error(path):
     assert "LookupError('no such CDN among" in error.cause
     assert str(error).startswith("probe-wild: observe failed on analytic scan of 500 domains")
     assert error.exit_code == 10
+
+
+def server_bytes_delivered(artifacts):
+    """Reads the server→client capture, whatever its spec declares."""
+    return artifacts.tracer.bytes_on("server->client")
+
+
+def server_metric_updates(artifacts):
+    return len(artifacts.read(Source.SERVER_QLOG))
+
+
+@pytest.mark.parametrize("path", ["serial", "pool", "fleet"])
+@pytest.mark.parametrize(
+    "observe, declared, missing",
+    [
+        (server_bytes_delivered, Source.CLIENT_TO_SERVER, "server->client capture"),
+        (server_bytes_delivered, Source.SERVER_QLOG, "server->client capture"),
+        (server_metric_updates, Source.CLIENT_QLOG, "server qlog"),
+    ],
+    ids=["other-link", "no-capture", "other-qlog"],
+)
+def test_reading_an_undeclared_source_fails_the_cell_and_names_it(path, observe, declared, missing):
+    """Not ``0`` bytes and not ``[]``: what a cell did not retain is
+    absent, and the observer that reads it anyway is a broken one."""
+    with pytest.raises(ObserveError) as excinfo:
+        run_probe(path, probe_spec("probe-undeclared", observe, reads=(declared,)))
+    error = excinfo.value
+    assert error.experiment_id == "probe-undeclared"  # every cell fails; any may be first
+    assert (error.scenario, error.seed) in {
+        (cell.scenario.describe(), cell.seed) for cell in probe_cells({})
+    }
+    assert f"the {missing} was not retained" in error.cause
+    assert error.exit_code == 10
+
+
+def test_a_declared_read_is_what_a_retain_everything_cell_reads():
+    for observe, source in (
+        (server_bytes_delivered, Source.SERVER_TO_CLIENT),
+        (server_metric_updates, Source.SERVER_QLOG),
+    ):
+        report = run_probe("serial", probe_spec("probe-declared", observe, reads=(source,)))
+        everything = [
+            [observe(execute_cell(cell.scenario, cell.seed, ArtifactLevel.TRACE))]
+            for cell in probe_cells({})
+        ]
+        assert report.results["probe-declared"].rows == everything
+        assert all(value > 0 for [value] in everything)
 
 
 @pytest.mark.parametrize("path", ["serial", "pool", "fleet"])

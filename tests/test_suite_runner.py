@@ -62,16 +62,17 @@ def test_suite_dispatches_shared_cells_once_and_stays_bit_identical(monkeypatch)
 
 
 def test_suite_observes_trace_cells_and_runs_the_rest_at_stats(monkeypatch):
-    """table4 (trace) + fig6 (stats): only table4's cells retain a
-    trace, and only while its observer reads them — what comes back is
-    stats-level everywhere, and both results equal their standalone
-    runs. (Until PR 17 the whole suite was promoted to trace level and
-    spilled to disk.)"""
+    """table4 (trace) + fig6 (stats): only table4's cells retain
+    anything — the one link table4 declares it reads, no qlog — and only
+    while its observer reads it; what comes back is stats-level
+    everywhere, and both results equal their standalone runs. (Until
+    PR 17 the whole suite was promoted to trace level and spilled to
+    disk; until PR 21 an observed cell kept both links and both qlogs.)"""
     levels = []
     real_run_once = Runner.run_once
 
     def recording_run_once(self, scenario, seed=None, *, capture_trace=True, record_qlog=True):
-        levels.append(capture_trace)
+        levels.append((capture_trace, record_qlog))
         return real_run_once(
             self, scenario, seed, capture_trace=capture_trace, record_qlog=record_qlog
         )
@@ -84,7 +85,10 @@ def test_suite_observes_trace_cells_and_runs_the_rest_at_stats(monkeypatch):
     plan = report.plan
     assert plan.artifact_level is ArtifactLevel.TRACE  # what to_dict() reports
     observed = [isinstance(c.scenario, ObservedCell) for c in plan.dispatch_cells]
-    assert levels == observed and sum(observed) == 8 < report.executed_cells
+    assert levels == [
+        ({"client->server"}, set()) if is_observed else (False, False) for is_observed in observed
+    ]
+    assert sum(observed) == 8 < report.executed_cells
     assert all(not isinstance(c.scenario, ObservedCell) for c in plan.unique_cells)
     del levels[:]
     assert report.results["table4"].rows == run_experiment("table4", repetitions=1).rows
