@@ -193,6 +193,16 @@ class ServiceClient:
         """Typed run events of one job, live from its start; the
         stream ends when the job reaches a terminal state. Unknown
         event kinds from a newer daemon are skipped."""
+        for payload in self._stream(job_id):
+            event = event_from_dict(payload)
+            if event is not None:
+                yield event
+
+    def _stream(self, job_id: JobId, deadline: Optional[float] = None) -> Iterator[Dict[str, Any]]:
+        """The raw documents of one job's ``events`` stream, ending with
+        the daemon's closing ``job_status`` element. ``deadline`` (a
+        ``time.monotonic()`` instant) bounds the whole stream:
+        ``TimeoutError`` once it passes."""
         path = f"/v1/jobs/{check_job_id(job_id)}/events"
         sock = self._connect()
         try:
@@ -208,20 +218,24 @@ class ServiceClient:
                 raise error_type(doc.get("kind"))(
                     doc.get("error") or f"service answered HTTP {status}"
                 )
-            # Events may be minutes apart mid-suite; only connection
-            # setup and the response head are timeout-bounded.
-            sock.settimeout(None)
-            for line in fh:
-                text = line.decode("utf-8", "replace").strip()
-                if not text.startswith("data:"):
-                    continue
-                try:
-                    payload = json.loads(text[len("data:") :].strip())
-                except ValueError:
-                    continue
-                event = event_from_dict(payload)
-                if event is not None:
-                    yield event
+            # Events may be minutes apart mid-suite: past the response
+            # head, only the caller's deadline bounds the stream.
+            sock.settimeout(None if deadline is None else max(deadline - time.monotonic(), 0.001))
+            try:
+                for line in fh:
+                    text = line.decode("utf-8", "replace").strip()
+                    if not text.startswith("data:"):
+                        continue
+                    try:
+                        payload = json.loads(text[len("data:") :].strip())
+                    except ValueError:
+                        continue
+                    if isinstance(payload, dict):
+                        yield payload
+                    if deadline is not None and time.monotonic() >= deadline:
+                        raise TimeoutError(f"job {job_id} still running")
+            except socket.timeout:
+                raise TimeoutError(f"job {job_id} still running") from None
         finally:
             sock.close()
 
@@ -250,22 +264,24 @@ class ServiceClient:
             written.append(path)
         return written
 
-    def wait(
-        self,
-        job_id: JobId,
-        timeout: Optional[float] = None,
-        poll: float = 0.25,
-    ) -> JobRecord:
-        """Poll until the job reaches a terminal state; returns the
-        final record (``TimeoutError`` past ``timeout``)."""
+    def wait(self, job_id: JobId, timeout: Optional[float] = None) -> JobRecord:
+        """Follow the job's event stream until it reaches a terminal
+        state; returns the final record (``TimeoutError`` past
+        ``timeout``)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
+            for payload in self._stream(job_id, deadline):
+                if payload.get("kind") == "job_status":
+                    record = JobRecord.from_dict(payload["record"])
+                    if record.status.terminal:
+                        return record
+            # The stream closed without a final record (a daemon older
+            # than its closing element, or a dropped connection).
             record = self.status(job_id)
             if record.status.terminal:
                 return record
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(f"job {job_id} still {record.status.value}")
-            time.sleep(poll)
 
 
 class ServiceJobHandle(JobHandle):

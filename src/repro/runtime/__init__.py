@@ -19,7 +19,8 @@ Public surface:
 * :class:`RunEvent` / :data:`EventSink` — typed progress events
   (chunk dispatch, worker membership, completion) streamed to any
   attached observer; the channel the ``repro.api`` façade exposes.
-* :class:`ResultCache` — sweep-scoped (scenario, seed, level) memo.
+* :class:`ResultCache` — the in-memory (scenario, seed, level) tier: a
+  fleet worker's memo, and what a ``DiskResultCache`` serves warm hits from.
 * :class:`ArtifactStore` — a disk store of per-cell artifacts for
   direct ``MatrixRunner`` users (no suite uses it).
 * :class:`SuiteRunner` — cross-experiment planning: union the cells of

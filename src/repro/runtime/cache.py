@@ -1,10 +1,22 @@
-"""Scenario-result memo cache.
+"""The in-memory result tier: a bounded, thread-safe LRU of cells.
 
-Figure sweeps re-run shared baselines — fig12 contains fig6's entire
-9 ms column, fig13 contains fig7's, and ablations re-run the unpadded
-WFC/IACK cells. Simulation runs are deterministic in ``(scenario,
-seed)``, so a sweep-scoped memo keyed on the scenario's value (not its
-identity) lets those columns be computed once.
+Simulation runs are deterministic in ``(scenario, seed)``, so a memo
+keyed on the scenario's value (not its identity) can answer for any
+later run that plans the same cell. :class:`ResultCache` is that memo,
+and the one in-memory tier in the repository:
+
+* a fleet worker (``repro worker``) keeps one for its whole life,
+  bounded by count (``--cache-entries``), and serves repeated chunks
+  from it;
+* every :class:`~repro.runtime.disk_cache.DiskResultCache` fronts its
+  directory with one, so a warm cell in a long-lived process (the
+  ``repro serve`` daemon) is a dict lookup instead of a file read.
+
+It holds decoded values, and evicts least recently used entries once
+the summed byte size its callers declared passes
+:data:`MAX_HELD_BYTES` (the disk tier declares each blob's encoded
+length) or, when given, ``max_entries``. Pool threads of one daemon
+share it, so every operation takes one lock.
 
 Only scenarios whose loss patterns have a stable value representation
 are cacheable; unknown :class:`~repro.sim.loss.LossPattern` subclasses
@@ -13,6 +25,8 @@ make the key ``None`` and the cell is simply recomputed.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.interop.runner import Scenario
@@ -24,6 +38,11 @@ from repro.sim.loss import (
     NoLoss,
     RandomLoss,
 )
+
+#: Ceiling on the summed declared size of one cache's entries, in
+#: encoded bytes: ~12k cells at the ~670 B a smoke-suite blob averages,
+#: held decoded in ~2.7 times that (~22 MB). A constant, not a setting.
+MAX_HELD_BYTES = 8 * 1024 * 1024
 
 
 def loss_pattern_key(pattern: Optional[LossPattern]) -> Optional[str]:
@@ -96,18 +115,24 @@ def cell_cache_key(scenario: Scenario, seed: int, level: Any) -> Optional[Tuple[
 
 
 class ResultCache:
-    """A (scenario, seed, artifact level) → :class:`RunArtifacts` memo.
+    """A (scenario, seed, artifact level) → value memo, least recently
+    used out first.
 
     Entries are stored per artifact level: a ``stats`` result cannot
     stand in for a ``trace`` request and vice versa (the richer level
-    would silently lose its artifacts).
+    would silently lose its artifacts). A hit returns the held object
+    itself; a caller that lets others mutate it copies it first (the
+    disk tier does).
     """
 
     def __init__(self, max_entries: Optional[int] = None):
         if max_entries is not None and max_entries <= 0:
             raise ValueError("max_entries must be positive when given")
         self.max_entries = max_entries
-        self._store: Dict[Tuple[Any, ...], Any] = {}
+        #: key → (value, declared size), least recently used first.
+        self._store: "OrderedDict[Tuple[Any, ...], Tuple[Any, int]]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         #: Lookups for scenarios that defeat value identity (``key is
@@ -121,43 +146,65 @@ class ResultCache:
         return len(self._store)
 
     def stats(self) -> Dict[str, int]:
-        """Accounting snapshot (hits / misses / uncacheable / entries)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "uncacheable": self.uncacheable,
-            "entries": len(self._store),
-        }
+        """Accounting snapshot: the counters ``hits`` / ``misses`` /
+        ``uncacheable``, and the levels ``entries`` / ``bytes`` held."""
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "uncacheable": self.uncacheable,
+                "entries": len(self._store),
+                "bytes": self._bytes,
+            }
+
+    def since(self, before: Dict[str, int]) -> Dict[str, int]:
+        """:meth:`stats` with the counters taken relative to an earlier
+        snapshot ``before`` (one chunk's share of a worker's memo)."""
+        now = self.stats()
+        for key in ("hits", "misses", "uncacheable"):
+            now[key] -= before[key]
+        return now
 
     def make_key(self, scenario: Scenario, seed: int, level: Any) -> Optional[Tuple[Any, ...]]:
         return cell_cache_key(scenario, seed, level)
 
-    def get(self, key: Optional[Tuple[Any, ...]]) -> Optional[Any]:
-        if key is None:
-            self.uncacheable += 1
-            return None
-        value = self._store.get(key)
-        if value is None:
-            self.misses += 1
-        else:
+    def get(self, key: Optional[Any]) -> Optional[Any]:
+        with self._lock:
+            if key is None:
+                self.uncacheable += 1
+                return None
+            entry = self._store.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self._store.move_to_end(key)
             self.hits += 1
-        return value
+            return entry[0]
 
-    def put(self, key: Optional[Tuple[Any, ...]], value: Any) -> None:
+    def put(self, key: Optional[Any], value: Any, size: int = 0) -> None:
+        """Hold ``value`` under ``key``, declared as ``size`` bytes
+        (``0`` when the caller never encodes it, as a worker does). A
+        value larger than :data:`MAX_HELD_BYTES` is not held."""
         if key is None:
             return
-        # An overwrite re-inserts so the entry's FIFO age refreshes —
-        # without this, a key rewritten at capacity stays the eviction
-        # queue's oldest entry and is dropped right after being renewed.
-        self._store.pop(key, None)
-        if self.max_entries is not None and len(self._store) >= self.max_entries:
-            # Drop the oldest entry (insertion order) — sweeps walk
-            # scenarios monotonically, so FIFO eviction is adequate.
-            self._store.pop(next(iter(self._store)))
-        self._store[key] = value
+        with self._lock:
+            old = self._store.pop(key, None)
+            if old is not None:
+                self._bytes -= old[1]
+            if size > MAX_HELD_BYTES:
+                return
+            self._store[key] = (value, size)
+            self._bytes += size
+            while self._bytes > MAX_HELD_BYTES or (
+                self.max_entries is not None and len(self._store) > self.max_entries
+            ):
+                _key, (_value, dropped) = self._store.popitem(last=False)
+                self._bytes -= dropped
 
     def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-        self.uncacheable = 0
+        with self._lock:
+            self._store.clear()
+            self._bytes = 0
+            self.hits = 0
+            self.misses = 0
+            self.uncacheable = 0

@@ -1,11 +1,10 @@
-"""Durable on-disk result cache: warm starts that survive restarts.
+"""Durable result cache: warm starts that survive restarts, warm hits
+that never touch the disk.
 
-The in-memory :class:`~repro.runtime.cache.ResultCache` and the
-worker-resident caches of PR 5 die with their process; the crash-safe
-checkpoint journal of PR 6 is pinned to one planned suite. This module
-is the third leg: a **content-addressed** store of completed cells
-that any later run — same process, a restarted daemon, a rebuilt
-fleet — can consult before dispatching work.
+The crash-safe checkpoint journal is pinned to one planned suite; this
+module is a **content-addressed** store of completed cells that any
+later run — same process, a restarted daemon, a rebuilt fleet — can
+consult before dispatching work.
 
 Addressing
 ----------
@@ -24,10 +23,10 @@ artifact level)``, hashed to one SHA-256 name by
   semantics change, invalidating every prior entry at once — a stale
   cache must never serve results the current code would not produce.
 
-Layout and durability
----------------------
+Two tiers
+---------
 
-::
+**Disk** (the durable tier)::
 
     DIR/objects/ab/abcdef....blob
 
@@ -35,12 +34,26 @@ Each blob is a codec-framed (:func:`~repro.runtime.wire.compress_blob`)
 pickle of one :class:`~repro.runtime.artifacts.RunArtifacts` with its
 scenario stripped (exactly like the distributed wire — the consulting
 run reattaches its own authoritative scenario object). Writes are
-same-directory temp + ``os.replace``, so a SIGKILL at any instant
-leaves each entry either complete or absent; concurrent writers of the
-same key are idempotent (cells are deterministic, so both wrote the
-same value). Unreadable or corrupt blobs are treated as misses and
-removed, never as errors — the cache is an accelerator, not a
-dependency.
+same-directory temp + fsync + ``os.replace``, so a SIGKILL at any
+instant leaves each entry either complete or absent; concurrent writers
+of the same key are idempotent (cells are deterministic, so both wrote
+the same value).
+
+**Memory** (a :class:`~repro.runtime.cache.ResultCache` per instance,
+LRU, bounded by :data:`~repro.runtime.cache.MAX_HELD_BYTES` of encoded
+blob size): the decoded, scenario-less values this process wrote or
+read back. ``get`` consults it first and opens a blob only on a memory
+miss; every hit, from either tier, hands out a fresh shallow copy, so
+the caller reattaching its scenario never reaches a held entry.
+
+*Corrupt* means a blob that does not decode to a ``RunArtifacts``. The
+check runs on every disk read — always for a fresh instance (a
+restarted daemon) and for an entry the memory tier has evicted — and a
+corrupt blob is removed and counted as a miss, never raised: the cache
+is an accelerator, not a dependency. Damage to a blob whose value this
+process already holds goes unread until that value is evicted; serving
+it is correct, because the memory tier only ever holds a value that
+decoded cleanly or that this process computed and wrote itself.
 
 :func:`~repro.runtime.workloop.run_work` consults the cache before
 dispatch and feeds it after execution — for suites and scans alike —
@@ -55,12 +68,13 @@ import hashlib
 import logging
 import os
 import pickle
+import threading
 from dataclasses import replace
 from typing import Any, Dict, Optional
 
 from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
-from repro.runtime.cache import cell_cache_key
+from repro.runtime.cache import ResultCache, cell_cache_key
 from repro.runtime.wire import DEFAULT_CODEC, compress_blob, decompress_blob
 
 __all__ = ["CELL_CODE_VERSION", "DiskResultCache", "cell_fingerprint"]
@@ -91,8 +105,9 @@ class DiskResultCache:
     directory.
 
     Safe for concurrent use by multiple processes (atomic writes,
-    deterministic values); per-instance hit/miss counters reset with
-    the instance, the entries themselves do not.
+    deterministic values) and by threads sharing the instance;
+    per-instance hit/miss counters and the memory tier reset with the
+    instance, the entries on disk do not.
     """
 
     def __init__(self, directory: str, codec: str = DEFAULT_CODEC):
@@ -100,18 +115,29 @@ class DiskResultCache:
         self.codec = codec
         self._objects = os.path.join(self.directory, "objects")
         os.makedirs(self._objects, exist_ok=True)
+        #: Decoded entries in front of the directory (see module docs).
+        self.memory = ResultCache()
+        #: Guards the counters below: a daemon's pool threads share
+        #: one instance.
+        self._lock = threading.Lock()
+        #: Served without executing, from either tier.
         self.hits = 0
         self.misses = 0
         self.uncacheable = 0
 
     # -- accounting -----------------------------------------------------
 
-    def stats(self) -> Dict[str, int]:
+    def stats(self) -> Dict[str, Any]:
+        """Both tiers' accounting: ``hits`` / ``misses`` /
+        ``uncacheable`` over every lookup, ``entries`` on disk, and the
+        memory tier's own :meth:`ResultCache.stats` under ``memory``
+        (its ``misses`` are the lookups that read the disk)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "uncacheable": self.uncacheable,
             "entries": len(self),
+            "memory": self.memory.stats(),
         }
 
     def __len__(self) -> int:
@@ -137,7 +163,8 @@ class DiskResultCache:
         """:func:`cell_fingerprint`, counting uncacheable lookups."""
         key = cell_fingerprint(scenario, seed, level)
         if key is None:
-            self.uncacheable += 1
+            with self._lock:
+                self.uncacheable += 1
         return key
 
     def _path(self, key: str) -> str:
@@ -146,21 +173,32 @@ class DiskResultCache:
     # -- store ----------------------------------------------------------
 
     def get(self, key: Optional[str]) -> Optional[RunArtifacts]:
-        """The cached artifacts for ``key`` (scenario stripped — the
-        caller reattaches its own), or ``None`` on a miss. Corrupt
-        entries count as misses and are removed."""
+        """The cached artifacts for ``key`` (a fresh copy with the
+        scenario stripped — the caller reattaches its own), or ``None``
+        on a miss. Corrupt blobs count as misses and are removed."""
         if key is None:
             return None
+        held = self.memory.get(key)
+        if held is None:
+            held = self._read(key)
+        with self._lock:
+            if held is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+        return replace(held)
+
+    def _read(self, key: str) -> Optional[RunArtifacts]:
+        """Decode one blob into the memory tier, or ``None`` when it is
+        absent, unreadable or corrupt (and then removed)."""
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
         except FileNotFoundError:
-            self.misses += 1
             return None
         except OSError as exc:
             logger.warning("disk cache read failed for %s: %s", path, exc)
-            self.misses += 1
             return None
         try:
             artifacts = pickle.loads(decompress_blob(blob))
@@ -174,15 +212,14 @@ class DiskResultCache:
                 os.remove(path)
             except OSError:
                 pass
-            self.misses += 1
             return None
-        self.hits += 1
+        self.memory.put(key, artifacts, len(blob))
         return artifacts
 
     def put(self, key: Optional[str], artifacts: RunArtifacts) -> None:
         """Durably store one completed cell (atomic; a crash mid-write
-        leaves no partial entry). ``full``-level artifacts hold live
-        endpoints and are silently skipped."""
+        leaves no partial entry) and hold it in memory. ``full``-level
+        artifacts hold live endpoints and are silently skipped."""
         if key is None or artifacts.level is ArtifactLevel.FULL:
             return
         # Strip the scenario exactly like the distributed wire: the
@@ -208,3 +245,5 @@ class DiskResultCache:
                 os.remove(tmp)
             except OSError:
                 pass
+            return
+        self.memory.put(key, stripped, len(blob))

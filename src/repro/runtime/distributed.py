@@ -50,7 +50,9 @@ DRAIN      either way      ``None`` (graceful departure, see below)
 
 Version 2 extended RESULT with ``cache_meta``: ``None`` on a worker
 running without a result cache, else a dict of the chunk's worker-cache
-accounting (``hits`` / ``misses`` / ``uncacheable`` / ``entries``) that
+accounting (the keys of :meth:`~repro.runtime.cache.ResultCache.stats`:
+``hits`` / ``misses`` / ``uncacheable`` / ``entries``, plus ``bytes``,
+read as 0 when absent) that
 the coordinator surfaces as
 :class:`~repro.runtime.events.ChunkCacheStats`. Version 3 added the
 DRAIN frame and the ``epoch`` HELLO field (0 on a worker's first
@@ -120,8 +122,10 @@ late result is ignored as any duplicate is). See
 Worker-side result cache
 ------------------------
 
-Workers keep a bounded :class:`~repro.runtime.cache.ResultCache` for
-the life of the ``repro worker`` process — across chunks, jobs, *and
+Workers keep a count-bounded :class:`~repro.runtime.cache.ResultCache`
+(the same in-memory tier a
+:class:`~repro.runtime.disk_cache.DiskResultCache` fronts its directory
+with) for the life of the ``repro worker`` process — across chunks, jobs, *and
 suites*. Sweeps that re-run the same ``(scenario value, seed)`` cells
 (fig6 ⊂ fig12, fig13 ⊂ fig7, repeated CI suites against a warm fleet)
 are served from the memo instead of re-simulated; determinism in the
@@ -824,15 +828,7 @@ def _worker_session(
                     time.sleep(delay)
                 before = cache.stats() if cache is not None else None
                 results = run_cell_chunk(grouped, level_value, cache=cache)
-                cache_meta = None
-                if cache is not None:
-                    after = cache.stats()
-                    cache_meta = {
-                        "hits": after["hits"] - before["hits"],
-                        "misses": after["misses"] - before["misses"],
-                        "uncacheable": after["uncacheable"] - before["uncacheable"],
-                        "entries": after["entries"],
-                    }
+                cache_meta = cache.since(before) if cache is not None else None
                 if faults.should_corrupt_result():
                     say(f"fault injection: corrupting RESULT for chunk {chunk_id}")
                     with send_lock:
@@ -909,6 +905,7 @@ def _decode_cache_meta(meta: Any) -> Optional[ChunkCacheStats]:
             misses=int(meta["misses"]),
             uncacheable=int(meta["uncacheable"]),
             entries=int(meta["entries"]),
+            bytes=int(meta.get("bytes", 0)),
         )
     except (KeyError, TypeError, ValueError):
         raise ProtocolError(f"malformed RESULT cache stats: {meta!r}") from None

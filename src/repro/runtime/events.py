@@ -121,14 +121,16 @@ class ChunkCacheStats:
     of the chunk's cells were served from the worker's cross-suite
     :class:`~repro.runtime.cache.ResultCache` (``hits``), how many were
     simulated (``misses``), how many defeat value identity and can
-    never be cached (``uncacheable``), and the cache's entry count
-    after the chunk (``entries``).
+    never be cached (``uncacheable``), and the cache's entry count and
+    declared bytes after the chunk (``entries``, ``bytes``) — the keys
+    of :meth:`~repro.runtime.cache.ResultCache.stats`.
     """
 
     hits: int
     misses: int
     uncacheable: int
     entries: int
+    bytes: int = 0
 
 
 @dataclass(frozen=True)

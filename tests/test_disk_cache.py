@@ -5,8 +5,10 @@ bundles."""
 
 import os
 import pickle
+import sys
+import threading
 
-from repro.api import RunRequest, Session
+from repro.api import LocalConfig, RunRequest, Session
 from repro.api.bundles import bundle_files
 from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel
@@ -16,6 +18,8 @@ from repro.runtime.disk_cache import (
     cell_fingerprint,
 )
 from repro.runtime.matrix import MatrixRunner
+from repro.runtime.wire import compress_blob, decompress_blob
+from repro.service.manager import ServiceManager
 from repro.sim.loss import LossPattern
 
 
@@ -91,17 +95,144 @@ def test_miss_paths_never_raise(tmp_path):
     assert cache.misses == 1  # None key is not even a lookup
 
 
-def test_corrupt_entries_are_dropped_as_misses(tmp_path):
+def _damage(path, data=b"not a blob at all"):
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def test_corrupt_blob_is_a_removed_miss_for_a_fresh_instance(tmp_path):
+    """A restarted process reads every entry from disk, so damage is
+    detected there: the blob is removed, the lookup is a miss, and the
+    memory tier holds nothing it did not decode."""
+    scenario = Scenario(rtt_ms=9.0)
+    writer = DiskResultCache(str(tmp_path))
+    key = writer.fingerprint(scenario, 0, ArtifactLevel.STATS)
+    path = writer._path(key)
+    for damage in (b"not a blob at all", b""):
+        writer.put(key, _artifacts(scenario))
+        _damage(path, damage)
+        fresh = DiskResultCache(str(tmp_path))
+        assert fresh.get(key) is None
+        assert not os.path.exists(path)  # dropped, will be recomputed
+        assert (fresh.hits, fresh.misses) == (0, 1)
+        assert fresh.stats()["memory"]["entries"] == 0
+
+
+def test_blob_of_the_wrong_type_is_a_removed_miss(tmp_path):
+    cache = DiskResultCache(str(tmp_path))
+    key = cache.fingerprint(Scenario(rtt_ms=9.0), 0, ArtifactLevel.STATS)
+    os.makedirs(os.path.dirname(cache._path(key)))
+    _damage(cache._path(key), compress_blob(pickle.dumps({"not": "artifacts"})))
+    assert cache.get(key) is None
+    assert not os.path.exists(cache._path(key))
+    assert cache.misses == 1 and len(cache.memory) == 0
+
+
+def test_corrupt_blob_is_a_removed_miss_once_evicted(tmp_path, monkeypatch):
+    """An entry the memory tier evicted is read from disk again, and
+    that read checks it."""
+    import repro.runtime.cache as memory_tier
+
+    cache = DiskResultCache(str(tmp_path))
+    first, second = Scenario(rtt_ms=9.0), Scenario(rtt_ms=50.0)
+    key = cache.fingerprint(first, 0, ArtifactLevel.STATS)
+    other = cache.fingerprint(second, 0, ArtifactLevel.STATS)
+    cache.put(key, _artifacts(first))
+    cache.put(other, _artifacts(second))
+    # Room for the second blob only: rewriting it evicts the first.
+    monkeypatch.setattr(memory_tier, "MAX_HELD_BYTES", cache.memory._store[other][1])
+    cache.put(other, _artifacts(second))
+    assert list(cache.memory._store) == [other]
+    _damage(cache._path(key))
+    assert cache.get(key) is None
+    assert not os.path.exists(cache._path(key))
+    assert cache.misses == 1
+
+
+def test_memory_tier_serves_what_this_process_wrote(tmp_path, monkeypatch):
+    """A value this process wrote and still holds is served without a
+    disk read: cells are deterministic, so it is the right answer even
+    if the blob was damaged since."""
     cache = DiskResultCache(str(tmp_path))
     scenario = Scenario(rtt_ms=9.0)
+    artifacts = _artifacts(scenario)
+    key = cache.fingerprint(scenario, 0, ArtifactLevel.STATS)
+    cache.put(key, artifacts)
+    _damage(cache._path(key))
+
+    def no_disk(*args, **kwargs):
+        raise AssertionError("a held entry must not open its blob")
+
+    monkeypatch.setattr("builtins.open", no_disk)
+    served = cache.get(key)
+    monkeypatch.undo()
+    assert served.client_stats == artifacts.client_stats
+    assert (cache.hits, cache.misses) == (1, 0)
+    assert cache.stats()["memory"]["hits"] == 1
+
+
+def test_every_hit_is_a_fresh_copy(tmp_path):
+    """The caller reattaches its scenario to what ``get`` returns; that
+    must never reach the held entry, from either tier."""
+    scenario = Scenario(rtt_ms=9.0)
+    writer = DiskResultCache(str(tmp_path))
+    key = writer.fingerprint(scenario, 0, ArtifactLevel.STATS)
+    writer.put(key, _artifacts(scenario))
+    for cache in (writer, DiskResultCache(str(tmp_path))):  # held from put / from a read
+        one = cache.get(key)
+        one.scenario = scenario
+        two = cache.get(key)
+        assert two is not one and two.scenario is None
+
+
+def test_hit_and_miss_counts_hold_under_threads(tmp_path):
+    """A daemon's pool threads share one instance: no lookup is lost
+    from ``hits`` / ``misses``."""
+    scenario = Scenario(rtt_ms=9.0)
+    cache = DiskResultCache(str(tmp_path))
     key = cache.fingerprint(scenario, 0, ArtifactLevel.STATS)
     cache.put(key, _artifacts(scenario))
-    path = cache._path(key)
-    with open(path, "wb") as fh:
-        fh.write(b"not a blob at all")
-    assert cache.get(key) is None
-    assert not os.path.exists(path)  # dropped, will be recomputed
-    assert cache.misses == 1
+
+    start = threading.Barrier(4)
+
+    def hammer():
+        start.wait(timeout=30)
+        for i in range(1500):
+            cache.get(key if i % 3 else "ab" * 32)
+
+    threads = [threading.Thread(target=hammer) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert (cache.hits, cache.misses) == (4000, 2000)
+
+
+def test_stats_report_both_tiers(tmp_path):
+    scenario = Scenario(rtt_ms=9.0)
+    DiskResultCache(str(tmp_path)).put(
+        cell_fingerprint(scenario, 0, ArtifactLevel.STATS), _artifacts(scenario)
+    )
+    cache = DiskResultCache(str(tmp_path))
+    key = cache.fingerprint(scenario, 0, ArtifactLevel.STATS)
+    cache.get(key)  # from disk
+    cache.get(key)  # from memory
+    cache.get("ab" * 32)
+    stats = cache.stats()
+    blob_bytes = os.path.getsize(cache._path(key))
+    assert stats == {
+        "hits": 2,
+        "misses": 1,
+        "uncacheable": 0,
+        "entries": 1,
+        "memory": {"hits": 1, "misses": 2, "uncacheable": 0, "entries": 1, "bytes": blob_bytes},
+    }
 
 
 def test_full_level_artifacts_are_never_stored(tmp_path):
@@ -156,3 +287,77 @@ def test_cache_shared_between_sessions_object_form(tmp_path):
         warm = session.run(RunRequest("fig6", smoke=True))
     assert warm.extra["disk_cache_misses"] == 0
     assert cache.hits > 0
+
+
+# -- a hit is never shared mutable state --------------------------------
+
+
+def _held(cache):
+    """Every value the memory tier holds, pickled: ``key → bytes``."""
+    return {
+        key: pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        for key, (value, _size) in cache.memory._store.items()
+    }
+
+
+def test_warm_runs_of_every_experiment_leave_held_entries_untouched(tmp_path):
+    """Stats cells, the observed cells of fig11 / fig16 / table4 (whose
+    ``observed`` dicts ``aggregate`` reads) and the wild pass outcomes:
+    after a cold run each held value still pickles to the blob it wrote,
+    and two warm runs served from memory change none of them."""
+    cache = DiskResultCache(str(tmp_path / "cache"))
+    request = RunRequest("all", smoke=True)
+    with Session(LocalConfig(workers=0), cache_dir=cache) as session:
+        cold = session.run(request)
+        held = _held(cache)
+        assert len(held) == cold.extra["disk_cache_misses"] == len(cache)
+        for key, pickled in held.items():
+            with open(cache._path(key), "rb") as fh:
+                assert decompress_blob(fh.read()) == pickled, key
+        for _ in range(2):
+            warm = session.run(request)
+            assert (warm.extra["disk_cache_hits"], warm.extra["disk_cache_misses"]) == (
+                len(held),
+                0,
+            )
+            assert bundle_files(warm) == bundle_files(cold)
+    assert cache.stats()["memory"]["hits"] == 2 * len(held)
+    assert _held(cache) == held
+
+
+def test_concurrent_identical_service_jobs_fetch_identical_bundles(tmp_path):
+    """Two pool threads serving the same cells at once, cold and then
+    warm, share one memory tier and fetch byte-identical bundles."""
+    manager = ServiceManager(pool=2, workers=0, cache_dir=str(tmp_path / "cache"))
+    request = RunRequest(("fig6", "fig12", "fig16", "table4"), smoke=True)
+    try:
+        bundles = []
+        for _round in ("cold", "warm"):
+            records = [manager.submit(request) for _ in range(2)]
+            for record in records:
+                for _event in manager.events(record.job_id):
+                    pass
+                bundles.append(manager.bundle(record.job_id)["files"])
+        assert manager.cache.stats()["memory"]["hits"] > 0
+    finally:
+        manager.close()
+    assert all(files == bundles[0] for files in bundles[1:])
+
+
+def test_cached_rescans_render_identically_and_merge_into_fresh_sketches(tmp_path):
+    cache = DiskResultCache(str(tmp_path / "cache"))
+    request = {
+        "source": {"kind": "synthetic", "count": 4000, "seed": 3},
+        "shard_size": 1000,
+        "vantage_names": ["Hamburg"],
+        "days": 1,
+    }
+    with Session(LocalConfig(workers=0), cache_dir=cache) as session:
+        first = session.scan(request)
+        held = _held(cache)
+        assert len(held) == 4
+        second = session.scan(request)
+        third = session.scan(request)
+    assert (second.executed_shards, second.cached_shards) == (0, 4)
+    assert first.to_json() == second.to_json() == third.to_json()
+    assert _held(cache) == held

@@ -1,0 +1,126 @@
+"""What a job costs above the cell, as exact counts.
+
+Wall time on a shared box moves by tens of percent between runs of the
+same code; the counts below do not. Each test drives the benchmark's
+``service_mix`` request (fig5, fig6, fig7, fig12, fig13 at smoke size:
+156 unique cells) through an in-process :class:`ServiceManager` and
+counts, by patching, what the durable result cache does for it:
+
+* a warm job in a process that already holds the cells opens no blob,
+  decompresses nothing and unpickles nothing;
+* a fresh process on the same directory reads every cell from disk
+  once, then never again;
+* a cold job probes, writes one blob and pays one fsync per cell.
+"""
+
+import os
+import pickle
+from collections import Counter
+
+import pytest
+
+import repro.runtime.disk_cache as disk_cache
+from repro.api import RunRequest
+from repro.service.manager import ServiceManager
+
+REQUEST = RunRequest(("fig5", "fig6", "fig7", "fig12", "fig13"), smoke=True)
+UNIQUE_CELLS = 156
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counters of blob opens, decompressions, unpickles, puts and
+    fsyncs, live for the whole test."""
+    seen: Counter = Counter()
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            seen[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    real_open = open
+
+    def opening(path, *args, **kwargs):
+        if str(path).endswith(".blob"):
+            seen["open"] += 1
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(disk_cache, "open", opening, raising=False)
+    monkeypatch.setattr(pickle, "loads", counting("loads", pickle.loads))
+    monkeypatch.setattr(
+        disk_cache, "decompress_blob", counting("decompress", disk_cache.decompress_blob)
+    )
+    monkeypatch.setattr(
+        disk_cache.DiskResultCache, "put", counting("put", disk_cache.DiskResultCache.put)
+    )
+    monkeypatch.setattr(os, "fsync", counting("fsync", os.fsync))
+    return seen
+
+
+def job(manager, counts):
+    """Run one job to completion: ``(counts it caused, summary)``."""
+    before = Counter(counts)
+    record = manager.submit(REQUEST)
+    for _event in manager.events(record.job_id):
+        pass
+    final = manager.status(record.job_id)
+    assert final.status.value == "succeeded", final.error
+    return counts - before, final.summary
+
+
+def test_warm_job_in_a_warm_process_touches_no_blob(tmp_path, counts):
+    manager = ServiceManager(workers=0, cache_dir=str(tmp_path / "cache"))
+    try:
+        cold, summary = job(manager, counts)
+        assert (summary["disk_cache_hits"], summary["disk_cache_misses"]) == (0, UNIQUE_CELLS)
+        warm, summary = job(manager, counts)
+    finally:
+        manager.close()
+    assert (summary["disk_cache_hits"], summary["disk_cache_misses"]) == (UNIQUE_CELLS, 0)
+    assert (warm["open"], warm["loads"], warm["decompress"], warm["put"]) == (0, 0, 0, 0)
+
+
+def test_cold_job_writes_and_fsyncs_once_per_cell(tmp_path, counts):
+    manager = ServiceManager(workers=0, cache_dir=str(tmp_path / "cache"))
+    try:
+        cold, _summary = job(manager, counts)
+    finally:
+        manager.close()
+    assert (cold["put"], cold["fsync"]) == (UNIQUE_CELLS, UNIQUE_CELLS)
+    # Each cell is probed on disk once (absent) before it runs.
+    assert (cold["open"], cold["loads"], cold["decompress"]) == (UNIQUE_CELLS, 0, 0)
+
+
+def test_fresh_process_reads_each_cell_from_disk_once(tmp_path, counts):
+    directory = str(tmp_path / "cache")
+    first = ServiceManager(workers=0, cache_dir=directory)
+    try:
+        job(first, counts)
+    finally:
+        first.close()
+    restarted = ServiceManager(workers=0, cache_dir=directory)
+    try:
+        reread, summary = job(restarted, counts)
+        assert (summary["disk_cache_hits"], summary["disk_cache_misses"]) == (UNIQUE_CELLS, 0)
+        again, summary = job(restarted, counts)
+        health = restarted.health()["cache"]
+    finally:
+        restarted.close()
+    assert (reread["open"], reread["loads"], reread["decompress"]) == (UNIQUE_CELLS,) * 3
+    assert reread["put"] == 0
+    assert (again["open"], again["loads"], again["decompress"]) == (0, 0, 0)
+    assert (summary["disk_cache_hits"], summary["disk_cache_misses"]) == (UNIQUE_CELLS, 0)
+    assert health["hits"] == 2 * UNIQUE_CELLS and health["entries"] == UNIQUE_CELLS
+    memory = health["memory"]
+    assert (memory["hits"], memory["misses"], memory["entries"]) == (
+        UNIQUE_CELLS,
+        UNIQUE_CELLS,
+        UNIQUE_CELLS,
+    )
+    assert memory["bytes"] == sum(
+        os.path.getsize(os.path.join(root, name))
+        for root, _dirs, names in os.walk(directory)
+        for name in names
+    )

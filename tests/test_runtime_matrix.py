@@ -7,6 +7,9 @@ parallelism, artifact slimming, and chunking must not perturb a single
 observable.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.interop.runner import Runner, Scenario, SIZE_10KB
@@ -153,11 +156,11 @@ def test_cache_uncacheable_not_counted_as_miss():
     assert cache.uncacheable == 1 and cache.misses == 0 and cache.hits == 0
     key = ("k",)
     assert cache.get(key) is None  # a real miss
-    cache.put(key, "v")
+    cache.put(key, "v", 7)
     assert cache.get(key) == "v"
-    assert cache.stats() == {"hits": 1, "misses": 1, "uncacheable": 1, "entries": 1}
+    assert cache.stats() == {"hits": 1, "misses": 1, "uncacheable": 1, "entries": 1, "bytes": 7}
     cache.clear()
-    assert cache.stats() == {"hits": 0, "misses": 0, "uncacheable": 0, "entries": 0}
+    assert cache.stats() == {"hits": 0, "misses": 0, "uncacheable": 0, "entries": 0, "bytes": 0}
 
 
 def test_cache_overwrite_at_capacity_refreshes_fifo_age():
@@ -172,6 +175,76 @@ def test_cache_overwrite_at_capacity_refreshes_fifo_age():
     assert cache.get(("a",)) == 3
     assert cache.get(("c",)) == 4
     assert cache.get(("b",)) is None
+
+
+def test_cache_evicts_least_recently_used():
+    """A hit renews an entry: the one evicted is the one read longest
+    ago, not the one inserted first."""
+    cache = ResultCache(max_entries=2)
+    cache.put(("a",), 1)
+    cache.put(("b",), 2)
+    assert cache.get(("a",)) == 1
+    cache.put(("c",), 3)
+    assert cache.get(("b",)) is None
+    assert cache.get(("a",)) == 1 and cache.get(("c",)) == 3
+
+
+def test_cache_is_bounded_by_declared_bytes(monkeypatch):
+    import repro.runtime.cache as memory_tier
+
+    monkeypatch.setattr(memory_tier, "MAX_HELD_BYTES", 100)
+    cache = ResultCache()
+    cache.put(("big",), "x", 101)  # larger than the bound: never held
+    assert len(cache) == 0 and cache.stats()["bytes"] == 0
+    for name in "abcd":
+        cache.put((name,), name, 30)
+    assert [cache.get((name,)) for name in "abcd"] == [None, "b", "c", "d"]
+    assert cache.stats()["bytes"] == 90
+    cache.put(("b",), "B", 10)  # an overwrite replaces its size
+    assert cache.stats()["bytes"] == 70
+
+
+def test_cache_since_takes_counters_relative_and_levels_as_they_are():
+    cache = ResultCache()
+    cache.put(("a",), 1, 5)
+    cache.get(("a",))
+    before = cache.stats()
+    cache.get(("a",))
+    cache.get(("b",))
+    cache.put(("b",), 2, 6)
+    assert cache.since(before) == {
+        "hits": 1, "misses": 1, "uncacheable": 0, "entries": 2, "bytes": 11,
+    }
+
+
+def test_cache_accounting_holds_under_threads():
+    """Pool threads of one daemon share a cache: no lost count, and the
+    byte level matches what is held."""
+    cache = ResultCache(max_entries=50)
+
+    start = threading.Barrier(4)
+
+    def hammer(worker):
+        start.wait(timeout=30)
+        for i in range(2000):
+            key = (i % 80,)
+            if cache.get(key) is None:
+                cache.put(key, worker, 3)
+
+    threads = [threading.Thread(target=hammer, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    stats = cache.stats()
+    assert stats["hits"] + stats["misses"] == 8000
+    assert stats["entries"] == 50 and stats["bytes"] == 150
 
 
 def test_shared_loss_pattern_not_mutated_across_runs():
