@@ -9,9 +9,10 @@ The drill (see RESILIENCE.md):
    that hard-kills itself mid-suite (``kill_after``), one with delayed
    chunks and dropped heartbeats, one clean — all with ``--rejoin`` so
    survivors reconnect after the coordinator comes back.
-3. Run the same suite on ``--backend distributed`` with ``--resume``,
-   SIGKILL the coordinator as soon as the checkpoint journal shows
-   progress, then relaunch the identical command to resume.
+3. Run the same suite on ``--backend distributed`` with ``--cache-dir``,
+   SIGKILL the coordinator as soon as the first cell is stored there,
+   then relaunch the identical command: it is served what was stored
+   and executes the rest.
 4. Byte-diff the two bundles.
 
 Every random choice derives from one seed, printed up front and again
@@ -95,7 +96,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="chaos seed (default: random, always printed)")
     parser.add_argument("--workdir", default="chaos-smoke",
-                        help="scratch directory for bundles, checkpoint, logs")
+                        help="scratch directory for bundles, the cache, logs")
     parser.add_argument("--timeout", type=float, default=600.0,
                         help="overall per-phase timeout in seconds")
     args = parser.parse_args()
@@ -107,7 +108,7 @@ def main() -> int:
     work.mkdir(parents=True, exist_ok=True)
     local_out = work / "local"
     dist_out = work / "distributed"
-    ckpt = work / "checkpoint"
+    cache = work / "cache"
     port = free_port()
 
     log("phase 1: reference bundle on --backend local")
@@ -130,31 +131,31 @@ def main() -> int:
 
     coordinator_cmd = [
         *SUITE, "--backend", "distributed", "--listen", str(port),
-        "--min-workers", "2", "--resume", str(ckpt), "--out", str(dist_out),
+        "--min-workers", "2", "--cache-dir", str(cache), "--out", str(dist_out),
     ]
-    log("phase 3: coordinator run, SIGKILLed once the journal shows progress")
+    log("phase 3: coordinator run, SIGKILLed once the first cell is stored")
     victim = repro(coordinator_cmd, work / "coordinator-1.log")
     deadline = time.monotonic() + args.timeout
-    while not list(ckpt.glob("cells-*.pkl")) and victim.poll() is None:
+    while not list(cache.glob("objects/*/*.blob")) and victim.poll() is None:
         if time.monotonic() > deadline:
             victim.kill()
-            raise RuntimeError("no checkpoint segment appeared in time")
+            raise RuntimeError("no cell was stored in time")
         time.sleep(0.01)
     if victim.poll() is None:
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=60)
         log(f"  coordinator killed mid-suite "
-            f"({len(list(ckpt.glob('cells-*.pkl')))} journal segment(s) on disk)")
+            f"({len(list(cache.glob('objects/*/*.blob')))} cell(s) stored)")
     else:
-        # The suite outran the kill window; the resume below is then a
-        # pure journal replay, which must still be byte-identical.
-        log("  coordinator finished before the kill window; resuming anyway")
+        # The suite outran the kill window; the restart below is then
+        # served from the cache, which must still be byte-identical.
+        log("  coordinator finished before the kill window; restarting anyway")
 
-    log("phase 4: relaunch the identical command to resume")
+    log("phase 4: relaunch the identical command")
     wait_ok(repro(coordinator_cmd, work / "coordinator-2.log"),
-            "resumed coordinator run", args.timeout)
+            "restarted coordinator run", args.timeout)
 
-    log("phase 5: byte-diff distributed+resumed bundle against local")
+    log("phase 5: byte-diff distributed+restarted bundle against local")
     mismatched = []
     names = sorted(p.name for p in local_out.glob("*.json"))
     for name in names:

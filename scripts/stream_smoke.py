@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """CI stream smoke: a distributed 100k-target streaming scan must
-survive a coordinator SIGKILL and resume to a summary byte-identical
-to an uninterrupted local run.
+survive a coordinator SIGKILL and, started again on its cache, finish
+with a summary byte-identical to an uninterrupted local run.
 
 The drill (see the streaming section of PERFORMANCE.md):
 
 1. Run the reference scan in-process (``repro scan --backend local``).
 2. Start a two-worker fleet with ``--rejoin`` so it outlives the
    coordinator.
-3. Run the same scan on ``--backend distributed`` with ``--resume``,
-   SIGKILL the coordinator as soon as the shard journal shows
-   progress, then relaunch the identical command to resume.
-4. Byte-diff the resumed summary JSON against the local reference —
+3. Run the same scan on ``--backend distributed`` with ``--cache-dir``,
+   SIGKILL the coordinator as soon as the first shard is stored there,
+   then relaunch the identical command; it must be served at least
+   one stored shard ("disk-cached").
+4. Byte-diff the restarted summary JSON against the local reference —
    the sketch merge is exactly order-independent, so "equal" here
    means equal bytes, not equal-within-tolerance.
 """
 
 import argparse
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -76,7 +78,7 @@ def wait_ok(proc: subprocess.Popen, what: str, timeout: float) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="stream-smoke",
-                        help="scratch directory for summaries, checkpoint, logs")
+                        help="scratch directory for summaries, the cache, logs")
     parser.add_argument("--timeout", type=float, default=600.0,
                         help="overall per-phase timeout in seconds")
     args = parser.parse_args()
@@ -84,8 +86,8 @@ def main() -> int:
     work = Path(args.workdir).resolve()
     work.mkdir(parents=True, exist_ok=True)
     reference = work / "reference.json"
-    resumed = work / "resumed.json"
-    ckpt = work / "checkpoint"
+    restarted = work / "restarted.json"
+    cache = work / "cache"
     port = free_port()
 
     log("phase 1: reference scan on --backend local")
@@ -104,31 +106,31 @@ def main() -> int:
 
     coordinator_cmd = [
         *SCAN, "--backend", "distributed", "--listen", str(port),
-        "--min-workers", "2", "--resume", str(ckpt), "--out", str(resumed),
+        "--min-workers", "2", "--cache-dir", str(cache), "--out", str(restarted),
     ]
-    log("phase 3: coordinator scan, SIGKILLed once the shard journal shows progress")
+    log("phase 3: coordinator scan, SIGKILLed once the first shard is stored")
     victim = repro(coordinator_cmd, work / "coordinator-1.log")
     deadline = time.monotonic() + args.timeout
-    while not list(ckpt.glob("cells-*.pkl")) and victim.poll() is None:
+    while not list(cache.glob("objects/*/*.blob")) and victim.poll() is None:
         if time.monotonic() > deadline:
             victim.kill()
-            raise RuntimeError("no shard journal segment appeared in time")
+            raise RuntimeError("no shard was stored in time")
         time.sleep(0.01)
     if victim.poll() is None:
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=60)
         log(f"  coordinator killed mid-scan "
-            f"({len(list(ckpt.glob('cells-*.pkl')))} journal segment(s) on disk)")
+            f"({len(list(cache.glob('objects/*/*.blob')))} shard(s) stored)")
     else:
-        # The scan outran the kill window; the resume below is then a
-        # pure journal replay, which must still be byte-identical.
-        log("  coordinator finished before the kill window; resuming anyway")
+        # The scan outran the kill window; the restart below is then
+        # served from the cache, which must still be byte-identical.
+        log("  coordinator finished before the kill window; restarting anyway")
 
-    log("phase 4: relaunch the identical command to resume")
+    log("phase 4: relaunch the identical command")
     wait_ok(repro(coordinator_cmd, work / "coordinator-2.log"),
-            "resumed coordinator scan", args.timeout)
+            "restarted coordinator scan", args.timeout)
 
-    log("phase 5: byte-diff resumed summary against the local reference")
+    log("phase 5: byte-diff restarted summary against the local reference")
     for proc in workers:
         proc.terminate()
     for proc in workers:
@@ -136,21 +138,23 @@ def main() -> int:
             proc.wait(timeout=30)
         except subprocess.TimeoutExpired:
             proc.kill()
-    if not reference.exists() or not resumed.exists():
+    if not reference.exists() or not restarted.exists():
         log("FAIL: a scan wrote no summary file")
         failure_dump(work)
         return 1
-    if reference.read_bytes() != resumed.read_bytes():
-        log("FAIL: resumed distributed summary differs from the local reference")
+    if reference.read_bytes() != restarted.read_bytes():
+        log("FAIL: restarted distributed summary differs from the local reference")
         failure_dump(work)
         return 1
-    resumed_log = (work / "coordinator-2.log").read_text(errors="replace")
-    if " 0 resumed" in resumed_log:
-        log("FAIL: the resumed run replayed no journaled shards")
+    restarted_log = (work / "coordinator-2.log").read_text(errors="replace")
+    cached = re.search(r"(\d+) disk-cached", restarted_log)
+    if cached is None or int(cached.group(1)) == 0:
+        log("FAIL: the restarted run was served no stored shard")
         failure_dump(work)
         return 1
-    log("OK: 100k-target scan survived a coordinator SIGKILL; resumed "
-        "summary byte-identical to the uninterrupted local run")
+    log(f"OK: 100k-target scan survived a coordinator SIGKILL; restarted "
+        f"with {cached.group(1)} shard(s) disk-cached, summary byte-identical "
+        "to the uninterrupted local run")
     return 0
 
 

@@ -34,18 +34,18 @@ Jobs
 Durable cache
     ``Session(cache_dir=DIR)`` attaches a content-addressed on-disk
     result cache (:mod:`repro.runtime.disk_cache`): reruns of already
-    computed cells — same process or after a restart — replay from
-    disk with byte-identical bundles.
+    computed cells — same process, after a restart, or the same run
+    started again after a crash — replay from disk with
+    byte-identical bundles.
 Errors
     Every predictable failure is a typed exception from
     :mod:`repro.errors`, re-exported here: :class:`UnknownExperiment`,
     :class:`InvalidOverride`, :class:`BackendError`,
     :class:`WorkerAuthError`, :class:`BundleVersionError`,
-    :class:`CheckpointError`, :class:`ObserveError`.
+    :class:`ObserveError`.
 Resilience
-    ``Session(resume=DIR)`` journals completed cells to a crash-safe
-    checkpoint directory and resumes from it after a coordinator
-    crash; ``session.scale_hint()`` summarizes fleet sizing for
+    Crash recovery is a warm ``cache_dir`` (cells are stored as they
+    complete); ``session.scale_hint()`` summarizes fleet sizing for
     elastic deployments. See ``RESILIENCE.md``.
 Bundles
     :func:`write_bundle` / :func:`load_result` / :func:`load_suite`
@@ -69,7 +69,6 @@ from repro.api.stream import RunStream
 from repro.errors import (
     BackendError,
     BundleVersionError,
-    CheckpointError,
     InvalidOverride,
     ObserveError,
     ReproError,
@@ -107,7 +106,6 @@ __all__ = [
     "BackendError",
     "BundleVersionError",
     "CellCompleted",
-    "CheckpointError",
     "ChunkCacheStats",
     "ChunkCompleted",
     "ChunkDispatched",

@@ -26,7 +26,7 @@ without changing what ``handle.status()`` / ``handle.events()`` /
   a session owns a single backend) and the daemon's session pool.
 
 Cancellation is guaranteed for *queued* jobs. A *running* job is not
-interrupted — its cells are deterministic, already half-journaled to
+interrupted — its cells are deterministic, already half-stored in
 any attached durable cache, and tearing down a live backend mid-chunk
 would cost more than letting the suite finish — so ``cancel`` on a
 running job is recorded as a refusal (the record stays ``running``).

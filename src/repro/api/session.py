@@ -175,25 +175,17 @@ class Session:
         Session-wide :class:`~repro.runtime.events.EventSink`; every
         run's events are also delivered here (per-run callbacks and
         streams receive them too).
-    ``resume``
-        Optional crash-safe checkpoint directory (see
-        :mod:`repro.runtime.checkpoint` and RESILIENCE.md): every run
-        journals completed cells there as they finish, and a run that
-        finds a checkpoint for the same planned suite replays it and
-        executes only the remainder — the resumed bundle is
-        byte-identical to an uninterrupted run. A checkpoint for a
-        *different* suite raises
-        :class:`~repro.errors.CheckpointError`.
     ``cache_dir``
         Optional durable result-cache directory (a
         :class:`~repro.runtime.disk_cache.DiskResultCache` path, or a
         ready-made instance to share one store across sessions): every
-        run consults it before dispatching cells and feeds it as cells
-        complete, so reruns — in this process, after a restart, or via
-        the ``repro serve`` daemon — replay cached cells instead of
-        executing them, with byte-identical bundles. Each run's own
-        hit/miss counts land on ``report.extra["disk_cache_hits"]`` /
-        ``["disk_cache_misses"]``.
+        run consults it before dispatching cells and stores each cell
+        as its batch completes, so reruns — in this process, after a
+        restart, via the ``repro serve`` daemon, or the same run started
+        again after a crash (see RESILIENCE.md) — replay stored cells
+        instead of executing them, with byte-identical bundles. Each
+        run's own hit/miss counts land on
+        ``report.extra["disk_cache_hits"]`` / ``["disk_cache_misses"]``.
 
     A session owns exactly one execution backend, made by
     ``backend.create()`` in the constructor and used by :meth:`run`,
@@ -211,14 +203,12 @@ class Session:
         backend: Optional[BackendConfig] = None,
         *,
         on_event: Optional[EventSink] = None,
-        resume: Optional[str] = None,
         cache_dir: Optional[Union[str, DiskResultCache]] = None,
     ):
         self.config = backend if backend is not None else LocalConfig()
         if not isinstance(self.config, BackendConfig):
             raise BackendError(f"backend must be a BackendConfig, got {type(self.config).__name__}")
         self.on_event = on_event
-        self.resume = resume
         if isinstance(cache_dir, str):
             cache_dir = DiskResultCache(cache_dir)
         self.disk_cache: Optional[DiskResultCache] = cache_dir
@@ -329,7 +319,6 @@ class Session:
         request: "Any",
         *,
         on_event: Optional[EventSink] = None,
-        checkpoint_dir: Optional[str] = None,
         window: Optional[int] = None,
     ) -> "Any":
         """Run a streaming wild scan through the session's backend.
@@ -339,11 +328,10 @@ class Session:
         execution context end to end: shards dispatch over the
         session backend (in-process, local pool or distributed fleet;
         ``on_event`` sees its chunk or cell events for the duration of
-        the call), completed
-        shards journal into ``checkpoint_dir`` (defaulting to the
-        session's ``resume`` directory) so a killed coordinator
-        resumes with a byte-identical summary, and the session's
-        ``cache_dir`` disk cache serves unchanged shards across scans.
+        the call), and the session's ``cache_dir`` disk cache stores
+        each shard as it completes and serves unchanged shards across
+        scans — a killed scan started again renders a byte-identical
+        summary.
         Returns a :class:`~repro.wild.stream.ScanReport`; memory stays
         flat in the target count (see PERFORMANCE.md).
         """
@@ -360,7 +348,6 @@ class Session:
         coordinator = StreamCoordinator(
             self._backend,
             request,
-            checkpoint_dir=checkpoint_dir if checkpoint_dir is not None else self.resume,
             disk_cache=self.disk_cache,
             sink=self._sink(on_event),
             window=window,
@@ -435,7 +422,6 @@ class Session:
         return SuiteRunner(
             backend=self._backend,
             on_event=self._sink(extra_sink),
-            checkpoint_dir=self.resume,
             disk_cache=self.disk_cache,
         )
 

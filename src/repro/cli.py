@@ -31,14 +31,16 @@ a plain-string fallback. ``--events`` streams the façade's typed run
 events (suite planned, chunks dispatched, workers joined/lost, ...)
 as they happen. ``--cache-dir DIR`` attaches the durable
 content-addressed result cache: a rerun of already computed cells
-replays them from disk (byte-identical bundle) instead of executing.
+replays them from disk (byte-identical bundle) instead of executing,
+and since each cell is stored as it completes, the same command
+started again after a crash executes only what was not stored.
 
 ``repro scan`` runs the streaming wild-scan pipeline: a lazy target
 source (``--source tranco|synthetic``, ``--targets N``) sharded over
 any backend (``--shard-size``), aggregated into mergeable sketches
-with flat coordinator memory, checkpointed with ``--resume DIR`` (a
-SIGKILLed scan resumed with the identical command renders a
-byte-identical summary) and served from ``--cache-dir`` on rescans.
+with flat coordinator memory, and served from ``--cache-dir`` on
+rescans (a SIGKILLed scan started again with the identical command
+renders a byte-identical summary).
 See the streaming section of PERFORMANCE.md.
 
 The service verbs run suites through an always-on daemon instead of
@@ -53,15 +55,13 @@ See the Service section of API.md.
 
 Predictable failures exit with distinct codes instead of tracebacks:
 3 unknown experiment, 4 invalid override, 5 backend failure, 6 worker
-authentication failure, 7 unreadable bundle version, 8 checkpoint
-mismatch, 9 service/job failure, 10 an experiment's observe failed on
-a cell (2 stays argparse usage errors, 1 unexpected crashes).
+authentication failure, 7 unreadable bundle version, 9 service/job
+failure, 10 an experiment's observe failed on a cell (2 stays argparse
+usage errors, 1 unexpected crashes; 8 is retired).
 
-``repro run ... --resume DIR`` journals completed cells to a
-crash-safe checkpoint directory and resumes from it after a
-coordinator crash; ``repro worker --rejoin SECS`` makes workers
-reconnect after an abrupt coordinator loss, and ``--fault-plan`` injects
-structured faults for chaos testing. See RESILIENCE.md.
+``repro worker --rejoin SECS`` makes workers reconnect after an
+abrupt coordinator loss, and ``--fault-plan`` injects structured
+faults for chaos testing. See RESILIENCE.md.
 
 Multi-host execution pairs two subcommands: ``repro run ...
 --backend distributed --listen PORT --min-workers N`` serves the
@@ -320,18 +320,15 @@ def _event_printer(args: argparse.Namespace):
     return None
 
 
-def _open_session(args: argparse.Namespace, what: str) -> Session:
+def _open_session(args: argparse.Namespace) -> Session:
     """The session ``repro run`` and ``repro scan`` execute on — one
     backend either way — announced the way an operator needs it."""
     config = build_backend_config(args)
     session = Session(
         config,
         on_event=_event_printer(args),
-        resume=args.resume,
         cache_dir=args.cache_dir,
     )
-    if args.resume is not None:
-        print(f"checkpointing {what} to {args.resume}", flush=True)
     if isinstance(config, DistributedConfig):
         print(
             f"distributed backend listening on {session.address} "
@@ -352,7 +349,7 @@ def _open_session(args: argparse.Namespace, what: str) -> Session:
 
 def cmd_run(args: argparse.Namespace) -> int:
     request = build_request(args)
-    with _open_session(args, "suite") as session:
+    with _open_session(args) as session:
         report = session.run(request)
         print(report.render())
         if args.cache_dir is not None:
@@ -392,7 +389,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         seed=args.seed,
         probe_engine=args.probe_engine,
     ).validated()
-    with _open_session(args, "scan") as session:
+    with _open_session(args) as session:
         report = session.scan(request, window=args.window)
         print(report.render())  # shard accounting included
         if args.out is not None:
@@ -577,7 +574,7 @@ def cmd_cancel(args: argparse.Namespace) -> int:
 
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
     """The session flags shared by ``repro run`` and ``repro scan`` —
-    one vocabulary (events, checkpoint, cache, backend and fleet) for
+    one vocabulary (events, cache, backend and fleet) for
     suites and wild scans; see :func:`_open_session`."""
     p.add_argument(
         "--workers",
@@ -592,23 +589,14 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
         "completion, worker membership) to stdout",
     )
     p.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help="crash-safe checkpoint directory: journal completed cells "
-        "or shards there as they finish, and replay any checkpoint "
-        "already in it for the same planned suite or scan fingerprint "
-        "(see RESILIENCE.md); the resumed output is byte-identical to "
-        "an uninterrupted run",
-    )
-    p.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
         help="durable content-addressed result cache shared by 'repro "
-        "run' and 'repro scan': completed cells and shards are stored "
-        "here and replayed by any later run or scan that plans them — "
-        "across processes and restarts — with byte-identical output",
+        "run' and 'repro scan': cells and shards are stored here as "
+        "they complete and replayed by any later run or scan that plans "
+        "them — across processes, restarts and crashes (see "
+        "RESILIENCE.md) — with byte-identical output",
     )
     p.add_argument(
         "--backend",
@@ -727,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser(
         "scan",
         help="stream a sharded wild scan over the backend "
-        "(sketch aggregation, flat memory, resumable)",
+        "(sketch aggregation, flat memory, crash-safe with --cache-dir)",
     )
     p_scan.add_argument(
         "--source",

@@ -22,7 +22,6 @@ from __future__ import annotations
 __all__ = [
     "BackendError",
     "BundleVersionError",
-    "CheckpointError",
     "InvalidOverride",
     "ObserveError",
     "ReproError",
@@ -38,7 +37,8 @@ class ReproError(Exception):
     ``exit_code`` is the process exit status ``python -m repro`` maps
     the exception to — one distinct code per failure class, all
     disjoint from 0 (success), 1 (unexpected crash), and 2 (argparse
-    usage errors).
+    usage errors). Code 8 is retired (it named a checkpoint mismatch;
+    crash recovery now has no failure of its own) and is not reused.
     """
 
     exit_code = 1
@@ -84,16 +84,6 @@ class BundleVersionError(ReproError, ValueError):
     not an integer)."""
 
     exit_code = 7
-
-
-class CheckpointError(ReproError, ValueError):
-    """A suite checkpoint could not be used: the directory holds a
-    checkpoint for a *different* planned suite (fingerprint mismatch —
-    resuming it would graft foreign results into this run), its
-    manifest is unreadable, or the requested suite cannot be
-    checkpointed at all."""
-
-    exit_code = 8
 
 
 class ServiceError(ReproError, RuntimeError):

@@ -15,7 +15,9 @@ Public surface:
   -m repro worker`` processes on any number of hosts; see
   :mod:`repro.runtime.distributed`).
 * :func:`run_work` — the one loop that executes keyed work items (a
-  suite's cells, a scan's shards) against a backend, journal and cache.
+  suite's cells, a scan's shards) against a backend and the result
+  store, which records each cell as it arrives (crash recovery is a
+  warm ``--cache-dir``).
 * :class:`RunEvent` / :data:`EventSink` — typed progress events
   (chunk dispatch, worker membership, completion) streamed to any
   attached observer; the channel the ``repro.api`` façade exposes.
@@ -29,8 +31,6 @@ Public surface:
   coordinator's scheduling policy (chunk pool, requeue/poison bounds,
   adaptive sizing, speculative re-execution, scale hints), separate
   from the :class:`SocketBackend` transport.
-* :class:`SuiteCheckpoint` / :func:`plan_fingerprint` — crash-safe
-  suite checkpointing behind ``repro run --resume DIR``.
 * :class:`FaultPlan` / :class:`FaultInjector` — structured worker
   fault injection for chaos tests (``repro worker --fault-plan``).
 
@@ -40,7 +40,6 @@ See ``PERFORMANCE.md`` at the repository root for the complete guide.
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, Source, execute_cell
 from repro.runtime.backend import ExecutionBackend, LocalBackend, ResultObserver
 from repro.runtime.cache import ResultCache, loss_pattern_key, scenario_key
-from repro.runtime.checkpoint import SuiteCheckpoint, plan_fingerprint
 from repro.runtime.distributed import SocketBackend, worker_main
 from repro.runtime.events import ChunkCacheStats, EventSink, RunEvent
 from repro.runtime.faults import FaultInjector, FaultPlan, parse_fault_plan
@@ -78,7 +77,6 @@ __all__ = [
     "Scheduler",
     "SocketBackend",
     "Source",
-    "SuiteCheckpoint",
     "SuitePlan",
     "SuiteReport",
     "SuiteRunner",
@@ -87,7 +85,6 @@ __all__ = [
     "execute_cell",
     "loss_pattern_key",
     "parse_fault_plan",
-    "plan_fingerprint",
     "run_work",
     "scenario_key",
     "worker_main",

@@ -184,8 +184,8 @@ def execute_cell(
 
     Cells are usually ``(Scenario, seed)`` pairs, but any object with
     an ``execute_task(seed=..., level=..., runner=...)`` method rides
-    the same rails: the runtime (backends, scheduler, checkpoint
-    journal, caches) stays agnostic about what a cell computes, which
+    the same rails: the runtime (backends, scheduler, caches) stays
+    agnostic about what a cell computes, which
     is how scan shards and :class:`ObservedCell` wrappers cross the
     fleet without a second protocol.
     """
@@ -268,7 +268,7 @@ class ObservedCell:
         for exp_id, observe in self.observers:
             try:
                 observed[exp_id] = observe(cell)
-                # Pool, wire, caches and journal all pickle the value;
+                # Pool, wire and caches all pickle the value;
                 # refusing it here types the failure on every path.
                 pickle.dumps(observed[exp_id], protocol=pickle.HIGHEST_PROTOCOL)
             except Exception as exc:

@@ -92,7 +92,7 @@ class ExecutionBackend(abc.ABC):
     #: Where progress events go; see :meth:`set_event_sink`.
     _event_sink: Optional[EventSink] = None
 
-    #: Where durable result journaling goes; see
+    #: Where freshly computed results are made durable; see
     #: :meth:`set_result_observer`.
     _result_observer: Optional[ResultObserver] = None
 
@@ -103,11 +103,14 @@ class ExecutionBackend(abc.ABC):
         Unlike event sinks — advisory observability whose failures are
         swallowed — the result observer is a *durability* channel: the
         backend calls it with each batch of freshly computed ``(cell
-        index, RunArtifacts)`` pairs as they complete, and suite
-        checkpointing journals them to disk from it. Observer
-        exceptions therefore propagate (local backend) or abort the
-        job (distributed backend): a run that cannot journal must fail
-        loudly, not quietly lose crash-safety.
+        index, RunArtifacts)`` pairs as they complete (inline: every 32
+        cells and at each chunk end; pool: per chunk; fleet: per chunk,
+        on the worker's reader thread), and
+        :func:`~repro.runtime.workloop.run_work` puts them in the
+        result store from it, so a killed run loses at most the batches
+        in flight. Observer exceptions therefore propagate (local
+        backend) or abort the job (distributed backend): a run that
+        cannot store must fail loudly, not quietly lose crash-safety.
         """
         self._result_observer = observer
 
@@ -249,9 +252,8 @@ class LocalBackend(ExecutionBackend):
                 for index, seed in pairs:
                     out.append((index, execute_cell(scenario, seed, level, runner=runner)))
                     self.emit(CellCompleted(completed=len(out), total=total))
-                    # Journal in small batches: one disk write per cell
-                    # would dominate sub-millisecond cells, while a single
-                    # end-of-run write would lose everything to a crash.
+                    # Observe in small batches: a single end-of-run
+                    # batch would lose everything to a crash.
                     if len(out) - observed >= 32:
                         self.observe_results(out[observed:])
                         observed = len(out)

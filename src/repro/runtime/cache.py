@@ -98,8 +98,8 @@ def scenario_key(scenario: Scenario) -> Optional[Tuple[Any, ...]]:
     )
     if scenario.recovery_profile != "default":
         # Appended only for non-default profiles: default scenarios keep
-        # their historical 13-field shape, so plan fingerprints (and
-        # with them existing checkpoints) keep their value.
+        # their historical 13-field shape, so cell fingerprints (and
+        # with them existing cache entries) keep their value.
         key = key + (scenario.recovery_profile,)
     return key
 

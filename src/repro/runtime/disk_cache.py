@@ -1,10 +1,11 @@
-"""Durable result cache: warm starts that survive restarts, warm hits
-that never touch the disk.
+"""The one result store: warm starts that survive restarts, crash
+recovery that is just a warm start, and warm hits that never touch the
+disk.
 
-The crash-safe checkpoint journal is pinned to one planned suite; this
-module is a **content-addressed** store of completed cells that any
-later run — same process, a restarted daemon, a rebuilt fleet — can
-consult before dispatching work.
+A **content-addressed** store of completed cells that any later run —
+same process, a restarted daemon, a rebuilt fleet, or the identical
+command started again after a SIGKILL — consults before dispatching
+work.
 
 Addressing
 ----------
@@ -35,9 +36,10 @@ pickle of one :class:`~repro.runtime.artifacts.RunArtifacts` with its
 scenario stripped (exactly like the distributed wire — the consulting
 run reattaches its own authoritative scenario object). Writes are
 same-directory temp + fsync + ``os.replace``, so a SIGKILL at any
-instant leaves each entry either complete or absent; concurrent writers
-of the same key are idempotent (cells are deterministic, so both wrote
-the same value).
+instant leaves each entry either complete or absent. Each writer —
+process and thread — has a temp file of its own, so concurrent writers
+of the same key never truncate each other's bytes and are idempotent
+(cells are deterministic, so both wrote the same value).
 
 **Memory** (a :class:`~repro.runtime.cache.ResultCache` per instance,
 LRU, bounded by :data:`~repro.runtime.cache.MAX_HELD_BYTES` of encoded
@@ -56,10 +58,15 @@ it is correct, because the memory tier only ever holds a value that
 decoded cleanly or that this process computed and wrote itself.
 
 :func:`~repro.runtime.workloop.run_work` consults the cache before
-dispatch and feeds it after execution — for suites and scans alike —
-so served bundles are byte-identical to uncached runs (the replay path
-is checkpoint resume's). ``repro run --cache-dir DIR``,
-``Session(cache_dir=...)`` and the ``repro serve`` daemon share this store.
+dispatch and — through the backend's result observer — puts each
+executed cell as its batch arrives (inline: every 32 cells and at each
+chunk end; pool and fleet: per chunk), for suites and scans alike. A
+run killed mid-way and started again on the same directory is served
+every cell that was put and executes only the rest; served bundles are
+byte-identical to uncached runs. Cells without a value identity are
+recomputed after a crash, as on any rerun. ``repro run|scan
+--cache-dir DIR``, ``Session(cache_dir=...)`` and the ``repro serve``
+daemon share this store.
 """
 
 from __future__ import annotations
@@ -232,7 +239,7 @@ class DiskResultCache:
         )
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.tmp"
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
             with open(tmp, "wb") as fh:
                 fh.write(blob)

@@ -90,8 +90,8 @@ A worker that loses the coordinator (crash, restart) does not give up:
 with a rejoin window configured (``--rejoin`` on the CLI) it redials
 with exponential backoff and decorrelated jitter
 (:func:`connect_with_retry`) and sends a fresh HELLO with a bumped
-``epoch`` — a restarting coordinator reuses the checkpoint/resume
-machinery to pick the suite back up with the reassembled fleet.
+``epoch`` — a restarted coordinator is served what its result store
+already holds and dispatches the rest to the reassembled fleet.
 
 Adaptive chunk sizing
 ---------------------
@@ -641,7 +641,7 @@ def worker_main(
     ``rejoin_for`` > 0 turns coordinator loss into a reconnect window:
     instead of exiting, the worker redials (backoff with jitter) for up
     to that many seconds and re-registers with a bumped HELLO ``epoch``
-    — the worker half of coordinator crash/resume.
+    — the worker half of coordinator crash recovery.
 
     ``drain_event`` requests a graceful departure (the CLI sets it on
     SIGTERM): the worker finishes its in-flight chunk if any, sends
@@ -1270,14 +1270,14 @@ class SocketBackend(ExecutionBackend):
     def _observe_recorded(
         self, job_id: Any, chunk_id: Any, results: List[Tuple[int, RunArtifacts]]
     ) -> None:
-        """Feed a newly recorded chunk to the result observer (suite
-        checkpointing). Runs outside the state lock — observer I/O must
-        not stall result intake — and an observer failure fails the
-        *job* loudly: silently losing checkpoint durability would turn
-        a later crash into data loss. The reader counted this call into
+        """Feed a newly recorded chunk to the result observer (the
+        result store's put). Runs outside the state lock — observer I/O
+        must not stall result intake — and an observer failure fails the
+        *job* loudly: silently losing durability would turn a later
+        crash into data loss. The reader counted this call into
         ``_observing`` when it recorded the chunk; :meth:`_run_job`
         returns only once the count is back to zero, so the caller never
-        swaps the observer out from under a journal write."""
+        swaps the observer out from under a store write."""
         failure: Optional[Dict[str, Any]] = None
         try:
             self.observe_results(results)

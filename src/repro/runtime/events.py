@@ -226,9 +226,8 @@ class ShardCompleted(RunEvent):
     """A shard's sketch came back and was merged into the scan state.
 
     ``source`` records how the outcome was produced: ``"executed"``
-    (probed on the fleet), ``"disk_cache"`` (served unchanged from the
-    durable cache), or ``"checkpoint"`` (replayed from a resumed
-    journal).
+    (probed on the fleet) or ``"disk_cache"`` (served unchanged from
+    the durable cache — a rescan's, or a killed scan's started again).
     """
 
     kind = "shard_completed"
@@ -252,7 +251,6 @@ class ScanCompleted(RunEvent):
     shards: int
     executed_shards: int
     cached_shards: int
-    resumed_shards: int
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ can plan the union:
    trace-reading experiments that demand it and the union of the
    sources they declare they read.
 2. **Execute** — run the unique cells once, through
-   :func:`~repro.runtime.workloop.run_work` (journal replay, disk
-   cache and dispatch live there, not here): the simulator cells in one
+   :func:`~repro.runtime.workloop.run_work` (the result store and
+   dispatch live there, not here): the simulator cells in one
    call, then the wild experiments' scan and study passes — seconds
    each, not milliseconds — in a second, one pass per chunk. A cell
    with observers runs as an
@@ -42,7 +42,6 @@ from repro.errors import BackendError, InvalidOverride
 from repro.runtime.artifacts import ArtifactLevel, ObservedCell, Observer
 from repro.runtime.backend import ExecutionBackend, LocalBackend
 from repro.runtime.cache import scenario_key
-from repro.runtime.checkpoint import plan_fingerprint
 from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.events import (
     EventSink,
@@ -52,7 +51,7 @@ from repro.runtime.events import (
     emit,
 )
 from repro.runtime.matrix import Cell
-from repro.runtime.workloop import open_journal, run_work
+from repro.runtime.workloop import run_work
 from repro.schema import BUNDLE_SCHEMA_VERSION
 
 
@@ -93,8 +92,8 @@ class SuitePlan:
 
     experiments: List[PlannedExperiment]
     unique_cells: List[Cell]
-    #: The richest level any selected experiment reads (reporting and
-    #: the checkpoint fingerprint only; no cell runs "at" it).
+    #: The richest level any selected experiment reads (reporting
+    #: only; no cell runs "at" it).
     artifact_level: ArtifactLevel
     #: What executes, slot for slot: ``unique_cells`` with each observed
     #: cell wrapped in an :class:`~repro.runtime.artifacts.ObservedCell`.
@@ -209,25 +208,16 @@ class SuiteRunner:
         Optional durable content-addressed result cache (a
         :class:`~repro.runtime.disk_cache.DiskResultCache` or a
         directory path): planned unique cells whose fingerprint is
-        already stored are *replayed* instead of dispatched — exactly
-        like checkpoint resume, so served bundles stay byte-identical
-        to uncached runs — and freshly executed cells are stored for
-        every later run, surviving process, daemon, and fleet
-        restarts. Scenarios that defeat value identity skip the cache.
-        This run's own hit/miss counts land on
+        already stored are *replayed* instead of dispatched, so served
+        bundles stay byte-identical to uncached runs, and executed
+        cells are stored as their batches arrive, surviving process,
+        daemon, fleet and coordinator crashes — the identical run
+        started again executes only what was not stored. Scenarios
+        that defeat value identity skip the cache. This run's own
+        hit/miss counts land on
         ``report.extra["disk_cache_hits"/"disk_cache_misses"]``
         (deliberately off the bundle: bytes must not depend on cache
         warmth).
-    ``checkpoint_dir``
-        Optional crash-safe checkpoint directory (see
-        :mod:`repro.runtime.checkpoint`): completed cells are
-        journaled there as they finish, and a run that finds a
-        checkpoint for the *same* planned suite replays the journaled
-        cells and executes only the remainder — the resumed bundle is
-        byte-identical to an uninterrupted run. Disk-cache hits are
-        journaled too, so a resume does not need the cache. A
-        checkpoint for a different suite raises
-        :class:`~repro.errors.CheckpointError`.
     """
 
     def __init__(
@@ -235,13 +225,11 @@ class SuiteRunner:
         workers: int = 0,
         backend: Optional[ExecutionBackend] = None,
         on_event: Optional[EventSink] = None,
-        checkpoint_dir: Optional[str] = None,
         disk_cache: Optional[Union[str, DiskResultCache]] = None,
     ):
         self.workers = workers
         self.backend = backend
         self.on_event = on_event
-        self.checkpoint_dir = checkpoint_dir
         if isinstance(disk_cache, str):
             disk_cache = DiskResultCache(disk_cache)
         self.disk_cache = disk_cache
@@ -353,17 +341,6 @@ class SuiteRunner:
         # fleet happens to be.
         wc0 = getattr(getattr(backend, "stats", None), "worker_cache_hits", None)
         try:
-            journal = None
-            if self.checkpoint_dir is not None and plan.unique_cells:
-                journal = open_journal(
-                    self.checkpoint_dir,
-                    plan_fingerprint(plan),
-                    meta={
-                        "experiments": [p.spec.id for p in plan.experiments],
-                        "unique_cells": len(plan.unique_cells),
-                        "artifact_level": plan.artifact_level.value,
-                    },
-                )
             entries: List[Any] = [None] * len(plan.dispatch_cells)
 
             def fill(slot: int, artifacts: Any, _source: str) -> None:
@@ -384,7 +361,6 @@ class SuiteRunner:
                         backend,
                         items,
                         fill,
-                        journal=journal,
                         cache=self.disk_cache,
                         chunk_size=chunk_size,
                         sink=self.on_event,
@@ -394,7 +370,7 @@ class SuiteRunner:
                 if named is not None:
                     raise named from exc
                 raise
-            # Results come back scenario-less (wire, caches, journal) or
+            # Results come back scenario-less (wire, cache) or
             # carrying their ObservedCell; aggregators see the plan's own.
             for artifacts, cell in zip(entries, plan.unique_cells):
                 artifacts.scenario = cell.scenario

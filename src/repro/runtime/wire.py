@@ -28,7 +28,7 @@ heartbeat-sized result wastes more than it saves. zlib is stdlib and
 always available; zstd is used opportunistically when either
 ``zstandard`` or ``zstd`` is importable (never a hard dependency).
 
-The same codec framing doubles as the checkpoint-segment blob format
+The same codec framing doubles as the disk cache's blob format
 (:func:`compress_blob` / :func:`decompress_blob`): a 4-byte magic +
 codec byte, then the body. A blob without the magic is corrupt.
 """
@@ -216,7 +216,7 @@ def decode_payload(body: Union[bytes, memoryview]) -> Tuple[Any, int]:
     return pickle.loads(pick, buffers=buffers), len(payload)
 
 
-# -- checkpoint-segment blobs -------------------------------------------
+# -- disk cache blobs ---------------------------------------------------
 
 #: Magic prefix of a codec-framed blob.
 BLOB_MAGIC = b"RPCZ"
@@ -224,7 +224,7 @@ BLOB_MAGIC = b"RPCZ"
 
 def compress_blob(data: bytes, codec: str = DEFAULT_CODEC) -> bytes:
     """Frame a blob as ``magic | u8 codec | body`` with the wire codec
-    helpers (checkpoint segments use this)."""
+    helpers (disk cache entries use this)."""
     ident = codec_id(codec)
     if ident == CODEC_RAW:
         return BLOB_MAGIC + bytes([CODEC_RAW]) + data

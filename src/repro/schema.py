@@ -11,7 +11,7 @@ Version history
     The stamp itself. Current. (PR 19 dropped ``suite.json``'s
     ``spilled_cells`` / ``cache_hits`` / ``cache_misses``, constant 0
     since PRs 13/17, without a bump: no reader required them, and a bump
-    would have invalidated every checkpoint fingerprint.)
+    would have invalidated every checkpoint of the time.)
 
 Readers accept versions ``1 .. BUNDLE_SCHEMA_VERSION`` and refuse an
 unstamped payload or a newer version with a

@@ -5,7 +5,7 @@ panel of Fig. 15, so a pass — one toplist scan from one vantage point
 on one day, or one location's Cloudflare study — is a task cell (see
 :func:`repro.runtime.artifacts.execute_cell`), deterministic in
 ``task_key()`` and the cell's seed: the suite planner dedupes passes
-across experiments and they run on the session's backend, journal and
+across experiments and they run on the session's backend and
 cache. An experiment's ``observe`` reduces a pass to its table's
 numbers in the process that ran it; the probe list never leaves it.
 """

@@ -6,8 +6,8 @@ platform (ROADMAP "Planet-scale wild pipeline"): lazy
 ordinary runtime cells, worker-side probing through
 :class:`~repro.wild.qscanner.QScanner`, and exact order-independent
 aggregation into :class:`~repro.wild.stream.sketch.ScanSketch`
-summaries — with checkpoint resume and durable disk-cache reuse
-riding the existing runtime machinery. Entry points:
+summaries — with crash recovery and rescans served by the durable
+disk cache of the existing runtime machinery. Entry points:
 ``Session.scan()``, ``repro scan``.
 """
 

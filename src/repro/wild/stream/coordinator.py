@@ -1,4 +1,4 @@
-"""The streaming scan coordinator: flat memory, any backend, resumable.
+"""The streaming scan coordinator: flat memory, any backend, crash-safe.
 
 :class:`StreamCoordinator` turns a :class:`ScanRequest` into shard
 tasks and hands them to :func:`~repro.runtime.workloop.run_work` — the
@@ -11,15 +11,14 @@ independent of the target count, which is what lets one process drive
 a million-target scan with the same RSS as a hundred-thousand-target
 one.
 
-Durability is the loop's: every completed shard is journaled into a
-checkpoint pinned to :func:`scan_fingerprint` — ``repro scan --resume
-DIR`` after a coordinator SIGKILL replays the journal and dispatches
-only the remainder, and because sketch merge is exactly
-order-independent the resumed summary is byte-identical to an
-uninterrupted run's — and the content-addressed
+Durability is the loop's: the content-addressed
 :class:`~repro.runtime.disk_cache.DiskResultCache` is consulted per
-shard before dispatch and fed after, so a re-scan over unchanged
-targets is served from disk.
+shard before dispatch and fed each shard as it completes, so a re-scan
+over unchanged targets is served from disk, and ``repro scan
+--cache-dir DIR`` started again after a coordinator SIGKILL executes
+only the shards that were not stored — because sketch merge is exactly
+order-independent, its summary is byte-identical to an uninterrupted
+run's.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.runtime.events import (
     ShardDispatched,
     emit,
 )
-from repro.runtime.workloop import open_journal, run_work
+from repro.runtime.workloop import run_work
 from repro.wild.asdb import Cdn
 from repro.wild.stream.shard import SHARD_CODE_VERSION, ShardOutcome, ShardProbeTask
 from repro.wild.stream.sketch import DEFAULT_ALPHA, SKETCH_VERSION, ScanSketch
@@ -57,7 +56,7 @@ __all__ = [
 
 #: Default targets per shard: big enough that dispatch overhead
 #: amortizes, small enough that a shard's probe lists stay cheap on a
-#: worker and the resume granularity is useful.
+#: worker and a killed scan loses little.
 DEFAULT_SHARD_SIZE = 5_000
 
 PROBE_ENGINES = ("analytic", "batch")
@@ -133,9 +132,8 @@ class ScanRequest:
 
 
 def scan_fingerprint(request: ScanRequest) -> str:
-    """Content-address one scan: everything that determines what a
-    shard index means, including the sketch and shard code versions —
-    a checkpoint journaled by different semantics must not resume."""
+    """Content-address one scan: everything that determines its
+    summary, including the sketch and shard code versions."""
     doc = {
         "kind": "wild-stream-scan",
         "shard_code_version": SHARD_CODE_VERSION,
@@ -158,9 +156,9 @@ class ScanReport:
 
     :meth:`summary` is deterministic in the scan identity and merged
     sketch — two scans of the same request render byte-identical JSON
-    regardless of sharding interleave, resume history, or cache hits.
+    regardless of sharding interleave, crash history, or cache hits.
     The execution :meth:`accounting` (what ran vs. what was served from
-    journal/cache, wall time) deliberately lives outside the summary.
+    the cache, wall time) deliberately lives outside the summary.
     """
 
     request: ScanRequest
@@ -168,7 +166,6 @@ class ScanReport:
     total_shards: int
     executed_shards: int = 0
     cached_shards: int = 0
-    resumed_shards: int = 0
     duration_s: float = 0.0
     fingerprint: str = ""
 
@@ -191,7 +188,6 @@ class ScanReport:
         return {
             "executed_shards": self.executed_shards,
             "cached_shards": self.cached_shards,
-            "resumed_shards": self.resumed_shards,
             "duration_s": round(self.duration_s, 3),
             "fingerprint": self.fingerprint,
         }
@@ -219,8 +215,7 @@ class ScanReport:
             f"{self.sketch.probes} probes "
             f"({len(doc['scan']['vantage_names'])} vantages x {self.request.days} days)",
             f"shards: {self.total_shards} total, {self.executed_shards} executed, "
-            f"{self.cached_shards} disk-cached, {self.resumed_shards} resumed "
-            f"in {self.duration_s:.1f}s",
+            f"{self.cached_shards} disk-cached in {self.duration_s:.1f}s",
             "",
             f"{'CDN':<12} {'domains':>9} {'IACK':>9} {'share %':>8}",
         ]
@@ -245,7 +240,7 @@ class StreamCoordinator:
     """Dispatches one scan over an execution backend in bounded waves.
 
     The coordinator does not own the backend — sessions hand theirs
-    in — but it does own the scan's checkpoint and event flow. One
+    in — but it does own the scan's event flow. One
     coordinator instance runs one scan (:meth:`run` is not reentrant).
     """
 
@@ -254,14 +249,12 @@ class StreamCoordinator:
         backend: ExecutionBackend,
         request: ScanRequest,
         *,
-        checkpoint_dir: Optional[str] = None,
         disk_cache: Optional[DiskResultCache] = None,
         sink: Optional[EventSink] = None,
         window: Optional[int] = None,
     ):
         self.backend = backend
         self.request = request.validated()
-        self.checkpoint_dir = checkpoint_dir
         self.disk_cache = disk_cache
         self.sink = sink
         if window is not None and window < 1:
@@ -297,13 +290,6 @@ class StreamCoordinator:
         request = self.request
         ranges = shard_ranges(source_from_spec(request.source).size, request.shard_size)
         sketch = ScanSketch(alpha=request.alpha)
-        journal = None
-        if self.checkpoint_dir is not None:
-            journal = open_journal(
-                self.checkpoint_dir,
-                self.fingerprint,
-                meta={"kind": "wild-stream-scan", "request": request.to_dict()},
-            )
         done = 0
 
         def shard_event(event: Any, shard_index: int, **more: Any) -> None:
@@ -334,7 +320,6 @@ class StreamCoordinator:
                 for shard_index, (start, stop) in enumerate(ranges)
             ],
             merge,
-            journal=journal,
             cache=self.disk_cache,
             window=self.window(),
             chunk_size=1,
@@ -347,7 +332,6 @@ class StreamCoordinator:
             total_shards=len(ranges),
             executed_shards=counts["executed"],
             cached_shards=counts["disk_cache"],
-            resumed_shards=counts["checkpoint"],
             duration_s=time.perf_counter() - started,
             fingerprint=self.fingerprint,
         )
@@ -359,7 +343,6 @@ class StreamCoordinator:
                 shards=len(ranges),
                 executed_shards=report.executed_shards,
                 cached_shards=report.cached_shards,
-                resumed_shards=report.resumed_shards,
             ),
         )
         return report

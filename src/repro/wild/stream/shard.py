@@ -5,7 +5,7 @@ dispatched as an ordinary cell ``(shard_index, ShardProbeTask, seed)``
 through whichever :class:`~repro.runtime.backend.ExecutionBackend` the
 session runs — process pool or authenticated socket fleet — and every
 runtime feature (scheduler requeue, speculation, elastic membership,
-worker result cache, checkpoint journal, durable disk cache) applies
+worker result cache, durable disk cache) applies
 unchanged. Two small duck-typed hooks make that work:
 
 * :meth:`ShardProbeTask.execute_task` — recognized by
@@ -45,8 +45,8 @@ class ShardOutcome(RunArtifacts):
     """One shard's merged sketch, dressed as :class:`RunArtifacts`.
 
     Subclassing keeps every artifacts consumer honest without special
-    cases: the checkpoint journal pickles it, the disk cache's
-    ``isinstance`` guard accepts it, and the wire ships it like any
+    cases: the disk cache pickles it and its ``isinstance`` guard
+    accepts it, and the wire ships it like any
     other cell result. The simulator-only fields ride along as
     ``None``.
     """

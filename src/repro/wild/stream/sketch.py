@@ -11,7 +11,7 @@ histogram bins) or exact float ``min``/``max`` — no floating-point
 sums whose rounding would depend on arrival order. Two scans that
 cover the same shards therefore produce *byte-identical* summaries no
 matter how the fleet interleaved them, which is what lets the
-resume drill assert equality instead of tolerance.
+kill-and-restart drill assert equality instead of tolerance.
 
 Percentiles use a DDSketch-style log-spaced histogram
 (:class:`QuantileSketch`): a value lands in bin

@@ -79,7 +79,7 @@ class SyntheticSource:
     Each position hashes independently (SplitMix64 over
     ``position ^ seed``) to decide QUIC-ness and CDN, so generation is
     O(1) per target with no toplist bookkeeping — the source of choice
-    for the million-target RSS-flatness and SIGKILL-resume drills where
+    for the million-target RSS-flatness and SIGKILL-restart drills where
     toplist fidelity is irrelevant but volume is the point.
     ``quic_permille`` controls the answering share (default 300‰,
     roughly the paper's Tranco ratio).

@@ -255,10 +255,10 @@ def test_batch_below_one_time_budget_is_shared_by_both_warmed_workers():
 
 
 def test_run_cells_returns_only_after_every_chunk_was_observed():
-    """The last chunk's observer call (the checkpoint journal write)
+    """The last chunk's observer call (the result store's write)
     runs on a reader thread after the chunk is *recorded*; a job that
     returned at that point let MatrixRunner swap the observer out from
-    under the write, and the final cells were never journaled."""
+    under the write, and the final cells were never stored."""
     backend = SocketBackend(port=0, min_workers=2)
     observed = []
 

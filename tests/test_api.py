@@ -24,7 +24,7 @@ from repro.api import (
     run_experiment,
     write_bundle,
 )
-from repro.runtime import plan_fingerprint
+from repro.runtime.disk_cache import cell_fingerprint
 from repro.runtime.distributed import worker_main
 from repro.runtime.events import (
     ExperimentCompleted,
@@ -222,15 +222,19 @@ def test_distributed_run_emits_worker_events_and_matches_local():
 
 def test_a_plan_is_identical_whatever_the_session_runs_on():
     """Sessions of any width, local or fleet, plan the same params and
-    the same fingerprint — ``workers`` used to flow into fig14 / fig15 /
-    table1's params, so a checkpoint could not change hands."""
+    the same cell fingerprints — ``workers`` used to flow into fig14 /
+    fig15 / table1's params, so a store could not change hands."""
     request = RunRequest(("fig6", "fig15", "table1"), smoke=True)
     plans = []
     for config in (LocalConfig(workers=0), LocalConfig(workers=2), DistributedConfig()):
         with Session(config) as session:
             plans.append(session.plan(request))
     assert all("workers" not in p.params for plan in plans for p in plan.experiments)
-    assert len({plan_fingerprint(plan) for plan in plans}) == 1
+    keys = {
+        tuple(cell_fingerprint(c.scenario, c.seed, "stats") for c in plan.dispatch_cells)
+        for plan in plans
+    }
+    assert len(keys) == 1
     assert not hasattr(DistributedConfig(), "workers")
     with pytest.raises(InvalidOverride, match="unknown parameter 'workers'"):
         with Session() as session:

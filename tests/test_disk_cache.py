@@ -8,6 +8,7 @@ import pickle
 import sys
 import threading
 
+import repro.runtime.disk_cache as disk_cache
 from repro.api import LocalConfig, RunRequest, Session
 from repro.api.bundles import bundle_files
 from repro.interop.runner import Scenario
@@ -47,8 +48,6 @@ def test_fingerprint_embeds_the_cell_code_version():
     # The same cell's address at 523badd (version 1, engine in the
     # hashed tuple): entries written there are cold misses, not hits.
     assert one != "6c22c50be619f5db88f886d042059a95062f0895306559abd4c89e9b9037006f"
-    import repro.runtime.disk_cache as disk_cache
-
     old = disk_cache.CELL_CODE_VERSION
     try:
         disk_cache.CELL_CODE_VERSION = old + 1
@@ -242,6 +241,58 @@ def test_full_level_artifacts_are_never_stored(tmp_path):
     key = cache.fingerprint(scenario, 0, ArtifactLevel.FULL)
     cache.put(key, artifacts)
     assert len(cache) == 0
+
+
+def test_two_writers_of_one_key_never_share_a_temp_file(tmp_path, monkeypatch, caplog):
+    """Writer A has written and fsynced its temp file when writer B of
+    the same key (another pool or fleet thread) opens its own, and B
+    writes only once A's entry is published and read. Had both used one
+    temp name, B's open would truncate A's bytes: A would publish an
+    empty entry, the reader would drop it as corrupt, and B's
+    ``os.replace`` would fail with "write failed"."""
+    scenario = Scenario(rtt_ms=9.0)
+    artifacts = _artifacts(scenario)
+    cache = DiskResultCache(str(tmp_path))
+    key = cache.fingerprint(scenario, 0, ArtifactLevel.STATS)
+    a_wrote, b_opened, a_read = threading.Event(), threading.Event(), threading.Event()
+    writers = {}
+    real_open, real_fsync = open, os.fsync
+
+    def opening(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if writers.get("b") == threading.get_ident():
+            b_opened.set()
+            assert a_read.wait(10)
+        return fh
+
+    def fsyncing(fd):
+        if writers.get("a") == threading.get_ident():
+            a_wrote.set()
+            b_opened.wait(10)
+        return real_fsync(fd)
+
+    def put(name):
+        writers[name] = threading.get_ident()
+        cache.put(key, artifacts)
+
+    monkeypatch.setattr(disk_cache, "open", opening, raising=False)
+    monkeypatch.setattr(os, "fsync", fsyncing)
+    a = threading.Thread(target=put, args=("a",))
+    b = threading.Thread(target=put, args=("b",))
+    a.start()
+    assert a_wrote.wait(10)
+    b.start()
+    a.join(timeout=10)
+    served = DiskResultCache(str(tmp_path)).get(key)  # a reader between the writes
+    a_read.set()
+    b.join(timeout=10)
+    assert not a.is_alive() and not b.is_alive()
+    assert served is not None and served.client_stats == artifacts.client_stats
+    assert not [r for r in caplog.records if "write failed" in r.getMessage()]
+    again = DiskResultCache(str(tmp_path)).get(key)
+    assert again is not None and again.client_stats == artifacts.client_stats
+    shard = os.path.dirname(cache._path(key))
+    assert not [name for name in os.listdir(shard) if name.endswith(".tmp")]
 
 
 def test_writes_are_atomic_no_tmp_left_behind(tmp_path):

@@ -70,8 +70,7 @@ SAMPLES = [
         probes=30_123,
         shards=20,
         executed_shards=12,
-        cached_shards=5,
-        resumed_shards=3,
+        cached_shards=8,
     ),
 ]
 

@@ -3,8 +3,8 @@
 fig16, table4 and fig11 read one small value per connection out of its
 qlog or packet trace. Since PR 17 that value is computed by the spec's
 ``observe`` in the process that simulated the cell, and only it (beside
-stats-level artifacts) travels — over the pool, the fleet, the caches
-and the journal. This file holds the paths to the same bytes, the
+stats-level artifacts) travels — over the pool, the fleet and the
+caches. This file holds the paths to the same bytes, the
 in-process/round-trip equivalence as a property, what the plan says,
 and what a broken observer looks like on each path.
 """
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from test_cell_sample import draw_cell
 
 from repro.api import (
-    CheckpointError,
     DistributedConfig,
     LocalConfig,
     ObserveError,
@@ -34,8 +33,8 @@ from repro.experiments.spec import KIND_MATRIX, KIND_WILD, ExperimentSpec, expan
 from repro.interop.runner import Scenario
 from repro.runtime import ArtifactLevel, Cell, Source, SuiteRunner, execute_cell, worker_main
 from repro.runtime.artifacts import ALL_SOURCES, ObservedArtifacts, ObservedCell
+from repro.runtime.backend import LocalBackend
 from repro.runtime.cache import scenario_key
-from repro.runtime.checkpoint import SuiteCheckpoint, plan_fingerprint
 from repro.runtime.disk_cache import DiskResultCache, cell_fingerprint
 from repro.runtime.worker import group_cells, run_cell_chunk
 from repro.sim.loss import LossPattern
@@ -118,24 +117,24 @@ def test_a_cache_filled_by_cells_that_retained_everything_is_served_warm(tmp_pat
 def test_checkpoint_killed_mid_run_then_resumed_reproduces_the_golden_bundles(
     tmp_path, monkeypatch
 ):
-    """The coordinator dies after its first journal segment (the serial
-    path journals every 32 cells and at each chunk end; the suite's 40
-    cells are two chunks of 20): the resumed run replays those and
-    executes only the rest."""
-    ckpt_dir = str(tmp_path / "ckpt")
-    real_record = SuiteCheckpoint.record
+    """The coordinator dies right after its first observed batch (the
+    serial path observes every 32 cells and at each chunk end; the
+    suite's 40 cells are two chunks of 20), which the cache stored as it
+    arrived: the same run started again on the same ``cache_dir`` is
+    served those 20 and executes only the rest."""
+    cache_dir = str(tmp_path / "cache")
+    real_observe = LocalBackend.observe_results
 
-    def die_after_first_segment(self, entries):
-        if list(Path(self.directory).glob("cells-*.pkl")):
-            raise KeyboardInterrupt("killed mid-run")
-        real_record(self, entries)
+    def die_after_first_batch(self, results):
+        real_observe(self, results)
+        raise KeyboardInterrupt("killed mid-run")
 
-    monkeypatch.setattr(SuiteCheckpoint, "record", die_after_first_segment)
-    with Session(LocalConfig(workers=0), resume=ckpt_dir) as session:
+    monkeypatch.setattr(LocalBackend, "observe_results", die_after_first_batch)
+    with Session(LocalConfig(workers=0), cache_dir=cache_dir) as session:
         with pytest.raises(KeyboardInterrupt):
             session.run(REQUEST)
-    monkeypatch.setattr(SuiteCheckpoint, "record", real_record)
-    assert len(list(Path(ckpt_dir).glob("cells-*.pkl"))) == 1
+    monkeypatch.setattr(LocalBackend, "observe_results", real_observe)
+    assert len(DiskResultCache(cache_dir)) == 20
 
     executed = []
     real_execute = ObservedCell.execute_task
@@ -145,26 +144,26 @@ def test_checkpoint_killed_mid_run_then_resumed_reproduces_the_golden_bundles(
         return real_execute(self, seed, level, runner)
 
     monkeypatch.setattr(ObservedCell, "execute_task", counting_execute)
-    with Session(LocalConfig(workers=0), resume=ckpt_dir) as session:
+    with Session(LocalConfig(workers=0), cache_dir=cache_dir) as session:
         resumed = session.run(REQUEST)
     assert len(executed) == 40 - 20
+    assert (resumed.extra["disk_cache_hits"], resumed.extra["disk_cache_misses"]) == (20, 20)
     assert_golden(resumed, tmp_path / "resumed")
 
 
 def test_a_checkpoint_of_another_observer_set_is_a_different_suite(tmp_path):
-    """What a parent-version checkpoint of an observing plan looks like
-    to this one: same experiments, same cells, other journal contents.
-    The observers are part of the fingerprint, so it is refused rather
-    than replayed; a stats-only plan's fingerprint has no such part."""
-    plan = SuiteRunner().plan(["fig16"], smoke=True)
-    parent_like = SuiteRunner().plan(["fig16"], smoke=True)
-    parent_like.dispatch_cells = parent_like.unique_cells  # how d9248ac keyed it
-    assert plan_fingerprint(plan) != plan_fingerprint(parent_like)
-    ckpt_dir = str(tmp_path / "ckpt")
-    SuiteCheckpoint(ckpt_dir).load_or_init(plan_fingerprint(parent_like))
-    with Session(LocalConfig(workers=0), resume=ckpt_dir) as session:
-        with pytest.raises(CheckpointError, match="different"):
-            session.run(RunRequest(("fig16",), smoke=True))
+    """A store written under another observer set serves the cells it
+    shares and executes the rest: fig16 + table4 observe 8 of fig16's
+    32 smoke cells together, and a cell's key names its observers, so
+    fig16 alone is served the other 24 and renders its golden bytes."""
+    cache_dir = str(tmp_path / "cache")
+    with Session(LocalConfig(workers=0), cache_dir=cache_dir) as session:
+        session.run(RunRequest(("fig16", "table4"), smoke=True))
+    with Session(LocalConfig(workers=0), cache_dir=cache_dir) as session:
+        alone = session.run(RunRequest(("fig16",), smoke=True))
+    assert (alone.extra["disk_cache_hits"], alone.extra["disk_cache_misses"]) == (24, 8)
+    written = {path.name: path for path in write_bundle(alone, tmp_path / "alone")}
+    assert written["fig16.json"].read_bytes() == (GOLDEN_DIR / "fig16.json").read_bytes()
 
 
 # -- observation is the same in-process and after the round trip ---------
@@ -230,9 +229,8 @@ def test_repetitions_of_a_scenario_share_one_observed_cell():
 
 
 def test_stats_only_plans_are_what_they_were():
-    """``to_dict()`` and the fingerprint of a selection nobody observes
-    do not know this PR happened (the fingerprint literal lives in
-    ``test_checkpoint.py``)."""
+    """``to_dict()`` and the dispatched cells of a selection nobody
+    observes do not know observers exist."""
     plan = SuiteRunner().plan(["fig6", "fig12"], smoke=True)
     assert plan.dispatch_cells is plan.unique_cells
     assert plan.to_dict() == {
@@ -277,7 +275,7 @@ def test_observed_task_key_names_scenario_level_and_observers():
 
 #: ``cell_fingerprint`` of the first smoke cell each selection plans,
 #: as computed at 0a6bbf9 — the commit before a cell knew its sources.
-#: A warm ``cache_dir`` or journal written there must stay a hit.
+#: A warm ``cache_dir`` written there must stay a hit.
 PARENT_FINGERPRINTS = {
     ("fig11",): "6cc1fffadea0b304ba08ba1665cd6ff065a5bb690e036e044441d6564fcb55f8",
     ("fig16",): "62eab03ee115348142da5548de67e152fbe5385f711e6466698fe75d9144bfcd",
@@ -512,14 +510,13 @@ def test_the_fleet_survives_a_broken_observer():
 def test_full_level_observers_pool_checkpoint_and_cache_like_any_other(tmp_path):
     """``full`` retention keeps live endpoints, which cannot leave their
     process — and never have to: the observer reads them where they
-    are, so a full-level spec pools, journals and caches (it used to be
-    refused by all three)."""
+    are, so a full-level spec pools and caches (it used to be refused by
+    both)."""
     spec = probe_spec("probe-full", endpoint_names, ArtifactLevel.FULL)
-    ckpt_dir, cache_dir = str(tmp_path / "ckpt"), str(tmp_path / "cache")
-    first = SuiteRunner(workers=2, checkpoint_dir=ckpt_dir, disk_cache=cache_dir).run([spec])
+    cache_dir = str(tmp_path / "cache")
+    first = SuiteRunner(workers=2, disk_cache=cache_dir).run([spec])
     assert first.results["probe-full"].rows == [[("client", "server")]] * 4
-    assert list(Path(ckpt_dir).glob("cells-*.pkl"))
-    resumed = SuiteRunner(workers=0, checkpoint_dir=ckpt_dir).run([spec])
+    assert len(DiskResultCache(cache_dir)) == 4
     cached = SuiteRunner(workers=0, disk_cache=cache_dir).run([spec])
     assert cached.extra["disk_cache_hits"] == 4
-    assert resumed.to_dict() == cached.to_dict() == first.to_dict()
+    assert cached.to_dict() == first.to_dict()

@@ -8,8 +8,8 @@ Three load-bearing properties:
   report a *measured* compression win, not a vibe.
 * Version negotiation is strict (a v3 HELLO is rejected before any v4
   body is parsed) and so are the readers: one encoding per frame
-  type, so a bare-pickle data-frame body or checkpoint segment is
-  corrupt, not "legacy".
+  type, so a bare-pickle data-frame body or cache blob is corrupt,
+  not "legacy".
 * An oversized chunk is no longer fatal when it can be split: the
   scheduler halves it and the run completes byte-identical to local.
 """
@@ -21,12 +21,10 @@ import time
 
 import pytest
 
-from repro.errors import CheckpointError
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
 from repro.runtime import MatrixRunner, SocketBackend, worker_main
-from repro.runtime.checkpoint import SuiteCheckpoint
 from repro.runtime.distributed import (
     DATA_FRAMES,
     MSG_CHUNK,
@@ -365,7 +363,7 @@ def test_oversized_chunk_splits_and_run_completes():
             assert actual.server_stats == expected.server_stats
 
 
-# -- checkpoint segments ------------------------------------------------
+# -- codec-framed blobs -------------------------------------------------
 
 
 def test_blob_round_trip_and_legacy_passthrough():
@@ -377,27 +375,3 @@ def test_blob_round_trip_and_legacy_passthrough():
     # The pass-through is gone: no magic means not a blob we wrote.
     with pytest.raises(ValueError, match="magic"):
         decompress_blob(data)
-
-
-def test_checkpoint_segments_compressed_and_magicless_segments_corrupt(tmp_path):
-    directory = tmp_path / "ckpt"
-    checkpoint = SuiteCheckpoint(str(directory))
-    checkpoint.load_or_init("fingerprint-1")
-    entries = [(i, {"payload": "x" * 200, "index": i}) for i in range(40)]
-    checkpoint.record(entries)
-    segments = sorted(directory.glob("cells-*.pkl"))
-    assert len(segments) == 1
-    on_disk = segments[0].read_bytes()
-    assert on_disk.startswith(BLOB_MAGIC)
-    assert len(on_disk) < len(pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL))
-
-    journal = SuiteCheckpoint(str(directory)).load_or_init("fingerprint-1")
-    assert journal[0] == {"payload": "x" * 200, "index": 0}
-
-    # A bare-pickle segment (no codec-frame magic) next to it is a
-    # corrupt checkpoint, not an older format.
-    (directory / "cells-000002.pkl").write_bytes(
-        pickle.dumps([(100, {"old": 0})], protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    with pytest.raises(CheckpointError, match="corrupt checkpoint segment"):
-        SuiteCheckpoint(str(directory)).load_or_init("fingerprint-1")

@@ -10,7 +10,12 @@ counts, by patching, what the durable result cache does for it:
   decompresses nothing and unpickles nothing;
 * a fresh process on the same directory reads every cell from disk
   once, then never again;
-* a cold job probes, writes one blob and pays one fsync per cell.
+* a cold job probes, writes one blob and pays one fsync per cell, and
+  nothing else fsyncs: the store is the one crash-safe record;
+* a run killed after its first observed batch and started again on the
+  same directory executes exactly the cells that were not put;
+* every cell any registered experiment plans has a value identity, so
+  crash recovery never has to recompute a cell it already ran.
 """
 
 import os
@@ -19,8 +24,13 @@ from collections import Counter
 
 import pytest
 
+import repro.runtime.backend as backend_module
 import repro.runtime.disk_cache as disk_cache
-from repro.api import RunRequest
+from repro.api import LocalConfig, RunRequest, Session
+from repro.experiments.registry import REGISTRY
+from repro.runtime.artifacts import ArtifactLevel
+from repro.runtime.backend import LocalBackend
+from repro.runtime.suite import SuiteRunner
 from repro.service.manager import ServiceManager
 
 REQUEST = RunRequest(("fig5", "fig6", "fig7", "fig12", "fig13"), smoke=True)
@@ -52,10 +62,23 @@ def counts(monkeypatch):
     monkeypatch.setattr(
         disk_cache, "decompress_blob", counting("decompress", disk_cache.decompress_blob)
     )
-    monkeypatch.setattr(
-        disk_cache.DiskResultCache, "put", counting("put", disk_cache.DiskResultCache.put)
-    )
-    monkeypatch.setattr(os, "fsync", counting("fsync", os.fsync))
+    real_put, real_fsync = disk_cache.DiskResultCache.put, os.fsync
+    putting = []
+
+    def put(self, key, artifacts):
+        seen["put"] += 1
+        putting.append(key)
+        try:
+            return real_put(self, key, artifacts)
+        finally:
+            putting.pop()
+
+    def fsync(fd):
+        seen["fsync" if putting else "fsync_outside_put"] += 1
+        return real_fsync(fd)
+
+    monkeypatch.setattr(disk_cache.DiskResultCache, "put", put)
+    monkeypatch.setattr(os, "fsync", fsync)
     return seen
 
 
@@ -89,6 +112,7 @@ def test_cold_job_writes_and_fsyncs_once_per_cell(tmp_path, counts):
     finally:
         manager.close()
     assert (cold["put"], cold["fsync"]) == (UNIQUE_CELLS, UNIQUE_CELLS)
+    assert cold["fsync_outside_put"] == 0
     # Each cell is probed on disk once (absent) before it runs.
     assert (cold["open"], cold["loads"], cold["decompress"]) == (UNIQUE_CELLS, 0, 0)
 
@@ -124,3 +148,56 @@ def test_fresh_process_reads_each_cell_from_disk_once(tmp_path, counts):
         for root, _dirs, names in os.walk(directory)
         for name in names
     )
+
+
+#: The inline backend observes every 32 cells and at each chunk end.
+FIRST_BATCH = 32
+
+
+def test_a_run_killed_after_its_first_batch_executes_only_what_was_not_put(
+    tmp_path, counts, monkeypatch
+):
+    directory = str(tmp_path / "cache")
+    real_observe = LocalBackend.observe_results
+
+    def killed_after_the_first_batch(self, results):
+        real_observe(self, results)
+        raise KeyboardInterrupt("killed")
+
+    monkeypatch.setattr(LocalBackend, "observe_results", killed_after_the_first_batch)
+    with Session(LocalConfig(workers=0), cache_dir=directory) as session:
+        with pytest.raises(KeyboardInterrupt):
+            session.run(REQUEST)
+    monkeypatch.setattr(LocalBackend, "observe_results", real_observe)
+    assert (counts["put"], counts["fsync"]) == (FIRST_BATCH, FIRST_BATCH)
+    assert len(disk_cache.DiskResultCache(directory)) == FIRST_BATCH
+
+    executed = []
+    real_execute = backend_module.execute_cell
+    monkeypatch.setattr(
+        backend_module,
+        "execute_cell",
+        lambda *args, **kwargs: executed.append(args) or real_execute(*args, **kwargs),
+    )
+    before = Counter(counts)
+    with Session(LocalConfig(workers=0), cache_dir=directory) as session:
+        restarted = session.run(REQUEST)
+    rerun = counts - before
+    # 156 unique cells, 32 put before the kill: 124 executed and put.
+    assert len(executed) == UNIQUE_CELLS - FIRST_BATCH == 124
+    assert (rerun["put"], rerun["fsync"]) == (124, 124)
+    assert (restarted.extra["disk_cache_hits"], restarted.extra["disk_cache_misses"]) == (32, 124)
+
+
+@pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "paper"])
+def test_every_planned_cell_has_a_value_identity(smoke):
+    """Cells without one (a user-written ``LossPattern`` subclass) are
+    recomputed after a crash; no registered experiment plans one."""
+    plan = SuiteRunner().plan([spec.id for spec in REGISTRY.specs()], smoke=smoke)
+    assert plan.dispatch_cells
+    unkeyed = [
+        cell
+        for cell in plan.dispatch_cells
+        if disk_cache.cell_fingerprint(cell.scenario, cell.seed, ArtifactLevel.STATS) is None
+    ]
+    assert unkeyed == []

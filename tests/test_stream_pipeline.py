@@ -1,9 +1,9 @@
 """The streaming wild-scan pipeline end to end.
 
 What must hold: target sources stream lazily and deterministically,
-summaries are independent of sharding geometry, a SIGKILLed-and-resumed
-scan renders a byte-identical summary, the disk cache serves unchanged
-shards, and the streamed engine reproduces table1's in-memory numbers
+summaries are independent of sharding geometry, a scan killed and
+started again on its cache renders a byte-identical summary, the disk
+cache serves unchanged shards, and the streamed engine reproduces table1's in-memory numbers
 exactly (analytic engine).
 """
 
@@ -40,12 +40,11 @@ def synthetic_request(count=6000, shard_size=1000, **overrides):
     return ScanRequest.from_dict(doc)
 
 
-def run_scan(request, *, checkpoint_dir=None, disk_cache=None, sink=None, window=None):
+def run_scan(request, *, disk_cache=None, sink=None, window=None):
     with LocalBackend(2) as backend:
         return StreamCoordinator(
             backend,
             request,
-            checkpoint_dir=checkpoint_dir,
             disk_cache=disk_cache,
             sink=sink,
             window=window,
@@ -137,7 +136,7 @@ def test_killed_scan_resumes_to_byte_identical_summary(tmp_path, monkeypatch):
     request = synthetic_request()
     reference = run_scan(request)
 
-    checkpoint_dir = str(tmp_path / "scan-ckpt")
+    cache_dir = str(tmp_path / "cache")
     backend = LocalBackend(2)
     real_run_cells = backend.run_cells
     calls = {"n": 0}
@@ -151,26 +150,30 @@ def test_killed_scan_resumes_to_byte_identical_summary(tmp_path, monkeypatch):
     monkeypatch.setattr(backend, "run_cells", crash_after_first_wave)
     with backend:
         coordinator = StreamCoordinator(
-            backend, request, checkpoint_dir=checkpoint_dir, window=2
+            backend, request, disk_cache=DiskResultCache(cache_dir), window=2
         )
         with pytest.raises(RuntimeError):
             coordinator.run()
 
-    resumed = run_scan(request, checkpoint_dir=checkpoint_dir)
-    assert resumed.resumed_shards == 2  # the journaled first wave
-    assert resumed.executed_shards == 4
-    assert resumed.to_json() == reference.to_json()
+    restarted = run_scan(request, disk_cache=DiskResultCache(cache_dir))
+    assert restarted.cached_shards == 2  # the stored first wave
+    assert restarted.executed_shards == 4
+    assert restarted.to_json() == reference.to_json()
 
 
-def test_resume_refuses_checkpoints_of_other_scans(tmp_path):
-    from repro.errors import CheckpointError
-
-    checkpoint_dir = str(tmp_path / "ckpt")
-    run_scan(synthetic_request(), checkpoint_dir=checkpoint_dir)
-    # A different scan fingerprint must refuse the directory outright —
-    # silently grafting foreign shard results would corrupt the sketch.
-    with pytest.raises(CheckpointError):
-        run_scan(synthetic_request(seed=99), checkpoint_dir=checkpoint_dir)
+def test_a_store_of_another_scan_serves_only_the_shards_it_shares(tmp_path):
+    """A shard's key names everything its sketch depends on, so a
+    store written by another scan grafts nothing foreign into this one:
+    it serves what both plan (here: nothing) and this scan executes the
+    rest; the store then serves both scans."""
+    cache = DiskResultCache(str(tmp_path / "cache"))
+    other = run_scan(synthetic_request(seed=99), disk_cache=cache)
+    mine = run_scan(synthetic_request(), disk_cache=cache)
+    assert (mine.cached_shards, mine.executed_shards) == (0, 6)
+    assert mine.to_json() == run_scan(synthetic_request()).to_json()
+    again = run_scan(synthetic_request(seed=99), disk_cache=cache)
+    assert (again.cached_shards, again.executed_shards) == (6, 0)
+    assert again.to_json() == other.to_json()
 
 
 def test_disk_cache_serves_a_rescan_byte_identically(tmp_path):

@@ -2,7 +2,7 @@
 
 The coordinator's whole memory story rests on two properties proved
 here: merges are *exactly* order-independent and associative (integer
-tallies + log-binned counts, so a resumed or re-sharded scan renders a
+tallies + log-binned counts, so a restarted or re-sharded scan renders a
 byte-identical summary), and quantile estimates stay inside the
 documented relative-error bound for any merge shape.
 """

@@ -6,8 +6,9 @@ import pytest
 import repro.runtime.backend as backend_module
 from repro.api import InvalidOverride, run_experiment
 from repro.interop.runner import Runner
-from repro.runtime import ArtifactLevel, MatrixRunner, ResultCache, SuiteRunner, plan_fingerprint
+from repro.runtime import ArtifactLevel, MatrixRunner, ResultCache, SuiteRunner
 from repro.runtime.artifacts import ObservedCell
+from repro.runtime.disk_cache import cell_fingerprint
 from repro.runtime.suite import max_level
 
 FIG6_FIG12_OVERRIDES = {
@@ -118,14 +119,18 @@ def test_suite_mixed_kinds_runs_model_and_wild_without_cells():
 
 def test_suite_plans_wild_passes_whatever_its_workers():
     """How wide a suite executes is not a parameter: the plan (params,
-    pass cells, fingerprint) is the same at any worker count."""
+    pass cells and their fingerprints) is the same at any worker count."""
     serial, wide = (SuiteRunner(workers=n).plan(["table1"], smoke=True) for n in (0, 3))
     assert "workers" not in wide.experiments[0].params
     assert wide.experiments[0].params == serial.experiments[0].params
     assert [c.scenario.task_key() for c in wide.experiments[0].cells] == [
         ("ScanPass", 1, 5000, "Sao Paulo", 0, "analytic")
     ]
-    assert plan_fingerprint(wide) == plan_fingerprint(serial)
+
+    def keys(plan):
+        return [cell_fingerprint(c.scenario, c.seed, "stats") for c in plan.dispatch_cells]
+
+    assert keys(wide) == keys(serial)
 
 
 def test_suite_respects_base_seed_override():

@@ -11,13 +11,15 @@ doesn't" is the bug class a second run path invites.
 The same holds for the other traffic: one ``ScanRequest`` through
 ``Session.scan`` (in-process, pool, fleet), ``repro scan`` and the HTTP
 ``{"scan": ...}`` job must render byte-equal ``scan.json``, cold or
-warm, uninterrupted or killed and resumed — suites and scans share one
-work loop, and this is the net under it.
+warm, uninterrupted or killed and started again on the same cache —
+suites and scans share one work loop and one store, and this is the net
+under it.
 
 Since PR 20 the wild measurements are on the same rail: the six wild
 experiments plan their scan and study passes as cells, so one wild
 selection has to reproduce ``tests/golden/smoke/`` through every
-surface too, cold or warm, and resumed at another width.
+surface too, cold or warm, and killed then started again at another
+width.
 """
 
 import http.client
@@ -226,8 +228,8 @@ def test_cold_warm_and_resumed_scans_render_the_same_bytes(tmp_path, monkeypatch
     assert cold.to_json() == warm.to_json() == expected
 
     # Killed mid-scan: the second window's dispatch never happens.
-    ckpt_dir = str(tmp_path / "ckpt")
-    with Session(LocalConfig(workers=2), resume=ckpt_dir) as session:
+    crash_dir = str(tmp_path / "crash")
+    with Session(LocalConfig(workers=2), cache_dir=crash_dir) as session:
         real_run_cells = session._backend.run_cells
         calls = []
 
@@ -240,10 +242,10 @@ def test_cold_warm_and_resumed_scans_render_the_same_bytes(tmp_path, monkeypatch
         monkeypatch.setattr(session._backend, "run_cells", dying_run_cells)
         with pytest.raises(RuntimeError, match="coordinator killed"):
             session.scan(SCAN, window=4)
-    with Session(resume=ckpt_dir) as session:
-        resumed = session.scan(SCAN)
-    assert (resumed.resumed_shards, resumed.executed_shards) == (4, 2)
-    assert resumed.to_json() == expected
+    with Session(cache_dir=crash_dir) as session:
+        restarted = session.scan(SCAN)
+    assert (restarted.cached_shards, restarted.executed_shards) == (4, 2)
+    assert restarted.to_json() == expected
 
 
 # -- the wild measurements, on the same rail ------------------------------
@@ -304,7 +306,7 @@ def test_every_surface_renders_the_wild_selection_as_the_golden_bytes(tmp_path, 
 
 def test_wild_passes_cold_warm_and_killed_then_resumed_at_another_width(tmp_path, monkeypatch):
     from repro.runtime.artifacts import ObservedCell
-    from repro.runtime.checkpoint import SuiteCheckpoint
+    from repro.runtime.backend import LocalBackend
 
     cache_dir = str(tmp_path / "cache")
     with Session(LocalConfig(workers=2), cache_dir=cache_dir) as session:
@@ -327,25 +329,28 @@ def test_wild_passes_cold_warm_and_killed_then_resumed_at_another_width(tmp_path
         write_bundle(report, tmp_path / "out")
         assert_wild_golden(bundle_bytes(tmp_path / "out"))
 
-    # Killed mid-passes: serially, each pass is journaled as it ends.
-    ckpt_dir = str(tmp_path / "ckpt")
-    real_record = SuiteCheckpoint.record
+    # Killed mid-passes: serially, each pass is stored as it ends.
+    crash_dir = str(tmp_path / "crash")
+    real_observe = LocalBackend.observe_results
+    batches = []
 
-    def die_on_the_fourth_pass(self, entries):
-        if len(list(Path(self.directory).glob("cells-*.pkl"))) == 3:
+    def die_on_the_fourth_pass(self, results):
+        batches.append(results)
+        if len(batches) == 4:
             raise KeyboardInterrupt("killed mid-passes")
-        real_record(self, entries)
+        real_observe(self, results)
 
-    monkeypatch.setattr(SuiteCheckpoint, "record", die_on_the_fourth_pass)
-    with Session(LocalConfig(workers=0), resume=ckpt_dir) as session:
+    monkeypatch.setattr(LocalBackend, "observe_results", die_on_the_fourth_pass)
+    with Session(LocalConfig(workers=0), cache_dir=crash_dir) as session:
         with pytest.raises(KeyboardInterrupt):
             session.run(WILD_REQUEST)
-    monkeypatch.setattr(SuiteCheckpoint, "record", real_record)
-    assert len(executed) == 4  # the fourth ran, its record never landed
+    monkeypatch.setattr(LocalBackend, "observe_results", real_observe)
+    assert len(executed) == 4  # the fourth ran, it was never stored
 
     events = []
-    with Session(LocalConfig(workers=2), resume=ckpt_dir) as session:
+    with Session(LocalConfig(workers=2), cache_dir=crash_dir) as session:
         resumed = session.run(WILD_REQUEST, on_event=events.append)
+    assert (resumed.extra["disk_cache_hits"], resumed.extra["disk_cache_misses"]) == (3, 5)
     dispatched = [event for event in events if event.kind == "chunk_dispatched"]
     assert [event.cells for event in dispatched] == [1] * 5
     write_bundle(resumed, tmp_path / "resumed")

@@ -2,9 +2,10 @@
 
 :func:`repro.runtime.workloop.run_work` is the only code that decides
 how a list of keyed work items (a suite's cells, a scan's shards) is
-executed against a backend, a journal and a cache. What must hold: any
-mix of journaled / disk-cached / fresh / uncacheable items is delivered
-exactly once with serial-reference values and ends up fully journaled;
+executed against a backend and the result store. What must hold: any
+mix of stored / fresh / uncacheable items is delivered exactly once
+with serial-reference values, and every keyed item is in the store by
+the time its batch has been observed, before the backend returns;
 accounting is per call (two runs sharing one cache do not see each
 other's hits); whatever observer and sink a backend carried before a
 call are back afterwards; and the structure stays one owner, one loop.
@@ -34,11 +35,10 @@ from repro.quic.server import ServerMode
 from repro.runtime import worker_main
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
 from repro.runtime.backend import ExecutionBackend
-from repro.runtime.checkpoint import SuiteCheckpoint
 from repro.runtime.disk_cache import DiskResultCache, cell_fingerprint
 from repro.runtime.events import ChunkDispatched, WorkerJoined
 from repro.runtime.worker import run_cell_chunk
-from repro.runtime.workloop import open_journal, run_work
+from repro.runtime.workloop import run_work
 from repro.service import ServiceManager
 from repro.wild.stream import ScanRequest, scan_fingerprint
 
@@ -71,10 +71,14 @@ class Square:
 
 
 class InlineBackend(ExecutionBackend):
-    """Runs chunks in the caller, journaling each like a real backend."""
+    """Runs chunks in the caller, observing each like a real backend;
+    ``probe`` (if set) is called once all chunks were observed, before
+    the results are returned."""
 
     def __init__(self):
         self.chunk_sizes = []
+        self.probe = None
+        self.probed = []
 
     def parallelism(self):
         return 2
@@ -86,31 +90,32 @@ class InlineBackend(ExecutionBackend):
             self.chunk_sizes.append(len(results))
             self.observe_results(results)
             out.extend(results)
+        if self.probe is not None:
+            self.probed.append(self.probe())
         return out[::-1]  # completion order is nobody's contract
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    kinds=st.lists(st.sampled_from(["journaled", "cached", "fresh", "uncacheable"]), max_size=12),
+    kinds=st.lists(st.sampled_from(["stored", "fresh", "uncacheable"]), max_size=12),
     window=st.one_of(st.none(), st.integers(1, 5)),
     chunk_size=st.one_of(st.none(), st.integers(1, 4)),
 )
 def test_any_split_is_delivered_once_with_reference_values_and_fully_journaled(
     kinds, window, chunk_size
 ):
+    """Journaled means put in the store as its batch arrives; a
+    "stored" item is what an earlier, killed run left there."""
     items = [(i, Square(i, keyed=kind != "uncacheable"), 7) for i, kind in enumerate(kinds)]
     reference = {i: task.execute_task(seed, ArtifactLevel.STATS) for i, task, seed in items}
     with tempfile.TemporaryDirectory() as tmp:
         cache = DiskResultCache(f"{tmp}/cache")
-        seeded = SuiteCheckpoint(f"{tmp}/ckpt")
-        seeded.load_or_init("fp")
         for (i, task, seed), kind in zip(items, kinds):
-            if kind == "journaled":
-                seeded.record([(i, reference[i])])
-            elif kind == "cached":
+            if kind == "stored":
                 cache.put(cell_fingerprint(task, seed, ArtifactLevel.STATS), reference[i])
 
         backend = InlineBackend()
+        backend.probe = lambda: len(cache)
         observer, sink = object(), object()
         backend.set_result_observer(observer)
         backend.set_event_sink(sink)
@@ -119,20 +124,17 @@ def test_any_split_is_delivered_once_with_reference_values_and_fully_journaled(
             backend,
             items,
             lambda index, artifacts, source: delivered.append((index, artifacts, source)),
-            journal=open_journal(f"{tmp}/ckpt", "fp", meta={}),
-            cache=cache,
+            cache=DiskResultCache(f"{tmp}/cache"),  # a restarted process's view
             window=window,
             chunk_size=chunk_size,
         )
 
         assert sorted(index for index, _a, _s in delivered) == list(range(len(items)))
-        sources = {"journaled": "checkpoint", "cached": "disk_cache"}
         for index, artifacts, source in delivered:
             assert artifacts == reference[index]
-            assert source == sources.get(kinds[index], "executed")
+            assert source == ("disk_cache" if kinds[index] == "stored" else "executed")
         assert +counts == +Counter(
-            checkpoint=kinds.count("journaled"),
-            disk_cache=kinds.count("cached"),
+            disk_cache=kinds.count("stored"),
             missed=kinds.count("fresh"),
             executed=kinds.count("fresh") + kinds.count("uncacheable"),
         )
@@ -141,10 +143,14 @@ def test_any_split_is_delivered_once_with_reference_values_and_fully_journaled(
         assert sum(backend.chunk_sizes) == counts["executed"]
         # What the owner had attached is back.
         assert backend._result_observer is observer and backend._event_sink is sink
-        # The journal alone now replays everything, the cache every keyed item.
-        assert SuiteCheckpoint(f"{tmp}/ckpt").load_or_init("fp") == reference
+        # Every keyed item is stored, each fresh one before its backend
+        # call returned; uncacheable ones never are.
+        keyed = kinds.count("stored") + kinds.count("fresh")
+        assert len(cache) == keyed
+        if backend.probed:
+            assert backend.probed[-1] == keyed
         for (i, task, seed), kind in zip(items, kinds):
-            if kind in ("cached", "fresh"):
+            if kind != "uncacheable":
                 assert cache.get(cell_fingerprint(task, seed, ArtifactLevel.STATS)) == reference[i]
 
 
@@ -162,7 +168,7 @@ def test_observer_and_sink_are_restored_when_the_backend_raises(tmp_path):
             backend,
             [(0, Square(3), 0)],
             lambda *delivery: None,
-            journal=open_journal(str(tmp_path), "fp", meta={}),
+            cache=DiskResultCache(str(tmp_path)),
             sink=lambda event: None,
         )
     assert backend._result_observer is observer and backend._event_sink is sink
@@ -172,9 +178,8 @@ def test_observer_and_sink_are_restored_when_the_backend_raises(tmp_path):
 
 
 def test_cell_and_scan_fingerprints_still_name_what_the_parent_wrote():
-    """Captured with the src/ of 50d52fe: a cache or checkpoint
-    directory written there hits / resumes here (the plan fingerprint's
-    literal is in test_checkpoint.py)."""
+    """Captured with the src/ of 50d52fe: a cache directory written
+    there hits here."""
     scenario = Scenario(
         client="quic-go", mode=ServerMode.IACK, http="h1", rtt_ms=9.0, response_size=SIZE_10KB
     )
@@ -263,39 +268,6 @@ def wait_terminal(manager, job_id, timeout=120.0):
     raise AssertionError(f"job {job_id} never reached a terminal state")
 
 
-# -- a suite journals its disk hits, as a scan always did ----------------
-
-
-def test_resumed_suite_does_not_need_the_cache_it_was_served_from(tmp_path, monkeypatch):
-    request = RunRequest(("fig6",), smoke=True)
-    cache_dir, ckpt_dir = str(tmp_path / "cache"), str(tmp_path / "ckpt")
-    with Session(cache_dir=cache_dir) as session:
-        reference = session.run(request)
-
-    import repro.experiments.spec as spec_module
-
-    def killed(*_args, **_kwargs):
-        raise RuntimeError("killed after the replay")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(spec_module, "CellResults", killed)
-        with Session(cache_dir=cache_dir, resume=ckpt_dir) as session:
-            with pytest.raises(RuntimeError, match="killed after the replay"):
-                session.run(request)
-
-    executed = []
-    real_execute = backend_module.execute_cell
-    monkeypatch.setattr(
-        backend_module,
-        "execute_cell",
-        lambda *args, **kwargs: executed.append(args) or real_execute(*args, **kwargs),
-    )
-    with Session(resume=ckpt_dir) as session:  # no cache attached any more
-        resumed = session.run(request)
-    assert executed == []
-    assert resumed.to_dict() == reference.to_dict()
-
-
 # -- per-call sinks and observers come off again -------------------------
 
 
@@ -318,7 +290,11 @@ def test_a_scan_sink_sees_chunk_events_for_the_call_and_none_after(where):
 
 def test_a_session_sink_outlives_a_scan_with_its_own_sink(tmp_path):
     lifetime = []
-    session = Session(DistributedConfig(listen=0, min_workers=1), on_event=lifetime.append)
+    session = Session(
+        DistributedConfig(listen=0, min_workers=1),
+        on_event=lifetime.append,
+        cache_dir=str(tmp_path),
+    )
     host, port = session.address.rsplit(":", 1)
 
     def join_worker():
@@ -330,7 +306,7 @@ def test_a_session_sink_outlives_a_scan_with_its_own_sink(tmp_path):
         backend = session._backend
         observer = backend._result_observer
         join_worker()
-        session.scan(dict(SCAN), on_event=lambda event: None, checkpoint_dir=str(tmp_path))
+        session.scan(dict(SCAN), on_event=lambda event: None)
         assert backend._result_observer is observer  # not clobbered with None
         joined = sum(isinstance(event, WorkerJoined) for event in lifetime)
         assert joined == 1
@@ -388,7 +364,9 @@ def test_pools_journals_and_probes_have_one_owner_each():
     assert files_mentioning(r"parallel_map|shared_input|call_task") == []
     # The durability channel is attached (and restored) by the loop only.
     assert files_mentioning(r"\.set_result_observer\(") == ["runtime/workloop.py"]
-    assert files_mentioning(r"\bSuiteCheckpoint\(") == ["runtime/workloop.py"]
+    # One store: no second, positional journal beside the cache.
+    gone = r"SuiteCheckpoint|open_journal|plan_fingerprint|checkpoint_dir|resume=|resumed_shards"
+    assert files_mentioning(gone) == []
     # Neither planner probes the cache itself.
     for planner in ("runtime/suite.py", "wild/stream/coordinator.py"):
         text = (SRC / planner).read_text(encoding="utf-8")
