@@ -10,7 +10,8 @@ Subcommands:
 
 ``repro list``
     The registered experiments (id, paper artifact, kind, required
-    artifact level, default cell count). ``--markdown`` emits the
+    artifact level, the sources an observer reads and where its cells
+    end, default cell count). ``--markdown`` emits the
     EXPERIMENTS.md index (that file is generated by this command).
 ``repro plan fig6 fig12``
     The suite plan for a selection: per-experiment cells, the union
@@ -129,6 +130,7 @@ def _spec_rows() -> List[List[object]]:
                 spec.kind,
                 spec.artifact_level.value,
                 ", ".join(source.describe() for source in spec.reads) or "-",
+                spec.describe()["ends"] or "-",
                 cell_count if cell_count else "-",
                 spec.title,
             ]
@@ -136,7 +138,7 @@ def _spec_rows() -> List[List[object]]:
     return rows
 
 
-LIST_HEADERS = ["id", "paper", "kind", "artifact level", "reads", "cells", "title"]
+LIST_HEADERS = ["id", "paper", "kind", "artifact level", "reads", "ends", "cells", "title"]
 
 
 def experiments_markdown() -> str:
@@ -154,15 +156,17 @@ def experiments_markdown() -> str:
         "demands, and a pure aggregator. `python -m repro run <ids>` "
         "executes any selection as one suite — cells shared between "
         "experiments (fig6 is the 9 ms column of fig12) are planned, "
-        "deduplicated, and executed exactly once; see PERFORMANCE.md "
-        "for `SuiteRunner`/`ArtifactStore` semantics. The CLI is a thin "
+        "deduplicated, and executed exactly once. The CLI is a thin "
         "client of the stable `repro.api` façade — see API.md to run "
         "the same selections from services or notebooks.",
         "",
         "`reads` is what a cell retains for the experiment beyond "
         "connection stats (an experiment above `stats` level declares "
         "which qlogs and packet captures its `observe` reads; nothing "
-        "else is kept). "
+        "else is kept). `ends` is where such a cell stops: once every "
+        "experiment reading it has its answer (a spec's `answered`), "
+        "unless a `stats` experiment reads the same cell, which then runs "
+        "whole; `-` runs every cell to the end. "
         "`cells` is the simulator cell count at default parameters; "
         "`model` experiments evaluate closed-form models and `wild` "
         "experiments drive the emulated internet-measurement pipelines, "
@@ -176,8 +180,8 @@ def experiments_markdown() -> str:
         "re-executing cells and renders byte-identical bundles; see "
         "the Service section of API.md.",
         "",
-        "| id | paper | kind | artifact level | reads | cells | title |",
-        "|---|---|---|---|---|---|---|",
+        "| " + " | ".join(LIST_HEADERS) + " |",
+        "|" + "---|" * len(LIST_HEADERS),
     ]
     for row in _spec_rows():
         lines.append("| " + " | ".join(str(cell) for cell in row) + " |")

@@ -24,6 +24,7 @@ from repro.experiments.spec import (
 )
 from repro.interop.runner import Scenario, SIZE_10KB
 from repro.qlog.analysis import first_pto_from_qlog
+from repro.qlog.events import MetricsUpdated
 from repro.quic.server import ServerMode
 from repro.runtime import ArtifactLevel, Cell, Source
 
@@ -39,6 +40,16 @@ def _first_pto(result) -> Optional[float]:
     if value is not None:
         return value
     return PtoCalculator().first_pto(events)
+
+
+def _metrics_updated(event) -> bool:
+    """First metrics update.
+
+    The spec's ``answered``: ``first_pto_from_qlog`` reads the first
+    ``recovery:metrics_updated`` event, and every one logged carries a
+    smoothed RTT. A cell that logs none falls back to the whole qlog,
+    and so never answers and runs whole."""
+    return type(event) is MetricsUpdated
 
 
 def scenarios(http: str, rtts_ms) -> List[Scenario]:
@@ -112,6 +123,7 @@ SPEC = register(
         aggregate=aggregate,
         observe=_first_pto,
         reads=(Source.CLIENT_QLOG,),
+        answered=_metrics_updated,
         defaults={
             "http": "h1",
             "repetitions": 10,

@@ -34,6 +34,15 @@ experiments)
     (:class:`~repro.errors.ObserveError`). Like ``observe`` it is a
     constant of the experiment module, not a parameter.
 
+``answered`` (optional, beside ``observe``)
+    When ``observe``'s value is final: a module-level predicate over
+    one item of the spec's single declared source — a qlog event or a
+    capture record — that holds once no later item can change what
+    ``observe`` returns. A cell every experiment of which reads it this
+    way ends there (the planner halts no cell a ``stats`` experiment
+    reads): ``observe`` then reads a prefix of the run exactly as it
+    reads the whole run, and the cell's stats are that prefix's.
+
 ``aggregate(results, params)``
     A pure function from executed cells (a :class:`CellResults` view —
     of artifacts, or of observed values for an observing spec) to the
@@ -128,6 +137,10 @@ class ExperimentSpec:
     #: (see the module docs): non-empty exactly when ``artifact_level``
     #: is above ``stats``.
     reads: Tuple[Source, ...] = ()
+    #: ``item -> bool`` over the one source in ``reads``: true once
+    #: ``observe``'s value can no longer change (see the module docs).
+    #: Its qualified name joins the cache identity of a cell it ends.
+    answered: Optional[Callable[[Any], bool]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -141,7 +154,7 @@ class ExperimentSpec:
                     f"{self.artifact_level.value!r} needs an observe function (traces "
                     "and probe lists never leave the cell that made them)"
                 )
-        elif "<" in getattr(self.observe, "__qualname__", "<"):
+        elif not _module_level(self.observe):
             raise ValueError(
                 f"{self.id}: observe must be a module-level function "
                 "(workers import it by name)"
@@ -158,6 +171,19 @@ class ExperimentSpec:
                 f"{self.artifact_level.value!r}: an experiment above 'stats' declares the "
                 "sources its observe reads, and only such an experiment does"
             )
+        if self.answered is not None:
+            if self.observe is None:
+                raise ValueError(f"{self.id}: answered says when an observe is final; none given")
+            if len(self.reads) != 1:
+                raise ValueError(
+                    f"{self.id}: answered is a predicate over one source's items, but reads "
+                    f"declares {len(self.reads)}"
+                )
+            if not _module_level(self.answered):
+                raise ValueError(
+                    f"{self.id}: answered must be a module-level function "
+                    "(workers import it by name)"
+                )
         for key in self.smoke:
             if key not in self.defaults:
                 raise ValueError(
@@ -218,6 +244,7 @@ class ExperimentSpec:
             "kind": self.kind,
             "artifact_level": self.artifact_level.value,
             "reads": [source.describe() for source in self.reads],
+            "ends": _summary(self.answered),
             "defaults": {k: _brief(v) for k, v in self.defaults.items()},
         }
 
@@ -241,6 +268,21 @@ def _same_shape(default: Any, value: Any) -> bool:
             _same_shape(default[0], item) for item in value
         )
     return True
+
+
+def _module_level(fn: Callable[..., Any]) -> bool:
+    """Whether workers can import ``fn`` by its qualified name (a
+    lambda or nested function's name holds a ``<``)."""
+    return "<" not in getattr(fn, "__qualname__", "<")
+
+
+def _summary(fn: Optional[Callable[..., Any]]) -> Optional[str]:
+    """The first line of ``fn``'s docstring as a listing cell:
+    ``"Client FIN."`` reads ``"client FIN"``."""
+    if fn is None or not fn.__doc__:
+        return None
+    line = fn.__doc__.strip().splitlines()[0].rstrip(".")
+    return line[:1].lower() + line[1:]
 
 
 def _brief(value: Any) -> Any:

@@ -59,13 +59,18 @@ def observed_second_flight_indices(result) -> Tuple[int, ...]:
         ) and record.index > 1
         if is_flight2:
             indices.append(record.index)
-        if any(
-            f.fin
-            for p in dgram.packets
-            for f in p.stream_frames()
-        ):
+        if carries_fin(record):
             break
     return tuple(indices)
+
+
+def carries_fin(record) -> bool:
+    """Client FIN.
+
+    The spec's ``answered``: the record's datagram carries a stream
+    FIN, where :func:`observed_second_flight_indices` stops reading."""
+    dgram = record.payload
+    return dgram is not None and any(f.fin for p in dgram.packets for f in p.stream_frames())
 
 
 def scenarios(rtt_ms: float) -> List[Scenario]:
@@ -122,6 +127,7 @@ SPEC = register(
         aggregate=aggregate,
         observe=observed_second_flight_indices,
         reads=(Source.CLIENT_TO_SERVER,),
+        answered=carries_fin,
         defaults={"repetitions": 5, "rtt_ms": 9.0, "base_seed": 0},
         smoke={"repetitions": 1},
     )

@@ -13,7 +13,7 @@ import copy
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Collection, List, Optional, Union
+from typing import Any, Callable, Collection, List, Optional, Sequence, Tuple, Union
 
 from repro.http import semantics_for
 from repro.http.base import RequestSpec
@@ -146,6 +146,26 @@ def _fresh(pattern: Optional[LossPattern]) -> Optional[LossPattern]:
     return pattern
 
 
+def _stop_when(
+    loop: EventLoop, until: Sequence[Tuple[str, Callable[[Any], bool]]]
+) -> Callable[[str, Any], None]:
+    """The watch ``run_once`` installs for ``until``: called with each
+    retained ``(source, item)``, it stops ``loop`` once every pair has
+    been answered."""
+    pending = list(until)
+
+    def watch(source: str, item: Any) -> None:
+        pending[:] = [
+            (name, predicate)
+            for name, predicate in pending
+            if name != source or not predicate(item)
+        ]
+        if not pending:
+            loop.stop()
+
+    return watch
+
+
 class _Scaffold:
     """What every repetition of one scenario shares: the resolved
     profiles and the immutable configuration derived from them.
@@ -188,6 +208,7 @@ class Runner:
         *,
         capture_trace: Union[bool, Collection[str]] = True,
         record_qlog: Union[bool, Collection[str]] = True,
+        until: Sequence[Tuple[str, Callable[[Any], bool]]] = (),
     ) -> RunResult:
         """Run a single connection and return its artifacts.
 
@@ -202,6 +223,14 @@ class Runner:
         draws without storing events. What was not retained raises when
         read (:class:`~repro.sim.trace.Tracer`,
         :attr:`QlogWriter.events <repro.qlog.writer.QlogWriter.events>`).
+
+        ``until`` ends the run early: ``(source, predicate)`` pairs,
+        ``source`` an endpoint or link name as above. Once each
+        predicate has held for an event or record its source retained
+        (one that is not retained never answers), the loop stops after
+        the callback at hand; everything retained and the stats are
+        then a prefix of the whole run's, and ``duration_ms`` is the
+        halt time.
         """
         seed = self.base_seed if seed is None else seed
         scaffold = self._scaffold
@@ -261,9 +290,15 @@ class Runner:
         network.server.attach(server.on_datagram)
         client.attach_transport(network.transport_from(network.client))
         server.attach_transport(network.transport_from(network.server))
+        if until:
+            watch = _stop_when(loop, until)
+            owners = {"client": client.qlog, "server": server.qlog}
+            for source, _ in until:
+                owners.get(source, tracer).watch = watch
         client.start()
-        loop.run(until=scenario.timeout_ms)
-        if not client.stats.completed and client.stats.aborted is None:
+        if not loop.stopped:  # what start() sent may answer a watch
+            loop.run(until=scenario.timeout_ms)
+        if not (loop.stopped or client.stats.completed) and client.stats.aborted is None:
             client.stats.aborted = "timeout"
         return RunResult(
             scenario=scenario,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.qlog.events import EventCategory, MetricsUpdated, PacketEvent, QlogEvent
 
@@ -61,6 +61,9 @@ class QlogWriter:
         #: without qlog retention) but stores no events, and reading
         #: :attr:`events` raises: an unrecorded qlog is absent, not empty.
         self.record_events = record_events
+        #: Called as ``watch(vantage_point, event)`` with each event
+        #: retained, when set (see ``Runner.run_once``'s ``until``).
+        self.watch: Optional[Callable[[str, QlogEvent], None]] = None
         self._events: List[QlogEvent] = []
         self._suppressed_metrics = 0
         self._last_metrics_key: Optional[tuple] = None
@@ -90,12 +93,13 @@ class QlogWriter:
         more than the event."""
         if not self.record_events:
             return
-        self._events.append(
-            PacketEvent(
-                self.policy.quantize(time_ms), EventCategory.TRANSPORT, name, data,
-                packet_type, packet_number, space, size, ack_eliciting, frames, newly_acked,
-            )
+        event = PacketEvent(
+            self.policy.quantize(time_ms), EventCategory.TRANSPORT, name, data,
+            packet_type, packet_number, space, size, ack_eliciting, frames, newly_acked,
         )
+        self._events.append(event)
+        if self.watch is not None:
+            self.watch(self.vantage_point, event)
 
     def log_packet(self, event: PacketEvent) -> None:
         """:meth:`packet` for an event built elsewhere, re-stamped at
@@ -106,6 +110,8 @@ class QlogWriter:
         if quantized != event.time_ms:
             event = replace(event, time_ms=quantized)
         self._events.append(event)
+        if self.watch is not None:
+            self.watch(self.vantage_point, event)
 
     def metrics_updated(
         self,
@@ -138,12 +144,13 @@ class QlogWriter:
         if key == self._last_metrics_key:
             return
         self._last_metrics_key = key
-        self._events.append(
-            MetricsUpdated(
-                self.policy.quantize(time_ms), EventCategory.RECOVERY, "metrics_updated",
-                {}, smoothed_rtt_ms, rtt_variance_ms, latest_rtt_ms, min_rtt_ms, pto_count,
-            )
+        event = MetricsUpdated(
+            self.policy.quantize(time_ms), EventCategory.RECOVERY, "metrics_updated",
+            {}, smoothed_rtt_ms, rtt_variance_ms, latest_rtt_ms, min_rtt_ms, pto_count,
         )
+        self._events.append(event)
+        if self.watch is not None:
+            self.watch(self.vantage_point, event)
 
     def log_metrics(self, event: MetricsUpdated) -> None:
         """:meth:`metrics_updated` with the values of a built event."""

@@ -38,6 +38,14 @@ What an observer may touch: ``scenario``, ``seed``, the stats and
 not empty — reading it raises, so an observer whose spec under-declares
 fails its cell with an :class:`~repro.errors.ObserveError` naming the
 source instead of aggregating zeros.
+
+A cell every observer of which declares when its value is final (the
+spec's ``answered``) also ends there: :class:`ObservedCell` hands the
+predicates to the run as ``until``, and the event loop stops once each
+has held for an item of its source. Its retained sources, stats and
+``duration_ms`` are then a prefix of the whole run's — which is why a
+halting cell's cache key names the predicates, and why the planner
+halts no cell a stats-level experiment reads.
 """
 
 from __future__ import annotations
@@ -172,15 +180,23 @@ class RunArtifacts:
         return events
 
 
+#: ``(source, predicate)``: true of one item of ``source`` (a qlog
+#: event, a capture record) once an observer's value is final.
+Answered = Tuple[Source, Callable[[Any], bool]]
+
+
 def execute_cell(
     scenario: Scenario,
     seed: int,
     level: ArtifactLevel,
     runner: Optional[Runner] = None,
     sources: Optional[Iterable[Source]] = None,
+    until: Iterable[Answered] = (),
 ) -> RunArtifacts:
     """Run one (scenario, seed) cell at the requested artifact level,
-    retaining ``sources`` above ``stats`` (default: all four).
+    retaining ``sources`` above ``stats`` (default: all four), and
+    ending it once every ``until`` predicate has held (see
+    ``Runner.run_once``).
 
     Cells are usually ``(Scenario, seed)`` pairs, but any object with
     an ``execute_task(seed=..., level=..., runner=...)`` method rides
@@ -202,7 +218,13 @@ def execute_cell(
         # True, not both names: only then does the Tracer answer for
         # the whole capture.
         links = _CAPTURES <= sources or {source.value for source in sources & _CAPTURES}
-    result = runner.run_once(scenario, seed=seed, capture_trace=links, record_qlog=qlogs)
+    result = runner.run_once(
+        scenario,
+        seed=seed,
+        capture_trace=links,
+        record_qlog=qlogs,
+        until=[(source.value, predicate) for source, predicate in until],
+    )
     artifacts = RunArtifacts(
         scenario=scenario,
         seed=result.seed,
@@ -249,21 +271,29 @@ class ObservedCell:
     observers: Tuple[Observer, ...]
     #: The union of what the observers' specs declare they read.
     sources: FrozenSet[Source] = ALL_SOURCES
+    #: Each observer's ``answered`` when every one declares it (the
+    #: cell halts once all have held), else empty (it runs whole).
+    answered: Tuple[Answered, ...] = ()
 
     def task_key(self) -> Optional[Tuple[Any, ...]]:
         """Cache identity: the scenario's (``None`` stays ``None``), the
-        level, and which functions observe. Not ``sources``: they are a
-        constant of those functions' specs and change no value."""
+        level, which functions observe and, for a halting cell only,
+        which predicates end it — its stats are a prefix, never to be
+        served as a whole run's. Not ``sources``: they are a constant
+        of the observers' specs and change no value."""
         skey = scenario_key(self.scenario)
         if skey is None:
             return None
-        names = tuple((exp, f"{fn.__module__}.{fn.__qualname__}") for exp, fn in self.observers)
-        return ("observed-cell", skey, self.level.value, names)
+        names = tuple((exp, _qualified(fn)) for exp, fn in self.observers)
+        key = ("observed-cell", skey, self.level.value, names)
+        if self.answered:
+            key += (tuple(_qualified(predicate) for _, predicate in self.answered),)
+        return key
 
     def execute_task(
         self, seed: int, level: ArtifactLevel, runner: Optional[Runner] = None
     ) -> ObservedArtifacts:
-        cell = execute_cell(self.scenario, seed, self.level, runner, self.sources)
+        cell = execute_cell(self.scenario, seed, self.level, runner, self.sources, self.answered)
         observed: Dict[str, Any] = {}
         for exp_id, observe in self.observers:
             try:
@@ -277,3 +307,7 @@ class ObservedCell:
             self.scenario, cell.seed, ArtifactLevel.STATS,
             cell.client_stats, cell.server_stats, cell.duration_ms, observed=observed,
         )
+
+
+def _qualified(fn: Callable[..., Any]) -> str:
+    return f"{fn.__module__}.{fn.__qualname__}"

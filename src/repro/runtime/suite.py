@@ -11,7 +11,9 @@ can plan the union:
    identical ``(scenario value, seed)`` cells across experiments, and
    attach to each unique cell the ``observe`` functions of the
    trace-reading experiments that demand it and the union of the
-   sources they declare they read.
+   sources they declare they read — and, when every experiment
+   demanding the cell declares when its value is final (``answered``;
+   no ``stats`` experiment does), those predicates, which end it.
 2. **Execute** — run the unique cells once, through
    :func:`~repro.runtime.workloop.run_work` (the result store and
    dispatch live there, not here): the simulator cells in one
@@ -28,15 +30,16 @@ can plan the union:
    observed values for an observing one) and call its pure aggregator.
 
 Stats beside an observation are bit-identical to a ``stats``-level run
-(retention never perturbs connection behavior), so an experiment's
-result does not depend on what else was selected with it.
+(retention never perturbs connection behavior) unless the cell halted,
+and a halted cell's are read by nobody, so an experiment's result does
+not depend on what else was selected with it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import BackendError, InvalidOverride
 from repro.runtime.artifacts import ArtifactLevel, ObservedCell, Observer
@@ -143,10 +146,13 @@ class SuitePlan:
             f"total cells: {self.total_cells}, unique after dedup: "
             f"{len(self.unique_cells)} ({self.shared_cells} shared)"
         )
-        observed = sum(isinstance(c.scenario, ObservedCell) for c in self.dispatch_cells)
-        if observed:
+        tasks = [c.scenario for c in self.dispatch_cells if isinstance(c.scenario, ObservedCell)]
+        if tasks:
             ids = sorted(p.spec.id for p in self.experiments if p.spec.observe and p.cells)
-            text += f"\n{observed} of {len(self.unique_cells)} cells observed: {', '.join(ids)}"
+            text += f"\n{len(tasks)} of {len(self.unique_cells)} cells observed: {', '.join(ids)}"
+            halting = sum(bool(task.answered) for task in tasks)
+            if halting:
+                text += f"\n{halting} of them end once their observers are answered"
         return text
 
 
@@ -255,6 +261,7 @@ class SuiteRunner:
         slot_of: Dict[Tuple[Any, ...], int] = {}
         specs: Dict[str, Any] = {}
         observers: Dict[int, List[Observer]] = {}
+        stats_read: Set[int] = set()  # slots a stats-level experiment reads
         seen_ids = set()
         for experiment in experiments:
             spec = get_spec(experiment)
@@ -285,17 +292,22 @@ class SuiteRunner:
                 if spec.observe is not None:
                     for slot in slots:
                         observers.setdefault(slot, []).append((spec.id, spec.observe))
+                else:
+                    stats_read.update(slots)
             planned.append(PlannedExperiment(spec=spec, params=params, cells=cells, slots=slots))
         unknown = set(overrides) - seen_ids
         if unknown:
             raise InvalidOverride(f"overrides for unselected experiments: {sorted(unknown)}")
-        # One ObservedCell per (scenario object, observer set), shared
-        # by that scenario's repetitions like the scenario itself is.
+        # One ObservedCell per (scenario object, observer set, halting),
+        # shared by that scenario's repetitions like the scenario itself is.
         dispatch = list(unique) if observers else unique
         wrappers: Dict[Tuple[Any, ...], ObservedCell] = {}
         for slot, readers in observers.items():
             cell = unique[slot]
-            key = (id(cell.scenario), *readers)
+            halts = slot not in stats_read and all(
+                specs[exp_id].answered is not None for exp_id, _ in readers
+            )
+            key = (id(cell.scenario), halts, *readers)
             if key not in wrappers:
                 reading = [specs[exp_id] for exp_id, _ in readers]
                 wrappers[key] = ObservedCell(
@@ -303,6 +315,7 @@ class SuiteRunner:
                     max_level([spec.artifact_level for spec in reading]),
                     tuple(readers),
                     frozenset(source for spec in reading for source in spec.reads),
+                    tuple((spec.reads[0], spec.answered) for spec in reading) if halts else (),
                 )
             dispatch[slot] = Cell(wrappers[key], cell.seed)
         return SuitePlan(

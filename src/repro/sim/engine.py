@@ -12,7 +12,8 @@ will cancel (:meth:`EventLoop.post_at`) carry no :class:`Timer`,
 cancelled timers are counted live (``pending()`` is O(1)), the heap is
 compacted in place once cancelled entries outnumber live ones, and
 :meth:`run` keeps the heap and bookkeeping in locals instead of
-attribute lookups.
+attribute lookups. :meth:`EventLoop.stop` costs :meth:`run` one flag
+test per event.
 """
 
 from __future__ import annotations
@@ -79,13 +80,15 @@ class EventLoop:
     """
 
     __slots__ = (
-        "now", "_seq", "_heap", "_running", "_processed",
+        "now", "stopped", "_seq", "_heap", "_running", "_processed",
         "_cancelled_pending", "_compactions",
     )
 
     def __init__(self) -> None:
         #: Current simulated time in milliseconds (read-only for users).
         self.now: float = 0.0
+        #: Whether :meth:`stop` ended the loop (read-only for users).
+        self.stopped = False
         self._seq: int = 0
         #: ``(when, seq, timer)`` for :meth:`call_at` events and
         #: ``(when, seq, None, callback, args)`` for :meth:`post_at`
@@ -173,12 +176,15 @@ class EventLoop:
         forever); exceeding it raises :class:`SimulationError`.
 
         End-of-run clock handling is uniform across the drained and
-        stopped-early paths: the clock advances to ``until`` when that
-        lies in the future, and never moves backwards — re-running a
-        stopped loop with an earlier ``until`` leaves ``now`` untouched.
+        ``until``-bounded paths: the clock advances to ``until`` when
+        that lies in the future, and never moves backwards — re-running
+        with an earlier ``until`` leaves ``now`` untouched. A run ended
+        by :meth:`stop` leaves the clock at the stop time.
         """
         if self._running:
             raise SimulationError("event loop is already running")
+        if self.stopped:
+            raise SimulationError("event loop was stopped")
         self._running = True
         heap = self._heap
         heappop = heapq.heappop
@@ -206,6 +212,8 @@ class EventLoop:
                         f"exceeded max_events={max_events}; runaway simulation?"
                     )
                 callback(*args)
+                if self.stopped:
+                    return self.now
                 # Callbacks may swap the heap via compaction.
                 heap = self._heap
         finally:
@@ -214,6 +222,13 @@ class EventLoop:
         if until is not None and until > self.now:
             self.now = until
         return self.now
+
+    def stop(self) -> None:
+        """End :meth:`run` after the current callback: no later event
+        runs, including ones that callback schedules after the stop,
+        and the clock stays at the stop time. A stopped loop cannot run
+        again."""
+        self.stopped = True
 
     def run_until_idle(self, max_events: int = 5_000_000) -> float:
         """Run until no events remain."""

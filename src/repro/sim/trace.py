@@ -79,6 +79,9 @@ class Tracer:
         if capture is not True and capture is not False:
             capture = frozenset(capture) or False
         self.capture = capture
+        #: Called as ``watch(link, record)`` with each record captured,
+        #: when set (see ``Runner.run_once``'s ``until``).
+        self.watch: Optional[Callable[[str, TraceRecord], None]] = None
         self._records: List[TraceRecord] = []
 
     def captures(self, link: str) -> bool:
@@ -96,12 +99,13 @@ class Tracer:
     ) -> None:
         if self.capture is not True and not self.captures(link):
             return
-        self._records.append(
-            TraceRecord(
-                time_ms=time_ms, link=link, index=index, size=size,
-                dropped=dropped, payload=payload,
-            )
+        record = TraceRecord(
+            time_ms=time_ms, link=link, index=index, size=size,
+            dropped=dropped, payload=payload,
         )
+        self._records.append(record)
+        if self.watch is not None:
+            self.watch(link, record)
 
     def _captured(self, link: Optional[str]) -> List[TraceRecord]:
         """The record list, for a reader of ``link`` (``None``: of

@@ -14,7 +14,9 @@ An observed cell is held the same way: it retains the sources its
 observers declared and constructs nothing for the others — no
 ``TraceRecord`` in a cell nobody reads the capture of, no
 ``PacketEvent`` for a qlog nobody reads — and the fig11 cell of
-``bulk_transfer`` stays under a call ceiling of its own.
+``bulk_transfer`` stays under a call ceiling of its own. A fig16 and a
+table4 cell, which end once their observers are answered, stay under
+ceilings of theirs and process fewer loop events than the whole run.
 """
 
 import cProfile
@@ -150,6 +152,48 @@ def test_profiler_calls_of_an_observed_bulk_cell_stay_under_the_ceiling():
         "an observed cell retains more than its observers read (see PERFORMANCE.md, "
         "What a cell retains)"
     )
+
+
+# -- how much of a cell runs: until its observers are answered -----------
+#
+# fig16 reads the first metrics update and table4 the client's datagrams
+# up to the FIN; until their specs declared ``answered`` each cell ran the
+# whole 10 KB transfer and the close (2,599 and 2,307 calls for the cells
+# below). Achieved: 1,636 and 796. Ceiling = achieved x 1.05.
+#
+# These are summed over cProfile's own entries, one per code object:
+# ``pstats`` keys functions by (file, line, name), under which every
+# dataclass ``__init__`` is ``<string>:2:__init__`` and all but one of
+# them, picked by code-object address, drop out of ``total_calls``.
+
+HALTED_CALL_CEILINGS = {
+    "fig16": (["fig16"], ANCHOR, 1_718),
+    "table4": (["table4"], replace(ANCHOR, mode=ServerMode.WFC), 836),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(HALTED_CALL_CEILINGS))
+def test_a_halted_cell_stays_under_its_ceiling_and_short_of_the_whole_run(experiment):
+    experiments, scenario, ceiling = HALTED_CALL_CEILINGS[experiment]
+    task = observed_cell(experiments, scenario)
+    assert task.answered
+    runner = Runner()
+    run_stats(runner, replace(scenario, rtt_ms=20.0))  # warm, on another scenario
+    profiler = cProfile.Profile()
+    profiler.enable()
+    execute_cell(task, 0, ArtifactLevel.STATS, runner=runner)
+    profiler.disable()
+    calls = sum(entry.callcount for entry in profiler.getstats())
+    assert calls <= ceiling, (
+        f"{experiment}: {calls} profiler calls for a halted cell, ceiling {ceiling} — "
+        "the cell runs past the point its observers are answered"
+    )
+    halted, whole = (
+        execute_cell(scenario, 0, task.level, runner, task.sources, until).result.client.loop
+        for until in (task.answered, ())
+    )
+    assert halted.stopped and not whole.stopped
+    assert halted.events_processed < whole.events_processed
 
 
 @pytest.fixture()

@@ -223,3 +223,40 @@ def test_compaction_during_run_is_safe():
     loop.run_until_idle()
     assert survivors == ["end"]
     assert loop.compactions >= 1
+
+
+def test_stop_inside_a_callback_runs_no_later_event():
+    """``stop`` ends ``run`` after the callback at hand: later events —
+    including same-instant ones and those that callback schedules after
+    the stop — stay queued, and the clock stays at the stop time rather
+    than advancing to ``until``."""
+    loop = EventLoop()
+    order = []
+
+    def stopping():
+        order.append("stop")
+        loop.stop()
+        loop.call_soon(order.append, "scheduled after the stop")
+        loop.post_at(loop.now, order.append, "posted after the stop")
+
+    loop.call_at(2.0, order.append, "before")
+    loop.call_at(5.0, stopping)
+    loop.call_at(5.0, order.append, "same instant")
+    loop.call_at(9.0, order.append, "later")
+    assert loop.run(until=60_000.0) == 5.0
+    assert order == ["before", "stop"]
+    assert loop.now == 5.0 and loop.stopped
+    assert loop.events_processed == 2
+    assert loop.pending() == 4
+
+
+def test_a_stopped_loop_cannot_run_again():
+    loop = EventLoop()
+    loop.call_at(1.0, loop.stop)
+    loop.call_at(3.0, lambda: None)
+    loop.run()
+    with pytest.raises(SimulationError, match="stopped"):
+        loop.run()
+    with pytest.raises(SimulationError, match="stopped"):
+        loop.run_until_idle()
+    assert loop.now == 1.0 and loop.events_processed == 1

@@ -72,10 +72,13 @@ def test_suite_observes_trace_cells_and_runs_the_rest_at_stats(monkeypatch):
     levels = []
     real_run_once = Runner.run_once
 
-    def recording_run_once(self, scenario, seed=None, *, capture_trace=True, record_qlog=True):
+    def recording_run_once(
+        self, scenario, seed=None, *, capture_trace=True, record_qlog=True, until=()
+    ):
         levels.append((capture_trace, record_qlog))
         return real_run_once(
-            self, scenario, seed, capture_trace=capture_trace, record_qlog=record_qlog
+            self, scenario, seed, capture_trace=capture_trace, record_qlog=record_qlog,
+            until=until,
         )
 
     monkeypatch.setattr(Runner, "run_once", recording_run_once)
