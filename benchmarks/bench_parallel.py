@@ -31,9 +31,9 @@ Legs:
   live fleet — the second pass is served from the workers' resident
   result caches, measuring the cross-suite memo win end to end.
 
-* **suite_distributed_v4**: protocol v4 wire volume — the suite's
-  RESULT byte counters with negotiated compression on vs off; the
-  gated number is a byte ratio, not a timing.
+* **suite_distributed_v4**: wire volume — the suite's RESULT byte
+  counters before and after compression on one fleet run; the gated
+  number is a byte ratio, not a timing.
 
 * **profile_sweep_distributed**: the recovery-profile lab sweep
   (``lab_cc``: fig6's tail-loss scenario × CC variant) on a 2-worker
@@ -395,72 +395,54 @@ def bench_profile_sweep(repetitions: int, rounds: int) -> dict:
 
 
 def bench_distributed_v4(repetitions: int, rounds: int) -> dict:
-    """Protocol v4 wire volume: the fig12+fig6 suite against a fresh
-    2-worker fleet with negotiated compression on vs forced off.
+    """Wire volume: the fig12+fig6 suite against a fresh 2-worker
+    fleet.
 
     The gated number is a *byte counter ratio*, not a timing: RESULT
     frames carry the suite's real volume, and
     ``result_bytes_raw / result_bytes_wire`` measures how many
     uncompressed payload bytes each shipped wire byte replaced. It is
-    deterministic for a fixed workload — a broken negotiation or a
-    silently-raw codec drags it to ~1 on any machine. Wall-clock for
-    both legs is reported for humans but not gated (localhost loopback
-    does not reward compression the way a real link does).
+    deterministic for a fixed workload — a silently-raw codec drags it
+    to ~1 on any machine. Wall-clock is reported for humans but not
+    gated (localhost loopback does not reward compression the way a
+    real link does).
     """
     overrides = {
         "fig12": {"repetitions": repetitions},
         "fig6": {"repetitions": repetitions},
     }
 
-    def run_fleet(compression: str) -> dict:
-        backend = SocketBackend(
-            port=0, min_workers=2, compression=compression
+    backend = SocketBackend(port=0, min_workers=2)
+    # Cacheless workers: each rounds' re-run must re-ship every RESULT,
+    # or warm caches would zero the measured volume.
+    workers = [_spawn_local_worker(backend, "--no-cache") for _ in range(2)]
+    try:
+        backend.wait_for_workers(2, timeout=60)
+        elapsed = _best_of(
+            lambda: SuiteRunner(backend=backend).run(
+                ["fig12", "fig6"], overrides=overrides
+            ),
+            rounds,
         )
-        # Cacheless workers: each rounds' re-run must re-ship every
-        # RESULT, or warm caches would zero the measured volume.
-        workers = [_spawn_local_worker(backend, "--no-cache") for _ in range(2)]
-        try:
-            backend.wait_for_workers(2, timeout=60)
-            elapsed = _best_of(
-                lambda: SuiteRunner(backend=backend).run(
-                    ["fig12", "fig6"], overrides=overrides
-                ),
-                rounds,
-            )
-            stats = backend.stats
-            return {
-                "elapsed_s": elapsed,
-                "result_bytes_raw": stats.result_bytes_raw,
-                "result_bytes_wire": stats.result_bytes_wire,
-                "chunk_bytes_raw": stats.chunk_bytes_raw,
-                "chunk_bytes_wire": stats.chunk_bytes_wire,
-            }
-        finally:
-            backend.close()
-            for proc in workers:
-                try:
-                    proc.wait(timeout=30)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-
-    compressed = run_fleet("auto")
-    raw = run_fleet("off")
+        stats = backend.stats
+    finally:
+        backend.close()
+        for proc in workers:
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
     legs: dict = {
-        "compressed_2w_s": compressed["elapsed_s"],
-        "raw_2w_s": raw["elapsed_s"],
-        "result_bytes_raw": compressed["result_bytes_raw"],
-        "result_bytes_wire": compressed["result_bytes_wire"],
-        "result_bytes_wire_uncompressed": raw["result_bytes_wire"],
-        "chunk_bytes_raw": compressed["chunk_bytes_raw"],
-        "chunk_bytes_wire": compressed["chunk_bytes_wire"],
+        "compressed_2w_s": elapsed,
+        "result_bytes_raw": stats.result_bytes_raw,
+        "result_bytes_wire": stats.result_bytes_wire,
+        "chunk_bytes_raw": stats.chunk_bytes_raw,
+        "chunk_bytes_wire": stats.chunk_bytes_wire,
+        "result_bytes_raw_vs_wire": round(
+            stats.result_bytes_raw / stats.result_bytes_wire, 2
+        ),
     }
-    legs["result_bytes_raw_vs_wire"] = round(
-        compressed["result_bytes_raw"] / compressed["result_bytes_wire"], 2
-    )
-    legs["result_wire_saved_vs_raw_fleet"] = round(
-        1.0 - compressed["result_bytes_wire"] / raw["result_bytes_wire"], 3
-    )
     return {
         "workload": {
             "experiments": ["fig12", "fig6"],
@@ -468,11 +450,7 @@ def bench_distributed_v4(repetitions: int, rounds: int) -> dict:
             "repetitions": repetitions,
             "workers": 2,
         },
-        "compressed_leg": (
-            "SocketBackend compression=auto (negotiated at "
-            "HELLO/WELCOME, threshold-gated per frame)"
-        ),
-        "raw_leg": "SocketBackend compression=off (v4 framing, raw bodies)",
+        "compressed_leg": "SocketBackend (zlib above 4 KiB per frame)",
         **legs,
         # Byte counters, not timings: identical workload → identical
         # raw volume on any machine, and the compression quotient only
@@ -665,7 +643,7 @@ def main(argv=None) -> int:
         flush=True,
     )
     print(
-        f"distributed v4 wire volume (compression on/off): {sweep_reps} reps ...",
+        f"distributed wire volume: {sweep_reps} reps ...",
         flush=True,
     )
     report["benchmarks"]["suite_distributed_v4"] = bench_distributed_v4(

@@ -27,17 +27,10 @@ from repro.errors import BackendError
 from repro.runtime.backend import ExecutionBackend, LocalBackend
 from repro.runtime.distributed import (
     DEFAULT_HEARTBEAT_TIMEOUT,
-    DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_WORKER_WAIT_TIMEOUT,
     SocketBackend,
 )
 from repro.runtime.matrix import default_workers
-from repro.runtime.scheduler import (
-    DEFAULT_MAX_CHUNK_CELLS,
-    DEFAULT_MIN_CHUNK_CELLS,
-    DEFAULT_TARGET_CHUNK_SECONDS,
-)
-from repro.runtime.wire import DEFAULT_COMPRESS_THRESHOLD
 
 __all__ = ["BackendConfig", "DistributedConfig", "LocalConfig"]
 
@@ -88,25 +81,11 @@ class DistributedConfig(BackendConfig):
     HMAC handshake when a key is set. ``auth_key`` accepts ``str`` or
     ``bytes``.
 
-    ``adaptive_chunks`` (default on) sizes each worker's next chunk
-    from its observed throughput — at most ``target_chunk_seconds`` of
-    wall clock per chunk and at most the worker's rate-proportional
-    share of the cells still un-carved among the idle workers, clamped
-    to ``[min_chunk_cells, max_chunk_cells]`` — so fast workers stop
-    starving behind fleet-average chunks, slow links stop receiving
-    oversize ones, and a pool smaller than one time budget is still
-    spread over the whole fleet. Set
-    ``min_chunk_cells == max_chunk_cells`` to pin a fixed size, or
-    ``adaptive_chunks=False`` for the historical ~2-chunks-per-worker
-    slicing. Result bundles are byte-identical either way.
-
-    ``compression`` picks the protocol-v4 data-frame codec per
-    connection: ``"auto"`` (default — the best codec the worker
-    advertised at HELLO, zlib in a stock install), ``"off"``, or a
-    specific codec name (``"zlib"`` / ``"zstd"``), falling back to raw
-    when the peer cannot decode it. Frames smaller than
-    ``compress_threshold`` bytes always ship raw. Compression changes
-    wire bytes only — result bundles stay byte-identical.
+    Each worker's next chunk is sized from its observed throughput and
+    its share of the cells still un-carved (see
+    :class:`~repro.runtime.scheduler.ChunkScheduler`), and frame bodies
+    above 4 KiB ship zlib-compressed; result bundles are byte-identical
+    however the work was carved and shipped.
     """
 
     name = "distributed"
@@ -117,13 +96,6 @@ class DistributedConfig(BackendConfig):
     worker_timeout: float = DEFAULT_WORKER_WAIT_TIMEOUT
     auth_key: Optional[Union[str, bytes]] = None
     heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-    adaptive_chunks: bool = True
-    min_chunk_cells: int = DEFAULT_MIN_CHUNK_CELLS
-    max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS
-    target_chunk_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS
-    compression: str = "auto"
-    compress_threshold: int = DEFAULT_COMPRESS_THRESHOLD
 
     def key_bytes(self) -> Optional[bytes]:
         if self.auth_key is None:
@@ -141,13 +113,6 @@ class DistributedConfig(BackendConfig):
                 worker_wait_timeout=self.worker_timeout,
                 auth_key=self.key_bytes(),
                 heartbeat_timeout=self.heartbeat_timeout,
-                max_frame_bytes=self.max_frame_bytes,
-                adaptive_chunks=self.adaptive_chunks,
-                min_chunk_cells=self.min_chunk_cells,
-                max_chunk_cells=self.max_chunk_cells,
-                target_chunk_seconds=self.target_chunk_seconds,
-                compression=self.compression,
-                compress_threshold=self.compress_threshold,
             )
         except (ValueError, OSError) as exc:
             raise BackendError(f"cannot start distributed backend: {exc}") from exc

@@ -108,13 +108,8 @@ from repro.api import (
 )
 from repro.api.client import error_type
 from repro.experiments.registry import REGISTRY
-from repro.runtime.distributed import (
-    DEFAULT_MAX_FRAME_BYTES,
-    DEFAULT_WORKER_CACHE_ENTRIES,
-    worker_main,
-)
+from repro.runtime.distributed import DEFAULT_WORKER_CACHE_ENTRIES, worker_main
 from repro.runtime.faults import FaultPlan, parse_fault_plan
-from repro.runtime.scheduler import DEFAULT_MAX_CHUNK_CELLS, DEFAULT_MIN_CHUNK_CELLS
 
 # -- list ---------------------------------------------------------------
 
@@ -285,9 +280,6 @@ def build_backend_config(args: argparse.Namespace) -> BackendConfig:
             min_workers=args.min_workers,
             worker_timeout=args.worker_timeout,
             auth_key=resolve_auth_key(args.auth_key_file),
-            min_chunk_cells=args.min_chunk_cells,
-            max_chunk_cells=args.max_chunk_cells,
-            compression=args.compression,
         )
     return LocalConfig(workers=args.workers)
 
@@ -445,7 +437,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         host,
         port,
         heartbeat_interval=args.heartbeat,
-        max_frame_bytes=args.max_frame_bytes,
         retry_for=args.retry,
         auth_key=resolve_auth_key(args.auth_key_file),
         cache_entries=0 if args.no_cache else args.cache_entries,
@@ -645,29 +636,6 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
         "a mutual HMAC handshake (REPRO_AUTH_KEY also works; required for "
         "non-loopback --bind)",
     )
-    p.add_argument(
-        "--min-chunk-cells",
-        type=int,
-        default=DEFAULT_MIN_CHUNK_CELLS,
-        metavar="N",
-        help="distributed only: lower bound on adaptively sized chunks "
-        "(set equal to --max-chunk-cells to pin a fixed size)",
-    )
-    p.add_argument(
-        "--max-chunk-cells",
-        type=int,
-        default=DEFAULT_MAX_CHUNK_CELLS,
-        metavar="N",
-        help="distributed only: upper bound on adaptively sized chunks",
-    )
-    p.add_argument(
-        "--compression",
-        choices=("auto", "off", "zlib", "zstd"),
-        default="auto",
-        help="distributed only: protocol-v4 data-frame codec (auto "
-        "negotiates the best one each worker can decode; bundles are "
-        "byte-identical either way)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -801,13 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         metavar="SECS",
         help="heartbeat interval",
-    )
-    p_worker.add_argument(
-        "--max-frame-bytes",
-        type=int,
-        default=DEFAULT_MAX_FRAME_BYTES,
-        metavar="N",
-        help="refuse protocol frames larger than this",
     )
     p_worker.add_argument(
         "--auth-key-file",

@@ -82,7 +82,7 @@ from typing import Any, Dict, Optional
 from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
 from repro.runtime.cache import ResultCache, cell_cache_key
-from repro.runtime.wire import DEFAULT_CODEC, compress_blob, decompress_blob
+from repro.runtime.wire import compress_blob, decompress_blob
 
 __all__ = ["CELL_CODE_VERSION", "DiskResultCache", "cell_fingerprint"]
 
@@ -117,9 +117,8 @@ class DiskResultCache:
     instance, the entries on disk do not.
     """
 
-    def __init__(self, directory: str, codec: str = DEFAULT_CODEC):
+    def __init__(self, directory: str):
         self.directory = str(directory)
-        self.codec = codec
         self._objects = os.path.join(self.directory, "objects")
         os.makedirs(self._objects, exist_ok=True)
         #: Decoded entries in front of the directory (see module docs).
@@ -233,10 +232,7 @@ class DiskResultCache:
         # consulting run restores its own authoritative object, and the
         # stored bytes stay independent of pickle-graph sharing.
         stripped = replace(artifacts, scenario=None)
-        blob = compress_blob(
-            pickle.dumps(stripped, protocol=pickle.HIGHEST_PROTOCOL),
-            codec=self.codec,
-        )
+        blob = compress_blob(pickle.dumps(stripped, protocol=pickle.HIGHEST_PROTOCOL))
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"

@@ -16,28 +16,23 @@ speculative duplicates for stragglers — lives behind the
 (:class:`~repro.runtime.scheduler.ChunkScheduler` by default), called
 only under the backend's state lock.
 
-Wire protocol (version 6)
+Wire protocol (version 7)
 -------------------------
 
-Every frame is ``b"RPRO" | type:u8 | length:u32be | body``. *Control*
-frames (HELLO / WELCOME / HEARTBEAT / SHUTDOWN / DRAIN) carry a plain
-pickled body. *Data* frames (CHUNK / RESULT / ERROR — the ones with
-real volume) carry a :mod:`repro.runtime.wire` body instead:
-``u8 codec | payload`` where the payload is a pickle-protocol-5 stream
-with its :class:`pickle.PickleBuffer` buffers shipped out-of-band (the
-receiver hands ``pickle.loads`` zero-copy memoryview slices of the
-frame), optionally compressed as one stream when it clears the
-negotiated size threshold. Frames whose magic is wrong, whose length
-exceeds the configured bound, or whose body does not decode raise
-:class:`ProtocolError`; the server answers any of those by dropping
-that connection (never by crashing the run).
+Every frame is ``b"RPRO" | type:u8 | length:u32be | body`` and every
+body, whatever the frame type, is a :mod:`repro.runtime.wire` body:
+``u8 codec | pickle``, zlib-compressed when the pickle is at least
+4 KiB and compresses smaller. Frames whose magic is wrong, whose
+length exceeds :data:`MAX_FRAME_BYTES`, or whose body does not decode
+(an unknown codec byte included) raise :class:`ProtocolError`; the
+server answers any of those by dropping that connection (never by
+crashing the run).
 
 ========== =============== ==========================================
 type       direction       payload
 ========== =============== ==========================================
-HELLO      worker → server ``{"version", "pid", "host", "epoch",
-                            "codecs"}``
-WELCOME    server → worker ``{"version", "codec", "threshold"}``
+HELLO      worker → server ``{"version", "pid", "host", "epoch"}``
+WELCOME    server → worker ``{"version"}``
 CHUNK      server → worker ``(job_id, chunk_id, GroupedChunk, level)``
 RESULT     worker → server ``(job_id, chunk_id, [(index, artifacts)],
                             cache_meta)``
@@ -57,18 +52,16 @@ the coordinator surfaces as
 :class:`~repro.runtime.events.ChunkCacheStats`. Version 3 added the
 DRAIN frame and the ``epoch`` HELLO field (0 on a worker's first
 connection, incremented each time it rejoins after losing the
-coordinator). Version 4 moved the data frames to out-of-band pickles
-with per-connection compression — the worker advertises the codecs it
-can decode in HELLO (``"codecs"``), the coordinator answers with a
-WELCOME naming its pick and the compression threshold before any CHUNK
-is sent, and every data-frame body is self-describing (the codec byte)
-so either side can decode anything it supports regardless of the
-negotiation (and gave CHUNK a fifth ``engine`` field). Version 5
+coordinator). Version 4 gave the data frames (CHUNK / RESULT / ERROR)
+a codec byte, added the WELCOME frame that answers HELLO, and gave
+CHUNK a fifth ``engine`` field. Version 5
 dropped that field again with the batch cell engine: CHUNK is back to
 four elements. Version 6 gave ERROR ``"exception"`` (an
 :class:`~repro.errors.ObserveError` to re-raise as itself, else
 ``None``) and keeps out v5 workers, which cannot unpickle the
 :class:`~repro.runtime.artifacts.ObservedCell` tasks suites now send.
+Version 7 gives every frame, control frames included, the one body
+format above; HELLO and WELCOME carry no codec fields.
 Versions must match exactly (HELLO is rejected otherwise), so mixed
 fleets fail loudly at connect time instead of mid-job.
 
@@ -101,15 +94,11 @@ Adaptive chunk sizing
 The scheduler keeps one EWMA of observed cells/sec per worker —
 measured from CHUNK-send start to RESULT receipt, so a slow *link* is
 priced in exactly like a slow *CPU* — and carves each worker's next
-chunk off the remaining cell pool: at most ``target_chunk_seconds`` of
-that worker's throughput, and at most its rate-proportional share of
-what is left among the workers idle at that moment, clamped to
-``[min_chunk_cells, max_chunk_cells]``. Fast workers stop idling
-between under-sized chunks, slow workers stop sitting on oversize
-chunks the fleet has to wait out (and stop hitting transfer
-deadlines), no worker idles through a job whose whole pool is smaller
-than one time budget (a few dozen 2 ms cells), and
-because every result is tagged with its cell index, reassembly — and
+chunk off the remaining cell pool: at most the scheduler's time budget
+of that worker's throughput, and at most its rate-proportional share
+of what is left among the workers idle at that moment, clamped to the
+scheduler's cell bounds (see :class:`~repro.runtime.scheduler.ChunkScheduler`).
+Because every result is tagged with its cell index, reassembly — and
 therefore the result bundle — is byte-identical no matter how the pool
 was carved.
 
@@ -208,7 +197,6 @@ import hmac
 import ipaddress
 import logging
 import os
-import pickle
 import random
 import socket
 import struct
@@ -233,36 +221,28 @@ from repro.runtime.events import (
 )
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.scheduler import (
-    DEFAULT_MAX_CHUNK_CELLS,
-    DEFAULT_MIN_CHUNK_CELLS,
-    DEFAULT_TARGET_CHUNK_SECONDS,
     Assignment,
     ChunkScheduler,
     ScaleHint,
     Scheduler,
 )
-from repro.runtime.wire import (
-    DEFAULT_COMPRESS_THRESHOLD,
-    available_codecs,
-    choose_codec,
-    decode_payload,
-    encode_payload,
-)
+from repro.runtime.wire import decode_payload, encode_payload
 from repro.runtime.worker import (
     GroupedChunk,
     IndexedCell,
     run_cell_chunk,
 )
 
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 MAGIC = b"RPRO"
 _HEADER = struct.Struct(">4sBI")
 
 _log = logging.getLogger("repro.distributed")
 
-#: Frames above this are refused on both send and receive. A direct
-#: trace-level ``MatrixRunner`` ships whole packet traces: be generous.
-DEFAULT_MAX_FRAME_BYTES = 256 * 1024 * 1024
+#: Frames above this are refused on both send and receive (read at call
+#: time). A direct trace-level ``MatrixRunner`` ships whole packet
+#: traces: be generous.
+MAX_FRAME_BYTES = 256 * 1024 * 1024
 DEFAULT_HEARTBEAT_INTERVAL = 2.0
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 DEFAULT_WORKER_WAIT_TIMEOUT = 120.0
@@ -297,11 +277,6 @@ MSG_ERROR = 6
 MSG_DRAIN = 7
 MSG_WELCOME = 8
 
-#: Frame types whose body is a :mod:`repro.runtime.wire` data payload
-#: (out-of-band pickle + optional compression) rather than a plain
-#: pickle. These are the frames that carry real volume.
-DATA_FRAMES = frozenset({MSG_CHUNK, MSG_RESULT, MSG_ERROR})
-
 
 class ProtocolError(Exception):
     """A frame violated the wire protocol (bad magic, oversized,
@@ -319,17 +294,18 @@ def chunk_send_timeout(nbytes: int) -> float:
     return SEND_TIMEOUT_FLOOR + nbytes / SEND_MIN_RATE_BYTES
 
 
-def make_frame(
-    msg_type: int, payload: Any, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> bytes:
-    """Serialize one frame to wire bytes, enforcing the size bound."""
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(data) > max_frame_bytes:
+def make_frame(msg_type: int, payload: Any) -> Tuple[bytes, int]:
+    """Serialize one frame to wire bytes, enforcing the size bound.
+    Returns ``(frame, raw_len)`` where ``raw_len`` is the body's size
+    before compression — the byte counters report both so the
+    compression win is a measured number."""
+    body, raw_len = encode_payload(payload)
+    if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"outgoing frame of {len(data)} bytes exceeds the "
-            f"{max_frame_bytes}-byte bound; lower the chunk size"
+            f"outgoing frame of {len(body)} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte bound; lower the chunk size"
         )
-    return _HEADER.pack(MAGIC, msg_type, len(data)) + data
+    return _HEADER.pack(MAGIC, msg_type, len(body)) + body, raw_len
 
 
 def send_frame(
@@ -337,66 +313,17 @@ def send_frame(
     msg_type: int,
     payload: Any,
     lock: Optional[threading.Lock] = None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     size_aware_timeout: bool = False,
-) -> None:
+) -> Tuple[int, int]:
     """Serialize and send one frame (atomically under ``lock``).
+    Returns ``(wire_len, raw_len)`` for the transfer byte counters.
 
     With ``size_aware_timeout`` the socket's timeout is set to
     :func:`chunk_send_timeout` of the frame size before sending — only
     safe on a socket that is never concurrently read (the coordinator's
     per-worker write socket), since timeouts are per socket object.
     """
-    frame = make_frame(msg_type, payload, max_frame_bytes)
-    if lock is None:
-        if size_aware_timeout:
-            sock.settimeout(chunk_send_timeout(len(frame)))
-        sock.sendall(frame)
-    else:
-        with lock:
-            if size_aware_timeout:
-                sock.settimeout(chunk_send_timeout(len(frame)))
-            sock.sendall(frame)
-
-
-def make_data_frame(
-    msg_type: int,
-    payload: Any,
-    codec: str = "raw",
-    threshold: int = DEFAULT_COMPRESS_THRESHOLD,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> Tuple[bytes, int]:
-    """Serialize one *data* frame (CHUNK / RESULT / ERROR) to wire
-    bytes. Returns ``(frame, raw_len)`` where ``raw_len`` is the
-    uncompressed body size — the byte counters report both so the
-    compression win is a measured number."""
-    body, raw_len = encode_payload(payload, codec=codec, threshold=threshold)
-    if len(body) > max_frame_bytes:
-        raise ProtocolError(
-            f"outgoing frame of {len(body)} bytes exceeds the "
-            f"{max_frame_bytes}-byte bound; lower the chunk size"
-        )
-    return _HEADER.pack(MAGIC, msg_type, len(body)) + body, raw_len
-
-
-def send_data_frame(
-    sock: socket.socket,
-    msg_type: int,
-    payload: Any,
-    codec: str = "raw",
-    threshold: int = DEFAULT_COMPRESS_THRESHOLD,
-    lock: Optional[threading.Lock] = None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    size_aware_timeout: bool = False,
-) -> Tuple[int, int]:
-    """Serialize and send one data frame with the connection's
-    negotiated codec. Returns ``(wire_len, raw_len)`` of the frame for
-    the transfer byte counters; locking and timeout semantics match
-    :func:`send_frame`."""
-    frame, raw_len = make_data_frame(
-        msg_type, payload, codec=codec, threshold=threshold,
-        max_frame_bytes=max_frame_bytes,
-    )
+    frame, raw_len = make_frame(msg_type, payload)
     if lock is None:
         if size_aware_timeout:
             sock.settimeout(chunk_send_timeout(len(frame)))
@@ -419,19 +346,13 @@ def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
     return bytes(buf)
 
 
-def recv_frame_ex(
-    sock: socket.socket, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> Tuple[int, Any, int, int]:
+def recv_frame_ex(sock: socket.socket) -> Tuple[int, Any, int, int]:
     """Read one frame, validating magic and length before the payload
     is ever buffered.
 
     Returns ``(msg_type, payload, wire_len, raw_len)`` where
     ``wire_len`` is the frame's on-the-wire size (header included) and
-    ``raw_len`` the uncompressed body size — equal for control frames,
-    smaller on the wire for compressed data frames. Data frames
-    (CHUNK / RESULT / ERROR) are decoded through the self-describing
-    :mod:`repro.runtime.wire` body; control frames stay plain pickles
-    so a v3 peer is rejected at HELLO before any v4 body is parsed.
+    ``raw_len`` the body's size before compression.
     """
     magic, msg_type, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
     if magic == AUTH_MAGIC:
@@ -441,27 +362,22 @@ def recv_frame_ex(
         )
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
-    if length > max_frame_bytes:
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"incoming frame of {length} bytes exceeds the "
-            f"{max_frame_bytes}-byte bound"
+            f"{MAX_FRAME_BYTES}-byte bound"
         )
     payload = _recv_exact(sock, length)
     try:
-        if msg_type in DATA_FRAMES:
-            obj, raw_len = decode_payload(payload)
-        else:
-            obj, raw_len = pickle.loads(payload), length
-        return msg_type, obj, _HEADER.size + length, raw_len
+        obj, raw_len = decode_payload(payload)
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc!r}") from exc
+    return msg_type, obj, _HEADER.size + length, raw_len
 
 
-def recv_frame(
-    sock: socket.socket, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> Tuple[int, Any]:
+def recv_frame(sock: socket.socket) -> Tuple[int, Any]:
     """:func:`recv_frame_ex` without the byte accounting."""
-    msg_type, payload, _, _ = recv_frame_ex(sock, max_frame_bytes)
+    msg_type, payload, _, _ = recv_frame_ex(sock)
     return msg_type, payload
 
 
@@ -606,7 +522,6 @@ def worker_main(
     host: str,
     port: int,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     retry_for: float = 10.0,
     auth_key: Optional[bytes] = None,
     cache_entries: Optional[int] = DEFAULT_WORKER_CACHE_ENTRIES,
@@ -668,7 +583,6 @@ def worker_main(
             port,
             epoch,
             heartbeat_interval,
-            max_frame_bytes,
             auth_key,
             cache,
             faults,
@@ -688,7 +602,6 @@ def _worker_session(
     port: int,
     epoch: int,
     heartbeat_interval: float,
-    max_frame_bytes: int,
     auth_key: Optional[bytes],
     cache: Optional[ResultCache],
     faults: FaultInjector,
@@ -763,8 +676,6 @@ def _worker_session(
                 return
 
     chunks_done = 0
-    codec = "raw"
-    threshold = DEFAULT_COMPRESS_THRESHOLD
     try:
         send_frame(
             sock,
@@ -774,38 +685,28 @@ def _worker_session(
                 "pid": os.getpid(),
                 "host": socket.gethostname(),
                 "epoch": epoch,
-                "codecs": available_codecs(),
             },
             lock=send_lock,
-            max_frame_bytes=max_frame_bytes,
         )
-        # The coordinator answers HELLO with WELCOME before any CHUNK,
-        # naming the codec this worker's data frames should use (always
-        # one we advertised) and the compression threshold. A v3
-        # coordinator rejects the HELLO instead, which lands here as a
-        # closed connection — loud, not corrupted frames.
-        msg_type, payload = recv_frame(sock, max_frame_bytes)
+        # The coordinator answers HELLO with WELCOME before any CHUNK.
+        # A coordinator of another version rejects the HELLO instead,
+        # which lands here as a closed connection — loud, not corrupted
+        # frames.
+        msg_type, payload = recv_frame(sock)
         if msg_type != MSG_WELCOME or not isinstance(payload, dict):
             raise ProtocolError(
                 f"expected WELCOME after HELLO, got message type {msg_type}"
             )
         if payload.get("version") != PROTOCOL_VERSION:
             raise ProtocolError(f"protocol version mismatch: {payload!r}")
-        codec = str(payload.get("codec", "raw"))
-        if codec not in available_codecs():
-            raise ProtocolError(f"coordinator chose unsupported codec {codec!r}")
-        threshold = int(payload.get("threshold", DEFAULT_COMPRESS_THRESHOLD))
-        say(
-            f"connected to {host}:{port} (pid {os.getpid()}, epoch {epoch}, "
-            f"codec {codec})"
-        )
+        say(f"connected to {host}:{port} (pid {os.getpid()}, epoch {epoch})")
         threading.Thread(target=beat, daemon=True).start()
         while True:
             if drain.is_set():
                 goodbye()
                 say(f"draining after {chunks_done} chunk(s)")
                 return 0, False
-            msg_type, payload = recv_frame(sock, max_frame_bytes)
+            msg_type, payload = recv_frame(sock)
             if msg_type == MSG_SHUTDOWN:
                 say(f"shutdown after {chunks_done} chunk(s)")
                 return 0, False
@@ -834,31 +735,18 @@ def _worker_session(
                     with send_lock:
                         sock.sendall(b"BOGUSFRAMEBYTES!")
                     continue
+                reply = (job_id, chunk_id, results, cache_meta)
                 rate = faults.send_rate()
                 if rate is not None:
-                    frame, _ = make_data_frame(
-                        MSG_RESULT,
-                        (job_id, chunk_id, results, cache_meta),
-                        codec=codec,
-                        threshold=threshold,
-                        max_frame_bytes=max_frame_bytes,
-                    )
+                    frame, _ = make_frame(MSG_RESULT, reply)
                     _send_throttled(sock, frame, rate, send_lock)
                 else:
-                    send_data_frame(
-                        sock,
-                        MSG_RESULT,
-                        (job_id, chunk_id, results, cache_meta),
-                        codec=codec,
-                        threshold=threshold,
-                        lock=send_lock,
-                        max_frame_bytes=max_frame_bytes,
-                    )
+                    send_frame(sock, MSG_RESULT, reply, lock=send_lock)
             except Exception as exc:
                 # Includes an oversized RESULT pickle: that is as
                 # deterministic as a simulator error, so report it
                 # instead of dying and letting the chunk requeue.
-                send_data_frame(
+                send_frame(
                     sock,
                     MSG_ERROR,
                     {
@@ -869,10 +757,7 @@ def _worker_session(
                         # Not the fleet's failure: re-raised as itself.
                         "exception": exc if isinstance(exc, ObserveError) else None,
                     },
-                    codec=codec,
-                    threshold=threshold,
                     lock=send_lock,
-                    max_frame_bytes=max_frame_bytes,
                 )
                 continue
             finally:
@@ -934,7 +819,7 @@ class BackendStats:
     #: Cells served from worker-resident result caches instead of
     #: simulated, summed over every recorded RESULT frame.
     worker_cache_hits: int = 0
-    #: Transfer accounting for the v4 data frames: ``*_raw`` is the
+    #: Transfer accounting for CHUNK and RESULT frames: ``*_raw`` is the
     #: uncompressed body size, ``*_wire`` what actually crossed the
     #: socket (header included) — the compression win is
     #: ``raw - wire``, a measured number rather than a claim.
@@ -1007,8 +892,7 @@ class SocketBackend(ExecutionBackend):
     :meth:`run_cells` (the :class:`MatrixRunner` default path) sizes
     each worker's next chunk adaptively from its observed throughput
     and the idle workers' shares of the remaining pool —
-    see the module docs; an explicit ``chunk_size`` or
-    ``adaptive_chunks=False`` pins fixed slices.
+    see the module docs; an explicit ``chunk_size`` pins fixed slices.
     """
 
     name = "distributed"
@@ -1019,27 +903,13 @@ class SocketBackend(ExecutionBackend):
         port: int = 0,
         min_workers: int = 1,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         max_chunk_retries: int = 3,
         worker_wait_timeout: float = DEFAULT_WORKER_WAIT_TIMEOUT,
         auth_key: Optional[bytes] = None,
-        adaptive_chunks: bool = True,
-        min_chunk_cells: int = DEFAULT_MIN_CHUNK_CELLS,
-        max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS,
-        target_chunk_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS,
         scheduler: Optional[Scheduler] = None,
-        compression: str = "auto",
-        compress_threshold: int = DEFAULT_COMPRESS_THRESHOLD,
     ):
         if min_workers < 1:
             raise ValueError("min_workers must be >= 1")
-        if compression not in ("auto", "off", "raw", "zlib", "zstd"):
-            raise ValueError(
-                f"unknown compression setting {compression!r} "
-                "(expected auto/off/zlib/zstd)"
-            )
-        if compress_threshold < 0:
-            raise ValueError("compress_threshold must be >= 0")
         if auth_key is not None and not auth_key:
             raise ValueError("auth_key must be non-empty when set")
         if auth_key is None and not _is_loopback(host):
@@ -1051,23 +921,11 @@ class SocketBackend(ExecutionBackend):
         self.auth_key = auth_key
         self.min_workers = min_workers
         self.heartbeat_timeout = heartbeat_timeout
-        self.max_frame_bytes = max_frame_bytes
         self.max_chunk_retries = max_chunk_retries
         self.worker_wait_timeout = worker_wait_timeout
-        self.adaptive_chunks = adaptive_chunks
-        self.min_chunk_cells = min_chunk_cells
-        self.max_chunk_cells = max_chunk_cells
-        self.target_chunk_seconds = target_chunk_seconds
-        self.compression = compression
-        self.compress_threshold = compress_threshold
-        # ChunkScheduler validates the chunk-sizing/retry bounds, so a
-        # caller-supplied scheduler applies its own policy instead.
-        self._scheduler: Scheduler = scheduler or ChunkScheduler(
-            max_chunk_retries=max_chunk_retries,
-            min_chunk_cells=min_chunk_cells,
-            max_chunk_cells=max_chunk_cells,
-            target_chunk_seconds=target_chunk_seconds,
-        )
+        # ChunkScheduler validates the retry bound, so a caller-supplied
+        # scheduler applies its own policy instead.
+        self._scheduler: Scheduler = scheduler or ChunkScheduler(max_chunk_retries=max_chunk_retries)
         self.stats = BackendStats()
         self._listener = socket.create_server((host, port), backlog=16)
         self.host, self.port = self._listener.getsockname()[:2]
@@ -1120,27 +978,16 @@ class SocketBackend(ExecutionBackend):
                 sock.close()
                 return
         try:
-            msg_type, payload = recv_frame(sock, self.max_frame_bytes)
+            msg_type, payload = recv_frame(sock)
             if msg_type != MSG_HELLO:
                 raise ProtocolError(f"expected HELLO, got message type {msg_type}")
             if not isinstance(payload, dict) or payload.get("version") != PROTOCOL_VERSION:
                 raise ProtocolError(f"protocol version mismatch: {payload!r}")
-            # Negotiate this connection's data-frame codec and answer
-            # with WELCOME *before* the worker is registered — no CHUNK
-            # can be dispatched to it yet, so WELCOME is guaranteed to
-            # be the first frame the worker reads after its HELLO.
-            codec = choose_codec(payload.get("codecs"), self.compression)
-            payload = dict(payload)
-            payload["codec"] = codec
-            send_frame(
-                sock,
-                MSG_WELCOME,
-                {
-                    "version": PROTOCOL_VERSION,
-                    "codec": codec,
-                    "threshold": self.compress_threshold,
-                },
-            )
+            # WELCOME goes out *before* the worker is registered — no
+            # CHUNK can be dispatched to it yet, so WELCOME is
+            # guaranteed to be the first frame the worker reads after
+            # its HELLO.
+            send_frame(sock, MSG_WELCOME, {"version": PROTOCOL_VERSION})
         except (ProtocolError, ConnectionError, OSError):
             with self._cond:
                 self.stats.protocol_errors += 1
@@ -1170,9 +1017,7 @@ class SocketBackend(ExecutionBackend):
         reason: Optional[BaseException] = None
         try:
             while True:
-                msg_type, payload, wire_len, raw_len = recv_frame_ex(
-                    sock, self.max_frame_bytes
-                )
+                msg_type, payload, wire_len, raw_len = recv_frame_ex(sock)
                 if msg_type == MSG_HEARTBEAT:
                     continue
                 if msg_type == MSG_DRAIN:
@@ -1449,28 +1294,22 @@ class SocketBackend(ExecutionBackend):
     ) -> List[Tuple[int, RunArtifacts]]:
         """Serve cells with adaptively sized per-worker chunks.
 
-        An explicit ``chunk_size`` (or ``adaptive_chunks=False``) falls
-        back to fixed slicing via the base implementation. Otherwise
-        the cell pool stays un-chunked on the coordinator and each idle
-        worker's next chunk is carved to ``target_chunk_seconds`` of
-        its EWMA throughput or its share of the remaining pool among
-        the idle workers, whichever is smaller, clamped to the
-        configured cell bounds.
+        An explicit ``chunk_size`` falls back to fixed slicing via the
+        base implementation. Otherwise the cell pool stays un-chunked
+        on the coordinator and each idle worker's next chunk is carved
+        by the scheduler from its EWMA throughput and its share of the
+        remaining pool among the idle workers.
         """
-        if chunk_size is not None or not self.adaptive_chunks:
+        if chunk_size is not None:
             return super().run_cells(cells, level_value, chunk_size)
         if not cells:
             return []
         # The first chunks predate any throughput signal: deal each
-        # assembled worker a conservative quarter-share so the EWMA
-        # gets a sample quickly without front-loading a slow worker.
-        self.wait_for_workers(self.min_workers, self.worker_wait_timeout)
-        with self._lock:
-            slots = max(self.min_workers, len(self._workers))
-        initial = max(
-            self.min_chunk_cells,
-            min(self.max_chunk_cells, -(-len(cells) // (slots * 4))),
-        )
+        # assembled worker a conservative quarter-share (the scheduler
+        # clamps it to its cell bounds) so the EWMA gets a sample
+        # quickly without front-loading a slow worker.
+        slots = self.parallelism()
+        initial = -(-len(cells) // (slots * 4))
         self._register_job(pool=list(cells), initial_chunk_cells=initial)
         return self._run_job(level_value)
 
@@ -1565,14 +1404,11 @@ class SocketBackend(ExecutionBackend):
                 with self._cond:
                     self._scheduler.mark_send(conn.wid, time.monotonic())
                 try:
-                    wire_len, raw_len = send_data_frame(
+                    wire_len, raw_len = send_frame(
                         conn.wsock,
                         MSG_CHUNK,
                         (job_id, assignment.chunk_id, assignment.chunk, level_value),
-                        codec=conn.info.get("codec", "raw"),
-                        threshold=self.compress_threshold,
                         lock=conn.send_lock,
-                        max_frame_bytes=self.max_frame_bytes,
                         size_aware_timeout=True,
                     )
                 except ProtocolError as exc:

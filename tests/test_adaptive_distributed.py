@@ -27,10 +27,10 @@ from repro.runtime.distributed import (
     MSG_HELLO,
     MSG_RESULT,
     PROTOCOL_VERSION,
-    send_data_frame,
     send_frame,
 )
 from repro.runtime.events import ChunkCompleted, ChunkDispatched, WorkerJoined
+from repro.runtime.scheduler import ChunkScheduler
 from repro.runtime.worker import chunk_cell_count, run_cell_chunk
 from repro.sim.loss import IndexedLoss
 from tests.test_distributed import LOSSY_IACK, start_worker_thread
@@ -115,7 +115,7 @@ def test_slow_link_worker_survives_chunk_larger_than_heartbeat_window():
 
                 (job_id, chunk_id, grouped, level), _ = decode_payload(payload)
                 results = run_cell_chunk(grouped, level)
-                send_data_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None), lock=lock)
+                send_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None), lock=lock)
         except (ConnectionError, OSError, struct.error):
             pass
         finally:
@@ -157,7 +157,7 @@ def _skewed_worker(backend, host, delay_per_cell, stop):
             indices = [i for _scenario, pairs in grouped for i, _seed in pairs]
             time.sleep(len(indices) * delay_per_cell)
             results = [(i, "r") for i in indices]
-            send_data_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None), lock=lock)
+            send_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None), lock=lock)
     except (ConnectionError, OSError):
         pass
     finally:
@@ -173,8 +173,7 @@ def test_adaptive_sizing_converges_under_5x_speed_skew():
     backend = SocketBackend(
         port=0,
         min_workers=2,
-        target_chunk_seconds=0.25,
-        max_chunk_cells=400,
+        scheduler=ChunkScheduler(target_chunk_seconds=0.25, max_chunk_cells=400),
     )
     events = []
     backend.set_event_sink(events.append)

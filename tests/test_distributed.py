@@ -23,7 +23,7 @@ from repro.cli import main, parse_address, resolve_auth_key
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
-from repro.runtime import LocalBackend, MatrixRunner, SocketBackend, worker_main
+from repro.runtime import LocalBackend, MatrixRunner, SocketBackend, distributed, worker_main
 from repro.runtime.distributed import (
     MSG_CHUNK,
     MSG_ERROR,
@@ -36,7 +36,6 @@ from repro.runtime.distributed import (
     authenticate_client,
     authenticate_server,
     recv_frame,
-    send_data_frame,
     send_frame,
 )
 
@@ -99,24 +98,26 @@ def test_frame_round_trip():
         right.close()
 
 
-def test_send_frame_refuses_oversized_payload():
+def test_send_frame_refuses_oversized_payload(monkeypatch):
+    monkeypatch.setattr(distributed, "MAX_FRAME_BYTES", 64)
     left, right = socket.socketpair()
     try:
         with pytest.raises(ProtocolError, match="exceeds"):
-            send_frame(left, MSG_RESULT, b"x" * 1024, max_frame_bytes=64)
+            send_frame(left, MSG_RESULT, b"x" * 1024)
     finally:
         left.close()
         right.close()
 
 
-def test_recv_frame_rejects_oversized_announcement():
+def test_recv_frame_rejects_oversized_announcement(monkeypatch):
     """A header announcing more bytes than the bound is refused before
     any payload is buffered."""
+    monkeypatch.setattr(distributed, "MAX_FRAME_BYTES", 1024)
     left, right = socket.socketpair()
     try:
         left.sendall(struct.pack(">4sBI", b"RPRO", MSG_RESULT, 2**31))
         with pytest.raises(ProtocolError, match="exceeds"):
-            recv_frame(right, max_frame_bytes=1024)
+            recv_frame(right)
     finally:
         left.close()
         right.close()
@@ -495,7 +496,7 @@ def test_result_with_out_of_range_chunk_id_drops_worker_not_job():
             recv_frame(sock)  # WELCOME
             _, payload = recv_frame(sock)
             job_id = payload[0]
-            send_data_frame(sock, MSG_RESULT, (job_id, 999_999, [(0, "bogus")], None))
+            send_frame(sock, MSG_RESULT, (job_id, 999_999, [(0, "bogus")], None))
             recv_frame(sock)  # blocks until the server hangs up on us
         except (ConnectionError, ProtocolError, OSError):
             pass
@@ -532,7 +533,7 @@ def test_remote_chunk_error_aborts_with_traceback():
                     continue
                 if msg_type != MSG_CHUNK:
                     return
-                send_data_frame(
+                send_frame(
                     sock,
                     MSG_ERROR,
                     {
@@ -572,7 +573,7 @@ def test_stale_frames_from_aborted_job_are_discarded():
             # job A: fail it outright
             _, payload = recv_frame(sock)
             job_a, chunk_a = payload[0], payload[1]
-            send_data_frame(
+            send_frame(
                 sock,
                 MSG_ERROR,
                 {"job_id": job_a, "chunk_id": chunk_a, "error": "boom-a", "traceback": ""},
@@ -583,13 +584,13 @@ def test_stale_frames_from_aborted_job_are_discarded():
                 if msg_type != MSG_CHUNK:
                     return
                 job_b, chunk_b, grouped, level = payload
-                send_data_frame(sock, MSG_RESULT, (job_a, chunk_b, [(0, "stale-garbage")], None))
-                send_data_frame(
+                send_frame(sock, MSG_RESULT, (job_a, chunk_b, [(0, "stale-garbage")], None))
+                send_frame(
                     sock,
                     MSG_ERROR,
                     {"job_id": job_a, "chunk_id": chunk_a, "error": "stale boom", "traceback": ""},
                 )
-                send_data_frame(sock, MSG_RESULT, (job_b, chunk_b, run_cell_chunk(grouped, level), None))
+                send_frame(sock, MSG_RESULT, (job_b, chunk_b, run_cell_chunk(grouped, level), None))
         except (ConnectionError, ProtocolError, OSError):
             pass
         finally:
@@ -609,14 +610,15 @@ def test_stale_frames_from_aborted_job_are_discarded():
         backend.close()
 
 
-def test_oversized_chunk_aborts_cleanly_and_frees_workers():
+def test_oversized_chunk_aborts_cleanly_and_frees_workers(monkeypatch):
     """A chunk whose frame exceeds the bound is a deterministic
     dispatch failure: the run aborts with the actionable error (no
     fleet teardown) and no worker is left marked busy for a frame
     that was never sent."""
     # The bound sits between the ~50-byte HELLO and the ~500-byte
     # CHUNK frame, so workers register but no chunk can ever be sent.
-    backend = SocketBackend(port=0, min_workers=2, max_frame_bytes=256)
+    monkeypatch.setattr(distributed, "MAX_FRAME_BYTES", 256)
+    backend = SocketBackend(port=0, min_workers=2)
     try:
         for _ in range(2):
             start_worker_thread(backend)

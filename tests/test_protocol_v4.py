@@ -1,39 +1,42 @@
-"""Protocol v4: out-of-band data frames, negotiated compression, and
-the chunk-split dispatch path.
+"""The fleet's wire (protocol v7): one body format for every frame,
+strict version checks, and the chunk-split dispatch path.
 
 Three load-bearing properties:
 
-* The v4 body format round-trips arbitrary payloads — compressed or
-  raw, with or without out-of-band buffers — and the byte counters
-  report a *measured* compression win, not a vibe.
-* Version negotiation is strict (a v3 HELLO is rejected before any v4
-  body is parsed) and so are the readers: one encoding per frame
-  type, so a bare-pickle data-frame body or cache blob is corrupt,
-  not "legacy".
+* Every frame body is ``u8 codec | pickle``, zlib-compressed at
+  4 KiB and above when that is smaller; it round-trips arbitrary
+  payloads, and the byte counters report a *measured* compression
+  win, not a vibe.
+* The readers are strict: a peer of another version is refused at
+  HELLO, and a body with an unknown codec byte (zstd's retired id 2
+  included) or a bare pickle is a protocol error, not "legacy".
 * An oversized chunk is no longer fatal when it can be split: the
   scheduler halves it and the run completes byte-identical to local.
 """
 
 import pickle
+import random
 import socket
+import struct
 import threading
 import time
 
 import pytest
 
+from repro.api import DistributedConfig, RunRequest, Session, write_bundle
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
-from repro.runtime import MatrixRunner, SocketBackend, worker_main
+from repro.runtime import MatrixRunner, SocketBackend, distributed, worker_main
 from repro.runtime.distributed import (
-    DATA_FRAMES,
     MSG_CHUNK,
+    MSG_HEARTBEAT,
     MSG_HELLO,
     MSG_RESULT,
     MSG_WELCOME,
     PROTOCOL_VERSION,
     ProtocolError,
-    make_data_frame,
+    make_frame,
     recv_frame,
     recv_frame_ex,
     send_frame,
@@ -41,9 +44,8 @@ from repro.runtime.distributed import (
 from repro.runtime.wire import (
     BLOB_MAGIC,
     CODEC_RAW,
-    DEFAULT_COMPRESS_THRESHOLD,
-    available_codecs,
-    choose_codec,
+    CODEC_ZLIB,
+    COMPRESS_THRESHOLD,
     compress_blob,
     decode_payload,
     decompress_blob,
@@ -72,28 +74,32 @@ def start_worker_thread(backend: SocketBackend, **kwargs) -> threading.Thread:
     return thread
 
 
+def raw_frame(msg_type: int, body: bytes) -> bytes:
+    """A frame around a hand-made body, bypassing the encoder."""
+    return struct.pack(">4sBI", b"RPRO", msg_type, len(body)) + body
+
+
 # -- body codec ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec", available_codecs())
+@pytest.mark.parametrize("codec", ["zlib", "raw"])
 def test_encode_decode_round_trip(codec):
     payload = {
         "nested": [1, 2.5, "three", None],
-        "blob": bytes(range(256)) * 8,
-        "oob": pickle.PickleBuffer(bytearray(b"x" * 4096)),
+        "blob": bytes(range(256)) * 24,
+        "buffer": bytearray(b"x" * 4096),
     }
-    body, raw_len = encode_payload(payload, codec=codec, threshold=0)
+    body, raw_len = encode_payload(payload, codec=codec)
+    assert body[0] == (CODEC_ZLIB if codec == "zlib" else CODEC_RAW)
     obj, decoded_raw_len = decode_payload(body)
     assert decoded_raw_len == raw_len
-    assert obj["nested"] == payload["nested"]
-    assert obj["blob"] == payload["blob"]
-    assert bytes(obj["oob"]) == b"x" * 4096
+    assert obj == payload
 
 
 def test_compression_shrinks_compressible_bodies():
     payload = {"zeros": b"\x00" * 32768}
     raw_body, raw_len = encode_payload(payload, codec="raw")
-    zlib_body, zlib_raw_len = encode_payload(payload, codec="zlib", threshold=0)
+    zlib_body, zlib_raw_len = encode_payload(payload)
     assert raw_len == zlib_raw_len
     assert len(zlib_body) < len(raw_body)
     assert zlib_body[0] != CODEC_RAW
@@ -102,12 +108,16 @@ def test_compression_shrinks_compressible_bodies():
 
 def test_threshold_gates_compression():
     small = {"tiny": b"x" * 64}
-    body, _raw_len = encode_payload(
-        small, codec="zlib", threshold=DEFAULT_COMPRESS_THRESHOLD
-    )
-    # Under the threshold the body ships raw even on a zlib connection.
+    body, raw_len = encode_payload(small)
+    # Under the threshold the body ships raw, however compressible.
+    assert raw_len < COMPRESS_THRESHOLD
     assert body[0] == CODEC_RAW
     assert decode_payload(body)[0] == small
+    large = {"large": b"x" * COMPRESS_THRESHOLD}
+    body, raw_len = encode_payload(large)
+    assert body[0] == CODEC_ZLIB
+    assert len(body) < raw_len
+    assert decode_payload(body)[0] == large
 
 
 def test_incompressible_bodies_ship_raw():
@@ -116,7 +126,7 @@ def test_incompressible_bodies_ship_raw():
 
     rng = _random.Random(7)
     noise = bytes(rng.getrandbits(8) for _ in range(8192))
-    body, _raw_len = encode_payload({"noise": noise}, codec="zlib", threshold=0)
+    body, _raw_len = encode_payload({"noise": noise})
     assert body[0] == CODEC_RAW
 
 
@@ -128,25 +138,29 @@ def test_decode_rejects_truncated_bodies():
         decode_payload(b"")
 
 
-def test_choose_codec_negotiation():
-    assert choose_codec(["zlib", "raw"], "off") == "raw"
-    assert choose_codec(["zlib", "raw"], "auto") == "zlib"
-    assert choose_codec(["raw"], "auto") == "raw"
-    assert choose_codec(None, "auto") == "raw"
-    assert choose_codec(["exotic"], "auto") == "raw"
-    # A specific preference the peer cannot decode falls back to raw.
-    assert choose_codec(["raw"], "zlib") == "raw"
-    with pytest.raises(ValueError):
-        choose_codec(["raw"], "lzma")
+@pytest.mark.parametrize("ident", [2, 3, 0x7F, 0x80, 0xFF])
+def test_unknown_codec_byte_is_a_protocol_error(ident):
+    # 2 was zstd's id before v7; 0x80 is a bare pickle's first byte.
+    body = bytes([ident]) + pickle.dumps({"k": "v"}, protocol=5)
+    with pytest.raises(ValueError, match="unknown wire codec id"):
+        decode_payload(body)
+    left, right = socket.socketpair()
+    try:
+        left.sendall(raw_frame(MSG_RESULT, body))
+        with pytest.raises(ProtocolError, match="unknown wire codec id"):
+            recv_frame_ex(right)
+    finally:
+        left.close()
+        right.close()
 
 
 def test_data_frame_socket_round_trip_and_legacy_sniff():
     left, right = socket.socketpair()
     try:
         payload = (1, 2, {"cells": b"c" * 6000}, "stats")
-        frame, raw_len = make_data_frame(MSG_RESULT, payload, codec="zlib")
+        frame, raw_len = make_frame(MSG_RESULT, payload)
         left.sendall(frame)
-        msg_type, got, wire_len, got_raw = recv_frame_ex(right, 1 << 20)
+        msg_type, got, wire_len, got_raw = recv_frame_ex(right)
         assert msg_type == MSG_RESULT
         assert got == payload
         assert got_raw == raw_len
@@ -155,9 +169,9 @@ def test_data_frame_socket_round_trip_and_legacy_sniff():
         # The pre-v4 sniff is gone: a plain-pickle body on a data
         # frame starts with the 0x80 pickle opcode, which is not a
         # codec id, so the frame is a protocol error.
-        send_frame(left, MSG_RESULT, payload)
+        left.sendall(raw_frame(MSG_RESULT, pickle.dumps(payload)))
         with pytest.raises(ProtocolError, match="undecodable frame payload"):
-            recv_frame_ex(right, 1 << 20)
+            recv_frame_ex(right)
     finally:
         left.close()
         right.close()
@@ -176,7 +190,7 @@ def test_plain_pickle_result_body_drops_the_worker_not_the_job():
             recv_frame(sock)  # WELCOME
             _, (job_id, chunk_id, grouped, level) = recv_frame(sock)
             results = run_cell_chunk(grouped, level)
-            send_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None))
+            sock.sendall(raw_frame(MSG_RESULT, pickle.dumps((job_id, chunk_id, results, None))))
             recv_frame(sock)  # blocks until the server hangs up on us
         except (ConnectionError, ProtocolError, OSError):
             pass
@@ -197,14 +211,65 @@ def test_plain_pickle_result_body_drops_the_worker_not_the_job():
         backend.close()
 
 
+def test_unknown_codec_result_drops_the_worker_not_the_run(tmp_path):
+    """A worker whose RESULT body names an unknown codec (zstd's retired
+    id) is dropped as a protocol violator; its chunk is requeued and the
+    other worker finishes the run with the serial bundle."""
+    session = Session(DistributedConfig(listen=0, min_workers=2))
+    host, port = session.address.rsplit(":", 1)
+
+    def zstd_worker():
+        sock = socket.create_connection((host, int(port)))
+        try:
+            send_frame(sock, MSG_HELLO, {"version": PROTOCOL_VERSION, "pid": 0, "host": "zstd"})
+            recv_frame(sock)  # WELCOME
+            _, (job_id, chunk_id, grouped, level) = recv_frame(sock)
+            results = run_cell_chunk(grouped, level)
+            body = bytes([2]) + pickle.dumps((job_id, chunk_id, results, None))
+            sock.sendall(raw_frame(MSG_RESULT, body))
+            recv_frame(sock)  # blocks until the server hangs up on us
+        except (ConnectionError, ProtocolError, OSError):
+            pass
+        finally:
+            sock.close()
+
+    request = RunRequest(("fig6",), smoke=True)
+    with session:
+        threading.Thread(target=zstd_worker, daemon=True).start()
+        threading.Thread(
+            target=worker_main, args=(host, int(port)), kwargs={"retry_for": 5.0}, daemon=True
+        ).start()
+        fleet = write_bundle(session.run(request), tmp_path / "fleet")
+        stats = session.backend_stats
+        assert stats.protocol_errors == 1
+        assert stats.workers_lost == 1
+        assert stats.chunks_requeued >= 1
+        assert stats.workers_used == 1
+    with Session() as serial_session:
+        serial = write_bundle(serial_session.run(request), tmp_path / "serial")
+    assert [path.name for path in fleet] == [path.name for path in serial]
+    for got, expected in zip(fleet, serial):
+        assert got.read_bytes() == expected.read_bytes(), got.name
+
+
 def test_data_frames_cover_the_volume_carriers():
-    assert MSG_CHUNK in DATA_FRAMES
-    assert MSG_RESULT in DATA_FRAMES
-    assert MSG_HELLO not in DATA_FRAMES
-    assert MSG_WELCOME not in DATA_FRAMES
+    # One body format for every frame type: a control frame above the
+    # threshold compresses exactly like a data frame.
+    payload = {"version": PROTOCOL_VERSION, "pad": "p" * COMPRESS_THRESHOLD}
+    for msg_type in (MSG_CHUNK, MSG_RESULT, MSG_HELLO, MSG_WELCOME, MSG_HEARTBEAT):
+        frame, raw_len = make_frame(msg_type, payload)
+        assert frame[9] == CODEC_ZLIB
+        assert len(frame) < raw_len
+        left, right = socket.socketpair()
+        try:
+            left.sendall(frame)
+            assert recv_frame(right) == (msg_type, payload)
+        finally:
+            left.close()
+            right.close()
 
 
-# -- version + codec negotiation on a live coordinator ------------------
+# -- version checks on a live coordinator -------------------------------
 
 
 def _drain_welcome_then_close(backend, hello):
@@ -212,7 +277,7 @@ def _drain_welcome_then_close(backend, hello):
     try:
         send_frame(sock, MSG_HELLO, hello)
         sock.settimeout(5)
-        return recv_frame(sock, 1 << 20)
+        return recv_frame(sock)
     finally:
         sock.close()
 
@@ -247,36 +312,41 @@ def test_v3_hello_is_rejected_before_registration():
         backend.close()
 
 
-def test_welcome_carries_negotiated_codec():
+def test_v6_hello_with_codecs_is_refused_before_registration():
+    """A v6 worker is refused at HELLO, whether its HELLO reaches the
+    coordinator in v7 framing or, as a real v6 worker writes it, as a
+    bare pickle; neither is registered or answered with WELCOME."""
+    v6_hello = {"version": 6, "pid": 1, "host": "v6", "epoch": 0, "codecs": ["zlib", "raw"]}
     backend = SocketBackend(port=0)
     try:
-        msg_type, payload = _drain_welcome_then_close(
-            backend, {"version": PROTOCOL_VERSION, "codecs": ["zlib", "raw"]}
-        )
-        assert msg_type == MSG_WELCOME
-        assert payload["version"] == PROTOCOL_VERSION
-        assert payload["codec"] == "zlib"
-        assert payload["threshold"] == DEFAULT_COMPRESS_THRESHOLD
+        for refused, frame in enumerate(
+            (make_frame(MSG_HELLO, v6_hello)[0], raw_frame(MSG_HELLO, pickle.dumps(v6_hello))),
+            start=1,
+        ):
+            sock = socket.create_connection((backend.host, backend.port), timeout=5)
+            try:
+                sock.sendall(frame)
+                with pytest.raises((ConnectionError, OSError)):
+                    recv_frame(sock)
+                assert backend.stats.protocol_errors == refused
+                assert backend.worker_count() == 0
+                assert backend.stats.workers_seen == 0
+            finally:
+                sock.close()
     finally:
         backend.close()
 
-    off = SocketBackend(port=0, compression="off", compress_threshold=128)
+
+def test_welcome_carries_only_the_version():
+    backend = SocketBackend(port=0)
     try:
         msg_type, payload = _drain_welcome_then_close(
-            off, {"version": PROTOCOL_VERSION, "codecs": ["zlib", "raw"]}
+            backend, {"version": PROTOCOL_VERSION, "pid": 0, "host": "v7"}
         )
         assert msg_type == MSG_WELCOME
-        assert payload["codec"] == "raw"
-        assert payload["threshold"] == 128
+        assert payload == {"version": PROTOCOL_VERSION}
     finally:
-        off.close()
-
-
-def test_socketbackend_validates_compression_config():
-    with pytest.raises(ValueError):
-        SocketBackend(port=0, compression="lzma")
-    with pytest.raises(ValueError):
-        SocketBackend(port=0, compress_threshold=-1)
+        backend.close()
 
 
 # -- end-to-end: fewer bytes, identical bundles -------------------------
@@ -294,57 +364,46 @@ def _run_distributed(backend, repetitions=24, chunk_size=None):
 
 
 def test_v4_results_ship_measurably_fewer_bytes():
-    # Pinned chunks: a RESULT body's raw size depends on which cells
-    # share its pickle memo, and the adaptive carve follows worker
-    # timing, so only fixed slices make the two runs' volumes comparable.
+    # Pinned 12-cell chunks: each RESULT pickle clears the 4 KiB
+    # threshold (a 4-cell one would ship raw), whatever the workers'
+    # timing would make of an adaptive carve.
     compressed, stats = _run_distributed(
-        SocketBackend(port=0, min_workers=2, compress_threshold=512), chunk_size=4
+        SocketBackend(port=0, min_workers=2), chunk_size=12
     )
-    assert stats.result_bytes_raw > 0
+    assert stats.result_bytes_raw >= 2 * COMPRESS_THRESHOLD
     assert stats.result_bytes_wire < stats.result_bytes_raw
-
-    raw_results, raw_stats = _run_distributed(
-        SocketBackend(port=0, min_workers=2, compression="off"), chunk_size=4
-    )
-    # Without compression the wire carries the raw body plus framing.
-    assert raw_stats.result_bytes_wire > raw_stats.result_bytes_raw
-    assert raw_stats.result_bytes_raw == pytest.approx(
-        stats.result_bytes_raw, rel=0.05
-    )
-    # Transport is invisible to results: both match the serial runner.
+    # Transport is invisible to results: they match the serial runner.
     serial = Runner().run_repetitions(QUICHE_LOSSY, repetitions=24)
-    for expected, a, b in zip(serial, compressed, raw_results):
-        assert a.client_stats == expected.client_stats
-        assert b.client_stats == expected.client_stats
+    assert [r.client_stats for r in compressed] == [r.client_stats for r in serial]
 
 
 # -- oversized chunks split instead of aborting -------------------------
 
 
-def test_oversized_chunk_splits_and_run_completes():
+def test_oversized_chunk_splits_and_run_completes(monkeypatch):
     # Each scenario drags a fat (never-triggered) loss set so the CHUNK
     # frame dwarfs the RESULT frames: the dispatch bound below must trip
-    # on the outbound chunk, not on the workers' replies.
+    # on the outbound chunk, not on the workers' replies. The sets are
+    # random, so a chunk's compressed frame grows with its cell count.
     from repro.sim.loss import IndexedLoss
 
     scenarios = [
         Scenario(client="quic-go", mode=ServerMode.WFC, http="h1",
                  rtt_ms=float(rtt), response_size=SIZE_10KB,
-                 server_to_client_loss=IndexedLoss(range(90_000, 90_400)))
+                 server_to_client_loss=IndexedLoss(
+                     random.Random(rtt).sample(range(90_000, 1_000_000), 400)
+                 ))
         for rtt in (9, 19, 29, 39, 49, 59, 69, 79)
     ]
     cells = [(i, scenario, 0) for i, scenario in enumerate(scenarios)]
-    frame, _raw = make_data_frame(
-        MSG_CHUNK, (1, 0, group_cells(cells), "stats", "scalar"), codec="raw"
-    )
+    frame, _raw = make_frame(MSG_CHUNK, (1, 0, group_cells(cells), "stats"))
     # The bound admits half the sweep per frame but not the whole
     # sweep, so the first dispatch must split.
     bound = (3 * len(frame)) // 4
     reference = MatrixRunner(workers=0).run_matrix(scenarios, repetitions=1)
 
-    backend = SocketBackend(
-        port=0, min_workers=2, max_frame_bytes=bound, compression="off"
-    )
+    monkeypatch.setattr(distributed, "MAX_FRAME_BYTES", bound)
+    backend = SocketBackend(port=0, min_workers=2)
     for _ in range(2):
         start_worker_thread(backend)
     try:
@@ -371,7 +430,7 @@ def test_blob_round_trip_and_legacy_passthrough():
     framed = compress_blob(data)
     assert framed.startswith(BLOB_MAGIC)
     assert decompress_blob(framed) == data
-    assert decompress_blob(compress_blob(data, codec="raw")) == data
+    assert decompress_blob(BLOB_MAGIC + bytes([CODEC_RAW]) + data) == data
     # The pass-through is gone: no magic means not a blob we wrote.
     with pytest.raises(ValueError, match="magic"):
         decompress_blob(data)

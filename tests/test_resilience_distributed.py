@@ -27,7 +27,6 @@ from repro.runtime.distributed import (
     PROTOCOL_VERSION,
     ProtocolError,
     recv_frame,
-    send_data_frame,
     send_frame,
 )
 from repro.runtime.events import (
@@ -333,8 +332,8 @@ def test_duplicate_result_frames_emit_chunk_completed_once():
                     return
                 job_id, chunk_id, grouped, level = payload
                 frame = (job_id, chunk_id, run_cell_chunk(grouped, level), None)
-                send_data_frame(sock, MSG_RESULT, frame)
-                send_data_frame(sock, MSG_RESULT, frame)  # duplicate echo
+                send_frame(sock, MSG_RESULT, frame)
+                send_frame(sock, MSG_RESULT, frame)  # duplicate echo
         except (ConnectionError, ProtocolError, OSError):
             pass
         finally:
