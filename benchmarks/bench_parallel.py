@@ -77,7 +77,8 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from repro import api  # noqa: E402
 from repro.experiments import CellResults, get_spec  # noqa: E402
-from repro.runtime import MatrixRunner, SuiteRunner  # noqa: E402
+from repro.interop.runner import Runner  # noqa: E402
+from repro.runtime import ArtifactLevel, SuiteRunner, execute_cell  # noqa: E402
 from repro.runtime.distributed import SocketBackend  # noqa: E402
 
 FIG6_REPETITIONS = 25
@@ -106,15 +107,18 @@ def bench_fig6(repetitions: int, rounds: int) -> dict:
     spec = get_spec("fig6")
     params = spec.resolve_params({"http": "h1", "repetitions": repetitions})
 
-    # The façade runs fig6 at its declared stats level; the seed's
-    # retention behavior needs the level pinned on the runner.
-    with MatrixRunner(workers=0, artifact_level="full") as runner:
-        legs["serial_seed_pipeline_s"] = _best_of(
-            lambda: spec.aggregate(
-                CellResults(runner.run_cells(spec.plan_cells(params))), params
-            ),
-            rounds,
-        )
+    # The façade runs fig6 at its declared stats level; the seed kept
+    # everything, so this leg runs its cells at ``full``, in-process.
+    def seed_pipeline() -> None:
+        runner = Runner()
+        cells = spec.plan_cells(params)
+        results = [
+            execute_cell(cell.scenario, cell.seed, ArtifactLevel.FULL, runner=runner)
+            for cell in cells
+        ]
+        spec.aggregate(CellResults(results), params)
+
+    legs["serial_seed_pipeline_s"] = _best_of(seed_pipeline, rounds)
     legs["serial_stats_s"] = _best_of(
         lambda: api.run_experiment("fig6", http="h1", repetitions=repetitions),
         rounds,
@@ -596,7 +600,7 @@ def main(argv=None) -> int:
     report = {
         "description": (
             "Wall-clock of the seed serial pipeline vs the parallel "
-            "experiment runtime (MatrixRunner / suite-planned passes) on "
+            "experiment runtime (session backends / suite-planned passes) on "
             "identical workloads. Best-of-N timings."
         ),
         "environment": {

@@ -20,6 +20,7 @@ repetition sweep on; configuration mistakes surface as
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -30,7 +31,6 @@ from repro.runtime.distributed import (
     DEFAULT_WORKER_WAIT_TIMEOUT,
     SocketBackend,
 )
-from repro.runtime.matrix import default_workers
 
 __all__ = ["BackendConfig", "DistributedConfig", "LocalConfig"]
 
@@ -56,8 +56,8 @@ class LocalConfig(BackendConfig):
     ``workers=0`` (default) runs cells serially in-process — the
     deterministic reference path, scans included. ``workers>=2`` fans
     chunks out over a process pool made on first use and kept until the
-    session closes. ``workers=None`` lets the runtime pick from the
-    CPU count.
+    session closes. ``workers=None`` picks the CPU count, capped at 8
+    to keep fork storms bounded.
     """
 
     name = "local"
@@ -67,7 +67,8 @@ class LocalConfig(BackendConfig):
     def create(self) -> ExecutionBackend:
         if self.workers is not None and self.workers < 0:
             raise BackendError("LocalConfig.workers must be >= 0 (or None for auto)")
-        return LocalBackend(default_workers() if self.workers is None else self.workers)
+        workers = min(8, os.cpu_count() or 1) if self.workers is None else self.workers
+        return LocalBackend(workers)
 
 
 @dataclass(frozen=True)

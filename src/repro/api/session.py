@@ -22,11 +22,13 @@ from repro.api.stream import RunStream
 from repro.errors import BackendError, InvalidOverride, UnknownExperiment
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import REGISTRY
+from repro.interop.runner import Runner, Scenario
+from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
 from repro.runtime.backend import ExecutionBackend
 from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.events import EventSink, RunEvent, emit
-from repro.runtime.matrix import MatrixRunner
 from repro.runtime.suite import SuitePlan, SuiteReport, SuiteRunner
+from repro.runtime.workloop import LEVEL, run_work
 
 __all__ = [
     "RunRequest",
@@ -379,15 +381,14 @@ class Session:
     # -- single cells ---------------------------------------------------
     #
     # Below the experiment grain: one emulated connection (or a seed
-    # sweep of one scenario) through the session's execution context.
-    # This is the notebook/debugging surface.
+    # sweep of one scenario). This is the notebook/debugging surface.
 
     def run_once(
         self,
-        scenario: Any,
+        scenario: Scenario,
         seed: int = 0,
-        artifact_level: Union[str, Any] = "trace",
-    ) -> Any:
+        artifact_level: Union[str, ArtifactLevel] = "trace",
+    ) -> RunArtifacts:
         """Execute one ``(scenario, seed)`` cell; returns
         :class:`~repro.runtime.artifacts.RunArtifacts` at
         ``artifact_level`` (default ``trace``: stats + packet trace +
@@ -401,20 +402,38 @@ class Session:
 
     def run_repetitions(
         self,
-        scenario: Any,
+        scenario: Scenario,
         repetitions: int,
         base_seed: int = 0,
-        artifact_level: Union[str, Any] = "stats",
-    ) -> List[Any]:
+        artifact_level: Union[str, ArtifactLevel] = "stats",
+    ) -> List[RunArtifacts]:
         """The paper's repeat-with-distinct-seeds loop for one
-        scenario (seeds ``base_seed + i``), through the session's
-        backend."""
+        scenario (seeds ``base_seed + i``), in seed order.
+
+        At ``stats`` the cells go through the session's backend and its
+        ``cache_dir`` store, like a suite's: stored cells are served,
+        the rest run and are stored as their batch arrives. Anything
+        richer is read in the process that ran the cell, so ``trace``
+        and ``full`` cells run here, on every backend config, and are
+        never stored. Bad input raises
+        :class:`~repro.errors.InvalidOverride` before any cell runs."""
         if self._closed:
             raise BackendError("session is closed")
-        runner = MatrixRunner(
-            artifact_level=artifact_level, base_seed=base_seed, backend=self._backend
-        )
-        return runner.run_repetitions(scenario, repetitions=repetitions)
+        level = _sweep_level(scenario, repetitions, base_seed, artifact_level)
+        seeds = range(base_seed, base_seed + repetitions)
+        if level is not LEVEL:
+            runner = Runner()
+            return [execute_cell(scenario, seed, level, runner=runner) for seed in seeds]
+        results: List[RunArtifacts] = [None] * repetitions  # type: ignore[list-item]
+
+        def put(index: int, artifacts: RunArtifacts, _source: str) -> None:
+            # Pool, fleet and store results come back scenario-less.
+            artifacts.scenario = scenario
+            results[index] = artifacts
+
+        items = [(i, scenario, seed) for i, seed in enumerate(seeds)]
+        run_work(self._backend, items, put, cache=self.disk_cache)
+        return results
 
     # -- internals ------------------------------------------------------
 
@@ -438,3 +457,19 @@ class Session:
 
         return fan_out
 
+
+def _sweep_level(
+    scenario: Any, repetitions: Any, base_seed: Any, artifact_level: Any
+) -> ArtifactLevel:
+    """Check a sweep's arguments and return its level. A float or bool
+    seed would reach the store as a key of its own."""
+    if not isinstance(scenario, Scenario):
+        raise InvalidOverride(f"scenario must be a Scenario, got {type(scenario).__name__}")
+    if not isinstance(base_seed, int) or isinstance(base_seed, bool):
+        raise InvalidOverride(f"seed must be an int, got {base_seed!r}")
+    if not isinstance(repetitions, int) or isinstance(repetitions, bool) or repetitions < 1:
+        raise InvalidOverride(f"repetitions must be an int >= 1, got {repetitions!r}")
+    try:
+        return ArtifactLevel.coerce(artifact_level)
+    except ValueError as exc:
+        raise InvalidOverride(str(exc)) from None

@@ -81,7 +81,7 @@ from repro.wild.vantage import vantage
 Params = Dict[str, Any]
 
 #: Experiment kinds (documentation metadata, rendered in EXPERIMENTS.md).
-KIND_MATRIX = "matrix"  #: simulator scenario-matrix sweep (MatrixRunner cells)
+KIND_MATRIX = "matrix"  #: simulator scenario-matrix sweep (scenario × seed cells)
 KIND_MODEL = "model"  #: analytic model / registry check, no simulation cells
 KIND_WILD = "wild"  #: emulated internet measurement (scan/longitudinal)
 

@@ -2,8 +2,6 @@
 
 Public surface:
 
-* :class:`MatrixRunner` — run scenario × seed cells on a backend with
-  deterministic seeding and stable result order.
 * :class:`ArtifactLevel` / :class:`Source` / :class:`RunArtifacts` —
   selectable per-run retention (``stats`` / ``trace`` / ``full``, and
   above ``stats`` which qlogs and captures); a suite retains above
@@ -23,10 +21,11 @@ Public surface:
   attached observer; the channel the ``repro.api`` façade exposes.
 * :class:`ResultCache` — the in-memory (scenario, seed, level) tier: a
   fleet worker's memo, and what a ``DiskResultCache`` serves warm hits from.
-* :class:`ArtifactStore` — a disk store of per-cell artifacts for
-  direct ``MatrixRunner`` users (no suite uses it).
-* :class:`SuiteRunner` — cross-experiment planning: union the cells of
-  any set of registered experiments, dedupe, execute once, fan out.
+* :class:`ArtifactStore` — a disk store of per-cell trace artifacts
+  (no suite, sweep or scan uses it).
+* :class:`SuiteRunner` / :class:`Cell` — cross-experiment planning:
+  union the ``(scenario, seed)`` cells of any set of registered
+  experiments, dedupe, execute once, fan out.
 * :class:`Scheduler` / :class:`ChunkScheduler` — the distributed
   coordinator's scheduling policy (chunk pool, requeue/poison bounds,
   adaptive sizing, speculative re-execution, scale hints), separate
@@ -43,7 +42,6 @@ from repro.runtime.cache import ResultCache, loss_pattern_key, scenario_key
 from repro.runtime.distributed import SocketBackend, worker_main
 from repro.runtime.events import ChunkCacheStats, EventSink, RunEvent
 from repro.runtime.faults import FaultInjector, FaultPlan, parse_fault_plan
-from repro.runtime.matrix import Cell, MatrixRunner, default_workers
 from repro.runtime.scheduler import (
     Assignment,
     ChunkScheduler,
@@ -52,7 +50,7 @@ from repro.runtime.scheduler import (
     WorkerState,
 )
 from repro.runtime.store import ArtifactHandle, ArtifactStore
-from repro.runtime.suite import SuitePlan, SuiteReport, SuiteRunner
+from repro.runtime.suite import Cell, SuitePlan, SuiteReport, SuiteRunner
 from repro.runtime.workloop import run_work
 
 __all__ = [
@@ -68,7 +66,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "LocalBackend",
-    "MatrixRunner",
     "ResultCache",
     "ResultObserver",
     "RunArtifacts",
@@ -81,7 +78,6 @@ __all__ = [
     "SuiteReport",
     "SuiteRunner",
     "WorkerState",
-    "default_workers",
     "execute_cell",
     "loss_pattern_key",
     "parse_fault_plan",

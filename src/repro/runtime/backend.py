@@ -1,9 +1,10 @@
 """Pluggable execution backends for the parallel runtime.
 
-Every run — a suite, a scan, a direct :class:`~repro.runtime.matrix
-.MatrixRunner` sweep — hands its ``(index, task, seed)`` cells to one
-:class:`ExecutionBackend`; *where* they execute is the backend's
-decision:
+Every run — a suite, a scan, a session's repetition sweep — hands its
+stats-level ``(index, task, seed)`` cells to one
+:class:`ExecutionBackend` through
+:func:`~repro.runtime.workloop.run_work`; *where* they execute is the
+backend's decision:
 
 * :class:`LocalBackend` — this machine: inline in the calling process
   (``workers <= 1``, the deterministic reference path) or fanned out in
@@ -29,7 +30,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.interop.runner import Runner
-from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
+from repro.runtime.artifacts import RunArtifacts, execute_cell
 from repro.runtime.events import (
     CellCompleted,
     ChunkCompleted,
@@ -45,6 +46,7 @@ from repro.runtime.worker import (
     group_cells,
     run_cell_chunk,
 )
+from repro.runtime.workloop import LEVEL
 
 
 #: Durability channel for freshly completed ``(cell index, artifacts)``
@@ -84,10 +86,6 @@ class ExecutionBackend(abc.ABC):
 
     #: Short human-readable backend name (CLI ``--backend`` values).
     name: str = "backend"
-
-    #: Cells execute in the calling process (where alone ``full``-level
-    #: artifacts, live endpoint objects, can exist).
-    in_process: bool = False
 
     #: Where progress events go; see :meth:`set_event_sink`.
     _event_sink: Optional[EventSink] = None
@@ -139,18 +137,13 @@ class ExecutionBackend(abc.ABC):
         drives the caller's chunk sizing."""
 
     @abc.abstractmethod
-    def run_chunks(
-        self,
-        chunks: Sequence[GroupedChunk],
-        level_value: str,
-    ) -> List[Tuple[int, RunArtifacts]]:
+    def run_chunks(self, chunks: Sequence[GroupedChunk]) -> List[Tuple[int, RunArtifacts]]:
         """Execute every chunk, returning the tagged results of all of
         them (in any order; callers reassemble by index)."""
 
     def run_cells(
         self,
         cells: Sequence[IndexedCell],
-        level_value: str,
         chunk_size: Optional[int] = None,
     ) -> List[Tuple[int, RunArtifacts]]:
         """Execute indexed cells, letting the backend choose how they
@@ -177,7 +170,7 @@ class ExecutionBackend(abc.ABC):
             group_cells(cells[start : start + chunk_size])
             for start in range(0, len(cells), chunk_size)
         ]
-        return self.run_chunks(chunks, level_value)
+        return self.run_chunks(chunks)
 
     def close(self) -> None:
         """Release backend resources (idempotent)."""
@@ -211,13 +204,9 @@ class LocalBackend(ExecutionBackend):
     def parallelism(self) -> int:
         return max(1, self.workers)
 
-    def run_chunks(
-        self,
-        chunks: Sequence[GroupedChunk],
-        level_value: str,
-    ) -> List[Tuple[int, RunArtifacts]]:
+    def run_chunks(self, chunks: Sequence[GroupedChunk]) -> List[Tuple[int, RunArtifacts]]:
         if self.in_process:
-            return self._run_inline(chunks, ArtifactLevel(level_value))
+            return self._run_inline(chunks)
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
@@ -228,7 +217,7 @@ class LocalBackend(ExecutionBackend):
         futures = {}
         for chunk_id, chunk in enumerate(chunks):
             cells = chunk_cell_count(chunk)
-            future = self._executor.submit(run_cell_chunk, chunk, level_value)
+            future = self._executor.submit(run_cell_chunk, chunk, LEVEL.value)
             futures[future] = (chunk_id, cells)
             self.emit(ChunkDispatched(chunk_id=chunk_id, cells=cells, where="local-pool"))
         out: List[Tuple[int, RunArtifacts]] = []
@@ -240,9 +229,7 @@ class LocalBackend(ExecutionBackend):
             self.observe_results(results)
         return out
 
-    def _run_inline(
-        self, chunks: Sequence[GroupedChunk], level: ArtifactLevel
-    ) -> List[Tuple[int, RunArtifacts]]:
+    def _run_inline(self, chunks: Sequence[GroupedChunk]) -> List[Tuple[int, RunArtifacts]]:
         total = sum(map(chunk_cell_count, chunks))
         runner = Runner()  # one per pass: it reuses scenario scaffolding
         out: List[Tuple[int, RunArtifacts]] = []
@@ -250,7 +237,7 @@ class LocalBackend(ExecutionBackend):
         for chunk in chunks:
             for scenario, pairs in chunk:
                 for index, seed in pairs:
-                    out.append((index, execute_cell(scenario, seed, level, runner=runner)))
+                    out.append((index, execute_cell(scenario, seed, LEVEL, runner=runner)))
                     self.emit(CellCompleted(completed=len(out), total=total))
                     # Observe in small batches: a single end-of-run
                     # batch would lose everything to a crash.

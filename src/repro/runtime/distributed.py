@@ -232,6 +232,7 @@ from repro.runtime.worker import (
     IndexedCell,
     run_cell_chunk,
 )
+from repro.runtime.workloop import LEVEL
 
 PROTOCOL_VERSION = 7
 MAGIC = b"RPRO"
@@ -240,8 +241,8 @@ _HEADER = struct.Struct(">4sBI")
 _log = logging.getLogger("repro.distributed")
 
 #: Frames above this are refused on both send and receive (read at call
-#: time). A direct trace-level ``MatrixRunner`` ships whole packet
-#: traces: be generous.
+#: time). The bound stops runaway frames, not large chunks: be
+#: generous.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 DEFAULT_HEARTBEAT_INTERVAL = 2.0
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
@@ -889,10 +890,11 @@ class SocketBackend(ExecutionBackend):
     (a fresh :class:`~repro.runtime.scheduler.ChunkScheduler` by
     default), always invoked under this backend's state lock.
 
-    :meth:`run_cells` (the :class:`MatrixRunner` default path) sizes
-    each worker's next chunk adaptively from its observed throughput
-    and the idle workers' shares of the remaining pool —
-    see the module docs; an explicit ``chunk_size`` pins fixed slices.
+    :meth:`run_cells` (what :func:`~repro.runtime.workloop.run_work`
+    calls without a ``chunk_size``) sizes each worker's next chunk
+    adaptively from its observed throughput and the idle workers'
+    shares of the remaining pool — see the module docs; an explicit
+    ``chunk_size`` pins fixed slices.
     """
 
     name = "distributed"
@@ -1275,21 +1277,16 @@ class SocketBackend(ExecutionBackend):
             pass  # already gone; the drop path cleans up
         return True
 
-    def run_chunks(
-        self,
-        chunks: Sequence[GroupedChunk],
-        level_value: str,
-    ) -> List[Tuple[int, RunArtifacts]]:
+    def run_chunks(self, chunks: Sequence[GroupedChunk]) -> List[Tuple[int, RunArtifacts]]:
         """Serve caller-sized chunks (the pinned-``chunk_size`` path)."""
         if not chunks:
             return []
         self._register_job(chunks=list(chunks))
-        return self._run_job(level_value)
+        return self._run_job()
 
     def run_cells(
         self,
         cells: Sequence[IndexedCell],
-        level_value: str,
         chunk_size: Optional[int] = None,
     ) -> List[Tuple[int, RunArtifacts]]:
         """Serve cells with adaptively sized per-worker chunks.
@@ -1301,7 +1298,7 @@ class SocketBackend(ExecutionBackend):
         remaining pool among the idle workers.
         """
         if chunk_size is not None:
-            return super().run_cells(cells, level_value, chunk_size)
+            return super().run_cells(cells, chunk_size)
         if not cells:
             return []
         # The first chunks predate any throughput signal: deal each
@@ -1311,7 +1308,7 @@ class SocketBackend(ExecutionBackend):
         slots = self.parallelism()
         initial = -(-len(cells) // (slots * 4))
         self._register_job(pool=list(cells), initial_chunk_cells=initial)
-        return self._run_job(level_value)
+        return self._run_job()
 
     def _register_job(self, **job_kwargs: Any) -> None:
         if self._closed:
@@ -1322,11 +1319,11 @@ class SocketBackend(ExecutionBackend):
             self._job_seq += 1
             self._scheduler.start_job(self._job_seq, **job_kwargs)
 
-    def _run_job(self, level_value: str) -> List[Tuple[int, RunArtifacts]]:
+    def _run_job(self) -> List[Tuple[int, RunArtifacts]]:
         try:
             self.wait_for_workers(self.min_workers, self.worker_wait_timeout)
             while True:
-                self._dispatch(level_value)
+                self._dispatch()
                 with self._cond:
                     job = self._scheduler.job
                     if job.failure is not None:
@@ -1363,7 +1360,7 @@ class SocketBackend(ExecutionBackend):
             with self._cond:
                 self._scheduler.finish_job()
 
-    def _dispatch(self, level_value: str) -> None:
+    def _dispatch(self) -> None:
         """Hand pending chunks to idle workers (sends happen outside
         the state lock so a slow socket never stalls result intake)."""
         while True:
@@ -1407,7 +1404,7 @@ class SocketBackend(ExecutionBackend):
                     wire_len, raw_len = send_frame(
                         conn.wsock,
                         MSG_CHUNK,
-                        (job_id, assignment.chunk_id, assignment.chunk, level_value),
+                        (job_id, assignment.chunk_id, assignment.chunk, LEVEL.value),
                         lock=conn.send_lock,
                         size_aware_timeout=True,
                     )

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import BackendError, InvalidOverride
+from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, ObservedCell, Observer
 from repro.runtime.backend import ExecutionBackend, LocalBackend
 from repro.runtime.cache import scenario_key
@@ -53,9 +54,16 @@ from repro.runtime.events import (
     SuitePlanned,
     emit,
 )
-from repro.runtime.matrix import Cell
 from repro.runtime.workloop import run_work
 from repro.schema import BUNDLE_SCHEMA_VERSION
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One point of the scenario matrix."""
+
+    scenario: Scenario
+    seed: int
 
 
 def cell_key(cell: Cell) -> Optional[Tuple[Any, ...]]:

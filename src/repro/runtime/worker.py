@@ -2,7 +2,8 @@
 
 Everything dispatched to a worker must be a module-level callable with
 picklable arguments; this module is the complete set of remote entry
-points used by :mod:`repro.runtime.matrix`.
+points the backends of :mod:`repro.runtime.backend` and
+:mod:`repro.runtime.distributed` dispatch.
 
 Workers recreate a :class:`~repro.interop.runner.Runner` per chunk
 (construction is trivial) and return slim :class:`RunArtifacts`; the

@@ -19,16 +19,19 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
-from repro.runtime.backend import ExecutionBackend
 from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.events import EventSink
 from repro.runtime.worker import IndexedCell
 
-#: Work items return stats-level artifacts; anything richer is read
-#: inside the cell (see :class:`~repro.runtime.artifacts.ObservedCell`).
+if TYPE_CHECKING:  # the backends import LEVEL from here
+    from repro.runtime.backend import ExecutionBackend
+
+#: What every backend executes: work items return stats-level
+#: artifacts, and anything richer is read in the process that ran the
+#: cell (see :class:`~repro.runtime.artifacts.ObservedCell`).
 LEVEL = ArtifactLevel.STATS
 
 
@@ -91,7 +94,7 @@ def run_work(
                 continue
             if on_dispatch is not None:
                 on_dispatch([index for index, _task, _seed in to_run])
-            results = backend.run_cells(to_run, LEVEL.value, chunk_size=chunk_size)
+            results = backend.run_cells(to_run, chunk_size=chunk_size)
             for index, artifacts in sorted(results, key=itemgetter(0)):
                 hand(index, artifacts, "executed")
     finally:

@@ -18,7 +18,7 @@ import time
 
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.quic.server import ServerMode
-from repro.runtime import MatrixRunner, SocketBackend, SuiteRunner, worker_main
+from repro.runtime import SocketBackend, SuiteRunner, worker_main
 from repro.runtime.cache import ResultCache
 from repro.runtime.distributed import (
     MSG_CHUNK,
@@ -33,6 +33,7 @@ from repro.runtime.events import ChunkCompleted, ChunkDispatched, WorkerJoined
 from repro.runtime.scheduler import ChunkScheduler
 from repro.runtime.worker import chunk_cell_count, run_cell_chunk
 from repro.sim.loss import IndexedLoss
+from tests.sweeps import sweep
 from tests.test_distributed import LOSSY_IACK, start_worker_thread
 
 
@@ -124,8 +125,7 @@ def test_slow_link_worker_survives_chunk_larger_than_heartbeat_window():
     threading.Thread(target=throttled_worker, daemon=True).start()
     try:
         serial = Runner().run_repetitions(big, repetitions=2)
-        with MatrixRunner(backend=backend, chunk_size=2) as runner:
-            distributed = runner.run_repetitions(big, repetitions=2)
+        distributed = sweep(backend, big, 2, chunk_size=2)
         assert backend.stats.workers_lost == 0
         assert backend.stats.chunks_requeued == 0
         assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]
@@ -187,7 +187,7 @@ def test_adaptive_sizing_converges_under_5x_speed_skew():
     scenario = Scenario()
     cells = [(i, scenario, i) for i in range(600)]
     try:
-        results = backend.run_cells(cells, "stats")
+        results = backend.run_cells(cells)
     finally:
         stop.set()
         backend.close()
@@ -235,10 +235,10 @@ def test_batch_below_one_time_budget_is_shared_by_both_warmed_workers():
     scenario = Scenario()
     try:
         # Warm-up: both workers take an opening chunk and seed an EWMA.
-        backend.run_cells([(i, scenario, i) for i in range(64)], "stats")
+        backend.run_cells([(i, scenario, i) for i in range(64)])
         dispatched_before = backend.stats.chunks_dispatched
         backend.set_event_sink(events.append)
-        results = backend.run_cells([(i, scenario, i) for i in range(64)], "stats")
+        results = backend.run_cells([(i, scenario, i) for i in range(64)])
     finally:
         stop.set()
         backend.close()
@@ -256,7 +256,7 @@ def test_batch_below_one_time_budget_is_shared_by_both_warmed_workers():
 def test_run_cells_returns_only_after_every_chunk_was_observed():
     """The last chunk's observer call (the result store's write)
     runs on a reader thread after the chunk is *recorded*; a job that
-    returned at that point let MatrixRunner swap the observer out from
+    returned at that point let its caller swap the observer out from
     under the write, and the final cells were never stored."""
     backend = SocketBackend(port=0, min_workers=2)
     observed = []
@@ -270,7 +270,7 @@ def test_run_cells_returns_only_after_every_chunk_was_observed():
     _sleeping_fleet(backend, stop)
     scenario = Scenario()
     try:
-        results = backend.run_cells([(i, scenario, i) for i in range(8)], "stats")
+        results = backend.run_cells([(i, scenario, i) for i in range(8)])
         seen_at_return = sorted(observed)
     finally:
         stop.set()
@@ -310,8 +310,7 @@ def test_adaptive_distributed_matches_serial_with_real_workers():
         for _ in range(2):
             start_worker_thread(backend)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=8)
-        with MatrixRunner(backend=backend) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=8)
+        distributed = sweep(backend, LOSSY_IACK, 8)
         assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]
         assert [r.seed for r in distributed] == [r.seed for r in serial]
     finally:
@@ -400,8 +399,7 @@ def test_worker_main_cache_entries_zero_still_serves(tmp_path):
         )
         thread.start()
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=3)
-        with MatrixRunner(backend=backend) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=3)
+        distributed = sweep(backend, LOSSY_IACK, 3)
         assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]
     finally:
         backend.close()

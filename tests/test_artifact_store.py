@@ -1,7 +1,7 @@
 """The disk artifact store (round trip, ownership, atomic writes) and
 the pickle format of the retained record classes. No suite spills any
-more (PR 17: traces are observed in the cell that made them); the
-class stays for direct ``MatrixRunner`` users and the e2e probes."""
+more (traces are observed in the cell that made them); the class stays
+for the e2e probes."""
 
 import os
 

@@ -19,7 +19,6 @@ import repro.runtime.suite as suite_module
 from repro.api import LocalConfig, RunRequest, Session
 from repro.api.bundles import bundle_files
 from repro.runtime.disk_cache import DiskResultCache
-from repro.runtime.matrix import MatrixRunner
 from repro.runtime.suite import SuiteRunner
 from repro.wild.stream import ScanRequest, StreamCoordinator
 
@@ -115,7 +114,7 @@ def test_checkpoint_dir_with_shared_runner_rejected():
     with pytest.raises(TypeError, match="checkpoint_dir"):
         SuiteRunner(checkpoint_dir="ckpt")
     with pytest.raises(TypeError):
-        SuiteRunner(runner=MatrixRunner(workers=0))
+        SuiteRunner(runner=object())
     with pytest.raises(TypeError, match="resume"):
         Session(resume="ckpt")
     scan = ScanRequest(source={"kind": "synthetic", "count": 10, "seed": 0})

@@ -8,25 +8,25 @@ import pickle
 import sys
 import threading
 
+import pytest
+
 import repro.runtime.disk_cache as disk_cache
 from repro.api import LocalConfig, RunRequest, Session
 from repro.api.bundles import bundle_files
 from repro.interop.runner import Scenario
-from repro.runtime.artifacts import ArtifactLevel
+from repro.runtime.artifacts import ArtifactLevel, execute_cell
 from repro.runtime.disk_cache import (
     CELL_CODE_VERSION,
     DiskResultCache,
     cell_fingerprint,
 )
-from repro.runtime.matrix import MatrixRunner
 from repro.runtime.wire import compress_blob, decompress_blob
 from repro.service.manager import ServiceManager
 from repro.sim.loss import LossPattern
 
 
 def _artifacts(scenario, seed=0, level="stats"):
-    with MatrixRunner(artifact_level=level) as runner:
-        return runner.run_once(scenario, seed)
+    return execute_cell(scenario, seed, ArtifactLevel(level))
 
 
 # -- addressing ---------------------------------------------------------
@@ -338,6 +338,37 @@ def test_cache_shared_between_sessions_object_form(tmp_path):
         warm = session.run(RunRequest("fig6", smoke=True))
     assert warm.extra["disk_cache_misses"] == 0
     assert cache.hits > 0
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_repeated_sweep_is_served_from_the_session_store(tmp_path, workers):
+    scenario = Scenario(client="quic-go", rtt_ms=9.0)
+    with Session(LocalConfig(workers=0)) as session:
+        reference = session.run_repetitions(scenario, 4, base_seed=3)
+    events = []
+    with Session(
+        LocalConfig(workers=workers), cache_dir=str(tmp_path / "cache"), on_event=events.append
+    ) as session:
+        cold = session.run_repetitions(scenario, 4, base_seed=3)
+        assert len(session.disk_cache) == 4
+        executed = len(events)
+        assert executed > 0
+        warm = session.run_repetitions(scenario, 4, base_seed=3)
+    assert events[executed:] == []  # no CellCompleted, no chunk events
+    assert session.disk_cache.hits == 4
+    stats = [[r.client_stats for r in run] for run in (reference, cold, warm)]
+    assert stats[0] == stats[1] == stats[2]
+    assert [r.seed for r in warm] == [3, 4, 5, 6]
+    assert all(r.scenario is scenario for r in warm)
+
+
+def test_trace_cells_never_reach_the_session_store(tmp_path):
+    scenario = Scenario(client="quic-go", rtt_ms=9.0)
+    with Session(cache_dir=str(tmp_path / "cache")) as session:
+        artifacts = session.run_once(scenario, seed=1, artifact_level="trace")
+        assert artifacts.trace_records
+        assert len(session.disk_cache) == 0
+        assert session.disk_cache.stats()["memory"]["entries"] == 0
 
 
 # -- a hit is never shared mutable state --------------------------------

@@ -1,7 +1,7 @@
 """Distributed execution backend: wire protocol, worker-loss requeue,
 and bit-identical reassembly.
 
-The load-bearing property mirrors the MatrixRunner suite: results of a
+The load-bearing property mirrors the runtime suite: results of a
 distributed run must be byte-identical to local execution no matter
 how chunks interleave across workers, which workers die mid-chunk, or
 what garbage third parties write at the coordinator port.
@@ -19,11 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import LocalConfig, Session
 from repro.cli import main, parse_address, resolve_auth_key
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
-from repro.runtime import LocalBackend, MatrixRunner, SocketBackend, distributed, worker_main
+from repro.runtime import ArtifactLevel, LocalBackend, SocketBackend, distributed, worker_main
 from repro.runtime.distributed import (
     MSG_CHUNK,
     MSG_ERROR,
@@ -38,6 +39,7 @@ from repro.runtime.distributed import (
     recv_frame,
     send_frame,
 )
+from tests.sweeps import sweep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -234,8 +236,7 @@ def test_wrong_key_worker_rejected_and_right_key_fleet_runs():
         # the authenticated fleet still produces bit-identical results
         start_worker_thread(backend, auth_key=key)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        with MatrixRunner(backend=backend, chunk_size=2) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=4)
+        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=2)
         assert [r.client_stats for r in distributed] == [
             r.client_stats for r in serial
         ]
@@ -349,22 +350,26 @@ def test_parse_address():
 def test_explicit_local_backend_matches_serial_and_stays_open():
     serial = Runner().run_repetitions(LOSSY_IACK, repetitions=6)
     with LocalBackend(workers=2) as backend:
-        with MatrixRunner(backend=backend) as runner:
-            routed = runner.run_repetitions(LOSSY_IACK, repetitions=6)
-        # the runner never closes a caller-owned backend
+        routed = sweep(backend, LOSSY_IACK, 6)
+        # a sweep never closes a caller-owned backend
         assert backend._executor is not None
-        again = MatrixRunner(backend=backend).run_repetitions(
-            LOSSY_IACK, repetitions=6
-        )
+        again = sweep(backend, LOSSY_IACK, 6)
     for expected, actual in zip(serial, routed):
         assert actual.client_stats == expected.client_stats
         assert actual.duration_ms == expected.duration_ms
     assert [r.client_stats for r in again] == [r.client_stats for r in routed]
 
 
-def test_full_artifacts_rejected_on_any_backend():
-    with pytest.raises(ValueError, match="full"):
-        MatrixRunner(artifact_level="full", backend=LocalBackend(workers=2))
+def test_full_artifacts_run_in_process_on_any_backend():
+    """A ``full`` cell keeps live endpoints, so it runs in the calling
+    process whatever the session's backend is."""
+    serial = Runner().run_once(LOSSY_IACK, seed=0)
+    for workers in (0, 2):
+        with Session(LocalConfig(workers=workers)) as session:
+            art = session.run_once(LOSSY_IACK, artifact_level="full")
+        assert art.level is ArtifactLevel.FULL and art.scenario is LOSSY_IACK
+        assert art.result.client is not None and art.result.server is not None
+        assert art.result.client_stats == art.client_stats == serial.client_stats
 
 
 # -- SocketBackend ------------------------------------------------------
@@ -376,8 +381,7 @@ def test_distributed_run_bit_identical_to_serial():
     try:
         for _ in range(2):
             start_worker_thread(backend)
-        with MatrixRunner(backend=backend, chunk_size=2) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=8)
+        distributed = sweep(backend, LOSSY_IACK, 8, chunk_size=2)
     finally:
         backend.close()
     assert len(distributed) == len(serial)
@@ -403,8 +407,7 @@ def test_killed_worker_chunk_requeued_and_stats_bit_identical():
         # chunk, leaving it unacknowledged.
         procs.append(spawn_worker_process(backend, "--fault-plan", "kill_after=0"))
         procs.append(spawn_worker_process(backend))
-        with MatrixRunner(backend=backend, chunk_size=3) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=12)
+        distributed = sweep(backend, LOSSY_IACK, 12, chunk_size=3)
     finally:
         backend.close()
         for proc in procs:
@@ -441,8 +444,7 @@ def test_silent_worker_dropped_by_heartbeat_timeout():
         # heartbeats faster than the timeout keep the real worker alive
         start_worker_thread(backend, heartbeat_interval=0.2)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        with MatrixRunner(backend=backend, chunk_size=1) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=4)
+        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=1)
         assert mute_ready.is_set()
         assert backend.stats.chunks_requeued >= 1
         assert backend.stats.workers_lost >= 1
@@ -473,8 +475,7 @@ def test_malformed_and_non_hello_connections_are_dropped_not_fatal():
         # the backend still serves real workers afterwards
         start_worker_thread(backend)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=2)
-        with MatrixRunner(backend=backend) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=2)
+        distributed = sweep(backend, LOSSY_IACK, 2)
         assert [r.client_stats for r in distributed] == [
             r.client_stats for r in serial
         ]
@@ -507,8 +508,7 @@ def test_result_with_out_of_range_chunk_id_drops_worker_not_job():
     try:
         start_worker_thread(backend)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        with MatrixRunner(backend=backend, chunk_size=1) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=4)
+        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=1)
         assert backend.stats.protocol_errors >= 1
         assert backend.stats.chunks_requeued >= 1
         assert [r.client_stats for r in distributed] == [
@@ -550,9 +550,8 @@ def test_remote_chunk_error_aborts_with_traceback():
 
     threading.Thread(target=erroring_worker, daemon=True).start()
     try:
-        with MatrixRunner(backend=backend) as runner:
-            with pytest.raises(RuntimeError, match="boom"):
-                runner.run_repetitions(LOSSY_IACK, repetitions=2)
+        with pytest.raises(RuntimeError, match="boom"):
+            sweep(backend, LOSSY_IACK, 2)
     finally:
         backend.close()
 
@@ -598,10 +597,9 @@ def test_stale_frames_from_aborted_job_are_discarded():
 
     threading.Thread(target=tricky_worker, daemon=True).start()
     try:
-        with MatrixRunner(backend=backend) as runner:
-            with pytest.raises(RuntimeError, match="boom-a"):
-                runner.run_repetitions(LOSSY_IACK, repetitions=2)
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=2)
+        with pytest.raises(RuntimeError, match="boom-a"):
+            sweep(backend, LOSSY_IACK, 2)
+        distributed = sweep(backend, LOSSY_IACK, 2)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=2)
         assert [r.client_stats for r in distributed] == [
             r.client_stats for r in serial
@@ -622,9 +620,8 @@ def test_oversized_chunk_aborts_cleanly_and_frees_workers(monkeypatch):
     try:
         for _ in range(2):
             start_worker_thread(backend)
-        with MatrixRunner(backend=backend, chunk_size=1) as runner:
-            with pytest.raises(RuntimeError, match="cannot be dispatched"):
-                runner.run_repetitions(LOSSY_IACK, repetitions=4)
+        with pytest.raises(RuntimeError, match="cannot be dispatched"):
+            sweep(backend, LOSSY_IACK, 4, chunk_size=1)
         backend.wait_for_workers(2, timeout=5)  # nobody was dropped
         with backend._lock:
             assert all(
@@ -714,8 +711,7 @@ def test_replacement_window_survives_spurious_wakeups():
     threading.Thread(target=late_replacement, daemon=True).start()
     try:
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=2)
-        with MatrixRunner(backend=backend) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=2)
+        distributed = sweep(backend, LOSSY_IACK, 2)
         assert backend.stats.workers_lost >= 1
         assert [r.client_stats for r in distributed] == [
             r.client_stats for r in serial
@@ -749,9 +745,8 @@ def test_poison_chunk_gives_up_after_retry_bound():
     stop = threading.Event()
     threading.Thread(target=keep_spawning, daemon=True).start()
     try:
-        with MatrixRunner(backend=backend) as runner:
-            with pytest.raises(RuntimeError, match="giving up"):
-                runner.run_repetitions(LOSSY_IACK, repetitions=2)
+        with pytest.raises(RuntimeError, match="giving up"):
+            sweep(backend, LOSSY_IACK, 2)
     finally:
         stop.set()
         backend.close()

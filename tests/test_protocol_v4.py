@@ -27,7 +27,7 @@ from repro.api import DistributedConfig, RunRequest, Session, write_bundle
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
-from repro.runtime import MatrixRunner, SocketBackend, distributed, worker_main
+from repro.runtime import LocalBackend, SocketBackend, distributed, worker_main
 from repro.runtime.distributed import (
     MSG_CHUNK,
     MSG_HEARTBEAT,
@@ -52,6 +52,7 @@ from repro.runtime.wire import (
     encode_payload,
 )
 from repro.runtime.worker import group_cells, run_cell_chunk
+from tests.sweeps import sweep
 
 QUICHE_LOSSY = Scenario(
     client="quiche",
@@ -201,8 +202,7 @@ def test_plain_pickle_result_body_drops_the_worker_not_the_job():
     try:
         start_worker_thread(backend)
         serial = Runner().run_repetitions(QUICHE_LOSSY, repetitions=4)
-        with MatrixRunner(backend=backend, chunk_size=1) as runner:
-            distributed = runner.run_repetitions(QUICHE_LOSSY, repetitions=4)
+        distributed = sweep(backend, QUICHE_LOSSY, 4, chunk_size=1)
         assert backend.stats.protocol_errors >= 1
         assert backend.stats.chunks_requeued >= 1
         assert backend.worker_count() == 1
@@ -305,8 +305,7 @@ def test_v3_hello_is_rejected_before_registration():
         # The refusals cost the job nothing: a current worker serves it.
         start_worker_thread(backend)
         serial = Runner().run_repetitions(QUICHE_LOSSY, repetitions=4)
-        with MatrixRunner(backend=backend) as runner:
-            distributed = runner.run_repetitions(QUICHE_LOSSY, repetitions=4)
+        distributed = sweep(backend, QUICHE_LOSSY, 4)
         assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]
     finally:
         backend.close()
@@ -356,8 +355,7 @@ def _run_distributed(backend, repetitions=24, chunk_size=None):
     for _ in range(2):
         start_worker_thread(backend)
     try:
-        with MatrixRunner(backend=backend, chunk_size=chunk_size) as runner:
-            results = runner.run_repetitions(QUICHE_LOSSY, repetitions=repetitions)
+        results = sweep(backend, QUICHE_LOSSY, repetitions, chunk_size=chunk_size)
         return results, backend.stats
     finally:
         backend.close()
@@ -400,26 +398,22 @@ def test_oversized_chunk_splits_and_run_completes(monkeypatch):
     # The bound admits half the sweep per frame but not the whole
     # sweep, so the first dispatch must split.
     bound = (3 * len(frame)) // 4
-    reference = MatrixRunner(workers=0).run_matrix(scenarios, repetitions=1)
+    reference = sweep(LocalBackend(workers=0), scenarios)
 
     monkeypatch.setattr(distributed, "MAX_FRAME_BYTES", bound)
     backend = SocketBackend(port=0, min_workers=2)
     for _ in range(2):
         start_worker_thread(backend)
     try:
-        with MatrixRunner(
-            backend=backend, chunk_size=len(scenarios)
-        ) as runner:
-            results = runner.run_matrix(scenarios, repetitions=1)
+        results = sweep(backend, scenarios, chunk_size=len(scenarios))
         assert backend.stats.chunks_requeued >= 1
         assert backend.stats.workers_lost == 0
     finally:
         backend.close()
     assert len(results) == len(reference)
-    for expected_reps, actual_reps in zip(reference, results):
-        for expected, actual in zip(expected_reps, actual_reps):
-            assert actual.client_stats == expected.client_stats
-            assert actual.server_stats == expected.server_stats
+    for expected, actual in zip(reference, results):
+        assert actual.client_stats == expected.client_stats
+        assert actual.server_stats == expected.server_stats
 
 
 # -- codec-framed blobs -------------------------------------------------

@@ -17,7 +17,7 @@ from repro.errors import BackendError
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
-from repro.runtime import MatrixRunner, SocketBackend, worker_main
+from repro.runtime import SocketBackend, worker_main
 from repro.runtime.distributed import (
     MSG_CHUNK,
     MSG_HEARTBEAT,
@@ -40,6 +40,7 @@ from repro.runtime.events import (
 from repro.runtime.scheduler import ChunkScheduler
 from repro.runtime.suite import SuiteRunner
 from repro.runtime.worker import run_cell_chunk
+from tests.sweeps import sweep
 
 LOSSY_IACK = Scenario(
     client="quic-go",
@@ -134,8 +135,7 @@ def test_straggler_chunk_completes_via_speculative_twin():
             time.sleep(0.01)
         start_worker_thread(backend)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        with MatrixRunner(backend=backend, chunk_size=1) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=4)
+        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=1)
         assert backend.stats.chunks_speculated >= 1
         assert backend.stats.workers_lost == 0  # nobody was dropped
         speculated = events.of(ChunkSpeculated)
@@ -187,8 +187,7 @@ def test_worker_drain_leaves_fleet_without_loss_or_requeue():
         # the remaining worker carries a run on its own
         backend.min_workers = 1
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=2)
-        with MatrixRunner(backend=backend) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=2)
+        distributed = sweep(backend, LOSSY_IACK, 2)
         assert [r.client_stats for r in distributed] == [
             r.client_stats for r in serial
         ]
@@ -245,8 +244,7 @@ def test_worker_rejoins_after_abrupt_connection_loss():
         assert rejoined is not None, "worker never rejoined after abrupt loss"
         assert backend.stats.workers_lost >= 1
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=2)
-        with MatrixRunner(backend=backend) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=2)
+        distributed = sweep(backend, LOSSY_IACK, 2)
         assert [r.client_stats for r in distributed] == [
             r.client_stats for r in serial
         ]
@@ -285,8 +283,7 @@ def test_worker_lost_event_orders_before_requeued_chunk_dispatch():
             time.sleep(0.01)
         start_worker_thread(backend)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        with MatrixRunner(backend=backend, chunk_size=1) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=4)
+        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=1)
         lost = events.of(WorkerLost)
         assert len(lost) == 1 and lost[0].requeued_chunks == 1
         lost_at = events.index(lambda e: isinstance(e, WorkerLost))
@@ -342,8 +339,7 @@ def test_duplicate_result_frames_emit_chunk_completed_once():
     threading.Thread(target=echoing_worker, daemon=True).start()
     try:
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        with MatrixRunner(backend=backend, chunk_size=2) as runner:
-            distributed = runner.run_repetitions(LOSSY_IACK, repetitions=4)
+        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=2)
         completed_ids = [e.chunk_id for e in events.of(ChunkCompleted)]
         assert sorted(completed_ids) == [0, 1]  # one completion per chunk
         assert len(distributed) == 4

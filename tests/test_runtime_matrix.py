@@ -1,17 +1,19 @@
 """Tests for the parallel experiment runtime.
 
-The load-bearing property is the first test: a :class:`MatrixRunner`
-with two or more workers must return per-seed ``ConnectionStats``
-bit-identical to the serial :meth:`Runner.run_repetitions` path —
-parallelism, artifact slimming, and chunking must not perturb a single
-observable.
+The load-bearing property is the first test: a session sweep on two
+or more workers must return per-seed ``ConnectionStats`` bit-identical
+to the serial :meth:`Runner.run_repetitions` path — parallelism,
+artifact slimming, and chunking must not perturb a single observable.
 """
 
+import os
 import sys
 import threading
 
 import pytest
 
+from repro.api import LocalConfig, Session
+from repro.errors import InvalidOverride
 from repro.interop.runner import Runner, Scenario, SIZE_10KB
 from repro.interop.scenarios import (
     first_server_flight_tail_loss,
@@ -20,14 +22,14 @@ from repro.interop.scenarios import (
 from repro.quic.server import ServerMode
 from repro.runtime import (
     ArtifactLevel,
-    Cell,
-    MatrixRunner,
+    LocalBackend,
     ResultCache,
     RunArtifacts,
     scenario_key,
 )
 from repro.runtime.worker import run_cell_chunk
 from repro.sim.loss import LossPattern, RandomLoss
+from tests.sweeps import sweep
 
 
 LOSSY_IACK = Scenario(
@@ -42,8 +44,8 @@ LOSSY_IACK = Scenario(
 
 def test_parallel_stats_bit_identical_to_serial():
     serial = Runner().run_repetitions(LOSSY_IACK, repetitions=8)
-    with MatrixRunner(workers=2) as runner:
-        parallel = runner.run_repetitions(LOSSY_IACK, repetitions=8)
+    with Session(LocalConfig(workers=2)) as session:
+        parallel = session.run_repetitions(LOSSY_IACK, repetitions=8)
     assert len(parallel) == len(serial)
     for expected, actual in zip(serial, parallel):
         assert actual.seed == expected.seed
@@ -54,10 +56,11 @@ def test_parallel_stats_bit_identical_to_serial():
 
 
 def test_parallel_matches_serial_across_chunk_sizes():
-    reference = MatrixRunner(workers=0).run_repetitions(LOSSY_IACK, 6)
+    with Session() as session:
+        reference = session.run_repetitions(LOSSY_IACK, 6)
     for chunk_size in (1, 2, 5, 100):
-        with MatrixRunner(workers=2, chunk_size=chunk_size) as runner:
-            result = runner.run_repetitions(LOSSY_IACK, 6)
+        with LocalBackend(workers=2) as backend:
+            result = sweep(backend, LOSSY_IACK, 6, chunk_size=chunk_size)
         assert [r.client_stats for r in result] == [
             r.client_stats for r in reference
         ]
@@ -69,16 +72,18 @@ def test_run_matrix_preserves_scenario_order():
         for client in ("quic-go", "aioquic")
         for mode in (ServerMode.WFC, ServerMode.IACK)
     ]
-    with MatrixRunner(workers=2) as runner:
-        matrix = runner.run_matrix(scenarios, repetitions=2)
-    assert len(matrix) == len(scenarios)
-    for scenario, results in zip(scenarios, matrix):
-        assert [r.seed for r in results] == [0, 1]
+    with LocalBackend(workers=2) as backend:
+        flat = sweep(backend, scenarios, repetitions=2)
+    assert len(flat) == 2 * len(scenarios)
+    for n, scenario in enumerate(scenarios):
+        results = flat[2 * n : 2 * n + 2]
+        assert [r.seed for r in results] == [2 * n, 2 * n + 1]
         assert all(r.scenario is scenario for r in results)
 
 
 def test_stats_level_omits_heavy_artifacts():
-    artifacts = MatrixRunner().run_once(LOSSY_IACK)
+    with Session() as session:
+        artifacts = session.run_once(LOSSY_IACK, artifact_level="stats")
     assert artifacts.level is ArtifactLevel.STATS
     assert artifacts.trace_records is None
     assert artifacts.client_qlog_events is None
@@ -86,22 +91,21 @@ def test_stats_level_omits_heavy_artifacts():
         artifacts.tracer  # noqa: B018 - exercising the guard
 
 
-def test_trace_level_round_trips_through_pool():
-    with MatrixRunner(workers=2, artifact_level="trace") as runner:
-        artifacts = runner.run_repetitions(LOSSY_IACK, 2)
-    for art in artifacts:
-        assert art.trace_records
-        assert art.client_qlog_events and art.server_qlog_events
+def test_trace_cell_on_a_pool_session_equals_the_serial_one():
+    """Trace cells run in the calling process on every config: a pool
+    session's are the serial session's, record for record."""
+    with Session() as session:
+        serial = session.run_repetitions(LOSSY_IACK, 2, artifact_level="trace")
+    with Session(LocalConfig(workers=2)) as session:
+        pooled = session.run_repetitions(LOSSY_IACK, 2, artifact_level="trace")
+    for expected, art in zip(serial, pooled):
+        assert art.level is ArtifactLevel.TRACE and art.scenario is LOSSY_IACK
+        assert art.client_stats == expected.client_stats
+        assert art.trace_records == expected.trace_records
+        assert art.client_qlog_events == expected.client_qlog_events
+        assert art.server_qlog_events == expected.server_qlog_events
         dropped = art.tracer.filter(link="server->client", dropped=True)
         assert dropped, "loss scenario must show dropped datagrams"
-
-
-def test_full_level_requires_in_process_execution():
-    with pytest.raises(ValueError):
-        MatrixRunner(workers=2, artifact_level=ArtifactLevel.FULL)
-    artifacts = MatrixRunner(artifact_level=ArtifactLevel.FULL).run_once(LOSSY_IACK)
-    assert artifacts.result is not None
-    assert artifacts.result.client_stats == artifacts.client_stats
 
 
 def _chunk(scenario, repetitions):
@@ -266,12 +270,33 @@ def test_random_loss_repetitions_are_reproducible():
 
 
 def test_repetition_validation():
-    with pytest.raises(ValueError):
-        MatrixRunner().run_repetitions(LOSSY_IACK, repetitions=0)
-    with pytest.raises(ValueError):
-        MatrixRunner(workers=-1)
-    with pytest.raises(ValueError):
-        MatrixRunner(artifact_level="everything")
+    with Session() as session:
+        with pytest.raises(ValueError):
+            session.run_repetitions(LOSSY_IACK, repetitions=0)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        ("run_once", ("quic-go",)),
+        ("run_repetitions", ("quic-go", 2)),
+        ("run_repetitions", (LOSSY_IACK, "3")),
+        ("run_repetitions", (LOSSY_IACK, 2.5)),
+        ("run_repetitions", (LOSSY_IACK, 0)),
+        ("run_repetitions", (LOSSY_IACK, True)),
+        ("run_once", (LOSSY_IACK, 1.5)),
+        ("run_once", (LOSSY_IACK, True)),
+        ("run_repetitions", (LOSSY_IACK, 2, "0")),
+        ("run_once", (LOSSY_IACK, 0, "everything")),
+        ("run_repetitions", (LOSSY_IACK, 2, 0, "everything")),
+    ],
+)
+def test_single_cell_input_errors_are_typed_and_raised_before_any_work(call, args):
+    events = []
+    with Session(LocalConfig(workers=0), on_event=events.append) as session:
+        with pytest.raises(InvalidOverride):
+            getattr(session, call)(*args)
+    assert events == []
 
 
 def test_run_cells_mixed_scenarios():
@@ -282,17 +307,16 @@ def test_run_cells_mixed_scenarios():
         rtt_ms=9.0,
         client_to_server_loss=second_client_flight_loss("neqo"),
     )
-    cells = [Cell(LOSSY_IACK, 0), Cell(other, 1), Cell(LOSSY_IACK, 2)]
-    with MatrixRunner(workers=2, chunk_size=2) as runner:
-        results = runner.run_cells(cells)
+    with LocalBackend(workers=2) as backend:
+        results = sweep(backend, [LOSSY_IACK, other, LOSSY_IACK], chunk_size=2)
     assert [r.seed for r in results] == [0, 1, 2]
     assert results[1].scenario is other
 
 
 def test_artifacts_expose_runresult_observables():
     serial = Runner().run_once(LOSSY_IACK, seed=0)
-    with MatrixRunner(workers=2) as runner:
-        art = runner.run_once(LOSSY_IACK, seed=0)
+    with Session(LocalConfig(workers=2)) as session:
+        art = session.run_once(LOSSY_IACK, seed=0, artifact_level="stats")
     assert isinstance(art, RunArtifacts)
     assert art.response_ttfb_ms == serial.response_ttfb_ms
     assert art.ttfb_ms == serial.ttfb_ms
@@ -301,8 +325,6 @@ def test_artifacts_expose_runresult_observables():
 
 
 def test_workers_none_resolves_to_default():
-    from repro.runtime import default_workers
-
-    runner = MatrixRunner(workers=None)
-    assert runner.workers == default_workers()
-    runner.close()
+    backend = LocalConfig(workers=None).create()
+    assert backend.workers == min(8, os.cpu_count() or 1)
+    backend.close()

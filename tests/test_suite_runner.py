@@ -6,7 +6,7 @@ import pytest
 import repro.runtime.backend as backend_module
 from repro.api import InvalidOverride, run_experiment
 from repro.interop.runner import Runner
-from repro.runtime import ArtifactLevel, MatrixRunner, ResultCache, SuiteRunner
+from repro.runtime import ArtifactLevel, ResultCache, SuiteRunner
 from repro.runtime.artifacts import ObservedCell
 from repro.runtime.disk_cache import cell_fingerprint
 from repro.runtime.suite import max_level
@@ -151,17 +151,14 @@ def test_suite_rejects_underpowered_shared_runner():
     """The shared-runner suite mode is gone, not deprecated: the suite
     takes no runner at all, underpowered or otherwise — it creates one
     at exactly the plan's artifact level."""
-    with MatrixRunner(workers=0, artifact_level="stats") as runner:
-        with pytest.raises(TypeError):
-            SuiteRunner(runner=runner)
+    with pytest.raises(TypeError):
+        SuiteRunner(runner=object())
 
 
 def test_suite_rejects_cache_alongside_shared_runner():
-    """Neither the suite nor the matrix runner takes a cache."""
+    """The suite takes no in-memory cache."""
     with pytest.raises(TypeError):
         SuiteRunner(cache=ResultCache())
-    with pytest.raises(TypeError):
-        MatrixRunner(cache=ResultCache())
 
 
 def test_suite_plan_reports_unplannable_overrides_as_invalid_override():

@@ -38,7 +38,7 @@ from repro.runtime.backend import ExecutionBackend
 from repro.runtime.disk_cache import DiskResultCache, cell_fingerprint
 from repro.runtime.events import ChunkDispatched, WorkerJoined
 from repro.runtime.worker import run_cell_chunk
-from repro.runtime.workloop import run_work
+from repro.runtime.workloop import LEVEL, run_work
 from repro.service import ServiceManager
 from repro.wild.stream import ScanRequest, scan_fingerprint
 
@@ -83,10 +83,10 @@ class InlineBackend(ExecutionBackend):
     def parallelism(self):
         return 2
 
-    def run_chunks(self, chunks, level_value):
+    def run_chunks(self, chunks):
         out = []
         for chunk in chunks:
-            results = run_cell_chunk(chunk, level_value)
+            results = run_cell_chunk(chunk, LEVEL.value)
             self.chunk_sizes.append(len(results))
             self.observe_results(results)
             out.extend(results)
@@ -156,7 +156,7 @@ def test_any_split_is_delivered_once_with_reference_values_and_fully_journaled(
 
 def test_observer_and_sink_are_restored_when_the_backend_raises(tmp_path):
     class Dying(InlineBackend):
-        def run_chunks(self, chunks, level_value):
+        def run_chunks(self, chunks):
             raise RuntimeError("backend died")
 
     backend = Dying()
