@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Union
 from repro.errors import BundleVersionError
 from repro.experiments.common import ExperimentResult
 from repro.runtime.suite import SuiteReport
-from repro.schema import check_bundle_version
+from repro.schema import JsonText, check_bundle_version, render_json
 
 __all__ = ["bundle_files", "load_result", "load_suite", "write_bundle"]
 
@@ -30,12 +30,17 @@ def bundle_files(report: SuiteReport) -> Dict[str, str]:
     these strings to disk, and the ``repro serve`` daemon's ``fetch``
     endpoint ships them over the wire — sharing one renderer is what
     makes a fetched bundle byte-identical to a locally written one by
-    construction.
+    construction. Each experiment's ``to_dict()`` runs once, and its
+    text is rendered once, for its own file and ``suite.json`` both.
     """
     files: Dict[str, str] = {}
+    payloads: Dict[str, JsonText] = {}
     for exp_id, result in report.results.items():
-        files[f"{exp_id}.json"] = result.to_json() + "\n"
-    files["suite.json"] = json.dumps(report.to_dict(), indent=2) + "\n"
+        text = render_json(result.to_dict())
+        files[f"{exp_id}.json"] = text + "\n"
+        payloads[exp_id] = JsonText(text)
+    # suite.json embeds each payload as rendered above, re-indented.
+    files["suite.json"] = render_json(report.to_dict(payloads)) + "\n"
     return files
 
 

@@ -141,22 +141,54 @@ class EventBuffer:
     appended before the subscription replay immediately, later ones
     stream as they arrive — and the iterator ends when the buffer is
     closed (the job reached a terminal state).
+
+    :meth:`subscribe` blocks a thread per subscriber;
+    :meth:`add_listener` is the same stream without one, for a caller
+    with an event loop of its own (the daemon's ``events`` relay).
     """
 
     def __init__(self) -> None:
         self._events: List[RunEvent] = []
         self._closed = False
         self._cond = threading.Condition()
+        self._listeners: List[Callable[[Optional[RunEvent]], None]] = []
 
     def append(self, event: RunEvent) -> None:
         with self._cond:
             self._events.append(event)
+            for listener in self._listeners:
+                listener(event)
             self._cond.notify_all()
 
     def close(self) -> None:
         with self._cond:
             self._closed = True
+            for listener in self._listeners:
+                listener(None)
+            self._listeners.clear()
             self._cond.notify_all()
+
+    def add_listener(
+        self, listener: Callable[[Optional[RunEvent]], None]
+    ) -> Tuple[List[RunEvent], bool]:
+        """The events so far and whether the buffer is closed; unless it
+        is, ``listener(event)`` then runs for every later event and
+        ``listener(None)`` once at close. Both are taken under one hold
+        of the buffer's lock, so each event reaches the caller exactly
+        once: in the returned list or through ``listener``. The listener
+        runs on the appending thread with the lock held, so it must only
+        hand the event on (``loop.call_soon_threadsafe``), never block.
+        """
+        with self._cond:
+            if not self._closed:
+                self._listeners.append(listener)
+            return list(self._events), self._closed
+
+    def remove_listener(self, listener: Callable[[Optional[RunEvent]], None]) -> None:
+        """Stop calling ``listener`` (a no-op once the buffer closed)."""
+        with self._cond:
+            if listener in self._listeners:
+                self._listeners.remove(listener)
 
     def subscribe(self) -> Iterator[RunEvent]:
         index = 0

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.render import render_table
-from repro.schema import BUNDLE_SCHEMA_VERSION, check_bundle_version
+from repro.schema import BUNDLE_SCHEMA_VERSION, check_bundle_version, render_json
 
 
 @dataclass
@@ -69,6 +69,8 @@ class ExperimentResult:
         return payload
 
     def to_json(self, indent: Optional[int] = 2) -> str:
+        if indent == 2:
+            return render_json(self.to_dict())
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod

@@ -100,8 +100,8 @@ class PingFrame(Frame):
 class AckFrame(Frame):
     """ACK with ranges and an acknowledgment delay (RFC 9000 §19.3).
 
-    ``ranges`` is a list of inclusive ``(low, high)`` packet-number
-    ranges sorted descending by ``high``; ``ranges[0][1]`` is the
+    ``ranges`` is a list of disjoint inclusive ``(low, high)``
+    packet-number ranges sorted descending; ``ranges[0][1]`` is the
     largest acknowledged packet number.
     """
 
@@ -116,10 +116,9 @@ class AckFrame(Frame):
         for low, high in self.ranges:
             if low > high or low < 0:
                 raise ValueError(f"invalid ACK range ({low}, {high})")
-        if len(self.ranges) > 1:
-            highs = [high for _low, high in self.ranges]
-            if highs != sorted(highs, reverse=True):
-                raise ValueError("ACK ranges must be sorted descending")
+        for (low, _high), (_low, below) in zip(self.ranges, self.ranges[1:]):
+            if below >= low:
+                raise ValueError("ACK ranges must be disjoint and sorted descending")
         if self.ack_delay_ms < 0:
             raise ValueError("ack delay cannot be negative")
 

@@ -446,17 +446,27 @@ class Recovery:
         largest_sp: Optional[SentPacket] = None
         any_eliciting = False
         sent = state.sent
-        for low, high in ack.ranges:  # descending by high
-            if high - low + 1 > len(sent):
-                # Wide range over a small outstanding set (the common
-                # steady-state shape: every ACK re-covers the whole
-                # history): scan the sent map instead of the range.
-                hits = sorted(
-                    (pn for pn in sent if low <= pn <= high), reverse=True
-                )
-            else:
-                hits = [pn for pn in range(high, low - 1, -1) if pn in sent]
-            for pn in hits:
+        ranges = ack.ranges  # descending by high
+        # ``sent`` is in packet-number order (filled in send order, see
+        # on_packet_sent): walk it from the front and stop past the top
+        # range, so the work tracks the packets still outstanding below
+        # it, not the width of the ranges (every ACK re-covers the whole
+        # receive history) nor the packets sent since.
+        found: List[List[int]] = [[] for _ in ranges]
+        if ranges:
+            top = ranges[0][1]
+            index = len(ranges) - 1
+            low, high = ranges[index]
+            for pn in sent:
+                if pn > top:
+                    break
+                while pn > high:
+                    index -= 1
+                    low, high = ranges[index]
+                if pn >= low:
+                    found[index].append(pn)
+        for hits in found:
+            for pn in reversed(hits):  # descending within a range
                 sp = sent.pop(pn)
                 newly_acked.append(sp)
                 if largest_sp is None or pn > largest_sp.packet_number:
@@ -520,10 +530,9 @@ class Recovery:
         lost: List[SentPacket] = []
         loss_delay: Optional[float] = None
         detector = self.loss_detector
-        for pn in sorted(state.sent):
+        for pn, sp in state.sent.items():  # in packet-number order
             if pn > largest_acked:
                 break
-            sp = state.sent[pn]
             if sp.declared_lost:
                 continue
             if loss_delay is None:

@@ -12,7 +12,7 @@ Addressing
 
 A cell's identity is ``(cell-code-version, scenario fingerprint, seed,
 artifact level)``, hashed to one SHA-256 name by
-:func:`cell_fingerprint`:
+:func:`cell_fingerprint` (:func:`cell_address` of its value key):
 
 * the *scenario fingerprint* is the value key of
   :func:`~repro.runtime.cache.scenario_key` — scenarios that defeat
@@ -44,9 +44,14 @@ of the same key never truncate each other's bytes and are idempotent
 **Memory** (a :class:`~repro.runtime.cache.ResultCache` per instance,
 LRU, bounded by :data:`~repro.runtime.cache.MAX_HELD_BYTES` of encoded
 blob size): the decoded, scenario-less values this process wrote or
-read back. ``get`` consults it first and opens a blob only on a memory
-miss; every hit, from either tier, hands out a fresh shallow copy, so
-the caller reattaching its scenario never reaches a held entry.
+read back, keyed by the cell's value key
+(:func:`~repro.runtime.cache.cell_cache_key`, the tuple a fleet
+worker's memo uses). ``get`` consults it first and opens a blob only
+on a memory miss, so a held cell is found without hashing: the
+SHA-256 address is computed only when a blob is read or written (see
+:class:`CellKey`). Every hit, from either tier, hands out a fresh
+shallow copy, so the caller reattaching its scenario never reaches a
+held entry.
 
 *Corrupt* means a blob that does not decode to a ``RunArtifacts``. The
 check runs on every disk read — always for a fresh instance (a
@@ -76,15 +81,16 @@ import logging
 import os
 import pickle
 import threading
-from dataclasses import replace
-from typing import Any, Dict, Optional
+from dataclasses import fields, replace
+from operator import attrgetter
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
 from repro.runtime.cache import ResultCache, cell_cache_key
 from repro.runtime.wire import compress_blob, decompress_blob
 
-__all__ = ["CELL_CODE_VERSION", "DiskResultCache", "cell_fingerprint"]
+__all__ = ["CELL_CODE_VERSION", "CellKey", "DiskResultCache", "cell_address", "cell_fingerprint"]
 
 logger = logging.getLogger(__name__)
 
@@ -96,22 +102,60 @@ logger = logging.getLogger(__name__)
 CELL_CODE_VERSION = 2
 
 
+def cell_address(key: Tuple[Any, ...]) -> str:
+    """The content address (blob name) of the cell whose value key
+    :func:`~repro.runtime.cache.cell_cache_key` returned ``key``."""
+    doc = repr((CELL_CODE_VERSION,) + key)
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
 def cell_fingerprint(scenario: Scenario, seed: int, level: Any) -> Optional[str]:
     """The content address of one cell, or ``None`` when the scenario
     defeats value identity (custom loss patterns — such cells are
     simply recomputed)."""
     key = cell_cache_key(scenario, seed, level)
-    if key is None:
-        return None
-    doc = repr((CELL_CODE_VERSION,) + key)
-    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+    return None if key is None else cell_address(key)
+
+
+class CellKey(tuple):
+    """What :meth:`DiskResultCache.fingerprint` returns: the cell's
+    value key (this tuple, which the memory tier is keyed by) with its
+    content address computed on demand — only a blob read or write
+    needs it."""
+
+    __slots__ = ()
+
+    @property
+    def address(self) -> str:
+        return cell_address(self)
+
+
+#: Per ``RunArtifacts`` class: its fields in ``__init__`` order.
+_FIELDS: Dict[type, Callable[[Any], Tuple[Any, ...]]] = {}
+
+
+def _copy(artifacts: RunArtifacts) -> RunArtifacts:
+    """A shallow copy, for a fraction of ``dataclasses.replace``'s
+    cost: one C getter for every field, then the class's own
+    ``__init__``."""
+    cls = type(artifacts)
+    getter = _FIELDS.get(cls)
+    if getter is None:
+        getter = _FIELDS[cls] = attrgetter(*(f.name for f in fields(cls)))
+    return cls(*getter(artifacts))
+
+
+#: A store key: a :class:`CellKey`, or a blob's address as a string.
+Key = Union[CellKey, str]
 
 
 class DiskResultCache:
     """A durable ``fingerprint → RunArtifacts`` store under one
     directory.
 
-    Safe for concurrent use by multiple processes (atomic writes,
+    ``get`` / ``put`` take what :meth:`fingerprint` returns (a
+    :class:`CellKey`) or a blob's address string; both name the same
+    blob. Safe for concurrent use by multiple processes (atomic writes,
     deterministic values) and by threads sharing the instance;
     per-instance hit/miss counters and the memory tier reset with the
     instance, the entries on disk do not.
@@ -130,6 +174,10 @@ class DiskResultCache:
         self.hits = 0
         self.misses = 0
         self.uncacheable = 0
+        #: Blobs on disk, as ``stats()`` reports them: counted once, at
+        #: the first call, then kept by this instance's own writes and
+        #: removals (``None`` until counted).
+        self._entries: Optional[int] = None
 
     # -- accounting -----------------------------------------------------
 
@@ -137,14 +185,24 @@ class DiskResultCache:
         """Both tiers' accounting: ``hits`` / ``misses`` /
         ``uncacheable`` over every lookup, ``entries`` on disk, and the
         memory tier's own :meth:`ResultCache.stats` under ``memory``
-        (its ``misses`` are the lookups that read the disk)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "uncacheable": self.uncacheable,
-            "entries": len(self),
-            "memory": self.memory.stats(),
-        }
+        (its ``misses`` are the lookups that read the disk).
+
+        ``entries`` walks the directory once per instance, at the first
+        call; later calls add the blobs this instance has written since
+        and subtract the corrupt ones it removed, so a health check
+        stays a constant cost however large the store. Blobs another
+        process writes meanwhile are not seen (``len()`` walks the
+        directory every time)."""
+        with self._lock:
+            if self._entries is None:
+                self._entries = len(self)
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "uncacheable": self.uncacheable,
+                "entries": self._entries,
+                "memory": self.memory.stats(),
+            }
 
     def __len__(self) -> int:
         count = 0
@@ -165,20 +223,23 @@ class DiskResultCache:
 
     # -- addressing -----------------------------------------------------
 
-    def fingerprint(self, scenario: Scenario, seed: int, level: Any) -> Optional[str]:
-        """:func:`cell_fingerprint`, counting uncacheable lookups."""
-        key = cell_fingerprint(scenario, seed, level)
+    def fingerprint(self, scenario: Scenario, seed: int, level: Any) -> Optional[CellKey]:
+        """The cell's :class:`CellKey` (no hashing yet), or ``None``
+        when it is uncacheable, counting uncacheable lookups."""
+        key = cell_cache_key(scenario, seed, level)
         if key is None:
             with self._lock:
                 self.uncacheable += 1
-        return key
+            return None
+        return CellKey(key)
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self._objects, key[:2], f"{key}.blob")
+    def _path(self, key: Key) -> str:
+        address = key if isinstance(key, str) else key.address
+        return os.path.join(self._objects, address[:2], f"{address}.blob")
 
     # -- store ----------------------------------------------------------
 
-    def get(self, key: Optional[str]) -> Optional[RunArtifacts]:
+    def get(self, key: Optional[Key]) -> Optional[RunArtifacts]:
         """The cached artifacts for ``key`` (a fresh copy with the
         scenario stripped — the caller reattaches its own), or ``None``
         on a miss. Corrupt blobs count as misses and are removed."""
@@ -192,9 +253,9 @@ class DiskResultCache:
                 self.misses += 1
                 return None
             self.hits += 1
-        return replace(held)
+        return _copy(held)
 
-    def _read(self, key: str) -> Optional[RunArtifacts]:
+    def _read(self, key: Key) -> Optional[RunArtifacts]:
         """Decode one blob into the memory tier, or ``None`` when it is
         absent, unreadable or corrupt (and then removed)."""
         path = self._path(key)
@@ -214,15 +275,19 @@ class DiskResultCache:
             # A torn write is impossible (os.replace), so a bad blob
             # means external damage; drop it and recompute the cell.
             logger.warning("dropping corrupt disk cache entry %s: %r", path, exc)
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+            with self._lock:
+                try:
+                    os.remove(path)
+                except OSError:
+                    pass
+                else:
+                    if self._entries is not None:
+                        self._entries -= 1
             return None
         self.memory.put(key, artifacts, len(blob))
         return artifacts
 
-    def put(self, key: Optional[str], artifacts: RunArtifacts) -> None:
+    def put(self, key: Optional[Key], artifacts: RunArtifacts) -> None:
         """Durably store one completed cell (atomic; a crash mid-write
         leaves no partial entry) and hold it in memory. ``full``-level
         artifacts hold live endpoints and are silently skipped."""
@@ -241,7 +306,11 @@ class DiskResultCache:
                 fh.write(blob)
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            with self._lock:
+                new = self._entries is not None and not os.path.exists(path)
+                os.replace(tmp, path)
+                if new:
+                    self._entries += 1
         except OSError as exc:
             logger.warning("disk cache write failed for %s: %s", path, exc)
             try:

@@ -188,12 +188,17 @@ class SuiteReport:
             **self.extra,
         }
 
-    def to_dict(self) -> Dict[str, Any]:
+    def to_dict(self, payloads: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
+        """The ``suite.json`` document. ``payloads`` stands in for each
+        result's ``to_dict()`` (a bundle passes the texts it already
+        rendered)."""
+        if payloads is None:
+            payloads = {exp_id: result.to_dict() for exp_id, result in self.results.items()}
         return {
             "schema_version": BUNDLE_SCHEMA_VERSION,
             "plan": self.plan.to_dict(),
             "executed_cells": self.executed_cells,
-            "results": {exp_id: result.to_dict() for exp_id, result in self.results.items()},
+            "results": dict(payloads),
         }
 
 

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
-from repro.runtime.disk_cache import DiskResultCache
+from repro.runtime.disk_cache import CellKey, DiskResultCache
 from repro.runtime.events import EventSink
 from repro.runtime.worker import IndexedCell
 
@@ -59,9 +59,11 @@ def run_work(
     own counts by source, plus ``"missed"`` cache probes.
     """
     counts: Counter = Counter()
-    # Fingerprint of each keyed item this call dispatches; filled before
-    # its window runs, read by ``store`` on the backend's threads.
-    keys: Dict[int, str] = {}
+    # Store key of each keyed item this call dispatches; filled before
+    # its window runs, read by ``store`` on the backend's threads. A
+    # held cell is found by its value key alone: the SHA-256 address is
+    # computed only for a blob read or write.
+    keys: Dict[int, CellKey] = {}
 
     def store(results: List[Tuple[int, RunArtifacts]]) -> None:
         for index, artifacts in results:

@@ -10,10 +10,11 @@ The daemon is two layers with one seam:
   I/O-bound and cheap, so one event loop handles every client while
   the pool crunches cells.
 
-The seam: manager calls that can block (an ``events`` subscription
-waiting for the next cell) are bridged with a pump thread feeding an
-``asyncio.Queue``; everything else (submit, status, fetch, cancel,
-health) is table lookups fast enough to call inline.
+The seam: the ``events`` relay registers a listener on the job's
+event buffer that hands each new event to the loop
+(``loop.call_soon_threadsafe`` onto an ``asyncio.Queue``), so no
+thread waits per subscriber; everything else (submit, status, fetch,
+cancel, health) is table lookups fast enough to call inline.
 
 Endpoints (all JSON; one request per connection)::
 
@@ -48,11 +49,11 @@ from repro.api.jobs import check_job_id
 from repro.errors import ReproError, ServiceError
 from repro.runtime.events import event_to_dict
 from repro.service.http import (
+    SSE_HEAD,
     HttpError,
     HttpRequest,
     read_request,
-    send_sse_event,
-    start_sse,
+    sse_event,
     write_json,
 )
 from repro.service.manager import ServiceManager
@@ -226,30 +227,33 @@ class ServiceDaemon:
         raise HttpError(404, f"no route for {request.method} {request.path!r}")
 
     async def _relay_events(self, job_id: str, writer) -> None:
-        """Bridge the job's blocking event subscription onto this
-        connection as server-sent events, live (a mid-run subscriber
-        sees past events immediately, then each new one as the pool
-        produces it)."""
+        """Relay the job's events onto this connection as server-sent
+        events, live: a mid-run subscriber gets the events so far at
+        once, then each new one as the pool produces it, handed to this
+        loop by a listener on the job's buffer (no thread of its own)."""
         loop = asyncio.get_running_loop()
         queue: "asyncio.Queue" = asyncio.Queue()
-        subscription = self.manager.events(job_id)
+        buffer = self.manager.event_buffer(job_id)
 
-        def pump() -> None:
-            try:
-                for event in subscription:
-                    loop.call_soon_threadsafe(queue.put_nowait, event_to_dict(event))
-            except RuntimeError:
-                return  # loop closed under us; connection is gone
-            finally:
-                with contextlib.suppress(RuntimeError):
-                    loop.call_soon_threadsafe(queue.put_nowait, None)
+        def listener(event) -> None:  # a pool thread, the buffer's lock held
+            with contextlib.suppress(RuntimeError):  # the loop closed under us
+                loop.call_soon_threadsafe(queue.put_nowait, event)
 
-        threading.Thread(target=pump, name=f"sse-{job_id}", daemon=True).start()
-        await start_sse(writer)
-        while True:
-            doc = await queue.get()
-            if doc is None:
-                break
-            await send_sse_event(writer, doc)
+        backlog, closed = buffer.add_listener(listener)
+        # What is buffered leaves with the head in one write: for a job
+        # that ended before its events were asked for, the whole stream.
+        out = [SSE_HEAD, *(sse_event(event_to_dict(event)) for event in backlog)]
+        try:
+            if not closed:
+                writer.write(b"".join(out))
+                out = []
+                await writer.drain()
+                while (event := await queue.get()) is not None:
+                    writer.write(sse_event(event_to_dict(event)))
+                    await writer.drain()
+        finally:
+            buffer.remove_listener(listener)
         record = self.manager.status(job_id)
-        await send_sse_event(writer, {"kind": "job_status", "record": record.to_dict()})
+        out.append(sse_event({"kind": "job_status", "record": record.to_dict()}))
+        writer.write(b"".join(out))
+        await writer.drain()

@@ -25,12 +25,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 from urllib.parse import parse_qsl, urlsplit
 
+from repro.schema import render_json
+
 __all__ = [
+    "SSE_HEAD",
     "HttpError",
     "HttpRequest",
     "read_request",
-    "send_sse_event",
-    "start_sse",
+    "sse_event",
     "write_json",
 ]
 
@@ -140,7 +142,7 @@ def _status_line(status: int) -> str:
 
 async def write_json(writer, status: int, doc: Any) -> None:
     """One complete JSON response (+ close semantics)."""
-    payload = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    payload = (render_json(doc) + "\n").encode("utf-8")
     head = (
         _status_line(status)
         + "Content-Type: application/json\r\n"
@@ -151,20 +153,16 @@ async def write_json(writer, status: int, doc: Any) -> None:
     await writer.drain()
 
 
-async def start_sse(writer) -> None:
-    """Open a ``text/event-stream`` response; the stream ends when the
-    connection closes (no Content-Length, by design)."""
-    head = (
-        _status_line(200)
-        + "Content-Type: text/event-stream\r\n"
-        + "Cache-Control: no-store\r\n"
-        + "Connection: close\r\n\r\n"
-    )
-    writer.write(head.encode("latin-1"))
-    await writer.drain()
+#: The head of a ``text/event-stream`` response; the stream ends when
+#: the connection closes (no Content-Length, by design).
+SSE_HEAD = (
+    _status_line(200)
+    + "Content-Type: text/event-stream\r\n"
+    + "Cache-Control: no-store\r\n"
+    + "Connection: close\r\n\r\n"
+).encode("latin-1")
 
 
-async def send_sse_event(writer, doc: Any) -> None:
+def sse_event(doc: Any) -> bytes:
     """One ``data: <json>`` server-sent event."""
-    writer.write(f"data: {json.dumps(doc)}\n\n".encode("utf-8"))
-    await writer.drain()
+    return f"data: {json.dumps(doc)}\n\n".encode("utf-8")

@@ -15,7 +15,7 @@ It owns:
 * the shared durable :class:`~repro.runtime.disk_cache.DiskResultCache`
   every pooled session consults — the reason a restarted daemon serves
   a previously computed suite without re-executing a single cell;
-* the job table: submit / status / events / bundle / cancel / health.
+* the job table: submit / status / event_buffer / bundle / cancel / health.
 
 Requests are validated against the experiment registry at submission
 (:func:`~repro.api.session.validate_request`), so a typo'd experiment
@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.api.bundles import bundle_files
 from repro.api.config import LocalConfig
-from repro.api.jobs import JobExecutor, JobRecord, JobStatus
+from repro.api.jobs import EventBuffer, JobExecutor, JobRecord, JobStatus
 from repro.api.session import RunRequest, Session, validate_request
 from repro.errors import ServiceError
 from repro.runtime.disk_cache import DiskResultCache
-from repro.runtime.events import EventSink, RunEvent
+from repro.runtime.events import EventSink
 from repro.runtime.suite import SuiteReport
 from repro.schema import BUNDLE_SCHEMA_VERSION
 
@@ -138,10 +138,12 @@ class ServiceManager:
     def jobs(self) -> List[JobRecord]:
         return [job.snapshot() for job in self._executor.jobs()]
 
-    def events(self, job_id: str) -> Iterator[RunEvent]:
-        """Every event of one job from its start; the iterator ends
-        when the job reaches a terminal state."""
-        return self._job(job_id).events.subscribe()
+    def event_buffer(self, job_id: str) -> EventBuffer:
+        """Every event of one job from its start: a blocking iterator
+        (:meth:`EventBuffer.subscribe`) or a listener
+        (:meth:`EventBuffer.add_listener`), both ending when the job
+        reaches a terminal state."""
+        return self._job(job_id).events
 
     def bundle(self, job_id: str) -> Dict[str, Any]:
         """The finished job's result as a schema-stamped bundle

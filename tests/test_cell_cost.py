@@ -114,6 +114,78 @@ def test_structural_counts_that_explain_the_ceiling(counted, scenario):
     )
 
 
+# -- ACK work tracks newly acked packets, not history ---------------------
+#
+# Every ACK re-covers the whole receive history, and in the 1 MiB cell
+# the client's application space holds hundreds of packets in flight.
+# Scanning the whole sent map (or walking the whole range) per ACK, and
+# sorting the map per loss-detection pass, visited 62,993 entries in
+# that cell; walking the map from the front and stopping past what each
+# needs visits at most the packets acked plus one per call.
+
+
+@pytest.fixture()
+def walks(monkeypatch):
+    """Entries of a ``sent`` map visited, by the caller that walked
+    them (``ack``: on_ack_received, ``loss``: _detect_lost), plus the
+    calls and the packets they acked."""
+    counts = Counter()
+    phase = ["ack"]
+
+    class Walked(dict):
+        def __iter__(self):
+            for pn in dict.__iter__(self):
+                counts[phase[-1]] += 1
+                yield pn
+
+        def items(self):
+            for item in dict.items(self):
+                counts[phase[-1]] += 1
+                yield item
+
+    real_init = recovery.Recovery.__init__
+    real_ack = recovery.Recovery.on_ack_received
+    real_detect = recovery.Recovery._detect_lost
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        for state in self.spaces:
+            state.sent = Walked()
+
+    def on_ack_received(self, *args, **kwargs):
+        counts["ack_calls"] += 1
+        result = real_ack(self, *args, **kwargs)
+        counts["acked"] += len(result.newly_acked)
+        return result
+
+    def detect_lost(self, *args, **kwargs):
+        counts["loss_calls"] += 1
+        phase.append("loss")
+        try:
+            return real_detect(self, *args, **kwargs)
+        finally:
+            phase.pop()
+
+    monkeypatch.setattr(recovery.Recovery, "__init__", init)
+    monkeypatch.setattr(recovery.Recovery, "on_ack_received", on_ack_received)
+    monkeypatch.setattr(recovery.Recovery, "_detect_lost", detect_lost)
+    return counts
+
+
+@pytest.mark.parametrize("scenario", [ANCHOR, BULK], ids=["handshake", "bulk"])
+def test_ack_work_tracks_newly_acked_packets_not_history(walks, scenario):
+    result = run_stats(Runner(), scenario)
+    assert result.client_stats.completed
+    # Each ACK visits the packets it acks, plus at most the one entry
+    # past its top range; a lossless cell leaves no hole below it.
+    assert walks["ack"] <= walks["acked"] + walks["ack_calls"]
+    # Loss detection stops at the first entry above the largest acked:
+    # lossless, everything below it is already gone.
+    assert walks["loss"] <= walks["loss_calls"]
+    if scenario is BULK:
+        assert walks["acked"] > 1_000
+
+
 # -- what an observed cell retains: what its observers declared ----------
 #
 # Until PR 21 a cell with any observer kept both qlogs and both links'

@@ -417,7 +417,7 @@ def test_concurrent_identical_service_jobs_fetch_identical_bundles(tmp_path):
         for _round in ("cold", "warm"):
             records = [manager.submit(request) for _ in range(2)]
             for record in records:
-                for _event in manager.events(record.job_id):
+                for _event in manager.event_buffer(record.job_id).subscribe():
                     pass
                 bundles.append(manager.bundle(record.job_id)["files"])
         assert manager.cache.stats()["memory"]["hits"] > 0

@@ -65,6 +65,10 @@ def test_ack_frame_validation():
     with pytest.raises(ValueError):
         AckFrame(ranges=((1, 2), (5, 9)))  # not descending
     with pytest.raises(ValueError):
+        AckFrame(ranges=((5, 9), (3, 6)))  # overlapping
+    with pytest.raises(ValueError):
+        AckFrame(ranges=((0, 10), (5, 7)))  # nested
+    with pytest.raises(ValueError):
         AckFrame(ranges=((0, 0),), ack_delay_ms=-1.0)
 
 

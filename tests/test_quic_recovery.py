@@ -1,18 +1,24 @@
 """Tests for RFC 9002 recovery: RTT estimation, PTO, loss detection."""
 
 import random
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.experiments.common import CLIENT_ORDER
+from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.quic.frames import AckFrame, CryptoFrame
 from repro.quic.packet import Packet, PacketType, Space
+from repro.quic.profiles import profile_names
 from repro.quic.recovery import (
     GRANULARITY_MS,
     Recovery,
     RecoveryConfig,
     RttEstimator,
 )
+from repro.quic.server import ServerMode
+from repro.sim.loss import GilbertElliottLoss
 
 
 def _packet(space=Space.INITIAL, pn=0, eliciting=True):
@@ -328,3 +334,52 @@ def test_app_space_pto_excluded_until_handshake_complete():
     rec.set_handshake_complete()
     deadline = rec.pto_time_and_space(1.0)
     assert deadline[1] is Space.APPLICATION
+
+
+# ---------------------------------------------------------------------------
+# The order of the sent map (what on_ack_received's walk relies on)
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(
+    profile=st.sampled_from(profile_names()),
+    client=st.sampled_from(CLIENT_ORDER),
+    mode=st.sampled_from(list(ServerMode)),
+    burst=st.tuples(
+        st.floats(0.0, 0.3), st.floats(0.2, 1.0), st.floats(0.0, 0.5)
+    ),
+    seeds=st.tuples(st.integers(0, 1 << 16), st.integers(0, 1 << 16)),
+    response_size=st.sampled_from([SIZE_10KB, 1 << 16]),
+)
+def test_sent_stays_in_packet_number_order_under_every_profile_and_bursty_loss(
+    profile, client, mode, burst, seeds, response_size
+):
+    """Every packet a space records is numbered above every packet it
+    still holds, under each recovery profile and Gilbert-Elliott loss on
+    both links: the map's insertion order is packet-number order."""
+    p, r, h = burst
+    scenario = Scenario(
+        client=client,
+        mode=mode,
+        rtt_ms=20.0,
+        response_size=response_size,
+        client_to_server_loss=GilbertElliottLoss(p, r, h, seed=seeds[0]),
+        server_to_client_loss=GilbertElliottLoss(p, r, h, seed=seeds[1]),
+        recovery_profile=profile,
+        timeout_ms=10_000.0,
+    )
+    disorder = []
+    recorded = Recovery.on_packet_sent
+
+    def checked(self, packet, *args, **kwargs):
+        sent = self.spaces[packet.space].sent
+        if sent and packet.packet_number <= next(reversed(sent)):
+            disorder.append((packet.space, packet.packet_number, next(reversed(sent))))
+        return recorded(self, packet, *args, **kwargs)
+
+    with patch.object(Recovery, "on_packet_sent", checked):
+        result = Runner().run_once(scenario, seed=0, capture_trace=False, record_qlog=False)
+    assert disorder == []
+    for endpoint in (result.client, result.server):
+        for state in endpoint.recovery.spaces:
+            assert list(state.sent) == sorted(state.sent)

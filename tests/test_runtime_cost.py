@@ -7,7 +7,10 @@ same code; the counts below do not. Each test drives the benchmark's
 counts, by patching, what the durable result cache does for it:
 
 * a warm job in a process that already holds the cells opens no blob,
-  decompresses nothing and unpickles nothing;
+  decompresses nothing and unpickles nothing; served through the
+  daemon, it computes no SHA-256 address, runs each experiment's
+  ``to_dict`` once, and its events relay starts no thread;
+* ``/v1/health`` walks the store's directory once per process;
 * a fresh process on the same directory reads every cell from disk
   once, then never again;
 * a cold job probes, writes one blob and pays one fsync per cell, and
@@ -20,17 +23,20 @@ counts, by patching, what the durable result cache does for it:
 
 import os
 import pickle
+import threading
 from collections import Counter
 
 import pytest
 
 import repro.runtime.backend as backend_module
 import repro.runtime.disk_cache as disk_cache
-from repro.api import LocalConfig, RunRequest, Session
+from repro.api import LocalConfig, RunRequest, ServiceClient, Session
+from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import REGISTRY
 from repro.runtime.artifacts import ArtifactLevel
 from repro.runtime.backend import LocalBackend
 from repro.runtime.suite import SuiteRunner
+from repro.service import ServiceDaemon
 from repro.service.manager import ServiceManager
 
 REQUEST = RunRequest(("fig5", "fig6", "fig7", "fig12", "fig13"), smoke=True)
@@ -86,7 +92,7 @@ def job(manager, counts):
     """Run one job to completion: ``(counts it caused, summary)``."""
     before = Counter(counts)
     record = manager.submit(REQUEST)
-    for _event in manager.events(record.job_id):
+    for _event in manager.event_buffer(record.job_id).subscribe():
         pass
     final = manager.status(record.job_id)
     assert final.status.value == "succeeded", final.error
@@ -103,6 +109,80 @@ def test_warm_job_in_a_warm_process_touches_no_blob(tmp_path, counts):
         manager.close()
     assert (summary["disk_cache_hits"], summary["disk_cache_misses"]) == (UNIQUE_CELLS, 0)
     assert (warm["open"], warm["loads"], warm["decompress"], warm["put"]) == (0, 0, 0, 0)
+
+
+def test_warm_job_through_the_daemon_hashes_nothing_renders_once_and_starts_no_thread(
+    tmp_path, monkeypatch
+):
+    manager = ServiceManager(workers=0, cache_dir=str(tmp_path / "cache"))
+    server = ServiceDaemon(manager, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.run, daemon=True)
+    thread.start()
+    seen: Counter = Counter()
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            seen[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(disk_cache, "cell_address", counting("address", disk_cache.cell_address))
+    monkeypatch.setattr(ExperimentResult, "to_dict", counting("to_dict", ExperimentResult.to_dict))
+    monkeypatch.setattr(threading.Thread, "start", counting("thread", threading.Thread.start))
+    try:
+        client = ServiceClient(server.wait_started(10))
+
+        def job():
+            before = Counter(seen)
+            handle = client.submit(REQUEST)
+            events = [event.kind for event in handle.events()]
+            files = client.fetch(handle.job_id)
+            return seen - before, files, events
+
+        cold, cold_files, _events = job()
+        warm, warm_files, events = job()
+        summary = client.status(client.jobs()[-1].job_id).summary
+    finally:
+        server.stop()
+        thread.join(timeout=10)
+        manager.close()
+    assert (summary["disk_cache_hits"], summary["disk_cache_misses"]) == (UNIQUE_CELLS, 0)
+    assert warm_files == cold_files and events
+    # A cold cell's address is computed for its probe and for its put.
+    assert cold["address"] == 2 * UNIQUE_CELLS
+    experiments = len(REQUEST.experiments)
+    assert (warm["address"], warm["to_dict"], warm["thread"]) == (0, experiments, 0)
+
+
+def test_health_walks_the_store_once_per_process(tmp_path, monkeypatch):
+    directory = str(tmp_path / "cache")
+    first = ServiceManager(workers=0, cache_dir=directory)
+    try:
+        job(first, Counter())
+    finally:
+        first.close()
+    listed = []
+    real_listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path: listed.append(path) or real_listdir(path))
+    restarted = ServiceManager(workers=0, cache_dir=directory)
+    try:
+        assert restarted.health()["cache"]["entries"] == UNIQUE_CELLS
+        walked = len(listed)
+        assert walked > 1
+        for _ in range(20):
+            assert restarted.health()["cache"]["entries"] == UNIQUE_CELLS
+        # New blobs this process writes are counted as they land.
+        overrides = {exp: {"base_seed": 1_000_000} for exp in REQUEST.experiments}
+        cold = RunRequest(REQUEST.experiments, overrides=overrides, smoke=True)
+        record = restarted.submit(cold)
+        for _event in restarted.event_buffer(record.job_id).subscribe():
+            pass
+        assert restarted.health()["cache"]["entries"] == 2 * UNIQUE_CELLS
+    finally:
+        restarted.close()
+    assert len(listed) == walked
+    assert len(disk_cache.DiskResultCache(directory)) == 2 * UNIQUE_CELLS
 
 
 def test_cold_job_writes_and_fsyncs_once_per_cell(tmp_path, counts):

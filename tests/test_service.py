@@ -430,7 +430,7 @@ def test_manager_runs_scan_jobs(manager):
     doc = json.loads(bundle["files"]["scan.json"])
     assert doc["sketch"]["targets"] == 4000
 
-    kinds = {event.kind for event in manager.events(record.job_id)}
+    kinds = {event.kind for event in manager.event_buffer(record.job_id).subscribe()}
     assert {"shard_dispatched", "shard_completed", "scan_completed"} <= kinds
 
 
