@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.analysis.render import render_table
 from repro.schema import BUNDLE_SCHEMA_VERSION, check_bundle_version, render_json
@@ -68,10 +68,8 @@ class ExperimentResult:
             payload["extra_dropped"] = sorted(dropped)
         return payload
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        if indent == 2:
-            return render_json(self.to_dict())
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return render_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ExperimentResult":

@@ -83,7 +83,7 @@ import pickle
 import threading
 from dataclasses import fields, replace
 from operator import attrgetter
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
@@ -145,17 +145,13 @@ def _copy(artifacts: RunArtifacts) -> RunArtifacts:
     return cls(*getter(artifacts))
 
 
-#: A store key: a :class:`CellKey`, or a blob's address as a string.
-Key = Union[CellKey, str]
-
-
 class DiskResultCache:
     """A durable ``fingerprint → RunArtifacts`` store under one
     directory.
 
-    ``get`` / ``put`` take what :meth:`fingerprint` returns (a
-    :class:`CellKey`) or a blob's address string; both name the same
-    blob. Safe for concurrent use by multiple processes (atomic writes,
+    ``get`` / ``put`` take what :meth:`fingerprint` returns: a
+    :class:`CellKey`, which names one blob by its ``address``. Safe
+    for concurrent use by multiple processes (atomic writes,
     deterministic values) and by threads sharing the instance;
     per-instance hit/miss counters and the memory tier reset with the
     instance, the entries on disk do not.
@@ -233,13 +229,13 @@ class DiskResultCache:
             return None
         return CellKey(key)
 
-    def _path(self, key: Key) -> str:
-        address = key if isinstance(key, str) else key.address
+    def _path(self, key: CellKey) -> str:
+        address = key.address
         return os.path.join(self._objects, address[:2], f"{address}.blob")
 
     # -- store ----------------------------------------------------------
 
-    def get(self, key: Optional[Key]) -> Optional[RunArtifacts]:
+    def get(self, key: Optional[CellKey]) -> Optional[RunArtifacts]:
         """The cached artifacts for ``key`` (a fresh copy with the
         scenario stripped — the caller reattaches its own), or ``None``
         on a miss. Corrupt blobs count as misses and are removed."""
@@ -255,7 +251,7 @@ class DiskResultCache:
             self.hits += 1
         return _copy(held)
 
-    def _read(self, key: Key) -> Optional[RunArtifacts]:
+    def _read(self, key: CellKey) -> Optional[RunArtifacts]:
         """Decode one blob into the memory tier, or ``None`` when it is
         absent, unreadable or corrupt (and then removed)."""
         path = self._path(key)
@@ -287,7 +283,7 @@ class DiskResultCache:
         self.memory.put(key, artifacts, len(blob))
         return artifacts
 
-    def put(self, key: Optional[Key], artifacts: RunArtifacts) -> None:
+    def put(self, key: Optional[CellKey], artifacts: RunArtifacts) -> None:
         """Durably store one completed cell (atomic; a crash mid-write
         leaves no partial entry) and hold it in memory. ``full``-level
         artifacts hold live endpoints and are silently skipped."""

@@ -27,14 +27,18 @@ Every bundle file, and every document the ``repro serve`` daemon
 answers with, is ``json.dumps(doc, indent=2)`` text. :func:`render_json`
 writes those bytes faster: CPython's C encoder has no indent before
 3.13, so the stdlib takes its pure-Python path for every indented
-document.
+document there. From 3.13 the stdlib is C end to end and faster than
+any recursion here, and :func:`render_json` hands it every container
+that holds no :class:`JsonText`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict
 
 from repro.errors import BundleVersionError
 
@@ -82,32 +86,33 @@ class JsonText:
 #: ``IntEnum``) recurses here instead, to the same bytes.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
-#: Per depth: the C encoder of one flat container at that depth.
-_FLAT: List[Callable[[Any, int], Any]] = []
+#: ``json.dumps(indent=2)`` runs in C end to end from 3.13 on, and
+#: beats the recursion below by about 2× on a bundle; 3.11 and 3.12
+#: take the stdlib's pure-Python path, which the recursion beats by
+#: about 1.4× (PERFORMANCE.md, "The warm service path").
+_STDLIB_INDENTS_IN_C = sys.version_info >= (3, 13)
 
 
 def _unencodable(value: Any) -> Any:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+@functools.lru_cache(maxsize=None)
 def _flat(depth: int) -> Callable[[Any, int], Any]:
-    while len(_FLAT) <= depth:
-        # No indent: the item separator carries the newline and the
-        # member indent, and the caller adds the brackets' own lines.
-        _FLAT.append(
-            c_make_encoder(
-                None,
-                _unencodable,
-                encode_basestring_ascii,
-                None,
-                ": ",
-                ",\n" + "  " * len(_FLAT),
-                False,
-                False,
-                True,
-            )
-        )
-    return _FLAT[depth]
+    """The C encoder of one flat container whose members sit at
+    ``depth``. No indent: the item separator carries the newline and
+    the member indent, and the caller adds the brackets' own lines."""
+    return c_make_encoder(
+        None,
+        _unencodable,
+        encode_basestring_ascii,
+        None,
+        ": ",
+        ",\n" + "  " * depth,
+        False,
+        False,
+        True,
+    )
 
 
 _INFINITY = float("inf")
@@ -145,12 +150,15 @@ def _render(value: Any, depth: int) -> str:
         return _scalar(value, depth)
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
+    if _STDLIB_INDENTS_IN_C:
+        try:
+            return _indented(json.dumps(value, indent=2), depth)
+        except TypeError:
+            pass  # a JsonText inside: recurse to splice it in
     inner = "\n" + "  " * (depth + 1)
     if _SCALARS.issuperset(map(type, members)):
         if c_make_encoder is None:
-            # The stdlib, re-indented for the depth: JSON text has no
-            # raw newline inside a string.
-            return json.dumps(value, indent=2).replace("\n", inner[:-2])
+            return _indented(json.dumps(value, indent=2), depth)
         text = "".join(_flat(depth + 1)(value, 0))
         return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
     if isinstance(value, dict):
@@ -178,20 +186,29 @@ def _scalar(value: Any, depth: int) -> str:
     if isinstance(value, float):
         return _float(value)
     if isinstance(value, JsonText):
-        return value.text.replace("\n", "\n" + "  " * depth) if depth else value.text
+        return _indented(value.text, depth)
     return _unencodable(value)
+
+
+def _indented(text: str, depth: int) -> str:
+    """Standalone ``indent=2`` text as a value nested at ``depth``: JSON
+    text has no raw newline inside a string, so every newline is a line
+    break and takes ``2 * depth`` more spaces."""
+    return text.replace("\n", "\n" + "  " * depth) if depth else text
 
 
 def render_json(doc: Any) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte.
 
-    A container whose members are all scalars (a table row, a header,
-    a fetch document's ``files`` map) is encoded in one call to the
-    stdlib's C encoder, with ``",\\n"`` plus the member indent as its
-    item separator; nested containers recurse here. Without the C
-    encoder (``json.encoder.c_make_encoder`` is ``None``), flat
-    containers go through ``json.dumps`` instead, with the same output.
-    A :class:`JsonText` member is spliced in as rendered: a value
+    Before Python 3.13, a container whose members are all scalars (a
+    table row, a header, a fetch document's ``files`` map) is encoded in
+    one call to the stdlib's C encoder, with ``",\\n"`` plus the member
+    indent as its item separator; nested containers recurse here.
+    Without the C encoder (``json.encoder.c_make_encoder`` is ``None``),
+    flat containers go through ``json.dumps`` instead, with the same
+    output. From 3.13, whose ``json.dumps`` indents in C, every
+    container that holds no :class:`JsonText` goes through it. A
+    :class:`JsonText` member is spliced in as rendered: a value
     nested at depth *k* is its own rendering with ``2k`` spaces after
     every newline. A document ``json.dumps`` rejects raises what
     ``json.dumps`` raises.

@@ -18,6 +18,8 @@ from test_observe import fleet_session
 import repro.runtime.suite as suite_module
 from repro.api import LocalConfig, RunRequest, Session
 from repro.api.bundles import bundle_files
+from repro.interop.runner import Scenario
+from repro.runtime.artifacts import ArtifactLevel
 from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.suite import SuiteRunner
 from repro.wild.stream import ScanRequest, StreamCoordinator
@@ -38,11 +40,13 @@ def test_tmp_leftovers_from_a_crashed_write_are_ignored(tmp_path):
     request = RunRequest(("fig6",), smoke=True)
     with Session(cache_dir=str(tmp_path)) as session:
         stored = session.run(request).extra["disk_cache_misses"]
-    entry = blobs(tmp_path)[0]
-    (entry.parent / f"{'ab' * 32}.blob.4242.4242.tmp").write_bytes(b"torn write")
     cache = DiskResultCache(str(tmp_path))
+    torn = cache.fingerprint(Scenario(rtt_ms=77.0), 0, ArtifactLevel.STATS)
+    entry = Path(cache._path(torn))
+    entry.parent.mkdir(exist_ok=True)
+    (entry.parent / f"{entry.name}.4242.4242.tmp").write_bytes(b"torn write")
     assert len(cache) == stored
-    assert cache.get("ab" * 32) is None
+    assert cache.get(torn) is None
     with Session(cache_dir=cache) as session:
         warm = session.run(request)
     assert (warm.extra["disk_cache_hits"], warm.extra["disk_cache_misses"]) == (stored, 0)

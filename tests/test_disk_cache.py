@@ -87,10 +87,15 @@ def test_put_get_round_trip_strips_and_restores_nothing_it_should_not(tmp_path):
     assert cache.stats()["hits"] == 1
 
 
+def _absent(cache):
+    """The key of a cell no test here stores."""
+    return cache.fingerprint(Scenario(rtt_ms=77.0), 0, ArtifactLevel.STATS)
+
+
 def test_miss_paths_never_raise(tmp_path):
     cache = DiskResultCache(str(tmp_path))
     assert cache.get(None) is None
-    assert cache.get("ab" * 32) is None
+    assert cache.get(_absent(cache)) is None
     assert cache.misses == 1  # None key is not even a lookup
 
 
@@ -192,12 +197,13 @@ def test_hit_and_miss_counts_hold_under_threads(tmp_path):
     key = cache.fingerprint(scenario, 0, ArtifactLevel.STATS)
     cache.put(key, _artifacts(scenario))
 
+    absent = _absent(cache)
     start = threading.Barrier(4)
 
     def hammer():
         start.wait(timeout=30)
         for i in range(1500):
-            cache.get(key if i % 3 else "ab" * 32)
+            cache.get(key if i % 3 else absent)
 
     threads = [threading.Thread(target=hammer) for _ in range(4)]
     interval = sys.getswitchinterval()
@@ -215,14 +221,13 @@ def test_hit_and_miss_counts_hold_under_threads(tmp_path):
 
 def test_stats_report_both_tiers(tmp_path):
     scenario = Scenario(rtt_ms=9.0)
-    DiskResultCache(str(tmp_path)).put(
-        cell_fingerprint(scenario, 0, ArtifactLevel.STATS), _artifacts(scenario)
-    )
+    writer = DiskResultCache(str(tmp_path))
+    writer.put(writer.fingerprint(scenario, 0, ArtifactLevel.STATS), _artifacts(scenario))
     cache = DiskResultCache(str(tmp_path))
     key = cache.fingerprint(scenario, 0, ArtifactLevel.STATS)
     cache.get(key)  # from disk
     cache.get(key)  # from memory
-    cache.get("ab" * 32)
+    cache.get(_absent(cache))
     stats = cache.stats()
     blob_bytes = os.path.getsize(cache._path(key))
     assert stats == {

@@ -9,6 +9,8 @@ rendering the whole report at once.
 
 import json
 import math
+import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,29 +57,64 @@ def deep(depth):
     return doc
 
 
-@settings(max_examples=400, deadline=None)
-@given(DOCS)
-def test_render_json_is_json_dumps_indent_2(doc):
-    assert render_json(doc) == json.dumps(doc, indent=2)
-
-
-@settings(max_examples=200, deadline=None)
-@given(DOCS)
-def test_render_json_without_the_c_encoder_is_json_dumps_indent_2(doc):
-    original = schema.c_make_encoder
-    schema.c_make_encoder = None
+@contextmanager
+def path(name):
+    """Render on one of the three paths: ``recursion`` (3.11 / 3.12,
+    flat containers through the C encoder), ``fallback`` (the same
+    without the C encoder) or ``stdlib`` (3.13 on, every container
+    without a JsonText through ``json.dumps``)."""
+    saved = schema.c_make_encoder, schema._STDLIB_INDENTS_IN_C
+    schema._STDLIB_INDENTS_IN_C = name == "stdlib"
+    if name == "fallback":
+        schema.c_make_encoder = None
     try:
-        assert render_json(doc) == json.dumps(doc, indent=2)
+        yield
     finally:
-        schema.c_make_encoder = original
+        schema.c_make_encoder, schema._STDLIB_INDENTS_IN_C = saved
 
 
-@pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "fallback"])
-def test_deep_nesting_and_empty_containers(monkeypatch, c_encoder):
-    if not c_encoder:
-        monkeypatch.setattr(schema, "c_make_encoder", None)
-    for doc in (deep(40), [], {}, [[]], [{}], {"": {}}, [[[]], [{}], []]):
+PATHS = ["recursion", "fallback", "stdlib"]
+
+
+@pytest.mark.parametrize("name", PATHS)
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCS)
+def test_render_json_is_json_dumps_indent_2(name, doc):
+    with path(name):
         assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("name", PATHS)
+def test_deep_nesting_and_empty_containers(name):
+    with path(name):
+        for doc in (deep(40), [], {}, [[]], [{}], {"": {}}, [[[]], [{}], []]):
+            assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_flat_encoders_built_on_several_threads_indent_for_their_depth():
+    """The per-depth C encoders are built on first use; threads that
+    first reach the same depths at once must each get that depth's."""
+    docs = [deep(depth) for depth in range(6)]
+    start = threading.Barrier(4)
+    wrong = []
+
+    def render():
+        start.wait(timeout=30)
+        for doc in docs:
+            if render_json(doc) != json.dumps(doc, indent=2):
+                wrong.append(doc)
+
+    with path("recursion"):
+        schema._flat.cache_clear()
+        threads = [threading.Thread(target=render) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    for depth in range(8):
+        assert "".join(schema._flat(depth)([1, 2], 0)) == "[1,\n" + "  " * depth + "2]"
 
 
 def nest(value, depth):
@@ -86,24 +123,27 @@ def nest(value, depth):
     return value
 
 
-@settings(max_examples=200, deadline=None)
-@given(DOCS, st.integers(0, 3))
-def test_rendered_text_splices_in_at_any_depth(doc, depth):
+@pytest.mark.parametrize("name", PATHS)
+@settings(max_examples=150, deadline=None)
+@given(doc=DOCS, depth=st.integers(0, 3))
+def test_rendered_text_splices_in_at_any_depth(name, doc, depth):
     """A value nested at depth k is its standalone rendering with 2k
     spaces after every newline."""
-    spliced = nest(JsonText(render_json(doc)), depth)
-    assert render_json(spliced) == json.dumps(nest(doc, depth), indent=2)
+    with path(name):
+        spliced = nest(JsonText(render_json(doc)), depth)
+        assert render_json(spliced) == json.dumps(nest(doc, depth), indent=2)
 
 
 def test_what_json_dumps_rejects_raises_what_json_dumps_raises():
     cyclic = []
     cyclic.append(cyclic)
     rejected = (({"k": object()}, TypeError), ({(1, 2): 3}, TypeError), (cyclic, ValueError))
-    for doc, error in rejected:
-        with pytest.raises(error):
-            json.dumps(doc, indent=2)
-        with pytest.raises(error):
-            render_json(doc)
+    for name in PATHS:
+        for doc, error in rejected:
+            with pytest.raises(error):
+                json.dumps(doc, indent=2)
+            with path(name), pytest.raises(error):
+                render_json(doc)
 
 
 @pytest.fixture(scope="session")

@@ -112,7 +112,7 @@ def test_any_split_is_delivered_once_with_reference_values_and_fully_journaled(
         cache = DiskResultCache(f"{tmp}/cache")
         for (i, task, seed), kind in zip(items, kinds):
             if kind == "stored":
-                cache.put(cell_fingerprint(task, seed, ArtifactLevel.STATS), reference[i])
+                cache.put(cache.fingerprint(task, seed, ArtifactLevel.STATS), reference[i])
 
         backend = InlineBackend()
         backend.probe = lambda: len(cache)
@@ -151,7 +151,7 @@ def test_any_split_is_delivered_once_with_reference_values_and_fully_journaled(
             assert backend.probed[-1] == keyed
         for (i, task, seed), kind in zip(items, kinds):
             if kind != "uncacheable":
-                assert cache.get(cell_fingerprint(task, seed, ArtifactLevel.STATS)) == reference[i]
+                assert cache.get(cache.fingerprint(task, seed, ArtifactLevel.STATS)) == reference[i]
 
 
 def test_observer_and_sink_are_restored_when_the_backend_raises(tmp_path):
