@@ -17,7 +17,10 @@ The drill (see the Service section of API.md):
    hits (``disk_cache_misses == 0``): the warm start survived the
    daemon's death because the cache is content-addressed files, not
    process state.
-5. Byte-diff both fetched bundles against the direct local bundle.
+5. Submit the identical suite a second time to the restarted daemon:
+   that job is served the plan the first one made (no experiment is
+   planned again) and, like it, only disk-cache hits.
+6. Byte-diff all three fetched bundles against the direct local bundle.
 """
 
 import json
@@ -123,6 +126,17 @@ def submit_and_fetch(
     return status["summary"]
 
 
+def expect_only_hits(summary: dict, what: str) -> None:
+    hits = summary.get("disk_cache_hits", 0)
+    misses = summary.get("disk_cache_misses", 0)
+    log(f"  {what}: {hits} cache hit(s), {misses} miss(es)")
+    if hits == 0 or misses != 0:
+        raise RuntimeError(
+            f"restarted daemon re-executed cells: {hits} hit(s), "
+            f"{misses} miss(es) — the durable cache did not survive"
+        )
+
+
 def main() -> int:
     import argparse
 
@@ -158,17 +172,15 @@ def main() -> int:
     log("phase 4: daemon #2 — same cache directory, after the kill")
     daemon, address = start_daemon(cache, work / "daemon2.log")
     try:
-        summary2 = submit_and_fetch(
+        summary = submit_and_fetch(
             address, work / "bundle2", args.timeout, expect_chunks=False
         )
-        hits = summary2.get("disk_cache_hits", 0)
-        misses = summary2.get("disk_cache_misses", 0)
-        log(f"  warm run: {hits} cache hit(s), {misses} miss(es)")
-        if hits == 0 or misses != 0:
-            raise RuntimeError(
-                f"restarted daemon re-executed cells: {hits} hit(s), "
-                f"{misses} miss(es) — the durable cache did not survive"
-            )
+        expect_only_hits(summary, "warm run")
+        log("phase 5: daemon #2 — the identical suite again (a held plan)")
+        summary = submit_and_fetch(
+            address, work / "bundle3", args.timeout, expect_chunks=False
+        )
+        expect_only_hits(summary, "repeated run")
     finally:
         daemon.send_signal(signal.SIGTERM)
         try:
@@ -176,21 +188,22 @@ def main() -> int:
         except subprocess.TimeoutExpired:
             daemon.kill()
 
-    log("phase 5: byte-diff both fetched bundles against the direct bundle")
+    log("phase 6: byte-diff all fetched bundles against the direct bundle")
     names = sorted(p.name for p in direct_out.glob("*.json"))
     if not names:
         raise RuntimeError("direct run wrote no bundle files")
     mismatched = []
     for name in names:
         reference = (direct_out / name).read_bytes()
-        for fetched_dir in (work / "bundle1", work / "bundle2"):
+        for fetched_dir in (work / "bundle1", work / "bundle2", work / "bundle3"):
             if (fetched_dir / name).read_bytes() != reference:
                 mismatched.append(f"{fetched_dir.name}/{name}")
     if mismatched:
         log(f"FAIL: fetched bundles differ from direct run: {mismatched}")
         return 1
     log(f"OK: {len(names)} bundle file(s) byte-identical across daemon "
-        "restart and direct run; warm start served entirely from disk cache")
+        "restart, a repeated request and direct run; warm starts served "
+        "entirely from disk cache")
     return 0
 
 

@@ -309,6 +309,8 @@ class JobExecutor:
         self._cond = threading.Condition()
         self._jobs: Dict[JobId, Job] = {}
         self._order: List[JobId] = []
+        #: Jobs per status value, kept at each transition (see _move).
+        self._counts: Dict[str, int] = {status.value: 0 for status in JobStatus}
         self._shutdown = False
         self._threads = [
             threading.Thread(target=self._serve, name=f"{name}-{i}", daemon=True)
@@ -331,6 +333,7 @@ class JobExecutor:
                 raise ServiceError("job executor is shut down")
             self._jobs[record.job_id] = job
             self._order.append(record.job_id)
+            self._counts[JobStatus.QUEUED.value] += 1
             self._queue.append(job)
             self._cond.notify()
         return job
@@ -344,11 +347,17 @@ class JobExecutor:
             return [self._jobs[job_id] for job_id in self._order]
 
     def counts(self) -> Dict[str, int]:
-        """Jobs per status value (the daemon's health document)."""
-        counts: Dict[str, int] = {status.value: 0 for status in JobStatus}
-        for job in self.jobs():
-            counts[job.snapshot().status.value] += 1
-        return counts
+        """Jobs per status value (the daemon's health document): a
+        copy of the tally, whatever the number of jobs run."""
+        with self._cond:
+            return dict(self._counts)
+
+    def _move(self, job: Job, status: JobStatus) -> None:
+        """Put ``job`` (its lock held) in ``status``, keeping the tally."""
+        with self._cond:
+            self._counts[job.record.status.value] -= 1
+            self._counts[status.value] += 1
+        job.record.status = status
 
     # -- cancellation ---------------------------------------------------
 
@@ -359,7 +368,7 @@ class JobExecutor:
         with job.lock:
             if job.record.status is JobStatus.QUEUED:
                 job.cancel_requested = True
-                job.record.status = JobStatus.CANCELLED
+                self._move(job, JobStatus.CANCELLED)
                 job.record.finished_at = time.time()
                 finish = True
             else:
@@ -387,21 +396,21 @@ class JobExecutor:
             with job.lock:
                 if job.cancel_requested:
                     continue  # cancel() already finalized the record
-                job.record.status = JobStatus.RUNNING
+                self._move(job, JobStatus.RUNNING)
                 job.record.started_at = time.time()
             try:
                 report = self._run_job(job.request, job.events.append)
             except BaseException as exc:
                 with job.lock:
                     job.exception = exc
-                    job.record.status = JobStatus.FAILED
+                    self._move(job, JobStatus.FAILED)
                     job.record.error = str(exc)
                     job.record.error_kind = type(exc).__name__
                     job.record.finished_at = time.time()
             else:
                 with job.lock:
                     job.report = report
-                    job.record.status = JobStatus.SUCCEEDED
+                    self._move(job, JobStatus.SUCCEEDED)
                     # A suite's or a scan's accounting(): one shape.
                     job.record.summary = {} if report is None else report.accounting()
                     job.record.finished_at = time.time()
@@ -423,7 +432,7 @@ class JobExecutor:
         for job in queued:
             with job.lock:
                 job.cancel_requested = True
-                job.record.status = JobStatus.CANCELLED
+                self._move(job, JobStatus.CANCELLED)
                 job.record.finished_at = time.time()
             job.events.close()
             job.done.set()

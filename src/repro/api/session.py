@@ -27,8 +27,8 @@ from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
 from repro.runtime.backend import ExecutionBackend
 from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.events import EventSink, RunEvent, emit
-from repro.runtime.suite import SuitePlan, SuiteReport, SuiteRunner
-from repro.runtime.workloop import LEVEL, run_work
+from repro.runtime.suite import SuitePlan, SuiteReport, SuiteRunner, plan_memo
+from repro.runtime.workloop import LEVEL, run_work, work_items
 
 __all__ = [
     "RunRequest",
@@ -215,6 +215,9 @@ class Session:
             cache_dir = DiskResultCache(cache_dir)
         self.disk_cache: Optional[DiskResultCache] = cache_dir
         self._jobs: Optional[JobExecutor] = None
+        #: The plans of this session's recent distinct requests: a
+        #: repeated request is not planned again.
+        self._plans = plan_memo()
         #: The one backend every run, scan and sweep of this session
         #: executes on, from here until close().
         self._backend: ExecutionBackend = self.config.create()
@@ -277,7 +280,8 @@ class Session:
 
     def plan(self, request: RunRequest) -> SuitePlan:
         """The deduplicated execution plan for a request (no cells
-        run)."""
+        run): shared and read-only — a repeat of the request gets the
+        same plan back, which its runs use too."""
         ids, overrides = validate_request(request)
         return self._suite_runner(None).plan(ids, overrides=overrides, smoke=request.smoke)
 
@@ -431,7 +435,7 @@ class Session:
             artifacts.scenario = scenario
             results[index] = artifacts
 
-        items = [(i, scenario, seed) for i, seed in enumerate(seeds)]
+        items = work_items(((i, scenario, seed) for i, seed in enumerate(seeds)), self.disk_cache)
         run_work(self._backend, items, put, cache=self.disk_cache)
         return results
 
@@ -442,6 +446,7 @@ class Session:
             backend=self._backend,
             on_event=self._sink(extra_sink),
             disk_cache=self.disk_cache,
+            plans=self._plans,
         )
 
     def _sink(self, extra: Optional[EventSink]) -> Optional[EventSink]:

@@ -13,8 +13,8 @@ Public surface:
   -m repro worker`` processes on any number of hosts; see
   :mod:`repro.runtime.distributed`).
 * :func:`run_work` — the one loop that executes keyed work items (a
-  suite's cells, a scan's shards) against a backend and the result
-  store, which records each cell as it arrives (crash recovery is a
+  suite's cells, a scan's shards; :func:`work_items` keys them) against
+  a backend and the result store, which records each cell as it arrives (crash recovery is a
   warm ``--cache-dir``).
 * :class:`RunEvent` / :data:`EventSink` — typed progress events
   (chunk dispatch, worker membership, completion) streamed to any
@@ -51,7 +51,7 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.store import ArtifactHandle, ArtifactStore
 from repro.runtime.suite import Cell, SuitePlan, SuiteReport, SuiteRunner
-from repro.runtime.workloop import run_work
+from repro.runtime.workloop import run_work, work_items
 
 __all__ = [
     "ArtifactHandle",
@@ -83,5 +83,6 @@ __all__ = [
     "parse_fault_plan",
     "run_work",
     "scenario_key",
+    "work_items",
     "worker_main",
 ]

@@ -281,7 +281,11 @@ class ObservedCell:
         which predicates end it — its stats are a prefix, never to be
         served as a whole run's. Not ``sources``: they are a constant
         of the observers' specs and change no value."""
-        skey = scenario_key(self.scenario)
+        return self.key_for(scenario_key(self.scenario))
+
+    def key_for(self, skey: Optional[Tuple[Any, ...]]) -> Optional[Tuple[Any, ...]]:
+        """:meth:`task_key`, given the scenario's key ``skey`` (the
+        suite planner has it from deduplication)."""
         if skey is None:
             return None
         names = tuple((exp, _qualified(fn)) for exp, fn in self.observers)

@@ -10,7 +10,9 @@ and the one in-memory tier in the repository:
   from it;
 * every :class:`~repro.runtime.disk_cache.DiskResultCache` fronts its
   directory with one, so a warm cell in a long-lived process (the
-  ``repro serve`` daemon) is a dict lookup instead of a file read.
+  ``repro serve`` daemon) is a dict lookup instead of a file read;
+* a session holds its recent suite plans in one
+  (:func:`~repro.runtime.suite.plan_memo`), bounded by count.
 
 It holds decoded values, and evicts least recently used entries once
 the summed byte size its callers declared passes
@@ -108,7 +110,14 @@ def cell_cache_key(scenario: Scenario, seed: int, level: Any) -> Optional[Tuple[
     """The one value identity of a cell, ``(scenario_key, seed,
     level.value)`` — the in-memory memo keys on it and the disk cache
     hashes it — or ``None`` when the scenario is uncacheable."""
-    skey = scenario_key(scenario)
+    return value_key(scenario_key(scenario), seed, level)
+
+
+def value_key(
+    skey: Optional[Tuple[Any, ...]], seed: int, level: Any
+) -> Optional[Tuple[Any, ...]]:
+    """:func:`cell_cache_key` of a cell whose scenario key ``skey`` is
+    already known (the suite planner has it from deduplication)."""
     if skey is None:
         return None
     return (skey, seed, getattr(level, "value", level))

@@ -221,13 +221,9 @@ class DiskResultCache:
 
     def fingerprint(self, scenario: Scenario, seed: int, level: Any) -> Optional[CellKey]:
         """The cell's :class:`CellKey` (no hashing yet), or ``None``
-        when it is uncacheable, counting uncacheable lookups."""
+        when it is uncacheable."""
         key = cell_cache_key(scenario, seed, level)
-        if key is None:
-            with self._lock:
-                self.uncacheable += 1
-            return None
-        return CellKey(key)
+        return None if key is None else CellKey(key)
 
     def _path(self, key: CellKey) -> str:
         address = key.address
@@ -238,8 +234,11 @@ class DiskResultCache:
     def get(self, key: Optional[CellKey]) -> Optional[RunArtifacts]:
         """The cached artifacts for ``key`` (a fresh copy with the
         scenario stripped — the caller reattaches its own), or ``None``
-        on a miss. Corrupt blobs count as misses and are removed."""
+        on a miss. Corrupt blobs count as misses and are removed; a
+        ``None`` key (an uncacheable cell) counts as ``uncacheable``."""
         if key is None:
+            with self._lock:
+                self.uncacheable += 1
             return None
         held = self.memory.get(key)
         if held is None:

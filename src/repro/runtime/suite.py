@@ -13,7 +13,10 @@ can plan the union:
    trace-reading experiments that demand it and the union of the
    sources they declare they read — and, when every experiment
    demanding the cell declares when its value is final (``answered``;
-   no ``stats`` experiment does), those predicates, which end it.
+   no ``stats`` experiment does), those predicates, which end it. The
+   plan is immutable and carries each cell's store key; a repeated
+   request is served the plan made for its first (see
+   :meth:`SuiteRunner.plan`).
 2. **Execute** — run the unique cells once, through
    :func:`~repro.runtime.workloop.run_work` (the result store and
    dispatch live there, not here): the simulator cells in one
@@ -37,16 +40,18 @@ not depend on what else was selected with it.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import BackendError, InvalidOverride
 from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, ObservedCell, Observer
 from repro.runtime.backend import ExecutionBackend, LocalBackend
-from repro.runtime.cache import scenario_key
-from repro.runtime.disk_cache import DiskResultCache
+from repro.runtime.cache import ResultCache, scenario_key, value_key
+from repro.runtime.disk_cache import CellKey, DiskResultCache
 from repro.runtime.events import (
     EventSink,
     ExperimentCompleted,
@@ -54,7 +59,7 @@ from repro.runtime.events import (
     SuitePlanned,
     emit,
 )
-from repro.runtime.workloop import run_work
+from repro.runtime.workloop import LEVEL, run_work
 from repro.schema import BUNDLE_SCHEMA_VERSION
 
 
@@ -66,16 +71,6 @@ class Cell:
     seed: int
 
 
-def cell_key(cell: Cell) -> Optional[Tuple[Any, ...]]:
-    """Value identity of a cell for cross-experiment dedup, or ``None``
-    when the scenario defeats value identity (custom loss patterns) —
-    such cells are planned as always-unique."""
-    skey = scenario_key(cell.scenario)
-    if skey is None:
-        return None
-    return (skey, cell.seed)
-
-
 def max_level(levels: Sequence[ArtifactLevel]) -> ArtifactLevel:
     """The slimmest level that covers every requirement."""
     best = ArtifactLevel.STATS
@@ -85,30 +80,40 @@ def max_level(levels: Sequence[ArtifactLevel]) -> ArtifactLevel:
     return best
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannedExperiment:
     """One experiment's slice of a suite plan."""
 
     spec: Any  # ExperimentSpec (typed loosely: runtime must not import experiments)
-    params: Dict[str, Any]
-    cells: List[Cell]
+    #: The resolved parameters, read-only: ``cells`` and ``aggregate``
+    #: see this mapping, and later runs of the same request share it.
+    params: Mapping[str, Any]
+    cells: Tuple[Cell, ...]
     #: For each of this experiment's cells, its index into the plan's
     #: unique cell list.
-    slots: List[int]
+    slots: Tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuitePlan:
-    """The union-of-cells execution plan for a set of experiments."""
+    """The union-of-cells execution plan for a set of experiments.
 
-    experiments: List[PlannedExperiment]
-    unique_cells: List[Cell]
+    Immutable: :meth:`SuiteRunner.plan` hands the same plan to every
+    repeat of a request."""
+
+    experiments: Tuple[PlannedExperiment, ...]
+    unique_cells: Tuple[Cell, ...]
     #: The richest level any selected experiment reads (reporting
     #: only; no cell runs "at" it).
     artifact_level: ArtifactLevel
     #: What executes, slot for slot: ``unique_cells`` with each observed
     #: cell wrapped in an :class:`~repro.runtime.artifacts.ObservedCell`.
-    dispatch_cells: List[Cell]
+    dispatch_cells: Tuple[Cell, ...]
+    #: Slot for slot, the store key of each dispatch cell (what
+    #: :meth:`~repro.runtime.disk_cache.DiskResultCache.fingerprint`
+    #: returns for it at :data:`~repro.runtime.workloop.LEVEL`;
+    #: ``None`` for a cell without a value identity).
+    keys: Tuple[Optional[CellKey], ...]
 
     @property
     def total_cells(self) -> int:
@@ -237,6 +242,10 @@ class SuiteRunner:
         ``report.extra["disk_cache_hits"/"disk_cache_misses"]``
         (deliberately off the bundle: bytes must not depend on cache
         warmth).
+    ``plans``
+        Optional :func:`plan_memo` to share: the plans :meth:`plan`
+        holds for repeated requests (a session passes its own, so all
+        its runs share them); without one the runner holds its own.
     """
 
     def __init__(
@@ -245,6 +254,7 @@ class SuiteRunner:
         backend: Optional[ExecutionBackend] = None,
         on_event: Optional[EventSink] = None,
         disk_cache: Optional[Union[str, DiskResultCache]] = None,
+        plans: Optional[ResultCache] = None,
     ):
         self.workers = workers
         self.backend = backend
@@ -252,6 +262,7 @@ class SuiteRunner:
         if isinstance(disk_cache, str):
             disk_cache = DiskResultCache(disk_cache)
         self.disk_cache = disk_cache
+        self.plans = plans if plans is not None else plan_memo()
 
     # -- planning -------------------------------------------------------
 
@@ -265,78 +276,40 @@ class SuiteRunner:
 
         ``experiments`` are ids or :class:`ExperimentSpec` objects;
         ``overrides`` maps experiment id → parameter overrides.
+
+        A plan is a function of the specs and their resolved params
+        (``smoke`` reaches it only through them), so a repeated request
+        is served the plan made for its first from :attr:`plans`: the
+        last :data:`PLAN_MEMO_ENTRIES` distinct requests are held, keyed
+        by each spec's id and the ``repr`` of its sorted params —
+        type-exact, so ``rtts_ms=[9, 100]`` and ``[9.0, 100.0]``, which
+        render different rows, never share one — and a held plan is
+        served only for the very spec objects it was made from.
         """
         from repro.experiments.registry import get_spec
 
         overrides = overrides or {}
-        planned: List[PlannedExperiment] = []
-        unique: List[Cell] = []
-        slot_of: Dict[Tuple[Any, ...], int] = {}
-        specs: Dict[str, Any] = {}
-        observers: Dict[int, List[Observer]] = {}
-        stats_read: Set[int] = set()  # slots a stats-level experiment reads
+        specs: List[Any] = []
+        resolved: List[Dict[str, Any]] = []
         seen_ids = set()
         for experiment in experiments:
             spec = get_spec(experiment)
             if spec.id in seen_ids:
                 raise InvalidOverride(f"experiment {spec.id!r} selected twice")
             seen_ids.add(spec.id)
-            exp_overrides = overrides.get(spec.id)
-            params = spec.resolve_params(exp_overrides, smoke=smoke)
-            try:
-                cells = spec.plan_cells(params)
-            except (ValueError, TypeError) as exc:
-                # A well-shaped override the experiment cannot plan
-                # with (repetitions=0, a negative RTT): the caller's
-                # mistake, reported before any cell is dispatched.
-                raise InvalidOverride(f"{spec.id}: {exc}") from exc
-            slots: List[int] = []
-            for cell in cells:
-                key = cell_key(cell)
-                slot = slot_of.get(key) if key is not None else None
-                if slot is None:
-                    slot = len(unique)
-                    unique.append(cell)
-                    if key is not None:
-                        slot_of[key] = slot
-                slots.append(slot)
-            if cells:
-                specs[spec.id] = spec
-                if spec.observe is not None:
-                    for slot in slots:
-                        observers.setdefault(slot, []).append((spec.id, spec.observe))
-                else:
-                    stats_read.update(slots)
-            planned.append(PlannedExperiment(spec=spec, params=params, cells=cells, slots=slots))
+            specs.append(spec)
+            resolved.append(spec.resolve_params(overrides.get(spec.id), smoke=smoke))
         unknown = set(overrides) - seen_ids
         if unknown:
             raise InvalidOverride(f"overrides for unselected experiments: {sorted(unknown)}")
-        # One ObservedCell per (scenario object, observer set, halting),
-        # shared by that scenario's repetitions like the scenario itself is.
-        dispatch = list(unique) if observers else unique
-        wrappers: Dict[Tuple[Any, ...], ObservedCell] = {}
-        for slot, readers in observers.items():
-            cell = unique[slot]
-            halts = slot not in stats_read and all(
-                specs[exp_id].answered is not None for exp_id, _ in readers
-            )
-            key = (id(cell.scenario), halts, *readers)
-            if key not in wrappers:
-                reading = [specs[exp_id] for exp_id, _ in readers]
-                wrappers[key] = ObservedCell(
-                    cell.scenario,
-                    max_level([spec.artifact_level for spec in reading]),
-                    tuple(readers),
-                    frozenset(source for spec in reading for source in spec.reads),
-                    tuple((spec.reads[0], spec.answered) for spec in reading) if halts else (),
-                )
-            dispatch[slot] = Cell(wrappers[key], cell.seed)
-        return SuitePlan(
-            experiments=planned,
-            unique_cells=unique,
-            artifact_level=max_level([spec.artifact_level for spec in specs.values()]),
-            dispatch_cells=dispatch,
+        key = tuple(
+            (spec.id, repr(sorted(params.items()))) for spec, params in zip(specs, resolved)
         )
+        plan = self.plans.get(key)
+        if plan is None or any(p.spec is not spec for p, spec in zip(plan.experiments, specs)):
+            plan = _plan(specs, resolved)
+            self.plans.put(key, plan)
+        return plan
 
     # -- execution ------------------------------------------------------
 
@@ -377,9 +350,11 @@ class SuiteRunner:
             # cells in a call of their own, one per chunk.
             cells: List[Any] = []
             passes: List[Any] = []
-            for slot, (cell, planned) in enumerate(zip(plan.dispatch_cells, plan.unique_cells)):
+            for slot, (cell, planned, key) in enumerate(
+                zip(plan.dispatch_cells, plan.unique_cells, plan.keys)
+            ):
                 is_pass = hasattr(planned.scenario, "execute_task")
-                (passes if is_pass else cells).append((slot, cell.scenario, cell.seed))
+                (passes if is_pass else cells).append((slot, cell.scenario, cell.seed, key))
             counts: Counter = Counter()
             try:
                 for items, chunk_size in ((cells, None), (passes, 1)):
@@ -451,3 +426,97 @@ class SuiteRunner:
         named = BackendError(f"{exc} (experiments affected: {', '.join(experiment_ids)})")
         named.poison_cells = poison
         return named
+
+
+#: How many distinct requests' plans :meth:`SuiteRunner.plan` holds,
+#: least recently used out first. A constant, not a setting.
+PLAN_MEMO_ENTRIES = 32
+
+
+def plan_memo() -> ResultCache:
+    """An empty plan memo (request key → plan), bounded by
+    :data:`PLAN_MEMO_ENTRIES`."""
+    return ResultCache(max_entries=PLAN_MEMO_ENTRIES)
+
+
+def _plan(selected: Sequence[Any], resolved: Sequence[Dict[str, Any]]) -> SuitePlan:
+    """Expand, dedupe and key the cells of the ``selected`` specs at
+    their ``resolved`` params: a :meth:`SuiteRunner.plan` miss."""
+    planned: List[PlannedExperiment] = []
+    unique: List[Cell] = []
+    #: Each scenario object's key, computed once for its repetitions
+    #: (the plan's cells keep every object, and so its id, alive).
+    skey_of: Dict[int, Optional[Tuple[Any, ...]]] = {}
+    slot_of: Dict[Tuple[Any, ...], int] = {}
+    specs: Dict[str, Any] = {}
+    observers: Dict[int, List[Observer]] = {}
+    stats_read: Set[int] = set()  # slots a stats-level experiment reads
+    for spec, params in zip(selected, resolved):
+        # A held plan outlives its request: its params are a copy no
+        # caller holds, and read-only to everything downstream.
+        params = MappingProxyType(copy.deepcopy(params))
+        try:
+            cells = tuple(spec.plan_cells(params))
+        except (ValueError, TypeError) as exc:
+            # A well-shaped override the experiment cannot plan
+            # with (repetitions=0, a negative RTT): the caller's
+            # mistake, reported before any cell is dispatched.
+            raise InvalidOverride(f"{spec.id}: {exc}") from exc
+        slots: List[int] = []
+        for cell in cells:
+            # Value identity of a cell for cross-experiment dedup;
+            # a scenario without one (custom loss patterns) is
+            # planned as always-unique.
+            if id(cell.scenario) not in skey_of:
+                skey_of[id(cell.scenario)] = scenario_key(cell.scenario)
+            skey = skey_of[id(cell.scenario)]
+            key = None if skey is None else (skey, cell.seed)
+            slot = slot_of.get(key) if key is not None else None
+            if slot is None:
+                slot = len(unique)
+                unique.append(cell)
+                if key is not None:
+                    slot_of[key] = slot
+            slots.append(slot)
+        if cells:
+            specs[spec.id] = spec
+            if spec.observe is not None:
+                for slot in slots:
+                    observers.setdefault(slot, []).append((spec.id, spec.observe))
+            else:
+                stats_read.update(slots)
+        planned.append(PlannedExperiment(spec, params, cells, tuple(slots)))
+    # One ObservedCell per (scenario object, observer set, halting),
+    # shared by that scenario's repetitions like the scenario itself is.
+    dispatch = list(unique)
+    task_keys = [skey_of[id(cell.scenario)] for cell in unique]
+    wrappers: Dict[Tuple[Any, ...], Tuple[ObservedCell, Optional[Tuple[Any, ...]]]] = {}
+    for slot, readers in observers.items():
+        cell = unique[slot]
+        halts = slot not in stats_read and all(
+            specs[exp_id].answered is not None for exp_id, _ in readers
+        )
+        key = (id(cell.scenario), halts, *readers)
+        if key not in wrappers:
+            reading = [specs[exp_id] for exp_id, _ in readers]
+            wrapper = ObservedCell(
+                cell.scenario,
+                max_level([spec.artifact_level for spec in reading]),
+                tuple(readers),
+                frozenset(source for spec in reading for source in spec.reads),
+                tuple((spec.reads[0], spec.answered) for spec in reading) if halts else (),
+            )
+            wrappers[key] = (wrapper, wrapper.key_for(skey_of[id(cell.scenario)]))
+        wrapper, task_keys[slot] = wrappers[key]
+        dispatch[slot] = Cell(wrapper, cell.seed)
+    unique_cells = tuple(unique)
+    return SuitePlan(
+        experiments=tuple(planned),
+        unique_cells=unique_cells,
+        artifact_level=max_level([spec.artifact_level for spec in specs.values()]),
+        dispatch_cells=tuple(dispatch) if observers else unique_cells,
+        keys=tuple(
+            None if task_key is None else CellKey(value_key(task_key, cell.seed, LEVEL))
+            for task_key, cell in zip(task_keys, unique)
+        ),
+    )

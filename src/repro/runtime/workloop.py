@@ -2,10 +2,13 @@
 store of finished cells.
 
 A suite's unique cells and a scan's shards are the same thing to the
-runtime — independent, deterministic ``(index, task, seed)`` items on
-the task rail of :func:`~repro.runtime.artifacts.execute_cell` — and
-:func:`run_work` is the only place that decides how such a list is
-executed; its callers own what to do with a result.
+runtime — independent, deterministic ``(index, task, seed, key)``
+:data:`WorkItem` s on the task rail of
+:func:`~repro.runtime.artifacts.execute_cell`, each carrying its store
+key — and :func:`run_work` is the only place that decides how such a
+list is executed; its callers own what to do with a result. A suite
+plan carries its cells' keys, computed once per plan; a scan's shards
+and a session's seed sweep are keyed by :func:`work_items`.
 
 Crash recovery is a warm cache: the loop attaches the store's ``put``
 as the backend's result observer, so every executed cell is written
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
 from repro.runtime.disk_cache import CellKey, DiskResultCache
@@ -34,10 +37,23 @@ if TYPE_CHECKING:  # the backends import LEVEL from here
 #: cell (see :class:`~repro.runtime.artifacts.ObservedCell`).
 LEVEL = ArtifactLevel.STATS
 
+#: One unit of work: ``(index, task, seed, key)``, where ``key`` is the
+#: cell's store key — what :meth:`DiskResultCache.fingerprint` returns
+#: for ``(task, seed, LEVEL)``; ``None`` is never stored.
+WorkItem = Tuple[int, Any, int, Optional[CellKey]]
+
+
+def work_items(cells: Iterable[IndexedCell], cache: Optional[DiskResultCache]) -> List[WorkItem]:
+    """``cells`` as work items keyed by ``cache`` (unkeyed without one)."""
+    return [
+        (index, task, seed, None if cache is None else cache.fingerprint(task, seed, LEVEL))
+        for index, task, seed in cells
+    ]
+
 
 def run_work(
     backend: ExecutionBackend,
-    items: Sequence[IndexedCell],
+    items: Sequence[WorkItem],
     deliver: Callable[[int, RunArtifacts, str], None],
     *,
     cache: Optional[DiskResultCache] = None,
@@ -49,9 +65,10 @@ def run_work(
     """Call ``deliver(index, artifacts, source)`` once per item,
     executing only what the cache does not hold.
 
-    Items are taken ``window`` at a time (all at once when ``None``):
-    cache hits are delivered (``"disk_cache"``), ``on_dispatch`` sees
-    the indices about to run, and what the backend returns is delivered
+    Items are taken ``window`` at a time (all at once when ``None``)
+    and looked up in ``cache`` by the key they carry: hits are
+    delivered (``"disk_cache"``), ``on_dispatch`` sees the indices
+    about to run, and what the backend returns is delivered
     (``"executed"``) — each keyed result already put in the cache by the
     backend's result observer as its batch arrived. ``sink`` and that
     observer are attached to the backend for this call only; what its
@@ -82,13 +99,12 @@ def run_work(
         step = window or len(items) or 1
         for start in range(0, len(items), step):
             to_run: List[IndexedCell] = []
-            for index, task, seed in items[start : start + step]:
-                key = cache.fingerprint(task, seed, LEVEL) if cache is not None else None
-                held = cache.get(key) if key is not None else None
+            for index, task, seed, key in items[start : start + step]:
+                held = cache.get(key) if cache is not None else None
                 if held is not None:
                     hand(index, held, "disk_cache")
                     continue
-                if key is not None:
+                if cache is not None and key is not None:
                     keys[index] = key
                     counts["missed"] += 1
                 to_run.append((index, task, seed))

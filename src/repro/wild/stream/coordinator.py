@@ -40,7 +40,7 @@ from repro.runtime.events import (
     ShardDispatched,
     emit,
 )
-from repro.runtime.workloop import run_work
+from repro.runtime.workloop import run_work, work_items
 from repro.wild.asdb import Cdn
 from repro.wild.stream.shard import SHARD_CODE_VERSION, ShardOutcome, ShardProbeTask
 from repro.wild.stream.sketch import DEFAULT_ALPHA, SKETCH_VERSION, ScanSketch
@@ -315,10 +315,13 @@ class StreamCoordinator:
 
         counts = run_work(
             self.backend,
-            [
-                (shard_index, self._task(shard_index, start, stop), request.seed)
-                for shard_index, (start, stop) in enumerate(ranges)
-            ],
+            work_items(
+                (
+                    (shard_index, self._task(shard_index, start, stop), request.seed)
+                    for shard_index, (start, stop) in enumerate(ranges)
+                ),
+                self.disk_cache,
+            ),
             merge,
             cache=self.disk_cache,
             window=self.window(),

@@ -10,7 +10,7 @@ path uses, and never closes the backend.
 from typing import List, Optional, Sequence, Union
 
 from repro.interop.runner import Scenario
-from repro.runtime import RunArtifacts, run_work
+from repro.runtime import RunArtifacts, run_work, work_items
 
 
 def sweep(
@@ -26,10 +26,13 @@ def sweep(
     fixed slices, as for a suite's passes."""
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
-    items = [
-        (i, scenario, base_seed + i)
-        for i, scenario in enumerate(s for s in scenarios for _ in range(repetitions))
-    ]
+    items = work_items(
+        (
+            (i, scenario, base_seed + i)
+            for i, scenario in enumerate(s for s in scenarios for _ in range(repetitions))
+        ),
+        None,
+    )
     results: List[RunArtifacts] = [None] * len(items)
 
     def deliver(index, artifacts, _source):

@@ -64,8 +64,11 @@ def test_custom_loss_patterns_are_uncacheable(tmp_path):
     scenario = Scenario(rtt_ms=9.0, server_to_client_loss=WeirdLoss())
     assert cell_fingerprint(scenario, 0, ArtifactLevel.STATS) is None
     cache = DiskResultCache(str(tmp_path))
-    assert cache.fingerprint(scenario, 0, ArtifactLevel.STATS) is None
-    assert cache.uncacheable == 1
+    key = cache.fingerprint(scenario, 0, ArtifactLevel.STATS)
+    assert key is None
+    # Counted where it is looked up, as the memory tier counts it.
+    assert cache.get(key) is None
+    assert (cache.uncacheable, cache.misses) == (1, 0)
 
 
 # -- store semantics ----------------------------------------------------

@@ -230,7 +230,12 @@ def test_wrong_key_worker_rejected_and_right_key_fleet_runs():
         )
         rejected.start()
         rejected.join(timeout=10)
+        assert not rejected.is_alive()
         assert exit_codes == [1]
+        # The coordinator's thread counts the rejection; nothing orders
+        # that after the worker's exit, so wait for it (bounded).
+        with backend._cond:
+            assert backend._cond.wait_for(lambda: backend.stats.auth_failures >= 1, timeout=10)
         assert backend.worker_count() == 0
         assert backend.stats.protocol_errors >= 1
         # the authenticated fleet still produces bit-identical results

@@ -176,6 +176,66 @@ def test_failed_job_records_error_and_kind():
     executor.shutdown()
 
 
+def test_executor_counts_equal_a_recount_through_every_transition():
+    """``counts()`` is a tally kept at each transition, never a walk
+    over the jobs; it must agree with one at every point."""
+    gates = {name: threading.Event() for name in ("succeed", "fail", "last")}
+
+    def run_job(request, sink):
+        gates[request].wait(5)
+        if request == "fail":
+            raise ValueError("bad cells")
+        return None
+
+    def recount(executor):
+        counts = {status.value: 0 for status in JobStatus}
+        for job in executor.jobs():
+            counts[job.snapshot().status.value] += 1
+        return counts
+
+    def until(job, status):
+        deadline = time.monotonic() + 5
+        while job.snapshot().status is not status and time.monotonic() < deadline:
+            time.sleep(0.005)
+
+    def tally(queued=0, running=0, succeeded=0, failed=0, cancelled=0):
+        return dict(
+            queued=queued, running=running, succeeded=succeeded, failed=failed,
+            cancelled=cancelled,
+        )
+
+    executor = JobExecutor(run_job, workers=1)
+    first = executor.submit("succeed")
+    failing = executor.submit("fail")
+    cancelled = executor.submit("cancel")
+    last = executor.submit("last")
+    until(first, JobStatus.RUNNING)
+    executor.cancel(cancelled.record.job_id)
+    executor.cancel(first.record.job_id)  # refused: it runs on
+    assert executor.counts() == recount(executor) == tally(queued=2, running=1, cancelled=1)
+
+    gates["succeed"].set()
+    gates["fail"].set()
+    assert failing.done.wait(5)
+    until(last, JobStatus.RUNNING)
+    assert executor.counts() == recount(executor) == tally(
+        running=1, succeeded=1, failed=1, cancelled=1
+    )
+
+    late = executor.submit("late")
+    executor.cancel(late.record.job_id)
+    executor.submit("queued at shutdown")
+    assert executor.counts() == recount(executor) == tally(
+        queued=1, running=1, succeeded=1, failed=1, cancelled=2
+    )
+    # Shutdown cancels what is still queued; "late" stays counted once.
+    executor.shutdown(wait=False)
+    gates["last"].set()
+    assert last.done.wait(5)
+    assert executor.counts() == recount(executor) == tally(succeeded=2, failed=1, cancelled=3)
+    executor.shutdown(wait=True)
+
+
 # -- Session.submit -----------------------------------------------------
 
 

@@ -9,8 +9,11 @@ counts, by patching, what the durable result cache does for it:
 * a warm job in a process that already holds the cells opens no blob,
   decompresses nothing and unpickles nothing; served through the
   daemon, it computes no SHA-256 address, runs each experiment's
-  ``to_dict`` once, and its events relay starts no thread;
-* ``/v1/health`` walks the store's directory once per process;
+  ``to_dict`` once, and its events relay starts no thread; a repeated
+  request is not planned again (no ``plan_cells``, no
+  ``scenario_key``: the first job's plan, cell keys included, serves);
+* ``/v1/health`` walks the store's directory once per process, and its
+  job counts snapshot no job, however many have run;
 * a fresh process on the same directory reads every cell from disk
   once, then never again;
 * a cold job probes, writes one blob and pays one fsync per cell, and
@@ -28,11 +31,16 @@ from collections import Counter
 
 import pytest
 
+import repro.runtime.artifacts as artifacts_module
 import repro.runtime.backend as backend_module
+import repro.runtime.cache as cache_module
 import repro.runtime.disk_cache as disk_cache
+import repro.runtime.suite as suite_module
 from repro.api import LocalConfig, RunRequest, ServiceClient, Session
+from repro.api.jobs import Job, JobExecutor
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import REGISTRY
+from repro.experiments.spec import ExperimentSpec
 from repro.runtime.artifacts import ArtifactLevel
 from repro.runtime.backend import LocalBackend
 from repro.runtime.suite import SuiteRunner
@@ -130,6 +138,9 @@ def test_warm_job_through_the_daemon_hashes_nothing_renders_once_and_starts_no_t
     monkeypatch.setattr(disk_cache, "cell_address", counting("address", disk_cache.cell_address))
     monkeypatch.setattr(ExperimentResult, "to_dict", counting("to_dict", ExperimentResult.to_dict))
     monkeypatch.setattr(threading.Thread, "start", counting("thread", threading.Thread.start))
+    monkeypatch.setattr(ExperimentSpec, "plan_cells", counting("plan", ExperimentSpec.plan_cells))
+    for module in (cache_module, artifacts_module, suite_module):
+        monkeypatch.setattr(module, "scenario_key", counting("skey", cache_module.scenario_key))
     try:
         client = ServiceClient(server.wait_started(10))
 
@@ -152,7 +163,9 @@ def test_warm_job_through_the_daemon_hashes_nothing_renders_once_and_starts_no_t
     # A cold cell's address is computed for its probe and for its put.
     assert cold["address"] == 2 * UNIQUE_CELLS
     experiments = len(REQUEST.experiments)
+    assert cold["plan"] == experiments and cold["skey"] > 0
     assert (warm["address"], warm["to_dict"], warm["thread"]) == (0, experiments, 0)
+    assert (warm["plan"], warm["skey"]) == (0, 0)
 
 
 def test_health_walks_the_store_once_per_process(tmp_path, monkeypatch):
@@ -183,6 +196,23 @@ def test_health_walks_the_store_once_per_process(tmp_path, monkeypatch):
         restarted.close()
     assert len(listed) == walked
     assert len(disk_cache.DiskResultCache(directory)) == 2 * UNIQUE_CELLS
+
+
+@pytest.mark.parametrize("jobs", [1, 200])
+def test_health_job_counts_snapshot_no_job(jobs, monkeypatch):
+    executor = JobExecutor(lambda request, sink: None, workers=1)
+    try:
+        done = [executor.submit(i) for i in range(jobs)]
+        assert all(job.done.wait(10) for job in done)
+        snapshots = Counter()
+        real_snapshot = Job.snapshot
+        monkeypatch.setattr(
+            Job, "snapshot", lambda job: snapshots.update(["snapshot"]) or real_snapshot(job)
+        )
+        assert executor.counts()["succeeded"] == jobs
+    finally:
+        executor.shutdown()
+    assert snapshots["snapshot"] == 0
 
 
 def test_cold_job_writes_and_fsyncs_once_per_cell(tmp_path, counts):

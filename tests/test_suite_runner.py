@@ -1,15 +1,20 @@
 """Suite planning: cross-experiment dedup, execute-once fan-out, and
 per-cell observation of the trace-reading experiments."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 import repro.runtime.backend as backend_module
-from repro.api import InvalidOverride, run_experiment
+from repro.api import InvalidOverride, RunRequest, Session, run_experiment
+from repro.api.bundles import bundle_files
+from repro.experiments.registry import REGISTRY, get_spec
 from repro.interop.runner import Runner
 from repro.runtime import ArtifactLevel, ResultCache, SuiteRunner
 from repro.runtime.artifacts import ObservedCell
-from repro.runtime.disk_cache import cell_fingerprint
-from repro.runtime.suite import max_level
+from repro.runtime.disk_cache import CellKey, DiskResultCache, cell_fingerprint
+from repro.runtime.suite import PLAN_MEMO_ENTRIES, max_level
+from repro.runtime.workloop import LEVEL
 
 FIG6_FIG12_OVERRIDES = {
     "fig6": {"repetitions": 2},
@@ -184,3 +189,101 @@ def test_suite_report_serializes():
     payload = report.to_dict()
     assert payload["plan"]["total_cells"] == 16
     assert payload["results"]["fig6"]["experiment_id"] == "fig6"
+
+
+# -- one plan per distinct request ---------------------------------------
+
+
+def test_plans_for_equal_but_differently_typed_params_are_never_shared():
+    """``[9, 100]`` and ``[9.0, 100.0]`` compare equal but render
+    different rows (``9`` against ``9.0``): each request, planned
+    after the other, renders what it renders in a fresh session."""
+    ints = RunRequest(("fig12",), overrides={"fig12": {"rtts_ms": [9, 100]}}, smoke=True)
+    floats = RunRequest(("fig12",), overrides={"fig12": {"rtts_ms": [9.0, 100.0]}}, smoke=True)
+
+    def render(*requests):
+        with Session() as session:
+            return [bundle_files(session.run(request)) for request in requests]
+
+    (alone_ints,), (alone_floats,) = render(ints), render(floats)
+    assert alone_ints != alone_floats
+    assert render(ints, floats) == render(floats, ints)[::-1] == [alone_ints, alone_floats]
+
+
+def test_a_shared_plan_is_read_only_and_unchanged_by_its_runs():
+    request = RunRequest(("fig6", "fig16"), smoke=True)
+
+    def state(plan):
+        return (
+            plan.to_dict(),
+            [dict(p.params) for p in plan.experiments],
+            [p.cells for p in plan.experiments],
+            plan.dispatch_cells,
+            plan.keys,
+        )
+
+    with Session() as session:
+        plan = session.plan(request)
+        before = state(plan)
+        for _ in range(3):
+            assert session.run(request).plan is plan
+    assert state(plan) == before
+    planned = plan.experiments[0]
+    with pytest.raises(FrozenInstanceError):
+        plan.keys = ()
+    with pytest.raises(FrozenInstanceError):
+        planned.params = {}
+    with pytest.raises(TypeError):
+        planned.params["repetitions"] = 1
+    assert isinstance(planned.cells, tuple) and isinstance(plan.unique_cells, tuple)
+
+
+def test_a_spec_passed_as_an_object_is_planned_from_that_object():
+    registered = get_spec("fig6")
+    trimmed = replace(registered, cells=lambda params: registered.cells(params)[:4])
+    runner = SuiteRunner()
+    assert runner.plan(["fig6"], smoke=True).total_cells == 32
+    assert runner.plan([trimmed], smoke=True).total_cells == 4
+    again = runner.plan(["fig6"], smoke=True)
+    assert again.total_cells == 32 and again.experiments[0].spec is registered
+
+
+def test_a_held_plan_is_kept_from_its_callers_mutations():
+    runner = SuiteRunner()
+
+    def plan(rtts):
+        return runner.plan(["fig12"], overrides={"fig12": {"rtts_ms": rtts}}, smoke=True)
+
+    rtts = [9.0, 100.0]
+    held = plan(rtts)
+    rtts.append(200.0)
+    assert held.experiments[0].params["rtts_ms"] == [9.0, 100.0]
+    assert plan([9.0, 100.0]) is held
+    assert plan(rtts) is not held
+
+
+def test_held_plans_are_bounded_least_recently_used_out():
+    runner = SuiteRunner()
+
+    def plan(seed):
+        return runner.plan(["fig6"], overrides={"fig6": {"base_seed": seed}}, smoke=True)
+
+    first, second = plan(0), plan(1)
+    for seed in range(2, PLAN_MEMO_ENTRIES):
+        plan(seed)
+    assert plan(0) is first  # used again: now the most recent
+    plan(PLAN_MEMO_ENTRIES)  # evicts seed 1, the least recently used
+    assert len(runner.plans) == PLAN_MEMO_ENTRIES
+    assert plan(0) is first and plan(1) is not second
+
+
+@pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "paper"])
+def test_a_plan_carries_each_dispatch_cells_store_key(tmp_path, smoke):
+    """The keys a plan computes once are what the store computes: a
+    parent-written cache stays warm."""
+    plan = SuiteRunner().plan([spec.id for spec in REGISTRY.specs()], smoke=smoke)
+    cache = DiskResultCache(str(tmp_path))
+    assert plan.keys == tuple(
+        cache.fingerprint(cell.scenario, cell.seed, LEVEL) for cell in plan.dispatch_cells
+    )
+    assert {type(key) for key in plan.keys} == {CellKey}

@@ -270,8 +270,8 @@ def test_the_wild_selection_plans_its_shared_passes_once():
     # Table 1, Fig. 8 and Fig. 10 read one Sao Paulo scan (table1 scans
     # its vantages in sorted order, two days each: Sao Paulo day 0 is
     # its seventh pass); Fig. 9 is the Sao Paulo panel of Fig. 15.
-    assert slots["fig8"] == slots["fig10"] == [slots["table1"][6]]
-    assert slots["fig9"] == [slots["fig15"][3]]
+    assert slots["fig8"] == slots["fig10"] == (slots["table1"][6],)
+    assert slots["fig9"] == (slots["fig15"][3],)
     assert not set(slots["fig14"]) & set(slots["table1"])  # 50k- vs 100k-domain lists
     shared = paper.dispatch_cells[slots["fig8"][0]].scenario
     assert [exp_id for exp_id, _ in shared.observers] == ["fig8", "fig10", "table1"]

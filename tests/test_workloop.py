@@ -38,7 +38,7 @@ from repro.runtime.backend import ExecutionBackend
 from repro.runtime.disk_cache import DiskResultCache, cell_fingerprint
 from repro.runtime.events import ChunkDispatched, WorkerJoined
 from repro.runtime.worker import run_cell_chunk
-from repro.runtime.workloop import LEVEL, run_work
+from repro.runtime.workloop import LEVEL, run_work, work_items
 from repro.service import ServiceManager
 from repro.wild.stream import ScanRequest, scan_fingerprint
 
@@ -120,11 +120,12 @@ def test_any_split_is_delivered_once_with_reference_values_and_fully_journaled(
         backend.set_result_observer(observer)
         backend.set_event_sink(sink)
         delivered = []
+        restarted = DiskResultCache(f"{tmp}/cache")  # a restarted process's view
         counts = run_work(
             backend,
-            items,
+            work_items(items, restarted),
             lambda index, artifacts, source: delivered.append((index, artifacts, source)),
-            cache=DiskResultCache(f"{tmp}/cache"),  # a restarted process's view
+            cache=restarted,
             window=window,
             chunk_size=chunk_size,
         )
@@ -163,12 +164,13 @@ def test_observer_and_sink_are_restored_when_the_backend_raises(tmp_path):
     observer, sink = object(), object()
     backend.set_result_observer(observer)
     backend.set_event_sink(sink)
+    cache = DiskResultCache(str(tmp_path))
     with pytest.raises(RuntimeError, match="backend died"):
         run_work(
             backend,
-            [(0, Square(3), 0)],
+            work_items([(0, Square(3), 0)], cache),
             lambda *delivery: None,
-            cache=DiskResultCache(str(tmp_path)),
+            cache=cache,
             sink=lambda event: None,
         )
     assert backend._result_observer is observer and backend._event_sink is sink
