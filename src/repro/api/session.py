@@ -27,7 +27,7 @@ from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
 from repro.runtime.backend import ExecutionBackend
 from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.events import EventSink, RunEvent, emit
-from repro.runtime.suite import SuitePlan, SuiteReport, SuiteRunner, plan_memo
+from repro.runtime.suite import SuitePlan, SuiteReport, SuiteRunner
 from repro.runtime.workloop import LEVEL, run_work, work_items
 
 __all__ = [
@@ -215,9 +215,6 @@ class Session:
             cache_dir = DiskResultCache(cache_dir)
         self.disk_cache: Optional[DiskResultCache] = cache_dir
         self._jobs: Optional[JobExecutor] = None
-        #: The plans of this session's recent distinct requests: a
-        #: repeated request is not planned again.
-        self._plans = plan_memo()
         #: The one backend every run, scan and sweep of this session
         #: executes on, from here until close().
         self._backend: ExecutionBackend = self.config.create()
@@ -446,7 +443,6 @@ class Session:
             backend=self._backend,
             on_event=self._sink(extra_sink),
             disk_cache=self.disk_cache,
-            plans=self._plans,
         )
 
     def _sink(self, extra: Optional[EventSink]) -> Optional[EventSink]:

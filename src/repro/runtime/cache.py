@@ -11,8 +11,8 @@ and the one in-memory tier in the repository:
 * every :class:`~repro.runtime.disk_cache.DiskResultCache` fronts its
   directory with one, so a warm cell in a long-lived process (the
   ``repro serve`` daemon) is a dict lookup instead of a file read;
-* a session holds its recent suite plans in one
-  (:func:`~repro.runtime.suite.plan_memo`), bounded by count.
+* the process holds its recent suite plans in one
+  (:meth:`~repro.runtime.suite.SuiteRunner.plan`), bounded by count.
 
 It holds decoded values, and evicts least recently used entries once
 the summed byte size its callers declared passes

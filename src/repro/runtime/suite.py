@@ -242,10 +242,6 @@ class SuiteRunner:
         ``report.extra["disk_cache_hits"/"disk_cache_misses"]``
         (deliberately off the bundle: bytes must not depend on cache
         warmth).
-    ``plans``
-        Optional :func:`plan_memo` to share: the plans :meth:`plan`
-        holds for repeated requests (a session passes its own, so all
-        its runs share them); without one the runner holds its own.
     """
 
     def __init__(
@@ -254,7 +250,6 @@ class SuiteRunner:
         backend: Optional[ExecutionBackend] = None,
         on_event: Optional[EventSink] = None,
         disk_cache: Optional[Union[str, DiskResultCache]] = None,
-        plans: Optional[ResultCache] = None,
     ):
         self.workers = workers
         self.backend = backend
@@ -262,7 +257,6 @@ class SuiteRunner:
         if isinstance(disk_cache, str):
             disk_cache = DiskResultCache(disk_cache)
         self.disk_cache = disk_cache
-        self.plans = plans if plans is not None else plan_memo()
 
     # -- planning -------------------------------------------------------
 
@@ -279,9 +273,10 @@ class SuiteRunner:
 
         A plan is a function of the specs and their resolved params
         (``smoke`` reaches it only through them), so a repeated request
-        is served the plan made for its first from :attr:`plans`: the
-        last :data:`PLAN_MEMO_ENTRIES` distinct requests are held, keyed
-        by each spec's id and the ``repr`` of its sorted params —
+        is served the plan made for its first, by any runner of the
+        process: the plans of the last :data:`PLAN_MEMO_ENTRIES`
+        distinct requests are held, keyed by each spec's id and the
+        ``repr`` of its sorted params —
         type-exact, so ``rtts_ms=[9, 100]`` and ``[9.0, 100.0]``, which
         render different rows, never share one — and a held plan is
         served only for the very spec objects it was made from.
@@ -305,10 +300,10 @@ class SuiteRunner:
         key = tuple(
             (spec.id, repr(sorted(params.items()))) for spec, params in zip(specs, resolved)
         )
-        plan = self.plans.get(key)
+        plan = _PLANS.get(key)
         if plan is None or any(p.spec is not spec for p, spec in zip(plan.experiments, specs)):
             plan = _plan(specs, resolved)
-            self.plans.put(key, plan)
+            _PLANS.put(key, plan)
         return plan
 
     # -- execution ------------------------------------------------------
@@ -429,14 +424,16 @@ class SuiteRunner:
 
 
 #: How many distinct requests' plans :meth:`SuiteRunner.plan` holds,
-#: least recently used out first. A constant, not a setting.
-PLAN_MEMO_ENTRIES = 32
+#: least recently used out first. A constant, not a setting: the
+#: measured traffic (``service_mix``) is one repeated request between
+#: requests that never come again, and two entries keep the repeated
+#: plan held across each of those.
+PLAN_MEMO_ENTRIES = 2
 
-
-def plan_memo() -> ResultCache:
-    """An empty plan memo (request key → plan), bounded by
-    :data:`PLAN_MEMO_ENTRIES`."""
-    return ResultCache(max_entries=PLAN_MEMO_ENTRIES)
+#: The process's plan memo (request key → plan). A plan is immutable
+#: and names no session, so every runner and daemon pool thread shares
+#: it.
+_PLANS = ResultCache(max_entries=PLAN_MEMO_ENTRIES)
 
 
 def _plan(selected: Sequence[Any], resolved: Sequence[Dict[str, Any]]) -> SuitePlan:

@@ -6,12 +6,17 @@ pytest exits and holds the machine's memory. At session end the guard
 waits up to :data:`GRACE_S` for every descendant of the pytest process
 to exit, then fails the session naming each survivor by pid and command
 line. It reads ``/proc`` and does nothing where there is none.
+
+It also holds :func:`cold_plans`, for the tests that count what planning
+a request costs.
 """
 
 import os
 import time
 
 import pytest
+
+import repro.runtime.suite as suite_module
 
 #: How long descendants get to exit after the last test.
 GRACE_S = 10.0
@@ -41,6 +46,15 @@ def _live_descendants():
                 continue
             stack.append(pid)
     return found
+
+
+@pytest.fixture
+def cold_plans():
+    """An empty process plan memo: the test's first request of each
+    kind is planned, not served a plan an earlier test made."""
+    suite_module._PLANS.clear()
+    yield
+    suite_module._PLANS.clear()
 
 
 def pytest_sessionfinish(session, exitstatus):

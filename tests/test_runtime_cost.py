@@ -120,7 +120,7 @@ def test_warm_job_in_a_warm_process_touches_no_blob(tmp_path, counts):
 
 
 def test_warm_job_through_the_daemon_hashes_nothing_renders_once_and_starts_no_thread(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, cold_plans
 ):
     manager = ServiceManager(workers=0, cache_dir=str(tmp_path / "cache"))
     server = ServiceDaemon(manager, host="127.0.0.1", port=0)

@@ -6,14 +6,14 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 import repro.runtime.backend as backend_module
-from repro.api import InvalidOverride, RunRequest, Session, run_experiment
+from repro.api import InvalidOverride, LocalConfig, RunRequest, Session, run_experiment
 from repro.api.bundles import bundle_files
 from repro.experiments.registry import REGISTRY, get_spec
 from repro.interop.runner import Runner
 from repro.runtime import ArtifactLevel, ResultCache, SuiteRunner
 from repro.runtime.artifacts import ObservedCell
 from repro.runtime.disk_cache import CellKey, DiskResultCache, cell_fingerprint
-from repro.runtime.suite import PLAN_MEMO_ENTRIES, max_level
+from repro.runtime.suite import _PLANS, PLAN_MEMO_ENTRIES, max_level
 from repro.runtime.workloop import LEVEL
 
 FIG6_FIG12_OVERRIDES = {
@@ -262,7 +262,15 @@ def test_a_held_plan_is_kept_from_its_callers_mutations():
     assert plan(rtts) is not held
 
 
-def test_held_plans_are_bounded_least_recently_used_out():
+def test_every_session_of_the_process_shares_one_plan_per_request():
+    request = RunRequest(("fig6", "fig12"), smoke=True)
+    with Session() as first, Session(LocalConfig(workers=0)) as second:
+        plan = first.plan(request)
+        assert second.plan(request) is plan
+        assert SuiteRunner().plan(["fig6", "fig12"], smoke=True) is plan
+
+
+def test_held_plans_are_bounded_least_recently_used_out(cold_plans):
     runner = SuiteRunner()
 
     def plan(seed):
@@ -273,7 +281,7 @@ def test_held_plans_are_bounded_least_recently_used_out():
         plan(seed)
     assert plan(0) is first  # used again: now the most recent
     plan(PLAN_MEMO_ENTRIES)  # evicts seed 1, the least recently used
-    assert len(runner.plans) == PLAN_MEMO_ENTRIES
+    assert len(_PLANS) == PLAN_MEMO_ENTRIES
     assert plan(0) is first and plan(1) is not second
 
 
