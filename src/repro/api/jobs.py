@@ -400,6 +400,8 @@ class JobExecutor:
                 job.record.started_at = time.time()
             try:
                 report = self._run_job(job.request, job.events.append)
+                # A suite's or a scan's accounting(): one shape.
+                summary = {} if report is None else report.accounting()
             except BaseException as exc:
                 with job.lock:
                     job.exception = exc
@@ -411,8 +413,7 @@ class JobExecutor:
                 with job.lock:
                     job.report = report
                     self._move(job, JobStatus.SUCCEEDED)
-                    # A suite's or a scan's accounting(): one shape.
-                    job.record.summary = {} if report is None else report.accounting()
+                    job.record.summary = summary
                     job.record.finished_at = time.time()
             job.events.close()
             job.done.set()
@@ -431,6 +432,8 @@ class JobExecutor:
             self._cond.notify_all()
         for job in queued:
             with job.lock:
+                if job.cancel_requested:
+                    continue  # cancel() already finalized the record
                 job.cancel_requested = True
                 self._move(job, JobStatus.CANCELLED)
                 job.record.finished_at = time.time()

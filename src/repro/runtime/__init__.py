@@ -26,10 +26,10 @@ Public surface:
 * :class:`SuiteRunner` / :class:`Cell` — cross-experiment planning:
   union the ``(scenario, seed)`` cells of any set of registered
   experiments, dedupe, execute once, fan out.
-* :class:`Scheduler` / :class:`ChunkScheduler` — the distributed
-  coordinator's scheduling policy (chunk pool, requeue/poison bounds,
-  adaptive sizing, speculative re-execution, scale hints), separate
-  from the :class:`SocketBackend` transport.
+* :class:`ChunkScheduler` — the distributed coordinator's one
+  scheduling policy (chunk pool, requeue/poison bounds, adaptive
+  sizing, speculative re-execution, scale hints), with its bounds as
+  module constants, separate from the :class:`SocketBackend` transport.
 * :class:`FaultPlan` / :class:`FaultInjector` — structured worker
   fault injection for chaos tests (``repro worker --fault-plan``).
 
@@ -46,7 +46,6 @@ from repro.runtime.scheduler import (
     Assignment,
     ChunkScheduler,
     ScaleHint,
-    Scheduler,
     WorkerState,
 )
 from repro.runtime.store import ArtifactHandle, ArtifactStore
@@ -71,7 +70,6 @@ __all__ = [
     "RunArtifacts",
     "RunEvent",
     "ScaleHint",
-    "Scheduler",
     "SocketBackend",
     "Source",
     "SuitePlan",

@@ -11,10 +11,9 @@ worker count, chunk interleaving, or mid-run worker loss.
 This module is the *transport*: framing, authentication, heartbeats,
 per-worker sockets, and thread lifecycle. Every scheduling decision —
 which worker gets which cells, chunk sizing, requeue/poison bounds,
-speculative duplicates for stragglers — lives behind the
-:class:`~repro.runtime.scheduler.Scheduler` interface
-(:class:`~repro.runtime.scheduler.ChunkScheduler` by default), called
-only under the backend's state lock.
+speculative duplicates for stragglers — is made by the backend's one
+:class:`~repro.runtime.scheduler.ChunkScheduler`, called only under
+the backend's state lock.
 
 Wire protocol (version 7)
 -------------------------
@@ -97,7 +96,7 @@ priced in exactly like a slow *CPU* — and carves each worker's next
 chunk off the remaining cell pool: at most the scheduler's time budget
 of that worker's throughput, and at most its rate-proportional share
 of what is left among the workers idle at that moment, clamped to the
-scheduler's cell bounds (see :class:`~repro.runtime.scheduler.ChunkScheduler`).
+scheduler's cell bounds (see :mod:`repro.runtime.scheduler`).
 Because every result is tagged with its cell index, reassembly — and
 therefore the result bundle — is byte-identical no matter how the pool
 was carved.
@@ -165,9 +164,10 @@ Failure semantics
   (or whose socket dies, or that sends a malformed frame) is dropped
   and its in-flight chunk is requeued for the remaining workers —
   unless a speculative twin still holds a live copy. A chunk
-  dispatched ``max_chunk_retries`` times without completing aborts the
-  run — a poison chunk must not requeue forever (speculative
-  duplicates do not count toward the bound: slow is not poison). CHUNK
+  dispatched :data:`~repro.runtime.scheduler.MAX_CHUNK_RETRIES` times
+  without completing aborts the run — a poison chunk must not requeue
+  forever (speculative duplicates do not count toward the bound: slow
+  is not poison). CHUNK
   *sends* run on a dedicated per-worker write socket with their own
   size-aware deadline (:func:`chunk_send_timeout`), so a slow link
   that needs longer than ``heartbeat_timeout`` to receive a large
@@ -224,7 +224,7 @@ from repro.runtime.scheduler import (
     Assignment,
     ChunkScheduler,
     ScaleHint,
-    Scheduler,
+    WorkerState,
 )
 from repro.runtime.wire import decode_payload, encode_payload
 from repro.runtime.worker import (
@@ -808,10 +808,13 @@ class BackendStats:
     #: Distinct workers that completed at least one chunk: a fleet of N
     #: that reports fewer ran part of its work on fewer cores.
     workers_used: int = 0
+    #: CHUNK frames sent: one per ``ChunkDispatched`` event. An
+    #: assignment rolled back before its send, or whose send failed,
+    #: is not counted.
     chunks_dispatched: int = 0
     chunks_requeued: int = 0
-    #: Speculative duplicate dispatches (included in
-    #: ``chunks_dispatched`` as well).
+    #: Speculative duplicates sent: one per ``ChunkSpeculated`` event
+    #: (included in ``chunks_dispatched`` as well).
     chunks_speculated: int = 0
     protocol_errors: int = 0
     #: Connections that reached the coordinator but failed the mutual
@@ -835,8 +838,8 @@ class BackendStats:
 
 class _WorkerConn:
     """Server-side *transport* state of one connected worker; all
-    scheduling state lives in the scheduler's
-    :class:`~repro.runtime.scheduler.WorkerState`.
+    scheduling state, the drain flag included, lives in its
+    :class:`~repro.runtime.scheduler.WorkerState` (``state``).
 
     ``wsock`` is a ``dup()`` of the connection used exclusively for
     server → worker sends: socket timeouts are per Python socket
@@ -853,22 +856,28 @@ class _WorkerConn:
         "send_lock",
         "alive",
         "inflight",
-        "draining",
+        "state",
         "used",
         "info",
     )
 
-    def __init__(self, wid: int, sock: socket.socket, addr: Any, info: Dict[str, Any]):
-        self.wid = wid
+    def __init__(
+        self,
+        sock: socket.socket,
+        wsock: socket.socket,
+        addr: Any,
+        info: Dict[str, Any],
+        state: WorkerState,
+    ):
+        self.wid = state.wid
         self.sock = sock
-        self.wsock = sock.dup()
+        self.wsock = wsock
         self.addr = addr
         self.send_lock = threading.Lock()
         self.alive = True
         #: ``(job_id, chunk_id)`` of the dispatched-but-unanswered chunk.
         self.inflight: Optional[Tuple[int, int]] = None
-        #: Set on DRAIN (either direction): departure is graceful.
-        self.draining = False
+        self.state = state
         #: Has completed a chunk (counted once in ``workers_used``).
         self.used = False
         self.info = info
@@ -886,9 +895,9 @@ class SocketBackend(ExecutionBackend):
     chunk, so faster workers naturally take more of the queue.
 
     Scheduling policy — chunk sizing, requeue/poison bounds,
-    speculation, drain bookkeeping — is delegated to ``scheduler``
-    (a fresh :class:`~repro.runtime.scheduler.ChunkScheduler` by
-    default), always invoked under this backend's state lock.
+    speculation, drain bookkeeping — is the backend's own
+    :class:`~repro.runtime.scheduler.ChunkScheduler`, always invoked
+    under this backend's state lock.
 
     :meth:`run_cells` (what :func:`~repro.runtime.workloop.run_work`
     calls without a ``chunk_size``) sizes each worker's next chunk
@@ -905,10 +914,8 @@ class SocketBackend(ExecutionBackend):
         port: int = 0,
         min_workers: int = 1,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
-        max_chunk_retries: int = 3,
         worker_wait_timeout: float = DEFAULT_WORKER_WAIT_TIMEOUT,
         auth_key: Optional[bytes] = None,
-        scheduler: Optional[Scheduler] = None,
     ):
         if min_workers < 1:
             raise ValueError("min_workers must be >= 1")
@@ -923,11 +930,8 @@ class SocketBackend(ExecutionBackend):
         self.auth_key = auth_key
         self.min_workers = min_workers
         self.heartbeat_timeout = heartbeat_timeout
-        self.max_chunk_retries = max_chunk_retries
         self.worker_wait_timeout = worker_wait_timeout
-        # ChunkScheduler validates the retry bound, so a caller-supplied
-        # scheduler applies its own policy instead.
-        self._scheduler: Scheduler = scheduler or ChunkScheduler(max_chunk_retries=max_chunk_retries)
+        self._scheduler = ChunkScheduler()
         self.stats = BackendStats()
         self._listener = socket.create_server((host, port), backlog=16)
         self.host, self.port = self._listener.getsockname()[:2]
@@ -999,14 +1003,15 @@ class SocketBackend(ExecutionBackend):
             if self._closed:
                 sock.close()
                 return
-            self._next_wid += 1
             try:
-                conn = _WorkerConn(self._next_wid, sock, addr, payload)
-            except OSError:  # dup() failed (fd exhaustion); not a peer bug
+                wsock = sock.dup()
+            except OSError:  # fd exhaustion; not a peer bug
                 sock.close()
                 return
+            self._next_wid += 1
+            state = self._scheduler.add_worker(self._next_wid)
+            conn = _WorkerConn(sock, wsock, addr, payload, state)
             self._workers[conn.wid] = conn
-            self._scheduler.add_worker(conn.wid)
             self.stats.workers_seen += 1
             self._cond.notify_all()
         self.emit(
@@ -1026,7 +1031,6 @@ class SocketBackend(ExecutionBackend):
                     # Graceful departure announced: no new chunks; the
                     # socket close that follows is not a loss.
                     with self._cond:
-                        conn.draining = True
                         self._scheduler.drain_worker(conn.wid)
                         self._cond.notify_all()
                 elif msg_type == MSG_RESULT:
@@ -1038,7 +1042,6 @@ class SocketBackend(ExecutionBackend):
                     with self._cond:
                         self.stats.result_bytes_wire += wire_len
                         self.stats.result_bytes_raw += raw_len
-                        state = self._scheduler.worker_state(conn.wid)
                         if conn.inflight == (job_id, chunk_id):
                             conn.inflight = None
                             # Round trip complete: fold dispatch→result
@@ -1048,13 +1051,13 @@ class SocketBackend(ExecutionBackend):
                             # hits is an untrusted echo; clamp so a
                             # lying worker cannot push computed_cells
                             # negative.
-                            if state is not None:
-                                hits = cache_stats.hits if cache_stats is not None else 0
-                                state.observe_result(
-                                    time.monotonic(),
-                                    state.dispatched_cells
-                                    - min(max(hits, 0), state.dispatched_cells),
-                                )
+                            state = conn.state
+                            hits = cache_stats.hits if cache_stats is not None else 0
+                            state.observe_result(
+                                time.monotonic(),
+                                state.dispatched_cells
+                                - min(max(hits, 0), state.dispatched_cells),
+                            )
                         # Frames from an aborted previous job are stale:
                         # recording them would graft old-plan cells into
                         # the new job, so they are discarded.
@@ -1067,7 +1070,7 @@ class SocketBackend(ExecutionBackend):
                                 raise ProtocolError(
                                     f"worker echoed unknown chunk id "
                                     f"{chunk_id!r} (job has "
-                                    f"{self._scheduler.chunk_count()} chunks)"
+                                    f"{len(self._scheduler.job.chunks)} chunks)"
                                 )
                             recorded = self._scheduler.record(conn.wid, chunk_id, results)
                             if recorded:
@@ -1157,7 +1160,7 @@ class SocketBackend(ExecutionBackend):
             # close() reaches its connection. Neither is a DRAIN-ed
             # departure.
             if not self._closed:
-                if conn.draining:
+                if conn.state.draining:
                     drained = True
                     self.stats.workers_drained += 1
                 elif reason is not None:
@@ -1262,7 +1265,6 @@ class SocketBackend(ExecutionBackend):
             conn = self._workers.get(wid)
             if conn is None:
                 return False
-            conn.draining = True
             self._scheduler.drain_worker(wid)
             self._cond.notify_all()
         try:
@@ -1314,8 +1316,6 @@ class SocketBackend(ExecutionBackend):
         if self._closed:
             raise BackendError("backend is closed")
         with self._cond:
-            if self._scheduler.job is not None:
-                raise BackendError("backend is already running a job")
             self._job_seq += 1
             self._scheduler.start_job(self._job_seq, **job_kwargs)
 
@@ -1373,17 +1373,14 @@ class SocketBackend(ExecutionBackend):
                 job_id = job.job_id
                 try:
                     for conn in list(self._workers.values()):
-                        if not conn.alive or conn.inflight is not None or conn.draining:
+                        if not conn.alive or conn.inflight is not None or conn.state.draining:
                             continue
                         assignment = self._scheduler.assign(conn.wid, time.monotonic())
                         if assignment is None:
                             break
                         conn.inflight = (job_id, assignment.chunk_id)
-                        self.stats.chunks_dispatched += 1
-                        if assignment.speculative:
-                            self.stats.chunks_speculated += 1
                         batch.append((conn, assignment))
-                except RuntimeError:
+                except BackendError:
                     # Poison-chunk abort mid-batch: nothing in this
                     # batch was sent yet, so un-assign it all — a stuck
                     # inflight would exclude those workers from every
@@ -1419,9 +1416,6 @@ class SocketBackend(ExecutionBackend):
                     # suite layer can name the experiment it belongs to.
                     with self._cond:
                         conn.inflight = None
-                        self.stats.chunks_dispatched -= 1
-                        if assignment.speculative:
-                            self.stats.chunks_speculated -= 1
                         handled = self._scheduler.split_oversized(conn.wid, assignment)
                         if handled:
                             self.stats.chunks_requeued += 1
@@ -1444,6 +1438,9 @@ class SocketBackend(ExecutionBackend):
                     self._drop_worker(conn, exc)
                     continue
                 with self._cond:
+                    self.stats.chunks_dispatched += 1
+                    if assignment.speculative:
+                        self.stats.chunks_speculated += 1
                     self.stats.chunk_bytes_wire += wire_len
                     self.stats.chunk_bytes_raw += raw_len
                 if assignment.speculative:
@@ -1468,9 +1465,6 @@ class SocketBackend(ExecutionBackend):
         for conn, assignment in batch:
             conn.inflight = None
             self._scheduler.unassign(conn.wid, assignment)
-            self.stats.chunks_dispatched -= 1
-            if assignment.speculative:
-                self.stats.chunks_speculated -= 1
 
     def close(self) -> None:
         """Shut down: stop accepting, tell workers to exit, drop state."""

@@ -1,41 +1,41 @@
 """Chunk-scheduling policy for the distributed coordinator.
 
-:class:`~repro.runtime.distributed.SocketBackend` historically mixed
-two concerns: the *transport* (framing, authentication, heartbeats,
-per-worker sockets) and the *policy* (which worker gets which cells
-next, how large a chunk should be, when a lost worker's chunk is
-requeued, when a run must give up). This module owns the policy side
-behind the :class:`Scheduler` interface:
+:class:`~repro.runtime.distributed.SocketBackend` is the *transport*
+(framing, authentication, heartbeats, per-worker sockets);
+:class:`ChunkScheduler` is the fleet's one *policy* (which worker gets
+which cells next, how large a chunk should be, when a lost worker's
+chunk is requeued, when a run must give up). Its bounds are the module
+constants below, read at call time:
 
 * the **chunk pool** — fixed pre-sized chunks
   (:meth:`SocketBackend.run_chunks`) or an un-chunked cell pool carved
   adaptively per worker (:meth:`SocketBackend.run_cells`);
 * **throughput-aware, work-conserving sizing** — one EWMA of observed
   cells/sec per worker (:data:`EWMA_ALPHA`); each next chunk is the
-  smaller of ``target_chunk_seconds`` of that worker's rate and the
+  smaller of :data:`TARGET_CHUNK_SECONDS` of that worker's rate and the
   worker's rate-proportional share of the un-carved pool among the
-  workers idle at that instant, clamped to ``[min_chunk_cells,
-  max_chunk_cells]``. The time budget bounds a chunk when the pool is
+  workers idle at that instant, clamped to ``[MIN_CHUNK_CELLS,
+  MAX_CHUNK_CELLS]``. The time budget bounds a chunk when the pool is
   large; the share keeps the whole fleet busy when the pool is smaller
   than one budget (see :meth:`ChunkScheduler._fair_share`);
 * **requeue and poison bounds** — a lost worker's chunk goes back to
-  the front of the queue; a chunk dispatched ``max_chunk_retries``
+  the front of the queue; a chunk dispatched :data:`MAX_CHUNK_RETRIES`
   times without completing aborts the run with a typed
   :class:`~repro.errors.BackendError` carrying the poison cells;
 * **speculative straggler re-execution** — when the pool is empty but
   chunks are still in flight, an idle worker may receive a duplicate
   copy of the most overdue chunk (first completion wins, the twin's
   late result is ignored). Duplication is budgeted
-  (:data:`DEFAULT_SPECULATION_BUDGET_FRACTION` of completed chunks, at
-  least one) and gated on a chunk being genuinely overdue — older than
-  ``speculation_factor`` × its expected duration and older than
-  ``speculation_min_seconds`` — so a healthy fleet never duplicates
+  (:data:`SPECULATION_BUDGET_FRACTION` of completed chunks, at least
+  one) and gated on a chunk being genuinely overdue — older than
+  :data:`SPECULATION_FACTOR` × its expected duration and older than
+  :data:`SPECULATION_MIN_SECONDS` — so a healthy fleet never duplicates
   work. Speculative dispatches do not count toward the poison bound:
   a merely *slow* chunk must never abort a healthy run;
 * **elastic membership bookkeeping** — workers join and leave
   mid-job; a draining worker finishes its in-flight chunk but is never
-  assigned another, and :meth:`scale_hint` summarizes the fleet for
-  callers deciding whether to add or retire workers.
+  assigned another, and :meth:`ChunkScheduler.scale_hint` summarizes
+  the fleet for callers deciding whether to add or retire workers.
 
 The scheduler is deliberately **not** thread-safe: every call must be
 made under the owning backend's state lock. It performs no I/O and
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -65,40 +64,43 @@ __all__ = [
     "Assignment",
     "ChunkScheduler",
     "ScaleHint",
-    "Scheduler",
     "WorkerState",
-    "DEFAULT_TARGET_CHUNK_SECONDS",
-    "DEFAULT_MIN_CHUNK_CELLS",
-    "DEFAULT_MAX_CHUNK_CELLS",
-    "DEFAULT_SPECULATION_FACTOR",
-    "DEFAULT_SPECULATION_MIN_SECONDS",
-    "DEFAULT_SPECULATION_BUDGET_FRACTION",
+    "MAX_CHUNK_RETRIES",
+    "TARGET_CHUNK_SECONDS",
+    "MIN_CHUNK_CELLS",
+    "MAX_CHUNK_CELLS",
+    "SPECULATION_FACTOR",
+    "SPECULATION_MIN_SECONDS",
+    "SPECULATION_BUDGET_FRACTION",
     "EWMA_ALPHA",
 ]
 
+#: A chunk dispatched this many times without completing is poison:
+#: the run aborts instead of requeueing it again.
+MAX_CHUNK_RETRIES = 3
 #: Adaptive chunk sizing: per-worker chunks target at most this much
 #: wall clock, clamped to the cell bounds below. At the 1.5–3 ms a
 #: handshake cell costs, ~1 s is 300–600 cells, so it binds only on
 #: pools of thousands of cells (where it keeps a chunk's round trip,
 #: and the work lost with a worker, to about a second); smaller pools
 #: are sized by the fair share in :meth:`ChunkScheduler._fair_share`.
-DEFAULT_TARGET_CHUNK_SECONDS = 1.0
-DEFAULT_MIN_CHUNK_CELLS = 1
-DEFAULT_MAX_CHUNK_CELLS = 1024
+TARGET_CHUNK_SECONDS = 1.0
+MIN_CHUNK_CELLS = 1
+MAX_CHUNK_CELLS = 1024
 #: EWMA smoothing for the per-worker cells/sec estimate: responsive
 #: enough to track a throttled link, damped enough not to chase one
 #: noisy chunk.
 EWMA_ALPHA = 0.5
 #: A chunk becomes a speculation candidate only once it is this many
 #: times older than its expected duration ...
-DEFAULT_SPECULATION_FACTOR = 3.0
+SPECULATION_FACTOR = 3.0
 #: ... and at least this old in absolute terms: sub-second chunks are
 #: rescheduled by the normal requeue machinery faster than duplicating
 #: them could ever pay off.
-DEFAULT_SPECULATION_MIN_SECONDS = 5.0
+SPECULATION_MIN_SECONDS = 5.0
 #: Speculative dispatches allowed per completed chunk (minimum one):
 #: bounds duplicated work on a fleet where everything looks slow.
-DEFAULT_SPECULATION_BUDGET_FRACTION = 0.25
+SPECULATION_BUDGET_FRACTION = 0.25
 
 
 class WorkerState:
@@ -168,7 +170,7 @@ class Assignment:
 
 @dataclass(frozen=True)
 class ScaleHint:
-    """Advisory fleet-sizing summary (see :meth:`Scheduler.scale_hint`).
+    """Advisory fleet-sizing summary (see :meth:`ChunkScheduler.scale_hint`).
 
     ``recommended_workers`` estimates how many workers could be kept
     busy by the outstanding work at the fleet's observed median
@@ -202,13 +204,11 @@ class _JobState:
     def __init__(
         self,
         job_id: int,
-        max_chunk_retries: int,
         chunks: Sequence[GroupedChunk] = (),
         pool: Sequence[IndexedCell] = (),
         initial_chunk_cells: int = 1,
     ):
         self.job_id = job_id
-        self.max_chunk_retries = max_chunk_retries
         self.chunks: List[GroupedChunk] = list(chunks)
         self.pending: deque = deque(range(len(self.chunks)))
         self.attempts: List[int] = [0] * len(self.chunks)
@@ -236,9 +236,9 @@ class _JobState:
         else:
             return None
         self.attempts[chunk_id] += 1
-        if self.attempts[chunk_id] > self.max_chunk_retries:
+        if self.attempts[chunk_id] > MAX_CHUNK_RETRIES:
             exc = BackendError(
-                f"chunk {chunk_id} was dispatched {self.max_chunk_retries} "
+                f"chunk {chunk_id} was dispatched {MAX_CHUNK_RETRIES} "
                 "times without completing; giving up"
             )
             # The poison cells themselves, so callers that know the
@@ -259,10 +259,6 @@ class _JobState:
             return False
         self.results[chunk_id] = results
         return True
-
-    def requeue(self, chunk_id: int) -> None:
-        if chunk_id not in self.results:
-            self.pending.appendleft(chunk_id)
 
     def uncarved_cells(self) -> int:
         """What is left of an adaptive job's cell pool."""
@@ -288,160 +284,16 @@ class _JobState:
         return out
 
 
-class Scheduler(ABC):
-    """Scheduling policy contract the transport layer programs against.
-
-    All calls must be serialized by the caller (the backend holds its
-    state lock); implementations do no I/O and keep no threads.
-    """
-
-    # -- membership -----------------------------------------------------
-
-    @abstractmethod
-    def add_worker(self, wid: int) -> WorkerState:
-        """Register an execution slot; returns its persistent state."""
-
-    @abstractmethod
-    def remove_worker(self, wid: int) -> Optional[int]:
-        """Deregister a slot, returning the current-job chunk id it
-        held (not yet requeued — see :meth:`requeue`), if any."""
-
-    @abstractmethod
-    def drain_worker(self, wid: int) -> None:
-        """Mark a slot as departing: it finishes its in-flight chunk
-        but is never assigned another."""
-
-    @abstractmethod
-    def worker_state(self, wid: int) -> Optional[WorkerState]:
-        """The slot's persistent state, or ``None`` if unknown."""
-
-    # -- job lifecycle --------------------------------------------------
-
-    @abstractmethod
-    def start_job(
-        self,
-        job_id: int,
-        chunks: Sequence[GroupedChunk] = (),
-        pool: Sequence[IndexedCell] = (),
-        initial_chunk_cells: int = 1,
-    ) -> None:
-        """Begin a job (exactly one may be active at a time)."""
-
-    @abstractmethod
-    def finish_job(self) -> None:
-        """End the active job, clearing per-job worker assignments."""
-
-    @abstractmethod
-    def accepts(self, job_id: Any) -> bool:
-        """Whether frames echoing ``job_id`` belong to the active job
-        (stale frames from aborted jobs must be discarded)."""
-
-    # -- scheduling decisions -------------------------------------------
-
-    @abstractmethod
-    def assign(self, wid: int, now: float) -> Optional[Assignment]:
-        """Pick the next chunk for an idle worker: pending work first,
-        else a speculative duplicate of an overdue straggler chunk.
-        Raises :class:`~repro.errors.BackendError` on the poison-chunk
-        retry bound."""
-
-    @abstractmethod
-    def unassign(self, wid: int, assignment: Assignment) -> None:
-        """Roll back an assignment whose dispatch never happened."""
-
-    def split_oversized(self, wid: int, assignment: Assignment) -> bool:
-        """React to an assignment whose CHUNK frame exceeded the wire
-        size bound before it was ever sent.
-
-        Return ``True`` after re-queueing the chunk's cells in smaller
-        pieces (the transport keeps dispatching instead of aborting the
-        job); return ``False`` to abort. Either way the assignment must
-        be fully rolled back — the default delegates to
-        :meth:`unassign` and keeps the historical abort behavior, so
-        custom schedulers are unaffected until they opt in.
-        """
-        self.unassign(wid, assignment)
-        return False
-
-    @abstractmethod
-    def mark_send(self, wid: int, now: float) -> None:
-        """Stamp the dispatch time (EWMA round trips start at the
-        worker's own send, not at batch-assignment time)."""
-
-    @abstractmethod
-    def record(
-        self, wid: int, chunk_id: int, results: List[Tuple[int, RunArtifacts]]
-    ) -> bool:
-        """Accept a completed chunk; returns ``True`` when this is the
-        first completion (duplicates are ignored)."""
-
-    @abstractmethod
-    def release(self, wid: int) -> None:
-        """Clear the slot's current assignment without recording
-        (the worker reported an ERROR for it)."""
-
-    @abstractmethod
-    def can_requeue(self, chunk_id: int) -> bool:
-        """Read-only twin of :meth:`requeue`: would a requeue happen
-        now? Lets the transport announce a loss (``WorkerLost`` with
-        its requeued-chunk count) *before* the requeue makes the chunk
-        dispatchable, guaranteeing the loss event orders ahead of the
-        requeued twin's ``ChunkDispatched``."""
-
-    @abstractmethod
-    def requeue(self, chunk_id: int) -> bool:
-        """Return a lost chunk to the front of the queue unless it was
-        already recorded or another live worker still holds a copy."""
-
-    @abstractmethod
-    def fail(self, payload: Dict[str, Any]) -> None:
-        """Abort the active job with a remote failure description."""
-
-    # -- introspection --------------------------------------------------
-
-    @abstractmethod
-    def scale_hint(self) -> ScaleHint:
-        """Advisory fleet-sizing summary for elastic deployments."""
-
-
-class ChunkScheduler(Scheduler):
-    """The production policy: EWMA- and fair-share-sized chunks,
-    front-requeue with a poison bound, budgeted speculation,
+class ChunkScheduler:
+    """The fleet's scheduling policy: EWMA- and fair-share-sized
+    chunks, front-requeue with a poison bound, budgeted speculation,
     drain-aware assignment.
 
     One instance lives for the whole backend so per-worker throughput
     estimates persist across jobs.
     """
 
-    def __init__(
-        self,
-        max_chunk_retries: int = 3,
-        min_chunk_cells: int = DEFAULT_MIN_CHUNK_CELLS,
-        max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS,
-        target_chunk_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS,
-        speculation_factor: float = DEFAULT_SPECULATION_FACTOR,
-        speculation_min_seconds: float = DEFAULT_SPECULATION_MIN_SECONDS,
-        speculation_budget_fraction: float = DEFAULT_SPECULATION_BUDGET_FRACTION,
-    ):
-        if max_chunk_retries < 1:
-            raise ValueError("max_chunk_retries must be >= 1")
-        if min_chunk_cells < 1:
-            raise ValueError("min_chunk_cells must be >= 1")
-        if max_chunk_cells < min_chunk_cells:
-            raise ValueError("max_chunk_cells must be >= min_chunk_cells")
-        if target_chunk_seconds <= 0:
-            raise ValueError("target_chunk_seconds must be positive")
-        if speculation_factor < 1.0:
-            raise ValueError("speculation_factor must be >= 1.0")
-        if speculation_budget_fraction < 0:
-            raise ValueError("speculation_budget_fraction must be >= 0")
-        self.max_chunk_retries = max_chunk_retries
-        self.min_chunk_cells = min_chunk_cells
-        self.max_chunk_cells = max_chunk_cells
-        self.target_chunk_seconds = target_chunk_seconds
-        self.speculation_factor = speculation_factor
-        self.speculation_min_seconds = speculation_min_seconds
-        self.speculation_budget_fraction = speculation_budget_fraction
+    def __init__(self) -> None:
         self._workers: Dict[int, WorkerState] = {}
         self._job: Optional[_JobState] = None
 
@@ -453,6 +305,8 @@ class ChunkScheduler(Scheduler):
         return state
 
     def remove_worker(self, wid: int) -> Optional[int]:
+        """Deregister a slot, returning the current-job chunk id it
+        held (not yet requeued — see :meth:`requeue`), if any."""
         state = self._workers.pop(wid, None)
         if state is None:
             return None
@@ -464,9 +318,6 @@ class ChunkScheduler(Scheduler):
         state = self._workers.get(wid)
         if state is not None:
             state.draining = True
-
-    def worker_state(self, wid: int) -> Optional[WorkerState]:
-        return self._workers.get(wid)
 
     # -- job lifecycle --------------------------------------------------
 
@@ -480,11 +331,7 @@ class ChunkScheduler(Scheduler):
         if self._job is not None:
             raise BackendError("scheduler is already running a job")
         self._job = _JobState(
-            job_id,
-            self.max_chunk_retries,
-            chunks=chunks,
-            pool=pool,
-            initial_chunk_cells=initial_chunk_cells,
+            job_id, chunks=chunks, pool=pool, initial_chunk_cells=initial_chunk_cells
         )
 
     def finish_job(self) -> None:
@@ -496,6 +343,8 @@ class ChunkScheduler(Scheduler):
             state.chunk_id = None
 
     def accepts(self, job_id: Any) -> bool:
+        """Whether frames echoing ``job_id`` belong to the active job
+        (stale frames from aborted jobs must be discarded)."""
         return self._job is not None and self._job.job_id == job_id
 
     @property
@@ -503,9 +352,6 @@ class ChunkScheduler(Scheduler):
         """The active job's bookkeeping (transport reads results and
         failure state through this)."""
         return self._job
-
-    def chunk_count(self) -> int:
-        return len(self._job.chunks) if self._job is not None else 0
 
     def valid_chunk(self, chunk_id: Any) -> bool:
         return (
@@ -520,15 +366,15 @@ class ChunkScheduler(Scheduler):
         """How many cells this worker's next chunk should carry: its
         EWMA throughput × the wall-clock budget (the job's conservative
         opening size until a first RESULT seeds the EWMA), capped at its
-        fair share of the un-carved pool and clamped to the configured
+        fair share of the un-carved pool and clamped to the cell
         bounds."""
         rate = state.ewma_rate
         if rate is None:
             budget = job.initial_chunk_cells
         else:
-            budget = int(rate * self.target_chunk_seconds)
+            budget = int(rate * TARGET_CHUNK_SECONDS)
         share = self._fair_share(state, job.uncarved_cells())
-        return max(self.min_chunk_cells, min(self.max_chunk_cells, budget, share))
+        return max(MIN_CHUNK_CELLS, min(MAX_CHUNK_CELLS, budget, share))
 
     def _fair_share(self, state: WorkerState, uncarved: int) -> int:
         """The asking worker's slice of the un-carved pool when it is
@@ -559,14 +405,11 @@ class ChunkScheduler(Scheduler):
     def _holders(self, chunk_id: int) -> int:
         return sum(1 for state in self._workers.values() if state.chunk_id == chunk_id)
 
-    def _speculation_candidate(self, now: float) -> Optional[int]:
+    def _speculation_candidate(self, job: _JobState, now: float) -> Optional[int]:
         """The most overdue single-holder in-flight chunk, if any chunk
         is overdue at all and the duplication budget allows another
         copy."""
-        job = self._job
-        if job is None or self.speculation_budget_fraction <= 0:
-            return None
-        budget = max(1, math.ceil(self.speculation_budget_fraction * len(job.results)))
+        budget = max(1, math.ceil(SPECULATION_BUDGET_FRACTION * len(job.results)))
         if job.spec_dispatches >= budget:
             return None
         rates = [s.ewma_rate for s in self._workers.values() if s.ewma_rate]
@@ -585,7 +428,7 @@ class ChunkScheduler(Scheduler):
                 continue
             rate = state.ewma_rate or fleet_rate
             expected = state.dispatched_cells / max(rate, 1e-9)
-            threshold = max(self.speculation_min_seconds, self.speculation_factor * expected)
+            threshold = max(SPECULATION_MIN_SECONDS, SPECULATION_FACTOR * expected)
             elapsed = now - state.dispatched_at
             if elapsed <= threshold:
                 continue
@@ -595,6 +438,10 @@ class ChunkScheduler(Scheduler):
         return best[1] if best is not None else None
 
     def assign(self, wid: int, now: float) -> Optional[Assignment]:
+        """Pick the next chunk for an idle worker: pending work first,
+        else a speculative duplicate of an overdue straggler chunk.
+        Raises :class:`~repro.errors.BackendError` on the poison-chunk
+        retry bound."""
         job = self._job
         state = self._workers.get(wid)
         if job is None or state is None or state.draining or state.chunk_id is not None:
@@ -602,7 +449,7 @@ class ChunkScheduler(Scheduler):
         chunk_id = job.checkout(self._target_cells(state, job))
         speculative = False
         if chunk_id is None:
-            chunk_id = self._speculation_candidate(now)
+            chunk_id = self._speculation_candidate(job, now)
             if chunk_id is None:
                 return None
             speculative = True
@@ -617,6 +464,10 @@ class ChunkScheduler(Scheduler):
         )
 
     def unassign(self, wid: int, assignment: Assignment) -> None:
+        """Roll back an assignment whose CHUNK frame was never sent: a
+        speculative copy refunds its budget; any other returns its chunk
+        to the front of the queue without burning a poison-bound
+        attempt."""
         state = self._workers.get(wid)
         if state is not None and state.chunk_id == assignment.chunk_id:
             state.chunk_id = None
@@ -628,14 +479,14 @@ class ChunkScheduler(Scheduler):
             # The original holder still computes it; just refund budget.
             job.spec_dispatches -= 1
             return
-        # A dispatch that never left must not burn a poison-bound
-        # attempt, and the chunk goes back to the front of the queue.
         job.attempts[assignment.chunk_id] -= 1
         if assignment.chunk_id not in job.results:
             job.pending.appendleft(assignment.chunk_id)
 
     def split_oversized(self, wid: int, assignment: Assignment) -> bool:
-        """Halve an undispatchable chunk instead of aborting the job.
+        """Roll back an assignment whose CHUNK frame exceeded the wire
+        size bound before it was ever sent, halving the chunk instead
+        of aborting the job.
 
         The frame-size bound is a property of the *chunk*, so requeueing
         it whole would fail identically on every worker. Instead the
@@ -650,38 +501,33 @@ class ChunkScheduler(Scheduler):
         message.
         """
         state = self._workers.get(wid)
-        if state is not None and state.chunk_id == assignment.chunk_id:
-            state.chunk_id = None
-            state.dispatched_at = None
-            if state.ewma_rate is not None:
-                state.ewma_rate /= 2.0
+        if state is not None and state.chunk_id == assignment.chunk_id and state.ewma_rate:
+            state.ewma_rate /= 2.0
+        self.unassign(wid, assignment)
         job = self._job
         if job is None:
             return False
-        if assignment.speculative:
-            # The original holder still computes this chunk; the failed
-            # duplicate just refunds its speculation budget.
-            job.spec_dispatches -= 1
+        if assignment.speculative or assignment.chunk_id in job.results:
+            # Someone else computes (or computed) this chunk.
             return True
-        job.attempts[assignment.chunk_id] -= 1
         cells: List[IndexedCell] = [
             (index, scenario, seed)
             for scenario, pairs in assignment.chunk
             for index, seed in pairs
         ]
         if len(cells) < 2:
-            job.pending.appendleft(assignment.chunk_id)
             return False
         mid = (len(cells) + 1) // 2
         job.chunks[assignment.chunk_id] = group_cells(cells[:mid])
-        new_id = len(job.chunks)
         job.chunks.append(group_cells(cells[mid:]))
         job.attempts.append(0)
-        job.pending.appendleft(new_id)
-        job.pending.appendleft(assignment.chunk_id)
+        # Behind the first half, which unassign put at the front.
+        job.pending.insert(1, len(job.chunks) - 1)
         return True
 
     def mark_send(self, wid: int, now: float) -> None:
+        """Stamp the dispatch time (EWMA round trips start at the
+        worker's own send, not at batch-assignment time)."""
         state = self._workers.get(wid)
         if state is not None:
             state.dispatched_at = now
@@ -689,6 +535,8 @@ class ChunkScheduler(Scheduler):
     def record(
         self, wid: int, chunk_id: int, results: List[Tuple[int, RunArtifacts]]
     ) -> bool:
+        """Accept a completed chunk; ``True`` on its first completion
+        (duplicates are ignored)."""
         state = self._workers.get(wid)
         if state is not None and state.chunk_id == chunk_id:
             state.chunk_id = None
@@ -697,11 +545,17 @@ class ChunkScheduler(Scheduler):
         return self._job.record(chunk_id, results)
 
     def release(self, wid: int) -> None:
+        """Clear the slot's assignment without recording (the worker
+        reported an ERROR for it)."""
         state = self._workers.get(wid)
         if state is not None:
             state.chunk_id = None
 
     def can_requeue(self, chunk_id: int) -> bool:
+        """Read-only twin of :meth:`requeue`: lets the transport
+        announce a loss (``WorkerLost``) *before* the requeue makes the
+        chunk dispatchable, so the loss event orders ahead of the
+        requeued twin's ``ChunkDispatched``."""
         job = self._job
         return (
             job is not None
@@ -710,6 +564,8 @@ class ChunkScheduler(Scheduler):
         )
 
     def requeue(self, chunk_id: int) -> bool:
+        """Return a lost chunk to the front of the queue unless it was
+        already recorded or another live worker still holds a copy."""
         job = self._job
         if job is None or chunk_id in job.results:
             return False
@@ -718,7 +574,7 @@ class ChunkScheduler(Scheduler):
             # its completion will record it, so a requeue would only
             # duplicate work a third time.
             return False
-        job.requeue(chunk_id)
+        job.pending.appendleft(chunk_id)
         return True
 
     def fail(self, payload: Dict[str, Any]) -> None:
@@ -727,24 +583,19 @@ class ChunkScheduler(Scheduler):
 
     # -- introspection --------------------------------------------------
 
-    def outstanding_cells(self) -> int:
-        return self._job.outstanding_cells() if self._job is not None else 0
-
     def scale_hint(self) -> ScaleHint:
         connected = len(self._workers)
         busy = sum(1 for s in self._workers.values() if s.chunk_id is not None)
         draining = sum(1 for s in self._workers.values() if s.draining)
-        outstanding = self.outstanding_cells()
+        outstanding = self._job.outstanding_cells() if self._job is not None else 0
         if outstanding <= 0:
             recommended = 0
         else:
             rates = [s.ewma_rate for s in self._workers.values() if s.ewma_rate]
             if rates:
-                per_worker = max(statistics.median(rates) * self.target_chunk_seconds, 1.0)
-            elif self._job is not None:
-                per_worker = max(float(self._job.initial_chunk_cells), 1.0)
+                per_worker = max(statistics.median(rates) * TARGET_CHUNK_SECONDS, 1.0)
             else:
-                per_worker = 1.0
+                per_worker = max(float(self._job.initial_chunk_cells), 1.0)
             recommended = min(outstanding, max(1, math.ceil(outstanding / per_worker)))
         return ScaleHint(
             connected=connected,

@@ -8,7 +8,8 @@ to exit, then fails the session naming each survivor by pid and command
 line. It reads ``/proc`` and does nothing where there is none.
 
 It also holds :func:`cold_plans`, for the tests that count what planning
-a request costs.
+a request costs, and :func:`eager_speculation`, for the tests that make
+the fleet duplicate a straggler's chunk.
 """
 
 import os
@@ -16,6 +17,7 @@ import time
 
 import pytest
 
+import repro.runtime.scheduler as scheduler_module
 import repro.runtime.suite as suite_module
 
 #: How long descendants get to exit after the last test.
@@ -55,6 +57,16 @@ def cold_plans():
     suite_module._PLANS.clear()
     yield
     suite_module._PLANS.clear()
+
+
+@pytest.fixture
+def eager_speculation(monkeypatch):
+    """Speculation constants that duplicate any chunk older than its
+    expected duration and 0.3 s, once per completed chunk: a straggler
+    is outrun in well under a second instead of after the 5 s floor."""
+    monkeypatch.setattr(scheduler_module, "SPECULATION_FACTOR", 1.0)
+    monkeypatch.setattr(scheduler_module, "SPECULATION_MIN_SECONDS", 0.3)
+    monkeypatch.setattr(scheduler_module, "SPECULATION_BUDGET_FRACTION", 1.0)
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -18,7 +18,7 @@ import time
 
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.quic.server import ServerMode
-from repro.runtime import SocketBackend, SuiteRunner, worker_main
+from repro.runtime import SocketBackend, SuiteRunner, scheduler, worker_main
 from repro.runtime.cache import ResultCache
 from repro.runtime.distributed import (
     MSG_CHUNK,
@@ -30,7 +30,6 @@ from repro.runtime.distributed import (
     send_frame,
 )
 from repro.runtime.events import ChunkCompleted, ChunkDispatched, WorkerJoined
-from repro.runtime.scheduler import ChunkScheduler
 from repro.runtime.worker import chunk_cell_count, run_cell_chunk
 from repro.sim.loss import IndexedLoss
 from tests.sweeps import sweep
@@ -164,17 +163,15 @@ def _skewed_worker(backend, host, delay_per_cell, stop):
         sock.close()
 
 
-def test_adaptive_sizing_converges_under_5x_speed_skew():
+def test_adaptive_sizing_converges_under_5x_speed_skew(monkeypatch):
     """With one worker 5× slower than the other, the coordinator must
     grow the fast worker's chunks past the opening size and shrink the
     slow worker's below it — instead of throttling the fleet to
     fleet-average chunks — while still returning every cell exactly
     once."""
-    backend = SocketBackend(
-        port=0,
-        min_workers=2,
-        scheduler=ChunkScheduler(target_chunk_seconds=0.25, max_chunk_cells=400),
-    )
+    monkeypatch.setattr(scheduler, "TARGET_CHUNK_SECONDS", 0.25)
+    monkeypatch.setattr(scheduler, "MAX_CHUNK_CELLS", 400)
+    backend = SocketBackend(port=0, min_workers=2)
     events = []
     backend.set_event_sink(events.append)
     stop = threading.Event()

@@ -729,8 +729,7 @@ def test_replacement_window_survives_spurious_wakeups():
 def test_poison_chunk_gives_up_after_retry_bound():
     """Workers that die on the same chunk over and over must not
     requeue it forever."""
-    backend = SocketBackend(port=0, min_workers=1, max_chunk_retries=2,
-                            worker_wait_timeout=10.0)
+    backend = SocketBackend(port=0, min_workers=1, worker_wait_timeout=10.0)
 
     def doomed_worker():
         sock = socket.create_connection((backend.host, backend.port))

@@ -151,15 +151,63 @@ def test_executor_cancel_unknown_job_raises_service_error():
 
 
 def test_executor_shutdown_cancels_queued_and_rejects_new():
-    gate = threading.Event()
-    executor = JobExecutor(lambda request, sink: gate.wait(5), workers=1)
+    gate, started = threading.Event(), threading.Event()
+
+    def run_job(request, sink):
+        started.set()
+        gate.wait(5)
+
+    executor = JobExecutor(run_job, workers=1)
     executor.submit("running")
     queued = executor.submit("queued")
-    gate.set()
+    assert started.wait(5)
+    # The first job holds the gate until shutdown has cancelled the
+    # second one; only then may the worker thread look for more work.
+    releaser = threading.Thread(target=lambda: queued.done.wait(5) and gate.set())
+    releaser.start()
     executor.shutdown(wait=True)
+    releaser.join(5)
+    assert not releaser.is_alive()
     assert queued.snapshot().status is JobStatus.CANCELLED
     with pytest.raises(ServiceError):
         executor.submit("late")
+
+
+def test_executor_shutdown_leaves_a_cancelled_job_as_cancel_left_it():
+    gate, started = threading.Event(), threading.Event()
+
+    def run_job(request, sink):
+        started.set()
+        gate.wait(5)
+
+    executor = JobExecutor(run_job, workers=1)
+    running = executor.submit("running")
+    queued = executor.submit("queued")
+    assert started.wait(5)
+    cancelled = executor.cancel(queued.record.job_id)
+    assert cancelled.status is JobStatus.CANCELLED
+    time.sleep(0.01)  # a second finalization would stamp a later time
+    executor.shutdown(wait=False)  # finalizes the queue before returning
+    gate.set()
+    assert running.done.wait(5)
+    assert queued.snapshot().finished_at == cancelled.finished_at
+    assert executor.counts()["cancelled"] == 1
+
+
+def test_result_without_accounting_fails_its_job_and_the_executor_goes_on():
+    def run_job(request, sink):
+        return object() if request == "odd" else None
+
+    executor = JobExecutor(run_job, workers=1)
+    odd = executor.submit("odd")
+    assert odd.done.wait(5)
+    record = odd.snapshot()
+    assert record.status is JobStatus.FAILED
+    assert record.error_kind == "AttributeError"
+    after = executor.submit("plain")
+    assert after.done.wait(5)
+    assert after.snapshot().status is JobStatus.SUCCEEDED
+    executor.shutdown()
 
 
 def test_failed_job_records_error_and_kind():

@@ -41,6 +41,7 @@ from repro.runtime.distributed import (
     recv_frame_ex,
     send_frame,
 )
+from repro.runtime.events import ChunkDispatched, ChunkSpeculated
 from repro.runtime.wire import (
     BLOB_MAGIC,
     CODEC_RAW,
@@ -402,12 +403,18 @@ def test_oversized_chunk_splits_and_run_completes(monkeypatch):
 
     monkeypatch.setattr(distributed, "MAX_FRAME_BYTES", bound)
     backend = SocketBackend(port=0, min_workers=2)
+    events = []
+    backend.set_event_sink(events.append)
     for _ in range(2):
         start_worker_thread(backend)
     try:
         results = sweep(backend, scenarios, chunk_size=len(scenarios))
         assert backend.stats.chunks_requeued >= 1
         assert backend.stats.workers_lost == 0
+        # The split chunk was never sent, so it was never counted.
+        kinds = [type(event) for event in events]
+        assert backend.stats.chunks_dispatched == kinds.count(ChunkDispatched)
+        assert backend.stats.chunks_speculated == kinds.count(ChunkSpeculated)
     finally:
         backend.close()
     assert len(results) == len(reference)

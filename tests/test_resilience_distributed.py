@@ -37,7 +37,6 @@ from repro.runtime.events import (
     WorkerJoined,
     WorkerLost,
 )
-from repro.runtime.scheduler import ChunkScheduler
 from repro.runtime.suite import SuiteRunner
 from repro.runtime.worker import run_cell_chunk
 from tests.sweeps import sweep
@@ -97,22 +96,14 @@ class EventLog:
 # -- speculative straggler re-execution ---------------------------------
 
 
-def test_straggler_chunk_completes_via_speculative_twin():
+def test_straggler_chunk_completes_via_speculative_twin(eager_speculation):
     """A worker that wedges holding a chunk (socket alive, heartbeats
     flowing, no result — a 'slow' straggler taken to the limit) must
     not stall the run: once the pool drains, an idle worker receives a
     speculative duplicate, its completion wins, and nothing is
     double-counted."""
     events = EventLog()
-    backend = SocketBackend(
-        port=0,
-        min_workers=2,
-        scheduler=ChunkScheduler(
-            speculation_factor=1.0,
-            speculation_min_seconds=0.3,
-            speculation_budget_fraction=1.0,
-        ),
-    )
+    backend = SocketBackend(port=0, min_workers=2)
     backend.set_event_sink(events)
     release = threading.Event()
 
@@ -140,6 +131,9 @@ def test_straggler_chunk_completes_via_speculative_twin():
         assert backend.stats.workers_lost == 0  # nobody was dropped
         speculated = events.of(ChunkSpeculated)
         assert speculated  # the duplicate dispatch was announced
+        # Counted once, where announced.
+        assert backend.stats.chunks_speculated == len(speculated)
+        assert backend.stats.chunks_dispatched == len(events.of(ChunkDispatched))
         # first completion wins exactly once per chunk
         completions = events.of(ChunkCompleted)
         completed_ids = [e.chunk_id for e in completions]
@@ -356,9 +350,7 @@ def test_duplicate_result_frames_emit_chunk_completed_once():
 def poisoned_suite_error(experiment):
     """The error of a smoke suite whose every worker dies holding its
     chunk, until the retry bound gives up."""
-    backend = SocketBackend(
-        port=0, min_workers=1, max_chunk_retries=2, worker_wait_timeout=10.0
-    )
+    backend = SocketBackend(port=0, min_workers=1, worker_wait_timeout=10.0)
     stop = threading.Event()
 
     def doomed_worker():

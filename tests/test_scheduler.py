@@ -1,7 +1,8 @@
 """Scheduling policy unit tests: the distributed coordinator's chunk
 pool, requeue/poison bounds, EWMA sizing, speculation, and elastic
-membership — exercised without any sockets, which is the point of the
-:class:`~repro.runtime.scheduler.Scheduler` split.
+membership — exercised without any sockets, which is the point of
+keeping :class:`~repro.runtime.scheduler.ChunkScheduler` apart from the
+transport. Other bounds than the module constants are monkeypatched.
 """
 
 import math
@@ -10,11 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import BackendError
-from repro.runtime.scheduler import (
-    DEFAULT_SPECULATION_MIN_SECONDS,
-    ChunkScheduler,
-    WorkerState,
-)
+from repro.runtime import scheduler
+from repro.runtime.scheduler import ChunkScheduler, WorkerState
 from repro.runtime.worker import group_cells
 
 
@@ -62,7 +60,7 @@ def test_fixed_chunks_dispatch_and_reassemble_in_order():
 
 
 def test_adaptive_pool_carves_by_ewma_rate():
-    sched = ChunkScheduler(target_chunk_seconds=1.0, max_chunk_cells=50)
+    sched = ChunkScheduler()
     state = sched.add_worker(1)
     sched.start_job("job-a", pool=cells(0, 100), initial_chunk_cells=4)
     first = sched.assign(1, now=0.0)
@@ -83,14 +81,15 @@ def test_pool_below_one_budget_is_split_between_the_idle_workers():
     left rather than carving a geometric tail."""
     sched = ChunkScheduler()
     seed_rate(sched.add_worker(1), 1000.0)
-    seed_rate(sched.add_worker(2), 3000.0)
+    other = sched.add_worker(2)
+    seed_rate(other, 3000.0)
     sched.start_job("job-a", pool=cells(0, 64), initial_chunk_cells=8)
     first = sched.assign(1, now=0.0)
     second = sched.assign(2, now=0.0)
     assert (first.cells, second.cells) == (16, 48)
     sched.finish_job()
     sched.start_job("job-b", pool=cells(0, 64), initial_chunk_cells=8)
-    sched.worker_state(2).chunk_id = 99  # busy elsewhere: not a candidate
+    other.chunk_id = 99  # busy elsewhere: not a candidate
     assert sched.assign(1, now=0.0).cells == 64
 
 
@@ -117,10 +116,17 @@ def test_fair_share_carving_properties(rates, draining, spare_cells, max_chunk_c
     A fleet with some rates unknown splits equally only until its
     unrated workers are busy, so no closed-form share bounds a worker
     there; the other properties still hold."""
+    with pytest.MonkeyPatch.context() as patch:
+        # A budget no share can reach, so the share is what sizes chunks.
+        patch.setattr(scheduler, "TARGET_CHUNK_SECONDS", 1e6)
+        patch.setattr(scheduler, "MAX_CHUNK_CELLS", max_chunk_cells)
+        check_fair_share_carving(rates, draining, spare_cells, max_chunk_cells)
+
+
+def check_fair_share_carving(rates, draining, spare_cells, max_chunk_cells):
     workers = len(rates)
     pool = workers + spare_cells
-    # A budget no share can reach, so the share is what sizes chunks.
-    sched = ChunkScheduler(target_chunk_seconds=1e6, max_chunk_cells=max_chunk_cells)
+    sched = ChunkScheduler()
     for wid, rate in enumerate(rates):
         sched.add_worker(wid).ewma_rate = rate
     for wid in range(workers, workers + draining):
@@ -176,10 +182,10 @@ def test_busy_and_draining_workers_get_no_assignment():
 
 
 def test_lost_chunk_requeues_to_front_and_poison_bound_names_cells():
-    sched = ChunkScheduler(max_chunk_retries=2)
+    sched = ChunkScheduler()
     sched.add_worker(1)
     sched.start_job("job-a", chunks=fixed_chunks(2))
-    for _ in range(2):
+    for _ in range(scheduler.MAX_CHUNK_RETRIES):
         assignment = sched.assign(1, now=0.0)
         assert assignment.chunk_id == 0  # front requeue: same chunk again
         held = sched.remove_worker(1)
@@ -221,11 +227,11 @@ def test_duplicate_record_is_ignored():
 
 def test_unassign_rolls_back_a_failed_dispatch():
     sched = ChunkScheduler()
-    sched.add_worker(1)
+    state = sched.add_worker(1)
     sched.start_job("job-a", chunks=fixed_chunks(1))
     assignment = sched.assign(1, now=0.0)
     sched.unassign(1, assignment)
-    assert sched.worker_state(1).chunk_id is None
+    assert state.chunk_id is None
     again = sched.assign(1, now=0.0)
     assert again.chunk_id == assignment.chunk_id
 
@@ -233,18 +239,8 @@ def test_unassign_rolls_back_a_failed_dispatch():
 # -- speculation --------------------------------------------------------
 
 
-def speculating_scheduler(**overrides):
-    kwargs = dict(
-        speculation_factor=1.0,
-        speculation_min_seconds=0.1,
-        speculation_budget_fraction=1.0,
-    )
-    kwargs.update(overrides)
-    return ChunkScheduler(**kwargs)
-
-
-def test_overdue_straggler_chunk_is_speculatively_duplicated():
-    sched = speculating_scheduler()
+def test_overdue_straggler_chunk_is_speculatively_duplicated(eager_speculation):
+    sched = ChunkScheduler()
     straggler = sched.add_worker(1)
     fast = sched.add_worker(2)
     seed_rate(straggler, 100.0)
@@ -268,7 +264,7 @@ def test_overdue_straggler_chunk_is_speculatively_duplicated():
 
 def test_speculation_requires_throughput_signal_and_budget():
     # no EWMA rates anywhere → "overdue" is undefined → no speculation
-    sched = speculating_scheduler()
+    sched = ChunkScheduler()
     sched.add_worker(1)
     sched.add_worker(2)
     sched.start_job("job-a", chunks=fixed_chunks(1))
@@ -276,21 +272,28 @@ def test_speculation_requires_throughput_signal_and_budget():
     sched.mark_send(1, now=0.0)
     assert sched.assign(2, now=100.0) is None
     sched.finish_job()
-    # zero budget → never speculate even when overdue
-    strict = speculating_scheduler(speculation_budget_fraction=0.0)
-    seed_rate(strict.add_worker(1), 100.0)
-    seed_rate(strict.add_worker(2), 100.0)
-    strict.start_job("job-a", chunks=fixed_chunks(1))
-    strict.assign(1, now=0.0)
-    strict.mark_send(1, now=0.0)
-    assert strict.assign(2, now=100.0) is None
+    # Budget exhausted: with no chunk completed yet, the default
+    # fraction allows one duplicate, so a second overdue chunk waits.
+    strict = ChunkScheduler()
+    for wid in (1, 2, 3, 4):
+        seed_rate(strict.add_worker(wid), 100.0)
+    strict.start_job("job-a", chunks=fixed_chunks(2))
+    for wid in (1, 2):
+        strict.assign(wid, now=0.0)
+        strict.mark_send(wid, now=0.0)
+    twin = strict.assign(3, now=100.0)
+    assert twin is not None and twin.speculative
+    assert strict.assign(4, now=100.0) is None
 
 
-def test_speculative_twin_blocks_requeue_and_does_not_burn_retries():
+def test_speculative_twin_blocks_requeue_and_does_not_burn_retries(
+    eager_speculation, monkeypatch
+):
     """A chunk whose holder dies while a speculative twin still
     computes it must not requeue (the twin will deliver), and the
     duplicate dispatch must not count toward the poison bound."""
-    sched = speculating_scheduler(max_chunk_retries=1)
+    monkeypatch.setattr(scheduler, "MAX_CHUNK_RETRIES", 1)
+    sched = ChunkScheduler()
     seed_rate(sched.add_worker(1), 100.0)
     seed_rate(sched.add_worker(2), 100.0)
     sched.start_job("job-a", chunks=fixed_chunks(1))
@@ -314,7 +317,7 @@ def test_default_speculation_floor_protects_subsecond_chunks():
     sched.start_job("job-a", chunks=fixed_chunks(1))
     sched.assign(1, now=0.0)
     sched.mark_send(1, now=0.0)
-    just_under = DEFAULT_SPECULATION_MIN_SECONDS * 0.99
+    just_under = scheduler.SPECULATION_MIN_SECONDS * 0.99
     assert sched.assign(2, now=just_under) is None
 
 
@@ -322,7 +325,7 @@ def test_default_speculation_floor_protects_subsecond_chunks():
 
 
 def test_scale_hint_recommends_fleet_for_outstanding_work():
-    sched = ChunkScheduler(target_chunk_seconds=1.0)
+    sched = ChunkScheduler()
     seed_rate(sched.add_worker(1), 10.0)
     sched.start_job("job-a", pool=cells(0, 100), initial_chunk_cells=4)
     hint = sched.scale_hint()
@@ -344,11 +347,3 @@ def test_stale_job_frames_are_rejected():
     assert not sched.valid_chunk(999)
     assert not sched.valid_chunk("0")
 
-
-def test_constructor_validation():
-    with pytest.raises(ValueError):
-        ChunkScheduler(max_chunk_retries=0)
-    with pytest.raises(ValueError):
-        ChunkScheduler(speculation_factor=0.5)
-    with pytest.raises(ValueError):
-        ChunkScheduler(speculation_budget_fraction=-1)
