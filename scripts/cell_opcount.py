@@ -9,10 +9,12 @@ were entered most. Pure counts — they repeat exactly on any machine,
 so PERFORMANCE.md quotes them beside the (noisy) ``benchmarks/e2e``
 timings::
 
-    python scripts/cell_opcount.py [--top 25] [--src PATH]
+    python scripts/cell_opcount.py [--top 25] [--src PATH] [--shard]
 
-``--src`` points at another checkout's ``src`` to count a different
-commit with this same script.
+``--shard`` counts one synthetic scan shard instead — the first of the
+``stream_scan`` workload's ten (5,000 targets, Hamburg and Hong Kong,
+two days) — and prints the mean per probe. ``--src`` points at another
+checkout's ``src`` to count a different commit with this same script.
 """
 
 import argparse
@@ -23,8 +25,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def count_cell(runner, scenario, seed, frames: Counter):
-    """``(opcodes, calls)`` of one stats-level ``run_once``."""
+def counted(run, frames: Counter):
+    """``(opcodes, calls, result)`` of ``run()``."""
     counts = [0, 0]
 
     def tracer(frame, event, _arg):
@@ -39,18 +41,62 @@ def count_cell(runner, scenario, seed, frames: Counter):
 
     sys.settrace(tracer)
     try:
-        result = runner.run_once(scenario, seed=seed, capture_trace=False, record_qlog=False)
+        result = run()
     finally:
         sys.settrace(None)
     return counts[0], counts[1], result
+
+
+def count_cell(runner, scenario, seed, frames: Counter):
+    """``(opcodes, calls, result)`` of one stats-level ``run_once``."""
+    return counted(
+        lambda: runner.run_once(scenario, seed=seed, capture_trace=False, record_qlog=False),
+        frames,
+    )
+
+
+def print_top(frames: Counter, per: int, top: int, unit: str) -> None:
+    print(f"\nframes entered per {unit}, top {top}:")
+    for name, count in frames.most_common(top):
+        print(f"  {count / per:8.2f}  {name}")
+
+
+def count_shard(top: int) -> int:
+    """Bytecodes and frames per probe of one synthetic scan shard."""
+    from repro.runtime.artifacts import ArtifactLevel
+    from repro.wild.stream.shard import ShardProbeTask
+
+    task = ShardProbeTask(
+        source_spec={"kind": "synthetic", "count": 50_000, "seed": 11},
+        start=0,
+        stop=5_000,
+        shard_index=0,
+        vantage_names=("Hamburg", "Hong Kong"),
+        days=2,
+        probe_seed=11,
+    )
+    frames: Counter = Counter()
+    opcodes, calls, outcome = counted(lambda: task.execute_task(0, ArtifactLevel.STATS), frames)
+    probes = outcome.sketch.probes
+    print(f"targets              {outcome.shard_targets}")
+    print(f"probes               {probes}")
+    print(f"bytecodes per probe  {opcodes / probes:10.1f}")
+    print(f"frames per probe     {calls / probes:10.2f}")
+    print_top(frames, probes, top, "probe")
+    return 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--top", type=int, default=25, help="functions to list")
     parser.add_argument("--src", default=str(REPO_ROOT / "src"), help="src/ to import repro from")
+    parser.add_argument(
+        "--shard", action="store_true", help="count one synthetic scan shard, per probe"
+    )
     args = parser.parse_args()
     sys.path.insert(0, args.src)
+    if args.shard:
+        return count_shard(args.top)
 
     from repro.experiments.registry import get_spec
     from repro.interop.runner import Runner
@@ -75,9 +121,7 @@ def main() -> int:
     print(f"frames per cell      {calls / n:10.1f}")
     print(f"datagrams per cell   {datagrams / n:10.1f}")
     print(f"packets per cell     {packets / n:10.1f}")
-    print(f"\nframes entered per cell, top {args.top}:")
-    for name, count in frames.most_common(args.top):
-        print(f"  {count / n:8.1f}  {name}")
+    print_top(frames, n, args.top, "cell")
     return 0
 
 

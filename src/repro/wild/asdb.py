@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import ipaddress
+import re
 from typing import Dict, Optional, Tuple
 
 
@@ -37,12 +38,14 @@ CDN_AS_NUMBERS: Dict[Cdn, Tuple[int, ...]] = {
 #: A representative AS for "Others" (hosting services).
 OTHERS_ASN = 24940  # e.g. a large hoster
 
-#: Process-wide address → CDN memo. The synthetic routing table is a
-#: module constant, so the inference is the same for every
-#: :class:`AsDatabase` instance — sharing the memo lets repeated scan
-#: passes (vantages × days re-probing the same toplist) skip the
-#: ipaddress parsing that otherwise dominates a pass.
-_CDN_FOR_ADDRESS: Dict[str, "Cdn"] = {}
+#: Every AS owns one ``10.<index>.0.0/16`` prefix of the synthetic
+#: routing table (see :class:`AsDatabase`).
+_PREFIX_SIZE = 1 << 16
+
+_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+#: A canonical dotted quad — exactly the strings ``ipaddress`` reads as
+#: IPv4 (ASCII digits, no leading zeros, each octet at most 255).
+_DOTTED_QUAD = re.compile(r"\.".join([_OCTET] * 4))
 
 
 class AsDatabase:
@@ -50,62 +53,64 @@ class AsDatabase:
 
     Real measurements join IPs against BGP announcements; here every
     AS owns ``10.<index>.0.0/16`` so that address→AS→CDN lookups are
-    deterministic and testable.
+    deterministic and testable. Addresses are built with integer
+    arithmetic and read as text, without ``ipaddress`` objects; nothing
+    here keeps state that grows with the addresses it has seen.
     """
 
     def __init__(self) -> None:
-        self._asn_to_prefix: Dict[int, ipaddress.IPv4Network] = {}
-        self._prefix_index: Dict[int, int] = {}  # second octet -> asn
-        index = 1
+        self._asn_to_index: Dict[int, int] = {}
+        self._prefix_index: Dict[str, int] = {}  # second octet, as text -> asn
         all_asns = sorted(
             {asn for asns in CDN_AS_NUMBERS.values() for asn in asns} | {OTHERS_ASN}
         )
-        for asn in all_asns:
-            network = ipaddress.ip_network(f"10.{index}.0.0/16")
-            self._asn_to_prefix[asn] = network
-            self._prefix_index[index] = asn
-            index += 1
+        for index, asn in enumerate(all_asns, start=1):
+            self._asn_to_index[asn] = index
+            self._prefix_index[str(index)] = asn
         self._asn_to_cdn: Dict[int, Cdn] = {}
         for cdn, asns in CDN_AS_NUMBERS.items():
             for asn in asns:
                 self._asn_to_cdn[asn] = cdn
         self._asn_to_cdn[OTHERS_ASN] = Cdn.OTHERS
 
-    def prefix_for_asn(self, asn: int) -> ipaddress.IPv4Network:
+    def _index(self, asn: int) -> int:
         try:
-            return self._asn_to_prefix[asn]
+            return self._asn_to_index[asn]
         except KeyError:
             raise KeyError(f"ASN {asn} not in database") from None
+
+    def prefix_for_asn(self, asn: int) -> ipaddress.IPv4Network:
+        return ipaddress.ip_network(f"10.{self._index(asn)}.0.0/16")
 
     def address_in_asn(self, asn: int, host_index: int) -> str:
         """Deterministic address: the ``host_index``-th host of the
         AS's prefix."""
-        network = self.prefix_for_asn(asn)
-        base = int(network.network_address)
-        size = network.num_addresses
-        return str(ipaddress.ip_address(base + 1 + (host_index % (size - 2))))
+        value = (10 << 24 | self._index(asn) << 16) + 1 + host_index % (_PREFIX_SIZE - 2)
+        return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
 
     def origin_asn(self, address: str) -> Optional[int]:
-        """Longest-prefix-match lookup (here: the /16 second octet)."""
-        ip = ipaddress.ip_address(address)
-        if ip.version != 4:
+        """Longest-prefix-match lookup (here: the /16 second octet).
+
+        A canonical dotted quad is read as text; anything else goes
+        through :func:`ipaddress.ip_address`, so IPv6 and malformed input
+        keep its result and its ``ValueError``.
+        """
+        match = _DOTTED_QUAD.fullmatch(address) if isinstance(address, str) else None
+        if match is None:
+            ip = ipaddress.ip_address(address)
+            if ip.version != 4:
+                return None
+            match = _DOTTED_QUAD.fullmatch(str(ip))
+        first, second = match.group(1, 2)
+        if first != "10":
             return None
-        second_octet = (int(ip) >> 16) & 0xFF
-        first_octet = int(ip) >> 24
-        if first_octet != 10:
-            return None
-        return self._prefix_index.get(second_octet)
+        return self._prefix_index.get(second)
 
     def cdn_for_address(self, address: str) -> Cdn:
         """The paper's inference: IP → origin AS → CDN, with unknown
         origins grouped under "Others" (hosting services)."""
-        cached = _CDN_FOR_ADDRESS.get(address)
-        if cached is not None:
-            return cached
         asn = self.origin_asn(address)
-        cdn = Cdn.OTHERS if asn is None else self._asn_to_cdn.get(asn, Cdn.OTHERS)
-        _CDN_FOR_ADDRESS[address] = cdn
-        return cdn
+        return Cdn.OTHERS if asn is None else self._asn_to_cdn.get(asn, Cdn.OTHERS)
 
     def asns_for_cdn(self, cdn: Cdn) -> Tuple[int, ...]:
         if cdn is Cdn.OTHERS:

@@ -52,20 +52,28 @@ class CdnDeployment:
     #: path RTT (Figure 10b) — allowing correct RTT adjustment.
     iack_ack_delay_below_rtt: float = 0.3
 
+    def biased_share(self, bias: float = 0.0) -> float:
+        """The share of domains with instant ACK enabled on one day,
+        from one vantage: ``bias`` in [-1, 1] shifts the tabled share by
+        up to the deployment's variation (vantage/day effects)."""
+        share = self.iack_share + bias * self.share_variation
+        return min(1.0, max(0.0, share))
+
     def sample_iack_enabled(self, rng: random.Random, bias: float = 0.0) -> bool:
         """Whether one domain (on one day, from one vantage) shows
-        instant ACK. ``bias`` in [-1, 1] shifts the share by up to the
-        deployment's variation (vantage/day effects)."""
-        share = self.iack_share + bias * self.share_variation
-        share = min(1.0, max(0.0, share))
-        return rng.random() < share
+        instant ACK."""
+        return rng.random() < self.biased_share(bias)
+
+    def backend_delay_mu(self, diurnal: float = 0.0) -> float:
+        """``mu`` of the backend-delay lognormal; ``diurnal`` in [0, 1]
+        scales the median up by up to 50 % (daytime load, Figure
+        9/Appendix G)."""
+        median = self.backend_delay_median_ms * (1.0 + 0.5 * diurnal)
+        return math.log(max(median, 1e-3))
 
     def sample_backend_delay_ms(self, rng: random.Random, diurnal: float = 0.0) -> float:
-        """Backend delay sample; ``diurnal`` in [0, 1] scales the
-        median up by up to 50 % (daytime load, Figure 9/Appendix G)."""
-        median = self.backend_delay_median_ms * (1.0 + 0.5 * diurnal)
-        mu = math.log(max(median, 1e-3))
-        return rng.lognormvariate(mu, self.backend_delay_sigma)
+        """Backend delay sample (see :meth:`backend_delay_mu`)."""
+        return rng.lognormvariate(self.backend_delay_mu(diurnal), self.backend_delay_sigma)
 
     def sample_cert_cached(self, rng: random.Random, popularity: float = 0.0) -> bool:
         """Certificate cache hit; only very popular domains see warm

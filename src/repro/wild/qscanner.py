@@ -9,8 +9,9 @@ TLS ServerHello" (§4.3).
 The prober has three engines:
 
 * the default **analytic engine**, which samples each handshake from
-  the fitted CDN deployment models with one dedicated rng per domain
-  (the reference implementation);
+  the fitted CDN deployment models with one rng stream per domain,
+  seeded from ``(seed, vantage, day, domain)`` (the reference
+  implementation);
 * the **batch engine** (:meth:`QScanner.probe_batch`), which samples
   the identical per-domain distributions from a single per-pass rng
   stream instead of seeding one rng per domain. It is faster and
@@ -26,8 +27,9 @@ The prober has three engines:
 from __future__ import annotations
 
 import random
+from _random import Random as _MersenneTwister
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.interop.runner import Runner, Scenario
 from repro.quic.server import ServerMode
@@ -35,6 +37,30 @@ from repro.wild.asdb import AsDatabase, Cdn
 from repro.wild.cdn import CdnDeployment, deployment_for
 from repro.wild.tranco import TrancoDomain
 from repro.wild.vantage import VantagePoint
+
+try:  # the builtin SHA-512 that random.py uses, ~2x faster than OpenSSL's on a key
+    from _sha2 import sha512  # Python 3.12+
+except ImportError:
+    try:
+        from _sha512 import sha512
+    except ImportError:
+        from hashlib import sha512
+
+#: The MT19937 seeding that ``random.Random.seed`` ends in.
+_seed_mt = _MersenneTwister.seed
+
+
+def reseed(rng: random.Random, key: str) -> None:
+    """Put ``rng`` in exactly the state ``random.Random(key)`` starts in.
+
+    This is ``Random.seed``'s version-2 derivation for a string — the
+    key's UTF-8 bytes followed by their SHA-512 digest, read as one
+    big-endian integer — handed straight to the MT19937 seeding, plus
+    the reset of the cached second ``gauss`` value.
+    """
+    data = key.encode()
+    _seed_mt(rng, int.from_bytes(data + sha512(data).digest(), "big"))
+    rng.gauss_next = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,8 +91,34 @@ class ProbeResult:
         return self.ack_delay_field_ms - self.rtt_ms
 
 
+#: One probe as the analytic model draws it: ``(domain, cdn, rtt_ms,
+#: iack_observed, coalesced, ack_to_sh_delay_ms, ack_delay_field_ms)``
+#: — the probed target and :class:`ProbeResult`'s measured fields,
+#: ``cdn`` inferred from the probed address.
+ProbeValues = Tuple[TrancoDomain, Cdn, float, bool, bool, float, float]
+
+
+class PassModel(NamedTuple):
+    """One CDN's sampling constants for one (vantage, day) pass."""
+
+    deployment: CdnDeployment
+    #: The tabled IACK share under the pass's bias, clamped to [0, 1].
+    iack_share: float
+    rtt_mu: float
+    rtt_sigma: float
+    backend_mu: float
+    backend_sigma: float
+
+
 class QScanner:
-    """Probes toplist domains from a vantage point."""
+    """Probes toplist domains from a vantage point.
+
+    A scanner holds one ``random.Random``. The analytic engine reseeds
+    it in place for every probe from ``(seed, vantage, day, domain)``,
+    which leaves it exactly as ``random.Random(key)`` would start, so a
+    probe's draws do not depend on what was probed before it; the batch
+    engine reseeds it once per pass.
+    """
 
     def __init__(
         self,
@@ -78,7 +130,9 @@ class QScanner:
         self.seed = seed
         self.use_emulation = use_emulation
         self.asdb = AsDatabase()
-        self._bias_memo: Dict[Tuple[int, Cdn], float] = {}
+        self._rng = random.Random(0)
+        #: day → CDN value → the pass's :class:`PassModel`.
+        self._models: Dict[int, Dict[str, PassModel]] = {}
 
     def probe(
         self,
@@ -86,25 +140,17 @@ class QScanner:
         day: int = 0,
     ) -> List[ProbeResult]:
         """Probe every QUIC-answering domain once."""
-        results: List[ProbeResult] = []
-        for domain in domains:
-            if not domain.answers_quic:
-                continue
-            result = self.probe_one(domain, day=day)
-            if result is not None:
-                results.append(result)
-        return results
+        if self.use_emulation:
+            probed = (self.probe_one(domain, day=day) for domain in domains if domain.answers_quic)
+            return [result for result in probed if result is not None]
+        return self._results(domains, day, batch=False)
 
     def probe_one(self, domain: TrancoDomain, day: int = 0) -> Optional[ProbeResult]:
         if domain.cdn is None or domain.address is None:
             return None
-        deployment = deployment_for(domain.cdn)
-        rng = random.Random(
-            f"probe:{self.seed}:{self.vantage.name}:{day}:{domain.name}"
-        )
         if self.use_emulation:
-            return self._probe_emulated(domain, deployment, rng, day)
-        return self._probe_analytic(domain, deployment, rng, day)
+            return self._probe_emulated(domain, day)
+        return self._results((domain,), day, batch=False)[0]
 
     # ------------------------------------------------------------------
     # batch engine
@@ -120,9 +166,7 @@ class QScanner:
         Semantics match :meth:`probe` (same per-domain distributions,
         same vantage/day share bias); the sampling draws come from one
         per-pass stream, making the pass both deterministic and cheap —
-        no per-domain ``random.Random`` construction. The share bias is
-        the exact per-(vantage, day, CDN) value the analytic engine
-        derives, computed once per pass.
+        one seeding per pass instead of one per domain.
         """
         if self.use_emulation:
             raise ValueError(
@@ -130,23 +174,33 @@ class QScanner:
                 "with use_emulation=True must use probe() so the "
                 "emulation engine actually runs"
             )
-        rng = random.Random(f"probe-batch:{self.seed}:{self.vantage.name}:{day}")
-        results: List[ProbeResult] = []
-        for domain in domains:
-            if not domain.answers_quic:
-                continue
-            if domain.cdn is None or domain.address is None:
-                continue
-            results.append(
-                self._sample_probe(
-                    domain,
-                    deployment_for(domain.cdn),
-                    rng,
-                    day,
-                    self._share_bias(day, domain.cdn),
-                )
-            )
-        return results
+        return self._results(domains, day, batch=True)
+
+    # ------------------------------------------------------------------
+    # the analytic model, shared by the analytic and batch engines
+    # ------------------------------------------------------------------
+
+    def _pass_models(self, day: int) -> Dict[str, PassModel]:
+        """Every CDN's :class:`PassModel` for this vantage on ``day``,
+        keyed by the CDN's value and built once per day."""
+        models = self._models.get(day)
+        if models is None:
+            models = self._models[day] = {
+                cdn.value: self._pass_model(day, cdn) for cdn in Cdn
+            }
+        return models
+
+    def _pass_model(self, day: int, cdn: Cdn) -> PassModel:
+        deployment = deployment_for(cdn)
+        rtt_mu, rtt_sigma = self.vantage.rtt_lognormal(cdn)
+        return PassModel(
+            deployment=deployment,
+            iack_share=deployment.biased_share(self._share_bias(day, cdn)),
+            rtt_mu=rtt_mu,
+            rtt_sigma=rtt_sigma,
+            backend_mu=deployment.backend_delay_mu(),
+            backend_sigma=deployment.backend_delay_sigma,
+        )
 
     def _share_bias(self, day: int, cdn: Cdn) -> float:
         """Vantage/day bias on a CDN's observed deployment share —
@@ -154,97 +208,90 @@ class QScanner:
         The paper reports the *maximum* share across measurements, so
         the bias only lowers the share from its tabled value.
 
-        A pure function of ``(vantage, day, cdn)``, memoised because
-        seeding a ``random.Random`` from a string costs more than the
-        rest of an analytic probe.
+        A pure function of ``(vantage, day, cdn)``, derived once per
+        pass by :meth:`_pass_models`.
         """
-        key = (day, cdn)
-        bias = self._bias_memo.get(key)
-        if bias is None:
-            bias = random.Random(
-                f"bias:{self.vantage.name}:{day}:{cdn.value}"
-            ).uniform(-1.0, 0.0)
-            self._bias_memo[key] = bias
-        return bias
+        rng = self._rng
+        reseed(rng, f"bias:{self.vantage.name}:{day}:{cdn.value}")
+        return rng.uniform(-1.0, 0.0)
 
-    def _sample_probe(
-        self,
-        domain: TrancoDomain,
-        deployment: CdnDeployment,
-        rng: random.Random,
-        day: int,
-        bias: float,
-    ) -> ProbeResult:
-        """One analytic-model probe with the bias precomputed and the
-        rng supplied by the caller (shared by both sampling engines)."""
-        rtt = self.vantage.sample_rtt_ms(domain.cdn, rng)
-        iack_enabled = deployment.sample_iack_enabled(rng, bias=bias)
-        cached = deployment.sample_cert_cached(rng, popularity=domain.popularity)
-        backend_delay = deployment.sample_backend_delay_ms(rng)
-        if not iack_enabled:
-            # WFC server: single coalesced ACK–ServerHello after the
-            # backend fetch (or cache hit).
-            coalesced = True
-            iack_observed = False
-            delay = 0.0
-        elif cached:
-            # Certificate already on the frontend: ACK and SH coalesce
-            # even with IACK enabled ("a strong indicator for
-            # caching", §4.3).
-            coalesced = True
-            iack_observed = False
-            delay = 0.0
-        else:
-            coalesced = False
-            iack_observed = True
-            delay = backend_delay
-        ack_delay_field = deployment.sample_ack_delay_field_ms(
-            rng, rtt, coalesced=coalesced
-        )
-        return ProbeResult(
-            domain=domain.name,
-            rank=domain.rank,
-            address=domain.address,
-            cdn=self.asdb.cdn_for_address(domain.address),
-            vantage=self.vantage.name,
-            day=day,
-            rtt_ms=rtt,
-            iack_observed=iack_observed,
-            coalesced=coalesced,
-            ack_to_sh_delay_ms=delay,
-            ack_delay_field_ms=ack_delay_field,
-        )
+    def _results(
+        self, domains: Iterable[TrancoDomain], day: int, batch: bool
+    ) -> List[ProbeResult]:
+        name = self.vantage.name
+        return [
+            ProbeResult(
+                domain.name, domain.rank, domain.address, cdn, name, day,
+                rtt, iack_observed, coalesced, delay, ack_delay_field,
+            )
+            for domain, cdn, rtt, iack_observed, coalesced, delay, ack_delay_field
+            in self.sample(domains, day, batch)
+        ]
 
-    # ------------------------------------------------------------------
-    # analytic engine
-    # ------------------------------------------------------------------
+    def sample(
+        self, domains: Iterable[TrancoDomain], day: int, batch: bool = False
+    ) -> Iterator[ProbeValues]:
+        """Probe one pass with the analytic model: the
+        :data:`ProbeValues` of every domain with a CDN and an address.
 
-    def _probe_analytic(
-        self,
-        domain: TrancoDomain,
-        deployment: CdnDeployment,
-        rng: random.Random,
-        day: int,
-    ) -> ProbeResult:
-        return self._sample_probe(
-            domain, deployment, rng, day, self._share_bias(day, domain.cdn)
-        )
+        The analytic engine (``batch=False``) reseeds the scanner's rng
+        from ``(seed, vantage, day, domain)`` before each probe; the
+        batch engine seeds it once from ``(seed, vantage, day)``. Each
+        probe makes the same draws in the same order either way. The
+        stream is the scanner's, so consume one pass before starting the
+        next.
+        """
+        models = self._pass_models(day)
+        rng = self._rng
+        random_ = rng.random
+        lognormvariate = rng.lognormvariate
+        cdn_for_address = self.asdb.cdn_for_address
+        if batch:
+            reseed(rng, f"probe-batch:{self.seed}:{self.vantage.name}:{day}")
+        prefix = f"probe:{self.seed}:{self.vantage.name}:{day}:"
+        for domain in domains:
+            cdn = domain.cdn
+            address = domain.address
+            if cdn is None or address is None:
+                continue
+            if not batch:
+                reseed(rng, prefix + domain.name)
+            # ``_value_`` is the member's plain attribute: no descriptor
+            # call and no Enum hashing per probe.
+            deployment, share, rtt_mu, rtt_sigma, backend_mu, backend_sigma = models[cdn._value_]
+            rtt = max(0.3, lognormvariate(rtt_mu, rtt_sigma))
+            iack_enabled = random_() < share
+            cached = deployment.sample_cert_cached(rng, domain.popularity)
+            backend_delay = lognormvariate(backend_mu, backend_sigma)
+            if iack_enabled and not cached:
+                coalesced = False
+                delay = backend_delay
+            else:
+                # A WFC server sends one coalesced ACK–ServerHello after
+                # the backend fetch (or cache hit); with the certificate
+                # already on the frontend, ACK and SH coalesce even with
+                # IACK enabled ("a strong indicator for caching", §4.3).
+                coalesced = True
+                delay = 0.0
+            ack_delay_field = deployment.sample_ack_delay_field_ms(
+                rng, rtt, coalesced=coalesced
+            )
+            yield (
+                domain, cdn_for_address(address), rtt, not coalesced, coalesced, delay,
+                ack_delay_field,
+            )
 
     # ------------------------------------------------------------------
     # emulation engine (cross-validation on samples)
     # ------------------------------------------------------------------
 
-    def _probe_emulated(
-        self,
-        domain: TrancoDomain,
-        deployment: CdnDeployment,
-        rng: random.Random,
-        day: int,
-    ) -> ProbeResult:
-        rtt = self.vantage.sample_rtt_ms(domain.cdn, rng)
-        iack_enabled = deployment.sample_iack_enabled(
-            rng, bias=self._share_bias(day, domain.cdn)
-        )
+    def _probe_emulated(self, domain: TrancoDomain, day: int) -> ProbeResult:
+        model = self._pass_models(day)[domain.cdn.value]
+        deployment = model.deployment
+        rng = self._rng
+        reseed(rng, f"probe:{self.seed}:{self.vantage.name}:{day}:{domain.name}")
+        rtt = max(0.3, rng.lognormvariate(model.rtt_mu, model.rtt_sigma))
+        iack_enabled = rng.random() < model.iack_share
         cached = deployment.sample_cert_cached(rng, popularity=domain.popularity)
         backend_delay = 0.0 if cached else deployment.sample_backend_delay_ms(rng)
         scenario = Scenario(
@@ -281,19 +328,24 @@ class QScanner:
         )
 
 
+def scan_batch(engine: str) -> bool:
+    """Whether the named scan engine is the batch one, rejecting unknown
+    names (a typo must not silently fall back to the analytic engine)."""
+    if engine not in ("analytic", "batch"):
+        raise ValueError(f"unknown scan engine {engine!r}")
+    return engine == "batch"
+
+
 def scan_with_engine(
     scanner: "QScanner",
     domains: Iterable[TrancoDomain],
     day: int = 0,
     engine: str = "analytic",
 ) -> List[ProbeResult]:
-    """Dispatch a scan pass to the named engine, rejecting unknown
-    names (a typo must not silently fall back to the analytic engine)."""
-    if engine == "batch":
+    """Dispatch a scan pass to the named engine."""
+    if scan_batch(engine):
         return scanner.probe_batch(domains, day=day)
-    if engine == "analytic":
-        return scanner.probe(domains, day=day)
-    raise ValueError(f"unknown scan engine {engine!r}")
+    return scanner.probe(domains, day=day)
 
 
 def deployment_share(results: Iterable[ProbeResult]) -> Dict[Cdn, float]:

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from itertools import compress
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
-from repro.wild.qscanner import QScanner, scan_with_engine
+from repro.wild.qscanner import QScanner, scan_batch
 from repro.wild.stream.sketch import SKETCH_VERSION, ScanSketch
 from repro.wild.stream.source import source_from_spec
 from repro.wild.vantage import vantage
@@ -104,25 +105,29 @@ class ShardProbeTask:
         # Materializing the shard (never the list) keeps the batch
         # engine's one-rng-per-pass stream intact across passes.
         targets = list(source.iter_range(self.start, self.stop))
-        quic_targets = []
-        for domain in targets:
-            sketch.observe_target(domain.cdn.value if domain.cdn is not None else None)
-            if domain.answers_quic:
-                quic_targets.append(domain)
-        #: domain name → (cdn value, IACK observed in any pass)
-        iack_any: Dict[str, Tuple[str, bool]] = {}
+        quic_targets = [domain for domain in targets if domain.answers_quic]
+        sketch.observe_targets(len(targets), [domain.cdn._value_ for domain in quic_targets])
+        batch = scan_batch(self.probe_engine)
+        #: domain name → cdn value, and the names with IACK observed in
+        #: any pass.
+        cdn_of: Dict[str, str] = {}
+        iack_any: Set[str] = set()
         for vantage_name in self.vantage_names:
             scanner = QScanner(vantage(vantage_name), seed=self.probe_seed)
             for day in range(self.days):
-                for probe in scan_with_engine(
-                    scanner, quic_targets, day=day, engine=self.probe_engine
-                ):
-                    sketch.observe_probe(probe)
-                    prior = iack_any.get(probe.domain)
-                    observed = probe.iack_observed or (prior[1] if prior else False)
-                    iack_any[probe.domain] = (probe.cdn.value, observed)
-        for cdn_value, observed in iack_any.values():
-            sketch.observe_domain_iack(cdn_value, observed)
+                probes = list(scanner.sample(quic_targets, day, batch))
+                if not probes:
+                    continue
+                domains, cdns, rtts, iacks, coalesced, delays, fields = zip(*probes)
+                cdn_values = [cdn._value_ for cdn in cdns]
+                sketch.observe_pass(
+                    vantage_name, day, cdn_values, rtts, iacks, coalesced, delays, fields
+                )
+                names = [domain.name for domain in domains]
+                cdn_of.update(zip(names, cdn_values))
+                iack_any.update(compress(names, iacks))
+        for name, cdn_value in cdn_of.items():
+            sketch.observe_domain_iack(cdn_value, name in iack_any)
         return ShardOutcome(
             scenario=None,
             seed=seed,

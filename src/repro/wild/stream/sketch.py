@@ -24,7 +24,7 @@ and deployment shares are exact (they are pure integer tallies).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Bump when the sketch state or summary layout changes — part of every
 #: scan fingerprint and disk-cache key, so stale shard outcomes never
@@ -65,18 +65,32 @@ class QuantileSketch:
         self.max: Optional[float] = None
 
     def add(self, value: float) -> None:
-        if value < 0.0:
-            raise ValueError(f"quantile sketch values must be >= 0, got {value}")
-        self.count += 1
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if value <= _ZERO_EPSILON:
-            self.zero_count += 1
+        self.extend((value,))
+
+    def extend(self, values: Sequence[float]) -> None:
+        """Add every value of ``values``: the state is what as many
+        :meth:`add` calls, in any order, would leave."""
+        if not values:
             return
-        index = math.ceil(math.log(value) / self._log_gamma)
-        self.bins[index] = self.bins.get(index, 0) + 1
+        low = min(values)
+        if low < 0.0:
+            raise ValueError(f"quantile sketch values must be >= 0, got {low}")
+        high = max(values)
+        self.count += len(values)
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
+        bins = self.bins
+        log_gamma = self._log_gamma
+        zeros = 0
+        for value in values:
+            if value <= _ZERO_EPSILON:
+                zeros += 1
+            else:
+                index = math.ceil(math.log(value) / log_gamma)
+                bins[index] = bins.get(index, 0) + 1
+        self.zero_count += zeros
 
     def merge(self, other: "QuantileSketch") -> None:
         if other.alpha != self.alpha:
@@ -185,25 +199,60 @@ class ScanSketch:
 
     def observe_target(self, cdn_value: Optional[str]) -> None:
         """Count one toplist entry (``cdn_value`` None = no QUIC)."""
-        self.targets += 1
-        if cdn_value is not None:
+        self.observe_targets(1, () if cdn_value is None else (cdn_value,))
+
+    def observe_targets(self, targets: int, cdn_values: Iterable[str]) -> None:
+        """Count ``targets`` toplist entries, those answering QUIC by
+        their CDN's value in ``cdn_values``."""
+        self.targets += targets
+        cdn_domains = self.cdn_domains
+        for cdn_value in cdn_values:
             self.quic_targets += 1
-            self.cdn_domains[cdn_value] = self.cdn_domains.get(cdn_value, 0) + 1
+            cdn_domains[cdn_value] = cdn_domains.get(cdn_value, 0) + 1
 
     def observe_probe(self, probe: Any) -> None:
         """Fold one probe (any object with the ProbeResult fields)."""
-        self.probes += 1
-        cdn_value = probe.cdn.value
-        key = (probe.vantage, probe.day, cdn_value)
-        self.pass_domains[key] = self.pass_domains.get(key, 0) + 1
-        if probe.iack_observed:
-            self.iack_probes += 1
-            self.pass_iack[key] = self.pass_iack.get(key, 0) + 1
-        if probe.coalesced:
-            self.coalesced_probes += 1
-        self.quantiles["rtt_ms"].add(probe.rtt_ms)
-        self.quantiles["ack_to_sh_delay_ms"].add(probe.ack_to_sh_delay_ms)
-        self.quantiles["ack_delay_field_ms"].add(probe.ack_delay_field_ms)
+        self.observe_pass(
+            probe.vantage,
+            probe.day,
+            (probe.cdn.value,),
+            (probe.rtt_ms,),
+            (probe.iack_observed,),
+            (probe.coalesced,),
+            (probe.ack_to_sh_delay_ms,),
+            (probe.ack_delay_field_ms,),
+        )
+
+    def observe_pass(
+        self,
+        vantage: str,
+        day: int,
+        cdn_values: Sequence[str],
+        rtt_ms: Sequence[float],
+        iack_observed: Sequence[bool],
+        coalesced: Sequence[bool],
+        ack_to_sh_delay_ms: Sequence[float],
+        ack_delay_field_ms: Sequence[float],
+    ) -> None:
+        """Fold the probes of one (vantage, day) pass, given as columns
+        of equal length: probe ``i`` is ``cdn_values[i]``,
+        ``rtt_ms[i]``, and so on."""
+        pass_domains = self.pass_domains
+        pass_iack = self.pass_iack
+        iack_probes = 0
+        for cdn_value, observed in zip(cdn_values, iack_observed):
+            key = (vantage, day, cdn_value)
+            pass_domains[key] = pass_domains.get(key, 0) + 1
+            if observed:
+                iack_probes += 1
+                pass_iack[key] = pass_iack.get(key, 0) + 1
+        self.probes += len(cdn_values)
+        self.iack_probes += iack_probes
+        self.coalesced_probes += sum(map(bool, coalesced))
+        quantiles = self.quantiles
+        quantiles["rtt_ms"].extend(rtt_ms)
+        quantiles["ack_to_sh_delay_ms"].extend(ack_to_sh_delay_ms)
+        quantiles["ack_delay_field_ms"].extend(ack_delay_field_ms)
 
     def observe_domain_iack(self, cdn_value: str, observed_any: bool) -> None:
         """Record one domain's OR-over-all-passes IACK verdict."""

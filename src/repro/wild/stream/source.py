@@ -87,8 +87,6 @@ class SyntheticSource:
 
     KIND = "synthetic"
 
-    _CDNS: Tuple[Cdn, ...] = tuple(Cdn)
-
     def __init__(self, count: int, seed: int = 0, quic_permille: int = 300):
         if count <= 0:
             raise InvalidOverride("synthetic source needs a positive target count")
@@ -98,7 +96,9 @@ class SyntheticSource:
         self.seed = seed
         self.quic_permille = quic_permille
         self._asdb = AsDatabase()
-        self._asns = {cdn: self._asdb.asns_for_cdn(cdn) for cdn in self._CDNS}
+        #: ``(cdn, its ASNs)`` for every CDN, in the order a draw picks.
+        self._hosts = tuple((cdn, self._asdb.asns_for_cdn(cdn)) for cdn in Cdn)
+        self._seed_mix = _mix64(seed ^ 0x5EED)
 
     @property
     def size(self) -> int:
@@ -118,13 +118,12 @@ class SyntheticSource:
             yield self._target_at(position)
 
     def _target_at(self, position: int) -> TrancoDomain:
-        draw = _mix64(_mix64(position + 1) ^ _mix64(self.seed ^ 0x5EED))
+        draw = _mix64(_mix64(position + 1) ^ self._seed_mix)
         rank = position + 1
         name = f"synth{rank:08d}.test"
         if draw % 1000 >= self.quic_permille:
             return TrancoDomain(rank=rank, name=name, cdn=None, address=None)
-        cdn = self._CDNS[(draw // 1000) % len(self._CDNS)]
-        asns = self._asns[cdn]
+        cdn, asns = self._hosts[(draw // 1000) % len(self._hosts)]
         asn = asns[position % len(asns)]
         address = self._asdb.address_in_asn(asn, position)
         return TrancoDomain(rank=rank, name=name, cdn=cdn, address=address)

@@ -11,9 +11,11 @@ servers can be anywhere.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Dict
+from functools import cached_property
+from typing import Dict, Tuple
 
 from repro.wild.asdb import Cdn
 
@@ -31,17 +33,23 @@ class VantagePoint:
     #: Median RTT to arbitrary ("Others") servers.
     others_rtt_median_ms: float
 
+    @cached_property
+    def _rtt_lognormals(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+        """``(mu, sigma)`` of the RTT lognormal to anycast CDN edges and
+        to "Others" servers, computed once per vantage point."""
+        return (
+            (math.log(self.cdn_rtt_median_ms), self.cdn_rtt_jitter),
+            (math.log(self.others_rtt_median_ms), 0.9),
+        )
+
+    def rtt_lognormal(self, cdn: Cdn) -> Tuple[float, float]:
+        """``(mu, sigma)`` of the path RTT to a server of the given CDN."""
+        return self._rtt_lognormals[cdn is Cdn.OTHERS]
+
     def sample_rtt_ms(self, cdn: Cdn, rng: random.Random) -> float:
         """Path RTT from this vantage to a server of the given CDN."""
-        if cdn is Cdn.OTHERS:
-            base = self.others_rtt_median_ms
-            spread = 0.9
-        else:
-            base = self.cdn_rtt_median_ms
-            spread = self.cdn_rtt_jitter
-        import math
-
-        return max(0.3, rng.lognormvariate(math.log(base), spread))
+        mu, sigma = self._rtt_lognormals[cdn is Cdn.OTHERS]
+        return max(0.3, rng.lognormvariate(mu, sigma))
 
 
 #: The four vantage points of the paper, with RTT medians chosen so

@@ -358,3 +358,82 @@ def test_an_observed_cell_ships_about_what_a_stats_cell_ships(monkeypatch):
         f"fig16 ships {observed:.0f} B/cell before compression against fig12's "
         f"{stats:.0f}: something above stats level is crossing the wire again"
     )
+
+
+# -- a scan probe is its draws -------------------------------------------
+#
+# One synthetic shard (the first of the 2-shard scan SHARD_PIN hashes):
+# 1,000 targets, 274 of them answer QUIC, probed from two vantage points
+# on two days, in a process that ran it once already. Until PR 41 a
+# probe constructed a ``random.Random`` from its key, called five model
+# methods that recomputed per-CDN constants, hashed the ``Cdn`` Enum in
+# Python, built a ``ProbeResult`` the shard read back field by field,
+# and each QUIC target's address was built with ``ipaddress`` (88.56
+# calls per probe, 1,128 ``Random.__init__``, 3,042 ``ipaddress``
+# calls). Achieved: 54.58. Ceiling = achieved x 1.05.
+
+SHARD_CALLS_PER_PROBE_CEILING = 57.31
+
+
+def profiled_shard():
+    from repro.wild.stream.shard import ShardProbeTask
+
+    task = ShardProbeTask(
+        source_spec={"kind": "synthetic", "count": 2000, "seed": 3},
+        start=0,
+        stop=1000,
+        shard_index=0,
+        vantage_names=("Hamburg", "Sao Paulo"),
+        days=2,
+        probe_seed=0,
+    )
+    task.execute_task(0, ArtifactLevel.STATS)  # warm: imports, caches
+    profiler = cProfile.Profile()
+    profiler.enable()
+    outcome = task.execute_task(0, ArtifactLevel.STATS)
+    profiler.disable()
+    return task, outcome.sketch.probes, profiler.getstats()
+
+
+def test_profiler_calls_per_scan_probe_stay_under_the_ceiling():
+    _task, probes, stats = profiled_shard()
+    calls = sum(entry.callcount for entry in stats)
+    assert probes == 1096
+    assert calls / probes <= SHARD_CALLS_PER_PROBE_CEILING, (
+        f"{calls / probes:.2f} profiler calls per scan probe, ceiling "
+        f"{SHARD_CALLS_PER_PROBE_CEILING} — the per-probe path got more expensive "
+        "(see PERFORMANCE.md, A probe is its draws)"
+    )
+
+
+def test_structural_counts_of_a_scan_probe():
+    from repro.wild.asdb import Cdn
+
+    task, probes, stats = profiled_shard()
+
+    def called(match):
+        return sum(entry.callcount for entry in stats if match(entry.code))
+
+    def python(filename, name):
+        return lambda code: (
+            not isinstance(code, str)
+            and code.co_filename.endswith(filename)
+            and code.co_name == name
+        )
+
+    scanners = len(task.vantage_names)
+    biases = scanners * task.days * len(Cdn)
+    # One bias derivation per (vantage, day, CDN), not per probe.
+    assert called(python("qscanner.py", "_share_bias")) == biases
+    # Exactly one MT19937 seeding per probe: the rest are the biases and
+    # each scanner's own rng, built once with its scanner.
+    mt_seedings = called(
+        lambda code: isinstance(code, str)
+        and ("Random.seed" in code or "'seed' of '_random.Random'" in code)
+    )
+    assert mt_seedings == probes + biases + scanners
+    assert called(python("random.py", "__init__")) == scanners
+    # No address is built or parsed as an ``ipaddress`` object.
+    assert called(
+        lambda code: not isinstance(code, str) and code.co_filename.endswith("ipaddress.py")
+    ) == 0

@@ -5,6 +5,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.interop import Runner, Scenario
 from repro.quic.server import ServerMode
@@ -16,7 +18,7 @@ from repro.wild.cloudflare import (
     filter_valid,
 )
 from repro.wild.dissector import dissect
-from repro.wild.qscanner import QScanner, deployment_share
+from repro.wild.qscanner import ProbeResult, QScanner, deployment_share, reseed
 from repro.wild.tranco import TrancoGenerator
 from repro.wild.vantage import VANTAGE_POINTS, vantage
 
@@ -87,6 +89,70 @@ def test_prober_produces_consistent_results():
     # Deterministic given the seed.
     again = scanner.probe(generator.quic_domains())
     assert [r.iack_observed for r in again] == [r.iack_observed for r in results]
+
+
+@given(
+    key=st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
+    used=st.sampled_from(["random", "gauss", "normalvariate"]),
+)
+def test_reseed_starts_the_stream_random_random_starts(key, used):
+    """A reseeded rng draws what a fresh ``random.Random(key)`` draws,
+    whatever it drew before — a cached second ``gauss`` value included."""
+    rng = random.Random("a stream already in use")
+    if used == "random":
+        rng.random()
+    else:
+        getattr(rng, used)(0.0, 1.0)
+    reseed(rng, key)
+    fresh = random.Random(key)
+
+    def draws(r):
+        return [
+            r.random(),
+            r.lognormvariate(2.0, 0.4),
+            r.uniform(0.1, 0.9),
+            r.gauss(0.0, 1.0),
+            r.gauss(0.0, 1.0),
+        ]
+
+    assert draws(rng) == draws(fresh)
+    assert rng.getstate() == fresh.getstate()
+
+
+def reference_probes(domains, point, seed, day, batch):
+    """A pass as the model methods state it: one ``random.Random`` per
+    probe (or per pass for the batch engine), one per share bias."""
+    stream = random.Random(f"probe-batch:{seed}:{point.name}:{day}")
+    results = []
+    for domain in domains:
+        deployment = deployment_for(domain.cdn)
+        rng = stream if batch else random.Random(f"probe:{seed}:{point.name}:{day}:{domain.name}")
+        bias = random.Random(f"bias:{point.name}:{day}:{domain.cdn.value}").uniform(-1.0, 0.0)
+        rtt = point.sample_rtt_ms(domain.cdn, rng)
+        iack_enabled = deployment.sample_iack_enabled(rng, bias=bias)
+        cached = deployment.sample_cert_cached(rng, popularity=domain.popularity)
+        backend_delay = deployment.sample_backend_delay_ms(rng)
+        coalesced = cached or not iack_enabled
+        delay = 0.0 if coalesced else backend_delay
+        field = deployment.sample_ack_delay_field_ms(rng, rtt, coalesced=coalesced)
+        results.append(ProbeResult(
+            domain.name, domain.rank, domain.address, domain.cdn, point.name, day,
+            rtt, not coalesced, coalesced, delay, field,
+        ))
+    return results
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["analytic", "batch"])
+def test_a_pass_draws_what_the_model_methods_draw(batch):
+    domains = TrancoGenerator(list_size=4_000, seed=2).quic_domains()
+    point = vantage("Hong Kong")
+    scanner = QScanner(point, seed=7)
+    for day in (0, 1):
+        probed = scanner.probe_batch(domains, day=day) if batch else scanner.probe(domains, day=day)
+        assert probed == reference_probes(domains, point, 7, day, batch)
+    assert scanner.probe_one(domains[3], day=1) == reference_probes(
+        domains[3:4], point, 7, 1, batch=False
+    )[0]
 
 
 def test_deployment_share_matches_table1_direction():
