@@ -69,14 +69,6 @@ def cdf(values: Iterable[Optional[float]]) -> List[Tuple[float, float]]:
     return [(value, (i + 1) / n) for i, value in enumerate(data)]
 
 
-def cdf_at(values: Iterable[Optional[float]], threshold: float) -> Optional[float]:
-    """P(X <= threshold) of the empirical distribution."""
-    data = _clean(values)
-    if not data:
-        return None
-    return sum(1 for v in data if v <= threshold) / len(data)
-
-
 @dataclass(frozen=True)
 class Summary:
     """Five-number-ish summary used by experiment printouts."""

@@ -45,8 +45,7 @@ Errors
     :class:`ObserveError`.
 Resilience
     Crash recovery is a warm ``cache_dir`` (cells are stored as they
-    complete); ``session.scale_hint()`` summarizes fleet sizing for
-    elastic deployments. See ``RESILIENCE.md``.
+    complete). See ``RESILIENCE.md``.
 Bundles
     :func:`write_bundle` / :func:`load_result` / :func:`load_suite`
     persist and read ``schema_version``-stamped JSON bundles

@@ -151,15 +151,30 @@ class RunRequest:
             raise InvalidOverride("run request is missing 'experiments'")
         if isinstance(experiments, list):
             experiments = tuple(experiments)
+        if not isinstance(experiments, str) and not (
+            isinstance(experiments, tuple) and all(isinstance(e, str) for e in experiments)
+        ):
+            raise InvalidOverride(
+                f"run request 'experiments' must be an id or a list of ids, got {experiments!r}"
+            )
         overrides = doc.get("overrides") or {}
         if not isinstance(overrides, Mapping):
             raise InvalidOverride(
                 f"run request 'overrides' must be a mapping, got {type(overrides).__name__}"
             )
+        for exp, params in overrides.items():
+            if not isinstance(params, Mapping):
+                raise InvalidOverride(
+                    f"run request overrides of {exp!r} must be a mapping, "
+                    f"got {type(params).__name__}"
+                )
+        smoke = doc.get("smoke", False)
+        if not isinstance(smoke, bool):
+            raise InvalidOverride(f"run request 'smoke' must be true or false, got {smoke!r}")
         return cls(
             experiments=experiments,
             overrides={exp: dict(params) for exp, params in overrides.items()},
-            smoke=bool(doc.get("smoke", False)),
+            smoke=smoke,
         )
 
 
@@ -249,17 +264,6 @@ class Session:
         """``host:port`` of the distributed coordinator, or ``None``
         for local execution."""
         return getattr(self._backend, "address", None)
-
-    def scale_hint(self) -> Optional[Any]:
-        """Advisory fleet-sizing summary
-        (:class:`~repro.runtime.scheduler.ScaleHint`) from a
-        distributed backend — connected / busy / draining workers,
-        outstanding cells, and the worker count that would keep the
-        remaining work flowing — or ``None`` for local execution.
-        Elastic deployments poll this to decide whether to add workers
-        (point them at :attr:`address`) or retire them."""
-        hint = getattr(self._backend, "scale_hint", None)
-        return hint() if callable(hint) else None
 
     @property
     def backend_stats(self) -> Optional[Any]:

@@ -57,9 +57,6 @@ class RunStream:
                 return
             yield item
 
-    def done(self) -> bool:
-        return not self._thread.is_alive()
-
     def result(self, timeout: Optional[float] = None) -> SuiteReport:
         """Block until the run finishes and return its report.
 

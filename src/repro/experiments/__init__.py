@@ -13,7 +13,7 @@ through ``repro.api.run_experiment``.
 """
 
 from repro.experiments.common import ExperimentResult
-from repro.experiments.registry import REGISTRY, all_specs, get_spec
+from repro.experiments.registry import REGISTRY, get_spec
 from repro.experiments.spec import CellResults, ExperimentSpec
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "REGISTRY",
-    "all_specs",
     "get_spec",
 ]
 

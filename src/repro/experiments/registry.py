@@ -12,7 +12,7 @@ EXPERIMENTS.md index all read from.
 from __future__ import annotations
 
 import importlib
-from typing import Dict, Iterator, List, Union
+from typing import Dict, List, Union
 
 from repro.errors import UnknownExperiment
 from repro.experiments.spec import ExperimentSpec
@@ -67,13 +67,6 @@ class ExperimentRegistry:
         self.load_all()
         return experiment_id in self._specs
 
-    def __iter__(self) -> Iterator[ExperimentSpec]:
-        return iter(self.specs())
-
-    def __len__(self) -> int:
-        self.load_all()
-        return len(self._specs)
-
 
 def _paper_order(experiment_id: str) -> tuple:
     for prefix, rank in (("fig", 0), ("table", 1)):
@@ -95,7 +88,3 @@ def get_spec(experiment: Union[str, ExperimentSpec]) -> ExperimentSpec:
     if isinstance(experiment, ExperimentSpec):
         return experiment
     return REGISTRY.get(experiment)
-
-
-def all_specs() -> List[ExperimentSpec]:
-    return REGISTRY.specs()

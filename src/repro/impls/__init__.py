@@ -17,7 +17,6 @@ from repro.impls.registry import (
     CLIENT_PROFILES,
     SERVER_PROFILES,
     client_profile,
-    server_profile,
     QUIC_GO_SERVER,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "CLIENT_PROFILES",
     "SERVER_PROFILES",
     "client_profile",
-    "server_profile",
     "QUIC_GO_SERVER",
 ]

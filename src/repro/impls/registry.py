@@ -188,12 +188,3 @@ SERVER_PROFILES: Dict[str, ImplProfile] = {
 }
 
 
-def server_profile(name: str) -> ImplProfile:
-    """Look up a server profile by implementation name."""
-    try:
-        return SERVER_PROFILES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown server implementation {name!r}; "
-            f"known: {', '.join(sorted(SERVER_PROFILES))}"
-        ) from None

@@ -32,13 +32,6 @@ class QlogEvent:
     def qualified_name(self) -> str:
         return f"{self.category.value}:{self.name}"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "time": self.time_ms,
-            "name": self.qualified_name,
-            "data": dict(self.data),
-        }
-
 
 @dataclass(frozen=True)
 class PacketEvent(QlogEvent):
@@ -53,23 +46,6 @@ class PacketEvent(QlogEvent):
     #: Packet numbers newly acknowledged by ACK frames in this packet
     #: (receive direction only) — the basis of "packets with new ACKs".
     newly_acked: Tuple[int, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        base = super().to_dict()
-        base["data"].update(
-            {
-                "header": {
-                    "packet_type": self.packet_type,
-                    "packet_number": self.packet_number,
-                },
-                "raw": {"length": self.size},
-                "space": self.space,
-                "ack_eliciting": self.ack_eliciting,
-                "frames": list(self.frames),
-                "newly_acked": list(self.newly_acked),
-            }
-        )
-        return base
 
 
 @dataclass(frozen=True)
@@ -86,16 +62,3 @@ class MetricsUpdated(QlogEvent):
     latest_rtt_ms: Optional[float] = None
     min_rtt_ms: Optional[float] = None
     pto_count: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        base = super().to_dict()
-        base["data"].update(
-            {
-                "smoothed_rtt": self.smoothed_rtt_ms,
-                "rtt_variance": self.rtt_variance_ms,
-                "latest_rtt": self.latest_rtt_ms,
-                "min_rtt": self.min_rtt_ms,
-                "pto_count": self.pto_count,
-            }
-        )
-        return base

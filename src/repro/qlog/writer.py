@@ -9,7 +9,6 @@ smaller fraction of the samples."
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -165,18 +164,3 @@ class QlogWriter:
 
     def of_type(self, qualified_name: str) -> List[QlogEvent]:
         return [e for e in self.events if e.qualified_name == qualified_name]
-
-    def to_json(self) -> str:
-        """Serialize in a qlog-like JSON shape."""
-        return json.dumps(
-            {
-                "qlog_version": "0.4",
-                "title": self.vantage_point,
-                "traces": [
-                    {
-                        "vantage_point": {"name": self.vantage_point},
-                        "events": [e.to_dict() for e in self.events],
-                    }
-                ],
-            }
-        )

@@ -33,14 +33,6 @@ class AmplificationLimiter:
         return self._validated
 
     @property
-    def bytes_received(self) -> int:
-        return self._received
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._sent
-
-    @property
     def blocked_events(self) -> int:
         """How many times a send attempt was refused — the server logs
         the paper consults to confirm WFC blocks more often (§4.1)."""
@@ -73,7 +65,3 @@ class AmplificationLimiter:
         if size < 0:
             raise ValueError("datagram size cannot be negative")
         self._sent += size
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "validated" if self._validated else f"budget={self.budget()}"
-        return f"<AmplificationLimiter {state} rx={self._received} tx={self._sent}>"

@@ -22,20 +22,6 @@ class Certificate:
         if self.chain_size <= 0:
             raise ValueError(f"certificate chain size must be positive: {self.chain_size}")
 
-    def fits_amplification_budget(
-        self,
-        client_first_datagram: int = 1200,
-        handshake_overhead: int = 700,
-    ) -> bool:
-        """Rough check whether the full first server flight fits in the
-        3x budget earned by the client's first datagram.
-
-        ``handshake_overhead`` approximates ServerHello +
-        EncryptedExtensions + CertificateVerify + Finished + packet
-        headers.
-        """
-        return self.chain_size + handshake_overhead <= 3 * client_first_datagram
-
 
 #: The 1,212 B certificate that permits a 1-RTT handshake (§3).
 SMALL_CERTIFICATE = Certificate(name="small-1212", chain_size=1212)

@@ -62,6 +62,3 @@ class CidRegistry:
 
     def active(self) -> Set[int]:
         return {seq for seq, e in self._entries.items() if not e.retired}
-
-    def __len__(self) -> int:
-        return len(self._entries)

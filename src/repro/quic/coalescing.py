@@ -54,10 +54,6 @@ class Datagram:
                 "coalesced packets must be ordered Initial < Handshake < 1-RTT"
             )
 
-    @property
-    def ack_eliciting(self) -> bool:
-        return any(packet.ack_eliciting for packet in self.packets)
-
     def contains_initial(self) -> bool:
         return any(p.packet_type is PacketType.INITIAL for p in self.packets)
 

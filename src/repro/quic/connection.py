@@ -146,9 +146,6 @@ class PnRangeTracker:
     def __bool__(self) -> bool:
         return bool(self._ranges)
 
-    def __len__(self) -> int:
-        return len(self._ranges)
-
     def ranges_descending(self) -> Tuple[Tuple[int, int], ...]:
         """ACK-frame shape: ``(low, high)`` sorted descending by high."""
         return tuple((low, high) for low, high in reversed(self._ranges))
@@ -445,13 +442,11 @@ class Endpoint:
         for seq in range(frame.retire_prior_to):
             fresh = self.cids.retire(seq)
             if not fresh and self.profile.aborts_on_duplicate_cid_retirement:
+                # Only a client profile has this quirk (quiche, §4.2);
+                # ClientConnection says when it applies.
                 if self._dup_cid_abort_applies():
                     self.abort("duplicate connection ID retirement")
                     return
-
-    def _dup_cid_abort_applies(self) -> bool:
-        """Subclasses narrow the quiche abort (observed for HTTP/1.1)."""
-        return True
 
     # -- ACK processing -------------------------------------------------
 
@@ -652,16 +647,12 @@ class Endpoint:
                 # "contains an Initial" reads one packet.
                 pad = group[0].packet_type is PacketType.INITIAL
             else:
-                pad = self._pad_server_datagram(group)
+                pad = self._pad_server_datagram(group)  # ServerConnection's policy
             if pad:
                 group = pad_initial(group, INITIAL_MIN_DATAGRAM)
             self._send_datagram(Datagram(group, self.name), is_probe)
         if not self._suspend_rearm:
             self._rearm_loss_timer()
-
-    def _pad_server_datagram(self, group: List[Packet]) -> bool:
-        """Server-side padding policy (overridden for padded IACK)."""
-        return False
 
     def _send_datagram(self, dgram: Datagram, is_probe: bool = False) -> None:
         transmit = self.transmit

@@ -1,10 +1,11 @@
 """QUIC frames (RFC 9000 §19) with byte-accurate wire sizes.
 
-Each frame knows its wire size and can encode itself to bytes and be
-decoded back. Payload-carrying frames (CRYPTO, STREAM) track a length
-and a human-readable ``label`` describing the simulated content (e.g.
-``"SH"`` for the TLS ServerHello); encoded payload bytes are zeros,
-since only sizes and ordering affect handshake timing.
+Each frame knows its wire size and can encode itself to bytes (the
+tests decode those bytes to check the sizes). Payload-carrying frames
+(CRYPTO, STREAM) track a length and a human-readable ``label``
+describing the simulated content (e.g. ``"SH"`` for the TLS
+ServerHello); encoded payload bytes are zeros, since only sizes and
+ordering affect handshake timing.
 
 The ``ack_eliciting`` class attribute implements RFC 9002 §2: all frames other
 than ACK, PADDING, and CONNECTION_CLOSE are ack-eliciting. This single
@@ -16,9 +17,9 @@ sample from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
-from repro.quic.varint import decode_varint, encode_varint, varint_size
+from repro.quic.varint import encode_varint, varint_size
 from repro.sim.trace import precomputed_state
 
 # Frame type identifiers from RFC 9000 §19.
@@ -38,10 +39,6 @@ TYPE_STREAM_BASE = 0x08  # 0x08..0x0f with OFF/LEN/FIN bits
 ACK_DELAY_EXPONENT = 3
 
 
-class FrameDecodeError(ValueError):
-    """Raised when bytes cannot be parsed as a QUIC frame."""
-
-
 @dataclass(frozen=True, slots=True)
 class Frame:
     """Base class for all frames."""
@@ -54,9 +51,6 @@ class Frame:
 
     def encode(self) -> bytes:
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return type(self).__name__
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,20 +116,9 @@ class AckFrame(Frame):
         if self.ack_delay_ms < 0:
             raise ValueError("ack delay cannot be negative")
 
-    @property
-    def largest_acked(self) -> int:
-        return self.ranges[0][1]
-
     def acks(self, pn: int) -> bool:
         """Whether packet number ``pn`` is covered by this frame."""
         return any(low <= pn <= high for low, high in self.ranges)
-
-    def acked_packet_numbers(self) -> List[int]:
-        """All acknowledged packet numbers (descending)."""
-        out: List[int] = []
-        for low, high in self.ranges:
-            out.extend(range(high, low - 1, -1))
-        return out
 
     def _delay_units(self) -> int:
         return max(0, int(self.ack_delay_ms * 1000.0 / (1 << ACK_DELAY_EXPONENT)))
@@ -403,95 +386,3 @@ for _frame_class in (
     HandshakeDoneFrame, NewConnectionIdFrame, RetireConnectionIdFrame, ConnectionCloseFrame,
 ):
     precomputed_state(_frame_class)  # frames ride in every retained packet
-
-
-def decode_frames(data: bytes) -> List[Frame]:
-    """Decode a packet payload into frames.
-
-    Runs of PADDING collapse into a single :class:`PaddingFrame`.
-    CRYPTO/STREAM payload content is discarded (zeros), retaining
-    offset/length as the simulation requires.
-    """
-    frames: List[Frame] = []
-    offset = 0
-    n = len(data)
-    while offset < n:
-        frame_type = data[offset]
-        if frame_type == TYPE_PADDING:
-            start = offset
-            while offset < n and data[offset] == TYPE_PADDING:
-                offset += 1
-            frames.append(PaddingFrame(length=offset - start))
-        elif frame_type == TYPE_PING:
-            frames.append(PingFrame())
-            offset += 1
-        elif frame_type == TYPE_ACK:
-            offset += 1
-            largest, offset = decode_varint(data, offset)
-            delay_units, offset = decode_varint(data, offset)
-            range_count, offset = decode_varint(data, offset)
-            first_range, offset = decode_varint(data, offset)
-            ranges = [(largest - first_range, largest)]
-            prev_low = largest - first_range
-            for _ in range(range_count):
-                gap, offset = decode_varint(data, offset)
-                rng_len, offset = decode_varint(data, offset)
-                high = prev_low - gap - 2
-                low = high - rng_len
-                ranges.append((low, high))
-                prev_low = low
-            delay_ms = delay_units * (1 << ACK_DELAY_EXPONENT) / 1000.0
-            frames.append(AckFrame(ranges=tuple(ranges), ack_delay_ms=delay_ms))
-        elif frame_type == TYPE_CRYPTO:
-            offset += 1
-            off, offset = decode_varint(data, offset)
-            length, offset = decode_varint(data, offset)
-            if offset + length > n:
-                raise FrameDecodeError("CRYPTO frame payload truncated")
-            offset += length
-            frames.append(CryptoFrame(offset=off, length=length))
-        elif TYPE_STREAM_BASE <= frame_type <= TYPE_STREAM_BASE + 0x07:
-            fin = bool(frame_type & 0x01)
-            offset += 1
-            stream_id, offset = decode_varint(data, offset)
-            off, offset = decode_varint(data, offset)
-            length, offset = decode_varint(data, offset)
-            if offset + length > n:
-                raise FrameDecodeError("STREAM frame payload truncated")
-            offset += length
-            frames.append(
-                StreamFrame(stream_id=stream_id, offset=off, length=length, fin=fin)
-            )
-        elif frame_type == TYPE_MAX_DATA:
-            offset += 1
-            maximum, offset = decode_varint(data, offset)
-            frames.append(MaxDataFrame(maximum=maximum))
-        elif frame_type == TYPE_HANDSHAKE_DONE:
-            frames.append(HandshakeDoneFrame())
-            offset += 1
-        elif frame_type == TYPE_NEW_CONNECTION_ID:
-            offset += 1
-            seq, offset = decode_varint(data, offset)
-            rpt, offset = decode_varint(data, offset)
-            cid_len = data[offset]
-            offset += 1
-            cid = data[offset : offset + cid_len]
-            offset += cid_len + 16
-            frames.append(
-                NewConnectionIdFrame(sequence=seq, retire_prior_to=rpt, connection_id=cid)
-            )
-        elif frame_type == TYPE_RETIRE_CONNECTION_ID:
-            offset += 1
-            seq, offset = decode_varint(data, offset)
-            frames.append(RetireConnectionIdFrame(sequence=seq))
-        elif frame_type == TYPE_CONNECTION_CLOSE:
-            offset += 1
-            code, offset = decode_varint(data, offset)
-            offset += 1  # frame type field
-            reason_len, offset = decode_varint(data, offset)
-            reason = data[offset : offset + reason_len].decode(errors="replace")
-            offset += reason_len
-            frames.append(ConnectionCloseFrame(error_code=code, reason=reason))
-        else:
-            raise FrameDecodeError(f"unknown frame type 0x{frame_type:02x}")
-    return frames

@@ -39,17 +39,6 @@ class PacketType(enum.Enum):
     INITIAL = "initial"
     HANDSHAKE = "handshake"
     ONE_RTT = "1rtt"
-    RETRY = "retry"
-
-    @property
-    def space(self) -> Space:
-        if self is PacketType.INITIAL:
-            return Space.INITIAL
-        if self is PacketType.HANDSHAKE:
-            return Space.HANDSHAKE
-        if self is PacketType.ONE_RTT:
-            return Space.APPLICATION
-        raise ValueError("Retry packets carry no packet number")
 
 
 _INITIAL = PacketType.INITIAL
@@ -113,7 +102,7 @@ class Packet:
             token = len(self.token)
             header = 7 + len(self.dcid) + len(self.scid) + varint_size(token) + token
         else:
-            raise ValueError("Retry packets carry no packet number")
+            raise ValueError(f"not a packet type: {packet_type!r}")
         payload = 0
         eliciting = False
         for frame in frames:
@@ -126,11 +115,6 @@ class Packet:
             header += varint_size(pn_length + payload + AEAD_TAG_SIZE)
         self._header_size = header = header + pn_length
         self._wire_size = header + payload + AEAD_TAG_SIZE
-
-    @property
-    def is_long_header(self) -> bool:
-        return self.packet_type in (PacketType.INITIAL, PacketType.HANDSHAKE,
-                                    PacketType.RETRY)
 
     def payload_size(self) -> int:
         return self._payload_size
@@ -170,7 +154,6 @@ class Packet:
             PacketType.INITIAL: "Initial",
             PacketType.HANDSHAKE: "Handshake",
             PacketType.ONE_RTT: "1-RTT",
-            PacketType.RETRY: "Retry",
         }[self.packet_type]
         return f"{name}[{self.packet_number}]: {inner}"
 
@@ -178,23 +161,3 @@ class Packet:
 Packet.space = Packet._space  # type: ignore[attr-defined]
 Packet.ack_eliciting = Packet._ack_eliciting  # type: ignore[attr-defined]
 Packet.size = Packet._wire_size  # type: ignore[attr-defined]
-
-
-@dataclass(slots=True)
-class RetryPacket:
-    """A Retry packet (RFC 9000 §17.2.5); used by the Retry extension.
-
-    Retry packets carry no packet number and are not protected with
-    the normal AEAD; they deliver a token the client must echo.
-    """
-
-    token: bytes
-    dcid: bytes = b"\x11" * 8
-    scid: bytes = b"\x33" * 8
-
-    def wire_size(self) -> int:
-        # first byte + version + cid fields + token + 16B integrity tag
-        return 1 + 4 + 1 + len(self.dcid) + 1 + len(self.scid) + len(self.token) + 16
-
-    def describe(self) -> str:
-        return f"Retry[token={len(self.token)}B]"

@@ -147,13 +147,6 @@ class RecoveryProfile:
             )
         return AckPolicy()
 
-    def describe(self) -> str:
-        return (
-            f"{self.name} (cc={self.cc}, loss={self.loss_detector}, "
-            f"ack={self.ack_policy})"
-        )
-
-
 #: Profile registry: name → profile. The vocabulary is documented in
 #: the "Recovery profiles" section of API.md.
 RECOVERY_PROFILES: Dict[str, RecoveryProfile] = {}

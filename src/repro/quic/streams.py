@@ -11,14 +11,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 
-def is_client_initiated(stream_id: int) -> bool:
-    return stream_id % 4 in (0, 2)
-
-
-def is_bidirectional(stream_id: int) -> bool:
-    return stream_id % 4 in (0, 1)
-
-
 @dataclass
 class SendStream:
     """Outgoing stream: a total length, a FIN, and sent/acked ranges."""

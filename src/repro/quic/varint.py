@@ -7,14 +7,12 @@ for the value.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 #: Largest value representable as a QUIC varint (2**62 - 1).
 MAX_VARINT = (1 << 62) - 1
 
 
 class VarintError(ValueError):
-    """Raised on out-of-range values or malformed encodings."""
+    """Raised on values outside the varint range."""
 
 
 def varint_size(value: int) -> int:
@@ -54,24 +52,3 @@ def encode_varint(value: int) -> bytes:
         value >>= 8
     out[0] |= 0xC0
     return bytes(out)
-
-
-def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
-    """Decode a varint from ``data`` at ``offset``.
-
-    Returns ``(value, new_offset)``.
-    """
-    if offset >= len(data):
-        raise VarintError("varint truncated: no bytes available")
-    first = data[offset]
-    prefix = first >> 6
-    length = 1 << prefix
-    if offset + length > len(data):
-        raise VarintError(
-            f"varint truncated: need {length} bytes at offset {offset}, "
-            f"have {len(data) - offset}"
-        )
-    value = first & 0x3F
-    for i in range(1, length):
-        value = (value << 8) | data[offset + i]
-    return value, offset + length

@@ -72,11 +72,10 @@ leave gracefully with DRAIN: a worker that wants to depart (SIGTERM on
 ``repro worker``) finishes its in-flight chunk, sends DRAIN, and
 closes; the coordinator marks it draining on receipt (no new chunks),
 emits :class:`~repro.runtime.events.WorkerDrained` instead of
-``WorkerLost`` when the socket closes, and requeues nothing. The
-coordinator can also send DRAIN (:meth:`SocketBackend.drain_worker`)
-to retire a worker remotely. :meth:`SocketBackend.scale_hint`
-summarizes the fleet (connected / busy / draining workers, outstanding
-cells, recommended fleet size) for elastic deployments.
+``WorkerLost`` when the socket closes, and requeues nothing.
+:meth:`SocketBackend.scale_hint` summarizes the fleet (connected /
+busy / draining workers, outstanding cells, recommended fleet size)
+for elastic deployments.
 
 A worker that loses the coordinator (crash, restart) does not give up:
 with a rejoin window configured (``--rejoin`` on the CLI) it redials
@@ -711,12 +710,6 @@ def _worker_session(
             if msg_type == MSG_SHUTDOWN:
                 say(f"shutdown after {chunks_done} chunk(s)")
                 return 0, False
-            if msg_type == MSG_DRAIN:
-                # Coordinator-initiated retirement: acknowledge and
-                # leave without rejoining.
-                goodbye()
-                say(f"drained by coordinator after {chunks_done} chunk(s)")
-                return 0, False
             if msg_type != MSG_CHUNK:
                 continue
             job_id, chunk_id, grouped, level_value = payload
@@ -1257,26 +1250,6 @@ class SocketBackend(ExecutionBackend):
         with self._lock:
             return self._scheduler.scale_hint()
 
-    def drain_worker(self, wid: int) -> bool:
-        """Gracefully retire one worker: no new chunks from now on, and
-        a DRAIN frame asks it to exit once its in-flight chunk (if any)
-        is delivered. Returns ``False`` for an unknown worker id."""
-        with self._cond:
-            conn = self._workers.get(wid)
-            if conn is None:
-                return False
-            self._scheduler.drain_worker(wid)
-            self._cond.notify_all()
-        try:
-            send_frame(
-                conn.wsock,
-                MSG_DRAIN,
-                None,
-                lock=conn.send_lock,
-                size_aware_timeout=True,
-            )
-        except (ProtocolError, OSError):
-            pass  # already gone; the drop path cleans up
         return True
 
     def run_chunks(self, chunks: Sequence[GroupedChunk]) -> List[Tuple[int, RunArtifacts]]:

@@ -68,9 +68,6 @@ class Timer:
     def cancelled(self) -> bool:
         return self._cancelled
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self._cancelled else "armed"
-        return f"<Timer when={self.when:.3f}ms {state} cb={self.callback!r}>"
 
 
 class EventLoop:
@@ -138,10 +135,6 @@ class EventLoop:
         if not delay >= 0:  # also refuses NaN
             raise SimulationError(f"negative delay: {delay}")
         return self.call_at(self.now + delay, callback, *args)
-
-    def call_soon(self, callback: Callable[..., None], *args: Any) -> Timer:
-        """Schedule ``callback(*args)`` at the current time."""
-        return self.call_at(self.now, callback, *args)
 
     def _note_cancelled(self, timer: Timer) -> None:
         """Timer cancellation hook: count it and compact the heap once
@@ -230,13 +223,6 @@ class EventLoop:
         again."""
         self.stopped = True
 
-    def run_until_idle(self, max_events: int = 5_000_000) -> float:
-        """Run until no events remain."""
-        return self.run(until=None, max_events=max_events)
-
     def pending(self) -> int:
         """Number of non-cancelled events still queued. O(1)."""
         return len(self._heap) - self._cancelled_pending
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<EventLoop now={self.now:.3f}ms pending={self.pending()}>"

@@ -115,9 +115,3 @@ class Link:
         self._offered = 0
         self._dropped = 0
         self.loss.reset()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Link {self.name} delay={self.one_way_delay_ms}ms "
-            f"bw={self.bandwidth_bps} loss={self.loss!r}>"
-        )

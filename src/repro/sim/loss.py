@@ -13,7 +13,7 @@ Indices are **1-based** to match the paper's wording ("loss of packets
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence, Set
+from typing import Iterable, Sequence, Set
 
 
 class LossPattern:
@@ -160,33 +160,3 @@ class CompositeLoss(LossPattern):
 
     def __repr__(self) -> str:
         return f"CompositeLoss({self.patterns!r})"
-
-
-def burst_loss(start: int, length: int) -> IndexedLoss:
-    """Convenience: drop ``length`` consecutive datagrams from ``start``."""
-    if length < 0:
-        raise ValueError("burst length must be >= 0")
-    return IndexedLoss(range(start, start + length))
-
-
-def parse_loss_spec(spec: Optional[str]) -> LossPattern:
-    """Parse a compact textual loss spec.
-
-    ``""`` or ``None`` → :class:`NoLoss`; ``"2,3"`` → indexed loss;
-    ``"p0.01"`` → 1 % random loss; ``"ge:p,r,h"`` (``h`` optional,
-    default 0) → Gilbert-Elliott burst loss. Used by the example CLIs.
-    """
-    if not spec:
-        return NoLoss()
-    if spec.startswith("ge:"):
-        parts = [part for part in spec[3:].split(",") if part]
-        if len(parts) not in (2, 3):
-            raise ValueError(
-                f"Gilbert-Elliott spec must be 'ge:p,r' or 'ge:p,r,h', got {spec!r}"
-            )
-        p, r = float(parts[0]), float(parts[1])
-        h = float(parts[2]) if len(parts) == 3 else 0.0
-        return GilbertElliottLoss(p, r, h)
-    if spec.startswith("p"):
-        return RandomLoss(float(spec[1:]))
-    return IndexedLoss(int(part) for part in spec.split(",") if part)

@@ -44,9 +44,6 @@ class Host:
     def deliver(self, payload: object) -> None:
         self.receiver(payload)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Host {self.name}>"
-
 
 class Network:
     """Two hosts joined by a directed link per direction.
@@ -115,11 +112,6 @@ class Network:
             server_to_client_loss=server_to_client_loss,
             tracer=tracer,
         )
-
-    @property
-    def rtt_ms(self) -> float:
-        """The base path RTT (excluding serialization)."""
-        return self.uplink.one_way_delay_ms + self.downlink.one_way_delay_ms
 
     def _link_and_peer(self, host: Host):
         link = self._links.get(host.name)

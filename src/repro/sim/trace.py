@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
+from typing import Any, Callable, Iterable, List, Optional, Union
 
 
 def precomputed_state(cls):
@@ -124,12 +124,6 @@ class Tracer:
     def records(self) -> List[TraceRecord]:
         return self._captured(None)
 
-    def __len__(self) -> int:
-        return len(self._captured(None))
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._captured(None))
-
     def filter(
         self,
         link: Optional[str] = None,
@@ -148,17 +142,6 @@ class Tracer:
             out.append(rec)
         return out
 
-    def bytes_on(self, link: str, include_dropped: bool = False) -> int:
-        """Total bytes offered to (or delivered on) a link."""
-        return sum(
-            rec.size
-            for rec in self._captured(link)
-            if rec.link == link and (include_dropped or not rec.dropped)
-        )
-
     def dump(self) -> str:
         """Render the whole trace as text (one record per line)."""
         return "\n".join(rec.describe() for rec in self._captured(None))
-
-    def clear(self) -> None:
-        self._records.clear()

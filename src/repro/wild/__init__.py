@@ -12,14 +12,13 @@ the paper's published aggregates: a Tranco-like toplist with CDN
 hosting shares, per-CDN instant-ACK deployment shares and backend
 delays, per-vantage-point RTT distributions, and a Cloudflare edge
 with certificate caching and a diurnal backend-delay cycle. The
-*analysis pipeline* — prober, dissector, classification, statistics —
+*analysis pipeline* — prober, classification, statistics —
 is the same code a live measurement would use.
 """
 
 from repro.wild.asdb import CDN_AS_NUMBERS, AsDatabase, Cdn
 from repro.wild.cdn import DEPLOYMENTS, CdnDeployment, deployment_for
 from repro.wild.cloudflare import CloudflareLongitudinalStudy
-from repro.wild.dissector import DissectedHandshake, dissect
 from repro.wild.qscanner import ProbeResult, QScanner
 from repro.wild.tranco import TrancoDomain, TrancoGenerator
 from repro.wild.vantage import VANTAGE_POINTS, VantagePoint
@@ -38,6 +37,4 @@ __all__ = [
     "QScanner",
     "ProbeResult",
     "CloudflareLongitudinalStudy",
-    "DissectedHandshake",
-    "dissect",
 ]

@@ -59,11 +59,6 @@ class CdnDeployment:
         share = self.iack_share + bias * self.share_variation
         return min(1.0, max(0.0, share))
 
-    def sample_iack_enabled(self, rng: random.Random, bias: float = 0.0) -> bool:
-        """Whether one domain (on one day, from one vantage) shows
-        instant ACK."""
-        return rng.random() < self.biased_share(bias)
-
     def backend_delay_mu(self, diurnal: float = 0.0) -> float:
         """``mu`` of the backend-delay lognormal; ``diurnal`` in [0, 1]
         scales the median up by up to 50 % (daytime load, Figure
@@ -145,8 +140,3 @@ DEPLOYMENTS: Dict[Cdn, CdnDeployment] = {
 
 def deployment_for(cdn: Cdn) -> CdnDeployment:
     return DEPLOYMENTS[cdn]
-
-
-def total_quic_domains() -> int:
-    """All Tranco Top-1M domains answering QUIC in the model."""
-    return sum(d.domains for d in DEPLOYMENTS.values())

@@ -6,7 +6,7 @@ deployments" (§3). "We check for instant ACK behavior, i.e., whether
 the ClientHello is followed by a separate (server) ACK preceding the
 TLS ServerHello" (§4.3).
 
-The prober has three engines:
+The prober has two engines:
 
 * the default **analytic engine**, which samples each handshake from
   the fitted CDN deployment models with one rng stream per domain,
@@ -18,10 +18,10 @@ The prober has three engines:
   statistically equivalent (cross-validated in the test suite), but
   draws different concrete samples than the analytic engine. A pass is
   deterministic in ``(seed, vantage, day, domain order)`` and must run
-  whole inside one parallel task; and
-* the **emulation engine** (``use_emulation=True``), which runs a full
-  :mod:`repro.quic` handshake per domain on the discrete-event
-  simulator — used on samples to cross-validate the analytic engine.
+  whole inside one parallel task.
+
+The test suite cross-validates the analytic model against full
+:mod:`repro.quic` handshakes on the discrete-event simulator.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from __future__ import annotations
 import random
 from _random import Random as _MersenneTwister
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
-from repro.interop.runner import Runner, Scenario
-from repro.quic.server import ServerMode
 from repro.wild.asdb import AsDatabase, Cdn
 from repro.wild.cdn import CdnDeployment, deployment_for
 from repro.wild.tranco import TrancoDomain
@@ -84,12 +82,6 @@ class ProbeResult:
     #: The acknowledgment-delay field of the first ACK [ms] (Fig. 10).
     ack_delay_field_ms: float
 
-    @property
-    def ack_delay_minus_rtt_ms(self) -> float:
-        """Figure 10's x-axis: RTT minus ack delay, negated here as
-        (ack_delay - rtt) for directness."""
-        return self.ack_delay_field_ms - self.rtt_ms
-
 
 #: One probe as the analytic model draws it: ``(domain, cdn, rtt_ms,
 #: iack_observed, coalesced, ack_to_sh_delay_ms, ack_delay_field_ms)``
@@ -120,15 +112,9 @@ class QScanner:
     engine reseeds it once per pass.
     """
 
-    def __init__(
-        self,
-        vantage: VantagePoint,
-        seed: int = 0,
-        use_emulation: bool = False,
-    ):
+    def __init__(self, vantage: VantagePoint, seed: int = 0):
         self.vantage = vantage
         self.seed = seed
-        self.use_emulation = use_emulation
         self.asdb = AsDatabase()
         self._rng = random.Random(0)
         #: day → CDN value → the pass's :class:`PassModel`.
@@ -140,17 +126,7 @@ class QScanner:
         day: int = 0,
     ) -> List[ProbeResult]:
         """Probe every QUIC-answering domain once."""
-        if self.use_emulation:
-            probed = (self.probe_one(domain, day=day) for domain in domains if domain.answers_quic)
-            return [result for result in probed if result is not None]
         return self._results(domains, day, batch=False)
-
-    def probe_one(self, domain: TrancoDomain, day: int = 0) -> Optional[ProbeResult]:
-        if domain.cdn is None or domain.address is None:
-            return None
-        if self.use_emulation:
-            return self._probe_emulated(domain, day)
-        return self._results((domain,), day, batch=False)[0]
 
     # ------------------------------------------------------------------
     # batch engine
@@ -168,12 +144,6 @@ class QScanner:
         per-pass stream, making the pass both deterministic and cheap —
         one seeding per pass instead of one per domain.
         """
-        if self.use_emulation:
-            raise ValueError(
-                "probe_batch samples the analytic model; a scanner built "
-                "with use_emulation=True must use probe() so the "
-                "emulation engine actually runs"
-            )
         return self._results(domains, day, batch=True)
 
     # ------------------------------------------------------------------
@@ -280,52 +250,6 @@ class QScanner:
                 domain, cdn_for_address(address), rtt, not coalesced, coalesced, delay,
                 ack_delay_field,
             )
-
-    # ------------------------------------------------------------------
-    # emulation engine (cross-validation on samples)
-    # ------------------------------------------------------------------
-
-    def _probe_emulated(self, domain: TrancoDomain, day: int) -> ProbeResult:
-        model = self._pass_models(day)[domain.cdn.value]
-        deployment = model.deployment
-        rng = self._rng
-        reseed(rng, f"probe:{self.seed}:{self.vantage.name}:{day}:{domain.name}")
-        rtt = max(0.3, rng.lognormvariate(model.rtt_mu, model.rtt_sigma))
-        iack_enabled = rng.random() < model.iack_share
-        cached = deployment.sample_cert_cached(rng, popularity=domain.popularity)
-        backend_delay = 0.0 if cached else deployment.sample_backend_delay_ms(rng)
-        scenario = Scenario(
-            client="quic-go",
-            mode=ServerMode.IACK if iack_enabled else ServerMode.WFC,
-            http="h3",
-            rtt_ms=rtt,
-            delta_t_ms=backend_delay,
-        )
-        run = Runner(base_seed=rng.randrange(1 << 30)).run_once(scenario)
-        stats = run.client_stats
-        first_ack = stats.relative(stats.first_ack_received_ms)
-        sh = stats.relative(stats.server_hello_received_ms)
-        coalesced = bool(stats.first_ack_coalesced_with_sh)
-        iack_observed = not coalesced and first_ack is not None and sh is not None
-        delay = 0.0
-        if iack_observed and first_ack is not None and sh is not None:
-            delay = max(0.0, sh - first_ack)
-        ack_delay_field = deployment.sample_ack_delay_field_ms(
-            rng, rtt, coalesced=coalesced
-        )
-        return ProbeResult(
-            domain=domain.name,
-            rank=domain.rank,
-            address=domain.address,
-            cdn=self.asdb.cdn_for_address(domain.address),
-            vantage=self.vantage.name,
-            day=day,
-            rtt_ms=rtt,
-            iack_observed=iack_observed,
-            coalesced=coalesced,
-            ack_to_sh_delay_ms=delay,
-            ack_delay_field_ms=ack_delay_field,
-        )
 
 
 def scan_batch(engine: str) -> bool:

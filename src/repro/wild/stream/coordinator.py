@@ -41,10 +41,9 @@ from repro.runtime.events import (
     emit,
 )
 from repro.runtime.workloop import run_work, work_items
-from repro.wild.asdb import Cdn
 from repro.wild.stream.shard import SHARD_CODE_VERSION, ShardOutcome, ShardProbeTask
 from repro.wild.stream.sketch import DEFAULT_ALPHA, SKETCH_VERSION, ScanSketch
-from repro.wild.stream.source import shard_ranges, source_from_spec
+from repro.wild.stream.source import checked, shard_ranges, source_from_spec
 from repro.wild.vantage import VANTAGE_POINTS
 
 __all__ = [
@@ -117,18 +116,41 @@ class ScanRequest:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ScanRequest":
+        """Read a :meth:`to_dict` document, refusing what it would not
+        have written: an unknown key, or a value of the wrong type (no
+        ``int("2.7")``-style coercion)."""
         if not isinstance(doc, dict) or not isinstance(doc.get("source"), dict):
             raise InvalidOverride("scan request document needs a 'source' spec dict")
+        unknown = sorted(set(doc) - set(_FIELDS))
+        if unknown:
+            raise InvalidOverride(f"scan request has unknown key(s) {unknown}")
         vantages = doc.get("vantage_names")
+        if vantages is not None:
+            if not isinstance(vantages, (list, tuple)) or not all(
+                isinstance(v, str) for v in vantages
+            ):
+                raise InvalidOverride(
+                    f"scan request 'vantage_names' must be a list of names, got {vantages!r}"
+                )
+            vantages = tuple(vantages)
         return cls(
             source=dict(doc["source"]),
-            shard_size=int(doc.get("shard_size", DEFAULT_SHARD_SIZE)),
-            vantage_names=None if vantages is None else tuple(str(v) for v in vantages),
-            days=int(doc.get("days", 1)),
-            seed=int(doc.get("seed", 0)),
-            probe_engine=str(doc.get("probe_engine", "analytic")),
-            alpha=float(doc.get("alpha", DEFAULT_ALPHA)),
+            shard_size=_field(doc, "shard_size", int),
+            vantage_names=vantages,
+            days=_field(doc, "days", int),
+            seed=_field(doc, "seed", int),
+            probe_engine=_field(doc, "probe_engine", str),
+            alpha=float(_field(doc, "alpha", (int, float))),
         ).validated()
+
+
+#: Each :class:`ScanRequest` field's default, by name.
+_FIELDS = {name: spec.default for name, spec in ScanRequest.__dataclass_fields__.items()}
+
+
+def _field(doc: Dict[str, Any], name: str, kind: Any) -> Any:
+    """``doc[name]``, or the field's default, when it is a ``kind``."""
+    return checked(doc.get(name, _FIELDS[name]), kind, f"scan request {name!r}")
 
 
 def scan_fingerprint(request: ScanRequest) -> str:
@@ -194,18 +216,6 @@ class ScanReport:
 
     def to_json(self) -> str:
         return json.dumps(self.summary(), indent=2, sort_keys=True) + "\n"
-
-    def deployment_measurements(self) -> List[Dict[Cdn, float]]:
-        """Per-(vantage, day) IACK share dicts in the same order
-        table1's in-memory path builds them — its cross-validation
-        bridge (exact: integer tallies divided identically)."""
-        shares = self.sketch.deployment_shares()
-        out: List[Dict[Cdn, float]] = []
-        for vantage_name in self.request.resolved_vantages():
-            for day in range(self.request.days):
-                pass_shares = shares.get((vantage_name, day), {})
-                out.append({Cdn(value): share for value, share in pass_shares.items()})
-        return out
 
     def render(self) -> str:
         doc = self.summary()

@@ -391,11 +391,6 @@ class ScanSketch:
         }
         return sketch
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScanSketch):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
     def __getstate__(self) -> Dict[str, Any]:
         return self.to_dict()
 

@@ -134,15 +134,29 @@ def _check_range(start: int, stop: int, size: int) -> None:
         raise InvalidOverride(f"target range [{start}, {stop}) outside [0, {size}]")
 
 
+def checked(value: Any, kind: Any, what: str) -> Any:
+    """``value`` when it is a ``kind`` as a JSON document wrote it:
+    ``true`` is no integer, ``2.7`` and ``"3"`` are none at all."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidOverride(f"{what} has the wrong type: {value!r}")
+    return value
+
+
+def _integer(spec: Dict[str, Any], name: str, default: Any = None) -> int:
+    """``spec[name]`` (a missing key without a default is a ``KeyError``)."""
+    value = spec[name] if default is None else spec.get(name, default)
+    return checked(value, int, f"{spec.get('kind')!r} source spec {name!r}")
+
+
 #: Registered source kinds: spec ``kind`` → builder taking the spec.
 _SOURCE_KINDS: Dict[str, Callable[[Dict[str, Any]], TargetSource]] = {
     TrancoSource.KIND: lambda spec: TrancoSource(
-        list_size=int(spec["list_size"]), seed=int(spec["seed"])
+        list_size=_integer(spec, "list_size"), seed=_integer(spec, "seed")
     ),
     SyntheticSource.KIND: lambda spec: SyntheticSource(
-        count=int(spec["count"]),
-        seed=int(spec["seed"]),
-        quic_permille=int(spec.get("quic_permille", 300)),
+        count=_integer(spec, "count"),
+        seed=_integer(spec, "seed"),
+        quic_permille=_integer(spec, "quic_permille", 300),
     ),
 }
 

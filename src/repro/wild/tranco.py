@@ -182,16 +182,9 @@ class TrancoGenerator:
         for rank in range(start_rank, stop_rank + 1):
             yield self.domain_at(rank)
 
-    def generate(self) -> List[TrancoDomain]:
-        """Build the full list (a wrapper over :meth:`iter_domains`)."""
-        return list(self.iter_domains())
-
     def quic_domains(self) -> List[TrancoDomain]:
         """Only the entries that answer QUIC."""
         return [d for d in self.iter_domains() if d.answers_quic]
-
-    def expected_quic_count(self) -> int:
-        return sum(self.scaled_count(cdn) for cdn in Cdn)
 
 
 @lru_cache(maxsize=2)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.analysis.render import render_series, render_table
 from repro.analysis.stats import (
     cdf,
-    cdf_at,
     median,
     percentile,
     percentile_interval,
@@ -41,8 +40,6 @@ def test_percentile_interval_width():
 def test_cdf_shape():
     points = cdf([3.0, 1.0, 2.0])
     assert points == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
-    assert cdf_at([1.0, 2.0, 3.0], 2.0) == pytest.approx(2 / 3)
-    assert cdf_at([], 1.0) is None
 
 
 def test_summarize():

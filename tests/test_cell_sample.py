@@ -42,6 +42,7 @@ from hypothesis import strategies as st
 
 from repro.impls.registry import CLIENT_NAMES, client_profile
 from repro.interop.runner import Runner, Scenario
+from repro.qlog.events import MetricsUpdated, PacketEvent
 from repro.quic.cc import MINIMUM_WINDOW
 from repro.quic.certs import LARGE_CERTIFICATE, SMALL_CERTIFICATE
 from repro.quic.profiles import profile_names
@@ -125,6 +126,37 @@ def _packet(packet):
     ]
 
 
+def _event(event):
+    """A qlog event in qlog's JSON shape (``time``, ``name``, ``data``),
+    as the committed trace digests were taken."""
+    data = dict(event.data)
+    if isinstance(event, PacketEvent):
+        data.update(
+            {
+                "header": {
+                    "packet_type": event.packet_type,
+                    "packet_number": event.packet_number,
+                },
+                "raw": {"length": event.size},
+                "space": event.space,
+                "ack_eliciting": event.ack_eliciting,
+                "frames": list(event.frames),
+                "newly_acked": list(event.newly_acked),
+            }
+        )
+    elif isinstance(event, MetricsUpdated):
+        data.update(
+            {
+                "smoothed_rtt": event.smoothed_rtt_ms,
+                "rtt_variance": event.rtt_variance_ms,
+                "latest_rtt": event.latest_rtt_ms,
+                "min_rtt": event.min_rtt_ms,
+                "pto_count": event.pto_count,
+            }
+        )
+    return {"time": event.time_ms, "name": event.qualified_name, "data": data}
+
+
 def run_cell(runner: Runner, scenario: Scenario, seed: int, keep: bool):
     return runner.run_once(scenario, seed=seed, capture_trace=keep, record_qlog=keep)
 
@@ -141,8 +173,8 @@ def cell_digests(runner: Runner, scenario: Scenario, seed: int):
                 + [_packet(p) for p in r.payload.packets]
                 for r in full.tracer.records
             ],
-            [e.to_dict() for e in full.client_qlog.events],
-            [e.to_dict() for e in full.server_qlog.events],
+            [_event(e) for e in full.client_qlog.events],
+            [_event(e) for e in full.server_qlog.events],
         ]
     )
     return stats, trace

@@ -39,6 +39,7 @@ from repro.runtime.distributed import (
     recv_frame,
     send_frame,
 )
+from repro.runtime.faults import FaultPlan
 from tests.sweeps import sweep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -423,6 +424,20 @@ def test_killed_worker_chunk_requeued_and_stats_bit_identical():
         assert actual.seed == expected.seed
         assert actual.client_stats == expected.client_stats
         assert actual.server_stats == expected.server_stats
+
+
+def test_throttled_worker_delivers_bit_identical_stats():
+    """A worker whose uplink is throttled (``--fault-plan slow_send=…``)
+    trickles its RESULT frames and still delivers the serial stats."""
+    serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
+    backend = SocketBackend(port=0, min_workers=1)
+    try:
+        start_worker_thread(backend, fault_plan=FaultPlan(slow_send_bytes_per_sec=2_000_000))
+        throttled = sweep(backend, LOSSY_IACK, 4, chunk_size=2)
+    finally:
+        backend.close()
+    assert [a.client_stats for a in throttled] == [e.client_stats for e in serial]
+    assert [a.server_stats for a in throttled] == [e.server_stats for e in serial]
 
 
 def test_silent_worker_dropped_by_heartbeat_timeout():

@@ -20,7 +20,7 @@ from repro.runtime.artifacts import ObservedCell
 def test_registry_covers_every_paper_artifact():
     assert set(REGISTRY.ids()) == set(EXPERIMENT_INDEX)
     # 19 paper artifacts + the 3 recovery-lab sweeps.
-    assert len(REGISTRY) == 22
+    assert len(REGISTRY.ids()) == 22
 
 
 def test_registry_presentation_order_figures_then_tables():

@@ -8,7 +8,6 @@ from repro.impls import (
     ImplProfile,
     SecondFlightVariant,
     client_profile,
-    server_profile,
     QUIC_GO_SERVER,
 )
 
@@ -74,11 +73,11 @@ def test_qlog_exposure_split():
 
 def test_sixteen_server_profiles():
     assert len(SERVER_PROFILES) == 16
-    assert server_profile("quic-go") is QUIC_GO_SERVER
+    assert SERVER_PROFILES["quic-go"] is QUIC_GO_SERVER
 
 
 def test_msquic_sends_no_acks():
-    assert not server_profile("msquic").sends_initial_ack
+    assert not SERVER_PROFILES["msquic"].sends_initial_ack
 
 
 def test_handshake_ack_rarity():
@@ -92,7 +91,7 @@ def test_handshake_ack_rarity():
 
 def test_s2n_quic_delay_exceeds_typical_rtt():
     # "The reported delay of s2n-quic exceeds the RTT of the connection."
-    assert server_profile("s2n-quic").initial_ack_delay_ms > 9.0
+    assert SERVER_PROFILES["s2n-quic"].initial_ack_delay_ms > 9.0
 
 
 def test_profile_validation():

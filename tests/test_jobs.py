@@ -15,7 +15,7 @@ from repro.api import (
     Session,
     UnknownExperiment,
 )
-from repro.api.jobs import EventBuffer, JobExecutor, new_job_id
+from repro.api.jobs import EventBuffer, JobExecutor, LocalJobHandle, new_job_id
 from repro.runtime.events import CellCompleted, SuiteCompleted, SuitePlanned
 
 # -- vocabulary ---------------------------------------------------------
@@ -140,6 +140,20 @@ def test_executor_cancel_is_guaranteed_for_queued_jobs():
     gate.set()
     assert running.done.wait(5)
     assert running.snapshot().status is JobStatus.SUCCEEDED
+    executor.shutdown()
+
+
+def test_a_local_handle_cancels_its_queued_job():
+    gate = threading.Event()
+    executor = JobExecutor(lambda request, sink: gate.wait(5), workers=1)
+    running = executor.submit("running")
+    queued = LocalJobHandle(executor.submit("queued"), executor)
+    deadline = time.monotonic() + 5
+    while running.snapshot().status is not JobStatus.RUNNING and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert queued.cancel().status is JobStatus.CANCELLED
+    assert queued.status().status is JobStatus.CANCELLED
+    gate.set()
     executor.shutdown()
 
 

@@ -38,7 +38,7 @@ from repro.runtime.cache import scenario_key
 from repro.runtime.disk_cache import DiskResultCache, cell_fingerprint
 from repro.runtime.worker import group_cells, run_cell_chunk
 from repro.sim.loss import LossPattern
-from repro.wild.passes import ScanPass
+from repro.wild.passes import ScanPass, StudyPass
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "smoke"
 OBSERVING = ("fig16", "table4", "fig11")
@@ -449,9 +449,26 @@ def test_a_raising_wild_observer_surfaces_as_the_same_typed_error(path):
     assert error.exit_code == 10
 
 
+def study_probe_cells(params):
+    return [Cell(StudyPass("Sao Paulo", 1), 1)]
+
+
+def test_a_raising_study_observer_names_the_study():
+    """A Cloudflare study pass fails under its own description."""
+    spec = ExperimentSpec(
+        id="probe-study", title="probe", paper="-", kind=KIND_WILD,
+        artifact_level=ArtifactLevel.STATS, cells=study_probe_cells,
+        aggregate=probe_aggregate, observe=raises_on_a_pass, defaults={"id": "probe-study"},
+    )
+    with pytest.raises(ObserveError) as excinfo:
+        run_probe("serial", spec)
+    assert excinfo.value.scenario == "1-day Cloudflare study from Sao Paulo"
+    assert str(excinfo.value).startswith("probe-study: observe failed on 1-day Cloudflare study")
+
+
 def server_bytes_delivered(artifacts):
     """Reads the server→client capture, whatever its spec declares."""
-    return artifacts.tracer.bytes_on("server->client")
+    return sum(r.size for r in artifacts.tracer.filter(link="server->client", dropped=False))
 
 
 def server_metric_updates(artifacts):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.advisor import DeploymentAdvisor
 from repro.quic.certs import Certificate, LARGE_CERTIFICATE, SMALL_CERTIFICATE
 from repro.quic.cid import CidRegistry, make_cid
 from repro.quic.streams import RecvStream, SendStream, StreamSet
@@ -157,8 +158,9 @@ def test_tls_message_sizes():
 
 def test_certificate_amplification_boundary():
     # The paper's two certificates straddle the 3x1200 budget.
-    assert SMALL_CERTIFICATE.fits_amplification_budget()
-    assert not LARGE_CERTIFICATE.fits_amplification_budget()
+    advisor = DeploymentAdvisor()
+    assert not advisor.certificate_exceeds_budget(SMALL_CERTIFICATE.chain_size)
+    assert advisor.certificate_exceeds_budget(LARGE_CERTIFICATE.chain_size)
     with pytest.raises(ValueError):
         Certificate(name="bad", chain_size=0)
 

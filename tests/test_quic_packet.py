@@ -14,7 +14,6 @@ from repro.quic.packet import (
     INITIAL_MIN_DATAGRAM,
     Packet,
     PacketType,
-    RetryPacket,
     Space,
 )
 
@@ -28,11 +27,10 @@ def _one_rtt(frames, pn=0):
 
 
 def test_space_mapping():
-    assert PacketType.INITIAL.space is Space.INITIAL
-    assert PacketType.HANDSHAKE.space is Space.HANDSHAKE
-    assert PacketType.ONE_RTT.space is Space.APPLICATION
-    with pytest.raises(ValueError):
-        PacketType.RETRY.space
+    frames = (PingFrame(),)
+    assert _initial(frames).space is Space.INITIAL
+    assert Packet(PacketType.HANDSHAKE, 0, frames).space is Space.HANDSHAKE
+    assert _one_rtt(frames).space is Space.APPLICATION
 
 
 def test_packet_ack_eliciting_follows_frames():
@@ -121,12 +119,6 @@ def test_coalesce_keeps_packet_order():
     datagrams = coalesce([initial, handshake])
     assert len(datagrams) == 1
     assert datagrams[0].packets[0].packet_type is PacketType.INITIAL
-
-
-def test_retry_packet_size_and_description():
-    retry = RetryPacket(token=b"\x01" * 16)
-    assert retry.wire_size() > 16
-    assert "Retry" in retry.describe()
 
 
 def test_describe_mentions_frames():

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 from repro.quic.varint import (
     MAX_VARINT,
     VarintError,
-    decode_varint,
     encode_varint,
     varint_size,
 )
+from tests.wire_codec import decode_varint
 
 
 @pytest.mark.parametrize(

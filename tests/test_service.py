@@ -214,6 +214,14 @@ def test_client_failed_job_raises_typed_error(daemon):
         client.submit(RunRequest("not-an-experiment", smoke=True))
 
 
+def test_a_service_handle_cancels_through_the_daemon(daemon):
+    handle = ServiceClient(daemon.address).submit(RunRequest("fig6", smoke=True))
+    handle.result(timeout=120)
+    # A finished job is not cancelled; the record answers truthfully.
+    record = handle.cancel()
+    assert record.job_id == handle.job_id and record.status is JobStatus.SUCCEEDED
+
+
 def test_client_jobs_listing(daemon):
     client = ServiceClient(daemon.address)
     record = client.submit(RunRequest("fig6", smoke=True))

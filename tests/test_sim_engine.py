@@ -15,7 +15,7 @@ def test_call_later_runs_in_order():
     loop.call_later(5.0, order.append, "b")
     loop.call_later(1.0, order.append, "a")
     loop.call_later(9.0, order.append, "c")
-    loop.run_until_idle()
+    loop.run()
     assert order == ["a", "b", "c"]
     assert loop.now == 9.0
 
@@ -25,7 +25,7 @@ def test_same_time_events_run_in_scheduling_order():
     order = []
     for tag in ("first", "second", "third"):
         loop.call_at(4.0, order.append, tag)
-    loop.run_until_idle()
+    loop.run()
     assert order == ["first", "second", "third"]
 
 
@@ -34,7 +34,7 @@ def test_cancelled_timer_does_not_run():
     fired = []
     timer = loop.call_later(1.0, fired.append, 1)
     timer.cancel()
-    loop.run_until_idle()
+    loop.run()
     assert fired == []
     assert timer.cancelled
 
@@ -59,7 +59,7 @@ def test_run_until_advances_time_with_no_events():
 def test_scheduling_in_the_past_raises():
     loop = EventLoop()
     loop.call_later(1.0, lambda: None)
-    loop.run_until_idle()
+    loop.run()
     with pytest.raises(SimulationError):
         loop.call_at(0.5, lambda: None)
 
@@ -83,7 +83,7 @@ def test_non_finite_times_never_reach_the_heap():
     with pytest.raises(SimulationError):
         loop.call_later(nan, lambda: None)
     assert loop.pending() == 0
-    assert loop.run_until_idle() == 0.0
+    assert loop.run() == 0.0
 
 
 def test_post_at_orders_with_call_at_and_returns_no_handle():
@@ -95,7 +95,7 @@ def test_post_at_orders_with_call_at_and_returns_no_handle():
     cancelled = loop.call_at(1.5, seen.append, "cancelled")
     cancelled.cancel()
     assert loop.pending() == 3
-    loop.run_until_idle()
+    loop.run()
     assert seen == ["post@1", "timer@2", "post@2"]
     with pytest.raises(SimulationError):
         loop.post_at(1.0, seen.append, "past")
@@ -110,8 +110,8 @@ def test_callbacks_can_schedule_more_events():
         if n < 3:
             loop.call_later(1.0, chain, n + 1)
 
-    loop.call_soon(chain, 0)
-    loop.run_until_idle()
+    loop.call_at(loop.now, chain, 0)
+    loop.run()
     assert seen == [0, 1, 2, 3]
     assert loop.now == 3.0
 
@@ -122,7 +122,7 @@ def test_max_events_guard():
     def forever():
         loop.call_later(1.0, forever)
 
-    loop.call_soon(forever)
+    loop.call_at(loop.now, forever)
     with pytest.raises(SimulationError):
         loop.run(max_events=100)
 
@@ -140,7 +140,7 @@ def test_events_processed_counter():
     loop = EventLoop()
     for _ in range(5):
         loop.call_later(1.0, lambda: None)
-    loop.run_until_idle()
+    loop.run()
     assert loop.events_processed == 5
 
 
@@ -159,7 +159,7 @@ def test_pending_is_live_counted_and_compaction_triggers():
     for timer in timers[30:]:
         timer.callback = fired.append
         timer.args = (timer.when,)
-    loop.run_until_idle()
+    loop.run()
     assert fired == [float(i + 1) for i in range(30, 40)]
 
 
@@ -220,7 +220,7 @@ def test_compaction_during_run_is_safe():
     cancelled.extend(loop.call_later(100.0 + i, lambda: None) for i in range(64))
     survivors = []
     loop.call_later(200.0, survivors.append, "end")
-    loop.run_until_idle()
+    loop.run()
     assert survivors == ["end"]
     assert loop.compactions >= 1
 
@@ -236,7 +236,7 @@ def test_stop_inside_a_callback_runs_no_later_event():
     def stopping():
         order.append("stop")
         loop.stop()
-        loop.call_soon(order.append, "scheduled after the stop")
+        loop.call_at(loop.now, order.append, "scheduled after the stop")
         loop.post_at(loop.now, order.append, "posted after the stop")
 
     loop.call_at(2.0, order.append, "before")
@@ -258,5 +258,5 @@ def test_a_stopped_loop_cannot_run_again():
     with pytest.raises(SimulationError, match="stopped"):
         loop.run()
     with pytest.raises(SimulationError, match="stopped"):
-        loop.run_until_idle()
+        loop.run()
     assert loop.now == 1.0 and loop.events_processed == 1

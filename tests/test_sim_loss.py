@@ -8,8 +8,6 @@ from repro.sim.loss import (
     IndexedLoss,
     NoLoss,
     RandomLoss,
-    burst_loss,
-    parse_loss_spec,
 )
 
 
@@ -50,31 +48,24 @@ def test_random_loss_extremes():
     assert all(RandomLoss(1.0).should_drop(i, 1) for i in range(1, 100))
 
 
+def test_loss_patterns_repr_as_their_constructor():
+    assert repr(NoLoss()) == "NoLoss()"
+    assert repr(RandomLoss(0.25, seed=3)) == "RandomLoss(rate=0.25, seed=3)"
+    composite = CompositeLoss([IndexedLoss({2, 1}), NoLoss()])
+    assert repr(composite) == "CompositeLoss([IndexedLoss([1, 2]), NoLoss()])"
+
+
+def test_composite_loss_reset_resets_its_members():
+    pattern = CompositeLoss([RandomLoss(0.5, seed=4), IndexedLoss({1})])
+    first = [pattern.should_drop(i, 1) for i in range(1, 50)]
+    pattern.reset()
+    assert [pattern.should_drop(i, 1) for i in range(1, 50)] == first
+
+
 def test_composite_loss_unions_patterns():
     pattern = CompositeLoss([IndexedLoss({1}), IndexedLoss({4})])
     dropped = [i for i in range(1, 6) if pattern.should_drop(i, 1)]
     assert dropped == [1, 4]
-
-
-def test_burst_loss_builds_consecutive_range():
-    pattern = burst_loss(start=3, length=3)
-    assert pattern.indices == {3, 4, 5}
-
-
-def test_burst_loss_rejects_negative_length():
-    with pytest.raises(ValueError):
-        burst_loss(1, -1)
-
-
-def test_parse_loss_spec_variants():
-    assert isinstance(parse_loss_spec(None), NoLoss)
-    assert isinstance(parse_loss_spec(""), NoLoss)
-    indexed = parse_loss_spec("2,3")
-    assert isinstance(indexed, IndexedLoss)
-    assert indexed.indices == {2, 3}
-    rnd = parse_loss_spec("p0.25")
-    assert isinstance(rnd, RandomLoss)
-    assert rnd.rate == 0.25
 
 
 def test_gilbert_elliott_parameter_bounds():
@@ -126,12 +117,10 @@ def test_gilbert_elliott_bursts_have_expected_shape():
     assert 1.0 <= mean <= 4.0
 
 
-def test_parse_loss_spec_gilbert_elliott_and_repr_round_trip():
-    ge = parse_loss_spec("ge:0.05,0.5,0.25")
-    assert isinstance(ge, GilbertElliottLoss)
-    assert (ge.p, ge.r, ge.h) == (0.05, 0.5, 0.25)
+def test_gilbert_elliott_repr_round_trip():
+    ge = GilbertElliottLoss(0.05, 0.5, 0.25)
     # h is optional and defaults to the classic Gilbert model (h=0).
-    classic = parse_loss_spec("ge:0.1,0.4")
+    classic = GilbertElliottLoss(0.1, 0.4)
     assert (classic.p, classic.r, classic.h) == (0.1, 0.4, 0.0)
     # repr round-trips through eval to an equivalent pattern.
     clone = eval(repr(ge))  # noqa: S307 - test-only round-trip
@@ -140,9 +129,3 @@ def test_parse_loss_spec_gilbert_elliott_and_repr_round_trip():
     drops_a = [ge.should_drop(i, 1) for i in range(1, 100)]
     drops_b = [clone.should_drop(i, 1) for i in range(1, 100)]
     assert drops_a == drops_b
-
-
-def test_parse_loss_spec_gilbert_elliott_rejects_malformed():
-    for bad in ("ge:", "ge:0.1", "ge:0.1,0.2,0.3,0.4"):
-        with pytest.raises(ValueError):
-            parse_loss_spec(bad)

@@ -12,7 +12,7 @@ def test_for_rtt_splits_delay_symmetrically():
     network = Network.for_rtt(loop, rtt_ms=20.0, bandwidth_bps=None)
     assert network.uplink.one_way_delay_ms == 10.0
     assert network.downlink.one_way_delay_ms == 10.0
-    assert network.rtt_ms == 20.0
+    assert network.uplink.one_way_delay_ms + network.downlink.one_way_delay_ms == 20.0
 
 
 def test_send_between_hosts():
@@ -22,10 +22,10 @@ def test_send_between_hosts():
     network.client.attach(lambda p: got.setdefault("client", (p, loop.now)))
     network.server.attach(lambda p: got.setdefault("server", (p, loop.now)))
     network.send_from(network.client, "hello", 100)
-    loop.run_until_idle()
+    loop.run()
     assert got["server"] == ("hello", 5.0)
     network.send_from(network.server, "world", 100)
-    loop.run_until_idle()
+    loop.run()
     assert got["client"][0] == "world"
 
 
@@ -43,7 +43,7 @@ def test_directional_loss_patterns_are_independent():
     network.send_from(network.client, "up1", 10)   # dropped
     network.send_from(network.client, "up2", 10)   # delivered
     network.send_from(network.server, "down1", 10)  # delivered
-    loop.run_until_idle()
+    loop.run()
     assert sorted(seen) == ["down1", "up2"]
 
 
@@ -67,6 +67,6 @@ def test_tracer_covers_both_directions():
     network.server.attach(lambda p: None)
     network.send_from(network.client, "a", 10)
     network.send_from(network.server, "b", 10)
-    loop.run_until_idle()
-    links = {record.link for record in network.tracer}
+    loop.run()
+    links = {record.link for record in network.tracer.records}
     assert links == {"client->server", "server->client"}

@@ -56,9 +56,8 @@ def run_scan(request, *, disk_cache=None, sink=None, window=None):
 
 def test_tranco_iter_domains_streams_the_same_list():
     generator = TrancoGenerator(list_size=2000, seed=5)
-    assert list(generator.iter_domains()) == generator.generate()
     # any sub-range equals the same slice of the full list
-    full = generator.generate()
+    full = list(generator.iter_domains())
     assert list(generator.iter_domains(101, 350)) == full[100:350]
 
 
@@ -270,8 +269,17 @@ def test_streamed_table1_matches_in_memory_exactly():
         report = session.scan(request)
     assert report.total_shards == 2
     counts = {Cdn(value): n for value, n in report.sketch.cdn_domains.items()}
+    # The sketch's per-(vantage, day) shares, in the order table1's
+    # in-memory path builds its measurements (exact: integer tallies
+    # divided identically).
+    shares = report.sketch.deployment_shares()
+    measurements = [
+        {Cdn(value): share for value, share in shares.get((name, day), {}).items()}
+        for name in request.resolved_vantages()
+        for day in range(request.days)
+    ]
     streamed = spec.aggregate(
-        [(shares, counts) for shares in report.deployment_measurements()],
+        [(pass_shares, counts) for pass_shares in measurements],
         spec.resolve_params(overrides),
     )
     assert streamed.rows == in_memory.rows

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.wild.asdb import AsDatabase, CDN_AS_NUMBERS, Cdn, OTHERS_ASN
-from repro.wild.cdn import total_quic_domains
+from repro.wild.cdn import DEPLOYMENTS
 from repro.wild.tranco import TrancoDomain, TrancoGenerator
 
 #: Inputs that are not a canonical dotted quad: IPv6, IPv4 outside
@@ -172,10 +172,10 @@ def test_generator_scales_counts_to_list_size():
 
 
 def test_generator_is_deterministic():
-    a = TrancoGenerator(list_size=2000, seed=1).generate()
-    b = TrancoGenerator(list_size=2000, seed=1).generate()
+    a = list(TrancoGenerator(list_size=2000, seed=1).iter_domains())
+    b = list(TrancoGenerator(list_size=2000, seed=1).iter_domains())
     assert [(d.name, d.cdn) for d in a] == [(d.name, d.cdn) for d in b]
-    c = TrancoGenerator(list_size=2000, seed=2).generate()
+    c = list(TrancoGenerator(list_size=2000, seed=2).iter_domains())
     assert [(d.name, d.cdn) for d in a] != [(d.name, d.cdn) for d in c]
 
 
@@ -183,9 +183,9 @@ def test_quic_domains_have_addresses_and_match_counts():
     generator = TrancoGenerator(list_size=50_000)
     quic_domains = generator.quic_domains()
     assert all(d.address is not None for d in quic_domains)
-    assert len(quic_domains) == generator.expected_quic_count()
+    assert len(quic_domains) == sum(generator.scaled_count(cdn) for cdn in Cdn)
     share = len(quic_domains) / 50_000
-    paper_share = total_quic_domains() / 1_000_000
+    paper_share = sum(d.domains for d in DEPLOYMENTS.values()) / 1_000_000
     assert share == pytest.approx(paper_share, rel=0.05)
 
 

@@ -1,5 +1,5 @@
-"""Tests for CDN deployment models, vantage points, the prober, the
-Cloudflare study, and the dissector."""
+"""Tests for CDN deployment models, vantage points, the prober and the
+Cloudflare study."""
 
 import random
 import statistics
@@ -17,7 +17,6 @@ from repro.wild.cloudflare import (
     diurnal_factor,
     filter_valid,
 )
-from repro.wild.dissector import dissect
 from repro.wild.qscanner import ProbeResult, QScanner, deployment_share, reseed
 from repro.wild.tranco import TrancoGenerator
 from repro.wild.vantage import VANTAGE_POINTS, vantage
@@ -129,7 +128,7 @@ def reference_probes(domains, point, seed, day, batch):
         rng = stream if batch else random.Random(f"probe:{seed}:{point.name}:{day}:{domain.name}")
         bias = random.Random(f"bias:{point.name}:{day}:{domain.cdn.value}").uniform(-1.0, 0.0)
         rtt = point.sample_rtt_ms(domain.cdn, rng)
-        iack_enabled = deployment.sample_iack_enabled(rng, bias=bias)
+        iack_enabled = rng.random() < deployment.biased_share(bias)
         cached = deployment.sample_cert_cached(rng, popularity=domain.popularity)
         backend_delay = deployment.sample_backend_delay_ms(rng)
         coalesced = cached or not iack_enabled
@@ -150,9 +149,9 @@ def test_a_pass_draws_what_the_model_methods_draw(batch):
     for day in (0, 1):
         probed = scanner.probe_batch(domains, day=day) if batch else scanner.probe(domains, day=day)
         assert probed == reference_probes(domains, point, 7, day, batch)
-    assert scanner.probe_one(domains[3], day=1) == reference_probes(
+    assert scanner.probe(domains[3:4], day=1) == reference_probes(
         domains[3:4], point, 7, 1, batch=False
-    )[0]
+    )
 
 
 def test_deployment_share_matches_table1_direction():
@@ -165,14 +164,47 @@ def test_deployment_share_matches_table1_direction():
     assert 0.0 < shares[Cdn.OTHERS] < 0.5
 
 
+def probe_emulated(scanner, domain, day=0):
+    """One probe as a full :mod:`repro.quic` handshake on the simulator:
+    the analytic model's draws for the domain decide the server's mode
+    and certificate-store delay, and the client's handshake statistics
+    decide what the prober observes."""
+    model = scanner._pass_models(day)[domain.cdn.value]
+    deployment = model.deployment
+    rng = scanner._rng
+    reseed(rng, f"probe:{scanner.seed}:{scanner.vantage.name}:{day}:{domain.name}")
+    rtt = max(0.3, rng.lognormvariate(model.rtt_mu, model.rtt_sigma))
+    iack_enabled = rng.random() < model.iack_share
+    cached = deployment.sample_cert_cached(rng, popularity=domain.popularity)
+    backend_delay = 0.0 if cached else deployment.sample_backend_delay_ms(rng)
+    scenario = Scenario(
+        client="quic-go",
+        mode=ServerMode.IACK if iack_enabled else ServerMode.WFC,
+        http="h3",
+        rtt_ms=rtt,
+        delta_t_ms=backend_delay,
+    )
+    stats = Runner(base_seed=rng.randrange(1 << 30)).run_once(scenario).client_stats
+    first_ack = stats.relative(stats.first_ack_received_ms)
+    sh = stats.relative(stats.server_hello_received_ms)
+    coalesced = bool(stats.first_ack_coalesced_with_sh)
+    iack_observed = not coalesced and first_ack is not None and sh is not None
+    delay = max(0.0, sh - first_ack) if iack_observed else 0.0
+    return ProbeResult(
+        domain.name, domain.rank, domain.address, scanner.asdb.cdn_for_address(domain.address),
+        scanner.vantage.name, day, rtt, iack_observed, coalesced, delay,
+        deployment.sample_ack_delay_field_ms(rng, rtt, coalesced=coalesced),
+    )
+
+
 def test_prober_emulation_engine_agrees_with_analytic():
-    """Cross-validation: the full-QUIC engine classifies IACK/WFC the
+    """Cross-validation: a full-QUIC handshake classifies IACK/WFC the
     same way the analytic engine does."""
     generator = TrancoGenerator(list_size=3_000)
     domains = [d for d in generator.quic_domains() if d.cdn in (Cdn.CLOUDFLARE, Cdn.META)][:8]
-    emulated = QScanner(vantage("Hamburg"), seed=1, use_emulation=True)
+    scanner = QScanner(vantage("Hamburg"), seed=1)
     for domain in domains:
-        result = emulated.probe_one(domain)
+        result = probe_emulated(scanner, domain)
         if domain.cdn is Cdn.CLOUDFLARE:
             assert result.iack_observed or result.coalesced
         else:  # Meta: WFC only
@@ -215,22 +247,3 @@ def test_cloudflare_outages_produce_gaps():
 def test_diurnal_factor_cycle():
     assert diurnal_factor(14 * 60) > 0.9   # afternoon peak
     assert diurnal_factor(2 * 60) < 0.1    # night trough
-
-
-def test_dissector_on_emulated_traces():
-    runner = Runner()
-    wfc = runner.run_once(
-        Scenario(client="quic-go", mode=ServerMode.WFC, rtt_ms=9.0), seed=1
-    )
-    dissected = dissect(wfc.tracer.filter(link="server->client"))
-    assert dissected.coalesced_ack_sh
-    assert not dissected.iack_observed
-    assert dissected.ack_to_sh_delay_ms == 0.0
-    iack = runner.run_once(
-        Scenario(client="quic-go", mode=ServerMode.IACK, rtt_ms=9.0, delta_t_ms=5.0),
-        seed=1,
-    )
-    dissected = dissect(iack.tracer.filter(link="server->client"))
-    assert dissected.iack_observed
-    assert not dissected.coalesced_ack_sh
-    assert dissected.ack_to_sh_delay_ms > 0.0
