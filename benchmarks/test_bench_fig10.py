@@ -1,13 +1,10 @@
-"""Benchmark: regenerate Figure 10 (ack delay vs RTT)."""
+"""Regenerate Figure 10 (ack delay vs RTT)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig10(benchmark):
-    result = run_and_render(
-        benchmark, run_experiment, "fig10", list_size=50_000
-    )
+def test_bench_fig10():
+    result = run_experiment("fig10", list_size=50_000)
     rows = result.row_map()
     # Coalesced ACK-SH mostly exceeds the RTT for Cloudflare/Meta;
     # IACK ack delays are below the RTT for Akamai and Others.

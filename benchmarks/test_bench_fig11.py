@@ -1,17 +1,14 @@
-"""Benchmark: regenerate Figure 11 (RTT samples, bulk transfer).
+"""Regenerate Figure 11 (RTT samples, bulk transfer).
 
 Scaled to a 2 MB transfer (the paper's 10 MB with identical code
 paths; counts scale linearly with the transfer size).
 """
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig11(benchmark):
-    result = run_and_render(
-        benchmark,
-        run_experiment,
+def test_bench_fig11():
+    result = run_experiment(
         "fig11",
         repetitions=1,
         response_size=2 * 1024 * 1024,

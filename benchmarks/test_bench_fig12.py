@@ -1,13 +1,10 @@
-"""Benchmark: regenerate Figure 12 (Fig. 6 across RTTs)."""
+"""Regenerate Figure 12 (Fig. 6 across RTTs)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig12(benchmark):
-    result = run_and_render(
-        benchmark,
-        run_experiment,
+def test_bench_fig12():
+    result = run_experiment(
         "fig12",
         http="h1",
         repetitions=5,

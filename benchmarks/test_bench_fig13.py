@@ -1,13 +1,10 @@
-"""Benchmark: regenerate Figure 13 (Fig. 7 across RTTs)."""
+"""Regenerate Figure 13 (Fig. 7 across RTTs)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig13(benchmark):
-    result = run_and_render(
-        benchmark,
-        run_experiment,
+def test_bench_fig13():
+    result = run_experiment(
         "fig13",
         http="h1",
         repetitions=5,

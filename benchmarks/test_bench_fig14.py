@@ -1,11 +1,10 @@
-"""Benchmark: regenerate Figure 14 (ACK->SH delay per vantage)."""
+"""Regenerate Figure 14 (ACK->SH delay per vantage)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig14(benchmark):
-    result = run_and_render(benchmark, run_experiment, "fig14", list_size=30_000)
+def test_bench_fig14():
+    result = run_experiment("fig14", list_size=30_000)
     # "IACK performance is similar across locations": per-CDN medians
     # within a factor of two across vantages.
     per_cdn = {}

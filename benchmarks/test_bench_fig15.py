@@ -1,11 +1,10 @@
-"""Benchmark: regenerate Figure 15 (Cloudflare, four locations)."""
+"""Regenerate Figure 15 (Cloudflare, four locations)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig15(benchmark):
-    result = run_and_render(benchmark, run_experiment, "fig15", days=3)
+def test_bench_fig15():
+    result = run_experiment("fig15", days=3)
     for row in result.rows:
         location, sep, coal, gap, paper_gap, interval, hours = row
         # Coalesced ACK-SH faster than separate SH everywhere.

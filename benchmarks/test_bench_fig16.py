@@ -1,13 +1,10 @@
-"""Benchmark: regenerate Figure 16 (first-PTO improvement vs RTT)."""
+"""Regenerate Figure 16 (first-PTO improvement vs RTT)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig16(benchmark):
-    result = run_and_render(
-        benchmark,
-        run_experiment,
+def test_bench_fig16():
+    result = run_experiment(
         "fig16",
         repetitions=5,
         rtts_ms=(9.0, 50.0, 100.0),

@@ -1,11 +1,10 @@
-"""Benchmark: regenerate Figure 4 (sweet-spot analysis)."""
+"""Regenerate Figure 4 (sweet-spot analysis)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig4(benchmark):
-    result = run_and_render(benchmark, run_experiment, "fig4")
+def test_bench_fig4():
+    result = run_experiment("fig4")
     points = result.extra["points"]
     # The reduction in RTT units decreases with the RTT and the
     # spurious zone follows dt > 3 RTT.

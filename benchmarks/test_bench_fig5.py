@@ -1,13 +1,10 @@
-"""Benchmark: regenerate Figure 5 (TTFB under the amplification limit)."""
+"""Regenerate Figure 5 (TTFB under the amplification limit)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig5_http3(benchmark):
-    result = run_and_render(
-        benchmark, run_experiment, "fig5", http="h3", repetitions=10
-    )
+def test_bench_fig5_http3():
+    result = run_experiment("fig5", http="h3", repetitions=10)
     rows = result.row_map()
     # neqo and ngtcp2 improve by ~10 ms (paper: 9.6 / 10.0).
     assert 6.0 <= rows["neqo"][3] <= 15.0

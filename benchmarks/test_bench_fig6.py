@@ -1,13 +1,10 @@
-"""Benchmark: regenerate Figure 6 (first-server-flight tail loss)."""
+"""Regenerate Figure 6 (first-server-flight tail loss)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig6_http1(benchmark):
-    result = run_and_render(
-        benchmark, run_experiment, "fig6", http="h1", repetitions=10
-    )
+def test_bench_fig6_http1():
+    result = run_experiment("fig6", http="h1", repetitions=10)
     rows = result.row_map()
     # IACK penalty around the server's 200 ms default PTO (paper:
     # 177-188 ms) for all clients except the aborting quiche.

@@ -1,13 +1,10 @@
-"""Benchmark: regenerate Figure 7 (second-client-flight loss)."""
+"""Regenerate Figure 7 (second-client-flight loss)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig7_http1(benchmark):
-    result = run_and_render(
-        benchmark, run_experiment, "fig7", http="h1", repetitions=10
-    )
+def test_bench_fig7_http1():
+    result = run_experiment("fig7", http="h1", repetitions=10)
     rows = result.row_map()
     # Paper: improvements 10..28 ms; picoquic does not benefit.
     for client in ("aioquic", "mvfst", "neqo", "ngtcp2", "quic-go", "quiche"):

@@ -1,13 +1,10 @@
-"""Benchmark: regenerate Figure 8 (ACK->SH delay CDFs, Sao Paulo)."""
+"""Regenerate Figure 8 (ACK->SH delay CDFs, Sao Paulo)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_fig8(benchmark):
-    result = run_and_render(
-        benchmark, run_experiment, "fig8", list_size=50_000
-    )
+def test_bench_fig8():
+    result = run_experiment("fig8", list_size=50_000)
     rows = result.row_map()
     # Medians near the paper's (3.2 / 6.4 / 20.9 / 30.3 ms) and
     # Akamai/Google significantly slower than Cloudflare.

@@ -1,13 +1,10 @@
-"""Benchmark: regenerate Table 1 (CDN IACK deployment)."""
+"""Regenerate Table 1 (CDN IACK deployment)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_table1(benchmark):
-    result = run_and_render(
-        benchmark,
-        run_experiment,
+def test_bench_table1():
+    result = run_experiment(
         "table1",
         list_size=50_000,
         days=2,

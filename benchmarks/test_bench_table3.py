@@ -1,11 +1,10 @@
-"""Benchmark: regenerate Table 3 (server first-ACK delays)."""
+"""Regenerate Table 3 (server first-ACK delays)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_table3(benchmark):
-    result = run_and_render(benchmark, run_experiment, "table3", repetitions=3)
+def test_bench_table3():
+    result = run_experiment("table3", repetitions=3)
     rows = result.row_map()
     # msquic sends no Initial/Handshake ACKs at all.
     assert rows["msquic"][1] == "- - -"

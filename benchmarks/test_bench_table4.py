@@ -1,11 +1,10 @@
-"""Benchmark: regenerate Table 4 (default PTO / second-flight split)."""
+"""Regenerate Table 4 (default PTO / second-flight split)."""
 
-from benchmarks.conftest import run_and_render
 from repro.api import run_experiment
 
 
-def test_bench_table4(benchmark):
-    result = run_and_render(benchmark, run_experiment, "table4", repetitions=5)
+def test_bench_table4():
+    result = run_experiment("table4", repetitions=5)
     for row in result.rows:
         client, pto, paper_pto, declared, paper_decl, observed = row
         # Registry equals the published table.

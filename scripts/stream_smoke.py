@@ -15,6 +15,9 @@ The drill (see the streaming section of PERFORMANCE.md):
 4. Byte-diff the restarted summary JSON against the local reference —
    the sketch merge is exactly order-independent, so "equal" here
    means equal bytes, not equal-within-tolerance.
+5. Scan 50k and then 500k targets, each in a fresh coordinator
+   process, and fail when the first's peak RSS over the second's is
+   below 0.65: coordinator memory must not grow with the target count.
 """
 
 import argparse
@@ -38,6 +41,12 @@ SCAN = [
     "--days", "1",
     "--seed", "7",
 ]
+
+#: 1x target count of the memory phase; its 10x scan (500k targets)
+#: keeps the phase near 5 s on two vCPUs.
+RSS_TARGETS = 50_000
+#: Coordinator peak RSS at 1x over that at 10x below this fails.
+RSS_FLATNESS_FLOOR = 0.65
 
 
 def log(message: str) -> None:
@@ -73,6 +82,37 @@ def free_port() -> int:
 def wait_ok(proc: subprocess.Popen, what: str, timeout: float) -> None:
     if proc.wait(timeout=timeout) != 0:
         raise RuntimeError(f"{what} exited with {proc.returncode}")
+
+
+def coordinator_rss_kb(targets: int, timeout: float) -> int:
+    """Peak RSS (``ru_maxrss``, KiB on Linux) of a fresh coordinator
+    process scanning ``targets`` synthetic targets on a 2-process pool.
+
+    The coordinator is where a materialized target list or an unbounded
+    in-flight window would show up; pool workers hold one shard each by
+    construction.
+    """
+    script = (
+        "import resource\n"
+        "from repro.runtime.backend import LocalBackend\n"
+        "from repro.wild.stream import ScanRequest, StreamCoordinator\n"
+        "request = ScanRequest(\n"
+        f"    source={{'kind': 'synthetic', 'count': {targets}, 'seed': 11}},\n"
+        "    shard_size=5000, vantage_names=('Hamburg',), days=1,\n"
+        ").validated()\n"
+        "with LocalBackend(2) as backend:\n"
+        "    report = StreamCoordinator(backend, request).run()\n"
+        "print(report.sketch.targets, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=child_env(), cwd=REPO_ROOT, timeout=timeout,
+        check=True, capture_output=True, text=True,
+    )
+    scanned, rss_kb = map(int, out.stdout.split())
+    if scanned != targets:
+        raise RuntimeError(f"the RSS scan covered {scanned} targets, not {targets}")
+    return rss_kb
 
 
 def main() -> int:
@@ -155,6 +195,17 @@ def main() -> int:
     log(f"OK: 100k-target scan survived a coordinator SIGKILL; restarted "
         f"with {cached.group(1)} shard(s) disk-cached, summary byte-identical "
         "to the uninterrupted local run")
+
+    log(f"phase 6: coordinator peak RSS at {RSS_TARGETS} vs {10 * RSS_TARGETS} targets")
+    one = coordinator_rss_kb(RSS_TARGETS, args.timeout)
+    ten = coordinator_rss_kb(10 * RSS_TARGETS, args.timeout)
+    flatness = one / ten
+    log(f"  {one} KiB vs {ten} KiB: rss_1x / rss_10x = {flatness:.2f} "
+        f"(floor {RSS_FLATNESS_FLOOR})")
+    if flatness < RSS_FLATNESS_FLOOR:
+        log("FAIL: coordinator memory grows with the target count")
+        return 1
+    log("OK: coordinator memory is flat in the target count")
     return 0
 
 

@@ -24,14 +24,12 @@ from repro.quic.client import ClientConnection
 from repro.quic.coalescing import Datagram
 from repro.quic.frames import (
     AckFrame,
-    ConnectionCloseFrame,
     CryptoFrame,
     Frame,
     HandshakeDoneFrame,
     NewConnectionIdFrame,
     PaddingFrame,
     PingFrame,
-    RetireConnectionIdFrame,
     StreamFrame,
 )
 from repro.quic.packet import Packet, PacketType, Space
@@ -50,8 +48,6 @@ __all__ = [
     "PaddingFrame",
     "HandshakeDoneFrame",
     "NewConnectionIdFrame",
-    "RetireConnectionIdFrame",
-    "ConnectionCloseFrame",
     "Datagram",
     "Recovery",
     "RttEstimator",

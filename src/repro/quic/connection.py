@@ -22,7 +22,6 @@ from repro.quic.cid import CidRegistry
 from repro.quic.coalescing import Datagram, coalesce_groups, pad_initial
 from repro.quic.frames import (
     AckFrame,
-    ConnectionCloseFrame,
     CryptoFrame,
     Frame,
     HandshakeDoneFrame,
@@ -410,10 +409,7 @@ class Endpoint:
                 self.on_handshake_done()
             elif kind is NewConnectionIdFrame:
                 self._handle_new_cid(frame)
-            elif kind is ConnectionCloseFrame:
-                self.abort(f"peer closed: {frame.reason}")
-                return
-            # PING, PADDING, MAX_DATA, RETIRE_CONNECTION_ID: nothing to do.
+            # PING, PADDING, MAX_DATA: nothing to do.
         if first_ack is not None and self.stats.first_ack_received_ms is None:
             self.stats.first_ack_received_ms = now
             self.stats.first_ack_coalesced_with_sh = (

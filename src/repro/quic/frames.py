@@ -29,8 +29,6 @@ TYPE_ACK = 0x02
 TYPE_CRYPTO = 0x06
 TYPE_MAX_DATA = 0x10
 TYPE_NEW_CONNECTION_ID = 0x18
-TYPE_RETIRE_CONNECTION_ID = 0x19
-TYPE_CONNECTION_CLOSE = 0x1C
 TYPE_HANDSHAKE_DONE = 0x1E
 TYPE_STREAM_BASE = 0x08  # 0x08..0x0f with OFF/LEN/FIN bits
 
@@ -328,61 +326,8 @@ class NewConnectionIdFrame(Frame):
         return f"NEW_CONNECTION_ID[seq={self.sequence} rpt={self.retire_prior_to}]"
 
 
-@dataclass(frozen=True, slots=True)
-class RetireConnectionIdFrame(Frame):
-    """RETIRE_CONNECTION_ID (§19.16)."""
-
-    sequence: int
-
-    def __post_init__(self) -> None:
-        if self.sequence < 0:
-            raise ValueError("sequence must be non-negative")
-
-    def wire_size(self) -> int:
-        return 1 + varint_size(self.sequence)
-
-    def encode(self) -> bytes:
-        return bytes([TYPE_RETIRE_CONNECTION_ID]) + encode_varint(self.sequence)
-
-    def describe(self) -> str:
-        return f"RETIRE_CONNECTION_ID[{self.sequence}]"
-
-
-@dataclass(frozen=True, slots=True)
-class ConnectionCloseFrame(Frame):
-    """CONNECTION_CLOSE (§19.19, transport variant 0x1c)."""
-
-    ack_eliciting = False
-
-    error_code: int = 0
-    reason: str = ""
-
-    def wire_size(self) -> int:
-        reason = self.reason.encode()
-        return (
-            1
-            + varint_size(self.error_code)
-            + 1  # frame type field (varint, always small here)
-            + varint_size(len(reason))
-            + len(reason)
-        )
-
-    def encode(self) -> bytes:
-        reason = self.reason.encode()
-        return (
-            bytes([TYPE_CONNECTION_CLOSE])
-            + encode_varint(self.error_code)
-            + b"\x00"
-            + encode_varint(len(reason))
-            + reason
-        )
-
-    def describe(self) -> str:
-        return f"CONNECTION_CLOSE[{self.error_code} {self.reason!r}]"
-
-
 for _frame_class in (
     PaddingFrame, PingFrame, AckFrame, CryptoFrame, StreamFrame, MaxDataFrame,
-    HandshakeDoneFrame, NewConnectionIdFrame, RetireConnectionIdFrame, ConnectionCloseFrame,
+    HandshakeDoneFrame, NewConnectionIdFrame,
 ):
     precomputed_state(_frame_class)  # frames ride in every retained packet

@@ -118,10 +118,7 @@ class ServiceManager:
         if isinstance(doc, dict) and "scan" in doc:
             from repro.wild.stream import ScanRequest
 
-            scan_doc = doc["scan"]
-            if not isinstance(scan_doc, dict):
-                raise ServiceError('"scan" must carry a ScanRequest document')
-            return self._executor.submit(_ScanJob(ScanRequest.from_dict(scan_doc))).snapshot()
+            return self._executor.submit(_ScanJob(ScanRequest.from_dict(doc["scan"]))).snapshot()
         request = doc if isinstance(doc, RunRequest) else RunRequest.from_dict(doc)
         validate_request(request)
         return self._executor.submit(request).snapshot()

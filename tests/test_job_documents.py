@@ -28,6 +28,7 @@ BAD_SCANS = {
     "source count bool": {**SCAN, "source": {**SOURCE, "count": True}},
     "source seed float": {**SCAN, "source": {**SOURCE, "seed": 1.5}},
     "source count string": {**SCAN, "source": {**SOURCE, "count": "2000"}},
+    "not a mapping": "not a dict",
 }
 
 BAD_RUNS = {

@@ -370,7 +370,10 @@ def test_v4_results_ship_measurably_fewer_bytes():
         SocketBackend(port=0, min_workers=2), chunk_size=12
     )
     assert stats.result_bytes_raw >= 2 * COMPRESS_THRESHOLD
-    assert stats.result_bytes_wire < stats.result_bytes_raw
+    # Byte counts, not timings: these 24 cells pickle and compress to
+    # the same bytes on any machine (9,948 raw, 3,960 on the wire:
+    # 2.51x). The floor is 65 % of that quotient.
+    assert stats.result_bytes_raw / stats.result_bytes_wire >= 1.63
     # Transport is invisible to results: they match the serial runner.
     serial = Runner().run_repetitions(QUICHE_LOSSY, repetitions=24)
     assert [r.client_stats for r in compressed] == [r.client_stats for r in serial]

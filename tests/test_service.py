@@ -443,10 +443,10 @@ def test_manager_runs_scan_jobs(manager):
 
 
 def test_manager_rejects_malformed_scan_jobs(manager):
-    with pytest.raises(ServiceError):
-        manager.submit({"scan": "not a dict"})
     from repro.errors import InvalidOverride
 
+    with pytest.raises(InvalidOverride):
+        manager.submit({"scan": "not a dict"})
     with pytest.raises(InvalidOverride):
         manager.submit({"scan": {"source": {"kind": "carrier-pigeon"}}})
     assert manager.jobs() == []

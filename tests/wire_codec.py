@@ -11,17 +11,14 @@ from typing import List, Tuple
 from repro.quic.frames import (
     ACK_DELAY_EXPONENT,
     TYPE_ACK,
-    TYPE_CONNECTION_CLOSE,
     TYPE_CRYPTO,
     TYPE_HANDSHAKE_DONE,
     TYPE_MAX_DATA,
     TYPE_NEW_CONNECTION_ID,
     TYPE_PADDING,
     TYPE_PING,
-    TYPE_RETIRE_CONNECTION_ID,
     TYPE_STREAM_BASE,
     AckFrame,
-    ConnectionCloseFrame,
     CryptoFrame,
     Frame,
     HandshakeDoneFrame,
@@ -29,7 +26,6 @@ from repro.quic.frames import (
     NewConnectionIdFrame,
     PaddingFrame,
     PingFrame,
-    RetireConnectionIdFrame,
     StreamFrame,
 )
 from repro.quic.varint import VarintError
@@ -135,18 +131,6 @@ def decode_frames(data: bytes) -> List[Frame]:
             frames.append(
                 NewConnectionIdFrame(sequence=seq, retire_prior_to=rpt, connection_id=cid)
             )
-        elif frame_type == TYPE_RETIRE_CONNECTION_ID:
-            offset += 1
-            seq, offset = decode_varint(data, offset)
-            frames.append(RetireConnectionIdFrame(sequence=seq))
-        elif frame_type == TYPE_CONNECTION_CLOSE:
-            offset += 1
-            code, offset = decode_varint(data, offset)
-            offset += 1  # frame type field
-            reason_len, offset = decode_varint(data, offset)
-            reason = data[offset : offset + reason_len].decode(errors="replace")
-            offset += reason_len
-            frames.append(ConnectionCloseFrame(error_code=code, reason=reason))
         else:
             raise FrameDecodeError(f"unknown frame type 0x{frame_type:02x}")
     return frames
