@@ -13,6 +13,11 @@ backend's decision:
   over TCP to ``python -m repro worker`` processes on any number of
   hosts (see :mod:`repro.runtime.distributed`).
 
+A run's cells come in one call, simulator cells and wild passes
+alike; each backend carves them into chunks its own way, and both keep
+one rule: a task that :func:`~repro.runtime.worker.runs_alone` (a pass,
+a scan shard) gets a chunk of its own.
+
 Backends return ``(cell index, RunArtifacts)`` pairs; the caller
 reassembles results by index, so any backend that executes
 :func:`~repro.runtime.artifacts.execute_cell` faithfully is
@@ -45,6 +50,7 @@ from repro.runtime.worker import (
     chunk_cell_count,
     group_cells,
     run_cell_chunk,
+    runs_alone,
 )
 from repro.runtime.workloop import LEVEL
 
@@ -77,9 +83,9 @@ def _exit_with_parent(parent: int) -> None:
 
 
 class ExecutionBackend(abc.ABC):
-    """Executes grouped cell chunks somewhere.
+    """Executes indexed cells somewhere, in chunks of its own carving.
 
-    Implementations must preserve per-chunk result tagging (each result
+    Implementations must preserve per-cell result tagging (each result
     carries its original cell index) but are free to execute chunks in
     any order, on any host, with any concurrency.
     """
@@ -133,44 +139,21 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def parallelism(self) -> int:
-        """How many chunks the backend can usefully run at once —
-        drives the caller's chunk sizing."""
+        """How many chunks the backend can usefully run at once — drives
+        its chunk sizing and a scan's dispatch window."""
 
     @abc.abstractmethod
-    def run_chunks(self, chunks: Sequence[GroupedChunk]) -> List[Tuple[int, RunArtifacts]]:
-        """Execute every chunk, returning the tagged results of all of
-        them (in any order; callers reassemble by index)."""
+    def run_cells(self, cells: Sequence[IndexedCell]) -> List[Tuple[int, RunArtifacts]]:
+        """Execute indexed cells, returning the tagged results of all of
+        them (in any order; callers reassemble by index).
 
-    def run_cells(
-        self,
-        cells: Sequence[IndexedCell],
-        chunk_size: Optional[int] = None,
-    ) -> List[Tuple[int, RunArtifacts]]:
-        """Execute indexed cells, letting the backend choose how they
-        chunk.
-
-        The default slices fixed-size chunks — ``chunk_size`` cells
-        each, or about two chunks per execution slot when ``None`` —
-        and delegates to :meth:`run_chunks`. Backends that know more
-        about their slots (the distributed coordinator tracks
-        per-worker throughput) override this to size chunks
-        adaptively; results are tagged with cell indices either way,
-        so reassembly and bundle bytes are identical no matter how the
+        How the cells are carved into chunks is the backend's decision,
+        with one rule every backend keeps: a task that
+        :func:`~repro.runtime.worker.runs_alone` gets a chunk of its
+        own. Results are tagged with cell indices either way, so
+        reassembly and bundle bytes are identical no matter how the
         backend carves the work.
         """
-        if not cells:
-            return []
-        if chunk_size is None:
-            # ~2 chunks per execution slot: cells of one sweep are
-            # similar enough that load balance beats dispatch overhead
-            # only mildly; fewer, larger chunks keep pickling cheap.
-            slots = max(1, self.parallelism())
-            chunk_size = max(1, -(-len(cells) // (slots * 2)))
-        chunks: List[GroupedChunk] = [
-            group_cells(cells[start : start + chunk_size])
-            for start in range(0, len(cells), chunk_size)
-        ]
-        return self.run_chunks(chunks)
 
     def close(self) -> None:
         """Release backend resources (idempotent)."""
@@ -204,7 +187,20 @@ class LocalBackend(ExecutionBackend):
     def parallelism(self) -> int:
         return max(1, self.workers)
 
+    def run_cells(self, cells: Sequence[IndexedCell]) -> List[Tuple[int, RunArtifacts]]:
+        """About two chunks per execution slot of the simulator cells —
+        cells of one sweep are similar enough that load balance beats
+        dispatch overhead only mildly, and fewer, larger chunks keep
+        pickling cheap — then a chunk of its own for each task that
+        :func:`~repro.runtime.worker.runs_alone`."""
+        simulated = [cell for cell in cells if not runs_alone(cell[1])]
+        size = max(1, -(-len(simulated) // (self.parallelism() * 2)))
+        chunks = [group_cells(simulated[i : i + size]) for i in range(0, len(simulated), size)]
+        chunks += [group_cells([cell]) for cell in cells if runs_alone(cell[1])]
+        return self.run_chunks(chunks)
+
     def run_chunks(self, chunks: Sequence[GroupedChunk]) -> List[Tuple[int, RunArtifacts]]:
+        """Execute every chunk: inline, or one pool task per chunk."""
         if self.in_process:
             return self._run_inline(chunks)
         if self._executor is None:

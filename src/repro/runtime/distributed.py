@@ -87,18 +87,19 @@ already holds and dispatches the rest to the reassembled fleet.
 Adaptive chunk sizing
 ---------------------
 
-:meth:`SocketBackend.run_cells` (the default path — an explicit
-``chunk_size`` pins fixed slices) does not pre-chunk the sweep.
+:meth:`SocketBackend.run_cells` does not pre-chunk the sweep.
 The scheduler keeps one EWMA of observed cells/sec per worker —
 measured from CHUNK-send start to RESULT receipt, so a slow *link* is
 priced in exactly like a slow *CPU* — and carves each worker's next
 chunk off the remaining cell pool: at most the scheduler's time budget
 of that worker's throughput, and at most its rate-proportional share
 of what is left among the workers idle at that moment, clamped to the
-scheduler's cell bounds (see :mod:`repro.runtime.scheduler`).
-Because every result is tagged with its cell index, reassembly — and
-therefore the result bundle — is byte-identical no matter how the pool
-was carved.
+scheduler's cell bounds (see :mod:`repro.runtime.scheduler`). A task
+that :func:`~repro.runtime.worker.runs_alone` — a wild pass, a scan
+shard — is carved as a chunk of its own, so a suite's cells and passes
+share one job. Because every result is tagged with its cell index,
+reassembly — and therefore the result bundle — is byte-identical no
+matter how the pool was carved.
 
 The same EWMA data drives **speculative straggler re-execution**: when
 the pool is drained but a chunk is overdue on a slow worker, an idle
@@ -123,7 +124,7 @@ counts travel on RESULT frames and surface as
 :class:`~repro.runtime.events.ChunkCompleted` events plus the
 coordinator's :class:`BackendStats.worker_cache_hits` counter.
 
-``job_id`` identifies one :meth:`SocketBackend.run_chunks` call; the
+``job_id`` identifies one :meth:`SocketBackend.run_cells` call; the
 worker echoes it verbatim. Results and errors whose job id does not
 match the current job are stale leftovers of an aborted run on a
 reused backend and are discarded instead of corrupting the new job.
@@ -226,11 +227,7 @@ from repro.runtime.scheduler import (
     WorkerState,
 )
 from repro.runtime.wire import decode_payload, encode_payload
-from repro.runtime.worker import (
-    GroupedChunk,
-    IndexedCell,
-    run_cell_chunk,
-)
+from repro.runtime.worker import IndexedCell, run_cell_chunk
 from repro.runtime.workloop import LEVEL
 
 PROTOCOL_VERSION = 7
@@ -882,8 +879,8 @@ class SocketBackend(ExecutionBackend):
     The listener binds in the constructor (``port=0`` picks an
     ephemeral port, re-read from :attr:`port`), an accept thread admits
     workers as they dial in — before, during, and between jobs — and
-    :meth:`run_chunks` / :meth:`run_cells` block until ``min_workers``
-    are connected before dispatching. One chunk is outstanding per
+    :meth:`run_cells` blocks until ``min_workers`` are connected
+    before dispatching. One chunk is outstanding per
     worker; finished workers immediately receive the next pending
     chunk, so faster workers naturally take more of the queue.
 
@@ -893,10 +890,9 @@ class SocketBackend(ExecutionBackend):
     under this backend's state lock.
 
     :meth:`run_cells` (what :func:`~repro.runtime.workloop.run_work`
-    calls without a ``chunk_size``) sizes each worker's next chunk
-    adaptively from its observed throughput and the idle workers'
-    shares of the remaining pool — see the module docs; an explicit
-    ``chunk_size`` pins fixed slices.
+    calls) sizes each worker's next chunk adaptively from its observed
+    throughput and the idle workers' shares of the remaining pool — see
+    the module docs.
     """
 
     name = "distributed"
@@ -1231,12 +1227,12 @@ class SocketBackend(ExecutionBackend):
                 self._cond.wait(timeout=remaining)
 
     def parallelism(self) -> int:
-        # Chunk sizing samples this *before* run_chunks blocks on the
+        # Chunk sizing samples this *before* _run_job blocks on the
         # fleet, so wait for it to assemble here — otherwise chunks are
         # sized for however many workers happened to have dialed in,
         # and late connectors idle for the whole job. A fleet that never
         # assembles raises here, so the caller's --worker-timeout is one
-        # deadline, not two back to back (run_chunks' own wait returns
+        # deadline, not two back to back (_run_job's own wait returns
         # immediately once this one has succeeded).
         self.wait_for_workers(self.min_workers, self.worker_wait_timeout)
         with self._lock:
@@ -1250,30 +1246,14 @@ class SocketBackend(ExecutionBackend):
         with self._lock:
             return self._scheduler.scale_hint()
 
-        return True
-
-    def run_chunks(self, chunks: Sequence[GroupedChunk]) -> List[Tuple[int, RunArtifacts]]:
-        """Serve caller-sized chunks (the pinned-``chunk_size`` path)."""
-        if not chunks:
-            return []
-        self._register_job(chunks=list(chunks))
-        return self._run_job()
-
-    def run_cells(
-        self,
-        cells: Sequence[IndexedCell],
-        chunk_size: Optional[int] = None,
-    ) -> List[Tuple[int, RunArtifacts]]:
+    def run_cells(self, cells: Sequence[IndexedCell]) -> List[Tuple[int, RunArtifacts]]:
         """Serve cells with adaptively sized per-worker chunks.
 
-        An explicit ``chunk_size`` falls back to fixed slicing via the
-        base implementation. Otherwise the cell pool stays un-chunked
-        on the coordinator and each idle worker's next chunk is carved
-        by the scheduler from its EWMA throughput and its share of the
-        remaining pool among the idle workers.
+        The cell pool stays un-chunked on the coordinator and each idle
+        worker's next chunk is carved by the scheduler from its EWMA
+        throughput and its share of the remaining pool among the idle
+        workers; a task that runs alone is carved as a chunk of its own.
         """
-        if chunk_size is not None:
-            return super().run_cells(cells, chunk_size)
         if not cells:
             return []
         # The first chunks predate any throughput signal: deal each
@@ -1282,15 +1262,12 @@ class SocketBackend(ExecutionBackend):
         # quickly without front-loading a slow worker.
         slots = self.parallelism()
         initial = -(-len(cells) // (slots * 4))
-        self._register_job(pool=list(cells), initial_chunk_cells=initial)
-        return self._run_job()
-
-    def _register_job(self, **job_kwargs: Any) -> None:
         if self._closed:
             raise BackendError("backend is closed")
         with self._cond:
             self._job_seq += 1
-            self._scheduler.start_job(self._job_seq, **job_kwargs)
+            self._scheduler.start_job(self._job_seq, pool=list(cells), initial_chunk_cells=initial)
+        return self._run_job()
 
     def _run_job(self) -> List[Tuple[int, RunArtifacts]]:
         try:

@@ -7,9 +7,10 @@ which cells next, how large a chunk should be, when a lost worker's
 chunk is requeued, when a run must give up). Its bounds are the module
 constants below, read at call time:
 
-* the **chunk pool** — fixed pre-sized chunks
-  (:meth:`SocketBackend.run_chunks`) or an un-chunked cell pool carved
-  adaptively per worker (:meth:`SocketBackend.run_cells`);
+* the **chunk pool** — a job's cells stay un-chunked and are carved
+  per worker as it asks (:meth:`SocketBackend.run_cells`); a task that
+  :func:`~repro.runtime.worker.runs_alone` (a wild pass, a scan shard)
+  is always carved as a chunk of its own;
 * **throughput-aware, work-conserving sizing** — one EWMA of observed
   cells/sec per worker (:data:`EWMA_ALPHA`); each next chunk is the
   smaller of :data:`TARGET_CHUNK_SECONDS` of that worker's rate and the
@@ -58,6 +59,7 @@ from repro.runtime.worker import (
     IndexedCell,
     chunk_cell_count,
     group_cells,
+    runs_alone,
 )
 
 __all__ = [
@@ -186,32 +188,21 @@ class ScaleHint:
 
 
 class _JobState:
-    """One job's chunk pool, attempts, and recorded results.
+    """One job's cell pool, carved chunks, attempts, and recorded
+    results.
 
-    Two shapes share the bookkeeping:
-
-    * **fixed** (``chunks=...``) — the caller pre-chunked the work;
-      every chunk id exists up front.
-    * **adaptive** (``pool=...``) — the job holds the un-chunked cell
-      pool and checkout carves each worker's next chunk to the
-      requested size, registering fresh chunk ids as it goes.
-
-    Requeued chunks keep their concrete :data:`GroupedChunk` either
-    way, so the poison-chunk retry bound counts dispatches of the same
-    cells even in adaptive mode.
+    The job holds the un-chunked cell pool, and checkout carves each
+    worker's next chunk to the requested size, registering fresh chunk
+    ids as it goes. Requeued chunks keep their concrete
+    :data:`GroupedChunk`, so the poison-chunk retry bound counts
+    dispatches of the same cells.
     """
 
-    def __init__(
-        self,
-        job_id: int,
-        chunks: Sequence[GroupedChunk] = (),
-        pool: Sequence[IndexedCell] = (),
-        initial_chunk_cells: int = 1,
-    ):
+    def __init__(self, job_id: int, pool: Sequence[IndexedCell], initial_chunk_cells: int):
         self.job_id = job_id
-        self.chunks: List[GroupedChunk] = list(chunks)
-        self.pending: deque = deque(range(len(self.chunks)))
-        self.attempts: List[int] = [0] * len(self.chunks)
+        self.chunks: List[GroupedChunk] = []
+        self.pending: deque = deque()
+        self.attempts: List[int] = []
         self._pool: Sequence[IndexedCell] = pool
         self._pool_pos = 0
         self.initial_chunk_cells = initial_chunk_cells
@@ -222,14 +213,20 @@ class _JobState:
 
     def checkout(self, target_cells: int) -> Optional[int]:
         """Next chunk to dispatch — a requeued chunk first, else one
-        carved from the cell pool at ``target_cells`` — enforcing the
-        retry bound."""
+        carved from the cell pool at ``target_cells``, short of the next
+        task that runs alone or that task alone — enforcing the retry
+        bound."""
         if self.pending:
             chunk_id = self.pending.popleft()
         elif self._pool_pos < len(self._pool):
-            take = max(1, target_cells)
-            cells = self._pool[self._pool_pos : self._pool_pos + take]
-            self._pool_pos += len(cells)
+            start = self._pool_pos
+            stop = min(start + max(1, target_cells), len(self._pool))
+            for pos in range(start, stop):
+                if runs_alone(self._pool[pos][1]):
+                    stop = max(pos, start + 1)
+                    break
+            cells = self._pool[start:stop]
+            self._pool_pos = stop
             chunk_id = len(self.chunks)
             self.chunks.append(group_cells(cells))
             self.attempts.append(0)
@@ -261,12 +258,12 @@ class _JobState:
         return True
 
     def uncarved_cells(self) -> int:
-        """What is left of an adaptive job's cell pool."""
+        """What is left of the job's cell pool."""
         return len(self._pool) - self._pool_pos
 
     def outstanding_cells(self) -> int:
         """Cells not yet recorded: unanswered carved chunks plus the
-        un-carved remainder of an adaptive job's pool."""
+        un-carved remainder of the pool."""
         carved = sum(
             chunk_cell_count(self.chunks[chunk_id])
             for chunk_id in range(len(self.chunks))
@@ -324,15 +321,12 @@ class ChunkScheduler:
     def start_job(
         self,
         job_id: int,
-        chunks: Sequence[GroupedChunk] = (),
         pool: Sequence[IndexedCell] = (),
         initial_chunk_cells: int = 1,
     ) -> None:
         if self._job is not None:
             raise BackendError("scheduler is already running a job")
-        self._job = _JobState(
-            job_id, chunks=chunks, pool=pool, initial_chunk_cells=initial_chunk_cells
-        )
+        self._job = _JobState(job_id, pool, initial_chunk_cells)
 
     def finish_job(self) -> None:
         self._job = None

@@ -19,9 +19,10 @@ can plan the union:
    :meth:`SuiteRunner.plan`).
 2. **Execute** — run the unique cells once, through
    :func:`~repro.runtime.workloop.run_work` (the result store and
-   dispatch live there, not here): the simulator cells in one
-   call, then the wild experiments' scan and study passes — seconds
-   each, not milliseconds — in a second, one pass per chunk. A cell
+   dispatch live there, not here), in one call: the simulator cells
+   and the wild experiments' scan and study passes — seconds each, not
+   milliseconds — together, which the backend carves so that each
+   pass has a chunk of its own. A cell
    with observers runs as an
    :class:`~repro.runtime.artifacts.ObservedCell` (the qlogs and
    captures its observers declared, or its probe list, live only while
@@ -41,7 +42,6 @@ not depend on what else was selected with it.
 from __future__ import annotations
 
 import copy
-from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -340,27 +340,12 @@ class SuiteRunner:
             def fill(slot: int, artifacts: Any, _source: str) -> None:
                 entries[slot] = artifacts
 
-            # Wild passes are 0.1–2 s items beside ~1 ms simulator cells
-            # and backends size chunks by count: the passes follow the
-            # cells in a call of their own, one per chunk.
-            cells: List[Any] = []
-            passes: List[Any] = []
-            for slot, (cell, planned, key) in enumerate(
-                zip(plan.dispatch_cells, plan.unique_cells, plan.keys)
-            ):
-                is_pass = hasattr(planned.scenario, "execute_task")
-                (passes if is_pass else cells).append((slot, cell.scenario, cell.seed, key))
-            counts: Counter = Counter()
+            items = [
+                (slot, cell.scenario, cell.seed, key)
+                for slot, (cell, key) in enumerate(zip(plan.dispatch_cells, plan.keys))
+            ]
             try:
-                for items, chunk_size in ((cells, None), (passes, 1)):
-                    counts += run_work(
-                        backend,
-                        items,
-                        fill,
-                        cache=self.disk_cache,
-                        chunk_size=chunk_size,
-                        sink=self.on_event,
-                    )
+                counts = run_work(backend, items, fill, cache=self.disk_cache, sink=self.on_event)
             except BackendError as exc:
                 named = self._name_poison(exc, plan)
                 if named is not None:

@@ -13,10 +13,10 @@ results in submission order regardless of completion order.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.interop.runner import Runner, Scenario
-from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
+from repro.runtime.artifacts import ArtifactLevel, ObservedCell, RunArtifacts, execute_cell
 from repro.runtime.cache import ResultCache
 
 #: One dispatched cell: (position in the caller's cell list, scenario, seed).
@@ -39,6 +39,17 @@ def group_cells(cells: Sequence[IndexedCell]) -> List[Tuple[Scenario, List[Tuple
             last_id = id(scenario)
         groups[-1][1].append((index, seed))
     return groups
+
+
+def runs_alone(task: Any) -> bool:
+    """Whether a cell's task gets a chunk of its own: true for a task
+    cell that is not a simulator :class:`Scenario` — a wild scan or
+    study pass, bare or in its :class:`ObservedCell`, or a scan shard.
+    Those run for 0.1–2.6 s where a simulator cell runs for about 1 ms,
+    so a chunk sized by cell count must never bury one among others."""
+    if isinstance(task, ObservedCell):
+        task = task.scenario
+    return hasattr(task, "execute_task")
 
 
 def chunk_cell_count(chunk: GroupedChunk) -> int:

@@ -58,7 +58,6 @@ def run_work(
     *,
     cache: Optional[DiskResultCache] = None,
     window: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     sink: Optional[EventSink] = None,
     on_dispatch: Optional[Callable[[List[int]], None]] = None,
 ) -> Counter:
@@ -112,7 +111,7 @@ def run_work(
                 continue
             if on_dispatch is not None:
                 on_dispatch([index for index, _task, _seed in to_run])
-            results = backend.run_cells(to_run, chunk_size=chunk_size)
+            results = backend.run_cells(to_run)
             for index, artifacts in sorted(results, key=itemgetter(0)):
                 hand(index, artifacts, "executed")
     finally:

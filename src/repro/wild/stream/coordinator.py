@@ -335,7 +335,6 @@ class StreamCoordinator:
             merge,
             cache=self.disk_cache,
             window=self.window(),
-            chunk_size=1,
             sink=self.sink,
             on_dispatch=dispatching,
         )

@@ -8,8 +8,9 @@ to exit, then fails the session naming each survivor by pid and command
 line. It reads ``/proc`` and does nothing where there is none.
 
 It also holds :func:`cold_plans`, for the tests that count what planning
-a request costs, and :func:`eager_speculation`, for the tests that make
-the fleet duplicate a straggler's chunk.
+a request costs, :func:`eager_speculation`, for the tests that make the
+fleet duplicate a straggler's chunk, and :func:`chunk_cells`, for the
+tests that need the fleet's chunks to be of one size.
 """
 
 import os
@@ -67,6 +68,21 @@ def eager_speculation(monkeypatch):
     monkeypatch.setattr(scheduler_module, "SPECULATION_FACTOR", 1.0)
     monkeypatch.setattr(scheduler_module, "SPECULATION_MIN_SECONDS", 0.3)
     monkeypatch.setattr(scheduler_module, "SPECULATION_BUDGET_FRACTION", 1.0)
+
+
+@pytest.fixture
+def chunk_cells(monkeypatch):
+    """``chunk_cells(n)`` makes every chunk the fleet's scheduler carves
+    from then on exactly ``n`` cells (fewer only at the pool's end, and
+    a task that runs alone is still a chunk of its own): the cell
+    bounds it clamps each carve to, read at call time, both become
+    ``n``."""
+
+    def pin(cells):
+        monkeypatch.setattr(scheduler_module, "MIN_CHUNK_CELLS", cells)
+        monkeypatch.setattr(scheduler_module, "MAX_CHUNK_CELLS", cells)
+
+    return pin
 
 
 def pytest_sessionfinish(session, exitstatus):

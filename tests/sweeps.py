@@ -7,7 +7,7 @@ keep open); :func:`sweep` sends their cells through
 path uses, and never closes the backend.
 """
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.interop.runner import Scenario
 from repro.runtime import RunArtifacts, run_work, work_items
@@ -18,12 +18,11 @@ def sweep(
     scenarios: Union[Scenario, Sequence[Scenario]],
     repetitions: int = 1,
     base_seed: int = 0,
-    chunk_size: Optional[int] = None,
 ) -> List[RunArtifacts]:
     """Run ``repetitions`` cells of each scenario (scenario-major) on
     ``backend``, item ``i`` at seed ``base_seed + i``, and return them
-    in item order with their scenario reattached. ``chunk_size`` pins
-    fixed slices, as for a suite's passes."""
+    in item order with their scenario reattached. A fleet's chunk size
+    is pinned by the ``chunk_cells`` fixture (``tests/conftest.py``)."""
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
     items = work_items(
@@ -39,5 +38,5 @@ def sweep(
         artifacts.scenario = items[index][1]
         results[index] = artifacts
 
-    run_work(backend, items, deliver, chunk_size=chunk_size)
+    run_work(backend, items, deliver)
     return results

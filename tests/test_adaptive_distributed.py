@@ -67,7 +67,7 @@ def _heartbeat_forever(sock, lock, stop, interval=0.1):
 # -- slow-link send deadline (regression: distributed.py:72-74) ---------
 
 
-def test_slow_link_worker_survives_chunk_larger_than_heartbeat_window():
+def test_slow_link_worker_survives_chunk_larger_than_heartbeat_window(chunk_cells):
     """A worker on a throttled link that needs longer than
     ``heartbeat_timeout`` to *receive* its chunk must not be dropped and
     requeued as if it died: it heartbeats throughout, and the CHUNK send
@@ -124,7 +124,8 @@ def test_slow_link_worker_survives_chunk_larger_than_heartbeat_window():
     threading.Thread(target=throttled_worker, daemon=True).start()
     try:
         serial = Runner().run_repetitions(big, repetitions=2)
-        distributed = sweep(backend, big, 2, chunk_size=2)
+        chunk_cells(2)
+        distributed = sweep(backend, big, 2)
         assert backend.stats.workers_lost == 0
         assert backend.stats.chunks_requeued == 0
         assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]

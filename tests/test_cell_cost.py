@@ -339,9 +339,9 @@ def fleet_result_bytes_per_cell(experiment, monkeypatch):
     entered = []
     real_run_cells = SocketBackend.run_cells
 
-    def counting_run_cells(self, cells, chunk_size=None):
+    def counting_run_cells(self, cells):
         entered.append(len(cells))
-        return real_run_cells(self, cells, chunk_size=chunk_size)
+        return real_run_cells(self, cells)
 
     monkeypatch.setattr(SocketBackend, "run_cells", counting_run_cells)
     with fleet_session(workers=2) as session:

@@ -88,19 +88,19 @@ def test_a_checkpoint_changes_hands_between_sessions_of_any_width(tmp_path, monk
     calls = []
     real_run_work = suite_module.run_work
 
-    def killed_after_the_passes(*args, **kwargs):
-        counts = real_run_work(*args, **kwargs)
-        calls.append(kwargs["chunk_size"])
-        if kwargs["chunk_size"] == 1:  # the passes' call: everything is stored
-            raise KeyboardInterrupt("killed before aggregation")
-        return counts
+    def killed_after_the_passes(backend, items, *args, **kwargs):
+        real_run_work(backend, items, *args, **kwargs)
+        calls.append(len(items))
+        # The one call held the cells and the passes: everything is stored.
+        raise KeyboardInterrupt("killed before aggregation")
 
     monkeypatch.setattr(suite_module, "run_work", killed_after_the_passes)
     cache_dir = str(tmp_path / "cache")
     with Session(LocalConfig(workers=0), cache_dir=cache_dir) as session:
+        unique = len(session.plan(request).unique_cells)
         with pytest.raises(KeyboardInterrupt):
             session.run(request)
-    assert calls == [None, 1]
+    assert calls == [unique]
     monkeypatch.undo()
 
     events = []

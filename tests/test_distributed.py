@@ -215,7 +215,7 @@ def test_unauthenticated_frame_never_reaches_unpickle():
         backend.close()
 
 
-def test_wrong_key_worker_rejected_and_right_key_fleet_runs():
+def test_wrong_key_worker_rejected_and_right_key_fleet_runs(chunk_cells):
     key = b"fleet-secret"
     backend = SocketBackend(port=0, min_workers=1, auth_key=key)
     exit_codes = []
@@ -242,7 +242,8 @@ def test_wrong_key_worker_rejected_and_right_key_fleet_runs():
         # the authenticated fleet still produces bit-identical results
         start_worker_thread(backend, auth_key=key)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=2)
+        chunk_cells(2)
+        distributed = sweep(backend, LOSSY_IACK, 4)
         assert [r.client_stats for r in distributed] == [
             r.client_stats for r in serial
         ]
@@ -381,13 +382,14 @@ def test_full_artifacts_run_in_process_on_any_backend():
 # -- SocketBackend ------------------------------------------------------
 
 
-def test_distributed_run_bit_identical_to_serial():
+def test_distributed_run_bit_identical_to_serial(chunk_cells):
     serial = Runner().run_repetitions(LOSSY_IACK, repetitions=8)
     backend = SocketBackend(port=0, min_workers=2)
     try:
         for _ in range(2):
             start_worker_thread(backend)
-        distributed = sweep(backend, LOSSY_IACK, 8, chunk_size=2)
+        chunk_cells(2)
+        distributed = sweep(backend, LOSSY_IACK, 8)
     finally:
         backend.close()
     assert len(distributed) == len(serial)
@@ -401,7 +403,7 @@ def test_distributed_run_bit_identical_to_serial():
     assert backend.stats.chunks_requeued == 0
 
 
-def test_killed_worker_chunk_requeued_and_stats_bit_identical():
+def test_killed_worker_chunk_requeued_and_stats_bit_identical(chunk_cells):
     """SIGKILL-equivalent worker death mid-suite: its in-flight chunk
     must be requeued to the survivors and the reassembled stats must
     match serial execution bit for bit."""
@@ -413,7 +415,8 @@ def test_killed_worker_chunk_requeued_and_stats_bit_identical():
         # chunk, leaving it unacknowledged.
         procs.append(spawn_worker_process(backend, "--fault-plan", "kill_after=0"))
         procs.append(spawn_worker_process(backend))
-        distributed = sweep(backend, LOSSY_IACK, 12, chunk_size=3)
+        chunk_cells(3)
+        distributed = sweep(backend, LOSSY_IACK, 12)
     finally:
         backend.close()
         for proc in procs:
@@ -426,21 +429,22 @@ def test_killed_worker_chunk_requeued_and_stats_bit_identical():
         assert actual.server_stats == expected.server_stats
 
 
-def test_throttled_worker_delivers_bit_identical_stats():
+def test_throttled_worker_delivers_bit_identical_stats(chunk_cells):
     """A worker whose uplink is throttled (``--fault-plan slow_send=…``)
     trickles its RESULT frames and still delivers the serial stats."""
     serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
     backend = SocketBackend(port=0, min_workers=1)
     try:
         start_worker_thread(backend, fault_plan=FaultPlan(slow_send_bytes_per_sec=2_000_000))
-        throttled = sweep(backend, LOSSY_IACK, 4, chunk_size=2)
+        chunk_cells(2)
+        throttled = sweep(backend, LOSSY_IACK, 4)
     finally:
         backend.close()
     assert [a.client_stats for a in throttled] == [e.client_stats for e in serial]
     assert [a.server_stats for a in throttled] == [e.server_stats for e in serial]
 
 
-def test_silent_worker_dropped_by_heartbeat_timeout():
+def test_silent_worker_dropped_by_heartbeat_timeout(chunk_cells):
     """A worker that goes silent (no heartbeats, socket still open)
     must be declared lost after heartbeat_timeout and its chunk served
     by the remaining worker."""
@@ -464,7 +468,8 @@ def test_silent_worker_dropped_by_heartbeat_timeout():
         # heartbeats faster than the timeout keep the real worker alive
         start_worker_thread(backend, heartbeat_interval=0.2)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=1)
+        chunk_cells(1)
+        distributed = sweep(backend, LOSSY_IACK, 4)
         assert mute_ready.is_set()
         assert backend.stats.chunks_requeued >= 1
         assert backend.stats.workers_lost >= 1
@@ -503,7 +508,7 @@ def test_malformed_and_non_hello_connections_are_dropped_not_fatal():
         backend.close()
 
 
-def test_result_with_out_of_range_chunk_id_drops_worker_not_job():
+def test_result_with_out_of_range_chunk_id_drops_worker_not_job(chunk_cells):
     """A buggy worker echoing a chunk id the job never dispatched must
     not be recorded (it would make done() true with real chunks
     missing); the echo is a protocol error, the worker is dropped, and
@@ -528,7 +533,8 @@ def test_result_with_out_of_range_chunk_id_drops_worker_not_job():
     try:
         start_worker_thread(backend)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=1)
+        chunk_cells(1)
+        distributed = sweep(backend, LOSSY_IACK, 4)
         assert backend.stats.protocol_errors >= 1
         assert backend.stats.chunks_requeued >= 1
         assert [r.client_stats for r in distributed] == [
@@ -628,7 +634,7 @@ def test_stale_frames_from_aborted_job_are_discarded():
         backend.close()
 
 
-def test_oversized_chunk_aborts_cleanly_and_frees_workers(monkeypatch):
+def test_oversized_chunk_aborts_cleanly_and_frees_workers(monkeypatch, chunk_cells):
     """A chunk whose frame exceeds the bound is a deterministic
     dispatch failure: the run aborts with the actionable error (no
     fleet teardown) and no worker is left marked busy for a frame
@@ -641,7 +647,8 @@ def test_oversized_chunk_aborts_cleanly_and_frees_workers(monkeypatch):
         for _ in range(2):
             start_worker_thread(backend)
         with pytest.raises(RuntimeError, match="cannot be dispatched"):
-            sweep(backend, LOSSY_IACK, 4, chunk_size=1)
+            chunk_cells(1)
+            sweep(backend, LOSSY_IACK, 4)
         backend.wait_for_workers(2, timeout=5)  # nobody was dropped
         with backend._lock:
             assert all(
@@ -654,7 +661,7 @@ def test_oversized_chunk_aborts_cleanly_and_frees_workers(monkeypatch):
 
 
 def test_parallelism_waits_for_the_fleet_before_chunk_sizing():
-    """Chunk sizing samples parallelism() before run_chunks blocks on
+    """Chunk sizing samples parallelism() before run_cells blocks on
     min_workers, so parallelism() itself must wait for the fleet — or
     chunks get sized for however many workers had dialed in."""
     backend = SocketBackend(port=0, min_workers=2)
@@ -685,7 +692,7 @@ def test_wait_for_workers_times_out():
 
 def test_parallelism_raises_after_one_worker_timeout_not_two():
     """A fleet that never assembles fails at --worker-timeout, not at
-    twice that (chunk sizing and run_chunks must not each burn a full
+    twice that (chunk sizing and the job must not each burn a full
     wait window)."""
     backend = SocketBackend(port=0, min_workers=1, worker_wait_timeout=0.2)
     try:

@@ -179,7 +179,7 @@ def test_data_frame_socket_round_trip_and_legacy_sniff():
         right.close()
 
 
-def test_plain_pickle_result_body_drops_the_worker_not_the_job():
+def test_plain_pickle_result_body_drops_the_worker_not_the_job(chunk_cells):
     """A peer answering a CHUNK with a 0x80-prefixed (plain pickle)
     RESULT body is dropped as a protocol violator; its chunk is
     requeued and an honest worker finishes the run."""
@@ -203,7 +203,8 @@ def test_plain_pickle_result_body_drops_the_worker_not_the_job():
     try:
         start_worker_thread(backend)
         serial = Runner().run_repetitions(QUICHE_LOSSY, repetitions=4)
-        distributed = sweep(backend, QUICHE_LOSSY, 4, chunk_size=1)
+        chunk_cells(1)
+        distributed = sweep(backend, QUICHE_LOSSY, 4)
         assert backend.stats.protocol_errors >= 1
         assert backend.stats.chunks_requeued >= 1
         assert backend.worker_count() == 1
@@ -352,23 +353,22 @@ def test_welcome_carries_only_the_version():
 # -- end-to-end: fewer bytes, identical bundles -------------------------
 
 
-def _run_distributed(backend, repetitions=24, chunk_size=None):
+def _run_distributed(backend, repetitions=24):
     for _ in range(2):
         start_worker_thread(backend)
     try:
-        results = sweep(backend, QUICHE_LOSSY, repetitions, chunk_size=chunk_size)
+        results = sweep(backend, QUICHE_LOSSY, repetitions)
         return results, backend.stats
     finally:
         backend.close()
 
 
-def test_v4_results_ship_measurably_fewer_bytes():
+def test_v4_results_ship_measurably_fewer_bytes(chunk_cells):
     # Pinned 12-cell chunks: each RESULT pickle clears the 4 KiB
     # threshold (a 4-cell one would ship raw), whatever the workers'
     # timing would make of an adaptive carve.
-    compressed, stats = _run_distributed(
-        SocketBackend(port=0, min_workers=2), chunk_size=12
-    )
+    chunk_cells(12)
+    compressed, stats = _run_distributed(SocketBackend(port=0, min_workers=2))
     assert stats.result_bytes_raw >= 2 * COMPRESS_THRESHOLD
     # Byte counts, not timings: these 24 cells pickle and compress to
     # the same bytes on any machine (9,948 raw, 3,960 on the wire:
@@ -382,7 +382,7 @@ def test_v4_results_ship_measurably_fewer_bytes():
 # -- oversized chunks split instead of aborting -------------------------
 
 
-def test_oversized_chunk_splits_and_run_completes(monkeypatch):
+def test_oversized_chunk_splits_and_run_completes(monkeypatch, chunk_cells):
     # Each scenario drags a fat (never-triggered) loss set so the CHUNK
     # frame dwarfs the RESULT frames: the dispatch bound below must trip
     # on the outbound chunk, not on the workers' replies. The sets are
@@ -411,7 +411,8 @@ def test_oversized_chunk_splits_and_run_completes(monkeypatch):
     for _ in range(2):
         start_worker_thread(backend)
     try:
-        results = sweep(backend, scenarios, chunk_size=len(scenarios))
+        chunk_cells(len(scenarios))
+        results = sweep(backend, scenarios)
         assert backend.stats.chunks_requeued >= 1
         assert backend.stats.workers_lost == 0
         # The split chunk was never sent, so it was never counted.

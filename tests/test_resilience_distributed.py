@@ -96,7 +96,7 @@ class EventLog:
 # -- speculative straggler re-execution ---------------------------------
 
 
-def test_straggler_chunk_completes_via_speculative_twin(eager_speculation):
+def test_straggler_chunk_completes_via_speculative_twin(eager_speculation, chunk_cells):
     """A worker that wedges holding a chunk (socket alive, heartbeats
     flowing, no result — a 'slow' straggler taken to the limit) must
     not stall the run: once the pool drains, an idle worker receives a
@@ -126,7 +126,8 @@ def test_straggler_chunk_completes_via_speculative_twin(eager_speculation):
             time.sleep(0.01)
         start_worker_thread(backend)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=1)
+        chunk_cells(1)
+        distributed = sweep(backend, LOSSY_IACK, 4)
         assert backend.stats.chunks_speculated >= 1
         assert backend.stats.workers_lost == 0  # nobody was dropped
         speculated = events.of(ChunkSpeculated)
@@ -251,7 +252,7 @@ def test_worker_rejoins_after_abrupt_connection_loss():
 # -- failure-path event ordering ----------------------------------------
 
 
-def test_worker_lost_event_orders_before_requeued_chunk_dispatch():
+def test_worker_lost_event_orders_before_requeued_chunk_dispatch(chunk_cells):
     """The WorkerLost event (carrying its requeued-chunk count) must be
     observable before the requeued twin's ChunkDispatched — operators
     watching the stream see cause before effect."""
@@ -277,7 +278,8 @@ def test_worker_lost_event_orders_before_requeued_chunk_dispatch():
             time.sleep(0.01)
         start_worker_thread(backend)
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=1)
+        chunk_cells(1)
+        distributed = sweep(backend, LOSSY_IACK, 4)
         lost = events.of(WorkerLost)
         assert len(lost) == 1 and lost[0].requeued_chunks == 1
         lost_at = events.index(lambda e: isinstance(e, WorkerLost))
@@ -304,7 +306,7 @@ def test_worker_lost_event_orders_before_requeued_chunk_dispatch():
         backend.close()
 
 
-def test_duplicate_result_frames_emit_chunk_completed_once():
+def test_duplicate_result_frames_emit_chunk_completed_once(chunk_cells):
     """A worker echoing the same RESULT twice (retransmit-happy or
     buggy) must not double-emit ChunkCompleted or double-record."""
     events = EventLog()
@@ -333,7 +335,8 @@ def test_duplicate_result_frames_emit_chunk_completed_once():
     threading.Thread(target=echoing_worker, daemon=True).start()
     try:
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
-        distributed = sweep(backend, LOSSY_IACK, 4, chunk_size=2)
+        chunk_cells(2)
+        distributed = sweep(backend, LOSSY_IACK, 4)
         completed_ids = [e.chunk_id for e in events.of(ChunkCompleted)]
         assert sorted(completed_ids) == [0, 1]  # one completion per chunk
         assert len(distributed) == 4

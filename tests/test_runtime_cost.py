@@ -20,6 +20,9 @@ counts, by patching, what the durable result cache does for it:
   nothing else fsyncs: the store is the one crash-safe record;
 * a run killed after its first observed batch and started again on the
   same directory executes exactly the cells that were not put;
+* a suite of simulator cells and wild passes reaches its backend in
+  one call, inline, on a pool and on a fleet, and each pass runs in a
+  chunk of its own;
 * every cell any registered experiment plans has a value identity, so
   crash recovery never has to recompute a cell it already ran.
 """
@@ -43,7 +46,10 @@ from repro.experiments.registry import REGISTRY
 from repro.experiments.spec import ExperimentSpec
 from repro.runtime.artifacts import ArtifactLevel
 from repro.runtime.backend import LocalBackend
+from repro.runtime.distributed import SocketBackend
+from repro.runtime.scheduler import ChunkScheduler
 from repro.runtime.suite import SuiteRunner
+from repro.runtime.worker import runs_alone
 from repro.service import ServiceDaemon
 from repro.service.manager import ServiceManager
 
@@ -297,6 +303,57 @@ def test_a_run_killed_after_its_first_batch_executes_only_what_was_not_put(
     assert len(executed) == UNIQUE_CELLS - FIRST_BATCH == 124
     assert (rerun["put"], rerun["fsync"]) == (124, 124)
     assert (restarted.extra["disk_cache_hits"], restarted.extra["disk_cache_misses"]) == (32, 124)
+
+
+#: fig6's simulator cells beside fig15's study passes.
+MIXED = RunRequest(("fig6", "fig15"), smoke=True)
+
+
+@pytest.mark.parametrize("where", ["inline", "pool", "fleet"])
+def test_a_suite_reaches_its_backend_in_one_call_and_each_pass_runs_alone(where, monkeypatch):
+    """One ``run_cells`` call carries every unique cell, passes
+    included; of the chunks the backend carves from it, each that holds
+    a pass holds nothing else."""
+    from test_observe import fleet_session
+
+    entered, chunks = [], []
+    backend_class = SocketBackend if where == "fleet" else LocalBackend
+    real_run_cells = backend_class.run_cells
+
+    def counting_run_cells(self, cells):
+        entered.append(len(cells))
+        return real_run_cells(self, cells)
+
+    monkeypatch.setattr(backend_class, "run_cells", counting_run_cells)
+    if where == "fleet":
+        real_assign = ChunkScheduler.assign
+
+        def assign(self, wid, now):
+            assignment = real_assign(self, wid, now)
+            if assignment is not None and not assignment.speculative:
+                chunks.append(assignment.chunk)
+            return assignment
+
+        monkeypatch.setattr(ChunkScheduler, "assign", assign)
+        session = fleet_session(workers=2)
+    else:
+        real_run_chunks = LocalBackend.run_chunks
+
+        def run_chunks(self, grouped):
+            chunks.extend(grouped)
+            return real_run_chunks(self, grouped)
+
+        monkeypatch.setattr(LocalBackend, "run_chunks", run_chunks)
+        session = Session(LocalConfig(workers=0 if where == "inline" else 2))
+    with session:
+        passes = sum(runs_alone(cell.scenario) for cell in session.plan(MIXED).dispatch_cells)
+        report = session.run(MIXED)
+    assert passes >= 1
+    assert entered == [report.executed_cells]
+    tasks = [[task for task, pairs in chunk for _ in pairs] for chunk in chunks]
+    assert sum(map(len, tasks)) == report.executed_cells
+    alone = [chunk for chunk in tasks if any(map(runs_alone, chunk))]
+    assert len(alone) == passes and all(len(chunk) == 1 for chunk in alone)
 
 
 @pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "paper"])

@@ -55,14 +55,16 @@ def test_parallel_stats_bit_identical_to_serial():
         assert actual.scenario is LOSSY_IACK
 
 
-def test_parallel_matches_serial_across_chunk_sizes():
+def test_parallel_matches_serial_across_pool_widths():
+    """A pool slices ⌈n/(2·workers)⌉ cells a chunk: one whole-sweep
+    chunk, then 2, 1 and 5 cells."""
     with Session() as session:
-        reference = session.run_repetitions(LOSSY_IACK, 6)
-    for chunk_size in (1, 2, 5, 100):
-        with LocalBackend(workers=2) as backend:
-            result = sweep(backend, LOSSY_IACK, 6, chunk_size=chunk_size)
+        reference = session.run_repetitions(LOSSY_IACK, 20)
+    for workers, repetitions in ((2, 1), (2, 6), (3, 6), (2, 20)):
+        with LocalBackend(workers=workers) as backend:
+            result = sweep(backend, LOSSY_IACK, repetitions)
         assert [r.client_stats for r in result] == [
-            r.client_stats for r in reference
+            r.client_stats for r in reference[:repetitions]
         ]
 
 
@@ -307,10 +309,11 @@ def test_run_cells_mixed_scenarios():
         rtt_ms=9.0,
         client_to_server_loss=second_client_flight_loss("neqo"),
     )
+    # ⌈5/4⌉ = 2 cells a chunk: the first two chunks mix the scenarios.
     with LocalBackend(workers=2) as backend:
-        results = sweep(backend, [LOSSY_IACK, other, LOSSY_IACK], chunk_size=2)
-    assert [r.seed for r in results] == [0, 1, 2]
-    assert results[1].scenario is other
+        results = sweep(backend, [LOSSY_IACK, other, LOSSY_IACK, other, LOSSY_IACK])
+    assert [r.seed for r in results] == [0, 1, 2, 3, 4]
+    assert results[1].scenario is other and results[3].scenario is other
 
 
 def test_artifacts_expose_runresult_observables():

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from repro.errors import BackendError
 from repro.runtime import scheduler
 from repro.runtime.scheduler import ChunkScheduler, WorkerState
-from repro.runtime.worker import group_cells
+from repro.runtime.worker import runs_alone
 
 
 def cells(start, count, scenario="scenario"):
@@ -21,11 +21,17 @@ def cells(start, count, scenario="scenario"):
     return [(start + i, scenario, start + i) for i in range(count)]
 
 
-def fixed_chunks(count, cells_per_chunk=2):
-    return [
-        group_cells(cells(i * cells_per_chunk, cells_per_chunk))
-        for i in range(count)
-    ]
+def start_fixed_job(sched, job_id, count, chunk_cells):
+    """Start a job whose pool carves into ``count`` two-cell chunks."""
+    chunk_cells(2)
+    sched.start_job(job_id, pool=cells(0, 2 * count))
+
+
+class Pass:
+    """A task cell that is no simulator scenario, as a wild pass is."""
+
+    def execute_task(self, seed, level, runner=None):
+        raise AssertionError("the scheduler never executes a cell")
 
 
 def result_for(chunk):
@@ -39,11 +45,10 @@ def seed_rate(state: WorkerState, rate: float) -> None:
 # -- pool shapes --------------------------------------------------------
 
 
-def test_fixed_chunks_dispatch_and_reassemble_in_order():
+def test_fixed_chunks_dispatch_and_reassemble_in_order(chunk_cells):
     sched = ChunkScheduler()
     sched.add_worker(1)
-    chunks = fixed_chunks(3)
-    sched.start_job("job-a", chunks=chunks)
+    start_fixed_job(sched, "job-a", 3, chunk_cells)
     seen = []
     while True:
         assignment = sched.assign(1, now=0.0)
@@ -164,11 +169,68 @@ def check_fair_share_carving(rates, draining, spare_cells, max_chunk_cells):
     assert sorted(index for index, _ in carved) == list(range(pool))
 
 
-def test_busy_and_draining_workers_get_no_assignment():
+@given(
+    simulated=st.integers(min_value=0, max_value=20),
+    alone=st.integers(min_value=1, max_value=4),
+    size=st.integers(min_value=1, max_value=12),
+    actions=st.lists(st.sampled_from(["record", "lose", "split"]), max_size=40),
+)
+def test_a_task_that_runs_alone_never_shares_a_chunk(simulated, alone, size, actions):
+    """Simulator cells with passes at the pool's end, carved at any
+    size by two workers that record, get lost (their chunk requeued) or
+    overflow the frame bound (their chunk split): every chunk ever
+    dispatched that holds a pass holds nothing else, and every cell is
+    recorded exactly once."""
+    pool = cells(0, simulated) + [(simulated + i, Pass(), 0) for i in range(alone)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "MIN_CHUNK_CELLS", size)
+        patch.setattr(scheduler, "MAX_CHUNK_CELLS", size)
+        patch.setattr(scheduler, "MAX_CHUNK_RETRIES", len(actions) + 1)
+        sched = ChunkScheduler()
+        held = {}
+
+        def assign_idle():
+            for wid in (1, 2):
+                if wid not in held:
+                    assignment = sched.assign(wid, now=0.0)
+                    if assignment is not None:
+                        tasks = [task for task, pairs in assignment.chunk for _ in pairs]
+                        assert len(tasks) == 1 or not any(map(runs_alone, tasks))
+                        held[wid] = assignment
+
+        for wid in (1, 2):
+            sched.add_worker(wid)
+        sched.start_job("job-a", pool=pool)
+        assign_idle()
+        for action in actions:
+            if not held:
+                break
+            wid = min(held)
+            assignment = held.pop(wid)
+            if action == "record":
+                sched.record(wid, assignment.chunk_id, result_for(assignment.chunk))
+            elif action == "lose":
+                assert sched.remove_worker(wid) == assignment.chunk_id
+                assert sched.requeue(assignment.chunk_id)
+                sched.add_worker(wid)
+            elif not sched.split_oversized(wid, assignment):
+                assert assignment.cells == 1  # only a one-cell chunk cannot split
+            assign_idle()
+        while held:
+            wid = min(held)
+            assignment = held.pop(wid)
+            sched.record(wid, assignment.chunk_id, result_for(assignment.chunk))
+            assign_idle()
+        assert sched.job.done()
+        recorded = sorted(index for index, _ in sched.job.results_in_order())
+        assert recorded == list(range(len(pool)))
+
+
+def test_busy_and_draining_workers_get_no_assignment(chunk_cells):
     sched = ChunkScheduler()
     sched.add_worker(1)
     sched.add_worker(2)
-    sched.start_job("job-a", chunks=fixed_chunks(4))
+    start_fixed_job(sched, "job-a", 4, chunk_cells)
     held = sched.assign(1, now=0.0)
     assert held is not None
     assert sched.assign(1, now=0.0) is None  # already holds a chunk
@@ -181,10 +243,10 @@ def test_busy_and_draining_workers_get_no_assignment():
 # -- requeue and the poison bound ---------------------------------------
 
 
-def test_lost_chunk_requeues_to_front_and_poison_bound_names_cells():
+def test_lost_chunk_requeues_to_front_and_poison_bound_names_cells(chunk_cells):
     sched = ChunkScheduler()
     sched.add_worker(1)
-    sched.start_job("job-a", chunks=fixed_chunks(2))
+    start_fixed_job(sched, "job-a", 2, chunk_cells)
     for _ in range(scheduler.MAX_CHUNK_RETRIES):
         assignment = sched.assign(1, now=0.0)
         assert assignment.chunk_id == 0  # front requeue: same chunk again
@@ -199,11 +261,11 @@ def test_lost_chunk_requeues_to_front_and_poison_bound_names_cells():
     assert excinfo.value.poison_cells == (("scenario", 0), ("scenario", 1))
 
 
-def test_can_requeue_false_for_recorded_or_still_held_chunks():
+def test_can_requeue_false_for_recorded_or_still_held_chunks(chunk_cells):
     sched = ChunkScheduler()
     sched.add_worker(1)
     sched.add_worker(2)
-    sched.start_job("job-a", chunks=fixed_chunks(2))
+    start_fixed_job(sched, "job-a", 2, chunk_cells)
     a = sched.assign(1, now=0.0)
     b = sched.assign(2, now=0.0)
     sched.record(1, a.chunk_id, result_for(a.chunk))
@@ -215,20 +277,20 @@ def test_can_requeue_false_for_recorded_or_still_held_chunks():
     assert sched.requeue(b.chunk_id)
 
 
-def test_duplicate_record_is_ignored():
+def test_duplicate_record_is_ignored(chunk_cells):
     sched = ChunkScheduler()
     sched.add_worker(1)
-    sched.start_job("job-a", chunks=fixed_chunks(1))
+    start_fixed_job(sched, "job-a", 1, chunk_cells)
     assignment = sched.assign(1, now=0.0)
     assert sched.record(1, assignment.chunk_id, result_for(assignment.chunk))
     assert not sched.record(1, assignment.chunk_id, result_for(assignment.chunk))
     assert len(sched.job.results) == 1
 
 
-def test_unassign_rolls_back_a_failed_dispatch():
+def test_unassign_rolls_back_a_failed_dispatch(chunk_cells):
     sched = ChunkScheduler()
     state = sched.add_worker(1)
-    sched.start_job("job-a", chunks=fixed_chunks(1))
+    start_fixed_job(sched, "job-a", 1, chunk_cells)
     assignment = sched.assign(1, now=0.0)
     sched.unassign(1, assignment)
     assert state.chunk_id is None
@@ -239,13 +301,13 @@ def test_unassign_rolls_back_a_failed_dispatch():
 # -- speculation --------------------------------------------------------
 
 
-def test_overdue_straggler_chunk_is_speculatively_duplicated(eager_speculation):
+def test_overdue_straggler_chunk_is_speculatively_duplicated(eager_speculation, chunk_cells):
     sched = ChunkScheduler()
     straggler = sched.add_worker(1)
     fast = sched.add_worker(2)
     seed_rate(straggler, 100.0)
     seed_rate(fast, 100.0)
-    sched.start_job("job-a", chunks=fixed_chunks(2))
+    start_fixed_job(sched, "job-a", 2, chunk_cells)
     held = sched.assign(1, now=0.0)
     sched.mark_send(1, now=0.0)
     other = sched.assign(2, now=0.0)
@@ -262,12 +324,12 @@ def test_overdue_straggler_chunk_is_speculatively_duplicated(eager_speculation):
     assert sched.job.done()
 
 
-def test_speculation_requires_throughput_signal_and_budget():
+def test_speculation_requires_throughput_signal_and_budget(chunk_cells):
     # no EWMA rates anywhere → "overdue" is undefined → no speculation
     sched = ChunkScheduler()
     sched.add_worker(1)
     sched.add_worker(2)
-    sched.start_job("job-a", chunks=fixed_chunks(1))
+    start_fixed_job(sched, "job-a", 1, chunk_cells)
     sched.assign(1, now=0.0)
     sched.mark_send(1, now=0.0)
     assert sched.assign(2, now=100.0) is None
@@ -277,7 +339,7 @@ def test_speculation_requires_throughput_signal_and_budget():
     strict = ChunkScheduler()
     for wid in (1, 2, 3, 4):
         seed_rate(strict.add_worker(wid), 100.0)
-    strict.start_job("job-a", chunks=fixed_chunks(2))
+    start_fixed_job(strict, "job-a", 2, chunk_cells)
     for wid in (1, 2):
         strict.assign(wid, now=0.0)
         strict.mark_send(wid, now=0.0)
@@ -287,7 +349,7 @@ def test_speculation_requires_throughput_signal_and_budget():
 
 
 def test_speculative_twin_blocks_requeue_and_does_not_burn_retries(
-    eager_speculation, monkeypatch
+    eager_speculation, monkeypatch, chunk_cells
 ):
     """A chunk whose holder dies while a speculative twin still
     computes it must not requeue (the twin will deliver), and the
@@ -296,7 +358,7 @@ def test_speculative_twin_blocks_requeue_and_does_not_burn_retries(
     sched = ChunkScheduler()
     seed_rate(sched.add_worker(1), 100.0)
     seed_rate(sched.add_worker(2), 100.0)
-    sched.start_job("job-a", chunks=fixed_chunks(1))
+    start_fixed_job(sched, "job-a", 1, chunk_cells)
     held = sched.assign(1, now=0.0)
     sched.mark_send(1, now=0.0)
     twin = sched.assign(2, now=50.0)
@@ -308,13 +370,13 @@ def test_speculative_twin_blocks_requeue_and_does_not_burn_retries(
     assert sched.job.done()
 
 
-def test_default_speculation_floor_protects_subsecond_chunks():
+def test_default_speculation_floor_protects_subsecond_chunks(chunk_cells):
     """With defaults, a chunk must be at least the absolute floor old
     before duplication — fast suites never speculate."""
     sched = ChunkScheduler()
     seed_rate(sched.add_worker(1), 1000.0)
     seed_rate(sched.add_worker(2), 1000.0)
-    sched.start_job("job-a", chunks=fixed_chunks(1))
+    start_fixed_job(sched, "job-a", 1, chunk_cells)
     sched.assign(1, now=0.0)
     sched.mark_send(1, now=0.0)
     just_under = scheduler.SPECULATION_MIN_SECONDS * 0.99
@@ -338,10 +400,10 @@ def test_scale_hint_recommends_fleet_for_outstanding_work():
     assert idle.recommended_workers == 0
 
 
-def test_stale_job_frames_are_rejected():
+def test_stale_job_frames_are_rejected(chunk_cells):
     sched = ChunkScheduler()
     sched.add_worker(1)
-    sched.start_job("job-b", chunks=fixed_chunks(1))
+    start_fixed_job(sched, "job-b", 1, chunk_cells)
     assert sched.accepts("job-b")
     assert not sched.accepts("job-a")
     assert not sched.valid_chunk(999)

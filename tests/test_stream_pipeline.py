@@ -140,11 +140,11 @@ def test_killed_scan_resumes_to_byte_identical_summary(tmp_path, monkeypatch):
     real_run_cells = backend.run_cells
     calls = {"n": 0}
 
-    def crash_after_first_wave(cells, chunk_size=1):
+    def crash_after_first_wave(cells):
         if calls["n"] >= 1:
             raise RuntimeError("simulated coordinator death")
         calls["n"] += 1
-        return real_run_cells(cells, chunk_size=chunk_size)
+        return real_run_cells(cells)
 
     monkeypatch.setattr(backend, "run_cells", crash_after_first_wave)
     with backend:

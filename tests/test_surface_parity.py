@@ -233,11 +233,11 @@ def test_cold_warm_and_resumed_scans_render_the_same_bytes(tmp_path, monkeypatch
         real_run_cells = session._backend.run_cells
         calls = []
 
-        def dying_run_cells(cells, chunk_size=None):
+        def dying_run_cells(cells):
             if calls:
                 raise RuntimeError("coordinator killed")
             calls.append(len(cells))
-            return real_run_cells(cells, chunk_size=chunk_size)
+            return real_run_cells(cells)
 
         monkeypatch.setattr(session._backend, "run_cells", dying_run_cells)
         with pytest.raises(RuntimeError, match="coordinator killed"):

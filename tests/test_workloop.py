@@ -3,8 +3,9 @@
 :func:`repro.runtime.workloop.run_work` is the only code that decides
 how a list of keyed work items (a suite's cells, a scan's shards) is
 executed against a backend and the result store. What must hold: any
-mix of stored / fresh / uncacheable items is delivered exactly once
-with serial-reference values, and every keyed item is in the store by
+mix of stored / fresh / uncacheable items, simulator cells and task
+cells, is delivered exactly once with serial-reference values, each
+task cell in a chunk of its own, and every keyed item is in the store by
 the time its batch has been observed, before the backend returns;
 accounting is per call (two runs sharing one cache do not see each
 other's hits); whatever observer and sink a backend carried before a
@@ -33,8 +34,8 @@ from repro.api import DistributedConfig, LocalConfig, RunRequest, Session
 from repro.interop.runner import SIZE_10KB, Scenario
 from repro.quic.server import ServerMode
 from repro.runtime import worker_main
-from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
-from repro.runtime.backend import ExecutionBackend
+from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
+from repro.runtime.backend import LocalBackend
 from repro.runtime.disk_cache import DiskResultCache, cell_fingerprint
 from repro.runtime.events import ChunkDispatched, WorkerJoined
 from repro.runtime.worker import run_cell_chunk
@@ -70,24 +71,30 @@ class Square:
         return RunArtifacts(None, seed, level, None, None, float(self.value**2 + seed))
 
 
-class InlineBackend(ExecutionBackend):
-    """Runs chunks in the caller, observing each like a real backend;
+#: The simulator cell of the mixed lists: item ``i`` runs it at seed ``i``.
+SCENARIO = Scenario(
+    client="quic-go", mode=ServerMode.IACK, http="h1", rtt_ms=9.0, response_size=SIZE_10KB
+)
+
+
+class InlineBackend(LocalBackend):
+    """A 2-slot local backend (its carve: ⌈n/4⌉ simulator cells a chunk,
+    a chunk of its own for each task) that runs its chunks in the
+    caller, recording each and observing it like a real backend;
     ``probe`` (if set) is called once all chunks were observed, before
     the results are returned."""
 
     def __init__(self):
-        self.chunk_sizes = []
+        super().__init__(workers=2)
+        self.chunks = []
         self.probe = None
         self.probed = []
-
-    def parallelism(self):
-        return 2
 
     def run_chunks(self, chunks):
         out = []
         for chunk in chunks:
             results = run_cell_chunk(chunk, LEVEL.value)
-            self.chunk_sizes.append(len(results))
+            self.chunks.append([task for task, pairs in chunk for _ in pairs])
             self.observe_results(results)
             out.extend(results)
         if self.probe is not None:
@@ -95,19 +102,47 @@ class InlineBackend(ExecutionBackend):
         return out[::-1]  # completion order is nobody's contract
 
 
+_REFERENCE = {}
+
+
+def reference_value(task, seed):
+    """What a serial run of the cell delivers: scenario-less, as every
+    backend delivers it (memoized across examples)."""
+    if (task, seed) not in _REFERENCE:
+        artifacts = execute_cell(task, seed, ArtifactLevel.STATS)
+        artifacts.scenario = None
+        _REFERENCE[task, seed] = artifacts
+    return _REFERENCE[task, seed]
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    kinds=st.lists(st.sampled_from(["stored", "fresh", "uncacheable"]), max_size=12),
+    kinds=st.lists(
+        st.sampled_from(
+            [
+                ("stored", "scenario"),
+                ("fresh", "scenario"),
+                ("stored", "task"),
+                ("fresh", "task"),
+                ("uncacheable", "task"),
+            ]
+        ),
+        max_size=12,
+    ),
     window=st.one_of(st.none(), st.integers(1, 5)),
-    chunk_size=st.one_of(st.none(), st.integers(1, 4)),
 )
-def test_any_split_is_delivered_once_with_reference_values_and_fully_journaled(
-    kinds, window, chunk_size
-):
-    """Journaled means put in the store as its batch arrives; a
-    "stored" item is what an earlier, killed run left there."""
-    items = [(i, Square(i, keyed=kind != "uncacheable"), 7) for i, kind in enumerate(kinds)]
-    reference = {i: task.execute_task(seed, ArtifactLevel.STATS) for i, task, seed in items}
+def test_any_split_is_delivered_once_with_reference_values_and_fully_journaled(kinds, window):
+    """Any mix of simulator cells and task cells, stored or not: each
+    is delivered once with its serial value, each task ran in a chunk
+    of its own, and each keyed one is journaled — put in the store as
+    its batch arrives; a "stored" item is what an earlier, killed run
+    left there."""
+    items = [
+        (i, SCENARIO, i) if shape == "scenario" else (i, Square(i, keyed=kind != "uncacheable"), 7)
+        for i, (kind, shape) in enumerate(kinds)
+    ]
+    kinds = [kind for kind, _shape in kinds]
+    reference = {i: reference_value(task, seed) for i, task, seed in items}
     with tempfile.TemporaryDirectory() as tmp:
         cache = DiskResultCache(f"{tmp}/cache")
         for (i, task, seed), kind in zip(items, kinds):
@@ -127,7 +162,6 @@ def test_any_split_is_delivered_once_with_reference_values_and_fully_journaled(
             lambda index, artifacts, source: delivered.append((index, artifacts, source)),
             cache=restarted,
             window=window,
-            chunk_size=chunk_size,
         )
 
         assert sorted(index for index, _a, _s in delivered) == list(range(len(items)))
@@ -139,9 +173,9 @@ def test_any_split_is_delivered_once_with_reference_values_and_fully_journaled(
             missed=kinds.count("fresh"),
             executed=kinds.count("fresh") + kinds.count("uncacheable"),
         )
-        if chunk_size is not None:
-            assert all(size <= chunk_size for size in backend.chunk_sizes)
-        assert sum(backend.chunk_sizes) == counts["executed"]
+        for chunk in backend.chunks:
+            assert len(chunk) == 1 or all(isinstance(task, Scenario) for task in chunk)
+        assert sum(map(len, backend.chunks)) == counts["executed"]
         # What the owner had attached is back.
         assert backend._result_observer is observer and backend._event_sink is sink
         # Every keyed item is stored, each fresh one before its backend
