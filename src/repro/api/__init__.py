@@ -81,7 +81,6 @@ from repro.runtime.events import (
     ChunkCacheStats,
     ChunkCompleted,
     ChunkDispatched,
-    ChunkSpeculated,
     EventSink,
     ExperimentCompleted,
     RunEvent,
@@ -94,7 +93,6 @@ from repro.runtime.events import (
     WorkerJoined,
     WorkerLost,
 )
-from repro.runtime.scheduler import ScaleHint
 from repro.runtime.suite import SuitePlan, SuiteReport
 from repro.schema import BUNDLE_SCHEMA_VERSION
 from repro.wild.stream import ScanReport, ScanRequest
@@ -108,7 +106,6 @@ __all__ = [
     "ChunkCacheStats",
     "ChunkCompleted",
     "ChunkDispatched",
-    "ChunkSpeculated",
     "DistributedConfig",
     "EventSink",
     "ExperimentCompleted",
@@ -124,7 +121,6 @@ __all__ = [
     "RunEvent",
     "RunRequest",
     "RunStream",
-    "ScaleHint",
     "ScanCompleted",
     "ScanReport",
     "ScanRequest",

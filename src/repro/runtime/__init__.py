@@ -28,8 +28,8 @@ Public surface:
   experiments, dedupe, execute once, fan out.
 * :class:`ChunkScheduler` — the distributed coordinator's one
   scheduling policy (chunk pool, requeue/poison bounds, adaptive
-  sizing, speculative re-execution, scale hints), with its bounds as
-  module constants, separate from the :class:`SocketBackend` transport.
+  sizing), with its bounds as module constants, separate from the
+  :class:`SocketBackend` transport.
 * :class:`FaultPlan` / :class:`FaultInjector` — structured worker
   fault injection for chaos tests (``repro worker --fault-plan``).
 
@@ -45,7 +45,6 @@ from repro.runtime.faults import FaultInjector, FaultPlan, parse_fault_plan
 from repro.runtime.scheduler import (
     Assignment,
     ChunkScheduler,
-    ScaleHint,
     WorkerState,
 )
 from repro.runtime.store import ArtifactHandle, ArtifactStore
@@ -69,7 +68,6 @@ __all__ = [
     "ResultObserver",
     "RunArtifacts",
     "RunEvent",
-    "ScaleHint",
     "SocketBackend",
     "Source",
     "SuitePlan",

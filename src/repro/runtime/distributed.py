@@ -10,10 +10,10 @@ worker count, chunk interleaving, or mid-run worker loss.
 
 This module is the *transport*: framing, authentication, heartbeats,
 per-worker sockets, and thread lifecycle. Every scheduling decision —
-which worker gets which cells, chunk sizing, requeue/poison bounds,
-speculative duplicates for stragglers — is made by the backend's one
-:class:`~repro.runtime.scheduler.ChunkScheduler`, called only under
-the backend's state lock.
+which worker gets which cells, chunk sizing, requeue/poison bounds —
+is made by the backend's one
+:class:`~repro.runtime.scheduler.ChunkScheduler`, called only under the
+backend's state lock.
 
 Wire protocol (version 7)
 -------------------------
@@ -73,9 +73,6 @@ leave gracefully with DRAIN: a worker that wants to depart (SIGTERM on
 closes; the coordinator marks it draining on receipt (no new chunks),
 emits :class:`~repro.runtime.events.WorkerDrained` instead of
 ``WorkerLost`` when the socket closes, and requeues nothing.
-:meth:`SocketBackend.scale_hint` summarizes the fleet (connected /
-busy / draining workers, outstanding cells, recommended fleet size)
-for elastic deployments.
 
 A worker that loses the coordinator (crash, restart) does not give up:
 with a rejoin window configured (``--rejoin`` on the CLI) it redials
@@ -99,13 +96,8 @@ that :func:`~repro.runtime.worker.runs_alone` — a wild pass, a scan
 shard — is carved as a chunk of its own, so a suite's cells and passes
 share one job. Because every result is tagged with its cell index,
 reassembly — and therefore the result bundle — is byte-identical no
-matter how the pool was carved.
-
-The same EWMA data drives **speculative straggler re-execution**: when
-the pool is drained but a chunk is overdue on a slow worker, an idle
-worker receives a duplicate copy (first completion wins; the twin's
-late result is ignored as any duplicate is). See
-:mod:`repro.runtime.scheduler` for the eligibility and budget policy.
+matter how the pool was carved. A chunk has one holder at a time: it
+runs again only when it is requeued after its worker was lost.
 
 Worker-side result cache
 ------------------------
@@ -162,13 +154,12 @@ Failure semantics
 
 * A worker that stops sending frames for ``heartbeat_timeout`` seconds
   (or whose socket dies, or that sends a malformed frame) is dropped
-  and its in-flight chunk is requeued for the remaining workers —
-  unless a speculative twin still holds a live copy. A chunk
-  dispatched :data:`~repro.runtime.scheduler.MAX_CHUNK_RETRIES` times
-  without completing aborts the run — a poison chunk must not requeue
-  forever (speculative duplicates do not count toward the bound: slow
-  is not poison). CHUNK
-  *sends* run on a dedicated per-worker write socket with their own
+  and its in-flight chunk is requeued for the remaining workers. A
+  worker that keeps heartbeating but never answers holds its chunk
+  until it goes silent or its connection dies. A chunk dispatched
+  :data:`~repro.runtime.scheduler.MAX_CHUNK_RETRIES` times without
+  completing aborts the run — a poison chunk must not requeue forever.
+  CHUNK *sends* run on a dedicated per-worker write socket with their own
   size-aware deadline (:func:`chunk_send_timeout`), so a slow link
   that needs longer than ``heartbeat_timeout`` to receive a large
   chunk is not misclassified as a dead worker mid-transfer — the
@@ -177,7 +168,8 @@ Failure semantics
 * A chunk that raises *inside* ``run_cell_chunk`` is deterministic
   (same cells fail everywhere), so the worker reports an ERROR frame
   and the server aborts the run with the remote traceback instead of
-  requeueing.
+  requeueing. The failed job dispatches nothing more, and the first
+  ERROR is the one reported.
 * Late results from a worker presumed lost are accepted if the chunk
   is still outstanding and ignored otherwise (both copies are
   bit-identical, so either is safe).
@@ -214,7 +206,6 @@ from repro.runtime.events import (
     ChunkCacheStats,
     ChunkCompleted,
     ChunkDispatched,
-    ChunkSpeculated,
     WorkerDrained,
     WorkerJoined,
     WorkerLost,
@@ -223,7 +214,6 @@ from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.scheduler import (
     Assignment,
     ChunkScheduler,
-    ScaleHint,
     WorkerState,
 )
 from repro.runtime.wire import decode_payload, encode_payload
@@ -803,9 +793,6 @@ class BackendStats:
     #: is not counted.
     chunks_dispatched: int = 0
     chunks_requeued: int = 0
-    #: Speculative duplicates sent: one per ``ChunkSpeculated`` event
-    #: (included in ``chunks_dispatched`` as well).
-    chunks_speculated: int = 0
     protocol_errors: int = 0
     #: Connections that reached the coordinator but failed the mutual
     #: HMAC handshake — the signature of a shared-secret mismatch.
@@ -884,8 +871,8 @@ class SocketBackend(ExecutionBackend):
     worker; finished workers immediately receive the next pending
     chunk, so faster workers naturally take more of the queue.
 
-    Scheduling policy — chunk sizing, requeue/poison bounds,
-    speculation, drain bookkeeping — is the backend's own
+    Scheduling policy — chunk sizing, requeue/poison bounds, drain
+    bookkeeping — is the backend's own
     :class:`~repro.runtime.scheduler.ChunkScheduler`, always invoked
     under this backend's state lock.
 
@@ -1162,7 +1149,7 @@ class SocketBackend(ExecutionBackend):
                 conn.inflight = None
                 if self._scheduler.accepts(job_id) and self._scheduler.can_requeue(chunk_id):
                     # Deferred below the WorkerLost emit: the requeued
-                    # twin's ChunkDispatched must order after it.
+                    # chunk's ChunkDispatched must order after it.
                     requeue_chunk = chunk_id
             self._cond.notify_all()
         if lost or drained:
@@ -1237,14 +1224,6 @@ class SocketBackend(ExecutionBackend):
         self.wait_for_workers(self.min_workers, self.worker_wait_timeout)
         with self._lock:
             return max(self.min_workers, len(self._workers))
-
-    def scale_hint(self) -> ScaleHint:
-        """Advisory fleet-sizing summary from the scheduler: connected
-        / busy / draining workers, outstanding cells, and the worker
-        count that would keep the remaining work flowing at the fleet's
-        observed throughput."""
-        with self._lock:
-            return self._scheduler.scale_hint()
 
     def run_cells(self, cells: Sequence[IndexedCell]) -> List[Tuple[int, RunArtifacts]]:
         """Serve cells with adaptively sized per-worker chunks.
@@ -1389,18 +1368,8 @@ class SocketBackend(ExecutionBackend):
                     continue
                 with self._cond:
                     self.stats.chunks_dispatched += 1
-                    if assignment.speculative:
-                        self.stats.chunks_speculated += 1
                     self.stats.chunk_bytes_wire += wire_len
                     self.stats.chunk_bytes_raw += raw_len
-                if assignment.speculative:
-                    self.emit(
-                        ChunkSpeculated(
-                            chunk_id=assignment.chunk_id,
-                            cells=assignment.cells,
-                            where=f"worker-{conn.wid}",
-                        )
-                    )
                 self.emit(
                     ChunkDispatched(
                         chunk_id=assignment.chunk_id,

@@ -15,15 +15,14 @@ done". Every component of the runtime now reports progress as typed
   :class:`ChunkCompleted` otherwise, and the distributed
   :class:`~repro.runtime.distributed.SocketBackend` additionally emits
   :class:`WorkerJoined` / :class:`WorkerLost` / :class:`WorkerDrained`
-  for fleet membership and :class:`ChunkSpeculated` when a straggler
-  chunk gets a duplicate copy.
+  for fleet membership.
 
 Failure-path ordering guarantees (asserted by the event-ordering
 tests): a :class:`WorkerLost` event carries the number of chunks its
-loss requeued and is emitted *before* the requeued twin's
-:class:`ChunkDispatched`; duplicate RESULT frames (a requeued or
-speculative twin finishing second, or a presumed-lost worker's late
-echo) never emit a second :class:`ChunkCompleted` for the same chunk.
+loss requeued and is emitted *before* the requeued chunk's
+:class:`ChunkDispatched`; duplicate RESULT frames (a presumed-lost
+worker's late echo) never emit a second :class:`ChunkCompleted` for
+the same chunk.
 
 Sinks run on whatever thread produced the event (including backend
 reader threads), so they must be quick and thread-safe; exceptions a
@@ -54,7 +53,6 @@ __all__ = [
     "ChunkCacheStats",
     "ChunkCompleted",
     "ChunkDispatched",
-    "ChunkSpeculated",
     "EventSink",
     "ExperimentCompleted",
     "RunEvent",
@@ -169,27 +167,12 @@ class WorkerJoined(RunEvent):
 
 
 @dataclass(frozen=True)
-class ChunkSpeculated(RunEvent):
-    """A duplicate copy of an overdue in-flight chunk was dispatched
-    to an idle worker (emitted just before the copy's
-    :class:`ChunkDispatched`); whichever copy finishes first is
-    recorded, the other is ignored."""
-
-    kind = "chunk_speculated"
-
-    chunk_id: int
-    cells: int
-    #: The slot the *duplicate* went to.
-    where: str
-
-
-@dataclass(frozen=True)
 class WorkerLost(RunEvent):
     """A remote worker was dropped (socket death, heartbeat timeout,
     or protocol violation). ``requeued_chunks`` counts the in-flight
     chunks its loss sent back to the queue — 0 when it held none, or
-    when a speculative twin still holds a live copy; always emitted
-    before the requeued twin's :class:`ChunkDispatched`."""
+    when its chunk was already recorded; always emitted before the
+    requeued chunk's :class:`ChunkDispatched`."""
 
     kind = "worker_lost"
 
@@ -328,7 +311,6 @@ EVENT_TYPES: Dict[str, Type[RunEvent]] = {
         SuitePlanned,
         ChunkDispatched,
         ChunkCompleted,
-        ChunkSpeculated,
         CellCompleted,
         WorkerJoined,
         WorkerLost,

@@ -19,24 +19,17 @@ constants below, read at call time:
   MAX_CHUNK_CELLS]``. The time budget bounds a chunk when the pool is
   large; the share keeps the whole fleet busy when the pool is smaller
   than one budget (see :meth:`ChunkScheduler._fair_share`);
+* **one holder per chunk** — a chunk is held by at most one worker at
+  a time and runs again only when its worker is lost: cells are
+  deterministic, so a long chunk is an expensive chunk, not a slow
+  worker, and a later copy could not finish first;
 * **requeue and poison bounds** — a lost worker's chunk goes back to
   the front of the queue; a chunk dispatched :data:`MAX_CHUNK_RETRIES`
   times without completing aborts the run with a typed
   :class:`~repro.errors.BackendError` carrying the poison cells;
-* **speculative straggler re-execution** — when the pool is empty but
-  chunks are still in flight, an idle worker may receive a duplicate
-  copy of the most overdue chunk (first completion wins, the twin's
-  late result is ignored). Duplication is budgeted
-  (:data:`SPECULATION_BUDGET_FRACTION` of completed chunks, at least
-  one) and gated on a chunk being genuinely overdue — older than
-  :data:`SPECULATION_FACTOR` × its expected duration and older than
-  :data:`SPECULATION_MIN_SECONDS` — so a healthy fleet never duplicates
-  work. Speculative dispatches do not count toward the poison bound:
-  a merely *slow* chunk must never abort a healthy run;
 * **elastic membership bookkeeping** — workers join and leave
   mid-job; a draining worker finishes its in-flight chunk but is never
-  assigned another, and :meth:`ChunkScheduler.scale_hint` summarizes
-  the fleet for callers deciding whether to add or retire workers.
+  assigned another.
 
 The scheduler is deliberately **not** thread-safe: every call must be
 made under the owning backend's state lock. It performs no I/O and
@@ -47,7 +40,6 @@ testable without a fleet.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -65,15 +57,11 @@ from repro.runtime.worker import (
 __all__ = [
     "Assignment",
     "ChunkScheduler",
-    "ScaleHint",
     "WorkerState",
     "MAX_CHUNK_RETRIES",
     "TARGET_CHUNK_SECONDS",
     "MIN_CHUNK_CELLS",
     "MAX_CHUNK_CELLS",
-    "SPECULATION_FACTOR",
-    "SPECULATION_MIN_SECONDS",
-    "SPECULATION_BUDGET_FRACTION",
     "EWMA_ALPHA",
 ]
 
@@ -93,16 +81,6 @@ MAX_CHUNK_CELLS = 1024
 #: enough to track a throttled link, damped enough not to chase one
 #: noisy chunk.
 EWMA_ALPHA = 0.5
-#: A chunk becomes a speculation candidate only once it is this many
-#: times older than its expected duration ...
-SPECULATION_FACTOR = 3.0
-#: ... and at least this old in absolute terms: sub-second chunks are
-#: rescheduled by the normal requeue machinery faster than duplicating
-#: them could ever pay off.
-SPECULATION_MIN_SECONDS = 5.0
-#: Speculative dispatches allowed per completed chunk (minimum one):
-#: bounds duplicated work on a fleet where everything looks slow.
-SPECULATION_BUDGET_FRACTION = 0.25
 
 
 class WorkerState:
@@ -165,26 +143,6 @@ class Assignment:
     chunk_id: int
     chunk: GroupedChunk
     cells: int
-    #: True when this is a duplicate copy of an in-flight chunk
-    #: dispatched to outrun a straggler.
-    speculative: bool = False
-
-
-@dataclass(frozen=True)
-class ScaleHint:
-    """Advisory fleet-sizing summary (see :meth:`ChunkScheduler.scale_hint`).
-
-    ``recommended_workers`` estimates how many workers could be kept
-    busy by the outstanding work at the fleet's observed median
-    throughput — more connected workers than that will partially idle,
-    fewer will stretch the run.
-    """
-
-    connected: int
-    busy: int
-    draining: int
-    outstanding_cells: int
-    recommended_workers: int
 
 
 class _JobState:
@@ -208,8 +166,6 @@ class _JobState:
         self.initial_chunk_cells = initial_chunk_cells
         self.results: Dict[int, List[Tuple[int, RunArtifacts]]] = {}
         self.failure: Optional[Dict[str, Any]] = None
-        #: Speculative dispatches made so far (budget accounting).
-        self.spec_dispatches = 0
 
     def checkout(self, target_cells: int) -> Optional[int]:
         """Next chunk to dispatch — a requeued chunk first, else one
@@ -250,8 +206,9 @@ class _JobState:
         return chunk_id
 
     def record(self, chunk_id: int, results: List[Tuple[int, RunArtifacts]]) -> bool:
-        """First completion wins; a duplicate from a requeued or
-        speculative twin is bit-identical and safely ignored."""
+        """First completion wins; a duplicate (a repeated RESULT
+        frame, a presumed-lost worker's late echo) is bit-identical and
+        safely ignored."""
         if chunk_id in self.results:
             return False
         self.results[chunk_id] = results
@@ -283,7 +240,7 @@ class _JobState:
 
 class ChunkScheduler:
     """The fleet's scheduling policy: EWMA- and fair-share-sized
-    chunks, front-requeue with a poison bound, budgeted speculation,
+    chunks with one holder each, front-requeue with a poison bound,
     drain-aware assignment.
 
     One instance lives for the whole backend so per-worker throughput
@@ -396,82 +353,41 @@ class ChunkScheduler:
             share = uncarved / len(idle)
         return min(math.ceil(share), uncarved - (len(idle) - 1))
 
-    def _holders(self, chunk_id: int) -> int:
-        return sum(1 for state in self._workers.values() if state.chunk_id == chunk_id)
-
-    def _speculation_candidate(self, job: _JobState, now: float) -> Optional[int]:
-        """The most overdue single-holder in-flight chunk, if any chunk
-        is overdue at all and the duplication budget allows another
-        copy."""
-        budget = max(1, math.ceil(SPECULATION_BUDGET_FRACTION * len(job.results)))
-        if job.spec_dispatches >= budget:
-            return None
-        rates = [s.ewma_rate for s in self._workers.values() if s.ewma_rate]
-        if not rates:
-            # No throughput signal yet — "overdue" is undefined.
-            return None
-        fleet_rate = statistics.median(rates)
-        best: Optional[Tuple[float, int]] = None
-        for state in self._workers.values():
-            chunk_id = state.chunk_id
-            if chunk_id is None or chunk_id in job.results:
-                continue
-            if state.dispatched_at is None:
-                continue
-            if self._holders(chunk_id) >= 2:
-                continue
-            rate = state.ewma_rate or fleet_rate
-            expected = state.dispatched_cells / max(rate, 1e-9)
-            threshold = max(SPECULATION_MIN_SECONDS, SPECULATION_FACTOR * expected)
-            elapsed = now - state.dispatched_at
-            if elapsed <= threshold:
-                continue
-            overdue = elapsed / threshold
-            if best is None or overdue > best[0]:
-                best = (overdue, chunk_id)
-        return best[1] if best is not None else None
-
     def assign(self, wid: int, now: float) -> Optional[Assignment]:
-        """Pick the next chunk for an idle worker: pending work first,
-        else a speculative duplicate of an overdue straggler chunk.
-        Raises :class:`~repro.errors.BackendError` on the poison-chunk
-        retry bound."""
+        """Pick the next chunk for an idle worker — a requeued chunk
+        first, else one carved from the pool — or ``None`` once both are
+        empty, however long the chunks still held have run (``now`` is
+        not consulted), or once the job has failed: its remaining work
+        will never be collected. Raises
+        :class:`~repro.errors.BackendError` on the poison-chunk retry
+        bound."""
         job = self._job
         state = self._workers.get(wid)
-        if job is None or state is None or state.draining or state.chunk_id is not None:
+        if job is None or job.failure is not None:
+            return None
+        if state is None or state.draining or state.chunk_id is not None:
             return None
         chunk_id = job.checkout(self._target_cells(state, job))
-        speculative = False
         if chunk_id is None:
-            chunk_id = self._speculation_candidate(job, now)
-            if chunk_id is None:
-                return None
-            speculative = True
-            job.spec_dispatches += 1
+            return None
         state.chunk_id = chunk_id
         state.dispatched_cells = chunk_cell_count(job.chunks[chunk_id])
         return Assignment(
             chunk_id=chunk_id,
             chunk=job.chunks[chunk_id],
             cells=state.dispatched_cells,
-            speculative=speculative,
         )
 
     def unassign(self, wid: int, assignment: Assignment) -> None:
-        """Roll back an assignment whose CHUNK frame was never sent: a
-        speculative copy refunds its budget; any other returns its chunk
-        to the front of the queue without burning a poison-bound
-        attempt."""
+        """Roll back an assignment whose CHUNK frame was never sent:
+        its chunk returns to the front of the queue without burning a
+        poison-bound attempt."""
         state = self._workers.get(wid)
         if state is not None and state.chunk_id == assignment.chunk_id:
             state.chunk_id = None
             state.dispatched_at = None
         job = self._job
         if job is None:
-            return
-        if assignment.speculative:
-            # The original holder still computes it; just refund budget.
-            job.spec_dispatches -= 1
             return
         job.attempts[assignment.chunk_id] -= 1
         if assignment.chunk_id not in job.results:
@@ -501,8 +417,8 @@ class ChunkScheduler:
         job = self._job
         if job is None:
             return False
-        if assignment.speculative or assignment.chunk_id in job.results:
-            # Someone else computes (or computed) this chunk.
+        if assignment.chunk_id in job.results:
+            # A worker presumed lost delivered this chunk after all.
             return True
         cells: List[IndexedCell] = [
             (index, scenario, seed)
@@ -546,55 +462,31 @@ class ChunkScheduler:
             state.chunk_id = None
 
     def can_requeue(self, chunk_id: int) -> bool:
-        """Read-only twin of :meth:`requeue`: lets the transport
-        announce a loss (``WorkerLost``) *before* the requeue makes the
-        chunk dispatchable, so the loss event orders ahead of the
-        requeued twin's ``ChunkDispatched``."""
+        """Whether :meth:`requeue` would take the chunk back: lets the
+        transport announce a loss (``WorkerLost``) *before* the requeue
+        makes the chunk dispatchable, so the loss event orders ahead of
+        the requeued chunk's ``ChunkDispatched``. A chunk already
+        recorded is not; nor is one a live worker holds, which was not
+        lost: its holder will record it, and a requeue would give it a
+        second holder."""
         job = self._job
         return (
             job is not None
             and chunk_id not in job.results
-            and self._holders(chunk_id) == 0
+            and all(state.chunk_id != chunk_id for state in self._workers.values())
         )
 
     def requeue(self, chunk_id: int) -> bool:
-        """Return a lost chunk to the front of the queue unless it was
-        already recorded or another live worker still holds a copy."""
-        job = self._job
-        if job is None or chunk_id in job.results:
+        """Return a lost chunk to the front of the queue, unless
+        :meth:`can_requeue` says no."""
+        if not self.can_requeue(chunk_id):
             return False
-        if self._holders(chunk_id) > 0:
-            # A speculative (or racing) twin still computes this chunk;
-            # its completion will record it, so a requeue would only
-            # duplicate work a third time.
-            return False
-        job.pending.appendleft(chunk_id)
+        self._job.pending.appendleft(chunk_id)
         return True
 
     def fail(self, payload: Dict[str, Any]) -> None:
-        if self._job is not None:
+        """Fail the active job. The first failure is the one reported:
+        a later ERROR, or a frame a worker sends after it, does not
+        replace the cause."""
+        if self._job is not None and self._job.failure is None:
             self._job.failure = payload
-
-    # -- introspection --------------------------------------------------
-
-    def scale_hint(self) -> ScaleHint:
-        connected = len(self._workers)
-        busy = sum(1 for s in self._workers.values() if s.chunk_id is not None)
-        draining = sum(1 for s in self._workers.values() if s.draining)
-        outstanding = self._job.outstanding_cells() if self._job is not None else 0
-        if outstanding <= 0:
-            recommended = 0
-        else:
-            rates = [s.ewma_rate for s in self._workers.values() if s.ewma_rate]
-            if rates:
-                per_worker = max(statistics.median(rates) * TARGET_CHUNK_SECONDS, 1.0)
-            else:
-                per_worker = max(float(self._job.initial_chunk_cells), 1.0)
-            recommended = min(outstanding, max(1, math.ceil(outstanding / per_worker)))
-        return ScaleHint(
-            connected=connected,
-            busy=busy,
-            draining=draining,
-            outstanding_cells=outstanding,
-            recommended_workers=recommended,
-        )

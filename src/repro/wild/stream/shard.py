@@ -4,9 +4,8 @@ The streaming pipeline ships no new wire protocol: a shard is
 dispatched as an ordinary cell ``(shard_index, ShardProbeTask, seed)``
 through whichever :class:`~repro.runtime.backend.ExecutionBackend` the
 session runs — process pool or authenticated socket fleet — and every
-runtime feature (scheduler requeue, speculation, elastic membership,
-worker result cache, durable disk cache) applies
-unchanged. Two small duck-typed hooks make that work:
+runtime feature (scheduler requeue, elastic membership, worker result
+cache, durable disk cache) applies unchanged. Two small duck-typed hooks make that work:
 
 * :meth:`ShardProbeTask.execute_task` — recognized by
   :func:`repro.runtime.artifacts.execute_cell` in place of a simulator

@@ -8,9 +8,8 @@ to exit, then fails the session naming each survivor by pid and command
 line. It reads ``/proc`` and does nothing where there is none.
 
 It also holds :func:`cold_plans`, for the tests that count what planning
-a request costs, :func:`eager_speculation`, for the tests that make the
-fleet duplicate a straggler's chunk, and :func:`chunk_cells`, for the
-tests that need the fleet's chunks to be of one size.
+a request costs, and :func:`chunk_cells`, for the tests that need the
+fleet's chunks to be of one size.
 """
 
 import os
@@ -58,16 +57,6 @@ def cold_plans():
     suite_module._PLANS.clear()
     yield
     suite_module._PLANS.clear()
-
-
-@pytest.fixture
-def eager_speculation(monkeypatch):
-    """Speculation constants that duplicate any chunk older than its
-    expected duration and 0.3 s, once per completed chunk: a straggler
-    is outrun in well under a second instead of after the 5 s floor."""
-    monkeypatch.setattr(scheduler_module, "SPECULATION_FACTOR", 1.0)
-    monkeypatch.setattr(scheduler_module, "SPECULATION_MIN_SECONDS", 0.3)
-    monkeypatch.setattr(scheduler_module, "SPECULATION_BUDGET_FRACTION", 1.0)
 
 
 @pytest.fixture

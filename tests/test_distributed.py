@@ -21,6 +21,7 @@ import pytest
 
 from repro.api import LocalConfig, Session
 from repro.cli import main, parse_address, resolve_auth_key
+from repro.errors import BackendError
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
@@ -39,6 +40,7 @@ from repro.runtime.distributed import (
     recv_frame,
     send_frame,
 )
+from repro.runtime.events import ChunkCompleted, ChunkDispatched
 from repro.runtime.faults import FaultPlan
 from tests.sweeps import sweep
 
@@ -431,9 +433,12 @@ def test_killed_worker_chunk_requeued_and_stats_bit_identical(chunk_cells):
 
 def test_throttled_worker_delivers_bit_identical_stats(chunk_cells):
     """A worker whose uplink is throttled (``--fault-plan slow_send=…``)
-    trickles its RESULT frames and still delivers the serial stats."""
+    trickles its RESULT frames and still delivers the serial stats, each
+    chunk dispatched once."""
     serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
+    events = []
     backend = SocketBackend(port=0, min_workers=1)
+    backend.set_event_sink(events.append)
     try:
         start_worker_thread(backend, fault_plan=FaultPlan(slow_send_bytes_per_sec=2_000_000))
         chunk_cells(2)
@@ -442,13 +447,17 @@ def test_throttled_worker_delivers_bit_identical_stats(chunk_cells):
         backend.close()
     assert [a.client_stats for a in throttled] == [e.client_stats for e in serial]
     assert [a.server_stats for a in throttled] == [e.server_stats for e in serial]
+    dispatched = [e.chunk_id for e in events if isinstance(e, ChunkDispatched)]
+    assert dispatched and len(dispatched) == len(set(dispatched))
 
 
 def test_silent_worker_dropped_by_heartbeat_timeout(chunk_cells):
     """A worker that goes silent (no heartbeats, socket still open)
     must be declared lost after heartbeat_timeout and its chunk served
-    by the remaining worker."""
+    by the remaining worker, each chunk completing once."""
+    events = []
     backend = SocketBackend(port=0, min_workers=2, heartbeat_timeout=0.6)
+    backend.set_event_sink(events.append)
     mute_ready = threading.Event()
     release = threading.Event()
 
@@ -473,12 +482,43 @@ def test_silent_worker_dropped_by_heartbeat_timeout(chunk_cells):
         assert mute_ready.is_set()
         assert backend.stats.chunks_requeued >= 1
         assert backend.stats.workers_lost >= 1
+        completed = [e.chunk_id for e in events if isinstance(e, ChunkCompleted)]
+        assert len(completed) == len(set(completed))  # each chunk completes once
         assert [r.client_stats for r in distributed] == [
             r.client_stats for r in serial
         ]
     finally:
         release.set()
         backend.close()
+
+
+def test_all_workers_lost_aborts_naming_outstanding_cells(chunk_cells):
+    """A fleet whose only worker takes a chunk and closes, and that no
+    worker rejoins within ``worker_wait_timeout``, aborts the run with
+    the count of cells still outstanding."""
+    backend = SocketBackend(port=0, min_workers=1, worker_wait_timeout=0.5)
+
+    def vanishing_worker():
+        sock = socket.create_connection((backend.host, backend.port))
+        try:
+            send_frame(sock, MSG_HELLO, {"version": PROTOCOL_VERSION, "pid": 0, "host": "gone"})
+            recv_frame(sock)  # WELCOME
+            recv_frame(sock)  # take one chunk, then close
+        finally:
+            sock.close()
+
+    worker = threading.Thread(target=vanishing_worker, daemon=True)
+    worker.start()
+    try:
+        backend.wait_for_workers(1, timeout=10)
+        chunk_cells(2)
+        with pytest.raises(BackendError, match=r"all workers lost with 4 cell\(s\) outstanding"):
+            sweep(backend, LOSSY_IACK, 4)
+        assert backend.stats.workers_lost == 1
+        assert backend.stats.chunks_requeued == 1
+    finally:
+        backend.close()
+        worker.join(timeout=10)
 
 
 def test_malformed_and_non_hello_connections_are_dropped_not_fatal():

@@ -17,7 +17,6 @@ from repro.runtime.events import (
     ChunkCacheStats,
     ChunkCompleted,
     ChunkDispatched,
-    ChunkSpeculated,
     ExperimentCompleted,
     ScanCompleted,
     ShardCompleted,
@@ -50,7 +49,6 @@ SAMPLES = [
         where="worker-2",
         cache=ChunkCacheStats(hits=5, misses=3, uncacheable=1, entries=42),
     ),
-    ChunkSpeculated(chunk_id=5, cells=4, where="worker-3"),
     CellCompleted(completed=7, total=32),
     WorkerJoined(worker_id=2, host="10.0.0.5", pid=4242),
     WorkerLost(worker_id=2, requeued_chunks=1),
@@ -91,6 +89,10 @@ def test_round_trip_is_field_for_field(event):
 
 def test_unknown_kind_is_skipped_not_fatal():
     assert event_from_dict({"kind": "warp_drive_engaged", "speed": 9}) is None
+    # ... and so is a kind this build no longer emits: an older daemon's
+    # duplicate-dispatch announcement.
+    removed = {"kind": "chunk_speculated", "chunk_id": 5, "cells": 4, "where": "worker-3"}
+    assert event_from_dict(removed) is None
     assert event_from_dict({"no": "kind"}) is None
     assert event_from_dict("not a dict") is None
     assert event_from_dict(None) is None

@@ -41,7 +41,7 @@ from repro.runtime.distributed import (
     recv_frame_ex,
     send_frame,
 )
-from repro.runtime.events import ChunkDispatched, ChunkSpeculated
+from repro.runtime.events import ChunkDispatched
 from repro.runtime.wire import (
     BLOB_MAGIC,
     CODEC_RAW,
@@ -418,7 +418,6 @@ def test_oversized_chunk_splits_and_run_completes(monkeypatch, chunk_cells):
         # The split chunk was never sent, so it was never counted.
         kinds = [type(event) for event in events]
         assert backend.stats.chunks_dispatched == kinds.count(ChunkDispatched)
-        assert backend.stats.chunks_speculated == kinds.count(ChunkSpeculated)
     finally:
         backend.close()
     assert len(results) == len(reference)

@@ -330,7 +330,7 @@ def test_a_suite_reaches_its_backend_in_one_call_and_each_pass_runs_alone(where,
 
         def assign(self, wid, now):
             assignment = real_assign(self, wid, now)
-            if assignment is not None and not assignment.speculative:
+            if assignment is not None:
                 chunks.append(assignment.chunk)
             return assignment
 

@@ -1,6 +1,6 @@
 """Scheduling policy unit tests: the distributed coordinator's chunk
-pool, requeue/poison bounds, EWMA sizing, speculation, and elastic
-membership — exercised without any sockets, which is the point of
+pool, one holder per chunk, requeue/poison bounds, EWMA sizing, and
+elastic membership — exercised without any sockets, which is the point of
 keeping :class:`~repro.runtime.scheduler.ChunkScheduler` apart from the
 transport. Other bounds than the module constants are monkeypatched.
 """
@@ -55,7 +55,6 @@ def test_fixed_chunks_dispatch_and_reassemble_in_order(chunk_cells):
         if assignment is None:
             break
         seen.append(assignment.chunk_id)
-        assert not assignment.speculative
         sched.mark_send(1, now=0.0)
         assert sched.record(1, assignment.chunk_id, result_for(assignment.chunk))
     assert seen == [0, 1, 2]
@@ -179,8 +178,9 @@ def test_a_task_that_runs_alone_never_shares_a_chunk(simulated, alone, size, act
     """Simulator cells with passes at the pool's end, carved at any
     size by two workers that record, get lost (their chunk requeued) or
     overflow the frame bound (their chunk split): every chunk ever
-    dispatched that holds a pass holds nothing else, and every cell is
-    recorded exactly once."""
+    dispatched that holds a pass holds nothing else, no chunk is handed
+    out while another worker holds it or after it was recorded, and
+    every cell is recorded exactly once."""
     pool = cells(0, simulated) + [(simulated + i, Pass(), 0) for i in range(alone)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scheduler, "MIN_CHUNK_CELLS", size)
@@ -194,6 +194,9 @@ def test_a_task_that_runs_alone_never_shares_a_chunk(simulated, alone, size, act
                 if wid not in held:
                     assignment = sched.assign(wid, now=0.0)
                     if assignment is not None:
+                        # One holder: never a chunk held elsewhere or recorded.
+                        assert assignment.chunk_id not in {a.chunk_id for a in held.values()}
+                        assert assignment.chunk_id not in sched.job.results
                         tasks = [task for task, pairs in assignment.chunk for _ in pairs]
                         assert len(tasks) == 1 or not any(map(runs_alone, tasks))
                         held[wid] = assignment
@@ -236,8 +239,6 @@ def test_busy_and_draining_workers_get_no_assignment(chunk_cells):
     assert sched.assign(1, now=0.0) is None  # already holds a chunk
     sched.drain_worker(2)
     assert sched.assign(2, now=0.0) is None  # draining: no new work
-    hint = sched.scale_hint()
-    assert (hint.connected, hint.busy, hint.draining) == (2, 1, 1)
 
 
 # -- requeue and the poison bound ---------------------------------------
@@ -298,106 +299,36 @@ def test_unassign_rolls_back_a_failed_dispatch(chunk_cells):
     assert again.chunk_id == assignment.chunk_id
 
 
-# -- speculation --------------------------------------------------------
-
-
-def test_overdue_straggler_chunk_is_speculatively_duplicated(eager_speculation, chunk_cells):
-    sched = ChunkScheduler()
-    straggler = sched.add_worker(1)
-    fast = sched.add_worker(2)
-    seed_rate(straggler, 100.0)
-    seed_rate(fast, 100.0)
-    start_fixed_job(sched, "job-a", 2, chunk_cells)
-    held = sched.assign(1, now=0.0)
-    sched.mark_send(1, now=0.0)
-    other = sched.assign(2, now=0.0)
-    sched.mark_send(2, now=0.0)
-    sched.record(2, other.chunk_id, result_for(other.chunk))
-    # pool is empty; at now=0.05 the straggler is not yet overdue
-    assert sched.assign(2, now=0.05) is None
-    twin = sched.assign(2, now=5.0)
-    assert twin is not None and twin.speculative
-    assert twin.chunk_id == held.chunk_id
-    # first completion wins; the twin's duplicate is ignored
-    assert sched.record(2, twin.chunk_id, result_for(twin.chunk))
-    assert not sched.record(1, held.chunk_id, result_for(held.chunk))
-    assert sched.job.done()
-
-
-def test_speculation_requires_throughput_signal_and_budget(chunk_cells):
-    # no EWMA rates anywhere → "overdue" is undefined → no speculation
-    sched = ChunkScheduler()
-    sched.add_worker(1)
-    sched.add_worker(2)
-    start_fixed_job(sched, "job-a", 1, chunk_cells)
-    sched.assign(1, now=0.0)
-    sched.mark_send(1, now=0.0)
-    assert sched.assign(2, now=100.0) is None
-    sched.finish_job()
-    # Budget exhausted: with no chunk completed yet, the default
-    # fraction allows one duplicate, so a second overdue chunk waits.
-    strict = ChunkScheduler()
-    for wid in (1, 2, 3, 4):
-        seed_rate(strict.add_worker(wid), 100.0)
-    start_fixed_job(strict, "job-a", 2, chunk_cells)
-    for wid in (1, 2):
-        strict.assign(wid, now=0.0)
-        strict.mark_send(wid, now=0.0)
-    twin = strict.assign(3, now=100.0)
-    assert twin is not None and twin.speculative
-    assert strict.assign(4, now=100.0) is None
-
-
-def test_speculative_twin_blocks_requeue_and_does_not_burn_retries(
-    eager_speculation, monkeypatch, chunk_cells
+def test_an_idle_worker_at_the_pools_end_gets_none_however_overdue_a_held_chunk(
+    chunk_cells,
 ):
-    """A chunk whose holder dies while a speculative twin still
-    computes it must not requeue (the twin will deliver), and the
-    duplicate dispatch must not count toward the poison bound."""
-    monkeypatch.setattr(scheduler, "MAX_CHUNK_RETRIES", 1)
-    sched = ChunkScheduler()
-    seed_rate(sched.add_worker(1), 100.0)
-    seed_rate(sched.add_worker(2), 100.0)
-    start_fixed_job(sched, "job-a", 1, chunk_cells)
-    held = sched.assign(1, now=0.0)
-    sched.mark_send(1, now=0.0)
-    twin = sched.assign(2, now=50.0)
-    assert twin is not None and twin.speculative  # retries=1 not exceeded
-    sched.remove_worker(1)
-    assert not sched.can_requeue(held.chunk_id)  # the twin still holds it
-    assert not sched.requeue(held.chunk_id)
-    assert sched.record(2, twin.chunk_id, result_for(twin.chunk))
-    assert sched.job.done()
-
-
-def test_default_speculation_floor_protects_subsecond_chunks(chunk_cells):
-    """With defaults, a chunk must be at least the absolute floor old
-    before duplication — fast suites never speculate."""
+    """With the pool carved and nothing requeued, an idle worker gets no
+    chunk however long another worker has held one: a chunk has one
+    holder and runs again only when requeued after its worker is lost."""
     sched = ChunkScheduler()
     seed_rate(sched.add_worker(1), 1000.0)
     seed_rate(sched.add_worker(2), 1000.0)
     start_fixed_job(sched, "job-a", 1, chunk_cells)
-    sched.assign(1, now=0.0)
+    held = sched.assign(1, now=0.0)
     sched.mark_send(1, now=0.0)
-    just_under = scheduler.SPECULATION_MIN_SECONDS * 0.99
-    assert sched.assign(2, now=just_under) is None
+    assert sched.assign(2, now=1e9) is None
+    assert sched.record(1, held.chunk_id, result_for(held.chunk))
+    assert sched.job.done()
 
 
-# -- scale hints --------------------------------------------------------
-
-
-def test_scale_hint_recommends_fleet_for_outstanding_work():
+def test_a_failed_job_hands_out_no_chunk_and_keeps_its_first_failure(chunk_cells):
+    """After a worker's ERROR fails the job, the worker it released gets
+    no further chunk of that job, and a later failure (a stale ERROR
+    frame) does not replace the first as the reported cause."""
     sched = ChunkScheduler()
-    seed_rate(sched.add_worker(1), 10.0)
-    sched.start_job("job-a", pool=cells(0, 100), initial_chunk_cells=4)
-    hint = sched.scale_hint()
-    assert hint.outstanding_cells == 100
-    # 100 cells at 10 cells/s per worker-second → 10 workers keep busy
-    assert hint.recommended_workers == 10
-    sched.finish_job()
-    idle = sched.scale_hint()
-    assert idle.outstanding_cells == 0
-    assert idle.recommended_workers == 0
+    sched.add_worker(1)
+    start_fixed_job(sched, "job-a", 2, chunk_cells)
+    first = sched.assign(1, now=0.0)
+    sched.release(1)
+    sched.fail({"chunk_id": first.chunk_id, "error": "boom"})
+    assert sched.assign(1, now=0.0) is None
+    sched.fail({"chunk_id": first.chunk_id, "error": "stale boom"})
+    assert sched.job.failure["error"] == "boom"
 
 
 def test_stale_job_frames_are_rejected(chunk_cells):
