@@ -20,7 +20,13 @@ The drill (see the Service section of API.md):
 5. Submit the identical suite a second time to the restarted daemon:
    that job is served the plan the first one made (no experiment is
    planned again) and, like it, only disk-cache hits.
-6. Byte-diff all three fetched bundles against the direct local bundle.
+6. Send the restarted daemon 200 warm jobs of the benchmark's
+   ``service_mix`` request and read its memory before and after: its
+   ``VmHWM`` and ``VmRSS`` from ``/proc/<pid>/status`` and
+   ``held_bytes`` from ``/v1/health``. A finished job holds one
+   compressed fetch document, so the phase fails above 20 KB of RSS or
+   8 KB of ``held_bytes`` per job.
+7. Byte-diff all three fetched bundles against the direct local bundle.
 """
 
 import json
@@ -34,6 +40,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SUITE = ["all", "--smoke"]
+
+#: The memory phase: the ``service_mix`` benchmark request, its job
+#: count, and what each job may add to the daemon.
+MEMORY_EXPERIMENTS = ("fig5", "fig6", "fig7", "fig12", "fig13")
+MEMORY_JOBS = 200
+RSS_PER_JOB_KB = 20.0
+HELD_PER_JOB_KB = 8.0
 
 
 def log(message: str) -> None:
@@ -137,6 +150,42 @@ def expect_only_hits(summary: dict, what: str) -> None:
         )
 
 
+def status_kb(pid: int, field: str) -> int:
+    """One ``kB`` line of ``/proc/<pid>/status``."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        name, _, value = line.partition(":")
+        if name == field:
+            return int(value.split()[0])
+    raise RuntimeError(f"/proc/{pid}/status has no {field}")
+
+
+def memory_phase(pid: int, address: str, timeout: float) -> None:
+    """Warm jobs through the daemon: what each one leaves behind."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.api import RunRequest, ServiceClient
+
+    client = ServiceClient(address)
+    request = RunRequest(MEMORY_EXPERIMENTS, smoke=True)
+    client.submit(request).result(timeout)  # its cells and plan are held from here
+
+    def sample():
+        return status_kb(pid, "VmHWM"), status_kb(pid, "VmRSS"), client.health()["held_bytes"]
+
+    before = sample()
+    for _ in range(MEMORY_JOBS):
+        client.submit(request).result(timeout)
+    after = sample()
+    hwm, rss, held = ((b - a) / MEMORY_JOBS for a, b in zip(before, after))
+    log(f"  {MEMORY_JOBS} warm jobs: VmHWM +{hwm:.1f} KB, VmRSS +{rss:.1f} KB, "
+        f"held_bytes +{held / 1024:.1f} KB per job")
+    if max(hwm, rss) > RSS_PER_JOB_KB or held / 1024 > HELD_PER_JOB_KB:
+        raise RuntimeError(
+            f"the daemon grows {max(hwm, rss):.1f} KB of RSS and holds "
+            f"{held / 1024:.1f} KB per finished job (bounds: {RSS_PER_JOB_KB} KB "
+            f"and {HELD_PER_JOB_KB} KB)"
+        )
+
+
 def main() -> int:
     import argparse
 
@@ -181,6 +230,8 @@ def main() -> int:
             address, work / "bundle3", args.timeout, expect_chunks=False
         )
         expect_only_hits(summary, "repeated run")
+        log("phase 6: daemon #2 — memory held per finished job")
+        memory_phase(daemon.pid, address, args.timeout)
     finally:
         daemon.send_signal(signal.SIGTERM)
         try:
@@ -188,7 +239,7 @@ def main() -> int:
         except subprocess.TimeoutExpired:
             daemon.kill()
 
-    log("phase 6: byte-diff all fetched bundles against the direct bundle")
+    log("phase 7: byte-diff all fetched bundles against the direct bundle")
     names = sorted(p.name for p in direct_out.glob("*.json"))
     if not names:
         raise RuntimeError("direct run wrote no bundle files")

@@ -205,13 +205,17 @@ class EventBuffer:
 
 
 class Job:
-    """Executor-internal state of one submitted job."""
+    """Executor-internal state of one submitted job.
+
+    ``request`` is dropped once the job has run; ``result`` is what
+    ``run_job`` returned, or what the executor's ``hold`` kept of it.
+    """
 
     def __init__(self, record: JobRecord, request: Any):
         self.record = record
         self.request = request
         self.events = EventBuffer()
-        self.report: Optional[SuiteReport] = None
+        self.result: Any = None
         self.exception: Optional[BaseException] = None
         self.done = threading.Event()
         self.cancel_requested = False
@@ -276,9 +280,9 @@ class LocalJobHandle(JobHandle):
             raise TimeoutError(f"job {self.job_id} still executing")
         if self._job.exception is not None:
             raise self._job.exception
-        if self._job.report is None:
+        if self._job.result is None:
             raise ServiceError(f"job {self.job_id} was cancelled before it ran")
-        return self._job.report
+        return self._job.result
 
     def cancel(self) -> JobRecord:
         return self._executor.cancel(self.job_id)
@@ -293,6 +297,11 @@ class JobExecutor:
     belongs in a ``threading.local`` inside the callable. ``workers=1``
     serializes jobs — the in-process ``Session.submit`` configuration,
     since one session owns one backend.
+
+    ``hold(job_id, report)``, when given, runs on the same pool thread
+    after the report's ``accounting()`` is taken, and the job keeps
+    what it returns instead of the report (the daemon keeps its fetch
+    document). Without it the job keeps the report.
     """
 
     def __init__(
@@ -300,10 +309,12 @@ class JobExecutor:
         run_job: Callable[[Any, EventSink], SuiteReport],
         workers: int = 1,
         name: str = "repro-jobs",
+        hold: Optional[Callable[[JobId, Any], Any]] = None,
     ):
         if workers < 1:
             raise ValueError("JobExecutor needs at least one worker")
         self._run_job = run_job
+        self._hold = hold
         self._name = name
         self._queue: deque = deque()
         self._cond = threading.Condition()
@@ -388,6 +399,17 @@ class JobExecutor:
                 self._cond.wait()
             return self._queue.popleft() if self._queue else None
 
+    def _run(self, job: Job) -> Tuple[Any, Dict[str, Any]]:
+        """Run one job: ``(what it keeps, its summary)``. The request
+        and the report live only in this frame."""
+        request, job.request = job.request, None
+        report = self._run_job(request, job.events.append)
+        # A suite's or a scan's accounting(): one shape.
+        summary = {} if report is None else report.accounting()
+        if self._hold is not None:
+            report = self._hold(job.record.job_id, report)
+        return report, summary
+
     def _serve(self) -> None:
         while True:
             job = self._next()
@@ -399,9 +421,7 @@ class JobExecutor:
                 self._move(job, JobStatus.RUNNING)
                 job.record.started_at = time.time()
             try:
-                report = self._run_job(job.request, job.events.append)
-                # A suite's or a scan's accounting(): one shape.
-                summary = {} if report is None else report.accounting()
+                result, summary = self._run(job)
             except BaseException as exc:
                 with job.lock:
                     job.exception = exc
@@ -411,7 +431,7 @@ class JobExecutor:
                     job.record.finished_at = time.time()
             else:
                 with job.lock:
-                    job.report = report
+                    job.result = result
                     self._move(job, JobStatus.SUCCEEDED)
                     job.record.summary = summary
                     job.record.finished_at = time.time()

@@ -23,7 +23,7 @@ Endpoints (all JSON; one request per connection)::
     POST /v1/jobs                submit {RunRequest doc} -> JobRecord
     GET  /v1/jobs/<id>           one JobRecord
     GET  /v1/jobs/<id>/events    text/event-stream relay of run events
-    GET  /v1/jobs/<id>/fetch     schema-stamped bundle document
+    GET  /v1/jobs/<id>/fetch     schema-stamped bundle document (held bytes)
     POST /v1/jobs/<id>/cancel    cancel (guaranteed while queued)
 
 Errors are ``{"error": message, "kind": ExceptionClassName}`` with
@@ -54,6 +54,7 @@ from repro.service.http import (
     HttpRequest,
     read_request,
     sse_event,
+    write_body,
     write_json,
 )
 from repro.service.manager import ServiceManager
@@ -216,10 +217,10 @@ class ServiceDaemon:
                 return
             if action == "fetch" and request.method == "GET":
                 try:
-                    doc = self.manager.bundle(job_id)
+                    body = self.manager.bundle(job_id)
                 except ServiceError as exc:
                     raise HttpError(409, str(exc))
-                await write_json(writer, 200, doc)
+                await write_body(writer, 200, body)
                 return
             if action == "cancel" and request.method == "POST":
                 await write_json(writer, 200, self.manager.cancel(job_id).to_dict())

@@ -31,8 +31,10 @@ __all__ = [
     "SSE_HEAD",
     "HttpError",
     "HttpRequest",
+    "json_body",
     "read_request",
     "sse_event",
+    "write_body",
     "write_json",
 ]
 
@@ -140,9 +142,18 @@ def _status_line(status: int) -> str:
     return f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}\r\n"
 
 
+def json_body(doc: Any) -> bytes:
+    """The body of a JSON response: the rendered document and a newline."""
+    return (render_json(doc) + "\n").encode("utf-8")
+
+
 async def write_json(writer, status: int, doc: Any) -> None:
     """One complete JSON response (+ close semantics)."""
-    payload = (render_json(doc) + "\n").encode("utf-8")
+    await write_body(writer, status, json_body(doc))
+
+
+async def write_body(writer, status: int, payload: bytes) -> None:
+    """One complete JSON response whose body is already rendered."""
     head = (
         _status_line(status)
         + "Content-Type: application/json\r\n"

@@ -17,6 +17,13 @@ It owns:
   a previously computed suite without re-executing a single cell;
 * the job table: submit / status / event_buffer / bundle / cancel / health.
 
+A finished job keeps its record, its events and one document: the
+exact body its ``fetch`` answers with, rendered once on the pool
+thread that ran it and deflated (zlib level 1). Its report and its
+request are dropped there, so a job the table holds costs ~5 KB of
+document instead of a report's row objects, and a fetch renders
+nothing.
+
 Requests are validated against the experiment registry at submission
 (:func:`~repro.api.session.validate_request`), so a typo'd experiment
 id fails the ``submit`` call instead of producing a job that is born
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
+import zlib
 from typing import Any, Dict, List, Optional, Union
 
 from repro.api.bundles import bundle_files
@@ -38,6 +46,7 @@ from repro.runtime.disk_cache import DiskResultCache
 from repro.runtime.events import EventSink
 from repro.runtime.suite import SuiteReport
 from repro.schema import BUNDLE_SCHEMA_VERSION
+from repro.service.http import json_body
 
 __all__ = ["ServiceManager"]
 
@@ -86,7 +95,11 @@ class ServiceManager:
         self._slot = threading.local()
         self._sessions: List[Session] = []
         self._lock = threading.Lock()
-        self._executor = JobExecutor(self._run_job, workers=pool, name="repro-serve")
+        #: Sum of the held fetch documents' sizes, kept as jobs finish.
+        self._held_bytes = 0
+        self._executor = JobExecutor(
+            self._run_job, workers=pool, name="repro-serve", hold=self._hold
+        )
 
     # -- pool -----------------------------------------------------------
 
@@ -105,6 +118,22 @@ class ServiceManager:
         if isinstance(request, _ScanJob):
             return self._session().scan(request.request, on_event=sink)
         return self._session().run(request, on_event=sink)
+
+    def _hold(self, job_id: str, report: Any) -> bytes:
+        """What a finished job keeps: the body of its ``fetch``
+        response, deflated. The files are the strings
+        :func:`~repro.api.bundles.write_bundle` puts on disk, so a
+        fetched bundle is byte-identical to a local run's by
+        construction."""
+        if isinstance(report, SuiteReport):
+            files = bundle_files(report)
+        else:  # a streaming scan job: one summary document
+            files = {"scan.json": report.to_json()}
+        doc = {"schema_version": BUNDLE_SCHEMA_VERSION, "job_id": job_id, "files": files}
+        held = zlib.compress(json_body(doc), 1)
+        with self._lock:
+            self._held_bytes += len(held)
+        return held
 
     # -- job surface ----------------------------------------------------
 
@@ -142,31 +171,21 @@ class ServiceManager:
         reaches a terminal state."""
         return self._job(job_id).events
 
-    def bundle(self, job_id: str) -> Dict[str, Any]:
-        """The finished job's result as a schema-stamped bundle
-        document: ``{"schema_version", "job_id", "files": {name →
-        exact text}}`` — the same strings
-        :func:`~repro.api.bundles.write_bundle` puts on disk, so a
-        fetched bundle is byte-identical to a local run's by
-        construction."""
+    def bundle(self, job_id: str) -> bytes:
+        """The finished job's ``fetch`` response body: the JSON of its
+        schema-stamped bundle document ``{"schema_version", "job_id",
+        "files": {name → exact text}}``, inflated from what the job
+        holds."""
         job = self._job(job_id)
         record = job.snapshot()
         if not record.status.terminal:
             raise ServiceError(f"job {job_id} is {record.status.value}; fetch needs a finished job")
-        if record.status is not JobStatus.SUCCEEDED or job.report is None:
+        if record.status is not JobStatus.SUCCEEDED or job.result is None:
             raise ServiceError(
                 f"job {job_id} {record.status.value}"
                 + (f": {record.error}" if record.error else "")
             )
-        if isinstance(job.report, SuiteReport):
-            files = bundle_files(job.report)
-        else:  # a streaming scan job: one summary document
-            files = {"scan.json": job.report.to_json()}
-        return {
-            "schema_version": BUNDLE_SCHEMA_VERSION,
-            "job_id": job_id,
-            "files": files,
-        }
+        return zlib.decompress(job.result)
 
     def cancel(self, job_id: str) -> JobRecord:
         return self._executor.cancel(job_id)
@@ -177,6 +196,7 @@ class ServiceManager:
             "pool": self.pool,
             "uptime_s": round(time.time() - self.started_at, 3),
             "jobs": self._executor.counts(),
+            "held_bytes": self._held_bytes,
             "cache": self.cache.stats() if self.cache is not None else None,
             "cache_dir": self.cache.directory if self.cache is not None else None,
         }

@@ -80,12 +80,28 @@ class _FeistelPermutation:
             left, right = right, left ^ (_mix64(right ^ key) & mask)
         return (left << self.half_bits) | right
 
+    def _decrypt(self, value: int) -> int:
+        mask = (1 << self.half_bits) - 1
+        left = value >> self.half_bits
+        right = value & mask
+        for key in reversed(self.round_keys):
+            left, right = right ^ (_mix64(left ^ key) & mask), left
+        return (left << self.half_bits) | right
+
     def __call__(self, value: int) -> int:
         if not 0 <= value < self.size:
             raise ValueError(f"value {value} outside permutation range [0, {self.size})")
         value = self._encrypt(value)
         while value >= self.size:  # cycle-walk back into range
             value = self._encrypt(value)
+        return value
+
+    def inverse(self, value: int) -> int:
+        """The ``x`` with ``self(x) == value``: the rounds in reverse,
+        cycle-walked back the same way."""
+        value = self._decrypt(value)
+        while value >= self.size:
+            value = self._decrypt(value)
         return value
 
 
@@ -151,7 +167,10 @@ class TrancoGenerator:
         """The entry at one rank, in O(1) — no list materialization."""
         if not 1 <= rank <= self.list_size:
             raise ValueError(f"rank {rank} outside [1, {self.list_size}]")
-        slot = self._permute(rank - 1)
+        return self._entry(rank, self._permute(rank - 1))
+
+    def _entry(self, rank: int, slot: int) -> TrancoDomain:
+        """The entry at ``rank``, whose permuted slot is ``slot``."""
         name = f"domain{rank:07d}.example"
         if slot >= self._quic_total:
             return TrancoDomain(rank=rank, name=name, cdn=None, address=None)
@@ -183,8 +202,11 @@ class TrancoGenerator:
             yield self.domain_at(rank)
 
     def quic_domains(self) -> List[TrancoDomain]:
-        """Only the entries that answer QUIC."""
-        return [d for d in self.iter_domains() if d.answers_quic]
+        """Only the entries that answer QUIC, in rank order: the QUIC
+        slots walked back through the permutation, so no other rank is
+        visited."""
+        ranks = sorted((self._permute.inverse(slot) + 1, slot) for slot in range(self._quic_total))
+        return [self._entry(rank, slot) for rank, slot in ranks]
 
 
 @lru_cache(maxsize=2)

@@ -3,6 +3,7 @@
 warm starts must survive process restarts with byte-identical
 bundles."""
 
+import json
 import os
 import pickle
 import sys
@@ -427,7 +428,7 @@ def test_concurrent_identical_service_jobs_fetch_identical_bundles(tmp_path):
             for record in records:
                 for _event in manager.event_buffer(record.job_id).subscribe():
                     pass
-                bundles.append(manager.bundle(record.job_id)["files"])
+                bundles.append(json.loads(manager.bundle(record.job_id))["files"])
         assert manager.cache.stats()["memory"]["hits"] > 0
     finally:
         manager.close()

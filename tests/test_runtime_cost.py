@@ -12,6 +12,9 @@ counts, by patching, what the durable result cache does for it:
   ``to_dict`` once, and its events relay starts no thread; a repeated
   request is not planned again (no ``plan_cells``, no
   ``scenario_key``: the first job's plan, cell keys included, serves);
+* a finished daemon job holds its fetch document, not its report or
+  its request, so a second fetch renders nothing and ``/v1/health``'s
+  ``held_bytes`` is the sum of those documents;
 * ``/v1/health`` walks the store's directory once per process, and its
   job counts snapshot no job, however many have run;
 * a fresh process on the same directory reads every cell from disk
@@ -27,9 +30,13 @@ counts, by patching, what the durable result cache does for it:
   crash recovery never has to recompute a cell it already ran.
 """
 
+import contextlib
+import gc
 import os
 import pickle
 import threading
+import weakref
+import zlib
 from collections import Counter
 
 import pytest
@@ -40,6 +47,7 @@ import repro.runtime.cache as cache_module
 import repro.runtime.disk_cache as disk_cache
 import repro.runtime.suite as suite_module
 from repro.api import LocalConfig, RunRequest, ServiceClient, Session
+from repro.api.bundles import bundle_files
 from repro.api.jobs import Job, JobExecutor
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import REGISTRY
@@ -125,13 +133,32 @@ def test_warm_job_in_a_warm_process_touches_no_blob(tmp_path, counts):
     assert (warm["open"], warm["loads"], warm["decompress"], warm["put"]) == (0, 0, 0, 0)
 
 
+@contextlib.contextmanager
+def serving(manager):
+    """A client of a loopback daemon over ``manager``, closed after."""
+    server = ServiceDaemon(manager, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.run, daemon=True)
+    thread.start()
+    try:
+        yield ServiceClient(server.wait_started(10))
+    finally:
+        server.stop()
+        thread.join(timeout=10)
+        manager.close()
+
+
+def finish(client, request):
+    """Submit through the daemon and follow the events to their end."""
+    handle = client.submit(request)
+    for _event in handle.events():
+        pass
+    return handle.job_id
+
+
 def test_warm_job_through_the_daemon_hashes_nothing_renders_once_and_starts_no_thread(
     tmp_path, monkeypatch, cold_plans
 ):
     manager = ServiceManager(workers=0, cache_dir=str(tmp_path / "cache"))
-    server = ServiceDaemon(manager, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.run, daemon=True)
-    thread.start()
     seen: Counter = Counter()
 
     def counting(name, real):
@@ -147,8 +174,7 @@ def test_warm_job_through_the_daemon_hashes_nothing_renders_once_and_starts_no_t
     monkeypatch.setattr(ExperimentSpec, "plan_cells", counting("plan", ExperimentSpec.plan_cells))
     for module in (cache_module, artifacts_module, suite_module):
         monkeypatch.setattr(module, "scenario_key", counting("skey", cache_module.scenario_key))
-    try:
-        client = ServiceClient(server.wait_started(10))
+    with serving(manager) as client:
 
         def job():
             before = Counter(seen)
@@ -160,10 +186,6 @@ def test_warm_job_through_the_daemon_hashes_nothing_renders_once_and_starts_no_t
         cold, cold_files, _events = job()
         warm, warm_files, events = job()
         summary = client.status(client.jobs()[-1].job_id).summary
-    finally:
-        server.stop()
-        thread.join(timeout=10)
-        manager.close()
     assert (summary["disk_cache_hits"], summary["disk_cache_misses"]) == (UNIQUE_CELLS, 0)
     assert warm_files == cold_files and events
     # A cold cell's address is computed for its probe and for its put.
@@ -172,6 +194,61 @@ def test_warm_job_through_the_daemon_hashes_nothing_renders_once_and_starts_no_t
     assert cold["plan"] == experiments and cold["skey"] > 0
     assert (warm["address"], warm["to_dict"], warm["thread"]) == (0, experiments, 0)
     assert (warm["plan"], warm["skey"]) == (0, 0)
+
+
+def test_a_finished_daemon_job_holds_its_fetch_document_and_nothing_it_was_built_from(
+    tmp_path, monkeypatch
+):
+    directory = str(tmp_path / "cache")
+    alive = []
+    real_run_job = ServiceManager._run_job
+
+    def run_job(self, request, sink):
+        report = real_run_job(self, request, sink)
+        alive.append((weakref.ref(request), weakref.ref(report)))
+        return report
+
+    monkeypatch.setattr(ServiceManager, "_run_job", run_job)
+    renders: Counter = Counter()
+    real_to_dict = ExperimentResult.to_dict
+
+    def to_dict(result):
+        renders["to_dict"] += 1
+        return real_to_dict(result)
+
+    monkeypatch.setattr(ExperimentResult, "to_dict", to_dict)
+    manager = ServiceManager(workers=0, cache_dir=directory)
+    with serving(manager) as client:
+        finish(client, REQUEST)  # cold
+        job_id = finish(client, REQUEST)
+        files = client.fetch(job_id)
+        gc.collect()
+        assert [(request(), report()) for request, report in alive] == [(None, None)] * 2
+        before = renders["to_dict"]
+        assert client.fetch(job_id) == files
+        assert renders["to_dict"] == before
+        held = client.health()["held_bytes"]
+        assert held == sum(
+            len(zlib.compress(manager.bundle(job.job_id), 1)) for job in client.jobs()
+        )
+        assert 0 < held <= 2 * 8 * 1024
+    with Session(cache_dir=directory) as session:
+        assert files == bundle_files(session.run(REQUEST))
+
+
+SCAN = {
+    "source": {"kind": "synthetic", "count": 4000, "seed": 3},
+    "shard_size": 1000,
+    "vantage_names": ["Hamburg"],
+    "days": 1,
+}
+
+
+def test_a_daemon_scan_job_fetches_what_a_session_scan_renders(tmp_path):
+    with serving(ServiceManager(workers=0)) as client:
+        fetched = client.fetch(finish(client, {"scan": SCAN}))
+    with Session() as session:
+        assert fetched == {"scan.json": session.scan(SCAN).to_json()}
 
 
 def test_health_walks_the_store_once_per_process(tmp_path, monkeypatch):

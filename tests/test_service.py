@@ -61,7 +61,7 @@ def test_manager_submit_runs_and_bundles(manager):
     assert record.status is JobStatus.SUCCEEDED
     assert record.summary["experiments"] == ["fig6"]
 
-    bundle = manager.bundle(record.job_id)
+    bundle = json.loads(manager.bundle(record.job_id))
     assert bundle["schema_version"] == BUNDLE_SCHEMA_VERSION
     assert set(bundle["files"]) == {"fig6.json", "suite.json"}
 
@@ -433,7 +433,7 @@ def test_manager_runs_scan_jobs(manager):
     assert record.summary["executed_shards"] == 4
     assert record.summary["fingerprint"]
 
-    bundle = manager.bundle(record.job_id)
+    bundle = json.loads(manager.bundle(record.job_id))
     assert set(bundle["files"]) == {"scan.json"}
     doc = json.loads(bundle["files"]["scan.json"])
     assert doc["sketch"]["targets"] == 4000

@@ -189,6 +189,16 @@ def test_quic_domains_have_addresses_and_match_counts():
     assert share == pytest.approx(paper_share, rel=0.05)
 
 
+@pytest.mark.parametrize("seed", [20240806, 3])
+@pytest.mark.parametrize("size", [1, 2, 7, 1_000, 20_000])
+def test_quic_domains_walked_back_equal_the_forward_scan(size, seed):
+    generator = TrancoGenerator(list_size=size, seed=seed)
+    forward = [d for d in generator.iter_domains() if d.answers_quic]
+    assert generator.quic_domains() == forward
+    permute = generator._permute
+    assert [permute.inverse(permute(value)) for value in range(size)] == list(range(size))
+
+
 def test_cdn_inference_matches_assignment():
     generator = TrancoGenerator(list_size=20_000)
     asdb = generator.asdb
