@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Count what one cell costs the interpreter: bytecodes and frames.
+"""Count what one cell costs the interpreter: bytecodes, frames, garbage.
 
 Runs every cell of the ``handshake_sweep`` selection (fig12 + fig13 at
 one repetition, stats level) under ``sys.settrace`` with per-opcode
 events on, and prints the mean per cell: bytecodes executed, Python
-frames entered, datagrams and packets moved, and the functions that
-were entered most. Pure counts — they repeat exactly on any machine,
-so PERFORMANCE.md quotes them beside the (noisy) ``benchmarks/e2e``
+frames entered, datagrams and packets moved, objects a cell after the
+first left to the cyclic collector (``gc`` is off, and collected once
+per cell after its result is dropped), and the functions that were
+entered most. Pure counts — they repeat exactly on any machine, so
+PERFORMANCE.md quotes them beside the (noisy) ``benchmarks/e2e``
 timings::
 
     python scripts/cell_opcount.py [--top 25] [--src PATH] [--shard]
@@ -18,6 +20,7 @@ checkout's ``src`` to count a different commit with this same script.
 """
 
 import argparse
+import gc
 import sys
 from collections import Counter
 from pathlib import Path
@@ -44,6 +47,9 @@ def counted(run, frames: Counter):
         result = run()
     finally:
         sys.settrace(None)
+        # The tracer returns itself through its closure cell: emptying
+        # the cell keeps that cycle out of the garbage counts.
+        del tracer
     return counts[0], counts[1], result
 
 
@@ -76,12 +82,17 @@ def count_shard(top: int) -> int:
         probe_seed=11,
     )
     frames: Counter = Counter()
+    gc.collect()
+    gc.disable()
     opcodes, calls, outcome = counted(lambda: task.execute_task(0, ArtifactLevel.STATS), frames)
-    probes = outcome.sketch.probes
-    print(f"targets              {outcome.shard_targets}")
+    probes, targets = outcome.sketch.probes, outcome.shard_targets
+    del outcome
+    garbage = gc.collect()
+    print(f"targets              {targets}")
     print(f"probes               {probes}")
     print(f"bytecodes per probe  {opcodes / probes:10.1f}")
     print(f"frames per probe     {calls / probes:10.2f}")
+    print(f"garbage per probe    {garbage / probes:10.2f}")
     print_top(frames, probes, top, "probe")
     return 0
 
@@ -108,6 +119,9 @@ def main() -> int:
     runner = Runner()
     frames: Counter = Counter()
     opcodes = calls = datagrams = packets = 0
+    garbage = []
+    gc.collect()
+    gc.disable()
     for cell in cells:
         ops, entered, result = count_cell(runner, cell.scenario, cell.seed, frames)
         opcodes += ops
@@ -115,12 +129,16 @@ def main() -> int:
         for endpoint in (result.client, result.server):
             datagrams += endpoint.stats.datagrams_sent
             packets += sum(st.next_packet_number for st in endpoint.recovery.spaces)
+        del result
+        garbage.append(gc.collect())
     n = len(cells)
     print(f"cells                {n}")
     print(f"bytecodes per cell   {opcodes / n:10.1f}")
     print(f"frames per cell      {calls / n:10.1f}")
     print(f"datagrams per cell   {datagrams / n:10.1f}")
     print(f"packets per cell     {packets / n:10.1f}")
+    # The first cell's residue is the lazy state of the modules it loads.
+    print(f"garbage per cell     {sum(garbage[1:]) / (n - 1):10.1f}  (first cell: {garbage[0]})")
     print_top(frames, n, args.top, "cell")
     return 0
 

@@ -4,10 +4,43 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.render import render_table
 from repro.schema import BUNDLE_SCHEMA_VERSION, check_bundle_version, render_json
+
+
+#: Values ``json`` writes and reads back as themselves.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def jsonable(value: Any, default: Optional[Callable[[Any], Any]] = None) -> Any:
+    """``json.loads(json.dumps(value, default=default))`` without the
+    text in between: tuples become lists, keys become strings the way
+    ``json`` writes them (``True`` → ``"true"``, ``1.0`` → ``"1.0"``),
+    and a value ``json`` cannot write goes through ``default``, or
+    raises ``TypeError`` without one."""
+    cls = type(value)
+    if cls in _SCALARS:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [jsonable(item, default) for item in value]
+    if isinstance(value, dict):
+        return {_key(key): jsonable(item, default) for key, item in value.items()}
+    if isinstance(value, (str, int, float)):  # a subclass: json writes the base value
+        return json.loads(json.dumps(value))
+    if default is None:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    return jsonable(default(value), default)
+
+
+def _key(key: Any) -> str:
+    """A dict key as ``json`` writes it."""
+    if isinstance(key, str):
+        return str.__str__(key)
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 @dataclass
@@ -50,18 +83,16 @@ class ExperimentResult:
         dropped: List[str] = []
         for key, value in self.extra.items():
             try:
-                extra[key] = json.loads(json.dumps(value))
-            except (TypeError, ValueError):
+                extra[key] = jsonable(value)
+            except (TypeError, ValueError, RecursionError):
                 dropped.append(key)
         payload: Dict[str, Any] = {
             "schema_version": BUNDLE_SCHEMA_VERSION,
             "experiment_id": self.experiment_id,
             "title": self.title,
             "headers": list(self.headers),
-            "rows": json.loads(json.dumps(self.rows, default=str)),
-            "paper_reference": json.loads(
-                json.dumps(self.paper_reference, default=str)
-            ),
+            "rows": jsonable(self.rows, default=str),
+            "paper_reference": jsonable(self.paper_reference, default=str),
             "extra": extra,
         }
         if dropped:

@@ -69,12 +69,9 @@ def aggregate(results: CellResults, params: Params) -> ExperimentResult:
                 config=ServerConfig(mode=ServerMode.WFC),
                 rng=random.Random(f"t3s:{name}:{rep}"),
             )
-            network.client.attach(client.on_datagram)
-            network.server.attach(server.on_datagram)
-            client.attach_transport(network.transport_from(network.client))
-            server.attach_transport(network.transport_from(network.server))
-            client.start()
-            loop.run(until=10_000.0)
+            with network.connect(client, server):
+                client.start()
+                loop.run(until=10_000.0)
             initial_delays.append(
                 _observed_ack_delay(client, "initial")
             )

@@ -101,7 +101,14 @@ class Scenario:
 
 @dataclass
 class RunResult:
-    """Artifacts of one emulated connection."""
+    """Artifacts of one emulated connection.
+
+    ``client`` and ``server`` come back unwired (see
+    :meth:`Network.connect <repro.sim.network.Network.connect>`): their
+    stats, qlogs and state read as the run left them, a send raises
+    ``RuntimeError``, and nothing of the run is left in a reference
+    cycle.
+    """
 
     scenario: Scenario
     seed: int
@@ -231,6 +238,11 @@ class Runner:
         the callback at hand; everything retained and the stats are
         then a prefix of the whole run's, and ``duration_ms`` is the
         halt time.
+
+        The endpoints are wired to the network for the run only: when
+        the loop returns, or raises, they are unwired and the loop's
+        pending events dropped, so the returned endpoints cannot send
+        and the run is freed as soon as its result is.
         """
         seed = self.base_seed if seed is None else seed
         scaffold = self._scaffold
@@ -286,18 +298,15 @@ class Runner:
             recovery_config=scaffold.server_recovery,
         )
         server.set_request_spec(scaffold.request)
-        network.client.attach(client.on_datagram)
-        network.server.attach(server.on_datagram)
-        client.attach_transport(network.transport_from(network.client))
-        server.attach_transport(network.transport_from(network.server))
         if until:
             watch = _stop_when(loop, until)
             owners = {"client": client.qlog, "server": server.qlog}
             for source, _ in until:
                 owners.get(source, tracer).watch = watch
-        client.start()
-        if not loop.stopped:  # what start() sent may answer a watch
-            loop.run(until=scenario.timeout_ms)
+        with network.connect(client, server):
+            client.start()
+            if not loop.stopped:  # what start() sent may answer a watch
+                loop.run(until=scenario.timeout_ms)
         if not (loop.stopped or client.stats.completed) and client.stats.aborted is None:
             client.stats.aborted = "timeout"
         return RunResult(

@@ -275,8 +275,9 @@ class Endpoint:
     # wiring
     # ------------------------------------------------------------------
 
-    def attach_transport(self, transmit: Callable[[Datagram, int], None]) -> None:
-        """Provide the function that puts a datagram on the wire."""
+    def attach_transport(self, transmit: Optional[Callable[[Datagram, int], None]]) -> None:
+        """Provide the function that puts a datagram on the wire
+        (``None``: unwired, and a send raises ``RuntimeError``)."""
         self.transmit = transmit
 
     # ------------------------------------------------------------------

@@ -18,8 +18,8 @@ Three levels:
     analyses consume.
 ``full``
     Adds the live endpoint objects via an embedded
-    :class:`~repro.interop.runner.RunResult`. Live endpoints hold
-    transport closures and cannot cross a process boundary, so this
+    :class:`~repro.interop.runner.RunResult`. Live endpoints (unwired
+    once the run ends) carry the whole simulation's state, so this
     level is restricted to in-process execution.
 
 Four sources, each retained or not on its own: the client's qlog, the

@@ -223,6 +223,21 @@ class EventLoop:
         again."""
         self.stopped = True
 
+    def discard(self) -> None:
+        """Cancel every pending event and let go of what it holds, for
+        a loop whose run is over. A queued timer reaches its callback's
+        owner, which usually holds the timer in turn, and the loop; a
+        heap left behind keeps a finished simulation alive in reference
+        cycles until the cyclic collector gets to it."""
+        for entry in self._heap:
+            timer = entry[2]
+            if timer is not None:
+                timer._cancelled = True
+                timer._scheduled = False
+                timer.callback, timer.args = None, ()
+        self._heap = []
+        self._cancelled_pending = 0
+
     def pending(self) -> int:
         """Number of non-cancelled events still queued. O(1)."""
         return len(self._heap) - self._cancelled_pending

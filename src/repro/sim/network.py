@@ -5,13 +5,16 @@ joined by a symmetric emulated path; the certificate store is modelled
 as a server-side delay Δt ("Backend–frontend delays are emulated by a
 configurable sleep period in the server code", §3). :class:`Network`
 wires two :class:`Host` endpoints with one :class:`~repro.sim.link.Link`
-per direction and exposes the paper's knobs directly.
+per direction and exposes the paper's knobs directly, and
+:meth:`Network.connect` wires a protocol endpoint pair onto it for one
+run.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.sim.engine import EventLoop
 from repro.sim.link import DEFAULT_BANDWIDTH_BPS, Link
@@ -24,14 +27,14 @@ class Host:
 
     A host owns a receive callback; the :class:`Network` invokes it for
     each delivered datagram. Protocol endpoints (QUIC connections)
-    register themselves via :meth:`attach`.
+    register themselves via :meth:`attach` (``None`` detaches).
     """
 
     def __init__(self, name: str):
         self.name = name
         self._receiver: Optional[Callable[[object], None]] = None
 
-    def attach(self, receiver: Callable[[object], None]) -> None:
+    def attach(self, receiver: Optional[Callable[[object], None]]) -> None:
         """Register the function called for each delivered datagram."""
         self._receiver = receiver
 
@@ -124,9 +127,34 @@ class Network:
         link, peer = self._link_and_peer(host)
         return link.send(payload, size, peer.deliver)
 
-    def transport_from(self, host: Host) -> Callable[[object, int], bool]:
-        """:meth:`send_from` bound to ``host`` for a whole connection:
-        the link and the peer's (already attached) receiver are
-        resolved here, once, instead of per datagram."""
-        link, peer = self._link_and_peer(host)
-        return partial(link.send, deliver=peer.receiver)
+    @contextmanager
+    def connect(self, client: Any, server: Any) -> Iterator[None]:
+        """Wire ``client`` and ``server`` (QUIC connections, or anything
+        with their ``on_datagram`` and ``attach_transport``) to this
+        network's hosts for a ``with`` block: each host delivers to its
+        endpoint's ``on_datagram``, and each endpoint transmits on its
+        own link straight to the peer's receiver (link and receiver
+        resolved here, once, instead of per datagram).
+
+        On leaving the block, normally or by an exception, the run is
+        over: both are dropped again, and so are the events still
+        pending on the loop. The endpoints reach each other only through
+        these transports, and a queued timer reaches its owner and the
+        loop, so an unwired pair holds no reference cycle: refcounting
+        frees a finished run as soon as its artifacts are taken,
+        instead of leaving it to the cyclic collector. An unwired
+        endpoint that sends raises ``RuntimeError``.
+        """
+        pairs = ((self.client, client), (self.server, server))
+        for host, endpoint in pairs:
+            host.attach(endpoint.on_datagram)
+        for host, endpoint in pairs:
+            link, peer = self._link_and_peer(host)
+            endpoint.attach_transport(partial(link.send, deliver=peer.receiver))
+        try:
+            yield
+        finally:
+            for host, endpoint in pairs:
+                endpoint.attach_transport(None)
+                host.attach(None)
+            self.loop.discard()

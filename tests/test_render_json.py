@@ -4,13 +4,18 @@ Every bundle file and every document the daemon answers with is
 ``json.dumps(doc, indent=2)`` text; ``render_json`` must write exactly
 those bytes, with the C encoder and without it, and a ``suite.json``
 assembled from already rendered experiment texts must be the bytes of
-rendering the whole report at once.
+rendering the whole report at once. What ``ExperimentResult.to_dict``
+hands the renderer is :func:`~repro.experiments.common.jsonable` of its
+fields: the document a JSON round trip of them would give.
 """
 
+import enum
 import json
 import math
 import threading
 from contextlib import contextmanager
+from fractions import Fraction
+from pathlib import PurePosixPath
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +23,9 @@ from hypothesis import given, settings, strategies as st
 import repro.schema as schema
 from repro.api import LocalConfig, RunRequest, Session
 from repro.api.bundles import bundle_files
+from repro.experiments.common import jsonable
 from repro.experiments.registry import REGISTRY
+from repro.quic.server import ServerMode
 from repro.schema import JsonText, render_json
 
 SCALARS = st.one_of(
@@ -144,6 +151,59 @@ def test_what_json_dumps_rejects_raises_what_json_dumps_raises():
                 json.dumps(doc, indent=2)
             with path(name), pytest.raises(error):
                 render_json(doc)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Tag(str, enum.Enum):
+    A = "a"
+
+
+#: What json writes as its base value (subclasses of int, str, float)
+#: or only through ``default`` (the rest).
+ODD = st.sampled_from(
+    [Level.LOW, Tag.A, ServerMode.IACK, PurePosixPath("a/b"), Fraction(1, 3), 1 + 2j, object()]
+)
+ODD_DOCS = st.recursive(
+    st.one_of(SCALARS, ODD),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.tuples(children, children),
+        st.dictionaries(st.one_of(KEYS, st.sampled_from([Level.LOW, Tag.A])), children, max_size=5),
+        st.dictionaries(st.tuples(st.integers()), children, min_size=1, max_size=2),
+    ),
+    max_leaves=30,
+)
+
+
+def same(a, b):
+    """``a == b`` down to types, key order, NaN and the sign of zero."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    if type(a) is float:
+        return (math.isnan(a) and math.isnan(b)) or (
+            a == b and math.copysign(1, a) == math.copysign(1, b)
+        )
+    return a == b
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=ODD_DOCS)
+def test_jsonable_is_the_json_round_trip(doc):
+    for default in (None, str):
+        try:
+            expected = json.loads(json.dumps(doc, default=default))
+        except TypeError:
+            with pytest.raises(TypeError):
+                jsonable(doc, default)
+        else:
+            assert same(jsonable(doc, default), expected)
 
 
 @pytest.fixture(scope="session")

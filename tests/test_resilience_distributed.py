@@ -95,7 +95,7 @@ class EventLog:
 # -- a wedged straggler ---------------------------------------------------
 
 
-def test_straggler_chunk_completes_via_speculative_twin(chunk_cells):
+def test_a_silent_stragglers_chunk_is_requeued_and_completes_once(chunk_cells):
     """A worker that wedges holding a chunk (socket alive, heartbeats
     flowing, no result) keeps that chunk as its one holder: no second
     copy is dispatched while it heartbeats. Once it goes silent it is

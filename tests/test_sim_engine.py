@@ -260,3 +260,19 @@ def test_a_stopped_loop_cannot_run_again():
     with pytest.raises(SimulationError, match="stopped"):
         loop.run()
     assert loop.now == 1.0 and loop.events_processed == 1
+
+
+def test_discard_cancels_every_pending_event_and_drops_what_it_holds():
+    loop = EventLoop()
+    fired = []
+    timer = loop.call_later(1.0, fired.append, "timer")
+    cancelled = loop.call_later(2.0, fired.append, "cancelled")
+    cancelled.cancel()
+    loop.post_at(3.0, fired.append, "posted")
+    loop.discard()
+    assert loop.pending() == 0
+    assert timer.cancelled and timer.callback is None and timer.args == ()
+    timer.cancel()  # a cancel after the discard counts nothing
+    assert loop.pending() == 0
+    loop.run()
+    assert fired == [] and loop.now == 0.0

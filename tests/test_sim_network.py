@@ -70,3 +70,38 @@ def test_tracer_covers_both_directions():
     loop.run()
     links = {record.link for record in network.tracer.records}
     assert links == {"client->server", "server->client"}
+
+
+class Endpoint:
+    """The two methods ``Network.connect`` wires."""
+
+    def __init__(self):
+        self.got = []
+        self.transmit = None
+
+    def on_datagram(self, payload):
+        self.got.append(payload)
+
+    def attach_transport(self, transmit):
+        self.transmit = transmit
+
+
+def test_connect_wires_a_pair_and_unwires_it_even_when_the_run_raises():
+    loop = EventLoop()
+    network = Network.for_rtt(loop, rtt_ms=10.0, bandwidth_bps=None)
+    client, server = Endpoint(), Endpoint()
+    with pytest.raises(ZeroDivisionError):
+        with network.connect(client, server):
+            client.transmit("ping", 100)
+            loop.run(until=6.0)
+            server.transmit("pong", 100)
+            timer = loop.call_later(50.0, client.on_datagram, "late")
+            1 / 0
+    assert server.got == ["ping"] and client.got == []
+    # The pong in flight and the timer are dropped with what they hold.
+    assert client.transmit is None and server.transmit is None
+    assert loop.pending() == 0 and timer.cancelled and timer.callback is None
+    with pytest.raises(RuntimeError):
+        network.client.deliver("x")
+    loop.run()
+    assert client.got == []
