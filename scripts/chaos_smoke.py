@@ -6,14 +6,17 @@ The drill (see RESILIENCE.md):
 
 1. Run the reference suite on ``--backend local``.
 2. Start three workers with a randomized-but-seeded fault mix — one
-   that hard-kills itself mid-suite (``kill_after``), one with delayed
-   chunks and dropped heartbeats, one clean — all with ``--rejoin`` so
-   survivors reconnect after the coordinator comes back.
+   that hard-kills itself mid-suite (``--kill-after``), one with
+   delayed chunks and dropped heartbeats, one clean — all with
+   ``--rejoin`` so survivors reconnect after the coordinator comes
+   back. The faulted two run ``scripts/fault_worker.py``.
 3. Run the same suite on ``--backend distributed`` with ``--cache-dir``,
    SIGKILL the coordinator as soon as the first cell is stored there,
    then relaunch the identical command: it is served what was stored
    and executes the rest.
-4. Byte-diff the two bundles.
+4. Byte-diff the two bundles, and fail unless a faulted worker's log
+   says ``fault: <kind> fired``: a drill whose faults never fired
+   tested nothing.
 
 Every random choice derives from one seed, printed up front and again
 on failure: ``python scripts/chaos_smoke.py --seed N`` replays a CI
@@ -33,9 +36,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.runtime.faults import FaultPlan  # noqa: E402
-
 SUITE = ["run", "all", "--smoke"]
+#: Runs ``repro worker`` with injected faults (see its docstring).
+FAULT_WORKER = (str(REPO_ROOT / "scripts" / "fault_worker.py"),)
 BUNDLE_FILES = ("suite.json",)  # per-experiment files are checked too
 
 
@@ -52,10 +55,10 @@ def child_env() -> dict:
     return env
 
 
-def repro(args, log_path: Path) -> subprocess.Popen:
+def repro(args, log_path: Path, entry=("-m", "repro")) -> subprocess.Popen:
     handle = open(log_path, "ab")
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, *entry, *args],
         env=child_env(),
         cwd=REPO_ROOT,
         stdout=handle,
@@ -74,21 +77,17 @@ def wait_ok(proc: subprocess.Popen, what: str, timeout: float) -> None:
         raise RuntimeError(f"{what} exited with {proc.returncode}")
 
 
-def fault_specs(seed: int) -> list:
-    """Three worker fault plans: one killer, one slow-and-silent, one
-    clean — parameters randomized by the seed."""
+def fault_flags(seed: int) -> list:
+    """``scripts/fault_worker.py`` flags of three workers: one killer,
+    one slow-and-silent, one clean — parameters randomized by the
+    seed."""
     rng = random.Random(seed)
-    killer = FaultPlan(
-        kill_after_chunks=rng.randint(0, 2),
-        delay_chunk_seconds=round(rng.uniform(0.0, 0.05), 3),
-        seed=seed,
-    )
-    laggard = FaultPlan(
-        delay_chunk_seconds=round(rng.uniform(0.01, 0.1), 3),
-        drop_heartbeats_after=rng.randint(2, 8),
-        seed=seed,
-    )
-    return [killer.to_spec(), laggard.to_spec(), ""]
+    killer = ["--kill-after", str(rng.randint(0, 2)),
+              "--delay", f"{round(rng.uniform(0.0, 0.05), 3):g}"]
+    # Beats every 0.1 s, so that its heartbeats stop within a smoke run.
+    laggard = ["--delay", f"{round(rng.uniform(0.01, 0.1), 3):g}",
+               "--drop-heartbeats", str(rng.randint(2, 8)), "--heartbeat", "0.1"]
+    return [killer, laggard, []]
 
 
 def main() -> int:
@@ -118,16 +117,18 @@ def main() -> int:
         "local reference run", args.timeout,
     )
 
-    log("phase 2: three workers under seeded fault plans")
+    log("phase 2: three workers, two of them faulted by the seed")
     workers = []
-    for i, spec in enumerate(fault_specs(seed)):
-        extra = ["--fault-plan", spec] if spec else []
-        workers.append(repro(
-            ["worker", "--connect", f"127.0.0.1:{port}", "--retry", "120",
-             "--rejoin", "120", *extra],
-            work / f"worker{i}.log",
-        ))
-        log(f"  worker{i}: fault plan {spec or 'none'}")
+    faulted_logs = []
+    for i, flags in enumerate(fault_flags(seed)):
+        worker_log = work / f"worker{i}.log"
+        dial = ["--connect", f"127.0.0.1:{port}", "--retry", "120", "--rejoin", "120"]
+        if flags:
+            faulted_logs.append(worker_log)
+            workers.append(repro([*flags, *dial], worker_log, FAULT_WORKER))
+        else:
+            workers.append(repro(["worker", *dial], worker_log))
+        log(f"  worker{i}: faults {' '.join(flags) or 'none'}")
 
     coordinator_cmd = [
         *SUITE, "--backend", "distributed", "--listen", str(port),
@@ -170,8 +171,17 @@ def main() -> int:
             proc.wait(timeout=30)
         except subprocess.TimeoutExpired:
             proc.kill()
-    if mismatched:
-        log(f"FAIL seed={seed}: bundle mismatch in {mismatched}")
+    fired = [
+        f"{path.stem}: {line}"
+        for path in faulted_logs
+        for line in path.read_text(errors="replace").splitlines()
+        if line.startswith("fault: ")
+    ]
+    for line in fired:
+        log(f"  {line}")
+    if mismatched or not fired:
+        reason = f"bundle mismatch in {mismatched}" if mismatched else "no fault fired"
+        log(f"FAIL seed={seed}: {reason}")
         for logfile in sorted(work.glob("*.log")):
             print(f"\n===== {logfile.name} =====", flush=True)
             print(logfile.read_text(errors="replace"), flush=True)

@@ -61,8 +61,7 @@ failure, 10 an experiment's observe failed on a cell (2 stays argparse
 usage errors, 1 unexpected crashes; 8 is retired).
 
 ``repro worker --rejoin SECS`` makes workers reconnect after an
-abrupt coordinator loss, and ``--fault-plan`` injects structured
-faults for chaos testing. See RESILIENCE.md.
+abrupt coordinator loss. See RESILIENCE.md.
 
 Multi-host execution pairs two subcommands: ``repro run ...
 --backend distributed --listen PORT --min-workers N`` serves the
@@ -109,7 +108,6 @@ from repro.api import (
 from repro.api.client import error_type
 from repro.experiments.registry import REGISTRY
 from repro.runtime.distributed import DEFAULT_WORKER_CACHE_ENTRIES, worker_main
-from repro.runtime.faults import FaultPlan, parse_fault_plan
 
 # -- list ---------------------------------------------------------------
 
@@ -418,12 +416,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     host, port = parse_address(args.connect)
     if args.cache_entries < 0:
         raise _usage_error("--cache-entries must be >= 0")
-    fault_plan: Optional[FaultPlan] = None
-    if args.fault_plan is not None:
-        try:
-            fault_plan = parse_fault_plan(args.fault_plan)
-        except ValueError as exc:
-            raise _usage_error(str(exc))
     # SIGTERM asks the worker to *drain*: finish the in-flight chunk,
     # tell the coordinator (DRAIN frame, so nothing is requeued or
     # counted as lost), then exit 0 — the polite shutdown for elastic
@@ -441,7 +433,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         auth_key=resolve_auth_key(args.auth_key_file),
         cache_entries=0 if args.no_cache else args.cache_entries,
         log=lambda message: print(f"worker: {message}", flush=True),
-        fault_plan=fault_plan,
         rejoin_for=args.rejoin,
         drain_event=drain_event,
     )
@@ -800,15 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="if the coordinator connection drops abruptly, keep trying "
         "to reconnect and rejoin the fleet for this long (0 disables; "
         "a clean SHUTDOWN/DRAIN never triggers rejoin)",
-    )
-    p_worker.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC",
-        help="structured fault injection for chaos tests (see "
-        "RESILIENCE.md), e.g. 'kill_after=2,delay=0.05' or 'seed=7'; "
-        "tokens: kill_after=N, delay=SECS, drop_heartbeats=N, "
-        "corrupt_result=K, slow_send=BYTES_PER_S, seed=N",
     )
     p_worker.set_defaults(func=cmd_worker)
 

@@ -30,8 +30,6 @@ Public surface:
   scheduling policy (chunk pool, requeue/poison bounds, adaptive
   sizing), with its bounds as module constants, separate from the
   :class:`SocketBackend` transport.
-* :class:`FaultPlan` / :class:`FaultInjector` — structured worker
-  fault injection for chaos tests (``repro worker --fault-plan``).
 
 See ``PERFORMANCE.md`` at the repository root for the complete guide.
 """
@@ -41,7 +39,6 @@ from repro.runtime.backend import ExecutionBackend, LocalBackend, ResultObserver
 from repro.runtime.cache import ResultCache, loss_pattern_key, scenario_key
 from repro.runtime.distributed import SocketBackend, worker_main
 from repro.runtime.events import ChunkCacheStats, EventSink, RunEvent
-from repro.runtime.faults import FaultInjector, FaultPlan, parse_fault_plan
 from repro.runtime.scheduler import (
     Assignment,
     ChunkScheduler,
@@ -61,8 +58,6 @@ __all__ = [
     "ChunkScheduler",
     "EventSink",
     "ExecutionBackend",
-    "FaultInjector",
-    "FaultPlan",
     "LocalBackend",
     "ResultCache",
     "ResultObserver",
@@ -76,7 +71,6 @@ __all__ = [
     "WorkerState",
     "execute_cell",
     "loss_pattern_key",
-    "parse_fault_plan",
     "run_work",
     "scenario_key",
     "work_items",

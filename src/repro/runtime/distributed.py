@@ -178,8 +178,11 @@ Failure semantics
   with the reason logged (logger ``repro.distributed``), so no failure
   mode leaves the coordinator waiting on a chunk that will never
   complete.
-* Fault injection for all of the above is first-class: see
-  :mod:`repro.runtime.faults` and the worker CLI's ``--fault-plan``.
+* The worker loop has no fault-injection branch. Failure-path tests
+  and the chaos drill fault a worker from outside, by wrapping the two
+  names it looks up in this module at call time, ``run_cell_chunk``
+  and :func:`send_frame` (``scripts/fault_worker.py``); a move of the
+  worker loop must keep both lookups there.
 """
 
 from __future__ import annotations
@@ -210,7 +213,6 @@ from repro.runtime.events import (
     WorkerJoined,
     WorkerLost,
 )
-from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.scheduler import (
     Assignment,
     ChunkScheduler,
@@ -488,23 +490,6 @@ def connect_with_retry(
             time.sleep(min(delay, max(deadline - now, 0.0)))
 
 
-def _send_throttled(
-    sock: socket.socket,
-    frame: bytes,
-    bytes_per_sec: float,
-    lock: threading.Lock,
-    slice_bytes: int = 8192,
-) -> None:
-    """Fault injection: trickle one frame at ``bytes_per_sec`` (holds
-    the send lock throughout, exactly like a thin uplink queueing
-    heartbeats behind a large RESULT)."""
-    with lock:
-        for start in range(0, len(frame), slice_bytes):
-            piece = frame[start : start + slice_bytes]
-            sock.sendall(piece)
-            time.sleep(len(piece) / bytes_per_sec)
-
-
 def worker_main(
     host: str,
     port: int,
@@ -513,7 +498,6 @@ def worker_main(
     auth_key: Optional[bytes] = None,
     cache_entries: Optional[int] = DEFAULT_WORKER_CACHE_ENTRIES,
     log: Optional[Callable[[str], None]] = None,
-    fault_plan: Optional[FaultPlan] = None,
     rejoin_for: float = 0.0,
     drain_event: Optional[threading.Event] = None,
 ) -> int:
@@ -532,14 +516,6 @@ def worker_main(
     across chunks, jobs, and consecutive suites. ``0``/``None``
     disables it. Per-chunk hit counts are reported on RESULT frames.
 
-    ``fault_plan`` injects structured faults for failure-path tests
-    and chaos runs (see :mod:`repro.runtime.faults`); e.g.
-    ``FaultPlan(kill_after_chunks=N)``: after serving that many chunks
-    the worker hard-exits (``os._exit``) upon receiving its next chunk
-    — indistinguishable from SIGKILL, guaranteeing an unacknowledged
-    in-flight chunk. Fault counters span the process lifetime, so a
-    rejoining worker does not re-arm an already-fired fault.
-
     ``rejoin_for`` > 0 turns coordinator loss into a reconnect window:
     instead of exiting, the worker redials (backoff with jitter) for up
     to that many seconds and re-registers with a bumped HELLO ``epoch``
@@ -553,7 +529,6 @@ def worker_main(
     vanished (and any rejoin window expired).
     """
     say = log or (lambda message: None)
-    faults = FaultInjector(fault_plan)
     cache = ResultCache(max_entries=cache_entries) if cache_entries else None
     drain = drain_event if drain_event is not None else threading.Event()
     epoch = 0
@@ -572,7 +547,6 @@ def worker_main(
             heartbeat_interval,
             auth_key,
             cache,
-            faults,
             drain,
             say,
         )
@@ -591,7 +565,6 @@ def _worker_session(
     heartbeat_interval: float,
     auth_key: Optional[bytes],
     cache: Optional[ResultCache],
-    faults: FaultInjector,
     drain: threading.Event,
     say: Callable[[str], None],
 ) -> Tuple[int, bool]:
@@ -633,10 +606,7 @@ def _worker_session(
         except OSError:
             pass
 
-    heartbeat_budget = faults.heartbeat_budget()
-
     def beat() -> None:
-        beats_sent = 0
         while not stop.wait(heartbeat_interval):
             if drain.is_set() and not computing.is_set():
                 # Idle drain: the main loop is blocked in recv with no
@@ -647,11 +617,8 @@ def _worker_session(
                 except OSError:
                     pass
                 return
-            if heartbeat_budget is not None and beats_sent >= heartbeat_budget:
-                continue  # fault injection: liveness thread goes silent
             try:
                 send_frame(sock, MSG_HEARTBEAT, None, lock=send_lock)
-                beats_sent += 1
             except Exception:
                 # A dying liveness thread must not be silent: close the
                 # socket so the main recv loop notices immediately
@@ -700,29 +667,14 @@ def _worker_session(
             if msg_type != MSG_CHUNK:
                 continue
             job_id, chunk_id, grouped, level_value = payload
-            if faults.should_kill_on_chunk():
-                say(f"fault injection: dying with chunk {chunk_id} in flight")
-                os._exit(17)
             computing.set()
             try:
-                delay = faults.chunk_delay()
-                if delay > 0:
-                    time.sleep(delay)
                 before = cache.stats() if cache is not None else None
                 results = run_cell_chunk(grouped, level_value, cache=cache)
                 cache_meta = cache.since(before) if cache is not None else None
-                if faults.should_corrupt_result():
-                    say(f"fault injection: corrupting RESULT for chunk {chunk_id}")
-                    with send_lock:
-                        sock.sendall(b"BOGUSFRAMEBYTES!")
-                    continue
-                reply = (job_id, chunk_id, results, cache_meta)
-                rate = faults.send_rate()
-                if rate is not None:
-                    frame, _ = make_frame(MSG_RESULT, reply)
-                    _send_throttled(sock, frame, rate, send_lock)
-                else:
-                    send_frame(sock, MSG_RESULT, reply, lock=send_lock)
+                send_frame(
+                    sock, MSG_RESULT, (job_id, chunk_id, results, cache_meta), lock=send_lock
+                )
             except Exception as exc:
                 # Includes an oversized RESULT pickle: that is as
                 # deterministic as a simulator error, so report it

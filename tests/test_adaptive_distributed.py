@@ -32,8 +32,8 @@ from repro.runtime.distributed import (
 from repro.runtime.events import ChunkCompleted, ChunkDispatched, WorkerJoined
 from repro.runtime.worker import chunk_cell_count, run_cell_chunk
 from repro.sim.loss import IndexedLoss
-from tests.sweeps import sweep
-from tests.test_distributed import LOSSY_IACK, start_worker_thread
+from tests.sweeps import start_worker_thread, sweep
+from tests.test_distributed import LOSSY_IACK
 
 
 def _recv_paced(sock, nbytes, piece, pause):

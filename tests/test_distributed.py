@@ -8,14 +8,10 @@ what garbage third parties write at the coordinator port.
 """
 
 import json
-import os
 import socket
 import struct
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -40,11 +36,8 @@ from repro.runtime.distributed import (
     recv_frame,
     send_frame,
 )
-from repro.runtime.events import ChunkCompleted, ChunkDispatched
-from repro.runtime.faults import FaultPlan
-from tests.sweeps import sweep
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from repro.runtime.events import ChunkCompleted, ChunkDispatched, WorkerJoined
+from tests.sweeps import fault_worker, spawn_worker_process, start_worker_thread, sweep
 
 LOSSY_IACK = Scenario(
     client="quic-go",
@@ -54,37 +47,6 @@ LOSSY_IACK = Scenario(
     response_size=SIZE_10KB,
     server_to_client_loss=first_server_flight_tail_loss(ServerMode.IACK),
 )
-
-
-def start_worker_thread(backend: SocketBackend, **kwargs) -> threading.Thread:
-    thread = threading.Thread(
-        target=worker_main,
-        args=(backend.host, backend.port),
-        kwargs={"retry_for": 5.0, **kwargs},
-        daemon=True,
-    )
-    thread.start()
-    return thread
-
-
-def spawn_worker_process(backend: SocketBackend, *extra: str) -> subprocess.Popen:
-    env = dict(os.environ)
-    # these fixtures run auth-less on loopback; an exported
-    # REPRO_AUTH_KEY would make the worker demand a handshake
-    env.pop("REPRO_AUTH_KEY", None)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "worker",
-            "--connect", backend.address, "--retry", "30", *extra,
-        ],
-        env=env,
-        cwd=REPO_ROOT,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
 
 
 # -- wire protocol ------------------------------------------------------
@@ -413,9 +375,9 @@ def test_killed_worker_chunk_requeued_and_stats_bit_identical(chunk_cells):
     backend = SocketBackend(port=0, min_workers=2)
     procs = []
     try:
-        # kill_after=0 hard-exits (os._exit) on receiving its first
+        # --kill-after 0 hard-exits (os._exit) on receiving its first
         # chunk, leaving it unacknowledged.
-        procs.append(spawn_worker_process(backend, "--fault-plan", "kill_after=0"))
+        procs.append(spawn_worker_process(backend, "--kill-after", "0"))
         procs.append(spawn_worker_process(backend))
         chunk_cells(3)
         distributed = sweep(backend, LOSSY_IACK, 12)
@@ -423,6 +385,7 @@ def test_killed_worker_chunk_requeued_and_stats_bit_identical(chunk_cells):
         backend.close()
         for proc in procs:
             proc.wait(timeout=30)
+    assert procs[0].returncode == 17  # the harness's kill fired
     assert backend.stats.workers_lost >= 1
     assert backend.stats.chunks_requeued >= 1
     for expected, actual in zip(serial, distributed):
@@ -431,16 +394,18 @@ def test_killed_worker_chunk_requeued_and_stats_bit_identical(chunk_cells):
         assert actual.server_stats == expected.server_stats
 
 
-def test_throttled_worker_delivers_bit_identical_stats(chunk_cells):
-    """A worker whose uplink is throttled (``--fault-plan slow_send=…``)
-    trickles its RESULT frames and still delivers the serial stats, each
-    chunk dispatched once."""
+def test_throttled_worker_delivers_bit_identical_stats(chunk_cells, monkeypatch):
+    """A worker whose uplink is throttled (the fault harness's
+    ``slow_send``) trickles its RESULT frames and still delivers the
+    serial stats, each chunk dispatched once."""
     serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
     events = []
+    faults = fault_worker.Faults(slow_send=2_000_000)
+    faults.install(monkeypatch.setattr)
     backend = SocketBackend(port=0, min_workers=1)
     backend.set_event_sink(events.append)
     try:
-        start_worker_thread(backend, fault_plan=FaultPlan(slow_send_bytes_per_sec=2_000_000))
+        start_worker_thread(backend)
         chunk_cells(2)
         throttled = sweep(backend, LOSSY_IACK, 4)
     finally:
@@ -449,6 +414,9 @@ def test_throttled_worker_delivers_bit_identical_stats(chunk_cells):
     assert [a.server_stats for a in throttled] == [e.server_stats for e in serial]
     dispatched = [e.chunk_id for e in events if isinstance(e, ChunkDispatched)]
     assert dispatched and len(dispatched) == len(set(dispatched))
+    # the throttle engaged: each RESULT went out in several slices
+    assert faults.fired == {"slow_send"}
+    assert faults.slices > len(dispatched)
 
 
 def test_silent_worker_dropped_by_heartbeat_timeout(chunk_cells):
@@ -490,6 +458,54 @@ def test_silent_worker_dropped_by_heartbeat_timeout(chunk_cells):
     finally:
         release.set()
         backend.close()
+
+
+def test_corrupt_frame_drops_worker_and_requeues_its_chunk(chunk_cells):
+    """A worker that answers its chunk with bytes that are no frame is
+    a protocol error: the coordinator drops it, requeues the chunk, and
+    a real worker completes every chunk once, with the serial stats."""
+    events = []
+    backend = SocketBackend(port=0, min_workers=2)
+    backend.set_event_sink(events.append)
+    corrupted = threading.Event()
+
+    def corrupting_worker():
+        sock = socket.create_connection((backend.host, backend.port))
+        try:
+            send_frame(sock, MSG_HELLO, {"version": PROTOCOL_VERSION, "pid": 0, "host": "bogus"})
+            recv_frame(sock)  # WELCOME
+            recv_frame(sock)  # take one chunk, answer it with garbage
+            sock.sendall(b"BOGUSFRAMEBYTES!")
+            corrupted.set()
+            recv_frame(sock)  # blocks until the server hangs up on us
+        except (ConnectionError, ProtocolError, OSError):
+            pass
+        finally:
+            sock.close()
+
+    threading.Thread(target=corrupting_worker, daemon=True).start()
+    try:
+        deadline = time.monotonic() + 10
+        while backend.worker_count() < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        start_worker_thread(backend)
+        serial = Runner().run_repetitions(LOSSY_IACK, repetitions=4)
+        chunk_cells(1)
+        distributed = sweep(backend, LOSSY_IACK, 4)
+    finally:
+        backend.close()
+    assert corrupted.is_set()
+    assert backend.stats.workers_lost == 1
+    assert backend.stats.protocol_errors >= 1
+    assert backend.stats.chunks_requeued >= 1
+    bogus = {e.worker_id for e in events if isinstance(e, WorkerJoined) and e.host == "bogus"}
+    assert len(bogus) == 1
+    completed = [e for e in events if isinstance(e, ChunkCompleted)]
+    dispatched = {e.chunk_id for e in events if isinstance(e, ChunkDispatched)}
+    assert sorted(e.chunk_id for e in completed) == sorted(dispatched)
+    assert all(e.where != f"worker-{wid}" for e in completed for wid in bogus)
+    assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]
+    assert [r.server_stats for r in distributed] == [r.server_stats for r in serial]
 
 
 def test_all_workers_lost_aborts_naming_outstanding_cells(chunk_cells):

@@ -1,84 +1,97 @@
-"""Structured worker fault injection: the ``--fault-plan`` vocabulary
-(parse/describe round trip, seeded randomization) and the injector's
-fire-once counters that survive worker rejoins."""
+"""The fault harness, ``scripts/fault_worker.py``: its kill counter spans
+the process (a rejoin does not reset it), its beat count starts over at
+each HELLO, and a harness without faults passes every call through."""
+
+import random
+import socket
+import threading
+import time
 
 import pytest
 
-from repro.runtime.faults import FaultInjector, FaultPlan, parse_fault_plan
+from repro.runtime.distributed import (
+    MSG_HEARTBEAT,
+    MSG_HELLO,
+    MSG_RESULT,
+    make_frame,
+    recv_frame,
+)
+from tests.sweeps import fault_worker
 
 
-def test_parse_describe_round_trip():
-    spec = "kill_after=2,delay=0.05,drop_heartbeats=3,corrupt_result=1,slow_send=1000000"
-    plan = parse_fault_plan(spec)
-    assert plan.kill_after_chunks == 2
-    assert plan.delay_chunk_seconds == pytest.approx(0.05)
-    assert plan.drop_heartbeats_after == 3
-    assert plan.corrupt_result_chunk == 1
-    assert plan.slow_send_bytes_per_sec == pytest.approx(1_000_000)
-    assert parse_fault_plan(plan.describe()) == plan
+class Exited(Exception):
+    pass
 
 
-def test_parse_rejects_unknown_and_malformed_tokens():
-    with pytest.raises(ValueError, match="nonsense"):
-        parse_fault_plan("nonsense=1")
-    with pytest.raises(ValueError):
-        parse_fault_plan("kill_after")
-    with pytest.raises(ValueError):
-        parse_fault_plan("kill_after=notanumber")
-    with pytest.raises(ValueError):
-        parse_fault_plan("delay=-1")
+def test_injector_kill_fires_once_after_threshold(monkeypatch, capsys):
+    def exit_(code):
+        raise Exited(code)
+
+    monkeypatch.setattr(fault_worker.os, "_exit", exit_)
+    faults = fault_worker.Faults(kill_after=2)
+    faults._run_cell_chunk = lambda *args, **kwargs: "results"
+    left, right = socket.socketpair()
+    try:
+        assert faults.run_cell_chunk() == "results"  # chunk 1
+        faults.send_frame(left, MSG_HELLO, {})  # a rejoin keeps the count
+        assert faults.run_cell_chunk() == "results"  # chunk 2
+        with pytest.raises(Exited, match="17"):
+            faults.run_cell_chunk()  # chunk 3: die with it in flight
+    finally:
+        left.close()
+        right.close()
+    assert capsys.readouterr().out == "fault: kill_after fired\n"
 
 
-def test_empty_spec_is_noop():
-    assert parse_fault_plan("") is None
-    assert parse_fault_plan(None) is None
-    assert FaultPlan().is_noop()
-    assert FaultPlan(seed=3).is_noop()  # seed alone injects nothing
-    assert not FaultPlan(kill_after_chunks=0).is_noop()
+def test_injector_delay_heartbeats_and_send_rate_passthrough(capsys):
+    left, right = socket.socketpair()
+    try:
+        # a harness without faults passes both seams through
+        quiet = fault_worker.Faults()
+        quiet._run_cell_chunk = lambda *args, **kwargs: "results"
+        assert quiet.run_cell_chunk() == "results"
+        quiet.send_frame(left, MSG_HEARTBEAT, None)
+        assert recv_frame(right) == (MSG_HEARTBEAT, None)
+        assert capsys.readouterr().out == ""
 
+        slow = fault_worker.Faults(delay=0.05)
+        slow._run_cell_chunk = lambda *args, **kwargs: "results"
+        started = time.monotonic()
+        assert slow.run_cell_chunk() == "results"
+        assert time.monotonic() - started >= 0.05
 
-def test_seeded_random_plans_are_deterministic():
-    a = FaultPlan.random(seed=7)
-    b = FaultPlan.random(seed=7)
-    assert a == b
-    assert a.seed == 7
-    # the generated plan round-trips through its own spec string,
-    # which is how the chaos driver hands it to worker processes
-    assert parse_fault_plan(a.to_spec()) == a
-    # the seed must actually vary the plan across values
-    plans = {FaultPlan.random(seed=s) for s in range(20)}
-    assert len(plans) > 1
+        # two beats per connection, then silence until the next HELLO
+        mute = fault_worker.Faults(drop_heartbeats=2)
+        for _ in range(3):
+            mute.send_frame(left, MSG_HEARTBEAT, None)
+        mute.send_frame(left, MSG_HELLO, {"epoch": 1})
+        mute.send_frame(left, MSG_HEARTBEAT, None)
+        left.shutdown(socket.SHUT_WR)
+        received = []
+        while True:
+            try:
+                received.append(recv_frame(right)[0])
+            except (ConnectionError, OSError):
+                break
+        assert received == [MSG_HEARTBEAT, MSG_HEARTBEAT, MSG_HELLO, MSG_HEARTBEAT]
+    finally:
+        left.close()
+        right.close()
 
-
-def test_random_without_kill_never_kills():
-    for seed in range(20):
-        assert FaultPlan.random(seed=seed, kill=False).kill_after_chunks is None
-
-
-def test_injector_kill_fires_once_after_threshold():
-    faults = FaultInjector(FaultPlan(kill_after_chunks=2))
-    assert not faults.should_kill_on_chunk()  # chunk 1
-    assert not faults.should_kill_on_chunk()  # chunk 2
-    assert faults.should_kill_on_chunk()  # chunk 3: fire
-    assert not faults.should_kill_on_chunk()  # fired once; rejoin survives
-
-
-def test_injector_corrupt_fires_on_the_kth_result_only():
-    faults = FaultInjector(FaultPlan(corrupt_result_chunk=2))
-    assert not faults.should_corrupt_result()
-    assert faults.should_corrupt_result()
-    assert not faults.should_corrupt_result()
-
-
-def test_injector_delay_heartbeats_and_send_rate_passthrough():
-    faults = FaultInjector(FaultPlan(delay_chunk_seconds=0.25, drop_heartbeats_after=5,
-                                     slow_send_bytes_per_sec=1234.0))
-    assert faults.chunk_delay() == pytest.approx(0.25)
-    assert faults.heartbeat_budget() == 5
-    assert faults.send_rate() == pytest.approx(1234.0)
-    quiet = FaultInjector(None)
-    assert quiet.chunk_delay() == 0.0
-    assert quiet.heartbeat_budget() is None
-    assert quiet.send_rate() is None
-    assert not quiet.should_kill_on_chunk()
-    assert not quiet.should_corrupt_result()
+    left, right = socket.socketpair()
+    try:
+        throttled = fault_worker.Faults(slow_send=1_000_000)
+        payload = (1, 0, [(0, random.Random(0).randbytes(5000))], None)
+        lock = threading.Lock()
+        sent = throttled.send_frame(left, MSG_RESULT, payload, lock=lock)
+        frame, raw_len = make_frame(MSG_RESULT, payload)
+        assert sent == (len(frame), raw_len)
+        assert recv_frame(right) == (MSG_RESULT, payload)
+        assert throttled.slices == -(-len(frame) // fault_worker.SLICE_BYTES) > 1
+        assert not lock.locked()
+    finally:
+        left.close()
+        right.close()
+    assert capsys.readouterr().out == (
+        "fault: delay fired\nfault: drop_heartbeats fired\nfault: slow_send fired\n"
+    )

@@ -53,7 +53,7 @@ from repro.runtime.wire import (
     encode_payload,
 )
 from repro.runtime.worker import group_cells, run_cell_chunk
-from tests.sweeps import sweep
+from tests.sweeps import start_worker_thread, sweep
 
 QUICHE_LOSSY = Scenario(
     client="quiche",
@@ -63,17 +63,6 @@ QUICHE_LOSSY = Scenario(
     response_size=SIZE_10KB,
     server_to_client_loss=first_server_flight_tail_loss(ServerMode.WFC),
 )
-
-
-def start_worker_thread(backend: SocketBackend, **kwargs) -> threading.Thread:
-    thread = threading.Thread(
-        target=worker_main,
-        args=(backend.host, backend.port),
-        kwargs={"retry_for": 5.0, **kwargs},
-        daemon=True,
-    )
-    thread.start()
-    return thread
 
 
 def raw_frame(msg_type: int, body: bytes) -> bytes:

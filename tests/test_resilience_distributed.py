@@ -38,7 +38,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.suite import SuiteRunner
 from repro.runtime.worker import run_cell_chunk
-from tests.sweeps import sweep
+from tests.sweeps import start_worker_thread, sweep
 
 LOSSY_IACK = Scenario(
     client="quic-go",
@@ -48,17 +48,6 @@ LOSSY_IACK = Scenario(
     response_size=SIZE_10KB,
     server_to_client_loss=first_server_flight_tail_loss(ServerMode.IACK),
 )
-
-
-def start_worker_thread(backend: SocketBackend, **kwargs) -> threading.Thread:
-    thread = threading.Thread(
-        target=worker_main,
-        args=(backend.host, backend.port),
-        kwargs={"retry_for": 5.0, **kwargs},
-        daemon=True,
-    )
-    thread.start()
-    return thread
 
 
 def hello(sock: socket.socket, host: str) -> None:
