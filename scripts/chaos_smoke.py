@@ -39,7 +39,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 SUITE = ["run", "all", "--smoke"]
 #: Runs ``repro worker`` with injected faults (see its docstring).
 FAULT_WORKER = (str(REPO_ROOT / "scripts" / "fault_worker.py"),)
-BUNDLE_FILES = ("suite.json",)  # per-experiment files are checked too
 
 
 def log(message: str) -> None:

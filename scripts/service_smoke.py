@@ -20,12 +20,15 @@ The drill (see the Service section of API.md):
 5. Submit the identical suite a second time to the restarted daemon:
    that job is served the plan the first one made (no experiment is
    planned again) and, like it, only disk-cache hits.
-6. Send the restarted daemon 200 warm jobs of the benchmark's
-   ``service_mix`` request and read its memory before and after: its
-   ``VmHWM`` and ``VmRSS`` from ``/proc/<pid>/status`` and
-   ``held_bytes`` from ``/v1/health``. A finished job holds one
-   compressed fetch document, so the phase fails above 20 KB of RSS or
-   8 KB of ``held_bytes`` per job.
+6. Send the restarted daemon warm jobs of the benchmark's
+   ``service_mix`` request until it has run 10× the job table's bound
+   (``FINISHED_JOBS_KEPT``, 128 finished jobs), and read its ``VmHWM``
+   and ``VmRSS`` from ``/proc/<pid>/status`` at 1× and at 10×. The
+   table forgets the oldest finished job as each new one finishes, so
+   the phase fails when either grows by more than 2 KB per job between
+   the two, when the first job's id does not answer ``UnknownJob``, or
+   when ``/v1/health``'s ``held_bytes`` exceeds the bound times the
+   largest document a kept job holds.
 7. Byte-diff all three fetched bundles against the direct local bundle.
 """
 
@@ -35,18 +38,19 @@ import re
 import signal
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SUITE = ["all", "--smoke"]
 
-#: The memory phase: the ``service_mix`` benchmark request, its job
-#: count, and what each job may add to the daemon.
+#: The memory phase: the ``service_mix`` benchmark request, how many
+#: job-table bounds of warm jobs it sends, and the RSS a warm job may
+#: add once the table is full.
 MEMORY_EXPERIMENTS = ("fig5", "fig6", "fig7", "fig12", "fig13")
-MEMORY_JOBS = 200
-RSS_PER_JOB_KB = 20.0
-HELD_PER_JOB_KB = 8.0
+MEMORY_BOUNDS = 10
+RSS_PER_JOB_KB = 2.0
 
 
 def log(message: str) -> None:
@@ -160,29 +164,59 @@ def status_kb(pid: int, field: str) -> int:
 
 
 def memory_phase(pid: int, address: str, timeout: float) -> None:
-    """Warm jobs through the daemon: what each one leaves behind."""
+    """Warm jobs through the daemon from a full job table to 10× its
+    bound: the daemon must stay flat and forget the oldest jobs."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.api import RunRequest, ServiceClient
+    from repro.api.jobs import FINISHED_JOBS_KEPT
+    from repro.errors import UnknownJob
+    from repro.schema import BUNDLE_SCHEMA_VERSION
+    from repro.service.http import json_body
 
     client = ServiceClient(address)
     request = RunRequest(MEMORY_EXPERIMENTS, smoke=True)
-    client.submit(request).result(timeout)  # its cells and plan are held from here
+    first = client.submit(request)
+    first.result(timeout)  # its cells and plan are held from here
 
-    def sample():
-        return status_kb(pid, "VmHWM"), status_kb(pid, "VmRSS"), client.health()["held_bytes"]
+    def run(count: int):
+        for _ in range(count):
+            client.submit(request).result(timeout)
+        return status_kb(pid, "VmHWM"), status_kb(pid, "VmRSS")
 
-    before = sample()
-    for _ in range(MEMORY_JOBS):
-        client.submit(request).result(timeout)
-    after = sample()
-    hwm, rss, held = ((b - a) / MEMORY_JOBS for a, b in zip(before, after))
-    log(f"  {MEMORY_JOBS} warm jobs: VmHWM +{hwm:.1f} KB, VmRSS +{rss:.1f} KB, "
-        f"held_bytes +{held / 1024:.1f} KB per job")
-    if max(hwm, rss) > RSS_PER_JOB_KB or held / 1024 > HELD_PER_JOB_KB:
+    full = run(FINISHED_JOBS_KEPT - 1)  # the table is full from here
+    jobs = FINISHED_JOBS_KEPT * (MEMORY_BOUNDS - 1)
+    end = run(jobs)
+    hwm, rss = ((b - a) / jobs for a, b in zip(full, end))
+    log(f"  {FINISHED_JOBS_KEPT}→{FINISHED_JOBS_KEPT * MEMORY_BOUNDS} warm jobs: "
+        f"VmHWM {full[0]}→{end[0]} KB, VmRSS {full[1]}→{end[1]} KB "
+        f"({hwm:+.2f} / {rss:+.2f} KB per job)")
+    if max(hwm, rss) > RSS_PER_JOB_KB:
         raise RuntimeError(
-            f"the daemon grows {max(hwm, rss):.1f} KB of RSS and holds "
-            f"{held / 1024:.1f} KB per finished job (bounds: {RSS_PER_JOB_KB} KB "
-            f"and {HELD_PER_JOB_KB} KB)"
+            f"the daemon's RSS grows {max(hwm, rss):.2f} KB per warm job past a "
+            f"full job table (bound: {RSS_PER_JOB_KB} KB)"
+        )
+
+    try:
+        client.status(first.job_id)
+    except UnknownJob as exc:
+        log(f"  the first job is gone: {exc}")
+    else:
+        raise RuntimeError(f"{first.job_id} is still in the table after "
+                           f"{FINISHED_JOBS_KEPT * MEMORY_BOUNDS} newer jobs")
+
+    # What ServiceManager holds per job: the deflated fetch body.
+    kept = [record.job_id for record in client.jobs() if record.status.value == "succeeded"]
+    largest = 0
+    for job_id in kept:
+        files = client.fetch(job_id)
+        doc = {"schema_version": BUNDLE_SCHEMA_VERSION, "job_id": job_id, "files": files}
+        largest = max(largest, len(zlib.compress(json_body(doc), 1)))
+    held = client.health()["held_bytes"]
+    log(f"  held_bytes {held} for {len(kept)} kept job(s), largest document {largest} B")
+    if held > FINISHED_JOBS_KEPT * largest:
+        raise RuntimeError(
+            f"held_bytes {held} exceeds {FINISHED_JOBS_KEPT} × the largest "
+            f"held document ({largest} B)"
         )
 
 

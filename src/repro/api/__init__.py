@@ -42,7 +42,8 @@ Errors
     :mod:`repro.errors`, re-exported here: :class:`UnknownExperiment`,
     :class:`InvalidOverride`, :class:`BackendError`,
     :class:`WorkerAuthError`, :class:`BundleVersionError`,
-    :class:`ObserveError`.
+    :class:`ObserveError`, :class:`ServiceError` and its
+    :class:`UnknownJob`.
 Resilience
     Crash recovery is a warm ``cache_dir`` (cells are stored as they
     complete). See ``RESILIENCE.md``.
@@ -73,6 +74,7 @@ from repro.errors import (
     ReproError,
     ServiceError,
     UnknownExperiment,
+    UnknownJob,
     WorkerAuthError,
 )
 from repro.experiments.common import ExperimentResult
@@ -134,6 +136,7 @@ __all__ = [
     "SuitePlanned",
     "SuiteReport",
     "UnknownExperiment",
+    "UnknownJob",
     "WorkerAuthError",
     "WorkerDrained",
     "WorkerJoined",

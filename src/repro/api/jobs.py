@@ -25,6 +25,11 @@ without changing what ``handle.status()`` / ``handle.events()`` /
   pool of worker threads; backs both ``Session.submit`` (one slot:
   a session owns a single backend) and the daemon's session pool.
 
+The job table forgets: it keeps every queued and running job and the
+last :data:`FINISHED_JOBS_KEPT` finished ones. An id it no longer
+holds (or never did) raises :class:`~repro.errors.UnknownJob`; a
+:class:`LocalJobHandle` holds its own job, so it keeps answering.
+
 Cancellation is guaranteed for *queued* jobs. A *running* job is not
 interrupted — its cells are deterministic, already half-stored in
 any attached durable cache, and tearing down a live backend mid-chunk
@@ -43,11 +48,12 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, UnknownJob
 from repro.runtime.events import EventSink, RunEvent
 from repro.runtime.suite import SuiteReport
 
 __all__ = [
+    "FINISHED_JOBS_KEPT",
     "JobExecutor",
     "JobHandle",
     "JobId",
@@ -60,6 +66,11 @@ __all__ = [
 
 #: Opaque job identifier (``job-<hex>``); treat as a string.
 JobId = str
+
+#: Finished (succeeded, failed or cancelled) jobs a :class:`JobExecutor`
+#: keeps; the oldest-finished one leaves the table when another
+#: finishes. Read at call time, so tests monkeypatch it.
+FINISHED_JOBS_KEPT = 128
 
 
 def new_job_id() -> JobId:
@@ -259,7 +270,9 @@ class JobHandle:
 
 
 class LocalJobHandle(JobHandle):
-    """In-process handle backed by a :class:`JobExecutor` job."""
+    """In-process handle backed by a :class:`JobExecutor` job. It holds
+    the job itself, so it keeps answering once the table has evicted
+    the job."""
 
     def __init__(self, job: Job, executor: "JobExecutor"):
         self._job = job
@@ -285,6 +298,8 @@ class LocalJobHandle(JobHandle):
         return self._job.result
 
     def cancel(self) -> JobRecord:
+        if self._job.done.is_set():  # nothing to cancel, evicted or not
+            return self._job.snapshot()
         return self._executor.cancel(self.job_id)
 
 
@@ -300,8 +315,13 @@ class JobExecutor:
 
     ``hold(job_id, report)``, when given, runs on the same pool thread
     after the report's ``accounting()`` is taken, and the job keeps
-    what it returns instead of the report (the daemon keeps its fetch
-    document). Without it the job keeps the report.
+    the bytes it returns instead of the report (the daemon keeps its
+    fetch document); :attr:`held_bytes` is then their total over the
+    jobs in the table. Without it the job keeps the report.
+
+    :meth:`counts` is a lifetime tally; :meth:`get` and :meth:`jobs`
+    see the table, which evicts finished jobs beyond
+    :data:`FINISHED_JOBS_KEPT`, oldest-finished first.
     """
 
     def __init__(
@@ -309,7 +329,7 @@ class JobExecutor:
         run_job: Callable[[Any, EventSink], SuiteReport],
         workers: int = 1,
         name: str = "repro-jobs",
-        hold: Optional[Callable[[JobId, Any], Any]] = None,
+        hold: Optional[Callable[[JobId, Any], bytes]] = None,
     ):
         if workers < 1:
             raise ValueError("JobExecutor needs at least one worker")
@@ -318,10 +338,15 @@ class JobExecutor:
         self._name = name
         self._queue: deque = deque()
         self._cond = threading.Condition()
+        #: The table, in submission order (a dict keeps insertion order).
         self._jobs: Dict[JobId, Job] = {}
-        self._order: List[JobId] = []
+        #: Ids of the finished jobs still in the table, oldest-finished first.
+        self._finished: deque = deque()
         #: Jobs per status value, kept at each transition (see _move).
         self._counts: Dict[str, int] = {status.value: 0 for status in JobStatus}
+        #: Bytes the table's jobs hold through ``hold``, kept as jobs
+        #: finish and leave the table (see _finish).
+        self.held_bytes = 0
         self._shutdown = False
         self._threads = [
             threading.Thread(target=self._serve, name=f"{name}-{i}", daemon=True)
@@ -343,23 +368,29 @@ class JobExecutor:
             if self._shutdown:
                 raise ServiceError("job executor is shut down")
             self._jobs[record.job_id] = job
-            self._order.append(record.job_id)
             self._counts[JobStatus.QUEUED.value] += 1
             self._queue.append(job)
             self._cond.notify()
         return job
 
-    def get(self, job_id: JobId) -> Optional[Job]:
+    def get(self, job_id: JobId) -> Job:
+        """The job the table holds under ``job_id``, else
+        :class:`~repro.errors.UnknownJob`."""
         with self._cond:
-            return self._jobs.get(job_id)
+            job = self._jobs.get(job_id)
+        if job is None:
+            raise UnknownJob(f"unknown job {job_id!r}: never submitted, or evicted")
+        return job
 
     def jobs(self) -> List[Job]:
+        """The jobs the table holds, in submission order."""
         with self._cond:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())
 
     def counts(self) -> Dict[str, int]:
-        """Jobs per status value (the daemon's health document): a
-        copy of the tally, whatever the number of jobs run."""
+        """Jobs per status value over the executor's life, evicted
+        ones included (the daemon's health document): a copy of the
+        tally, whatever the number of jobs run."""
         with self._cond:
             return dict(self._counts)
 
@@ -374,8 +405,6 @@ class JobExecutor:
 
     def cancel(self, job_id: JobId) -> JobRecord:
         job = self.get(job_id)
-        if job is None:
-            raise ServiceError(f"unknown job {job_id!r}")
         with job.lock:
             if job.record.status is JobStatus.QUEUED:
                 job.cancel_requested = True
@@ -387,8 +416,7 @@ class JobExecutor:
                 # the module docs); the record answers truthfully.
                 finish = False
         if finish:
-            job.events.close()
-            job.done.set()
+            self._finish(job)
         return job.snapshot()
 
     # -- worker loop ----------------------------------------------------
@@ -435,8 +463,25 @@ class JobExecutor:
                     self._move(job, JobStatus.SUCCEEDED)
                     job.record.summary = summary
                     job.record.finished_at = time.time()
-            job.events.close()
-            job.done.set()
+            self._finish(job)
+
+    def _finish(self, job: Job) -> None:
+        """Wake what waits on ``job``, which has just reached a terminal
+        state, evict the oldest-finished jobs beyond
+        :data:`FINISHED_JOBS_KEPT` from the table, and keep
+        :attr:`held_bytes`."""
+        job.events.close()
+        job.done.set()
+        with self._cond:
+            self._finished.append(job.record.job_id)
+            evicted = [
+                self._jobs.pop(self._finished.popleft())
+                for _ in range(len(self._finished) - FINISHED_JOBS_KEPT)
+            ]
+            if self._hold is not None:  # a failed or cancelled job holds None
+                self.held_bytes += len(job.result or b"") - sum(
+                    len(old.result or b"") for old in evicted
+                )
 
     # -- lifecycle ------------------------------------------------------
 
@@ -457,8 +502,7 @@ class JobExecutor:
                 job.cancel_requested = True
                 self._move(job, JobStatus.CANCELLED)
                 job.record.finished_at = time.time()
-            job.events.close()
-            job.done.set()
+            self._finish(job)
         if wait:
             for thread in self._threads:
                 thread.join()

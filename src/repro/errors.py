@@ -27,6 +27,7 @@ __all__ = [
     "ReproError",
     "ServiceError",
     "UnknownExperiment",
+    "UnknownJob",
     "WorkerAuthError",
 ]
 
@@ -88,12 +89,20 @@ class BundleVersionError(ReproError, ValueError):
 
 class ServiceError(ReproError, RuntimeError):
     """The ``repro serve`` job surface failed: the daemon is
-    unreachable, it answered with an error document (unknown job,
-    malformed request, protocol mismatch), a submitted job was
+    unreachable, it answered with an error document (malformed
+    request, protocol mismatch; an unknown job is the subclass
+    :class:`UnknownJob`), a submitted job was
     cancelled before producing a result, or the local job executor was
     already shut down."""
 
     exit_code = 9
+
+
+class UnknownJob(ServiceError):
+    """A job id the job table does not hold: never submitted, or
+    evicted once newer finished jobs took its place (a table keeps its
+    last :data:`repro.api.jobs.FINISHED_JOBS_KEPT` finished jobs). The
+    daemon answers it with HTTP 404."""
 
 
 class ObserveError(ReproError, RuntimeError):

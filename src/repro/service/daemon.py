@@ -19,7 +19,7 @@ cancel, health) is table lookups fast enough to call inline.
 Endpoints (all JSON; one request per connection)::
 
     GET  /v1/health              daemon + pool + cache stats
-    GET  /v1/jobs                every job record, submission order
+    GET  /v1/jobs                the table's job records, submission order
     POST /v1/jobs                submit {RunRequest doc} -> JobRecord
     GET  /v1/jobs/<id>           one JobRecord
     GET  /v1/jobs/<id>/events    text/event-stream relay of run events
@@ -27,9 +27,10 @@ Endpoints (all JSON; one request per connection)::
     POST /v1/jobs/<id>/cancel    cancel (guaranteed while queued)
 
 Errors are ``{"error": message, "kind": ExceptionClassName}`` with
-a meaningful status (400 bad request, 404 unknown job, 409 fetch of
-an unfinished/failed job); the client rebuilds the typed exception
-from ``kind``. The ``events`` stream ends with a synthetic
+a meaningful status (400 bad request, 404 unknown or evicted job —
+kind ``UnknownJob`` — or unknown path, 409 fetch of an
+unfinished/failed job); the client rebuilds the typed exception from
+``kind``. The ``events`` stream ends with a synthetic
 ``{"kind": "job_status", "record": ...}`` element carrying the final
 record — typed-event decoders skip it as an unknown kind, raw
 consumers get closure.
@@ -46,7 +47,7 @@ import threading
 from typing import Optional
 
 from repro.api.jobs import check_job_id
-from repro.errors import ReproError, ServiceError
+from repro.errors import ReproError, ServiceError, UnknownJob
 from repro.runtime.events import event_to_dict
 from repro.service.http import (
     SSE_HEAD,
@@ -148,8 +149,9 @@ class ServiceDaemon:
                     writer, exc.status, {"error": str(exc), "kind": "HttpError"}
                 )
             except ReproError as exc:
+                status = 404 if isinstance(exc, UnknownJob) else 400
                 await write_json(
-                    writer, 400, {"error": str(exc), "kind": type(exc).__name__}
+                    writer, status, {"error": str(exc), "kind": type(exc).__name__}
                 )
         except (ConnectionError, asyncio.CancelledError):
             pass  # peer went away; nothing to answer
@@ -203,14 +205,12 @@ class ServiceDaemon:
                 return
             raise HttpError(405, f"{request.method} not allowed on /v1/jobs")
         if len(rest) in (2, 3) and rest[0] == "jobs":
-            job_id = check_job_id(rest[1])  # ServiceError → 400
-            try:
-                record = self.manager.status(job_id)
-            except ServiceError as exc:
-                raise HttpError(404, str(exc))
+            # A bad id is a ServiceError (400); one the table does not
+            # hold is UnknownJob (404) from whichever manager call meets it.
+            job_id = check_job_id(rest[1])
             action = rest[2] if len(rest) == 3 else None
             if action is None and request.method == "GET":
-                await write_json(writer, 200, record.to_dict())
+                await write_json(writer, 200, self.manager.status(job_id).to_dict())
                 return
             if action == "events" and request.method == "GET":
                 await self._relay_events(job_id, writer)
@@ -218,6 +218,8 @@ class ServiceDaemon:
             if action == "fetch" and request.method == "GET":
                 try:
                     body = self.manager.bundle(job_id)
+                except UnknownJob:
+                    raise
                 except ServiceError as exc:
                     raise HttpError(409, str(exc))
                 await write_body(writer, 200, body)

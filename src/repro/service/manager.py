@@ -22,7 +22,10 @@ exact body its ``fetch`` answers with, rendered once on the pool
 thread that ran it and deflated (zlib level 1). Its report and its
 request are dropped there, so a job the table holds costs ~5 KB of
 document instead of a report's row objects, and a fetch renders
-nothing.
+nothing. The table keeps the last
+:data:`~repro.api.jobs.FINISHED_JOBS_KEPT` finished jobs; an older id
+answers :class:`~repro.errors.UnknownJob`, like one never submitted,
+and ``held_bytes`` counts the documents still held.
 
 Requests are validated against the experiment registry at submission
 (:func:`~repro.api.session.validate_request`), so a typo'd experiment
@@ -95,8 +98,6 @@ class ServiceManager:
         self._slot = threading.local()
         self._sessions: List[Session] = []
         self._lock = threading.Lock()
-        #: Sum of the held fetch documents' sizes, kept as jobs finish.
-        self._held_bytes = 0
         self._executor = JobExecutor(
             self._run_job, workers=pool, name="repro-serve", hold=self._hold
         )
@@ -130,10 +131,7 @@ class ServiceManager:
         else:  # a streaming scan job: one summary document
             files = {"scan.json": report.to_json()}
         doc = {"schema_version": BUNDLE_SCHEMA_VERSION, "job_id": job_id, "files": files}
-        held = zlib.compress(json_body(doc), 1)
-        with self._lock:
-            self._held_bytes += len(held)
-        return held
+        return zlib.compress(json_body(doc), 1)
 
     # -- job surface ----------------------------------------------------
 
@@ -152,16 +150,13 @@ class ServiceManager:
         validate_request(request)
         return self._executor.submit(request).snapshot()
 
-    def _job(self, job_id: str):
-        job = self._executor.get(job_id)
-        if job is None:
-            raise ServiceError(f"unknown job {job_id!r}")
-        return job
-
     def status(self, job_id: str) -> JobRecord:
-        return self._job(job_id).snapshot()
+        """The job's record; :class:`~repro.errors.UnknownJob` for an id
+        the table does not hold (here and in every method below)."""
+        return self._executor.get(job_id).snapshot()
 
     def jobs(self) -> List[JobRecord]:
+        """The records of the jobs the table holds, in submission order."""
         return [job.snapshot() for job in self._executor.jobs()]
 
     def event_buffer(self, job_id: str) -> EventBuffer:
@@ -169,14 +164,14 @@ class ServiceManager:
         (:meth:`EventBuffer.subscribe`) or a listener
         (:meth:`EventBuffer.add_listener`), both ending when the job
         reaches a terminal state."""
-        return self._job(job_id).events
+        return self._executor.get(job_id).events
 
     def bundle(self, job_id: str) -> bytes:
         """The finished job's ``fetch`` response body: the JSON of its
         schema-stamped bundle document ``{"schema_version", "job_id",
         "files": {name → exact text}}``, inflated from what the job
         holds."""
-        job = self._job(job_id)
+        job = self._executor.get(job_id)
         record = job.snapshot()
         if not record.status.terminal:
             raise ServiceError(f"job {job_id} is {record.status.value}; fetch needs a finished job")
@@ -196,7 +191,7 @@ class ServiceManager:
             "pool": self.pool,
             "uptime_s": round(time.time() - self.started_at, 3),
             "jobs": self._executor.counts(),
-            "held_bytes": self._held_bytes,
+            "held_bytes": self._executor.held_bytes,
             "cache": self.cache.stats() if self.cache is not None else None,
             "cache_dir": self.cache.directory if self.cache is not None else None,
         }

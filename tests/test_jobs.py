@@ -2,11 +2,17 @@
 ``Session.submit``: non-blocking runs with the same handle surface the
 service client exposes."""
 
+import json
+import sys
 import threading
 import time
+import zlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.api.jobs as jobs_module
 from repro.api import (
     JobRecord,
     JobStatus,
@@ -16,7 +22,9 @@ from repro.api import (
     UnknownExperiment,
 )
 from repro.api.jobs import EventBuffer, JobExecutor, LocalJobHandle, new_job_id
+from repro.errors import UnknownJob
 from repro.runtime.events import CellCompleted, SuiteCompleted, SuitePlanned
+from repro.service.manager import ServiceManager
 
 # -- vocabulary ---------------------------------------------------------
 
@@ -159,8 +167,11 @@ def test_a_local_handle_cancels_its_queued_job():
 
 def test_executor_cancel_unknown_job_raises_service_error():
     executor = JobExecutor(lambda request, sink: None, workers=1)
-    with pytest.raises(ServiceError):
+    with pytest.raises(UnknownJob) as raised:
         executor.cancel("job-doesnotexist")
+    assert isinstance(raised.value, ServiceError)
+    with pytest.raises(UnknownJob):
+        executor.get("job-doesnotexist")
     executor.shutdown()
 
 
@@ -296,6 +307,154 @@ def test_executor_counts_equal_a_recount_through_every_transition():
     assert last.done.wait(5)
     assert executor.counts() == recount(executor) == tally(succeeded=2, failed=1, cancelled=3)
     executor.shutdown(wait=True)
+
+
+# -- the bound on finished jobs ------------------------------------------
+
+
+class _Report:
+    """The least a job may return for the daemon to hold it."""
+
+    def accounting(self):
+        return {"executed_cells": 0}
+
+    def to_json(self):
+        return '{"report": true}'
+
+
+def _until(predicate, what):
+    deadline = time.monotonic() + 5
+    while not predicate():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.001)
+
+
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.booleans()),
+        st.tuples(st.just("finish"), st.just(0)),
+        st.tuples(st.just("cancel"), st.integers(0, 30)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(steps=STEPS)
+def test_the_table_keeps_the_last_finished_jobs_and_every_live_one(steps):
+    """Under any submit / finish / cancel sequence on one worker, the
+    table holds every queued and running job and exactly the last
+    ``FINISHED_JOBS_KEPT`` finished ones; the tally counts every job
+    ever submitted; an evicted id is ``UnknownJob`` through the
+    manager, while the job's own handle still answers."""
+    release = threading.Semaphore(0)
+
+    def run_job(self, request, sink):
+        release.acquire()
+        if not request.smoke:
+            raise ValueError("told to fail")
+        return _Report()
+
+    def live():
+        return [h for h in handles if not h.status().status.terminal]
+
+    def settled():
+        # One worker: the oldest live job runs, every other one waits.
+        statuses = [h.status().status for h in live()]
+        return not statuses or statuses[0] is JobStatus.RUNNING
+
+    handles, finished = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jobs_module, "FINISHED_JOBS_KEPT", 3)
+        patch.setattr(ServiceManager, "_run_job", run_job)
+        manager = ServiceManager(workers=0)
+        executor = manager._executor
+        try:
+            for op, arg in steps:
+                if op == "submit":
+                    record = manager.submit(RunRequest("fig6", smoke=arg))
+                    handles.append(LocalJobHandle(executor.get(record.job_id), executor))
+                elif op == "finish" and live():
+                    running = live()[0]
+                    release.release()
+                    _until(lambda: running.status().status.terminal, "job never finished")
+                    finished.append(running.job_id)
+                elif op == "cancel" and handles:
+                    handle = handles[arg % len(handles)]
+                    if handle.job_id in finished[:-3]:
+                        with pytest.raises(UnknownJob):
+                            manager.cancel(handle.job_id)
+                    else:
+                        was = handle.status().status
+                        if manager.cancel(handle.job_id).status is JobStatus.CANCELLED:
+                            if was is JobStatus.QUEUED:
+                                finished.append(handle.job_id)
+                _until(settled, "the worker never took the next job")
+
+                table = {r.job_id: r.status for r in manager.jobs()}
+                kept = [job_id for job_id, status in table.items() if status.terminal]
+                assert sorted(kept) == sorted(finished[-3:])
+                assert {h.job_id for h in live()} <= set(table)
+                counts = {status.value: 0 for status in JobStatus}
+                for h in handles:
+                    counts[h.status().status.value] += 1
+                assert manager.health()["jobs"] == counts
+                assert manager.health()["held_bytes"] == sum(
+                    len(zlib.compress(manager.bundle(job_id), 1))
+                    for job_id in kept
+                    if table[job_id] is JobStatus.SUCCEEDED
+                )
+            for handle in handles:
+                if handle.job_id not in finished[:-3]:
+                    continue
+                for call in (manager.status, manager.bundle, manager.event_buffer, manager.cancel):
+                    with pytest.raises(UnknownJob):
+                        call(handle.job_id)
+                record = handle.status()
+                assert record.status.terminal and handle.cancel() == record
+                if record.status is JobStatus.SUCCEEDED:
+                    assert json.loads(zlib.decompress(handle.result(0)))["files"]
+                else:
+                    with pytest.raises((ValueError, ServiceError)):
+                        handle.result(0)
+        finally:
+            for _ in handles:
+                release.release()
+            manager.close()
+
+
+def test_eviction_under_contention_keeps_the_held_bytes_of_the_table(monkeypatch):
+    """Four workers finishing jobs submitted from four threads, with
+    the interpreter switching threads as often as it can: the table
+    ends with the bound's worth of jobs, and ``held_bytes`` is what
+    those jobs hold, every evicted job's bytes taken off once."""
+    monkeypatch.setattr(jobs_module, "FINISHED_JOBS_KEPT", 5)
+    executor = JobExecutor(
+        lambda request, sink: None, workers=4, hold=lambda job_id, report: job_id.encode(),
+    )
+    submitted = []
+
+    def submitter():
+        for _ in range(50):
+            submitted.append(executor.submit(None))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=submitter) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(job.done.wait(30) for job in submitted)
+    finally:
+        sys.setswitchinterval(interval)
+        executor.shutdown()
+    kept = executor.jobs()
+    assert len(submitted) == 200 and len(kept) == 5
+    assert executor.held_bytes == sum(len(job.result) for job in kept) > 0
+    assert executor.counts()["succeeded"] == 200
 
 
 # -- Session.submit -----------------------------------------------------

@@ -15,6 +15,8 @@ counts, by patching, what the durable result cache does for it:
 * a finished daemon job holds its fetch document, not its report or
   its request, so a second fetch renders nothing and ``/v1/health``'s
   ``held_bytes`` is the sum of those documents;
+* a warm job's connections leave the cyclic collector asyncio's own
+  transport cycle (7 objects each) and nothing of the daemon's;
 * ``/v1/health`` walks the store's directory once per process, and its
   job counts snapshot no job, however many have run;
 * a fresh process on the same directory reads every cell from disk
@@ -234,6 +236,48 @@ def test_a_finished_daemon_job_holds_its_fetch_document_and_nothing_it_was_built
         assert 0 < held <= 2 * 8 * 1024
     with Session(cache_dir=directory) as session:
         assert files == bundle_files(session.run(REQUEST))
+
+
+#: What one daemon connection leaves to the cyclic collector: asyncio's
+#: ``_SelectorSocketTransport`` keeps a bound method of itself in
+#: ``_read_ready_cb`` (``set_protocol``, CPython 3.11–3.13), and its
+#: ``extra`` dict holds the ``TransportSocket``, the ``socket`` and the
+#: peer / local address tuples. The daemon holds none of them.
+TRANSPORT_CYCLE = {
+    "_SelectorSocketTransport": 1,
+    "method": 1,
+    "dict": 1,
+    "TransportSocket": 1,
+    "socket": 1,
+    "tuple": 2,
+}
+
+
+def test_a_warm_daemon_job_leaves_only_asyncio_transport_cycles(tmp_path):
+    """A warm job is three connections (submit, events, fetch); what
+    they leave for the cyclic collector is the standard library's
+    transport cycle, never a handler task, frame or job object."""
+    jobs = 5
+    manager = ServiceManager(workers=0, cache_dir=str(tmp_path / "cache"))
+    with serving(manager) as client:
+        for _ in range(2):
+            client.fetch(finish(client, REQUEST))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(jobs):
+                client.fetch(finish(client, REQUEST))
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            garbage = Counter(type(thing).__name__ for thing in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+    # One more connection's cycle may be a warm-up job's, closed late.
+    connections = 3 * jobs + 1
+    assert set(garbage) <= set(TRANSPORT_CYCLE), garbage
+    assert sum(garbage.values()) <= connections * sum(TRANSPORT_CYCLE.values()), garbage
 
 
 SCAN = {

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.api.jobs as jobs_module
 from repro.api import (
     JobStatus,
     RunRequest,
@@ -26,7 +27,7 @@ from repro.api import (
 )
 from repro.api.bundles import bundle_files
 from repro.api.client import error_type, parse_service_address
-from repro.errors import BackendError
+from repro.errors import BackendError, UnknownJob
 from repro.runtime.events import ChunkCompleted, SuiteCompleted, SuitePlanned
 from repro.schema import BUNDLE_SCHEMA_VERSION
 from repro.service import ServiceDaemon, ServiceManager
@@ -169,6 +170,65 @@ def test_router_answers_an_empty_job_id_with_a_typed_4xx(daemon, path):
     assert head.startswith(b"HTTP/1.1 400 ")
     doc = json.loads(body)
     assert doc["kind"] == "ServiceError" and "invalid job id" in doc["error"]
+
+
+class _Report:
+    """The least a job may return for the daemon to hold it."""
+
+    def accounting(self):
+        return {}
+
+    def to_json(self):
+        return "{}"
+
+
+def test_an_evicted_job_is_unknown_on_every_route(tmp_path, monkeypatch):
+    """Once ``FINISHED_JOBS_KEPT`` newer jobs have finished, the first
+    id is gone from the table: 404 ``UnknownJob`` on all four routes,
+    the same type from the client, and ``ServiceError``'s exit code
+    from the CLI."""
+    monkeypatch.setattr(jobs_module, "FINISHED_JOBS_KEPT", 2)
+    monkeypatch.setattr(ServiceManager, "_run_job", lambda self, request, sink: _Report())
+    mgr = ServiceManager(workers=0)
+    server = ServiceDaemon(mgr, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.run, daemon=True)
+    thread.start()
+    try:
+        client = ServiceClient(server.wait_started(10))
+        ids = [client.submit(RunRequest("fig6", smoke=True)).job_id for _ in range(3)]
+        assert all(client.wait(job_id, timeout=30).status.terminal for job_id in ids[1:])
+        assert [record.job_id for record in client.jobs()] == ids[1:]
+        assert client.health()["jobs"]["succeeded"] == 3
+        first = ids[0]
+
+        host, port = server.address.rsplit(":", 1)
+        routes = [("GET", ""), ("GET", "/events"), ("GET", "/fetch"), ("POST", "/cancel")]
+        for method, action in routes:
+            with socket.create_connection((host, int(port)), timeout=10) as sock:
+                sock.sendall(
+                    f"{method} /v1/jobs/{first}{action} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+                )
+                head, _, body = sock.makefile("rb").read().partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 404 "), (method, action, head)
+            doc = json.loads(body)
+            assert doc["kind"] == "UnknownJob" and first in doc["error"], (method, action)
+
+        for call in (client.status, client.fetch, client.cancel, lambda j: list(client.events(j))):
+            with pytest.raises(UnknownJob):
+                call(first)
+        assert client.fetch(ids[-1]) == {"scan.json": "{}"}
+
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "status", first, "--service", server.address],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == ServiceError.exit_code == UnknownJob.exit_code, done.stderr
+        assert f"unknown job '{first}'" in done.stderr and "Traceback" not in done.stderr
+    finally:
+        server.stop()
+        thread.join(timeout=10)
+        mgr.close()
 
 
 def test_client_submit_streams_events_and_fetches_byte_identical(daemon):
