@@ -80,7 +80,6 @@ from repro.errors import (
 from repro.experiments.common import ExperimentResult
 from repro.runtime.events import (
     CellCompleted,
-    ChunkCacheStats,
     ChunkCompleted,
     ChunkDispatched,
     EventSink,
@@ -105,7 +104,6 @@ __all__ = [
     "BackendError",
     "BundleVersionError",
     "CellCompleted",
-    "ChunkCacheStats",
     "ChunkCompleted",
     "ChunkDispatched",
     "DistributedConfig",

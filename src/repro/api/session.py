@@ -268,13 +268,7 @@ class Session:
     @property
     def backend_stats(self) -> Optional[Any]:
         """Distributed observability counters
-        (:class:`~repro.runtime.distributed.BackendStats`), if any —
-        including ``worker_cache_hits``, the cells served from
-        worker-resident result caches across this session's runs. The
-        per-run delta is on each report's
-        ``extra["worker_cache_hits"]``; a second :meth:`run` against a
-        live fleet reports nonzero hits while its bundle stays
-        byte-identical (cache warmth never reaches bundle bytes)."""
+        (:class:`~repro.runtime.distributed.BackendStats`), if any."""
         return getattr(self._backend, "stats", None)
 
     # -- jobs -----------------------------------------------------------

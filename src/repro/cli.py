@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -107,7 +108,7 @@ from repro.api import (
 )
 from repro.api.client import error_type
 from repro.experiments.registry import REGISTRY
-from repro.runtime.distributed import DEFAULT_WORKER_CACHE_ENTRIES, worker_main
+from repro.runtime.distributed import worker_main
 
 # -- list ---------------------------------------------------------------
 
@@ -358,8 +359,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"distributed: {stats.chunks_dispatched} chunk(s) dispatched "
                 f"over {stats.workers_used} of {stats.workers_seen} worker(s), "
                 f"{stats.chunks_requeued} requeued, "
-                f"{stats.workers_lost} worker(s) lost, "
-                f"{stats.worker_cache_hits} worker-cache hit(s)"
+                f"{stats.workers_lost} worker(s) lost"
             )
         if args.out is not None:
             written = write_bundle(report, Path(args.out))
@@ -414,8 +414,8 @@ def parse_address(value: str) -> tuple:
 
 def cmd_worker(args: argparse.Namespace) -> int:
     host, port = parse_address(args.connect)
-    if args.cache_entries < 0:
-        raise _usage_error("--cache-entries must be >= 0")
+    if not 0 < args.heartbeat < math.inf:
+        raise _usage_error(f"--heartbeat must be finite and > 0 seconds, got {args.heartbeat}")
     # SIGTERM asks the worker to *drain*: finish the in-flight chunk,
     # tell the coordinator (DRAIN frame, so nothing is requeued or
     # counted as lost), then exit 0 — the polite shutdown for elastic
@@ -431,7 +431,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         heartbeat_interval=args.heartbeat,
         retry_for=args.retry,
         auth_key=resolve_auth_key(args.auth_key_file),
-        cache_entries=0 if args.no_cache else args.cache_entries,
         log=lambda message: print(f"worker: {message}", flush=True),
         rejoin_for=args.rejoin,
         drain_event=drain_event,
@@ -768,21 +767,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared secret matching the coordinator's --auth-key-file "
         "(REPRO_AUTH_KEY also works)",
     )
-    p_worker.add_argument(
-        "--cache-entries",
-        type=int,
-        default=DEFAULT_WORKER_CACHE_ENTRIES,
-        metavar="N",
-        help="bound on the worker-resident result cache that memoizes "
-        "(scenario, seed, level) cells across chunks, jobs, and suites "
-        "(0 disables)",
-    )
-    p_worker.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the worker-resident result cache (same as "
-        "--cache-entries 0)",
-    )
+    # A worker keeps no results; the flag is accepted and ignored so
+    # fleets started with it keep starting.
+    p_worker.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
     p_worker.add_argument(
         "--rejoin",
         type=float,

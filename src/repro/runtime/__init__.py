@@ -19,8 +19,8 @@ Public surface:
 * :class:`RunEvent` / :data:`EventSink` — typed progress events
   (chunk dispatch, worker membership, completion) streamed to any
   attached observer; the channel the ``repro.api`` façade exposes.
-* :class:`ResultCache` — the in-memory (scenario, seed, level) tier: a
-  fleet worker's memo, and what a ``DiskResultCache`` serves warm hits from.
+* :class:`ResultCache` — the in-memory (scenario, seed, level) tier a
+  ``DiskResultCache`` serves warm hits from.
 * :class:`ArtifactStore` — a disk store of per-cell trace artifacts
   (no suite, sweep or scan uses it).
 * :class:`SuiteRunner` / :class:`Cell` — cross-experiment planning:
@@ -38,7 +38,7 @@ from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, Source, execute
 from repro.runtime.backend import ExecutionBackend, LocalBackend, ResultObserver
 from repro.runtime.cache import ResultCache, loss_pattern_key, scenario_key
 from repro.runtime.distributed import SocketBackend, worker_main
-from repro.runtime.events import ChunkCacheStats, EventSink, RunEvent
+from repro.runtime.events import EventSink, RunEvent
 from repro.runtime.scheduler import (
     Assignment,
     ChunkScheduler,
@@ -54,7 +54,6 @@ __all__ = [
     "ArtifactStore",
     "Assignment",
     "Cell",
-    "ChunkCacheStats",
     "ChunkScheduler",
     "EventSink",
     "ExecutionBackend",

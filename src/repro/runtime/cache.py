@@ -5,9 +5,6 @@ keyed on the scenario's value (not its identity) can answer for any
 later run that plans the same cell. :class:`ResultCache` is that memo,
 and the one in-memory tier in the repository:
 
-* a fleet worker (``repro worker``) keeps one for its whole life,
-  bounded by count (``--cache-entries``), and serves repeated chunks
-  from it;
 * every :class:`~repro.runtime.disk_cache.DiskResultCache` fronts its
   directory with one, so a warm cell in a long-lived process (the
   ``repro serve`` daemon) is a dict lookup instead of a file read;
@@ -166,14 +163,6 @@ class ResultCache:
                 "bytes": self._bytes,
             }
 
-    def since(self, before: Dict[str, int]) -> Dict[str, int]:
-        """:meth:`stats` with the counters taken relative to an earlier
-        snapshot ``before`` (one chunk's share of a worker's memo)."""
-        now = self.stats()
-        for key in ("hits", "misses", "uncacheable"):
-            now[key] -= before[key]
-        return now
-
     def make_key(self, scenario: Scenario, seed: int, level: Any) -> Optional[Tuple[Any, ...]]:
         return cell_cache_key(scenario, seed, level)
 
@@ -192,8 +181,8 @@ class ResultCache:
 
     def put(self, key: Optional[Any], value: Any, size: int = 0) -> None:
         """Hold ``value`` under ``key``, declared as ``size`` bytes
-        (``0`` when the caller never encodes it, as a worker does). A
-        value larger than :data:`MAX_HELD_BYTES` is not held."""
+        (``0`` when the caller never encodes it). A value larger than
+        :data:`MAX_HELD_BYTES` is not held."""
         if key is None:
             return
         with self._lock:

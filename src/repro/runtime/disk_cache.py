@@ -45,13 +45,12 @@ of the same key never truncate each other's bytes and are idempotent
 LRU, bounded by :data:`~repro.runtime.cache.MAX_HELD_BYTES` of encoded
 blob size): the decoded, scenario-less values this process wrote or
 read back, keyed by the cell's value key
-(:func:`~repro.runtime.cache.cell_cache_key`, the tuple a fleet
-worker's memo uses). ``get`` consults it first and opens a blob only
-on a memory miss, so a held cell is found without hashing: the
-SHA-256 address is computed only when a blob is read or written (see
-:class:`CellKey`). Every hit, from either tier, hands out a fresh
-shallow copy, so the caller reattaching its scenario never reaches a
-held entry.
+(:func:`~repro.runtime.cache.cell_cache_key`). ``get`` consults it
+first and opens a blob only on a memory miss, so a held cell is found
+without hashing: the SHA-256 address is computed only when a blob is
+read or written (see :class:`CellKey`). Every hit, from either tier,
+hands out a fresh shallow copy, so the caller reattaching its scenario
+never reaches a held entry.
 
 *Corrupt* means a blob that does not decode to a ``RunArtifacts``. The
 check runs on every disk read — always for a fresh instance (a

@@ -15,7 +15,7 @@ is made by the backend's one
 :class:`~repro.runtime.scheduler.ChunkScheduler`, called only under the
 backend's state lock.
 
-Wire protocol (version 7)
+Wire protocol (version 8)
 -------------------------
 
 Every frame is ``b"RPRO" | type:u8 | length:u32be | body`` and every
@@ -33,8 +33,7 @@ type       direction       payload
 HELLO      worker → server ``{"version", "pid", "host", "epoch"}``
 WELCOME    server → worker ``{"version"}``
 CHUNK      server → worker ``(job_id, chunk_id, GroupedChunk, level)``
-RESULT     worker → server ``(job_id, chunk_id, [(index, artifacts)],
-                            cache_meta)``
+RESULT     worker → server ``(job_id, chunk_id, [(index, artifacts)])``
 HEARTBEAT  worker → server ``None`` (liveness while computing)
 ERROR      worker → server ``{"job_id", "chunk_id", "error", "traceback",
                             "exception"}``
@@ -42,13 +41,8 @@ SHUTDOWN   server → worker ``None`` (drain and exit 0)
 DRAIN      either way      ``None`` (graceful departure, see below)
 ========== =============== ==========================================
 
-Version 2 extended RESULT with ``cache_meta``: ``None`` on a worker
-running without a result cache, else a dict of the chunk's worker-cache
-accounting (the keys of :meth:`~repro.runtime.cache.ResultCache.stats`:
-``hits`` / ``misses`` / ``uncacheable`` / ``entries``, plus ``bytes``,
-read as 0 when absent) that
-the coordinator surfaces as
-:class:`~repro.runtime.events.ChunkCacheStats`. Version 3 added the
+Version 2 extended RESULT with a fourth field, the worker's
+result-cache accounting. Version 3 added the
 DRAIN frame and the ``epoch`` HELLO field (0 on a worker's first
 connection, incremented each time it rejoins after losing the
 coordinator). Version 4 gave the data frames (CHUNK / RESULT / ERROR)
@@ -61,6 +55,8 @@ four elements. Version 6 gave ERROR ``"exception"`` (an
 :class:`~repro.runtime.artifacts.ObservedCell` tasks suites now send.
 Version 7 gives every frame, control frames included, the one body
 format above; HELLO and WELCOME carry no codec fields.
+Version 8 drops RESULT's fourth field with the worker-side result
+cache: a worker keeps no results between chunks.
 Versions must match exactly (HELLO is rejected otherwise), so mixed
 fleets fail loudly at connect time instead of mid-job.
 
@@ -99,22 +95,8 @@ reassembly — and therefore the result bundle — is byte-identical no
 matter how the pool was carved. A chunk has one holder at a time: it
 runs again only when it is requeued after its worker was lost.
 
-Worker-side result cache
-------------------------
-
-Workers keep a count-bounded :class:`~repro.runtime.cache.ResultCache`
-(the same in-memory tier a
-:class:`~repro.runtime.disk_cache.DiskResultCache` fronts its directory
-with) for the life of the ``repro worker`` process — across chunks, jobs, *and
-suites*. Sweeps that re-run the same ``(scenario value, seed)`` cells
-(fig6 ⊂ fig12, fig13 ⊂ fig7, repeated CI suites against a warm fleet)
-are served from the memo instead of re-simulated; determinism in the
-key makes a cached artifact bit-identical to a recomputation, so
-cached bundles match uncached ones byte for byte. Per-chunk hit
-counts travel on RESULT frames and surface as
-:class:`~repro.runtime.events.ChunkCacheStats` on
-:class:`~repro.runtime.events.ChunkCompleted` events plus the
-coordinator's :class:`BackendStats.worker_cache_hits` counter.
+Job and chunk ids
+-----------------
 
 ``job_id`` identifies one :meth:`SocketBackend.run_cells` call; the
 worker echoes it verbatim. Results and errors whose job id does not
@@ -204,9 +186,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import BackendError, ObserveError, WorkerAuthError
 from repro.runtime.artifacts import RunArtifacts
 from repro.runtime.backend import ExecutionBackend
-from repro.runtime.cache import ResultCache
 from repro.runtime.events import (
-    ChunkCacheStats,
     ChunkCompleted,
     ChunkDispatched,
     WorkerDrained,
@@ -222,7 +202,7 @@ from repro.runtime.wire import decode_payload, encode_payload
 from repro.runtime.worker import IndexedCell, run_cell_chunk
 from repro.runtime.workloop import LEVEL
 
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 MAGIC = b"RPRO"
 _HEADER = struct.Struct(">4sBI")
 
@@ -241,10 +221,6 @@ DEFAULT_WORKER_WAIT_TIMEOUT = 120.0
 #: not be dropped mid-transfer as if it died.
 SEND_TIMEOUT_FLOOR = 30.0
 SEND_MIN_RATE_BYTES = 1_000_000.0
-#: Default bound on the worker-resident cross-suite result cache
-#: (entries, not bytes — what a suite caches is stats-level, a few
-#: hundred bytes each; ``--cache-entries 0`` disables it).
-DEFAULT_WORKER_CACHE_ENTRIES = 4096
 #: How long a keyed worker waits for the coordinator's challenge — a
 #: keyless coordinator sends nothing (it waits for HELLO), so without a
 #: bound the mismatch would stall until the server's timeout with a
@@ -496,7 +472,6 @@ def worker_main(
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     retry_for: float = 10.0,
     auth_key: Optional[bytes] = None,
-    cache_entries: Optional[int] = DEFAULT_WORKER_CACHE_ENTRIES,
     log: Optional[Callable[[str], None]] = None,
     rejoin_for: float = 0.0,
     drain_event: Optional[threading.Event] = None,
@@ -509,12 +484,6 @@ def worker_main(
 
     A daemon thread heartbeats every ``heartbeat_interval`` seconds so
     the server can tell a long-running chunk from a dead worker.
-
-    ``cache_entries`` bounds the worker-resident
-    :class:`~repro.runtime.cache.ResultCache` that memoizes cells by
-    ``(scenario value, seed, level)`` for the life of this process —
-    across chunks, jobs, and consecutive suites. ``0``/``None``
-    disables it. Per-chunk hit counts are reported on RESULT frames.
 
     ``rejoin_for`` > 0 turns coordinator loss into a reconnect window:
     instead of exiting, the worker redials (backoff with jitter) for up
@@ -529,7 +498,6 @@ def worker_main(
     vanished (and any rejoin window expired).
     """
     say = log or (lambda message: None)
-    cache = ResultCache(max_entries=cache_entries) if cache_entries else None
     drain = drain_event if drain_event is not None else threading.Event()
     epoch = 0
     window = retry_for
@@ -546,7 +514,6 @@ def worker_main(
             epoch,
             heartbeat_interval,
             auth_key,
-            cache,
             drain,
             say,
         )
@@ -564,7 +531,6 @@ def _worker_session(
     epoch: int,
     heartbeat_interval: float,
     auth_key: Optional[bytes],
-    cache: Optional[ResultCache],
     drain: threading.Event,
     say: Callable[[str], None],
 ) -> Tuple[int, bool]:
@@ -669,12 +635,8 @@ def _worker_session(
             job_id, chunk_id, grouped, level_value = payload
             computing.set()
             try:
-                before = cache.stats() if cache is not None else None
-                results = run_cell_chunk(grouped, level_value, cache=cache)
-                cache_meta = cache.since(before) if cache is not None else None
-                send_frame(
-                    sock, MSG_RESULT, (job_id, chunk_id, results, cache_meta), lock=send_lock
-                )
+                results = run_cell_chunk(grouped, level_value)
+                send_frame(sock, MSG_RESULT, (job_id, chunk_id, results), lock=send_lock)
             except Exception as exc:
                 # Includes an oversized RESULT pickle: that is as
                 # deterministic as a simulator error, so report it
@@ -710,25 +672,6 @@ def _worker_session(
 # -- server side --------------------------------------------------------
 
 
-def _decode_cache_meta(meta: Any) -> Optional[ChunkCacheStats]:
-    """Validate a RESULT frame's cache accounting. ``None`` means the
-    worker runs cacheless; anything else must be a well-formed counter
-    dict — a worker echo is untrusted input, so garbage is a protocol
-    error (dropping the worker), never a crash or silent bad stats."""
-    if meta is None:
-        return None
-    try:
-        return ChunkCacheStats(
-            hits=int(meta["hits"]),
-            misses=int(meta["misses"]),
-            uncacheable=int(meta["uncacheable"]),
-            entries=int(meta["entries"]),
-            bytes=int(meta.get("bytes", 0)),
-        )
-    except (KeyError, TypeError, ValueError):
-        raise ProtocolError(f"malformed RESULT cache stats: {meta!r}") from None
-
-
 @dataclass
 class BackendStats:
     """Observability counters for one :class:`SocketBackend`."""
@@ -749,9 +692,6 @@ class BackendStats:
     #: Connections that reached the coordinator but failed the mutual
     #: HMAC handshake — the signature of a shared-secret mismatch.
     auth_failures: int = 0
-    #: Cells served from worker-resident result caches instead of
-    #: simulated, summed over every recorded RESULT frame.
-    worker_cache_hits: int = 0
     #: Transfer accounting for CHUNK and RESULT frames: ``*_raw`` is the
     #: uncompressed body size, ``*_wire`` what actually crossed the
     #: socket (header included) — the compression win is
@@ -962,10 +902,9 @@ class SocketBackend(ExecutionBackend):
                         self._scheduler.drain_worker(conn.wid)
                         self._cond.notify_all()
                 elif msg_type == MSG_RESULT:
-                    if not (isinstance(payload, tuple) and len(payload) == 4):
+                    if not (isinstance(payload, tuple) and len(payload) == 3):
                         raise ProtocolError(f"malformed RESULT payload: {payload!r}")
-                    job_id, chunk_id, results, cache_meta = payload
-                    cache_stats = _decode_cache_meta(cache_meta)
+                    job_id, chunk_id, results = payload
                     recorded = False
                     with self._cond:
                         self.stats.result_bytes_wire += wire_len
@@ -974,18 +913,9 @@ class SocketBackend(ExecutionBackend):
                             conn.inflight = None
                             # Round trip complete: fold dispatch→result
                             # wall clock into this worker's throughput
-                            # EWMA (drives adaptive chunk sizing),
-                            # counting only cells it actually computed.
-                            # hits is an untrusted echo; clamp so a
-                            # lying worker cannot push computed_cells
-                            # negative.
+                            # EWMA (drives adaptive chunk sizing).
                             state = conn.state
-                            hits = cache_stats.hits if cache_stats is not None else 0
-                            state.observe_result(
-                                time.monotonic(),
-                                state.dispatched_cells
-                                - min(max(hits, 0), state.dispatched_cells),
-                            )
+                            state.observe_result(time.monotonic(), state.dispatched_cells)
                         # Frames from an aborted previous job are stale:
                         # recording them would graft old-plan cells into
                         # the new job, so they are discarded.
@@ -1010,8 +940,6 @@ class SocketBackend(ExecutionBackend):
                                 if not conn.used:
                                     conn.used = True
                                     self.stats.workers_used += 1
-                                if cache_stats is not None:
-                                    self.stats.worker_cache_hits += cache_stats.hits
                         self._cond.notify_all()
                     if recorded:
                         self.emit(
@@ -1019,7 +947,6 @@ class SocketBackend(ExecutionBackend):
                                 chunk_id=chunk_id,
                                 cells=len(results),
                                 where=f"worker-{conn.wid}",
-                                cache=cache_stats,
                             )
                         )
                         self._observe_recorded(job_id, chunk_id, results)

@@ -50,7 +50,6 @@ from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 __all__ = [
     "CellCompleted",
-    "ChunkCacheStats",
     "ChunkCompleted",
     "ChunkDispatched",
     "EventSink",
@@ -112,26 +111,6 @@ class ChunkDispatched(RunEvent):
 
 
 @dataclass(frozen=True)
-class ChunkCacheStats:
-    """Worker-resident result-cache accounting for one chunk.
-
-    Reported by distributed workers alongside each RESULT frame: how many
-    of the chunk's cells were served from the worker's cross-suite
-    :class:`~repro.runtime.cache.ResultCache` (``hits``), how many were
-    simulated (``misses``), how many defeat value identity and can
-    never be cached (``uncacheable``), and the cache's entry count and
-    declared bytes after the chunk (``entries``, ``bytes``) — the keys
-    of :meth:`~repro.runtime.cache.ResultCache.stats`.
-    """
-
-    hits: int
-    misses: int
-    uncacheable: int
-    entries: int
-    bytes: int = 0
-
-
-@dataclass(frozen=True)
 class ChunkCompleted(RunEvent):
     """A dispatched chunk returned its results."""
 
@@ -140,9 +119,6 @@ class ChunkCompleted(RunEvent):
     chunk_id: int
     cells: int
     where: str
-    #: Worker-cache accounting for the chunk, when the executing worker
-    #: runs one (distributed backend only; ``None`` elsewhere).
-    cache: Optional[ChunkCacheStats] = None
 
 
 @dataclass(frozen=True)
@@ -327,17 +303,14 @@ EVENT_TYPES: Dict[str, Type[RunEvent]] = {
 def event_to_dict(event: RunEvent) -> Dict[str, Any]:
     """One event as a JSON-safe dict: ``{"kind": ..., <fields>}``.
 
-    Tuples become lists (JSON has no tuple) and a
-    :class:`ChunkCacheStats` payload nests as a plain dict;
-    :func:`event_from_dict` reverses both.
+    Tuples become lists (JSON has no tuple); :func:`event_from_dict`
+    reverses that.
     """
     payload: Dict[str, Any] = {"kind": event.kind}
     for field_info in fields(event):
         value = getattr(event, field_info.name)
         if isinstance(value, tuple):
             value = list(value)
-        elif isinstance(value, ChunkCacheStats):
-            value = {f.name: getattr(value, f.name) for f in fields(value)}
         payload[field_info.name] = value
     return payload
 
@@ -361,18 +334,10 @@ def event_from_dict(payload: Dict[str, Any]) -> Optional[RunEvent]:
     for field_info in fields(cls):
         name = field_info.name
         if name not in payload:
-            if name == "cache":  # optional ChunkCompleted payload
-                kwargs[name] = None
-                continue
             return None
         value = payload[name]
         if name == "experiments" and isinstance(value, list):
             value = tuple(value)
-        elif name == "cache" and isinstance(value, dict):
-            try:
-                value = ChunkCacheStats(**value)
-            except TypeError:
-                return None
         kwargs[name] = value
     try:
         return cls(**kwargs)

@@ -111,25 +111,15 @@ class WorkerState:
         #: A draining worker finishes its chunk but gets no new work.
         self.draining = False
 
-    def observe_result(self, now: float, computed_cells: int) -> None:
-        """Fold the finished chunk's round trip into the throughput
-        EWMA (caller holds the backend lock).
-
-        ``computed_cells`` excludes cells the worker served from its
-        result cache: an all-hit chunk finishing in a millisecond says
-        nothing about how fast the worker *simulates*, and folding it
-        in would hand a slow worker an enormous rate — and then an
-        oversized chunk of cold cells the whole fleet has to wait out.
-        A chunk with no computed cells therefore leaves the EWMA
-        untouched.
-        """
+    def observe_result(self, now: float, cells: int) -> None:
+        """Fold the finished chunk's round trip, ``cells`` cells since
+        :attr:`dispatched_at`, into the throughput EWMA (caller holds
+        the backend lock)."""
         if self.dispatched_at is None:
             return
         elapsed = max(now - self.dispatched_at, 1e-6)
         self.dispatched_at = None
-        if computed_cells <= 0:
-            return
-        rate = computed_cells / elapsed
+        rate = cells / elapsed
         if self.ewma_rate is None:
             self.ewma_rate = rate
         else:

@@ -329,11 +329,6 @@ class SuiteRunner:
             ),
         )
         backend = self.backend if self.backend is not None else LocalBackend(self.workers)
-        # Distributed backends accumulate worker-resident cache hits;
-        # snapshot so the run's delta can be reported. Deliberately kept
-        # out of to_dict(): bundle bytes must not depend on how warm the
-        # fleet happens to be.
-        wc0 = getattr(getattr(backend, "stats", None), "worker_cache_hits", None)
         try:
             entries: List[Any] = [None] * len(plan.dispatch_cells)
 
@@ -371,8 +366,6 @@ class SuiteRunner:
                     ),
                 )
             report = SuiteReport(plan, results, executed_cells=len(plan.unique_cells))
-            if wc0 is not None:
-                report.extra["worker_cache_hits"] = backend.stats.worker_cache_hits - wc0
             if self.disk_cache is not None:
                 report.extra["disk_cache_hits"] = counts["disk_cache"]
                 report.extra["disk_cache_misses"] = counts["missed"]

@@ -17,7 +17,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.interop.runner import Runner, Scenario
 from repro.runtime.artifacts import ArtifactLevel, ObservedCell, RunArtifacts, execute_cell
-from repro.runtime.cache import ResultCache
 
 #: One dispatched cell: (position in the caller's cell list, scenario, seed).
 IndexedCell = Tuple[int, Scenario, int]
@@ -57,41 +56,19 @@ def chunk_cell_count(chunk: GroupedChunk) -> int:
     return sum(len(pairs) for _scenario, pairs in chunk)
 
 
-def run_cell_chunk(
-    chunk: GroupedChunk,
-    level_value: str,
-    cache: Optional[ResultCache] = None,
-) -> List[Tuple[int, RunArtifacts]]:
+def run_cell_chunk(chunk: GroupedChunk, level_value: str) -> List[Tuple[int, RunArtifacts]]:
     """Execute a chunk of scenario groups and tag each result with its
     original position.
 
     The scenario is dropped from every returned artifact — the parent
     already holds it and reattaches it, halving the response pickle.
-
-    ``cache`` is the worker-resident cross-job memo: cells whose
-    ``(scenario value, seed, level)`` key is already stored are
-    served from it instead of re-simulated, and fresh results are stored
-    for the next chunk (or the next suite — the cache outlives jobs).
-    Simulations are deterministic in that key, so a cached artifact is
-    bit-identical to a recomputation.
     """
     level = ArtifactLevel(level_value)
     runner = Runner()
     out: List[Tuple[int, RunArtifacts]] = []
     for scenario, pairs in chunk:
         for index, seed in pairs:
-            key = None
-            if cache is not None:
-                key = cache.make_key(scenario, seed, level)
-                hit = cache.get(key)
-                if hit is not None:
-                    out.append((index, hit))
-                    continue
             artifacts = execute_cell(scenario, seed, level, runner=runner)
-            # Stripped *before* the cache put, so cached entries carry
-            # no stale scenario object either.
             artifacts.scenario = None
-            if cache is not None:
-                cache.put(key, artifacts)
             out.append((index, artifacts))
     return out

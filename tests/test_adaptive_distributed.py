@@ -1,12 +1,9 @@
-"""Adaptive chunk sizing, the worker-side cross-suite result cache,
-and the slow-link send-deadline fix.
+"""Adaptive chunk sizing and the slow-link send-deadline fix.
 
-Three properties carry the PR:
+Two properties carry the file:
 
 * chunk sizes track per-worker throughput (a 5× speed skew must yield
   visibly skewed chunks) while results stay index-exact;
-* a worker's result cache outlives jobs, so a second suite against the
-  same live fleet reports nonzero hits and byte-identical results;
 * a slow-but-alive worker receiving a large CHUNK frame is never
   misclassified as lost mid-transfer (the send deadline is size-aware
   and independent of ``heartbeat_timeout``).
@@ -18,8 +15,7 @@ import time
 
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
 from repro.quic.server import ServerMode
-from repro.runtime import SocketBackend, SuiteRunner, scheduler, worker_main
-from repro.runtime.cache import ResultCache
+from repro.runtime import SocketBackend, scheduler, worker_main
 from repro.runtime.distributed import (
     MSG_CHUNK,
     MSG_WELCOME,
@@ -30,7 +26,7 @@ from repro.runtime.distributed import (
     send_frame,
 )
 from repro.runtime.events import ChunkCompleted, ChunkDispatched, WorkerJoined
-from repro.runtime.worker import chunk_cell_count, run_cell_chunk
+from repro.runtime.worker import run_cell_chunk
 from repro.sim.loss import IndexedLoss
 from tests.sweeps import start_worker_thread, sweep
 from tests.test_distributed import LOSSY_IACK
@@ -115,7 +111,7 @@ def test_slow_link_worker_survives_chunk_larger_than_heartbeat_window(chunk_cell
 
                 (job_id, chunk_id, grouped, level), _ = decode_payload(payload)
                 results = run_cell_chunk(grouped, level)
-                send_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None), lock=lock)
+                send_frame(sock, MSG_RESULT, (job_id, chunk_id, results), lock=lock)
         except (ConnectionError, OSError, struct.error):
             pass
         finally:
@@ -157,7 +153,7 @@ def _skewed_worker(backend, host, delay_per_cell, stop):
             indices = [i for _scenario, pairs in grouped for i, _seed in pairs]
             time.sleep(len(indices) * delay_per_cell)
             results = [(i, "r") for i in indices]
-            send_frame(sock, MSG_RESULT, (job_id, chunk_id, results, None), lock=lock)
+            send_frame(sock, MSG_RESULT, (job_id, chunk_id, results), lock=lock)
     except (ConnectionError, OSError):
         pass
     finally:
@@ -277,32 +273,9 @@ def test_run_cells_returns_only_after_every_chunk_was_observed():
     assert seen_at_return == list(range(8))
 
 
-def test_cache_served_chunks_do_not_inflate_throughput_ewma():
-    """A chunk served from the worker's cache finishes in ~a
-    millisecond and says nothing about simulation speed: folding it
-    into the EWMA would hand a slow worker an enormous rate — and then
-    an oversized chunk of cold cells the whole fleet waits out. Only
-    computed cells may move the estimate."""
-    from repro.runtime.scheduler import WorkerState
-
-    state = WorkerState(1)
-    # A genuinely computed chunk seeds the rate: 10 cells / 1 s.
-    state.dispatched_at, state.dispatched_cells = 100.0, 10
-    state.observe_result(101.0, computed_cells=10)
-    assert state.ewma_rate == 10.0
-    # An all-hit chunk back in a millisecond must not touch it.
-    state.dispatched_at, state.dispatched_cells = 101.0, 10
-    state.observe_result(101.001, computed_cells=0)
-    assert state.ewma_rate == 10.0
-    # And the round trip is consumed either way (no stale reuse).
-    state.observe_result(200.0, computed_cells=10)
-    assert state.ewma_rate == 10.0
-
-
 def test_adaptive_distributed_matches_serial_with_real_workers():
-    """End to end on real ``worker_main`` workers (cache enabled,
-    adaptive sizing on — the defaults): stats must be bit-identical to
-    serial execution."""
+    """End to end on real ``worker_main`` workers (adaptive sizing on,
+    the default): stats must be bit-identical to serial execution."""
     backend = SocketBackend(port=0, min_workers=2)
     try:
         for _ in range(2):
@@ -315,89 +288,22 @@ def test_adaptive_distributed_matches_serial_with_real_workers():
         backend.close()
 
 
-# -- worker-side cross-suite cache --------------------------------------
-
-
-def test_worker_cache_survives_across_suites_in_one_process():
-    """Two consecutive suite runs against the same live worker: the
-    second is served from the worker-resident cache (nonzero reported
-    hits, surfaced on events, stats, and the report) and its results
-    are identical to the cold run's."""
-    backend = SocketBackend(port=0, min_workers=1)
-    events = []
-    try:
-        start_worker_thread(backend, cache_entries=512)
-        suite = SuiteRunner(backend=backend, on_event=events.append)
-        first = suite.run(["fig6"], smoke=True)
-        second = suite.run(["fig6"], smoke=True)
-    finally:
-        backend.close()
-    # Cold run: the planner already deduped, so nothing can hit.
-    assert first.extra["worker_cache_hits"] == 0
-    # Warm run: every unique cell is a hit, none recomputed.
-    assert second.extra["worker_cache_hits"] == second.executed_cells
-    assert backend.stats.worker_cache_hits == second.executed_cells
-    assert first.to_dict() == second.to_dict()
-    chunk_events = [e for e in events if isinstance(e, ChunkCompleted)]
-    assert chunk_events and all(e.cache is not None for e in chunk_events)
-    assert sum(e.cache.hits for e in chunk_events) == second.executed_cells
-    # The warm chunks report their full cell count as hits.
-    warm = [e for e in chunk_events if e.cache.hits]
-    assert warm and all(e.cache.hits == e.cells for e in warm)
-
-
-def test_worker_cache_disabled_reports_no_stats():
-    """A cacheless worker (``--no-cache`` / cache_entries=0) reports
-    ``None`` cache stats and the suite reports zero hits — while its
-    results stay identical."""
-    backend = SocketBackend(port=0, min_workers=1)
-    events = []
-    try:
-        start_worker_thread(backend, cache_entries=0)
-        suite = SuiteRunner(backend=backend, on_event=events.append)
-        first = suite.run(["fig6"], smoke=True)
-        second = suite.run(["fig6"], smoke=True)
-    finally:
-        backend.close()
-    assert second.extra["worker_cache_hits"] == 0
-    assert backend.stats.worker_cache_hits == 0
-    chunk_events = [e for e in events if isinstance(e, ChunkCompleted)]
-    assert chunk_events and all(e.cache is None for e in chunk_events)
-    assert first.to_dict() == second.to_dict()
-
-
-def test_run_cell_chunk_cache_roundtrip_is_bit_identical():
-    """The worker-side memo in isolation: a repeated chunk is served
-    entirely from the cache and the artifacts compare equal to the
-    recomputation."""
-    chunk = [(LOSSY_IACK, [(0, 0), (1, 1)])]
-    cache = ResultCache(max_entries=16)
-    cold = run_cell_chunk(chunk, "stats", cache=cache)
-    assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 0
-    warm = run_cell_chunk(chunk, "stats", cache=cache)
-    assert cache.stats()["hits"] == 2
-    assert chunk_cell_count(chunk) == 2
-    for (ci, ca), (wi, wa) in zip(cold, warm):
-        assert ci == wi
-        assert wa is ca  # memoized object, not a recomputation
-        assert wa.client_stats == ca.client_stats
-        assert wa.scenario is None  # stripped before the cache put
-
-
 def test_worker_main_cache_entries_zero_still_serves(tmp_path):
-    """worker_main with the cache disabled speaks protocol v2 (None
-    cache meta) and completes jobs normally."""
+    """A bare ``worker_main`` keeps no results between chunks (every
+    worker runs with zero cache entries), sends three-field RESULT
+    frames and completes jobs normally."""
     backend = SocketBackend(port=0, min_workers=1)
     try:
         thread = threading.Thread(
             target=worker_main,
             args=(backend.host, backend.port),
-            kwargs={"retry_for": 5.0, "cache_entries": 0},
+            kwargs={"retry_for": 5.0},
             daemon=True,
         )
         thread.start()
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=3)
         distributed = sweep(backend, LOSSY_IACK, 3)
         assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]
+        assert backend.stats.protocol_errors == 0
     finally:
         backend.close()

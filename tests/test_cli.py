@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import experiments_markdown, main
+from repro.cli import build_parser, cmd_worker, experiments_markdown, main
 from repro.experiments import ExperimentResult
 from repro.experiments.registry import REGISTRY
 
@@ -72,6 +72,29 @@ def test_param_flag_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(removed)
         assert excinfo.value.code == 2
+
+
+def test_worker_heartbeat_must_be_finite_and_positive(capsys):
+    # 0, a negative value or nan would make the beat thread send in a
+    # tight loop; inf would kill it. All are refused before any dial.
+    for bad in ("0", "-1", "nan", "inf"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--connect", "127.0.0.1:1", "--retry", "0", "--heartbeat", bad])
+        assert excinfo.value.code == 2
+        assert "--heartbeat" in capsys.readouterr().err
+
+
+def test_worker_no_cache_still_parses_and_is_hidden(capsys):
+    args = build_parser().parse_args(["worker", "--connect", "h:1", "--no-cache"])
+    assert args.func is cmd_worker
+    with pytest.raises(SystemExit) as excinfo:
+        main(["worker", "--help"])
+    assert excinfo.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "--no-cache" not in help_text and "--cache-entries" not in help_text
+    with pytest.raises(SystemExit) as excinfo:
+        main(["worker", "--connect", "h:1", "--cache-entries", "8"])
+    assert excinfo.value.code == 2
 
 
 def test_events_flag_streams_run_events(capsys):

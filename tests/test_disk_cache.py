@@ -12,9 +12,10 @@ import threading
 import pytest
 
 import repro.runtime.disk_cache as disk_cache
-from repro.api import LocalConfig, RunRequest, Session
+from repro.api import ChunkDispatched, DistributedConfig, LocalConfig, RunRequest, Session
 from repro.api.bundles import bundle_files
 from repro.interop.runner import Scenario
+from repro.runtime import worker_main
 from repro.runtime.artifacts import ArtifactLevel, execute_cell
 from repro.runtime.disk_cache import (
     CELL_CODE_VERSION,
@@ -369,6 +370,30 @@ def test_repeated_sweep_is_served_from_the_session_store(tmp_path, workers):
     assert stats[0] == stats[1] == stats[2]
     assert [r.seed for r in warm] == [3, 4, 5, 6]
     assert all(r.scenario is scenario for r in warm)
+
+
+def test_repeated_suite_on_a_fleet_is_served_from_the_session_store(tmp_path):
+    """A fleet worker keeps no results, so the coordinator's store is
+    what serves a repeated suite: the second run dispatches no chunk
+    and writes the cold run's bundle."""
+    events = []
+    with Session(
+        DistributedConfig(listen=0, min_workers=1),
+        cache_dir=str(tmp_path / "cache"),
+        on_event=events.append,
+    ) as session:
+        host, port = session.address.rsplit(":", 1)
+        threading.Thread(
+            target=worker_main, args=(host, int(port)), kwargs={"retry_for": 5.0}, daemon=True
+        ).start()
+        cold = session.run(RunRequest("fig6", smoke=True))
+        dispatched = [e for e in events if isinstance(e, ChunkDispatched)]
+        assert dispatched
+        warm = session.run(RunRequest("fig6", smoke=True))
+    assert [e for e in events if isinstance(e, ChunkDispatched)] == dispatched
+    assert warm.extra["disk_cache_hits"] == cold.extra["disk_cache_misses"] > 0
+    assert warm.extra["disk_cache_misses"] == 0
+    assert bundle_files(warm) == bundle_files(cold)
 
 
 def test_trace_cells_never_reach_the_session_store(tmp_path):

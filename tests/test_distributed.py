@@ -578,7 +578,7 @@ def test_result_with_out_of_range_chunk_id_drops_worker_not_job(chunk_cells):
             recv_frame(sock)  # WELCOME
             _, payload = recv_frame(sock)
             job_id = payload[0]
-            send_frame(sock, MSG_RESULT, (job_id, 999_999, [(0, "bogus")], None))
+            send_frame(sock, MSG_RESULT, (job_id, 999_999, [(0, "bogus")]))
             recv_frame(sock)  # blocks until the server hangs up on us
         except (ConnectionError, ProtocolError, OSError):
             pass
@@ -665,13 +665,13 @@ def test_stale_frames_from_aborted_job_are_discarded():
                 if msg_type != MSG_CHUNK:
                     return
                 job_b, chunk_b, grouped, level = payload
-                send_frame(sock, MSG_RESULT, (job_a, chunk_b, [(0, "stale-garbage")], None))
+                send_frame(sock, MSG_RESULT, (job_a, chunk_b, [(0, "stale-garbage")]))
                 send_frame(
                     sock,
                     MSG_ERROR,
                     {"job_id": job_a, "chunk_id": chunk_a, "error": "stale boom", "traceback": ""},
                 )
-                send_frame(sock, MSG_RESULT, (job_b, chunk_b, run_cell_chunk(grouped, level), None))
+                send_frame(sock, MSG_RESULT, (job_b, chunk_b, run_cell_chunk(grouped, level)))
         except (ConnectionError, ProtocolError, OSError):
             pass
         finally:
@@ -874,15 +874,15 @@ def test_cli_distributed_bundle_byte_identical_to_local(tmp_path, capsys):
     assert "(auth on)" in out
     # The line the distributed-smoke CI job greps: both workers worked.
     assert "chunk(s) dispatched over 2 of 2 worker(s)" in out
-    assert "worker-cache hit(s)" in out
+    assert "worker-cache" not in out  # workers keep no results
     for name in ("fig6.json", "fig12.json", "suite.json"):
         assert (local_dir / name).read_bytes() == (dist_dir / name).read_bytes()
     payload = json.loads((dist_dir / "suite.json").read_text())
     assert payload["plan"]["shared_cells"] > 0  # dedup survived distribution
     for thread in workers:
         thread.join(timeout=30)
-    # Third pass with the worker cache disabled: adaptive sizing alone
-    # must still reassemble byte-identical bundles.
+    # Third pass with workers started with ``--no-cache``, which is
+    # accepted and ignored: the bundles stay byte-identical.
     nocache_dir = tmp_path / "nocache"
     port = free_port()
     nocache_workers = [

@@ -14,7 +14,6 @@ import pytest
 from repro.runtime.events import (
     EVENT_TYPES,
     CellCompleted,
-    ChunkCacheStats,
     ChunkCompleted,
     ChunkDispatched,
     ExperimentCompleted,
@@ -42,13 +41,8 @@ SAMPLES = [
         artifact_level="trace",
     ),
     ChunkDispatched(chunk_id=3, cells=16, where="worker-1"),
-    ChunkCompleted(chunk_id=3, cells=16, where="worker-1", cache=None),
-    ChunkCompleted(
-        chunk_id=4,
-        cells=8,
-        where="worker-2",
-        cache=ChunkCacheStats(hits=5, misses=3, uncacheable=1, entries=42),
-    ),
+    ChunkCompleted(chunk_id=3, cells=16, where="worker-1"),
+    ChunkCompleted(chunk_id=4, cells=8, where="local-pool"),
     CellCompleted(completed=7, total=32),
     WorkerJoined(worker_id=2, host="10.0.0.5", pid=4242),
     WorkerLost(worker_id=2, requeued_chunks=1),
@@ -111,19 +105,24 @@ def test_extra_fields_are_ignored_for_forward_compat():
     # ... and so is a removed one: a pre-PR 19 daemon's suite_completed.
     older = {"kind": "suite_completed", "executed_cells": 32, "spilled_cells": 0, "cache_hits": 0}
     assert event_from_dict(older) == SuiteCompleted(executed_cells=32)
+    # ... and a fleet chunk_completed from a daemon whose workers still
+    # reported their result cache, malformed counters included.
+    for cache in (
+        {"hits": 5, "misses": 3, "uncacheable": 1, "entries": 42, "bytes": 0},
+        {"hits": 1, "surprise": 2},
+    ):
+        fleet = {"kind": "chunk_completed", "chunk_id": 4, "cells": 8, "where": "worker-2",
+                 "cache": cache}
+        assert event_from_dict(fleet) == ChunkCompleted(chunk_id=4, cells=8, where="worker-2")
 
 
 def test_optional_chunk_cache_defaults_to_none():
-    payload = event_to_dict(ChunkCompleted(chunk_id=1, cells=2, where="x", cache=None))
-    del payload["cache"]  # an older producer without the field
-    decoded = event_from_dict(payload)
-    assert decoded == ChunkCompleted(chunk_id=1, cells=2, where="x", cache=None)
-
-
-def test_malformed_cache_payload_decodes_to_none():
+    """``chunk_completed`` carries no ``cache`` field; an older
+    producer's ``"cache": null`` (every pool chunk's) is ignored."""
     payload = event_to_dict(ChunkCompleted(chunk_id=1, cells=2, where="x"))
-    payload["cache"] = {"hits": 1, "surprise": 2}
-    assert event_from_dict(payload) is None
+    assert "cache" not in payload
+    payload["cache"] = None
+    assert event_from_dict(payload) == ChunkCompleted(chunk_id=1, cells=2, where="x")
 
 
 # -- sink failure logging -----------------------------------------------

@@ -1,4 +1,4 @@
-"""The fleet's wire (protocol v7): one body format for every frame,
+"""The fleet's wire (protocol v8): one body format for every frame,
 strict version checks, and the chunk-split dispatch path.
 
 Three load-bearing properties:
@@ -17,17 +17,13 @@ Three load-bearing properties:
 import pickle
 import random
 import socket
-import struct
-import threading
 import time
 
 import pytest
 
-from repro.api import DistributedConfig, RunRequest, Session, write_bundle
 from repro.interop.runner import SIZE_10KB, Runner, Scenario
-from repro.interop.scenarios import first_server_flight_tail_loss
 from repro.quic.server import ServerMode
-from repro.runtime import LocalBackend, SocketBackend, distributed, worker_main
+from repro.runtime import LocalBackend, SocketBackend, distributed
 from repro.runtime.distributed import (
     MSG_CHUNK,
     MSG_HEARTBEAT,
@@ -52,23 +48,9 @@ from repro.runtime.wire import (
     decompress_blob,
     encode_payload,
 )
-from repro.runtime.worker import group_cells, run_cell_chunk
+from repro.runtime.worker import group_cells
 from tests.sweeps import start_worker_thread, sweep
-
-QUICHE_LOSSY = Scenario(
-    client="quiche",
-    mode=ServerMode.WFC,
-    http="h3",
-    rtt_ms=100.0,
-    response_size=SIZE_10KB,
-    server_to_client_loss=first_server_flight_tail_loss(ServerMode.WFC),
-)
-
-
-def raw_frame(msg_type: int, body: bytes) -> bytes:
-    """A frame around a hand-made body, bypassing the encoder."""
-    return struct.pack(">4sBI", b"RPRO", msg_type, len(body)) + body
-
+from tests.test_wire_protocol import QUICHE_LOSSY, raw_frame
 
 # -- body codec ---------------------------------------------------------
 
@@ -166,81 +148,6 @@ def test_data_frame_socket_round_trip_and_legacy_sniff():
     finally:
         left.close()
         right.close()
-
-
-def test_plain_pickle_result_body_drops_the_worker_not_the_job(chunk_cells):
-    """A peer answering a CHUNK with a 0x80-prefixed (plain pickle)
-    RESULT body is dropped as a protocol violator; its chunk is
-    requeued and an honest worker finishes the run."""
-    backend = SocketBackend(port=0, min_workers=2)
-
-    def plain_pickle_worker():
-        sock = socket.create_connection((backend.host, backend.port))
-        try:
-            send_frame(sock, MSG_HELLO, {"version": PROTOCOL_VERSION, "pid": 0, "host": "v3ish"})
-            recv_frame(sock)  # WELCOME
-            _, (job_id, chunk_id, grouped, level) = recv_frame(sock)
-            results = run_cell_chunk(grouped, level)
-            sock.sendall(raw_frame(MSG_RESULT, pickle.dumps((job_id, chunk_id, results, None))))
-            recv_frame(sock)  # blocks until the server hangs up on us
-        except (ConnectionError, ProtocolError, OSError):
-            pass
-        finally:
-            sock.close()
-
-    threading.Thread(target=plain_pickle_worker, daemon=True).start()
-    try:
-        start_worker_thread(backend)
-        serial = Runner().run_repetitions(QUICHE_LOSSY, repetitions=4)
-        chunk_cells(1)
-        distributed = sweep(backend, QUICHE_LOSSY, 4)
-        assert backend.stats.protocol_errors >= 1
-        assert backend.stats.chunks_requeued >= 1
-        assert backend.worker_count() == 1
-        assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]
-    finally:
-        backend.close()
-
-
-def test_unknown_codec_result_drops_the_worker_not_the_run(tmp_path):
-    """A worker whose RESULT body names an unknown codec (zstd's retired
-    id) is dropped as a protocol violator; its chunk is requeued and the
-    other worker finishes the run with the serial bundle."""
-    session = Session(DistributedConfig(listen=0, min_workers=2))
-    host, port = session.address.rsplit(":", 1)
-
-    def zstd_worker():
-        sock = socket.create_connection((host, int(port)))
-        try:
-            send_frame(sock, MSG_HELLO, {"version": PROTOCOL_VERSION, "pid": 0, "host": "zstd"})
-            recv_frame(sock)  # WELCOME
-            _, (job_id, chunk_id, grouped, level) = recv_frame(sock)
-            results = run_cell_chunk(grouped, level)
-            body = bytes([2]) + pickle.dumps((job_id, chunk_id, results, None))
-            sock.sendall(raw_frame(MSG_RESULT, body))
-            recv_frame(sock)  # blocks until the server hangs up on us
-        except (ConnectionError, ProtocolError, OSError):
-            pass
-        finally:
-            sock.close()
-
-    request = RunRequest(("fig6",), smoke=True)
-    with session:
-        threading.Thread(target=zstd_worker, daemon=True).start()
-        threading.Thread(
-            target=worker_main, args=(host, int(port)), kwargs={"retry_for": 5.0}, daemon=True
-        ).start()
-        fleet = write_bundle(session.run(request), tmp_path / "fleet")
-        stats = session.backend_stats
-        assert stats.protocol_errors == 1
-        assert stats.workers_lost == 1
-        assert stats.chunks_requeued >= 1
-        assert stats.workers_used == 1
-    with Session() as serial_session:
-        serial = write_bundle(serial_session.run(request), tmp_path / "serial")
-    assert [path.name for path in fleet] == [path.name for path in serial]
-    for got, expected in zip(fleet, serial):
-        assert got.read_bytes() == expected.read_bytes(), got.name
 
 
 def test_data_frames_cover_the_volume_carriers():

@@ -309,7 +309,7 @@ def test_duplicate_result_frames_emit_chunk_completed_once(chunk_cells):
                 if msg_type != MSG_CHUNK:
                     return
                 job_id, chunk_id, grouped, level = payload
-                frame = (job_id, chunk_id, run_cell_chunk(grouped, level), None)
+                frame = (job_id, chunk_id, run_cell_chunk(grouped, level))
                 send_frame(sock, MSG_RESULT, frame)
                 send_frame(sock, MSG_RESULT, frame)  # duplicate echo
         except (ConnectionError, ProtocolError, OSError):

@@ -25,9 +25,10 @@ from repro.runtime import (
     LocalBackend,
     ResultCache,
     RunArtifacts,
+    execute_cell,
     scenario_key,
 )
-from repro.runtime.worker import run_cell_chunk
+from repro.runtime.cache import cell_cache_key
 from repro.sim.loss import LossPattern, RandomLoss
 from tests.sweeps import sweep
 
@@ -110,26 +111,35 @@ def test_trace_cell_on_a_pool_session_equals_the_serial_one():
         assert dropped, "loss scenario must show dropped datagrams"
 
 
-def _chunk(scenario, repetitions):
-    """One worker chunk: ``repetitions`` seeds of one scenario."""
-    return [(scenario, [(i, i) for i in range(repetitions)])]
+def _memo_run(cache, scenario, repetitions, level):
+    """``repetitions`` seeds of one scenario through ``cache``, keyed
+    by :func:`cell_cache_key` as the disk cache's memory tier keys
+    them: a hit is served, a miss is executed and stored."""
+    level = ArtifactLevel(level)
+    out = []
+    for seed in range(repetitions):
+        key = cell_cache_key(scenario, seed, level)
+        artifacts = cache.get(key)
+        if artifacts is None:
+            artifacts = execute_cell(scenario, seed, level)
+            cache.put(key, artifacts)
+        out.append(artifacts)
+    return out
 
 
 def test_cache_hits_reuse_results_across_sweeps():
-    # run_cell_chunk is where a ResultCache is consulted: the
-    # worker-resident memo that outlives chunks, jobs and suites.
     cache = ResultCache()
-    first = run_cell_chunk(_chunk(LOSSY_IACK, 5), "stats", cache=cache)
-    second = run_cell_chunk(_chunk(LOSSY_IACK, 5), "stats", cache=cache)
+    first = _memo_run(cache, LOSSY_IACK, 5, "stats")
+    second = _memo_run(cache, LOSSY_IACK, 5, "stats")
     assert cache.hits == 5 and cache.misses == 5
-    for (_, a), (_, b) in zip(first, second):
+    for a, b in zip(first, second):
         assert a is b  # memoized object, not a recomputation
 
 
 def test_cache_is_level_scoped():
     cache = ResultCache()
-    run_cell_chunk(_chunk(LOSSY_IACK, 1), "stats", cache=cache)
-    [(_, art)] = run_cell_chunk(_chunk(LOSSY_IACK, 1), "trace", cache=cache)
+    _memo_run(cache, LOSSY_IACK, 1, "stats")
+    [art] = _memo_run(cache, LOSSY_IACK, 1, "trace")
     assert art.trace_records is not None  # stats entry did not leak
 
 
@@ -141,15 +151,15 @@ def test_cache_skips_unknown_loss_patterns():
     scenario = Scenario(client="quic-go", server_to_client_loss=WeirdLoss())
     assert scenario_key(scenario) is None
     cache = ResultCache()
-    run_cell_chunk(_chunk(scenario, 2), "stats", cache=cache)
-    run_cell_chunk(_chunk(scenario, 2), "stats", cache=cache)
+    _memo_run(cache, scenario, 2, "stats")
+    _memo_run(cache, scenario, 2, "stats")
     assert cache.hits == 0
     assert len(cache) == 0
 
 
 def test_cache_eviction_respects_max_entries():
     cache = ResultCache(max_entries=3)
-    run_cell_chunk(_chunk(LOSSY_IACK, 5), "stats", cache=cache)
+    _memo_run(cache, LOSSY_IACK, 5, "stats")
     assert len(cache) == 3
 
 
@@ -208,19 +218,6 @@ def test_cache_is_bounded_by_declared_bytes(monkeypatch):
     assert cache.stats()["bytes"] == 90
     cache.put(("b",), "B", 10)  # an overwrite replaces its size
     assert cache.stats()["bytes"] == 70
-
-
-def test_cache_since_takes_counters_relative_and_levels_as_they_are():
-    cache = ResultCache()
-    cache.put(("a",), 1, 5)
-    cache.get(("a",))
-    before = cache.stats()
-    cache.get(("a",))
-    cache.get(("b",))
-    cache.put(("b",), 2, 6)
-    assert cache.since(before) == {
-        "hits": 1, "misses": 1, "uncacheable": 0, "entries": 2, "bytes": 11,
-    }
 
 
 def test_cache_accounting_holds_under_threads():
