@@ -7,9 +7,9 @@ The drill (see RESILIENCE.md):
 1. Run the reference suite on ``--backend local``.
 2. Start three workers with a randomized-but-seeded fault mix — one
    that hard-kills itself mid-suite (``--kill-after``), one with
-   delayed chunks and dropped heartbeats, one clean — all with
-   ``--rejoin`` so survivors reconnect after the coordinator comes
-   back. The faulted two run ``scripts/fault_worker.py``.
+   delayed chunks and dropped heartbeats, one clean — all with a
+   ``--retry`` window so survivors reconnect after the coordinator
+   comes back. The faulted two run ``scripts/fault_worker.py``.
 3. Run the same suite on ``--backend distributed`` with ``--cache-dir``,
    SIGKILL the coordinator as soon as the first cell is stored there,
    then relaunch the identical command: it is served what was stored
@@ -121,7 +121,7 @@ def main() -> int:
     faulted_logs = []
     for i, flags in enumerate(fault_flags(seed)):
         worker_log = work / f"worker{i}.log"
-        dial = ["--connect", f"127.0.0.1:{port}", "--retry", "120", "--rejoin", "120"]
+        dial = ["--connect", f"127.0.0.1:{port}", "--retry", "120"]
         if flags:
             faulted_logs.append(worker_log)
             workers.append(repro([*flags, *dial], worker_log, FAULT_WORKER))

@@ -6,8 +6,8 @@ with a summary byte-identical to an uninterrupted local run.
 The drill (see the streaming section of PERFORMANCE.md):
 
 1. Run the reference scan in-process (``repro scan --backend local``).
-2. Start a two-worker fleet with ``--rejoin`` so it outlives the
-   coordinator.
+2. Start a two-worker fleet with a ``--retry`` window so it outlives
+   the coordinator.
 3. Run the same scan on ``--backend distributed`` with ``--cache-dir``,
    SIGKILL the coordinator as soon as the first shard is stored there,
    then relaunch the identical command; it must be served at least
@@ -137,10 +137,10 @@ def main() -> int:
         "local reference scan", args.timeout,
     )
 
-    log("phase 2: two workers with --rejoin")
+    log("phase 2: two workers with a --retry window")
     workers = [
-        repro(["worker", "--connect", f"127.0.0.1:{port}", "--retry", "120",
-               "--rejoin", "120"], work / f"worker{i}.log")
+        repro(["worker", "--connect", f"127.0.0.1:{port}", "--retry", "120"],
+              work / f"worker{i}.log")
         for i in range(2)
     ]
 

@@ -21,9 +21,7 @@ Surface
 Run events
     ``session.run(..., on_event=cb)`` streams typed
     :class:`RunEvent` objects (suite planned, chunks dispatched,
-    cells completed, workers joined/lost, experiments completed);
-    ``session.stream(request)`` wraps the same channel as an
-    iterator (:class:`RunStream`).
+    cells completed, workers joined/lost, experiments completed).
 Jobs
     ``session.submit(request)`` queues work without blocking and
     returns a :class:`JobHandle` (``.status()`` / ``.events()`` /
@@ -65,7 +63,6 @@ from repro.api.session import (
     describe_experiments,
     expand_selection,
 )
-from repro.api.stream import RunStream
 from repro.errors import (
     BackendError,
     BundleVersionError,
@@ -120,7 +117,6 @@ __all__ = [
     "ReproError",
     "RunEvent",
     "RunRequest",
-    "RunStream",
     "ScanCompleted",
     "ScanReport",
     "ScanRequest",

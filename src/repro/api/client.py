@@ -42,26 +42,36 @@ __all__ = ["ServiceClient", "ServiceJobHandle", "error_type", "parse_service_add
 MAX_RESPONSE_BYTES = 256 * 1024 * 1024
 
 
+def split_host_port(value: str) -> Tuple[str, int]:
+    """``HOST:PORT`` → ``(host, port)``, the one splitter of every
+    address flag: a bracketed IPv6 literal (``[::1]:7399``) is
+    unwrapped and the port is a number in 1–65535. Raises
+    ``ValueError`` saying what is wrong."""
+    host, sep, port_text = value.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    if not sep or not host:
+        raise ValueError(f"expects HOST:PORT, got {value!r}")
+    if not (port_text.isascii() and port_text.isdigit()):
+        raise ValueError(f"expects a numeric port, got {value!r}")
+    port = int(port_text)
+    if not 0 < port < 65536:
+        raise ValueError(f"port out of range: {port}")
+    return host, port
+
+
 def parse_service_address(value: str) -> Tuple[str, Union[str, Tuple[str, int]]]:
     """``unix:PATH`` or ``HOST:PORT`` → ``("unix", path)`` /
-    ``("tcp", (host, port))``; bracketed IPv6 literals are unwrapped."""
+    ``("tcp", (host, port))``."""
     if value.startswith("unix:"):
         path = value[len("unix:") :]
         if not path:
             raise ServiceError(f"empty unix socket path in {value!r}")
         return "unix", path
-    host, sep, port_text = value.rpartition(":")
-    if not sep or not host:
-        raise ServiceError(f"service address must be HOST:PORT or unix:PATH, got {value!r}")
-    if host.startswith("[") and host.endswith("]"):
-        host = host[1:-1]
     try:
-        port = int(port_text)
-    except ValueError:
-        raise ServiceError(f"service address has a non-numeric port: {value!r}")
-    if not 0 < port < 65536:
-        raise ServiceError(f"service address port out of range: {port}")
-    return "tcp", (host, port)
+        return "tcp", split_host_port(value)
+    except ValueError as exc:
+        raise ServiceError(f"service address {exc}") from None
 
 
 def error_type(kind: Any) -> type:

@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.api.bundles import write_bundle
 from repro.api.config import BackendConfig, LocalConfig
 from repro.api.jobs import JobExecutor, JobHandle, LocalJobHandle
-from repro.api.stream import RunStream
 from repro.errors import BackendError, InvalidOverride, UnknownExperiment
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import REGISTRY
@@ -191,7 +190,7 @@ class Session:
     ``on_event``
         Session-wide :class:`~repro.runtime.events.EventSink`; every
         run's events are also delivered here (per-run callbacks and
-        streams receive them too).
+        job handles receive them too).
     ``cache_dir``
         Optional durable result-cache directory (a
         :class:`~repro.runtime.disk_cache.DiskResultCache` path, or a
@@ -282,18 +281,13 @@ class Session:
 
     def run(self, request: RunRequest, *, on_event: Optional[EventSink] = None) -> SuiteReport:
         """Execute a request: plan, run unique cells once, fan results
-        out. Blocks until done; see :meth:`stream` for incremental
-        consumption."""
+        out. Blocks until done; :meth:`submit` returns at once with a
+        handle whose ``events()`` iterates the run's events."""
         ids, overrides = validate_request(request)
         if self._closed:
             raise BackendError("session is closed")
         runner = self._suite_runner(on_event)
         return runner.run(ids, overrides=overrides, smoke=request.smoke)
-
-    def stream(self, request: RunRequest) -> RunStream:
-        """Run a request on a background thread, yielding its events
-        as an iterator; ``stream.result()`` returns the report."""
-        return RunStream(lambda sink: self.run(request, on_event=sink))
 
     def submit(self, request: RunRequest) -> JobHandle:
         """Queue a request without blocking and return a
@@ -320,7 +314,6 @@ class Session:
         request: "Any",
         *,
         on_event: Optional[EventSink] = None,
-        window: Optional[int] = None,
     ) -> "Any":
         """Run a streaming wild scan through the session's backend.
 
@@ -332,7 +325,8 @@ class Session:
         the call), and the session's ``cache_dir`` disk cache stores
         each shard as it completes and serves unchanged shards across
         scans — a killed scan started again renders a byte-identical
-        summary.
+        summary. At most twice the backend's parallelism of shards are
+        in flight or buffered at once.
         Returns a :class:`~repro.wild.stream.ScanReport`; memory stays
         flat in the target count (see PERFORMANCE.md).
         """
@@ -351,7 +345,6 @@ class Session:
             request,
             disk_cache=self.disk_cache,
             sink=self._sink(on_event),
-            window=window,
         )
         return coordinator.run()
 

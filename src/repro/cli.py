@@ -60,8 +60,8 @@ authentication failure, 7 unreadable bundle version, 9 service/job
 failure, 10 an experiment's observe failed on a cell (2 stays argparse
 usage errors, 1 unexpected crashes; 8 is retired).
 
-``repro worker --rejoin SECS`` makes workers reconnect after an
-abrupt coordinator loss. See RESILIENCE.md.
+``repro worker --retry SECS`` is how long a worker dials, at start
+and again after an abrupt coordinator loss. See RESILIENCE.md.
 
 Multi-host execution pairs two subcommands: ``repro run ...
 --backend distributed --listen PORT --min-workers N`` serves the
@@ -106,9 +106,9 @@ from repro.api import (
     describe_experiments,
     write_bundle,
 )
-from repro.api.client import error_type
+from repro.api.client import error_type, split_host_port
 from repro.experiments.registry import REGISTRY
-from repro.runtime.distributed import worker_main
+from repro.runtime.distributed import DEFAULT_RETRY_WINDOW, worker_main
 
 # -- list ---------------------------------------------------------------
 
@@ -384,7 +384,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         probe_engine=args.probe_engine,
     ).validated()
     with _open_session(args) as session:
-        report = session.scan(request, window=args.window)
+        report = session.scan(request)
         print(report.render())  # shard accounting included
         if args.out is not None:
             Path(args.out).write_text(report.to_json())
@@ -396,26 +396,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def parse_address(value: str) -> tuple:
-    """``HOST:PORT`` → ``(host, port)``, with a usable error.
-    Bracketed IPv6 literals (``[::1]:7399``) are unwrapped."""
-    host, sep, port_text = value.rpartition(":")
-    if not sep or not host:
-        raise SystemExit(f"--connect expects HOST:PORT, got {value!r}")
-    if host.startswith("[") and host.endswith("]"):
-        host = host[1:-1]
+    """``--connect HOST:PORT`` → ``(host, port)``; a malformed address
+    is a usage error (exit 2)."""
     try:
-        port = int(port_text)
-    except ValueError:
-        raise SystemExit(f"--connect expects a numeric port, got {value!r}")
-    if not 0 < port < 65536:
-        raise SystemExit(f"--connect port out of range: {port}")
-    return host, port
+        return split_host_port(value)
+    except ValueError as exc:
+        raise _usage_error(f"--connect {exc}") from None
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
     host, port = parse_address(args.connect)
     if not 0 < args.heartbeat < math.inf:
         raise _usage_error(f"--heartbeat must be finite and > 0 seconds, got {args.heartbeat}")
+    if not 0 <= args.retry < math.inf:
+        raise _usage_error(f"--retry must be finite and >= 0 seconds, got {args.retry}")
     # SIGTERM asks the worker to *drain*: finish the in-flight chunk,
     # tell the coordinator (DRAIN frame, so nothing is requeued or
     # counted as lost), then exit 0 — the polite shutdown for elastic
@@ -432,7 +426,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         retry_for=args.retry,
         auth_key=resolve_auth_key(args.auth_key_file),
         log=lambda message: print(f"worker: {message}", flush=True),
-        rejoin_for=args.rejoin,
         drain_event=drain_event,
     )
 
@@ -719,14 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of sharding geometry (see PERFORMANCE.md)",
     )
     p_scan.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound on in-flight/buffered shards — the coordinator's "
-        "memory knob (default: 2x backend parallelism)",
-    )
-    p_scan.add_argument(
         "--out",
         default=None,
         metavar="FILE",
@@ -748,10 +733,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--retry",
         type=float,
-        default=10.0,
+        default=DEFAULT_RETRY_WINDOW,
         metavar="SECS",
-        help="keep retrying the initial connection this long "
-        "(workers may start before the coordinator listens)",
+        help="keep dialing the coordinator this long, at start (workers "
+        "may start before it listens) and again after an abrupt loss "
+        "(a clean SHUTDOWN/DRAIN exits)",
     )
     p_worker.add_argument(
         "--heartbeat",
@@ -770,15 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
     # A worker keeps no results; the flag is accepted and ignored so
     # fleets started with it keep starting.
     p_worker.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
-    p_worker.add_argument(
-        "--rejoin",
-        type=float,
-        default=30.0,
-        metavar="SECS",
-        help="if the coordinator connection drops abruptly, keep trying "
-        "to reconnect and rejoin the fleet for this long (0 disables; "
-        "a clean SHUTDOWN/DRAIN never triggers rejoin)",
-    )
     p_worker.set_defaults(func=cmd_worker)
 
     p_serve = sub.add_parser(

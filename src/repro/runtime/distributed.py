@@ -30,7 +30,7 @@ crashing the run).
 ========== =============== ==========================================
 type       direction       payload
 ========== =============== ==========================================
-HELLO      worker → server ``{"version", "pid", "host", "epoch"}``
+HELLO      worker → server ``{"version", "pid", "host"}``
 WELCOME    server → worker ``{"version"}``
 CHUNK      server → worker ``(job_id, chunk_id, GroupedChunk, level)``
 RESULT     worker → server ``(job_id, chunk_id, [(index, artifacts)])``
@@ -41,24 +41,9 @@ SHUTDOWN   server → worker ``None`` (drain and exit 0)
 DRAIN      either way      ``None`` (graceful departure, see below)
 ========== =============== ==========================================
 
-Version 2 extended RESULT with a fourth field, the worker's
-result-cache accounting. Version 3 added the
-DRAIN frame and the ``epoch`` HELLO field (0 on a worker's first
-connection, incremented each time it rejoins after losing the
-coordinator). Version 4 gave the data frames (CHUNK / RESULT / ERROR)
-a codec byte, added the WELCOME frame that answers HELLO, and gave
-CHUNK a fifth ``engine`` field. Version 5
-dropped that field again with the batch cell engine: CHUNK is back to
-four elements. Version 6 gave ERROR ``"exception"`` (an
-:class:`~repro.errors.ObserveError` to re-raise as itself, else
-``None``) and keeps out v5 workers, which cannot unpickle the
-:class:`~repro.runtime.artifacts.ObservedCell` tasks suites now send.
-Version 7 gives every frame, control frames included, the one body
-format above; HELLO and WELCOME carry no codec fields.
-Version 8 drops RESULT's fourth field with the worker-side result
-cache: a worker keeps no results between chunks.
 Versions must match exactly (HELLO is rejected otherwise), so mixed
-fleets fail loudly at connect time instead of mid-job.
+fleets fail loudly at connect time instead of mid-job. API.md keeps
+the version history.
 
 Elastic membership
 ------------------
@@ -71,10 +56,10 @@ emits :class:`~repro.runtime.events.WorkerDrained` instead of
 ``WorkerLost`` when the socket closes, and requeues nothing.
 
 A worker that loses the coordinator (crash, restart) does not give up:
-with a rejoin window configured (``--rejoin`` on the CLI) it redials
-with exponential backoff and decorrelated jitter
-(:func:`connect_with_retry`) and sends a fresh HELLO with a bumped
-``epoch`` — a restarted coordinator is served what its result store
+for its dial window (``--retry`` on the CLI) it redials with
+exponential backoff and decorrelated jitter (:func:`connect_with_retry`)
+and registers with a fresh HELLO, like a worker dialing in for the
+first time — a restarted coordinator is served what its result store
 already holds and dispatches the rest to the reassembled fleet.
 
 Adaptive chunk sizing
@@ -232,6 +217,9 @@ DEFAULT_AUTH_TIMEOUT = 10.0
 #: hammering it in lockstep.
 RECONNECT_BASE_DELAY = 0.05
 RECONNECT_MAX_DELAY = 2.0
+#: How long a worker keeps dialing, at start and again after an abrupt
+#: coordinator loss (``repro worker --retry``).
+DEFAULT_RETRY_WINDOW = 30.0
 
 MSG_HELLO = 1
 MSG_CHUNK = 2
@@ -437,43 +425,40 @@ def _enable_keepalive(sock: socket.socket) -> None:
 
 
 def connect_with_retry(
-    host: str,
-    port: int,
-    retry_for: float = 0.0,
-    base_delay: float = RECONNECT_BASE_DELAY,
-    max_delay: float = RECONNECT_MAX_DELAY,
-) -> socket.socket:
+    host: str, port: int, retry_for: float, stop: threading.Event
+) -> Optional[socket.socket]:
     """Dial the coordinator, retrying for up to ``retry_for`` seconds —
     lets workers start before the ``repro run`` process is listening,
-    and lets a fleet redial a restarting coordinator.
+    and lets a fleet redial a restarting coordinator. Returns ``None``
+    once ``stop`` is set (a draining worker stops dialing at once).
 
     Retries back off exponentially with decorrelated jitter (each
-    delay drawn uniformly from ``[base_delay, 3 × previous]``, capped
-    at ``max_delay``): a hundred workers that all lost the coordinator
-    at the same instant spread their reconnects out instead of
-    stampeding the fresh listener in lockstep every fixed interval.
+    delay drawn uniformly from ``[base, 3 × previous]``, capped at
+    :data:`RECONNECT_MAX_DELAY`): a hundred workers that all lost the
+    coordinator at the same instant spread their reconnects out instead
+    of stampeding the fresh listener in lockstep every fixed interval.
     """
     deadline = time.monotonic() + retry_for
-    delay = base_delay
-    while True:
+    delay = RECONNECT_BASE_DELAY
+    while not stop.is_set():
         try:
             return socket.create_connection((host, port))
         except OSError:
             now = time.monotonic()
             if now >= deadline:
                 raise
-            delay = min(max_delay, random.uniform(base_delay, delay * 3))
-            time.sleep(min(delay, max(deadline - now, 0.0)))
+            delay = min(RECONNECT_MAX_DELAY, random.uniform(RECONNECT_BASE_DELAY, delay * 3))
+            stop.wait(min(delay, deadline - now))
+    return None
 
 
 def worker_main(
     host: str,
     port: int,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-    retry_for: float = 10.0,
+    retry_for: float = DEFAULT_RETRY_WINDOW,
     auth_key: Optional[bytes] = None,
     log: Optional[Callable[[str], None]] = None,
-    rejoin_for: float = 0.0,
     drain_event: Optional[threading.Event] = None,
 ) -> int:
     """One remote worker: connect, serve chunks until SHUTDOWN.
@@ -485,58 +470,49 @@ def worker_main(
     A daemon thread heartbeats every ``heartbeat_interval`` seconds so
     the server can tell a long-running chunk from a dead worker.
 
-    ``rejoin_for`` > 0 turns coordinator loss into a reconnect window:
-    instead of exiting, the worker redials (backoff with jitter) for up
-    to that many seconds and re-registers with a bumped HELLO ``epoch``
-    — the worker half of coordinator crash recovery.
+    The worker dials for up to ``retry_for`` seconds (backoff with
+    jitter), at start and again each time it loses the coordinator
+    abruptly — the worker half of coordinator crash recovery.
 
     ``drain_event`` requests a graceful departure (the CLI sets it on
     SIGTERM): the worker finishes its in-flight chunk if any, sends
-    DRAIN, and exits 0 without the coordinator counting a loss.
+    DRAIN, and exits 0 without the coordinator counting a loss; a
+    worker still dialing stops and exits 0.
 
-    Returns 0 on orderly shutdown or drain, 1 if the coordinator
-    vanished (and any rejoin window expired).
+    Returns 0 on orderly shutdown or drain, 1 if no coordinator
+    answered within the window or authentication failed.
     """
     say = log or (lambda message: None)
     drain = drain_event if drain_event is not None else threading.Event()
-    epoch = 0
-    window = retry_for
     while True:
         try:
-            sock = connect_with_retry(host, port, retry_for=window)
+            sock = connect_with_retry(host, port, retry_for, drain)
         except OSError as exc:
             say(f"could not reach coordinator {host}:{port}: {exc!r}")
             return 1
+        if sock is None:
+            say("drained before connecting")
+            return 0
         code, coordinator_lost = _worker_session(
-            sock,
-            host,
-            port,
-            epoch,
-            heartbeat_interval,
-            auth_key,
-            drain,
-            say,
+            sock, host, port, heartbeat_interval, auth_key, drain, say
         )
-        if not coordinator_lost or rejoin_for <= 0 or drain.is_set():
+        if not coordinator_lost or drain.is_set():
             return code
-        epoch += 1
-        window = rejoin_for
-        say(f"rejoining {host}:{port} as epoch {epoch} (window {rejoin_for:g}s)")
+        say(f"redialing {host}:{port} (window {retry_for:g}s)")
 
 
 def _worker_session(
     sock: socket.socket,
     host: str,
     port: int,
-    epoch: int,
     heartbeat_interval: float,
     auth_key: Optional[bytes],
     drain: threading.Event,
     say: Callable[[str], None],
 ) -> Tuple[int, bool]:
     """Serve one connection; returns ``(exit_code, coordinator_lost)``
-    where ``coordinator_lost`` marks an abrupt loss eligible for a
-    rejoin (auth failures and orderly SHUTDOWN/DRAIN exits are not)."""
+    where ``coordinator_lost`` marks an abrupt loss worth redialing
+    (auth failures and orderly SHUTDOWN/DRAIN exits are not)."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     _enable_keepalive(sock)
     if auth_key is not None:
@@ -604,7 +580,6 @@ def _worker_session(
                 "version": PROTOCOL_VERSION,
                 "pid": os.getpid(),
                 "host": socket.gethostname(),
-                "epoch": epoch,
             },
             lock=send_lock,
         )
@@ -619,7 +594,7 @@ def _worker_session(
             )
         if payload.get("version") != PROTOCOL_VERSION:
             raise ProtocolError(f"protocol version mismatch: {payload!r}")
-        say(f"connected to {host}:{port} (pid {os.getpid()}, epoch {epoch})")
+        say(f"connected to {host}:{port} (pid {os.getpid()})")
         threading.Thread(target=beat, daemon=True).start()
         while True:
             if drain.is_set():
@@ -727,7 +702,6 @@ class _WorkerConn:
         "inflight",
         "state",
         "used",
-        "info",
     )
 
     def __init__(
@@ -735,7 +709,6 @@ class _WorkerConn:
         sock: socket.socket,
         wsock: socket.socket,
         addr: Any,
-        info: Dict[str, Any],
         state: WorkerState,
     ):
         self.wid = state.wid
@@ -749,7 +722,6 @@ class _WorkerConn:
         self.state = state
         #: Has completed a chunk (counted once in ``workers_used``).
         self.used = False
-        self.info = info
 
 
 class SocketBackend(ExecutionBackend):
@@ -878,7 +850,7 @@ class SocketBackend(ExecutionBackend):
                 return
             self._next_wid += 1
             state = self._scheduler.add_worker(self._next_wid)
-            conn = _WorkerConn(sock, wsock, addr, payload, state)
+            conn = _WorkerConn(sock, wsock, addr, state)
             self._workers[conn.wid] = conn
             self.stats.workers_seen += 1
             self._cond.notify_all()

@@ -44,12 +44,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import BackendError, InvalidOverride
 from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, ObservedCell, Observer
-from repro.runtime.backend import ExecutionBackend, LocalBackend
+from repro.runtime.backend import ExecutionBackend
 from repro.runtime.cache import ResultCache, scenario_key, value_key
 from repro.runtime.disk_cache import CellKey, DiskResultCache
 from repro.runtime.events import (
@@ -211,14 +211,14 @@ class SuiteRunner:
     """Plans and executes any selection of registered experiments.
 
     ``backend``
-        Optional caller-owned
-        :class:`~repro.runtime.backend.ExecutionBackend` (a session's
+        The caller-owned
+        :class:`~repro.runtime.backend.ExecutionBackend` :meth:`run`
+        executes on (a session's
         :class:`~repro.runtime.backend.LocalBackend`, or a
         :class:`~repro.runtime.distributed.SocketBackend` serving
-        remote workers), never closed by the suite; without one each
-        :meth:`run` uses a ``LocalBackend(workers)`` of its own. Chunk
-        sizing and cell observation are the same everywhere — only
-        *where* cells run changes.
+        remote workers), never closed by the suite; :meth:`plan` needs
+        none. Chunk sizing and cell observation are the same
+        everywhere — only *where* cells run changes.
     ``on_event``
         Optional :class:`~repro.runtime.events.EventSink` receiving
         typed progress events (:class:`SuitePlanned`, chunk/cell
@@ -230,9 +230,9 @@ class SuiteRunner:
         between runs) is restored afterwards.
     ``disk_cache``
         Optional durable content-addressed result cache (a
-        :class:`~repro.runtime.disk_cache.DiskResultCache` or a
-        directory path): planned unique cells whose fingerprint is
-        already stored are *replayed* instead of dispatched, so served
+        :class:`~repro.runtime.disk_cache.DiskResultCache`): planned
+        unique cells whose fingerprint is already stored are
+        *replayed* instead of dispatched, so served
         bundles stay byte-identical to uncached runs, and executed
         cells are stored as their batches arrive, surviving process,
         daemon, fleet and coordinator crashes — the identical run
@@ -246,16 +246,13 @@ class SuiteRunner:
 
     def __init__(
         self,
-        workers: int = 0,
+        *,
         backend: Optional[ExecutionBackend] = None,
         on_event: Optional[EventSink] = None,
-        disk_cache: Optional[Union[str, DiskResultCache]] = None,
+        disk_cache: Optional[DiskResultCache] = None,
     ):
-        self.workers = workers
         self.backend = backend
         self.on_event = on_event
-        if isinstance(disk_cache, str):
-            disk_cache = DiskResultCache(disk_cache)
         self.disk_cache = disk_cache
 
     # -- planning -------------------------------------------------------
@@ -314,9 +311,12 @@ class SuiteRunner:
         overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
         smoke: bool = False,
     ) -> SuiteReport:
-        """Plan, execute unique cells once, fan results out."""
+        """Plan, execute unique cells once on ``backend``, fan results
+        out."""
         from repro.experiments.spec import CellResults
 
+        if self.backend is None:
+            raise BackendError("SuiteRunner.run needs a backend (plan() does not)")
         plan = self.plan(experiments, overrides=overrides, smoke=smoke)
         emit(
             self.on_event,
@@ -328,52 +328,47 @@ class SuiteRunner:
                 artifact_level=plan.artifact_level.value,
             ),
         )
-        backend = self.backend if self.backend is not None else LocalBackend(self.workers)
+        entries: List[Any] = [None] * len(plan.dispatch_cells)
+
+        def fill(slot: int, artifacts: Any, _source: str) -> None:
+            entries[slot] = artifacts
+
+        items = [
+            (slot, cell.scenario, cell.seed, key)
+            for slot, (cell, key) in enumerate(zip(plan.dispatch_cells, plan.keys))
+        ]
         try:
-            entries: List[Any] = [None] * len(plan.dispatch_cells)
-
-            def fill(slot: int, artifacts: Any, _source: str) -> None:
-                entries[slot] = artifacts
-
-            items = [
-                (slot, cell.scenario, cell.seed, key)
-                for slot, (cell, key) in enumerate(zip(plan.dispatch_cells, plan.keys))
-            ]
-            try:
-                counts = run_work(backend, items, fill, cache=self.disk_cache, sink=self.on_event)
-            except BackendError as exc:
-                named = self._name_poison(exc, plan)
-                if named is not None:
-                    raise named from exc
-                raise
-            # Results come back scenario-less (wire, cache) or
-            # carrying their ObservedCell; aggregators see the plan's own.
-            for artifacts, cell in zip(entries, plan.unique_cells):
-                artifacts.scenario = cell.scenario
-            results: Dict[str, Any] = {}
-            for planned in plan.experiments:
-                spec = planned.spec
-                mine = [entries[slot] for slot in planned.slots]
-                if spec.observe is not None:
-                    mine = [artifacts.observed[spec.id] for artifacts in mine]
-                result = spec.aggregate(CellResults(mine), planned.params)
-                results[spec.id] = result
-                emit(
-                    self.on_event,
-                    ExperimentCompleted(
-                        experiment_id=spec.id,
-                        rows=len(getattr(result, "rows", []) or []),
-                    ),
-                )
-            report = SuiteReport(plan, results, executed_cells=len(plan.unique_cells))
-            if self.disk_cache is not None:
-                report.extra["disk_cache_hits"] = counts["disk_cache"]
-                report.extra["disk_cache_misses"] = counts["missed"]
-            emit(self.on_event, SuiteCompleted(executed_cells=report.executed_cells))
-            return report
-        finally:
-            if backend is not self.backend:
-                backend.close()
+            counts = run_work(self.backend, items, fill, cache=self.disk_cache, sink=self.on_event)
+        except BackendError as exc:
+            named = self._name_poison(exc, plan)
+            if named is not None:
+                raise named from exc
+            raise
+        # Results come back scenario-less (wire, cache) or
+        # carrying their ObservedCell; aggregators see the plan's own.
+        for artifacts, cell in zip(entries, plan.unique_cells):
+            artifacts.scenario = cell.scenario
+        results: Dict[str, Any] = {}
+        for planned in plan.experiments:
+            spec = planned.spec
+            mine = [entries[slot] for slot in planned.slots]
+            if spec.observe is not None:
+                mine = [artifacts.observed[spec.id] for artifacts in mine]
+            result = spec.aggregate(CellResults(mine), planned.params)
+            results[spec.id] = result
+            emit(
+                self.on_event,
+                ExperimentCompleted(
+                    experiment_id=spec.id,
+                    rows=len(getattr(result, "rows", []) or []),
+                ),
+            )
+        report = SuiteReport(plan, results, executed_cells=len(plan.unique_cells))
+        if self.disk_cache is not None:
+            report.extra["disk_cache_hits"] = counts["disk_cache"]
+            report.extra["disk_cache_misses"] = counts["missed"]
+        emit(self.on_event, SuiteCompleted(executed_cells=report.executed_cells))
+        return report
 
     def _name_poison(self, exc: BackendError, plan: SuitePlan) -> Optional[BackendError]:
         """Enrich a poison-chunk abort with the experiment ids whose

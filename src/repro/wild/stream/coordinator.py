@@ -3,8 +3,9 @@
 :class:`StreamCoordinator` turns a :class:`ScanRequest` into shard
 tasks and hands them to :func:`~repro.runtime.workloop.run_work` — the
 loop a suite's cells go through — with a bounded *window*: at most
-``window`` shards are in flight or buffered at any moment, and a
-completed shard's :class:`~repro.wild.stream.sketch.ScanSketch` is
+twice the backend's parallelism of shards are in flight or buffered
+at any moment, and a completed shard's
+:class:`~repro.wild.stream.sketch.ScanSketch` is
 merged into the running total and dropped. Coordinator memory is
 O(window x sketch) + O(shard count x one task descriptor) —
 independent of the target count, which is what lets one process drive
@@ -261,15 +262,11 @@ class StreamCoordinator:
         *,
         disk_cache: Optional[DiskResultCache] = None,
         sink: Optional[EventSink] = None,
-        window: Optional[int] = None,
     ):
         self.backend = backend
         self.request = request.validated()
         self.disk_cache = disk_cache
         self.sink = sink
-        if window is not None and window < 1:
-            raise InvalidOverride("in-flight shard window must be >= 1")
-        self._window = window
         self.fingerprint = scan_fingerprint(self.request)
 
     # -- shard plumbing -------------------------------------------------
@@ -286,12 +283,6 @@ class StreamCoordinator:
             probe_engine=self.request.probe_engine,
             alpha=self.request.alpha,
         )
-
-    def window(self) -> int:
-        """In-flight shard bound: explicit, or 2 waves per slot."""
-        if self._window is not None:
-            return self._window
-        return max(2, 2 * max(1, self.backend.parallelism()))
 
     # -- the scan -------------------------------------------------------
 
@@ -334,7 +325,8 @@ class StreamCoordinator:
             ),
             merge,
             cache=self.disk_cache,
-            window=self.window(),
+            # Two waves per slot: one running, one queued behind it.
+            window=2 * max(1, self.backend.parallelism()),
             sink=self.sink,
             on_dispatch=dispatching,
         )

@@ -26,6 +26,8 @@ from repro.interop.runner import Runner, Scenario
 from repro.quic.profiles import profile_names
 from repro.runtime import ArtifactLevel, Source, SuiteRunner
 from repro.runtime.artifacts import ObservedCell
+from repro.runtime.backend import LocalBackend
+from repro.runtime.disk_cache import DiskResultCache
 
 HALTING = ("fig16", "table4")
 
@@ -192,10 +194,15 @@ def test_a_halted_entry_is_never_served_to_a_slot_that_reads_stats(tmp_path):
     experiment reads (their keys differ) and renders the bytes of a
     cold run — not stats of a prefix."""
     cache_dir = str(tmp_path / "cache")
-    SuiteRunner(disk_cache=cache_dir).run(["fig16"], smoke=True)
-    shared = SuiteRunner(disk_cache=cache_dir).run(["fig16", STATS_PROBE], smoke=True)
+    with LocalBackend(0) as backend:
+        SuiteRunner(backend=backend, disk_cache=DiskResultCache(cache_dir)).run(
+            ["fig16"], smoke=True
+        )
+        shared = SuiteRunner(backend=backend, disk_cache=DiskResultCache(cache_dir)).run(
+            ["fig16", STATS_PROBE], smoke=True
+        )
+        cold = SuiteRunner(backend=backend).run(["fig16", STATS_PROBE], smoke=True)
     assert (shared.extra["disk_cache_hits"], shared.extra["disk_cache_misses"]) == (28, 4)
-    cold = SuiteRunner().run(["fig16", STATS_PROBE], smoke=True)
     assert all(row[0] for row in cold.results["probe-stats"].rows)  # whole runs complete
     written = {path.name: path.read_bytes() for path in write_bundle(shared, tmp_path / "s")}
     assert written == {

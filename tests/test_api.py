@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import repro.api as api
 from repro.api import (
     BackendError,
     BundleVersionError,
@@ -170,21 +171,36 @@ def test_raising_sink_does_not_break_the_run():
 
 
 def test_stream_yields_events_then_result():
+    """A submitted run is consumed as its stream of events, then its
+    report."""
     with Session() as session:
-        stream = session.stream(RunRequest(("table5",)))
-        kinds = [event.kind for event in stream]
-        report = stream.result()
+        handle = session.submit(RunRequest(("table5",)))
+        kinds = [event.kind for event in handle.events()]
+        report = handle.result(timeout=60)
     assert kinds[0] == "suite_planned"
     assert kinds[-1] == "suite_completed"
     assert report.results["table5"].rows
 
 
 def test_stream_reraises_run_failures():
+    config = DistributedConfig(min_workers=1, worker_timeout=0.2)
+    with Session(config) as session:
+        handle = session.submit(RunRequest(("fig6",), smoke=True))
+        list(handle.events())
+        with pytest.raises(BackendError, match="timed out waiting"):
+            handle.result(timeout=60)
+
+
+def test_removed_options_are_refused_not_ignored():
+    """The scan window is derived, a worker has one dial window, and a
+    run is streamed through its job handle: each old spelling fails."""
     with Session() as session:
-        stream = session.stream(RunRequest(("fig99",)))
-        list(stream)
-        with pytest.raises(UnknownExperiment):
-            stream.result()
+        with pytest.raises(TypeError):
+            session.scan({"source": {"kind": "synthetic", "count": 10}}, window=4)
+    with pytest.raises(TypeError):
+        worker_main("127.0.0.1", 1, rejoin_for=5)
+    assert not hasattr(Session, "stream") and not hasattr(api, "RunStream")
+    assert "RunStream" not in api.__all__
 
 
 def test_distributed_run_emits_worker_events_and_matches_local():

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.api import ServiceError
+from repro.api.client import parse_service_address
 from repro.cli import build_parser, cmd_worker, experiments_markdown, main
 from repro.experiments import ExperimentResult
 from repro.experiments.registry import REGISTRY
@@ -82,6 +84,44 @@ def test_worker_heartbeat_must_be_finite_and_positive(capsys):
             main(["worker", "--connect", "127.0.0.1:1", "--retry", "0", "--heartbeat", bad])
         assert excinfo.value.code == 2
         assert "--heartbeat" in capsys.readouterr().err
+
+
+def test_worker_retry_must_be_finite_and_not_negative(capsys):
+    # nan would never reach the dial deadline, so the worker would dial
+    # forever; a negative or infinite window is no window either.
+    for bad in ("nan", "-1", "inf"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--connect", "127.0.0.1:1", "--retry", bad])
+        assert excinfo.value.code == 2
+        assert "--retry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["nohostport", "host:", ":7399", "[]:7399", "host:port", "host: 80", "host:0", "host:65536"],
+)
+def test_a_bad_address_is_refused_alike_by_worker_and_client(bad, capsys):
+    """``repro worker --connect`` and the service client split HOST:PORT
+    with one function: what one refuses the other refuses, the CLI with
+    a usage error (exit 2), the client with a ``ServiceError``."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["worker", "--connect", bad, "--retry", "0"])
+    assert excinfo.value.code == 2
+    assert "--connect" in capsys.readouterr().err
+    with pytest.raises(ServiceError, match="service address"):
+        parse_service_address(bad)
+
+
+def test_removed_scan_window_and_worker_rejoin_flags_exit_2():
+    # The scan window is 2 x the backend's parallelism; a worker's one
+    # dial window is --retry.
+    for removed in (
+        ["scan", "--window", "4"],
+        ["worker", "--connect", "127.0.0.1:1", "--rejoin", "5"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(removed)
+        assert excinfo.value.code == 2
 
 
 def test_worker_no_cache_still_parses_and_is_hidden(capsys):

@@ -304,15 +304,14 @@ def test_resolve_auth_key(tmp_path, monkeypatch):
         resolve_auth_key(str(tmp_path / "missing.key"))
 
 
-def test_parse_address():
+def test_parse_address(capsys):
     assert parse_address("127.0.0.1:7431") == ("127.0.0.1", 7431)
     assert parse_address("[::1]:7431") == ("::1", 7431)
-    with pytest.raises(SystemExit, match="HOST:PORT"):
-        parse_address("7431")
-    with pytest.raises(SystemExit, match="numeric"):
-        parse_address("host:notaport")
-    with pytest.raises(SystemExit, match="range"):
-        parse_address("host:99999")
+    for bad, says in (("7431", "HOST:PORT"), ("host:notaport", "numeric"), ("host:99999", "range")):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_address(bad)
+        assert excinfo.value.code == 2  # a usage error, not a crash
+        assert says in capsys.readouterr().err
 
 
 # -- LocalBackend -------------------------------------------------------

@@ -399,12 +399,10 @@ def probe_spec(exp_id, observe, level=ArtifactLevel.TRACE, reads=(Source.CLIENT_
 def run_probe(path, spec):
     if path == "fleet":
         session = fleet_session(workers=1)
-        runner = SuiteRunner(backend=session._backend)
     else:
-        session = Session()
-        runner = SuiteRunner(workers=2 if path == "pool" else 0)
+        session = Session(LocalConfig(workers=2 if path == "pool" else 0))
     with session:
-        return runner.run([spec])
+        return SuiteRunner(backend=session._backend).run([spec])
 
 
 def raises_on_a_pass(outcome):
@@ -540,9 +538,11 @@ def test_full_level_observers_pool_checkpoint_and_cache_like_any_other(tmp_path)
     both)."""
     spec = probe_spec("probe-full", endpoint_names, ArtifactLevel.FULL)
     cache_dir = str(tmp_path / "cache")
-    first = SuiteRunner(workers=2, disk_cache=cache_dir).run([spec])
+    with LocalBackend(2) as backend:
+        first = SuiteRunner(backend=backend, disk_cache=DiskResultCache(cache_dir)).run([spec])
     assert first.results["probe-full"].rows == [[("client", "server")]] * 4
     assert len(DiskResultCache(cache_dir)) == 4
-    cached = SuiteRunner(workers=0, disk_cache=cache_dir).run([spec])
+    with LocalBackend(0) as backend:
+        cached = SuiteRunner(backend=backend, disk_cache=DiskResultCache(cache_dir)).run([spec])
     assert cached.extra["disk_cache_hits"] == 4
     assert cached.to_dict() == first.to_dict()

@@ -7,9 +7,9 @@ Three load-bearing properties:
   4 KiB and above when that is smaller; it round-trips arbitrary
   payloads, and the byte counters report a *measured* compression
   win, not a vibe.
-* The readers are strict: a peer of another version is refused at
-  HELLO, and a body with an unknown codec byte (zstd's retired id 2
-  included) or a bare pickle is a protocol error, not "legacy".
+* The readers are strict: a body with an unknown codec byte (zstd's
+  retired id 2 included) or a bare pickle is a protocol error, not
+  "legacy" (HELLO's version check is in ``test_wire_protocol.py``).
 * An oversized chunk is no longer fatal when it can be split: the
   scheduler halves it and the run completes byte-identical to local.
 """
@@ -17,7 +17,6 @@ Three load-bearing properties:
 import pickle
 import random
 import socket
-import time
 
 import pytest
 
@@ -35,7 +34,6 @@ from repro.runtime.distributed import (
     make_frame,
     recv_frame,
     recv_frame_ex,
-    send_frame,
 )
 from repro.runtime.events import ChunkDispatched
 from repro.runtime.wire import (
@@ -165,85 +163,6 @@ def test_data_frames_cover_the_volume_carriers():
         finally:
             left.close()
             right.close()
-
-
-# -- version checks on a live coordinator -------------------------------
-
-
-def _drain_welcome_then_close(backend, hello):
-    sock = socket.create_connection((backend.host, backend.port), timeout=5)
-    try:
-        send_frame(sock, MSG_HELLO, hello)
-        sock.settimeout(5)
-        return recv_frame(sock)
-    finally:
-        sock.close()
-
-
-def test_v3_hello_is_rejected_before_registration():
-    backend = SocketBackend(port=0)
-    try:
-        # v4 too: its workers unpack a 5-element CHUNK, so they are
-        # refused at HELLO rather than mis-framed mid-job. And v5: its
-        # workers cannot unpickle an ObservedCell and would drop the
-        # connection on their first observed chunk.
-        for refused, version in enumerate((3, 4, 5), start=1):
-            sock = socket.create_connection((backend.host, backend.port), timeout=5)
-            try:
-                send_frame(sock, MSG_HELLO, {"version": version, "host": "old", "pid": 1})
-                deadline = time.monotonic() + 5
-                while time.monotonic() < deadline:
-                    if backend.stats.protocol_errors >= refused:
-                        break
-                    time.sleep(0.02)
-                assert backend.stats.protocol_errors >= refused
-                assert backend.worker_count() == 0
-            finally:
-                sock.close()
-        # The refusals cost the job nothing: a current worker serves it.
-        start_worker_thread(backend)
-        serial = Runner().run_repetitions(QUICHE_LOSSY, repetitions=4)
-        distributed = sweep(backend, QUICHE_LOSSY, 4)
-        assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]
-    finally:
-        backend.close()
-
-
-def test_v6_hello_with_codecs_is_refused_before_registration():
-    """A v6 worker is refused at HELLO, whether its HELLO reaches the
-    coordinator in v7 framing or, as a real v6 worker writes it, as a
-    bare pickle; neither is registered or answered with WELCOME."""
-    v6_hello = {"version": 6, "pid": 1, "host": "v6", "epoch": 0, "codecs": ["zlib", "raw"]}
-    backend = SocketBackend(port=0)
-    try:
-        for refused, frame in enumerate(
-            (make_frame(MSG_HELLO, v6_hello)[0], raw_frame(MSG_HELLO, pickle.dumps(v6_hello))),
-            start=1,
-        ):
-            sock = socket.create_connection((backend.host, backend.port), timeout=5)
-            try:
-                sock.sendall(frame)
-                with pytest.raises((ConnectionError, OSError)):
-                    recv_frame(sock)
-                assert backend.stats.protocol_errors == refused
-                assert backend.worker_count() == 0
-                assert backend.stats.workers_seen == 0
-            finally:
-                sock.close()
-    finally:
-        backend.close()
-
-
-def test_welcome_carries_only_the_version():
-    backend = SocketBackend(port=0)
-    try:
-        msg_type, payload = _drain_welcome_then_close(
-            backend, {"version": PROTOCOL_VERSION, "pid": 0, "host": "v7"}
-        )
-        assert msg_type == MSG_WELCOME
-        assert payload == {"version": PROTOCOL_VERSION}
-    finally:
-        backend.close()
 
 
 # -- end-to-end: fewer bytes, identical bundles -------------------------

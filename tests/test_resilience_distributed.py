@@ -7,6 +7,7 @@ invariant underneath each scenario is the usual one — the reassembled
 results stay byte-identical to serial execution no matter what fails.
 """
 
+import os
 import socket
 import threading
 import time
@@ -149,6 +150,27 @@ def test_a_silent_stragglers_chunk_is_requeued_and_completes_once(chunk_cells):
 # -- graceful drain -----------------------------------------------------
 
 
+def test_a_worker_still_dialing_drains_at_once():
+    """The drain event (SIGTERM on ``repro worker``) reaches a worker
+    that never connected: it stops dialing and exits 0 instead of
+    finishing its window."""
+    drain = threading.Event()
+    exit_codes = []
+    worker = threading.Thread(
+        target=lambda: exit_codes.append(
+            worker_main("127.0.0.1", 1, retry_for=60.0, drain_event=drain)
+        ),
+        daemon=True,
+    )
+    worker.start()
+    time.sleep(0.3)
+    assert worker.is_alive()  # still dialing
+    drain.set()
+    worker.join(timeout=2)
+    assert not worker.is_alive()
+    assert exit_codes == [0]
+
+
 def test_worker_drain_leaves_fleet_without_loss_or_requeue():
     """A worker asked to drain (SIGTERM → drain_event) says goodbye via
     the DRAIN frame: WorkerDrained is emitted, nothing is counted lost
@@ -193,13 +215,17 @@ def test_worker_drain_leaves_fleet_without_loss_or_requeue():
 
 def test_worker_rejoins_after_abrupt_connection_loss():
     """An abrupt coordinator-side connection loss (no SHUTDOWN, no
-    DRAIN) must send the worker into its reconnect loop: it rejoins
-    with a bumped epoch and the fleet keeps serving."""
+    DRAIN) sends the worker back to dialing for its ``retry_for``
+    window: the same process joins again and the fleet keeps serving."""
     backend = SocketBackend(port=0, min_workers=1)
+    joined = []
+    backend.set_event_sink(
+        lambda event: joined.append(event) if isinstance(event, WorkerJoined) else None
+    )
     exit_codes = []
     worker = threading.Thread(
         target=lambda: exit_codes.append(
-            worker_main(backend.host, backend.port, retry_for=5.0, rejoin_for=20.0)
+            worker_main(backend.host, backend.port, retry_for=20.0)
         ),
         daemon=True,
     )
@@ -207,21 +233,14 @@ def test_worker_rejoins_after_abrupt_connection_loss():
     try:
         backend.wait_for_workers(1, timeout=10)
         with backend._lock:
-            conn = next(iter(backend._workers.values()))
-            assert conn.info.get("epoch") == 0
-            victim_sock = conn.sock
+            victim_sock = next(iter(backend._workers.values())).sock
         victim_sock.close()  # abrupt: the worker sees a bare EOF
         deadline = time.monotonic() + 15
-        rejoined = None
-        while time.monotonic() < deadline:
-            with backend._lock:
-                for conn in backend._workers.values():
-                    if conn.info.get("epoch") == 1:
-                        rejoined = conn.wid
-            if rejoined is not None:
-                break
+        while len(joined) < 2 and time.monotonic() < deadline:
             time.sleep(0.02)
-        assert rejoined is not None, "worker never rejoined after abrupt loss"
+        assert len(joined) == 2, "worker never rejoined after abrupt loss"
+        assert joined[0].pid == joined[1].pid == os.getpid()
+        assert joined[1].worker_id != joined[0].worker_id
         assert backend.stats.workers_lost >= 1
         serial = Runner().run_repetitions(LOSSY_IACK, repetitions=2)
         distributed = sweep(backend, LOSSY_IACK, 2)

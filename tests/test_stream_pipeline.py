@@ -40,15 +40,9 @@ def synthetic_request(count=6000, shard_size=1000, **overrides):
     return ScanRequest.from_dict(doc)
 
 
-def run_scan(request, *, disk_cache=None, sink=None, window=None):
+def run_scan(request, *, disk_cache=None, sink=None):
     with LocalBackend(2) as backend:
-        return StreamCoordinator(
-            backend,
-            request,
-            disk_cache=disk_cache,
-            sink=sink,
-            window=window,
-        ).run()
+        return StreamCoordinator(backend, request, disk_cache=disk_cache, sink=sink).run()
 
 
 # -- target sources -----------------------------------------------------
@@ -120,7 +114,7 @@ def test_summary_is_independent_of_sharding_geometry():
 
 def test_shard_events_tell_the_whole_story():
     events = []
-    report = run_scan(synthetic_request(), sink=events.append, window=3)
+    report = run_scan(synthetic_request(), sink=events.append)
     kinds = [event.kind for event in events]
     assert kinds.count("shard_dispatched") == 6
     assert kinds.count("shard_completed") == 6
@@ -148,15 +142,14 @@ def test_killed_scan_resumes_to_byte_identical_summary(tmp_path, monkeypatch):
 
     monkeypatch.setattr(backend, "run_cells", crash_after_first_wave)
     with backend:
-        coordinator = StreamCoordinator(
-            backend, request, disk_cache=DiskResultCache(cache_dir), window=2
-        )
+        # The window is 2 x parallelism: a first wave of 4 shards.
+        coordinator = StreamCoordinator(backend, request, disk_cache=DiskResultCache(cache_dir))
         with pytest.raises(RuntimeError):
             coordinator.run()
 
     restarted = run_scan(request, disk_cache=DiskResultCache(cache_dir))
-    assert restarted.cached_shards == 2  # the stored first wave
-    assert restarted.executed_shards == 4
+    assert restarted.cached_shards == 4  # the stored first wave
+    assert restarted.executed_shards == 2
     assert restarted.to_json() == reference.to_json()
 
 

@@ -6,15 +6,30 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 import repro.runtime.backend as backend_module
-from repro.api import InvalidOverride, LocalConfig, RunRequest, Session, run_experiment
+from repro.api import (
+    BackendError,
+    InvalidOverride,
+    LocalConfig,
+    RunRequest,
+    Session,
+    run_experiment,
+)
 from repro.api.bundles import bundle_files
 from repro.experiments.registry import REGISTRY, get_spec
 from repro.interop.runner import Runner
 from repro.runtime import ArtifactLevel, ResultCache, SuiteRunner
 from repro.runtime.artifacts import ObservedCell
+from repro.runtime.backend import LocalBackend
 from repro.runtime.disk_cache import CellKey, DiskResultCache, cell_fingerprint
 from repro.runtime.suite import _PLANS, PLAN_MEMO_ENTRIES, max_level
 from repro.runtime.workloop import LEVEL
+
+
+def run_suite(experiments, **kwargs):
+    """Run a suite on an in-process backend of its own."""
+    with LocalBackend(0) as backend:
+        return SuiteRunner(backend=backend).run(experiments, **kwargs)
+
 
 FIG6_FIG12_OVERRIDES = {
     "fig6": {"repetitions": 2},
@@ -56,7 +71,7 @@ def test_suite_dispatches_shared_cells_once_and_stays_bit_identical(monkeypatch)
         return real_execute(scenario, seed, level, runner)
 
     monkeypatch.setattr(backend_module, "execute_cell", counting_execute)
-    report = SuiteRunner(workers=0).run(
+    report = run_suite(
         ["fig6", "fig12"], overrides=FIG6_FIG12_OVERRIDES
     )
     assert len(executed) == 64  # one dispatch per unique cell, none twice
@@ -87,7 +102,7 @@ def test_suite_observes_trace_cells_and_runs_the_rest_at_stats(monkeypatch):
         )
 
     monkeypatch.setattr(Runner, "run_once", recording_run_once)
-    report = SuiteRunner(workers=0).run(
+    report = run_suite(
         ["table4", "fig6"],
         overrides={"table4": {"repetitions": 1}, "fig6": {"repetitions": 1}},
     )
@@ -108,7 +123,7 @@ def test_suite_auto_spill_off_for_stats_plans():
     """The spill is gone and so is its accounting: the three keys that
     read constant 0 since PRs 13/17 left the report and ``suite.json``
     in PR 19 (``BUNDLE_SCHEMA_VERSION`` still 1, see schema.py)."""
-    report = SuiteRunner(workers=0).run(
+    report = run_suite(
         ["fig6"], overrides={"fig6": {"repetitions": 1}}
     )
     assert set(report.to_dict()) == {"schema_version", "plan", "executed_cells", "results"}
@@ -117,7 +132,7 @@ def test_suite_auto_spill_off_for_stats_plans():
 
 
 def test_suite_mixed_kinds_runs_model_and_wild_without_cells():
-    report = SuiteRunner(workers=0).run(
+    report = run_suite(
         ["table2", "table5", "fig6"], overrides={"fig6": {"repetitions": 1}}
     )
     assert set(report.results) == {"table2", "table5", "fig6"}
@@ -128,7 +143,11 @@ def test_suite_mixed_kinds_runs_model_and_wild_without_cells():
 def test_suite_plans_wild_passes_whatever_its_workers():
     """How wide a suite executes is not a parameter: the plan (params,
     pass cells and their fingerprints) is the same at any worker count."""
-    serial, wide = (SuiteRunner(workers=n).plan(["table1"], smoke=True) for n in (0, 3))
+    def plan_at(workers):
+        with Session(LocalConfig(workers=workers)) as session:
+            return session.plan(RunRequest(("table1",), smoke=True))
+
+    serial, wide = plan_at(0), plan_at(3)
     assert "workers" not in wide.experiments[0].params
     assert wide.experiments[0].params == serial.experiments[0].params
     assert [c.scenario.task_key() for c in wide.experiments[0].cells] == [
@@ -147,7 +166,7 @@ def test_suite_respects_base_seed_override():
     overrides = {"fig6": {"repetitions": 2, "base_seed": 7}}
     plan = SuiteRunner().plan(["fig6"], overrides=overrides)
     assert {c.seed for c in plan.unique_cells} == {7, 8}
-    report = SuiteRunner(workers=0).run(["fig6"], overrides=overrides)
+    report = run_suite(["fig6"], overrides=overrides)
     assert report.results["fig6"].rows == run_experiment("fig6", repetitions=2, base_seed=7).rows
     assert report.results["fig6"].rows != run_experiment("fig6", repetitions=2).rows
 
@@ -158,6 +177,15 @@ def test_suite_rejects_underpowered_shared_runner():
     at exactly the plan's artifact level."""
     with pytest.raises(TypeError):
         SuiteRunner(runner=object())
+
+
+def test_suite_takes_its_backend_from_the_caller():
+    """A suite owns no backend: there is no ``workers`` to make one
+    from, and ``run`` without a backend is refused before it plans."""
+    with pytest.raises(TypeError):
+        SuiteRunner(workers=2)
+    with pytest.raises(BackendError, match="needs a backend"):
+        SuiteRunner().run(["fig6"])
 
 
 def test_suite_rejects_cache_alongside_shared_runner():
@@ -183,7 +211,7 @@ def test_suite_rejects_duplicate_selection_and_stray_overrides():
 
 
 def test_suite_report_serializes():
-    report = SuiteRunner(workers=0).run(
+    report = run_suite(
         ["fig6"], overrides={"fig6": {"repetitions": 1}}
     )
     payload = report.to_dict()

@@ -241,7 +241,7 @@ def test_cold_warm_and_resumed_scans_render_the_same_bytes(tmp_path, monkeypatch
 
         monkeypatch.setattr(session._backend, "run_cells", dying_run_cells)
         with pytest.raises(RuntimeError, match="coordinator killed"):
-            session.scan(SCAN, window=4)
+            session.scan(SCAN)  # a window of 2 x 2 workers
     with Session(cache_dir=crash_dir) as session:
         restarted = session.scan(SCAN)
     assert (restarted.cached_shards, restarted.executed_shards) == (4, 2)

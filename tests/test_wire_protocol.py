@@ -1,6 +1,8 @@
-"""The RESULT frame on a live coordinator (protocol v8).
+"""HELLO, WELCOME and RESULT on a live coordinator (protocol v8).
 
-A RESULT body is ``u8 codec | pickle`` of ``(job_id, chunk_id,
+A worker of another version is refused at HELLO, before it is
+registered; a current one is answered with a WELCOME that carries only
+the version. A RESULT body is ``u8 codec | pickle`` of ``(job_id, chunk_id,
 results)``. A worker that answers a CHUNK with anything else — a bare
 pickle, an unknown codec byte, or the four-field RESULT of protocol
 v7, whose workers kept a result cache — is dropped as a protocol
@@ -12,6 +14,7 @@ import pickle
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.runtime import SocketBackend, worker_main
 from repro.runtime.distributed import (
     MSG_HELLO,
     MSG_RESULT,
+    MSG_WELCOME,
     PROTOCOL_VERSION,
     ProtocolError,
     make_frame,
@@ -127,6 +131,92 @@ def test_v7_hello_is_refused_before_registration():
             sock.close()
         assert backend.stats.protocol_errors == 1
         assert backend.stats.workers_seen == 0
+    finally:
+        backend.close()
+
+
+def _drain_welcome_then_close(backend, hello):
+    sock = socket.create_connection((backend.host, backend.port), timeout=5)
+    try:
+        send_frame(sock, MSG_HELLO, hello)
+        sock.settimeout(5)
+        return recv_frame(sock)
+    finally:
+        sock.close()
+
+
+def test_v3_hello_is_rejected_before_registration():
+    backend = SocketBackend(port=0)
+    try:
+        # v4 too: its workers unpack a 5-element CHUNK, so they are
+        # refused at HELLO rather than mis-framed mid-job. And v5: its
+        # workers cannot unpickle an ObservedCell and would drop the
+        # connection on their first observed chunk.
+        for refused, version in enumerate((3, 4, 5), start=1):
+            sock = socket.create_connection((backend.host, backend.port), timeout=5)
+            try:
+                send_frame(sock, MSG_HELLO, {"version": version, "host": "old", "pid": 1})
+                deadline = time.monotonic() + 5
+                while time.monotonic() < deadline:
+                    if backend.stats.protocol_errors >= refused:
+                        break
+                    time.sleep(0.02)
+                assert backend.stats.protocol_errors >= refused
+                assert backend.worker_count() == 0
+            finally:
+                sock.close()
+        # The refusals cost the job nothing: a current worker serves it.
+        start_worker_thread(backend)
+        serial = Runner().run_repetitions(QUICHE_LOSSY, repetitions=4)
+        distributed = sweep(backend, QUICHE_LOSSY, 4)
+        assert [r.client_stats for r in distributed] == [r.client_stats for r in serial]
+    finally:
+        backend.close()
+
+
+def test_v6_hello_with_codecs_is_refused_before_registration():
+    """A v6 worker is refused at HELLO, whether its HELLO reaches the
+    coordinator in v7 framing or, as a real v6 worker writes it, as a
+    bare pickle; neither is registered or answered with WELCOME."""
+    v6_hello = {"version": 6, "pid": 1, "host": "v6", "epoch": 0, "codecs": ["zlib", "raw"]}
+    backend = SocketBackend(port=0)
+    try:
+        for refused, frame in enumerate(
+            (make_frame(MSG_HELLO, v6_hello)[0], raw_frame(MSG_HELLO, pickle.dumps(v6_hello))),
+            start=1,
+        ):
+            sock = socket.create_connection((backend.host, backend.port), timeout=5)
+            try:
+                sock.sendall(frame)
+                with pytest.raises((ConnectionError, OSError)):
+                    recv_frame(sock)
+                assert backend.stats.protocol_errors == refused
+                assert backend.worker_count() == 0
+                assert backend.stats.workers_seen == 0
+            finally:
+                sock.close()
+    finally:
+        backend.close()
+
+
+def test_welcome_carries_only_the_version():
+    """WELCOME answers a current HELLO, and a HELLO that still carries
+    the ``epoch`` field a worker of one release earlier sent registers
+    too: the coordinator never read it."""
+    backend = SocketBackend(port=0)
+    try:
+        for hello in (
+            {"version": PROTOCOL_VERSION, "pid": 0, "host": "v8"},
+            {"version": PROTOCOL_VERSION, "pid": 0, "host": "v8-epoch", "epoch": 1},
+        ):
+            msg_type, payload = _drain_welcome_then_close(backend, hello)
+            assert msg_type == MSG_WELCOME
+            assert payload == {"version": PROTOCOL_VERSION}
+        deadline = time.monotonic() + 5  # registration follows WELCOME
+        while backend.stats.workers_seen < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert backend.stats.workers_seen == 2
+        assert backend.stats.protocol_errors == 0
     finally:
         backend.close()
 
